@@ -29,7 +29,7 @@ _TWO_PI_LD = np.longdouble(2.0) * _PI_LD
 # order, so they accumulate weights identically.
 _VECTORIZE_PAIRS = 4096
 
-_MAX_VECTOR_DENOMINATOR = 1 << 40  # int64 headroom for (n * p) % q
+_MAX_VECTOR_DENOMINATOR = 1 << 40  # largest denominator the array paths accept
 
 
 @dataclass(frozen=True)
@@ -62,26 +62,16 @@ def _root_lut(q: int) -> np.ndarray:
     return lut
 
 
-def _unit_phases(angle: Angle, basis: GeneratorBasis, ns: np.ndarray) -> np.ndarray:
-    """e^{-i n theta} for each n, with theta the exact position of ``angle``.
+def _rational_residues(ns: np.ndarray, p: int, q: int) -> np.ndarray:
+    """(-n * p) mod q for each n, exact for every int64 n.
 
-    The rational part of the position is evaluated through the root-of-unity
-    table (exact on axis values); the irrational part is reduced mod 2 pi in
-    extended precision before the final complex exponential.
+    n is reduced mod q before the product; when (q - 1) * p could still
+    overflow int64 the product is taken in Python integers.
     """
-    p = angle.turns.numerator
-    q = angle.turns.denominator
-    if q > _MAX_VECTOR_DENOMINATOR:
-        raise ValueError(f"position denominator {q} too large for vectorized transform")
-    out = _root_lut(q)[(-ns * p) % q]
-    if any(angle.coeffs):
-        g = np.longdouble(0.0)
-        for c, v in zip(angle.coeffs, basis.values):
-            if c:
-                g += np.longdouble(c) * np.longdouble(v)
-        phase = np.mod(ns.astype(np.longdouble) * g, _TWO_PI_LD).astype(np.float64)
-        out = out * np.exp(-1j * phase)
-    return out
+    r = ns % q
+    if (q - 1) * p >= 1 << 63:
+        return ((-r.astype(object) * p) % q).astype(np.int64)
+    return (-r * p) % q
 
 
 def _check_same_basis(a: GeneratorBasis, b: GeneratorBasis) -> None:
@@ -172,11 +162,34 @@ class DiscreteMeasure:
         return DiscreteMeasure(self.basis, {a + shift: w for a, w in self.atoms.items()})
 
     def transform(self, ns) -> np.ndarray:
-        """Fourier coefficients mu_hat(n) for an integer array ``ns``."""
+        """Fourier coefficients mu_hat(n) for an integer array ``ns``.
+
+        Atoms sharing a generator-coefficient vector are summed through the
+        exact root-of-unity table, then multiplied once by e^{-i n g}, with
+        n g reduced mod 2 pi in extended precision.  Complex products are out
+        of place, so a value depends only on n, not on the array holding it.
+        """
         ns = np.asarray(ns, dtype=np.int64)
-        out = np.zeros(ns.shape, dtype=np.complex128)
+        groups: dict[tuple[int, ...], list[tuple[Fraction, complex]]] = {}
         for angle, w in self.atoms.items():
-            out += w * _unit_phases(angle, self.basis, ns)
+            groups.setdefault(angle.coeffs, []).append((angle.turns, w))
+        out = np.zeros(ns.shape, dtype=np.complex128)
+        for coeffs, members in groups.items():
+            acc = np.zeros(ns.shape, dtype=np.complex128)
+            for turns, w in members:
+                p, q = turns.numerator, turns.denominator
+                if q > _MAX_VECTOR_DENOMINATOR:
+                    raise ValueError(
+                        f"position denominator {q} too large for vectorized transform")
+                acc += np.multiply(w, _root_lut(q)[_rational_residues(ns, p, q)])
+            if any(coeffs):
+                g = np.longdouble(0.0)
+                for c, v in zip(coeffs, self.basis.values):
+                    if c:
+                        g += np.longdouble(c) * np.longdouble(v)
+                phase = np.mod(ns.astype(np.longdouble) * g, _TWO_PI_LD).astype(np.float64)
+                acc = np.multiply(acc, np.exp(-1j * phase))
+            out += acc
         return out
 
     def __repr__(self) -> str:

@@ -2,12 +2,13 @@
 
 JSON objects are dumped with sorted keys and two-space indentation so that
 identical inputs produce byte-identical files.  Parsers raise SchemaError on
-malformed content.
+malformed content, including NaN or infinite numbers in a measure.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from typing import Any, Union
 
@@ -39,13 +40,24 @@ def read_json(path) -> Any:
         raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
 
 
+def _finite(value: Any, what: str) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise SchemaError(f"{what} must be finite, got {x!r}")
+    return x
+
+
+def _complex(entry: Any, what: str) -> complex:
+    return complex(_finite(entry.get("re", 0.0), what), _finite(entry.get("im", 0.0), what))
+
+
 def basis_to_json(basis: GeneratorBasis) -> list:
     return [{"name": n, "value": float(v)} for n, v in basis.pairs()]
 
 
 def basis_from_json(obj: Any) -> GeneratorBasis:
     try:
-        pairs = [(str(e["name"]), float(e["value"])) for e in obj]
+        pairs = [(str(e["name"]), _finite(e["value"], "generator value")) for e in obj]
         return GeneratorBasis.from_pairs(pairs)
     except SchemaError:
         raise
@@ -83,10 +95,9 @@ def measure_from_json(obj: Any) -> MeasureLike:
         pairs = []
         for entry in obj.get("atoms", []):
             angle = angle_from_json(entry["angle"], basis)
-            pairs.append((angle, complex(float(entry.get("re", 0.0)),
-                                         float(entry.get("im", 0.0)))))
+            pairs.append((angle, _complex(entry, "atom weight")))
         disc = DiscreteMeasure.from_atoms(basis, pairs)
-        coeffs = {int(e["k"]): complex(float(e.get("re", 0.0)), float(e.get("im", 0.0)))
+        coeffs = {int(e["k"]): _complex(e, "density coefficient")
                   for e in obj.get("ac", [])}
         kind = obj.get("kind", "mixed" if coeffs else "discrete")
         if kind == "discrete":

@@ -153,6 +153,21 @@ def test_spectral_radius_brackets_discrete(tmp_path, measure_file, capsys):
     assert [k for k, _ in data["entries"]] == list(range(len(data["entries"])))
 
 
+def test_spectral_radius_rejects_nan_weight(tmp_path, measure_file, capsys):
+    obj = json.loads(measure_file.read_text(encoding="utf-8"))
+    obj["atoms"][0]["re"] = math.nan
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps(obj), encoding="utf-8")
+    out = tmp_path / "radius.json"
+    rc = main(["spectral-radius", "--input", str(bad), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "must be finite" in captured.err
+    assert not out.exists()
+
+
 def test_spectral_radius_skips_lower_bound_for_densities(tmp_path, basis, capsys):
     path = tmp_path / "density.json"
     write_json(path, measure_to_json(MixedMeasure.from_density(basis, {1: 1.0, -2: 0.5})))

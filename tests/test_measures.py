@@ -3,16 +3,17 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from natspec.angles import GeneratorBasis, angle_add
 from natspec.errors import BudgetExceededError
 from natspec.measures import (ConvolutionBudget, DiscreteMeasure, MixedMeasure,
-                              TrigPolyDensity, as_mixed, convolve, convolve_power,
-                              fourier_coefficient, make_rho, make_theta0,
-                              make_theta1, parity_projections, tv_norm,
+                              TrigPolyDensity, _rational_residues, as_mixed, convolve,
+                              convolve_power, fourier_coefficient, make_rho,
+                              make_theta0, make_theta1, parity_projections, tv_norm,
                               tv_norm_bounds)
 from natspec.sampling import default_rng, random_discrete, random_mixed
 
@@ -21,6 +22,28 @@ NS = np.arange(-12, 13)
 dyadic_st = st.builds(lambda m, e: m * 2.0 ** e,
                       st.integers(-1024, 1024), st.integers(-8, 0))
 weight_st = st.builds(complex, dyadic_st, dyadic_st)
+unit_st = st.floats(-1.0, 1.0, allow_nan=False)
+float_weight_st = st.builds(complex, unit_st, unit_st)
+BASIS = GeneratorBasis.from_pairs((("a", math.sqrt(2)), ("b", math.sqrt(3))))
+
+
+def mp_transform(mu: DiscreteMeasure, n: int) -> complex:
+    """mu_hat(n) summed atom by atom in mpmath at 30 digits.
+
+    The rational part of each phase is reduced exactly in Fraction
+    arithmetic, so the value is right for any n; the irrational part uses
+    the exact binary values of the generator floats.
+    """
+    with mpmath.workdps(30):
+        total = mpmath.mpc(0)
+        for angle, w in mu.atoms.items():
+            p, q = angle.turns.numerator, angle.turns.denominator
+            rational = Fraction((-n * p) % q, q)
+            irrational = sum((c * mpmath.mpf(v) for c, v in zip(angle.coeffs, mu.basis.values)),
+                             mpmath.mpf(0))
+            phase = 2 * mpmath.pi * mpmath.mpf(rational.numerator) / rational.denominator
+            total += mpmath.mpc(w.real, w.imag) * mpmath.expj(phase - n * irrational)
+        return complex(total)
 
 
 def test_projection_measures_are_idempotent(basis, theta0, theta1):
@@ -149,9 +172,63 @@ def test_fourier_coefficient_conventions(basis, rho):
 def test_transform_vectorized_matches_scalar(basis):
     rng = default_rng(3)
     mu = random_mixed(rng, basis)
-    vec = mu.transform(NS)
-    for i, n in enumerate(NS):
-        assert vec[i] == fourier_coefficient(mu, int(n))
+    # the long range makes arrays above numpy's 256 KiB temporary-elision
+    # threshold, where an in-place complex product would round differently
+    for ns in (NS, np.arange(-10 ** 4, 10 ** 4 + 1)):
+        vec = mu.transform(ns)
+        for i in np.linspace(0, len(ns) - 1, min(len(ns), 401)).astype(int):
+            assert vec[i] == fourier_coefficient(mu, int(ns[i]))
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 1 << 40).flatmap(
+           lambda q: st.tuples(st.integers(0, q - 1), st.just(q))),
+       st.lists(st.integers(-(1 << 62), 1 << 62), min_size=1, max_size=8))
+@example(((1 << 40) - 5, 1 << 40), [1 << 62, 3 - (1 << 62)])  # (q - 1) * p >= 2**63
+def test_rational_residues_are_exact(pq, ns):
+    p, q = pq
+    got = _rational_residues(np.array(ns, dtype=np.int64), p, q)
+    assert got.tolist() == [(-n * p) % q for n in ns]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from((1, 2, 3, 7, 12, 97, 1_000_003)),
+                          st.integers(0, 10 ** 6), float_weight_st),
+                min_size=1, max_size=4),
+       st.lists(st.integers(-(1 << 62), 1 << 62), min_size=1, max_size=8))
+@example([(1_000_003, 999_998, 1.0 + 0j)], [1 << 44])  # wrapped in int64 before
+def test_rational_transform_matches_exact_phases(atoms, ns):
+    mu = DiscreteMeasure.from_atoms(
+        BASIS, [(BASIS.from_turns(Fraction(p % q, q)), w) for q, p, w in atoms])
+    vec = mu.transform(np.array(ns, dtype=np.int64))
+    for n, v in zip(ns, vec):
+        assert abs(v - mp_transform(mu, n)) <= 1e-12 * mu.norm()
+
+
+@st.composite
+def grouped_measures(draw):
+    """Discrete measures whose atoms share generator-coefficient vectors:
+    several turns per vector, some with their half-turn partner."""
+    vectors = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                            min_size=1, max_size=4, unique=True))
+    atoms = []
+    for vec in vectors:
+        turns = draw(st.lists(st.builds(Fraction, st.integers(0, 11), st.just(12)),
+                              min_size=1, max_size=3, unique=True))
+        for t in turns:
+            atoms.append((BASIS.angle(t, vec), draw(float_weight_st)))
+            if draw(st.booleans()):
+                atoms.append((BASIS.angle(t + Fraction(1, 2), vec), draw(float_weight_st)))
+    return DiscreteMeasure.from_atoms(BASIS, atoms)
+
+
+@settings(max_examples=30, deadline=None)
+@given(grouped_measures())
+def test_grouped_transform_matches_mpmath(mu):
+    ns = np.arange(-10 ** 4, 10 ** 4 + 1)
+    vec = mu.transform(ns)
+    for i in np.linspace(0, len(ns) - 1, 41).astype(int):
+        assert abs(vec[i] - mp_transform(mu, int(ns[i]))) <= 1e-11 * mu.norm()
 
 
 def test_parity_split_pairs_atoms_exactly(basis):

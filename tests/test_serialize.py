@@ -95,6 +95,19 @@ def test_measure_schema_errors(basis):
         measure_from_json([1, 2, 3])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("section,key", [("atoms", "re"), ("atoms", "im"), ("ac", "re"),
+                                         ("ac", "im"), ("basis", "value")])
+def test_measure_parse_rejects_non_finite_numbers(basis, section, key, bad):
+    obj = measure_to_json(random_mixed(default_rng(7), basis))
+    obj[section][-1][key] = bad
+    with pytest.raises(SchemaError, match="must be finite"):
+        measure_from_json(obj)
+    # Python's json module reads and writes the NaN/Infinity tokens
+    with pytest.raises(SchemaError, match="must be finite"):
+        measure_from_json(json.loads(json.dumps(obj)))
+
+
 def test_kronecker_problem_round_trip():
     problem = KroneckerProblem(alpha=math.sqrt(2), beta=math.sqrt(3), target_x=1.0,
                                target_y=2.0, epsilon=0.05, n_max=12345,
