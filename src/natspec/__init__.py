@@ -12,7 +12,7 @@ spectral disks.
 from .angles import (FRESH_GENERATOR_VALUES, Angle, GeneratorBasis, TWO_PI,
                      angle_add, angle_scale, angle_to_radians,
                      basis_fresh_generators)
-from .decomposition import (GENERATOR_STRATEGIES, RADIUS_MODES, DecompositionOptions,
+from .decomposition import (RADIUS_MODES, DecompositionOptions,
                             DecompositionResult, VerificationCheck,
                             VerificationReport, decompose, verify_decomposition)
 from .errors import (BasisMismatchError, BudgetExceededError, GeneratorsExhaustedError,
@@ -46,7 +46,7 @@ __all__ = [
     "hausdorff", "disk_grid", "NaturalSpectrumReport", "natural_spectrum_check",
     "KroneckerProblem", "KroneckerSolution", "chordal", "solve",
     "pair_transform_values", "disk_preimage", "disk_preimage_shifted", "hit_target",
-    "RADIUS_MODES", "GENERATOR_STRATEGIES", "DecompositionOptions",
+    "RADIUS_MODES", "DecompositionOptions",
     "DecompositionResult", "VerificationCheck", "VerificationReport",
     "decompose", "verify_decomposition",
     "NatspecError", "BasisMismatchError", "GeneratorsExhaustedError",

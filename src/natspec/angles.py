@@ -13,9 +13,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
+import numpy as np
+
 from .errors import BasisMismatchError, GeneratorsExhaustedError
 
 TWO_PI = 2.0 * math.pi
+_PI_LD = np.longdouble("3.14159265358979323846264338327950288")
+_TWO_PI_LD = np.longdouble(2.0) * _PI_LD
 
 # Candidate generator values in (0, 2*pi), pairwise distinct, believed
 # rationally independent together with pi (square roots of squarefree
@@ -181,6 +185,13 @@ def angle_to_radians(a: Angle, basis: GeneratorBasis) -> float:
     if x >= TWO_PI:  # guard against fmod landing exactly on 2*pi
         x = 0.0
     return x
+
+
+def reduced_phases(ns: np.ndarray, value) -> np.ndarray:
+    """(n * value) mod 2 pi for each n, reduced in extended precision and
+    returned as float64."""
+    prod = ns.astype(np.longdouble) * np.longdouble(value)
+    return np.mod(prod, _TWO_PI_LD).astype(np.float64)
 
 
 def basis_fresh_generators(basis: GeneratorBasis, count: int) -> tuple[tuple[str, float], ...]:

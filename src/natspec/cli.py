@@ -16,8 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .decomposition import (RADIUS_MODES, DecompositionOptions, decompose,
-                            GENERATOR_STRATEGIES)
+from .decomposition import RADIUS_MODES, DecompositionOptions, decompose
 from .errors import KroneckerNotFoundError, NatspecError, SchemaError
 from .kronecker import KroneckerProblem, pair_transform_values, solve
 from .measures import as_mixed
@@ -40,8 +39,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Decompose circle measures into natural-spectrum pieces, "
                     "bound spectral radii, and solve simultaneous rotation-"
                     "approximation problems.")
-    p.add_argument("--workers", type=int, default=1,
-                   help="accepted for compatibility; computations are single-threaded")
     sub = p.add_subparsers(dest="command", required=True)
 
     d = sub.add_parser("decompose", help="split a measure into three pieces with "
@@ -53,8 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--tol", type=float, default=0.05, help="density tolerance")
     d.add_argument("--kmax", type=int, default=6, help="norm-root bound depth")
     d.add_argument("--radius-mode", choices=RADIUS_MODES, default="fekete")
-    d.add_argument("--generator-strategy", choices=GENERATOR_STRATEGIES,
-                   default="default_sqrt23")
     d.add_argument("--r0", type=float, default=None, help="manual radius for the even piece")
     d.add_argument("--r1", type=float, default=None, help="manual radius for the odd piece")
 
@@ -104,7 +99,6 @@ def _cmd_decompose(args) -> int:
             raise SchemaError("--radius-mode manual requires --r0 and --r1")
         manual = (args.r0, args.r1)
     opts = DecompositionOptions(radius_mode=args.radius_mode, manual_radii=manual,
-                                generator_strategy=args.generator_strategy,
                                 fekete_k_max=args.kmax, verify=True,
                                 verify_N=args.N, verify_grid=args.grid,
                                 verify_tol=args.tol)

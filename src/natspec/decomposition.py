@@ -27,7 +27,6 @@ from .spectrum import (FeketeReport, char_polynomial, character_values,
                        restrict, torus_max)
 
 RADIUS_MODES = ("exact_discrete", "fekete", "manual")
-GENERATOR_STRATEGIES = ("default_sqrt23", "fresh")
 
 # Absolute residual thresholds for the verifier checks.
 IDENTITY_TRANSFORM_TOL = 1e-9
@@ -51,7 +50,6 @@ class DecompositionOptions:
 
     radius_mode: str = "fekete"
     manual_radii: Optional[tuple[float, float]] = None
-    generator_strategy: str = "default_sqrt23"
     fekete_k_max: int = 6
     fekete_rel_tol: float = 0.0
     budget: ConvolutionBudget = field(default_factory=ConvolutionBudget)
@@ -165,8 +163,6 @@ def _radii(mu0: MeasureLike, mu1: MeasureLike, opts: DecompositionOptions):
 def _validate_options(opts: DecompositionOptions) -> None:
     if opts.radius_mode not in RADIUS_MODES:
         raise ValueError(f"unknown radius_mode {opts.radius_mode!r}")
-    if opts.generator_strategy not in GENERATOR_STRATEGIES:
-        raise ValueError(f"unknown generator_strategy {opts.generator_strategy!r}")
     if opts.fekete_k_max < 0:
         raise ValueError("fekete_k_max must be nonnegative")
 
@@ -175,11 +171,10 @@ def decompose(mu: MeasureLike, options: Optional[DecompositionOptions] = None
               ) -> DecompositionResult:
     """Build (nu0, nu1, nu2) over a basis extended by two fresh generators.
 
-    Both generator strategies draw the first two unused entries of the
-    built-in list; "default_sqrt23" and "fresh" therefore coincide unless the
-    input basis already uses those values, in which case later entries are
-    taken.  The identity nu0 + nu1 + nu2 == mu holds exactly at the level of
-    stored weights for weights on a common dyadic grid.
+    The two fresh generators are the first two entries of the built-in list
+    whose names and values the input basis does not use.  The identity
+    nu0 + nu1 + nu2 == mu holds exactly at the level of stored weights for
+    weights on a common dyadic grid.
     """
     opts = options if options is not None else DecompositionOptions()
     _validate_options(opts)

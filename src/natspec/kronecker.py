@@ -19,11 +19,8 @@ from typing import Iterator
 
 import numpy as np
 
+from .angles import TWO_PI, reduced_phases
 from .errors import KroneckerNotFoundError, OutOfDiskError
-
-TWO_PI = 2.0 * math.pi
-_PI_LD = np.longdouble("3.14159265358979323846264338327950288")
-_TWO_PI_LD = np.longdouble(2.0) * _PI_LD
 
 _SCAN_BLOCK = 65_536
 _NEIGHBOR_RANGE = 8
@@ -45,6 +42,9 @@ class KroneckerProblem:
     parity: str = "any"
 
     def __post_init__(self):
+        for name in ("alpha", "beta", "target_x", "target_y", "epsilon"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         if self.n_max < 1:
@@ -72,16 +72,10 @@ def chordal(delta) -> np.ndarray:
     return 2.0 * np.abs(np.sin(np.asarray(delta, dtype=np.float64) / 2.0))
 
 
-def _phases(ns: np.ndarray, value: float) -> np.ndarray:
-    """(n * value) mod 2 pi in extended precision, returned as float64."""
-    prod = ns.astype(np.longdouble) * np.longdouble(value)
-    return np.mod(prod, _TWO_PI_LD).astype(np.float64)
-
-
 def _pair_errors(ns: np.ndarray, alpha: float, beta: float,
                  x: float, y: float) -> tuple[np.ndarray, np.ndarray]:
-    ea = chordal(_phases(ns, alpha) - x)
-    eb = chordal(_phases(ns, beta) - y)
+    ea = chordal(reduced_phases(ns, alpha) - x)
+    eb = chordal(reduced_phases(ns, beta) - y)
     return ea, eb
 
 
@@ -110,25 +104,52 @@ def _candidate_blocks(n_max: int, min_abs: int, parity: str = "any",
         yield ns
 
 
-def _solve_scan(problem: KroneckerProblem) -> KroneckerSolution:
+def _scan(err_fn, eps: float, n_max: int, min_abs: int, parity: str,
+          message: str) -> tuple[int, tuple[float, ...], int]:
+    """First n in canonical order whose objective is below ``eps``.
+
+    ``err_fn`` maps a block of candidates to a tuple of arrays, the first of
+    which is the objective.  Returns (n, each array's value at n, evaluations);
+    raises KroneckerNotFoundError with the best candidate when none qualifies.
+    """
     best_n, best_err = None, math.inf
     evaluations = 0
-    for ns in _candidate_blocks(problem.n_max, problem.min_abs_n, problem.parity):
-        ea, eb = _pair_errors(ns, problem.alpha, problem.beta,
-                              problem.target_x, problem.target_y)
-        err = np.maximum(ea, eb)
-        hits = np.flatnonzero(err < problem.epsilon)
+    for ns in _candidate_blocks(n_max, min_abs, parity):
+        arrays = err_fn(ns)
+        err = arrays[0]
+        hits = np.flatnonzero(err < eps)
         if hits.size:
             i = int(hits[0])
-            evaluations += i + 1
-            return KroneckerSolution(int(ns[i]), float(ea[i]), float(eb[i]), evaluations)
+            return int(ns[i]), tuple(float(a[i]) for a in arrays), evaluations + i + 1
         evaluations += len(ns)
         i = int(np.argmin(err))
         if err[i] < best_err:
             best_err, best_n = float(err[i]), int(ns[i])
-    raise KroneckerNotFoundError(
-        f"no n with |n| <= {problem.n_max} meets epsilon={problem.epsilon}",
-        best_n=best_n, best_err=best_err)
+    raise KroneckerNotFoundError(message, best_n=best_n, best_err=best_err)
+
+
+def _solve_scan(problem: KroneckerProblem) -> KroneckerSolution:
+    def errors(ns):
+        ea, eb = _pair_errors(ns, problem.alpha, problem.beta,
+                              problem.target_x, problem.target_y)
+        return np.maximum(ea, eb), ea, eb
+
+    n, (_, ea, eb), evaluations = _scan(
+        errors, problem.epsilon, problem.n_max, problem.min_abs_n, problem.parity,
+        f"no n with |n| <= {problem.n_max} meets epsilon={problem.epsilon}")
+    return KroneckerSolution(n, ea, eb, evaluations)
+
+
+def _doubled(alpha: float, beta: float, n_max: int, parity: str):
+    """(alpha', beta', m_max, lift) reducing a parity-restricted search to an
+    unrestricted one over m: n = 2m (even) or n = 2m + 1 (odd), searched
+    with the doubled angles; parity "any" keeps everything as it is."""
+    if parity == "any":
+        return alpha, beta, n_max, lambda m: m
+    if parity == "even":
+        return _wrap(2.0 * alpha), _wrap(2.0 * beta), max(n_max // 2, 1), lambda m: 2 * m
+    return (_wrap(2.0 * alpha), _wrap(2.0 * beta), max((n_max - 1) // 2, 1),
+            lambda m: 2 * m + 1)
 
 
 def _gram_schmidt(rows: list[np.ndarray]) -> tuple[list[np.ndarray], list[list[float]]]:
@@ -190,24 +211,17 @@ def _nearest_plane(b: list[np.ndarray], target: np.ndarray) -> list[int]:
 
 def _solve_lattice(problem: KroneckerProblem) -> KroneckerSolution:
     if problem.parity != "any":
-        # reduce to the doubled angles: n = 2m (even) or n = 2m + 1 (odd,
-        # with the targets shifted by one copy of each angle); the lifted
-        # candidate is re-verified against the original objective
-        if problem.parity == "even":
-            sub = replace(problem, alpha=_wrap(2.0 * problem.alpha),
-                          beta=_wrap(2.0 * problem.beta),
-                          n_max=max(problem.n_max // 2, 1),
-                          min_abs_n=(problem.min_abs_n + 1) // 2, parity="any")
-            lift = lambda m: 2 * m
-        else:
-            sub = replace(problem, alpha=_wrap(2.0 * problem.alpha),
-                          beta=_wrap(2.0 * problem.beta),
-                          target_x=_wrap(problem.target_x - problem.alpha),
+        # search the doubled angles for m, with the targets shifted by one
+        # copy of each angle when n = 2m + 1; the lifted candidate is
+        # re-verified against the original objective
+        alpha2, beta2, m_max, lift = _doubled(problem.alpha, problem.beta,
+                                              problem.n_max, problem.parity)
+        sub = replace(problem, alpha=alpha2, beta=beta2, n_max=m_max,
+                      min_abs_n=(problem.min_abs_n + 1) // 2, parity="any")
+        if problem.parity == "odd":
+            sub = replace(sub, target_x=_wrap(problem.target_x - problem.alpha),
                           target_y=_wrap(problem.target_y - problem.beta),
-                          n_max=max((problem.n_max - 1) // 2, 1),
-                          min_abs_n=max((problem.min_abs_n - 1) // 2, 0),
-                          parity="any")
-            lift = lambda m: 2 * m + 1
+                          min_abs_n=max((problem.min_abs_n - 1) // 2, 0))
         extra = 0
         try:
             subsol = _solve_lattice(sub)
@@ -312,8 +326,8 @@ def pair_transform_values(ns: np.ndarray, alpha: float, beta: float) -> np.ndarr
     and beta; phases are reduced in extended precision so the values stay
     accurate for |n| up to about 1e12.
     """
-    pa = _phases(ns, alpha)
-    pb = _phases(ns, beta)
+    pa = reduced_phases(ns, alpha)
+    pb = reduced_phases(ns, beta)
     return 0.5 * (np.exp(-1j * pa) + np.exp(-1j * pb))
 
 
@@ -338,6 +352,8 @@ def hit_target(alpha: float, beta: float, w: complex, eps: float,
     against the direct objective, falling back to the scan on failure.
     """
     w = complex(w)
+    if not all(math.isfinite(x) for x in (w.real, w.imag, alpha, beta, eps)):
+        raise ValueError("hit_target needs finite w, alpha, beta and eps")
     if abs(w) > 1.0 + 1e-12:
         raise OutOfDiskError(f"target modulus {abs(w)} exceeds 1")
     if eps <= 0:
@@ -345,38 +361,17 @@ def hit_target(alpha: float, beta: float, w: complex, eps: float,
     if parity not in ("any", "even", "odd"):
         raise ValueError(f"unknown parity {parity!r}")
     if method == "scan":
-        best_n, best_err = None, math.inf
-        for ns in _candidate_blocks(n_max, 0, parity):
-            err = np.abs(_rho_values(ns, alpha, beta) - w)
-            hits = np.flatnonzero(err < eps)
-            if hits.size:
-                return int(ns[int(hits[0])])
-            i = int(np.argmin(err))
-            if err[i] < best_err:
-                best_err, best_n = float(err[i]), int(ns[i])
-        raise KroneckerNotFoundError(
-            f"no {parity} n with |n| <= {n_max} meets eps={eps}",
-            best_n=best_n, best_err=best_err)
+        n, _, _ = _scan(lambda ns: (np.abs(_rho_values(ns, alpha, beta) - w),),
+                        eps, n_max, 0, parity,
+                        f"no {parity} n with |n| <= {n_max} meets eps={eps}")
+        return n
     if method != "lattice":
         raise ValueError(f"unknown method {method!r}")
 
-    if parity == "any":
-        z, u = disk_preimage(w)
-        problem = KroneckerProblem(alpha, beta, _wrap(-np.angle(z)), _wrap(-np.angle(u)),
-                                   eps / 2.0, n_max, "lattice")
-        lift = lambda m: m
-    elif parity == "even":
-        z, u = disk_preimage(w)
-        problem = KroneckerProblem(_wrap(2 * alpha), _wrap(2 * beta),
-                                   _wrap(-np.angle(z)), _wrap(-np.angle(u)),
-                                   eps / 2.0, max(n_max // 2, 1), "lattice")
-        lift = lambda m: 2 * m
-    else:
-        zeta, ups = disk_preimage_shifted(w, alpha, beta)
-        problem = KroneckerProblem(_wrap(2 * alpha), _wrap(2 * beta),
-                                   _wrap(-np.angle(zeta)), _wrap(-np.angle(ups)),
-                                   eps / 2.0, max((n_max - 1) // 2, 1), "lattice")
-        lift = lambda m: 2 * m + 1
+    alpha2, beta2, m_max, lift = _doubled(alpha, beta, n_max, parity)
+    z, u = disk_preimage_shifted(w, alpha, beta) if parity == "odd" else disk_preimage(w)
+    problem = KroneckerProblem(alpha2, beta2, _wrap(-np.angle(z)), _wrap(-np.angle(u)),
+                               eps / 2.0, m_max, "lattice")
     try:
         sol = solve(problem)
         n = lift(sol.n)

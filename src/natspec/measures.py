@@ -18,18 +18,11 @@ from typing import Iterable, Mapping, Union
 
 import numpy as np
 
-from .angles import Angle, GeneratorBasis, TWO_PI
+from .angles import Angle, GeneratorBasis, reduced_phases
 from .errors import BasisMismatchError, BudgetExceededError
 
-_PI_LD = np.longdouble("3.14159265358979323846264338327950288")
-_TWO_PI_LD = np.longdouble(2.0) * _PI_LD
-
-# Above this, pair enumeration switches from a dict loop to the vectorized
-# integer-matrix merge.  Both paths enumerate pairs in the same canonical
-# order, so they accumulate weights identically.
-_VECTORIZE_PAIRS = 4096
-
 _MAX_VECTOR_DENOMINATOR = 1 << 40  # largest denominator the array paths accept
+_MAX_COEFF = 1 << 62  # generator coefficients below this add without int64 wrap
 
 
 @dataclass(frozen=True)
@@ -187,8 +180,7 @@ class DiscreteMeasure:
                 for c, v in zip(coeffs, self.basis.values):
                     if c:
                         g += np.longdouble(c) * np.longdouble(v)
-                phase = np.mod(ns.astype(np.longdouble) * g, _TWO_PI_LD).astype(np.float64)
-                acc = np.multiply(acc, np.exp(-1j * phase))
+                acc = np.multiply(acc, np.exp(-1j * reduced_phases(ns, g)))
             out += acc
         return out
 
@@ -377,20 +369,12 @@ def make_rho(alpha: Angle, beta: Angle, basis: GeneratorBasis) -> DiscreteMeasur
     return DiscreteMeasure(basis, {alpha: 0.5, beta: 0.5})
 
 
-def _convolve_disc_small(a: DiscreteMeasure, b: DiscreteMeasure) -> dict[Angle, complex]:
-    acc: dict[Angle, complex] = {}
-    for pa, wa in a.atoms.items():
-        for pb, wb in b.atoms.items():
-            pos = pa + pb
-            acc[pos] = acc.get(pos, 0.0 + 0.0j) + wa * wb
-    return acc
-
-
-def _convolve_disc_vector(a: DiscreteMeasure, b: DiscreteMeasure) -> dict[Angle, complex]:
+def _merge_pairs(a: DiscreteMeasure, b: DiscreteMeasure) -> dict[Angle, complex]:
     # Encode positions as integer rows (turn numerator over a common
-    # denominator, then generator coefficients); merge with a lexicographic
-    # unique.  Row order matches the nested loop of the small path, so the
-    # accumulated weights are bitwise identical between paths.
+    # denominator, then generator coefficients) and merge equal rows.  Pairs
+    # are enumerated a-major in canonical order, and each merged weight
+    # accumulates its products in that pair order under numpy's complex
+    # rounding, whatever the number of pairs.
     k = len(a.basis)
     angles_a = list(a.atoms.keys())
     angles_b = list(b.atoms.keys())
@@ -399,6 +383,8 @@ def _convolve_disc_vector(a: DiscreteMeasure, b: DiscreteMeasure) -> dict[Angle,
         d = d * ang.turns.denominator // math.gcd(d, ang.turns.denominator)
     if d > _MAX_VECTOR_DENOMINATOR:
         raise ValueError(f"common position denominator {d} too large to vectorize")
+    if any(abs(c) >= _MAX_COEFF for ang in angles_a + angles_b for c in ang.coeffs):
+        raise ValueError("generator coefficient too large for exact int64 sums")
     num_a = np.array([ang.turns.numerator * (d // ang.turns.denominator)
                       for ang in angles_a], dtype=np.int64)
     num_b = np.array([ang.turns.numerator * (d // ang.turns.denominator)
@@ -408,8 +394,9 @@ def _convolve_disc_vector(a: DiscreteMeasure, b: DiscreteMeasure) -> dict[Angle,
     w_a = np.fromiter(a.atoms.values(), dtype=np.complex128, count=len(angles_a))
     w_b = np.fromiter(b.atoms.values(), dtype=np.complex128, count=len(angles_b))
 
-    num = ((num_a[:, None] + num_b[None, :]) % d).reshape(-1, 1)
-    coef = (coef_a[:, None, :] + coef_b[None, :, :]).reshape(-1, k)
+    pairs = len(angles_a) * len(angles_b)
+    num = ((num_a[:, None] + num_b[None, :]) % d).reshape(pairs, 1)
+    coef = (coef_a[:, None, :] + coef_b[None, :, :]).reshape(pairs, k)
     w = (w_a[:, None] * w_b[None, :]).ravel()
     pos = np.concatenate([num, coef], axis=1)
 
@@ -448,10 +435,7 @@ def _convolve_discrete(a: DiscreteMeasure, b: DiscreteMeasure, drop_tol: float,
     if budget is not None and pairs > budget.max_pairs:
         raise BudgetExceededError(
             f"convolution needs {pairs} atom pairs, budget allows {budget.max_pairs}")
-    if pairs <= _VECTORIZE_PAIRS:
-        acc = _convolve_disc_small(a, b)
-    else:
-        acc = _convolve_disc_vector(a, b)
+    acc = _merge_pairs(a, b)
     if drop_tol > 0.0:
         acc = {ang: w for ang, w in acc.items() if abs(w) > drop_tol}
     result = DiscreteMeasure(a.basis, acc)  # exact zeros dropped by constructor

@@ -24,12 +24,14 @@ from .spectrum import FeketeReport, SpectrumSample
 
 
 def dumps(obj: Any) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Deterministic JSON text; NaN and infinities raise ValueError."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def write_json(path, obj: Any) -> None:
+    text = dumps(obj)  # before opening, so a failure leaves no partial file
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(obj))
+        fh.write(text)
 
 
 def read_json(path) -> Any:

@@ -155,22 +155,10 @@ def character_values(p: CharacterPolynomial, grid: int = 256) -> np.ndarray:
     """Values of p over the full character lattice, as a flat complex array.
 
     Covers every torsion class crossed with a uniform ``grid``-point lattice
-    per free dimension.  A polynomial without terms evaluates to {0}.
+    per free dimension, t-major and in C order within a class.  A polynomial
+    without terms evaluates to {0}.
     """
-    if p.n_terms == 0:
-        return np.zeros(1, dtype=np.complex128)
-    omega = _root_lut(p.order)
-    torsion = np.asarray(p.torsion, dtype=np.int64)
-    base = np.asarray(p.weights, dtype=np.complex128)
-    exponents = np.asarray(p.exponents, dtype=np.int64).reshape(p.n_terms, p.dims)
-    chunks = []
-    for t in range(p.order):
-        w_t = base * omega[(torsion * t) % p.order]
-        if p.dims == 0:
-            chunks.append(np.array([w_t.sum()], dtype=np.complex128))
-        else:
-            chunks.append(_eval_on_grid(w_t, exponents, grid).ravel())
-    return np.concatenate(chunks)
+    return np.concatenate([values.ravel() for values, _, _ in _torus_slices(p, grid, 0)])
 
 
 def _axis_phases(grid: int) -> np.ndarray:
@@ -240,6 +228,50 @@ def _grid_levels(grid: int) -> list[int]:
     return levels
 
 
+def _torus_slices(p: CharacterPolynomial, grid: int, refine_iters: int):
+    """Walk the character torus one torsion class t at a time.
+
+    Yields (values, F, runs) per class: p on the grid^dims lattice (one value
+    when dims == 0), F = |p|^2 on that lattice, and the projected gradient
+    ascent started from the best point of every dyadic subgrid, each run as
+    (F, x, p(x)) at its best point.  A polynomial without terms yields one
+    zero value and no runs.
+    """
+    if grid < 16:
+        raise ValueError("grid must be at least 16")
+    if p.dims > 4:
+        raise ValueError(f"the character torus supports at most 4 free dimensions, got {p.dims}")
+    if p.n_terms == 0:
+        yield np.zeros(1, dtype=np.complex128), np.zeros(1), []
+        return
+    omega = _root_lut(p.order)
+    torsion = np.asarray(p.torsion, dtype=np.int64)
+    base_weights = np.asarray(p.weights, dtype=np.complex128)
+    exponents = np.asarray(p.exponents, dtype=np.int64).reshape(p.n_terms, p.dims)
+    scale = p.weight_scale()
+    step = 0.5 / (scale * scale) if scale * scale > 0 else 0.0  # 0 when it underflows
+    theta = _axis_phases(grid)
+    for t in range(p.order):
+        w_t = base_weights * omega[(torsion * t) % p.order]
+        if p.dims == 0:
+            # summed directly: _eval_on_grid would add the terms in another order
+            values = np.array([w_t.sum()], dtype=np.complex128)
+        else:
+            values = _eval_on_grid(w_t, exponents, grid)
+        f_grid = values.real ** 2 + values.imag ** 2
+        runs = []
+        if refine_iters > 0 and step > 0:
+            for level in _grid_levels(grid):
+                stride = grid // level
+                sub = f_grid[(slice(None, None, stride),) * p.dims]
+                idx = np.unravel_index(int(np.argmax(sub)), sub.shape)
+                start = np.array([theta[i * stride] for i in idx], dtype=np.float64)
+                f_best, x_best = _ascend(w_t, exponents, start, step, refine_iters)
+                runs.append((f_best, x_best,
+                             complex((w_t * np.exp(1j * (exponents @ x_best))).sum())))
+        yield values, f_grid, runs
+
+
 def torus_max(p: CharacterPolynomial, grid: int = 512, refine_iters: int = 64) -> float:
     """Maximum of |p| over all generalized characters, from below.
 
@@ -247,42 +279,14 @@ def torus_max(p: CharacterPolynomial, grid: int = 512, refine_iters: int = 64) -
     ascent (fixed step with halving safeguard) from the best point of every
     dyadic subgrid.  The returned value only increases when ``grid`` doubles.
     """
-    if grid < 16:
-        raise ValueError("grid must be at least 16")
-    if p.dims > 4:
-        raise ValueError(f"torus maximization supports at most 4 free dimensions, got {p.dims}")
-    if p.n_terms == 0:
-        return 0.0
-    omega = _root_lut(p.order)
-    torsion = np.asarray(p.torsion, dtype=np.int64)
-    base_weights = np.asarray(p.weights, dtype=np.complex128)
-    exponents = np.asarray(p.exponents, dtype=np.int64).reshape(p.n_terms, p.dims)
-    scale = p.weight_scale()
-    step = 0.5 / (scale * scale) if scale > 0 else 0.0
     best = 0.0
-    for t in range(p.order):
-        w_t = base_weights * omega[(torsion * t) % p.order]
+    for values, f_grid, runs in _torus_slices(p, grid, refine_iters):
         if p.dims == 0:
-            val = abs(complex(w_t.sum()))
-            if val > best:
-                best = val
+            best = max(best, abs(complex(values[0])))
             continue
-        values = _eval_on_grid(w_t, exponents, grid)
-        f_grid = values.real ** 2 + values.imag ** 2
-        grid_best = float(f_grid.max())
-        if grid_best > best * best:
-            best = math.sqrt(grid_best)
-        if refine_iters > 0 and step > 0:
-            theta = _axis_phases(grid)
-            for level in _grid_levels(grid):
-                stride = grid // level
-                sub = f_grid[(slice(None, None, stride),) * p.dims]
-                flat = int(np.argmax(sub))
-                idx = np.unravel_index(flat, sub.shape)
-                start = np.array([theta[i * stride] for i in idx], dtype=np.float64)
-                f_best, _ = _ascend(w_t, exponents, start, step, refine_iters)
-                if f_best > best * best:
-                    best = math.sqrt(f_best)
+        for f in [float(f_grid.max())] + [f_best for f_best, _, _ in runs]:
+            if f > best * best:
+                best = math.sqrt(f)
     return best
 
 
@@ -305,56 +309,18 @@ def spectrum_sample(mu: DiscreteMeasure, grid: int = 512,
     by torus_max, so the sampled set converges to the full spectrum picture
     as the grid refines.
     """
-    p = char_polynomial(mu)
-    if p.dims > 4:
-        raise ValueError(f"spectrum sampling supports at most 4 free dimensions, got {p.dims}")
-    if grid < 16:
-        raise ValueError("grid must be at least 16")
-    if p.n_terms == 0:
-        return SpectrumSample(np.zeros(1, dtype=np.complex128), (grid, refine_iters))
-    omega = _root_lut(p.order)
-    torsion = np.asarray(p.torsion, dtype=np.int64)
-    base_weights = np.asarray(p.weights, dtype=np.complex128)
-    exponents = np.asarray(p.exponents, dtype=np.int64).reshape(p.n_terms, p.dims)
-    scale = p.weight_scale()
-    step = 0.5 / (scale * scale) if scale > 0 else 0.0
     chunks = []
-    for t in range(p.order):
-        w_t = base_weights * omega[(torsion * t) % p.order]
-        if p.dims == 0:
-            chunks.append(np.array([w_t.sum()], dtype=np.complex128))
-            continue
-        values = _eval_on_grid(w_t, exponents, grid)
+    for values, _, runs in _torus_slices(char_polynomial(mu), grid, refine_iters):
         chunks.append(values.ravel())
-        if refine_iters > 0 and step > 0:
-            f_grid = values.real ** 2 + values.imag ** 2
-            theta = _axis_phases(grid)
-            refined = []
-            for level in _grid_levels(grid):
-                stride = grid // level
-                sub = f_grid[(slice(None, None, stride),) * p.dims]
-                idx = np.unravel_index(int(np.argmax(sub)), sub.shape)
-                start = np.array([theta[i * stride] for i in idx], dtype=np.float64)
-                _, x_best = _ascend(w_t, exponents, start, step, refine_iters)
-                phase = exponents @ x_best
-                refined.append(complex((w_t * np.exp(1j * phase)).sum()))
-            chunks.append(np.asarray(refined, dtype=np.complex128))
+        if runs:
+            chunks.append(np.array([px for _, _, px in runs], dtype=np.complex128))
     return SpectrumSample(np.concatenate(chunks), (grid, refine_iters))
 
 
-def transform_closure_sample(mu: MeasureLike, N: int, subset: str = "all") -> SpectrumSample:
-    """Transform values mu_hat(n) over |n| <= N restricted to a parity class."""
-    if subset == "all":
-        ns = np.arange(-N, N + 1, dtype=np.int64)
-    elif subset == "even":
-        ns = np.arange(-(N - N % 2), N + 1, 2, dtype=np.int64)
-    elif subset == "odd":
-        lo = -(N if N % 2 == 1 else N - 1)
-        ns = np.arange(lo, N + 1, 2, dtype=np.int64)
-    else:
-        raise ValueError(f"unknown subset {subset!r}")
-    points = as_mixed(mu).transform(ns)
-    return SpectrumSample(points, (N, 0))
+def transform_closure_sample(mu: MeasureLike, N: int) -> SpectrumSample:
+    """Transform values mu_hat(n) over |n| <= N."""
+    ns = np.arange(-N, N + 1, dtype=np.int64)
+    return SpectrumSample(as_mixed(mu).transform(ns), (N, 0))
 
 
 PointsLike = Union[SpectrumSample, np.ndarray, Sequence[complex]]
@@ -426,7 +392,7 @@ def natural_spectrum_check(mu: DiscreteMeasure, N: int = 100_000, grid: int = 51
     For measures whose spectrum is natural the two clouds have small Hausdorff
     distance once N and the grid are large enough.
     """
-    trans = transform_closure_sample(mu, N, "all")
+    trans = transform_closure_sample(mu, N)
     spec = spectrum_sample(mu, grid, refine_iters)
     dist = hausdorff(trans, spec)
     return NaturalSpectrumReport(dist, tol, dist <= tol,

@@ -4,9 +4,11 @@ import json
 import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
+from natspec.angles import GeneratorBasis
 from natspec.cli import main
 from natspec.measures import DiscreteMeasure, MixedMeasure
 from natspec.sampling import default_rng, random_discrete
@@ -47,11 +49,6 @@ def test_verify_out_file_has_timestamp_header(tmp_path, capsys):
     written = out.read_text(encoding="utf-8").split("\n")
     assert written[0].startswith("# generated ")
     assert "\n".join(written[1:]) == body
-
-
-def test_workers_flag_is_accepted(capsys):
-    assert main(["--workers", "4", "verify"]) == 0
-    capsys.readouterr()
 
 
 def test_unknown_command_exits_2():
@@ -168,6 +165,32 @@ def test_spectral_radius_rejects_nan_weight(tmp_path, measure_file, capsys):
     assert not out.exists()
 
 
+def test_spectral_radius_over_empty_basis(tmp_path, capsys):
+    basis = GeneratorBasis()
+    mu = DiscreteMeasure.from_atoms(
+        basis, [(basis.from_turns(Fraction(j, 65)), 1.0 / 65) for j in range(65)])
+    path = tmp_path / "roots.json"
+    write_json(path, measure_to_json(mu))
+    out = tmp_path / "radius.json"
+    assert main(["spectral-radius", "--input", str(path), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads(out.read_text(encoding="utf-8"))["torus_lower"] > 0.0
+
+
+def test_spectral_radius_overflow_writes_nothing(tmp_path, capsys):
+    basis = GeneratorBasis()
+    huge = DiscreteMeasure.from_atoms(basis, [(basis.zero(), 1e308),
+                                              (basis.half_turn(), 1e308)])
+    path = tmp_path / "huge.json"
+    write_json(path, measure_to_json(huge))
+    out = tmp_path / "radius.json"
+    rc = main(["spectral-radius", "--input", str(path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_spectral_radius_skips_lower_bound_for_densities(tmp_path, basis, capsys):
     path = tmp_path / "density.json"
     write_json(path, measure_to_json(MixedMeasure.from_density(basis, {1: 1.0, -2: 0.5})))
@@ -230,6 +253,30 @@ def test_kronecker_missing_flags_exit_2(capsys):
     rc = main(["kronecker", "--alpha", "1.0"])
     assert rc == 2
     assert "--beta" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--x", "--eps"])
+def test_kronecker_non_finite_flag_exits_2(flag, capsys):
+    args = {"--alpha": "1.41", "--beta": "1.73", "--x": "0.5", "--y": "0.5", "--eps": "0.1"}
+    args[flag] = "nan"
+    rc = main(["kronecker", *[tok for pair in args.items() for tok in pair]])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "must be finite" in err
+
+
+def test_kronecker_non_finite_problem_file_exits_2(tmp_path, capsys):
+    problem = kronecker_problem_to_json(KroneckerProblem(
+        alpha=1.41, beta=1.73, target_x=0.5, target_y=0.5, epsilon=0.1))
+    problem["target_x"] = math.nan
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem), encoding="utf-8")  # json writes a NaN token
+    rc = main(["kronecker", "--input", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "must be finite" in err
 
 
 def test_kronecker_not_found_exit_1(capsys):

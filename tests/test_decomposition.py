@@ -1,12 +1,10 @@
 """Splitting a measure into three pieces with disk-shaped transform closures."""
 
 import dataclasses
-import math
 
 import numpy as np
 import pytest
 
-from natspec.angles import GeneratorBasis
 from natspec.decomposition import (DecompositionOptions, decompose,
                                    verify_decomposition)
 from natspec.errors import RadiusValidationError
@@ -122,8 +120,6 @@ def test_options_validation(basis):
     mu = DiscreteMeasure.from_atoms(basis, [(basis.zero(), 1.0)])
     with pytest.raises(ValueError):
         decompose(mu, DecompositionOptions(radius_mode="guess", verify=False))
-    with pytest.raises(ValueError):
-        decompose(mu, DecompositionOptions(generator_strategy="reuse", verify=False))
 
 
 def test_tampered_radius_is_caught(basis):
@@ -135,18 +131,6 @@ def test_tampered_radius_is_caught(basis):
     assert not report.passed
     assert not report.check("parity_nu0").passed
     assert not report.check("modulus_nu0").passed
-
-
-def test_generator_strategies_coincide_off_default_pair():
-    basis = GeneratorBasis.from_pairs((("g", math.log(2.0)),))
-    mu = DiscreteMeasure.from_atoms(basis, [(basis.generator("g"), 0.5 + 0.25j)])
-    default = decompose(mu, DecompositionOptions(verify=False))
-    fresh = decompose(mu, DecompositionOptions(generator_strategy="fresh",
-                                               verify=False))
-    assert default.alpha == fresh.alpha and default.beta == fresh.beta
-    assert default.basis.pairs() == fresh.basis.pairs()
-    assert default.nu0.atoms == fresh.nu0.atoms
-    assert default.nu2.atoms == fresh.nu2.atoms
 
 
 def test_verify_flag_off_defers_report(basis):

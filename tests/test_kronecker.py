@@ -66,6 +66,25 @@ def test_problem_validation():
                          epsilon=0.1, method="bisection")
 
 
+@pytest.mark.parametrize("field", ["alpha", "beta", "target_x", "target_y", "epsilon"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_problem_rejects_non_finite_numbers(field, bad):
+    data = dict(alpha=1.0, beta=2.0, target_x=0.0, target_y=0.0, epsilon=0.1)
+    data[field] = bad
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        KroneckerProblem(**data)
+
+
+@pytest.mark.parametrize("args", [
+    (SQRT2, SQRT3, math.nan, 0.1), (SQRT2, SQRT3, complex(0.0, math.nan), 0.1),
+    (SQRT2, SQRT3, complex(math.inf, 0.0), 0.1), (math.nan, SQRT3, 0.5, 0.1),
+    (SQRT2, math.inf, 0.5, 0.1), (SQRT2, SQRT3, 0.5, math.nan)])
+@pytest.mark.parametrize("method", ["scan", "lattice"])
+def test_hit_target_rejects_non_finite_input(args, method):
+    with pytest.raises(ValueError, match="finite"):
+        hit_target(*args, method=method)
+
+
 def test_parity_restricted_scan():
     even = solve(KroneckerProblem(alpha=SQRT2, beta=SQRT3, target_x=1.0, target_y=2.0,
                                   epsilon=0.05, parity="even"))

@@ -112,6 +112,67 @@ def test_convolution_theorem_on_random_measures(basis):
         assert resid < 1e-10
 
 
+def _exact_convolution(mu: DiscreteMeasure, nu: DiscreteMeasure) -> dict:
+    """Second route for convolve: positions summed as exact Fractions and
+    integer tuples, weights summed in mpmath at 40 digits.  Maps each
+    position of the sumset to (exact weight, sum of |w_a| |w_b| there)."""
+    out: dict = {}
+    with mpmath.workdps(40):
+        for pa, wa in mu.atoms.items():
+            for pb, wb in nu.atoms.items():
+                turns = (pa.turns + pb.turns) % 1
+                key = (turns, tuple(x + y for x, y in zip(pa.coeffs, pb.coeffs)))
+                w, scale = out.get(key, (mpmath.mpc(0), mpmath.mpf(0)))
+                out[key] = (w + mpmath.mpc(wa) * mpmath.mpc(wb),
+                            scale + abs(mpmath.mpc(wa)) * abs(mpmath.mpc(wb)))
+    return out
+
+
+def _random_measure(rng, basis: GeneratorBasis, q: int, size: int) -> DiscreteMeasure:
+    """``size`` distinct positions (turns j/q, coefficients in -2..2) with
+    non-dyadic weights k/997, so products and sums round."""
+    k = len(basis)
+    space = q * 5 ** k
+    codes = rng.choice(space, size=min(size, space), replace=False)
+    atoms = []
+    for code in codes.tolist():
+        coeffs = []
+        for _ in range(k):
+            code, c = divmod(code, 5)
+            coeffs.append(c - 2)
+        re, im = rng.integers(1, 998, size=2) * rng.choice((-1, 1), size=2)
+        atoms.append((basis.angle(Fraction(code, q), coeffs), complex(re, im) / 997))
+    return DiscreteMeasure.from_atoms(basis, atoms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 3), st.sampled_from((1, 2, 12, 65, 97)),
+       st.integers(1, 80), st.integers(1, 80), st.integers(0, 2 ** 32 - 1))
+@example(0, 65, 65, 65, 0)  # 4225 pairs over an empty basis: reshape(-1, 0) crashed
+@example(2, 12, 70, 70, 1)  # above the old 4096-pair switch
+@example(3, 2, 9, 11, 2)  # below it
+def test_convolve_matches_exact_sums(k, q, size_a, size_b, seed):
+    rng = np.random.default_rng(seed)
+    basis = GeneratorBasis.from_pairs(
+        (("sqrt2", math.sqrt(2)), ("sqrt3", math.sqrt(3)), ("ln3", math.log(3)))[:k])
+    mu = _random_measure(rng, basis, q, size_a)
+    nu = _random_measure(rng, basis, q, size_b)
+    got = convolve(mu, nu)
+    exact = _exact_convolution(mu, nu)
+    assert {(a.turns, a.coeffs) for a in got.atoms} == {key for key, (w, _) in exact.items()
+                                                        if w != 0}
+    for angle, w in got.atoms.items():
+        want, scale = exact[(angle.turns, angle.coeffs)]
+        assert abs(mpmath.mpc(w) - want) <= 1e-15 * scale
+
+
+def test_convolve_refuses_coefficients_that_could_wrap(basis):
+    # int64 sums of coefficients at 2**62 would wrap to negative values
+    far = DiscreteMeasure.from_atoms(basis, [(basis.angle(0, (1 << 62, 0)), 1.0)])
+    with pytest.raises(ValueError, match="too large"):
+        convolve(far, far)
+
+
 def test_translate_matches_point_mass_convolution(basis):
     rng = default_rng(7)
     mu = random_discrete(rng, basis)

@@ -5,11 +5,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from natspec.angles import GeneratorBasis
 from natspec.measures import DiscreteMeasure, convolve, make_theta1
 from natspec.sampling import default_rng, random_discrete
-from natspec.spectrum import (char_polynomial, character_values, covering_radius,
+from natspec.spectrum import (CharacterPolynomial, char_polynomial, character_values,
+                              covering_radius,
                               disk_grid, fekete_bound, hausdorff,
                               natural_spectrum_check, restrict, spectrum_sample,
                               torus_max, transform_closure_sample)
@@ -75,6 +77,13 @@ def test_torus_max_of_scaled_point(basis):
     assert torus_max(char_polynomial(point)) == pytest.approx(abs(0.25 - 0.5j), abs=1e-15)
 
 
+def test_torus_max_of_tiny_weights(basis):
+    # weight_scale()**2 underflows to zero, and the ascent step divided by it;
+    # |p|**2 underflows too, so the bound stays valid but drops to zero
+    tiny = DiscreteMeasure.from_atoms(basis, [(basis.generator("a"), 1e-170)])
+    assert 0.0 <= torus_max(char_polynomial(tiny), 16) <= 1e-170
+
+
 def test_torus_max_monotone_under_grid_doubling(basis):
     rng = default_rng(23)
     for _ in range(5):
@@ -109,6 +118,36 @@ def test_character_values_fill_grid(rho):
     assert np.max(np.abs(values)) <= 1.0 + 1e-12
     # the averaged pair of free characters sweeps out the whole disk
     assert hausdorff(values, disk_grid(1.0, 0.1)) < 0.1
+
+
+@st.composite
+def character_polynomials(draw):
+    order = draw(st.integers(1, 12))
+    dims = draw(st.integers(0, 3))
+    n_terms = draw(st.integers(1, 4))
+    unit = st.integers(-1000, 1000).map(lambda k: k / 1000)
+    return CharacterPolynomial(
+        order,
+        tuple(draw(st.integers(0, order - 1)) for _ in range(n_terms)),
+        tuple(tuple(draw(st.integers(-3, 3)) for _ in range(dims)) for _ in range(n_terms)),
+        tuple(complex(draw(unit), draw(unit)) for _ in range(n_terms)),
+        tuple(f"g{i}" for i in range(dims)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(character_polynomials(), st.sampled_from((16, 24)))
+def test_character_values_follow_reference_order(p, grid):
+    # t-major, then the grid^dims lattice in C order, against the scalar route
+    values = character_values(p, grid)
+    ref = [p.value(t, [2.0 * math.pi * j / grid for j in idx])
+           for t in range(p.order) for idx in np.ndindex(*(grid,) * p.dims)]
+    assert values.shape == (len(ref),)
+    scale = sum(abs(c) for c in p.weights)
+    assert np.max(np.abs(values - np.array(ref))) <= 1e-12 * scale
+    # with no ascent the torus maximum is the lattice maximum; sqrt(re^2 + im^2)
+    # carries up to about 2u relative error where abs() rounds once
+    top = max(abs(complex(v)) for v in values)
+    assert abs(torus_max(p, grid, refine_iters=0) - top) <= 2 * math.ulp(top)
 
 
 def test_spectrum_sample_of_sign_projector_is_binary(theta1):
