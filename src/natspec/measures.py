@@ -34,7 +34,7 @@ class ConvolutionBudget:
     max_pairs: int = 4_000_000
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)  # a few denominators per measure; tables can be large
 def _root_lut(q: int) -> np.ndarray:
     """Roots of unity e^{2 pi i j / q} for j in range(q).
 

@@ -10,7 +10,7 @@ circle variables for the independent generators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -20,6 +20,16 @@ from .angles import GeneratorBasis, TWO_PI
 from .errors import BudgetExceededError
 from .measures import (ConvolutionBudget, DiscreteMeasure, MeasureLike, MixedMeasure,
                        _root_lut, as_mixed, convolve, tv_norm_bounds)
+
+# norms whose square stays in the normal float range, with a factor 4 to spare
+_SQUARE_SAFE_MIN = 2.0 ** -511
+_SQUARE_SAFE_MAX = 2.0 ** 511
+# order * grid**dims the torus walker accepts: twice the 24 * 24**4 points of
+# the largest lower bound the tests, demos and benchmark ask for
+_TORUS_POINT_LIMIT = 1 << 24
+# terms contracted per BLAS product; up to this depth OpenBLAS's zgemm gives
+# the same bits whatever its thread count, and deeper it does not
+_TERM_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -31,6 +41,14 @@ class FeketeReport:
     budget_hit: bool
 
 
+def _rescale_exponent(norm: float) -> int:
+    """e != 0 when norm^2 would leave the normal float range; norm * 2^-e then
+    lies in [2^-53, 1) and 2^-e is a finite float.  0 for 0, inf and NaN."""
+    if 0.0 < norm < math.inf and not _SQUARE_SAFE_MIN <= norm <= _SQUARE_SAFE_MAX:
+        return max(math.frexp(norm)[1], -1021)
+    return 0
+
+
 def fekete_bound(mu: MeasureLike, k_max: int = 6, *, rel_tol: float = 0.0,
                  budget: ConvolutionBudget | None = None) -> FeketeReport:
     """Certified upper bound for the spectral radius via repeated squaring.
@@ -38,7 +56,10 @@ def fekete_bound(mu: MeasureLike, k_max: int = 6, *, rel_tol: float = 0.0,
     Each entry uses the total variation norm plus its quadrature error
     estimate, so every r_k is an upper bound for the true limit.  Stops early
     when the budget is exhausted (reported via ``budget_hit``) or when the
-    relative improvement drops below ``rel_tol``.
+    relative improvement drops below ``rel_tol``.  A power whose square's
+    norm would leave the normal float range is first rescaled by a power of
+    two, which is exact, so tiny weights do not underflow to a zero bound.
+    Raises ValueError when the total variation itself is not finite.
     """
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
@@ -47,17 +68,28 @@ def fekete_bound(mu: MeasureLike, k_max: int = 6, *, rel_tol: float = 0.0,
     cur = as_mixed(mu)
     value, err = tv_norm_bounds(cur)
     r = value + err
+    if not math.isfinite(r):
+        raise ValueError(f"the total variation bound {r!r} is not finite")
     entries = [(0, r)]
     budget_hit = False
+    shift = 0  # mu^(2^k) = cur * 2^shift
     if r > 0.0:
         for k in range(1, k_max + 1):
+            e = _rescale_exponent(value)
+            if e:
+                cur = cur.scale(math.ldexp(1.0, -e))
+                shift += e
             try:
                 cur = convolve(cur, cur, budget=budget)
             except BudgetExceededError:
                 budget_hit = True
                 break
+            shift *= 2
             value, err = tv_norm_bounds(cur)
             rk = (value + err) ** (1.0 / (1 << k))
+            if shift:
+                q, rem = divmod(shift, 1 << k)
+                rk = math.ldexp(rk * 2.0 ** (rem / (1 << k)), q)
             prev = entries[-1][1]
             entries.append((k, rk))
             if rel_tol > 0.0 and prev - rk <= rel_tol * prev:
@@ -156,7 +188,9 @@ def character_values(p: CharacterPolynomial, grid: int = 256) -> np.ndarray:
 
     Covers every torsion class crossed with a uniform ``grid``-point lattice
     per free dimension, t-major and in C order within a class.  A polynomial
-    without terms evaluates to {0}.
+    without terms evaluates to {0}.  The values come from a blocked BLAS
+    product (see ``_torus_slices``): their bits do not depend on the BLAS
+    thread count, but may differ between CPU kernels.
     """
     return np.concatenate([values.ravel() for values, _, _ in _torus_slices(p, grid, 0)])
 
@@ -167,20 +201,40 @@ def _axis_phases(grid: int) -> np.ndarray:
     return (np.arange(grid, dtype=np.float64) / grid) * TWO_PI
 
 
+def _phase_index(exponents: np.ndarray, grid: int) -> np.ndarray:
+    """Index of prod_a z_a^{e_a} in the grid's root table, one row per term and
+    one column per point of these axes' grid^axes lattice in C order.  The
+    exponents must already be reduced mod grid."""
+    j = np.arange(grid, dtype=np.int64)
+    idx = np.zeros((len(exponents), 1), dtype=np.int64)
+    for axis in range(exponents.shape[1]):
+        idx = (idx[:, :, None] + exponents[:, axis, None, None] * j).reshape(len(exponents), -1)
+    return idx % grid
+
+
 def _eval_on_grid(weights: np.ndarray, exponents: np.ndarray, grid: int) -> np.ndarray:
-    """p on the full grid^dims lattice as a dims-dimensional complex array."""
+    """p on the full grid^dims lattice as a dims-dimensional complex array.
+
+    p(x, y) = sum_j L[j, x] R[j, y] with x over the first ceil(dims/2) axes
+    and y over the rest, so each block of at most _TERM_BLOCK terms is one
+    complex product L^T R; the blocks are summed in order.  L holds entries
+    of the grid's root-of-unity table, R the same times the weights.
+    """
     dims = exponents.shape[1]
-    theta = _axis_phases(grid)
-    acc = np.zeros((grid,) * dims, dtype=np.complex128)
-    for c, row in zip(weights, exponents):
-        term = np.complex128(c)
-        for axis in range(dims):
-            e = int(row[axis])
-            shape = [1] * dims
-            shape[axis] = grid
-            term = term * np.exp(1j * e * theta).reshape(shape)
-        acc += term
-    return acc
+    left = (dims + 1) // 2
+    roots = _root_lut(grid if dims else 1)  # without free axes every index is 0
+    reduced = exponents % grid
+    acc = None
+    for start in range(0, len(weights), _TERM_BLOCK):
+        block = slice(start, start + _TERM_BLOCK)
+        lhs = roots[_phase_index(reduced[block, :left], grid)]
+        rhs = weights[block, None] * roots[_phase_index(reduced[block, left:], grid)]
+        part = lhs.T @ rhs
+        if acc is None:
+            acc = part
+        else:
+            acc += part
+    return acc.reshape((grid,) * dims)
 
 
 def _eval_point(weights: np.ndarray, exponents: np.ndarray, phis: np.ndarray):
@@ -228,39 +282,57 @@ def _grid_levels(grid: int) -> list[int]:
     return levels
 
 
-def _torus_slices(p: CharacterPolynomial, grid: int, refine_iters: int):
+def _torus_slices(p: CharacterPolynomial, grid: int, refine_iters: int, with_f: bool = False):
     """Walk the character torus one torsion class t at a time.
 
-    Yields (values, F, runs) per class: p on the grid^dims lattice (one value
-    when dims == 0), F = |p|^2 on that lattice, and the projected gradient
-    ascent started from the best point of every dyadic subgrid, each run as
-    (F, x, p(x)) at its best point.  A polynomial without terms yields one
-    zero value and no runs.
+    Yields (values, F, runs) per class: p on the grid^dims lattice, F = |p|^2
+    on that lattice, and the projected gradient ascent started from the best
+    point of every dyadic subgrid, each run as (F, x, p(x)) at its best
+    point.  F is computed only when the ascent runs or ``with_f`` is set (it
+    is None otherwise), and its buffer is overwritten by the next class.  A
+    polynomial without terms yields one zero value and no runs.
+
+    The lattice values are blocked BLAS products (see ``_eval_on_grid``), so
+    their bits do not depend on the BLAS thread count; they may differ
+    between CPU kernels.  Raises BudgetExceededError, before any table of
+    roots is built, when order * grid^dims exceeds _TORUS_POINT_LIMIT, and
+    ValueError when F could overflow.
     """
     if grid < 16:
         raise ValueError("grid must be at least 16")
     if p.dims > 4:
         raise ValueError(f"the character torus supports at most 4 free dimensions, got {p.dims}")
+    points = p.order * grid ** p.dims
+    if points > _TORUS_POINT_LIMIT:
+        raise BudgetExceededError(
+            f"the character torus has {p.order} torsion classes x {grid}^{p.dims} grid "
+            f"points = {points}, above the limit of {_TORUS_POINT_LIMIT}")
     if p.n_terms == 0:
         yield np.zeros(1, dtype=np.complex128), np.zeros(1), []
         return
+    scale = p.weight_scale()
+    step = 0.5 / (scale * scale) if scale * scale > 0 else 0.0  # 0 when it underflows
+    ascend = refine_iters > 0 and step > 0
+    total = sum(abs(c) for c in p.weights)
+    if (ascend or with_f) and not total <= _SQUARE_SAFE_MAX:
+        raise ValueError(f"the character weights sum to {total!r}, so |p|^2 would not be finite")
     omega = _root_lut(p.order)
     torsion = np.asarray(p.torsion, dtype=np.int64)
     base_weights = np.asarray(p.weights, dtype=np.complex128)
     exponents = np.asarray(p.exponents, dtype=np.int64).reshape(p.n_terms, p.dims)
-    scale = p.weight_scale()
-    step = 0.5 / (scale * scale) if scale * scale > 0 else 0.0  # 0 when it underflows
     theta = _axis_phases(grid)
+    # F and its scratch half are reused across classes: fresh full-size
+    # temporaries cost more than the product itself
+    f_grid = np.empty((grid,) * p.dims) if ascend or with_f else None
+    im_sq = np.empty_like(f_grid) if f_grid is not None else None
     for t in range(p.order):
         w_t = base_weights * omega[(torsion * t) % p.order]
-        if p.dims == 0:
-            # summed directly: _eval_on_grid would add the terms in another order
-            values = np.array([w_t.sum()], dtype=np.complex128)
-        else:
-            values = _eval_on_grid(w_t, exponents, grid)
-        f_grid = values.real ** 2 + values.imag ** 2
+        values = _eval_on_grid(w_t, exponents, grid)
+        if f_grid is not None:
+            np.square(values.real, out=f_grid)
+            f_grid += np.square(values.imag, out=im_sq)
         runs = []
-        if refine_iters > 0 and step > 0:
+        if ascend:
             for level in _grid_levels(grid):
                 stride = grid // level
                 sub = f_grid[(slice(None, None, stride),) * p.dims]
@@ -278,16 +350,21 @@ def torus_max(p: CharacterPolynomial, grid: int = 512, refine_iters: int = 64) -
     Evaluates the full torsion-by-grid lattice and runs projected gradient
     ascent (fixed step with halving safeguard) from the best point of every
     dyadic subgrid.  The returned value only increases when ``grid`` doubles.
+    The lattice values are blocked BLAS products whose bits do not depend on
+    the BLAS thread count (they may differ between CPU kernels).  Raises
+    BudgetExceededError when order * grid^dims exceeds the walker's limit and
+    ValueError when the weights are not finite.  Weights whose |p|^2 would
+    leave the normal float range are first rescaled by a power of two.
     """
+    shift = _rescale_exponent(sum(abs(c) for c in p.weights))
+    if shift:
+        p = replace(p, weights=tuple(c * math.ldexp(1.0, -shift) for c in p.weights))
     best = 0.0
-    for values, f_grid, runs in _torus_slices(p, grid, refine_iters):
-        if p.dims == 0:
-            best = max(best, abs(complex(values[0])))
-            continue
+    for _, f_grid, runs in _torus_slices(p, grid, refine_iters, with_f=True):
         for f in [float(f_grid.max())] + [f_best for f_best, _, _ in runs]:
             if f > best * best:
                 best = math.sqrt(f)
-    return best
+    return math.ldexp(best, shift)
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,15 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import natspec
 from natspec.angles import GeneratorBasis
 from natspec.cli import main
 from natspec.measures import DiscreteMeasure, MixedMeasure
@@ -188,6 +191,59 @@ def test_spectral_radius_overflow_writes_nothing(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_spectral_radius_overflow_is_one_stderr_line(tmp_path):
+    # numpy's RuntimeWarnings bypass capsys, so only a child process sees them
+    basis = GeneratorBasis()
+    huge = DiscreteMeasure.from_atoms(basis, [(basis.zero(), 1e308),
+                                              (basis.half_turn(), 1e308)])
+    path = tmp_path / "huge.json"
+    write_json(path, measure_to_json(huge))
+    out = tmp_path / "radius.json"
+    env = {**os.environ, "PYTHONPATH": str(Path(natspec.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "natspec", "spectral-radius", "--input",
+                           str(path), "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("weight", [1e-170, 1e200])
+def test_spectral_radius_brackets_extreme_weights(tmp_path, weight, capsys):
+    # squares of these weights leave the float range unless rescaled first
+    basis = GeneratorBasis.from_pairs((("a", math.sqrt(2.0)),))
+    mu = DiscreteMeasure.from_atoms(basis, [(basis.zero(), weight),
+                                            (basis.half_turn() + basis.generator("a"), weight)])
+    path = tmp_path / "mu.json"
+    write_json(path, measure_to_json(mu))
+    out = tmp_path / "radius.json"
+    assert main(["spectral-radius", "--input", str(path), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    data = json.loads(out.read_text(encoding="utf-8"))
+    assert data["torus_lower"] == pytest.approx(2 * weight, rel=1e-12, abs=0.0)
+    assert data["final_bound"] == pytest.approx(2 * weight, rel=1e-12, abs=0.0)
+
+
+def test_spectral_radius_torsion_blowup_exits_1(tmp_path, capsys):
+    # torsion order lcm(1000003, 999983, 997), about 10^15 classes
+    basis = GeneratorBasis.from_pairs((("a", math.sqrt(2.0)),))
+    mu = DiscreteMeasure.from_atoms(basis, [
+        (basis.from_turns(Fraction(1, 1000003)), 0.25),
+        (basis.from_turns(Fraction(1, 999983)) + basis.generator("a"), 0.25),
+        (basis.from_turns(Fraction(1, 997)), 0.5)])
+    path = tmp_path / "lcm.json"
+    write_json(path, measure_to_json(mu))
+    out = tmp_path / "radius.json"
+    rc = main(["spectral-radius", "--input", str(path), "--out", str(out), "--kmax", "0"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "torsion classes" in captured.err
     assert not out.exists()
 
 

@@ -1,13 +1,20 @@
 """Spectral radius bounds, character polynomials, and spectrum geometry."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+import natspec
 from natspec.angles import GeneratorBasis
+from natspec.errors import BudgetExceededError
 from natspec.measures import DiscreteMeasure, convolve, make_theta1
 from natspec.sampling import default_rng, random_discrete
 from natspec.spectrum import (CharacterPolynomial, char_polynomial, character_values,
@@ -78,10 +85,52 @@ def test_torus_max_of_scaled_point(basis):
 
 
 def test_torus_max_of_tiny_weights(basis):
-    # weight_scale()**2 underflows to zero, and the ascent step divided by it;
-    # |p|**2 underflows too, so the bound stays valid but drops to zero
+    # weight_scale()**2 and |p|**2 underflow unless the weights are rescaled
+    # by a power of two first; the bound must stay valid and not drop to zero
     tiny = DiscreteMeasure.from_atoms(basis, [(basis.generator("a"), 1e-170)])
     assert 0.0 <= torus_max(char_polynomial(tiny), 16) <= 1e-170
+    for w in (1e-170, 1e-300, 5e-324):
+        pair = DiscreteMeasure.from_atoms(basis, [(basis.zero(), w),
+                                                  (basis.half_turn() + basis.generator("a"), w)])
+        assert torus_max(char_polynomial(pair), 16) == pytest.approx(2 * w, rel=1e-12, abs=0.0)
+
+
+def test_torus_max_of_huge_weights(basis):
+    # |p|**2 overflows on the grid unless the weights are rescaled first
+    pair = DiscreteMeasure.from_atoms(basis, [(basis.zero(), 1e200),
+                                              (basis.half_turn() + basis.generator("a"), 1e200)])
+    assert torus_max(char_polynomial(pair), 16) == pytest.approx(2e200, rel=1e-12, abs=0.0)
+    # the ascent of spectrum_sample squares the unscaled weights
+    lopsided = DiscreteMeasure.from_atoms(basis, [(basis.zero(), 1e200),
+                                                  (basis.generator("a"), 1e-10)])
+    with pytest.raises(ValueError, match="would not be finite"):
+        spectrum_sample(lopsided, 16)
+    huge = DiscreteMeasure.from_atoms(basis, [(basis.zero(), 1e308),
+                                              (basis.generator("a"), 1e308)])
+    with pytest.raises(ValueError, match="would not be finite"):
+        torus_max(char_polynomial(huge), 16)
+
+
+def test_fekete_bound_of_tiny_weights(basis):
+    # squaring 1e-170 underflows to zero, which certified a zero upper bound
+    w = 1e-170
+    mu = DiscreteMeasure.from_atoms(basis, [(basis.zero(), w),
+                                            (basis.half_turn() + basis.generator("a"), w)])
+    report = fekete_bound(mu, k_max=6)
+    with mpmath.workdps(30):
+        g = mpmath.mpf(basis.values[basis.names.index("a")])
+        sup = max(abs(mpmath.mpf(w) * (1 + mpmath.expj(-n * (mpmath.pi + g))))
+                  for n in range(-256, 257))
+    assert report.final_bound > 0.0
+    assert all(r >= sup for _, r in report.entries)
+    assert len(report.entries) == 7
+
+
+def test_fekete_bound_rejects_infinite_norm(basis):
+    huge = DiscreteMeasure.from_atoms(basis, [(basis.zero(), 1e308),
+                                              (basis.half_turn(), 1e308)])
+    with pytest.raises(ValueError, match="not finite"):
+        fekete_bound(huge)
 
 
 def test_torus_max_monotone_under_grid_doubling(basis):
@@ -122,15 +171,17 @@ def test_character_values_fill_grid(rho):
 
 @st.composite
 def character_polynomials(draw):
+    # up to 300 terms, past one BLAS block of 128; entries come from a drawn
+    # seed so that large polynomials stay cheap to generate
     order = draw(st.integers(1, 12))
-    dims = draw(st.integers(0, 3))
-    n_terms = draw(st.integers(1, 4))
-    unit = st.integers(-1000, 1000).map(lambda k: k / 1000)
+    dims = draw(st.integers(0, 4))
+    n_terms = draw(st.one_of(st.integers(1, 4), st.integers(100, 300)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     return CharacterPolynomial(
         order,
-        tuple(draw(st.integers(0, order - 1)) for _ in range(n_terms)),
-        tuple(tuple(draw(st.integers(-3, 3)) for _ in range(dims)) for _ in range(n_terms)),
-        tuple(complex(draw(unit), draw(unit)) for _ in range(n_terms)),
+        tuple(int(m) for m in rng.integers(0, order, n_terms)),
+        tuple(tuple(int(e) for e in row) for row in rng.integers(-3, 4, (n_terms, dims))),
+        tuple(complex(re, im) for re, im in rng.integers(-1000, 1001, (n_terms, 2)) / 1000),
         tuple(f"g{i}" for i in range(dims)))
 
 
@@ -138,16 +189,84 @@ def character_polynomials(draw):
 @given(character_polynomials(), st.sampled_from((16, 24)))
 def test_character_values_follow_reference_order(p, grid):
     # t-major, then the grid^dims lattice in C order, against the scalar route
+    # at 64 sampled points (every point while the lattice is small)
     values = character_values(p, grid)
-    ref = [p.value(t, [2.0 * math.pi * j / grid for j in idx])
-           for t in range(p.order) for idx in np.ndindex(*(grid,) * p.dims)]
-    assert values.shape == (len(ref),)
+    shape = (p.order,) + (grid,) * p.dims
+    assert values.shape == (math.prod(shape),)
+    flat = np.arange(values.size)
+    if values.size > 64:
+        flat = np.random.default_rng(values.size).choice(values.size, 64, replace=False)
+    ref = np.array([p.value(int(t), [2.0 * math.pi * int(j) / grid for j in idx])
+                    for t, *idx in zip(*np.unravel_index(flat, shape))])
     scale = sum(abs(c) for c in p.weights)
-    assert np.max(np.abs(values - np.array(ref))) <= 1e-12 * scale
+    assert np.max(np.abs(values[flat] - ref)) <= 1e-12 * scale
     # with no ascent the torus maximum is the lattice maximum; sqrt(re^2 + im^2)
     # carries up to about 2u relative error where abs() rounds once
-    top = max(abs(complex(v)) for v in values)
+    near = values[np.abs(values) >= np.max(np.abs(values)) * (1 - 1e-9)]
+    top = max(abs(complex(v)) for v in near)
     assert abs(torus_max(p, grid, refine_iters=0) - top) <= 2 * math.ulp(top)
+
+
+@settings(max_examples=20, deadline=None)
+@given(character_polynomials(), st.sampled_from((16, 24)))
+def test_character_values_refine_bitwise_under_grid_doubling(p, grid):
+    # every point of the grid-g lattice is a point of the grid-2g lattice, and
+    # its value must not depend on which lattice computed it
+    assume(p.order * (2 * grid) ** p.dims <= 1 << 21)
+    coarse = character_values(p, grid)
+    fine = character_values(p, 2 * grid).reshape((p.order,) + (2 * grid,) * p.dims)
+    shared = fine[(slice(None),) + (slice(None, None, 2),) * p.dims].ravel()
+    assert np.array_equal(shared, coarse)
+
+
+_THREAD_PROBE = """
+import hashlib, numpy as np
+from natspec.spectrum import CharacterPolynomial, character_values, torus_max
+rng = np.random.default_rng(7)
+for dims, grid, n_terms in ((4, 16, 300), (2, 256, 300)):
+    p = CharacterPolynomial(
+        2, tuple(int(m) for m in rng.integers(0, 2, n_terms)),
+        tuple(tuple(int(e) for e in row) for row in rng.integers(-3, 4, (n_terms, dims))),
+        tuple(complex(re, im) for re, im in rng.uniform(-1, 1, (n_terms, 2))),
+        tuple(f"g{i}" for i in range(dims)))
+    print(hashlib.sha256(character_values(p, grid).tobytes()).hexdigest(),
+          repr(torus_max(p, grid, refine_iters=0)))
+"""
+
+
+def test_grid_values_ignore_blas_thread_count():
+    # zgemm over more than 128 terms rounds differently with 1 and 2 threads;
+    # the walker contracts the terms in blocks so that its bits do not
+    env = {**os.environ, "PYTHONPATH": str(Path(natspec.__file__).resolve().parents[1])}
+    outputs = []
+    for threads in ("1", "2"):
+        env["OPENBLAS_NUM_THREADS"] = threads
+        proc = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].splitlines()) == 2
+
+
+def test_torus_walker_charges_its_point_budget(basis):
+    # the benchmark's largest lower bound, 24 torsion classes x 24^4 points, fits
+    p = CharacterPolynomial(24, (0, 1, 5), ((1, 0, 0, 0), (0, 1, 1, 0), (0, 0, 1, -2)),
+                            (0.5, 0.25j, -0.25), ("a", "b", "c", "d"))
+    assert 0.0 < torus_max(p, 24, refine_iters=0) <= 1.0 + 1e-12
+    with pytest.raises(BudgetExceededError, match="torsion classes"):
+        torus_max(p, 32, refine_iters=0)
+    # an lcm of about 10^15 must stop before any table of roots is built
+    mu = DiscreteMeasure.from_atoms(basis, [
+        (basis.from_turns(Fraction(1, 1000003)), 0.25),
+        (basis.from_turns(Fraction(1, 999983)) + basis.generator("a"), 0.25),
+        (basis.from_turns(Fraction(1, 997)), 0.5)])
+    p = char_polynomial(mu)
+    assert p.order == 1000003 * 999983 * 997
+    for run in (lambda: torus_max(p, 16), lambda: character_values(p, 16),
+                lambda: spectrum_sample(mu, 16)):
+        with pytest.raises(BudgetExceededError):
+            run()
 
 
 def test_spectrum_sample_of_sign_projector_is_binary(theta1):
