@@ -24,7 +24,7 @@ from .measures import (ConvolutionBudget, DiscreteMeasure, MeasureLike, MixedMea
                        parity_projections, tv_norm)
 from .spectrum import (FeketeReport, char_polynomial, character_values,
                        covering_radius, disk_grid, fekete_bound, hausdorff,
-                       restrict, torus_max)
+                       restrict, torus_grid_within, torus_max)
 
 RADIUS_MODES = ("exact_discrete", "fekete", "manual")
 
@@ -45,7 +45,9 @@ class DecompositionOptions:
     the norm-root upper bound, "exact_discrete" additionally brackets it from
     below with a torus maximum (discrete inputs only), and "manual" takes
     user radii validated against the transform lower bound
-    sup_{|n| <= 256} |mu_i_hat(n)|.
+    sup_{|n| <= 256} |mu_i_hat(n)|.  torus_point_budget picks the grid of
+    the verifier's check (f) through ``spectrum.torus_grid_within``, which
+    also keeps it within the torus walker's own point limit.
     """
 
     radius_mode: str = "fekete"
@@ -210,13 +212,6 @@ def _structural_residual(m: MixedMeasure) -> float:
     return max(atom_part, ac_part)
 
 
-def _pow2_at_most(x: float, floor: int = 16) -> int:
-    g = floor
-    while 2 * g <= x:
-        g *= 2
-    return g
-
-
 def verify_decomposition(mu: MeasureLike, result: DecompositionResult, *,
                          N: int = 10_000, grid: int = 256, tol: float = 0.05,
                          refine_iters: int = 64,
@@ -304,11 +299,7 @@ def verify_decomposition(mu: MeasureLike, result: DecompositionResult, *,
     # most two generators (nu0 then has at most four free dimensions)
     if as_mixed(mu).is_discrete and len(mu.basis) <= 2:
         p = char_polynomial(nu0m.disc)
-        if p.dims == 0:
-            g_mem = 16
-        else:
-            per_dim = (torus_point_budget / max(p.order, 1)) ** (1.0 / p.dims)
-            g_mem = _pow2_at_most(max(per_dim, 16.0))
+        g_mem = torus_grid_within(p, torus_point_budget)
         smax = torus_max(p, grid=g_mem, refine_iters=refine_iters)
         checks.append(VerificationCheck(
             "spectrum_membership", smax <= r0 + MEMBERSHIP_SLACK, smax - r0,

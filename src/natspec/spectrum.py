@@ -10,7 +10,7 @@ circle variables for the independent generators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -27,9 +27,12 @@ _SQUARE_SAFE_MAX = 2.0 ** 511
 # order * grid**dims the torus walker accepts: twice the 24 * 24**4 points of
 # the largest lower bound the tests, demos and benchmark ask for
 _TORUS_POINT_LIMIT = 1 << 24
-# terms contracted per BLAS product; up to this depth OpenBLAS's zgemm gives
-# the same bits whatever its thread count, and deeper it does not
+# terms contracted per BLAS product; with OpenBLAS 0.3.31, zgemm gave the same
+# bits with 1 and 2 threads up to this depth and not deeper
 _TERM_BLOCK = 128
+# left-lattice points per BLAS product, so that a block's factor rows hold at
+# most _TERM_BLOCK * _LEFT_CHUNK complex entries (4 MiB) however fine the grid
+_LEFT_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -189,10 +192,10 @@ def character_values(p: CharacterPolynomial, grid: int = 256) -> np.ndarray:
     Covers every torsion class crossed with a uniform ``grid``-point lattice
     per free dimension, t-major and in C order within a class.  A polynomial
     without terms evaluates to {0}.  The values come from a blocked BLAS
-    product (see ``_torus_slices``): their bits do not depend on the BLAS
-    thread count, but may differ between CPU kernels.
+    product (see ``_torus_slices``), so their last bits depend on the BLAS
+    build.
     """
-    return np.concatenate([values.ravel() for values, _, _ in _torus_slices(p, grid, 0)])
+    return np.concatenate([values.ravel() for values, _, _, _ in _torus_slices(p, grid, 0)])
 
 
 def _axis_phases(grid: int) -> np.ndarray:
@@ -201,14 +204,15 @@ def _axis_phases(grid: int) -> np.ndarray:
     return (np.arange(grid, dtype=np.float64) / grid) * TWO_PI
 
 
-def _phase_index(exponents: np.ndarray, grid: int) -> np.ndarray:
+def _phase_index(exponents: np.ndarray, grid: int, points: range) -> np.ndarray:
     """Index of prod_a z_a^{e_a} in the grid's root table, one row per term and
-    one column per point of these axes' grid^axes lattice in C order.  The
-    exponents must already be reduced mod grid."""
-    j = np.arange(grid, dtype=np.int64)
-    idx = np.zeros((len(exponents), 1), dtype=np.int64)
-    for axis in range(exponents.shape[1]):
-        idx = (idx[:, :, None] + exponents[:, axis, None, None] * j).reshape(len(exponents), -1)
+    one column per point of ``points``, flat C-order positions in these axes'
+    grid^axes lattice.  The exponents must already be reduced mod grid."""
+    rest = np.arange(points.start, points.stop, dtype=np.int64)
+    idx = np.zeros((len(exponents), len(rest)), dtype=np.int64)
+    for axis in reversed(range(exponents.shape[1])):
+        rest, j = np.divmod(rest, grid)
+        idx += exponents[:, axis, None] * j
     return idx % grid
 
 
@@ -218,23 +222,37 @@ def _eval_on_grid(weights: np.ndarray, exponents: np.ndarray, grid: int) -> np.n
     p(x, y) = sum_j L[j, x] R[j, y] with x over the first ceil(dims/2) axes
     and y over the rest, so each block of at most _TERM_BLOCK terms is one
     complex product L^T R; the blocks are summed in order.  L holds entries
-    of the grid's root-of-unity table, R the same times the weights.
+    of the grid's root-of-unity table, R the same times the weights.  The
+    rows x are taken in near-equal chunks of at most _LEFT_CHUNK, none of a
+    single row, which bounds L's memory without changing any product's depth.
+    At one free axis R gets a zero second column: numpy would otherwise call
+    BLAS's matrix-vector kernel, whose bits moved with the thread count and
+    the number of rows, where the matrix product's did not.
     """
     dims = exponents.shape[1]
     left = (dims + 1) // 2
     roots = _root_lut(grid if dims else 1)  # without free axes every index is 0
     reduced = exponents % grid
-    acc = None
+    n_left, n_right = grid ** left, grid ** (dims - left)
+    pad = 1 if dims == 1 else 0
+    n_chunks = -(-n_left // _LEFT_CHUNK)
+    chunks = [range(n_left * k // n_chunks, n_left * (k + 1) // n_chunks)
+              for k in range(n_chunks)]
+    acc = np.empty((n_left, n_right + pad), dtype=np.complex128)
     for start in range(0, len(weights), _TERM_BLOCK):
         block = slice(start, start + _TERM_BLOCK)
-        lhs = roots[_phase_index(reduced[block, :left], grid)]
-        rhs = weights[block, None] * roots[_phase_index(reduced[block, left:], grid)]
-        part = lhs.T @ rhs
-        if acc is None:
-            acc = part
-        else:
-            acc += part
-    return acc.reshape((grid,) * dims)
+        rhs = weights[block, None] * roots[_phase_index(reduced[block, left:], grid,
+                                                        range(n_right))]
+        if pad:
+            rhs = np.hstack((rhs, np.zeros_like(rhs)))
+        for rows in chunks:
+            lhs = roots[_phase_index(reduced[block, :left], grid, rows)]
+            out = acc[rows.start:rows.stop]
+            if start == 0:
+                np.matmul(lhs.T, rhs, out=out)
+            else:
+                out += lhs.T @ rhs
+    return acc[:, :n_right].reshape((grid,) * dims)
 
 
 def _eval_point(weights: np.ndarray, exponents: np.ndarray, phis: np.ndarray):
@@ -285,18 +303,24 @@ def _grid_levels(grid: int) -> list[int]:
 def _torus_slices(p: CharacterPolynomial, grid: int, refine_iters: int, with_f: bool = False):
     """Walk the character torus one torsion class t at a time.
 
-    Yields (values, F, runs) per class: p on the grid^dims lattice, F = |p|^2
-    on that lattice, and the projected gradient ascent started from the best
-    point of every dyadic subgrid, each run as (F, x, p(x)) at its best
-    point.  F is computed only when the ascent runs or ``with_f`` is set (it
-    is None otherwise), and its buffer is overwritten by the next class.  A
+    Yields (values, F, runs, shift) per class: p on the grid^dims lattice,
+    F on that lattice, and the projected gradient ascent started from the
+    best point of every dyadic subgrid, each run as (F, x, p(x)) at its best
+    point.  F and the ascent use the weights times 2^-shift, where shift is
+    0 unless (sum |c_j|)^2 would leave the normal float range, so
+    F = |p|^2 * 4^-shift; the values and p(x) are scaled back by 2^shift.
+    F is computed only when the ascent runs or ``with_f`` is set (it is None
+    otherwise), and its buffer is overwritten by the next class.  A
     polynomial without terms yields one zero value and no runs.
 
-    The lattice values are blocked BLAS products (see ``_eval_on_grid``), so
-    their bits do not depend on the BLAS thread count; they may differ
-    between CPU kernels.  Raises BudgetExceededError, before any table of
-    roots is built, when order * grid^dims exceeds _TORUS_POINT_LIMIT, and
-    ValueError when F could overflow.
+    The lattice values are blocked BLAS products (see ``_eval_on_grid``).
+    With OpenBLAS 0.3.31 their bits were the same with 1 and 2 BLAS threads
+    and a grid-g point kept its bits on the grid-2g lattice; another BLAS
+    build, CPU kernel or thread count can break either, and
+    ``tests/test_spectrum.py`` checks both.  Raises BudgetExceededError,
+    before any table of roots is built, when order * grid^dims exceeds
+    _TORUS_POINT_LIMIT, and ValueError when the weights do not have a finite
+    sum.
     """
     if grid < 16:
         raise ValueError("grid must be at least 16")
@@ -308,17 +332,20 @@ def _torus_slices(p: CharacterPolynomial, grid: int, refine_iters: int, with_f: 
             f"the character torus has {p.order} torsion classes x {grid}^{p.dims} grid "
             f"points = {points}, above the limit of {_TORUS_POINT_LIMIT}")
     if p.n_terms == 0:
-        yield np.zeros(1, dtype=np.complex128), np.zeros(1), []
+        yield np.zeros(1, dtype=np.complex128), np.zeros(1), [], 0
         return
-    scale = p.weight_scale()
+    total = sum(abs(c) for c in p.weights)
+    if not math.isfinite(total):
+        raise ValueError(f"the character weights sum to {total!r}, so p would not be finite")
+    shift = _rescale_exponent(total)
+    scale = math.ldexp(p.weight_scale(), -shift)
     step = 0.5 / (scale * scale) if scale * scale > 0 else 0.0  # 0 when it underflows
     ascend = refine_iters > 0 and step > 0
-    total = sum(abs(c) for c in p.weights)
-    if (ascend or with_f) and not total <= _SQUARE_SAFE_MAX:
-        raise ValueError(f"the character weights sum to {total!r}, so |p|^2 would not be finite")
     omega = _root_lut(p.order)
     torsion = np.asarray(p.torsion, dtype=np.int64)
     base_weights = np.asarray(p.weights, dtype=np.complex128)
+    if shift:
+        base_weights *= math.ldexp(1.0, -shift)
     exponents = np.asarray(p.exponents, dtype=np.int64).reshape(p.n_terms, p.dims)
     theta = _axis_phases(grid)
     # F and its scratch half are reused across classes: fresh full-size
@@ -339,9 +366,24 @@ def _torus_slices(p: CharacterPolynomial, grid: int, refine_iters: int, with_f: 
                 idx = np.unravel_index(int(np.argmax(sub)), sub.shape)
                 start = np.array([theta[i * stride] for i in idx], dtype=np.float64)
                 f_best, x_best = _ascend(w_t, exponents, start, step, refine_iters)
-                runs.append((f_best, x_best,
-                             complex((w_t * np.exp(1j * (exponents @ x_best))).sum())))
-        yield values, f_grid, runs
+                px = complex((w_t * np.exp(1j * (exponents @ x_best))).sum())
+                runs.append((f_best, x_best, complex(math.ldexp(px.real, shift),
+                                                     math.ldexp(px.imag, shift))))
+        if shift:
+            for part in (values.real, values.imag):
+                np.ldexp(part, shift, out=part)
+        yield values, f_grid, runs, shift
+
+
+def torus_grid_within(p: CharacterPolynomial, max_points: int) -> int:
+    """Largest power-of-two grid, at least 16, whose order * grid^dims lies
+    within both ``max_points`` and the walker's _TORUS_POINT_LIMIT.  It is 16
+    when no grid fits, and the walker then raises BudgetExceededError."""
+    limit = min(max_points, _TORUS_POINT_LIMIT)
+    grid = 16
+    while p.dims and p.order * (2 * grid) ** p.dims <= limit:
+        grid *= 2
+    return grid
 
 
 def torus_max(p: CharacterPolynomial, grid: int = 512, refine_iters: int = 64) -> float:
@@ -349,18 +391,14 @@ def torus_max(p: CharacterPolynomial, grid: int = 512, refine_iters: int = 64) -
 
     Evaluates the full torsion-by-grid lattice and runs projected gradient
     ascent (fixed step with halving safeguard) from the best point of every
-    dyadic subgrid.  The returned value only increases when ``grid`` doubles.
-    The lattice values are blocked BLAS products whose bits do not depend on
-    the BLAS thread count (they may differ between CPU kernels).  Raises
-    BudgetExceededError when order * grid^dims exceeds the walker's limit and
-    ValueError when the weights are not finite.  Weights whose |p|^2 would
-    leave the normal float range are first rescaled by a power of two.
+    dyadic subgrid.  The returned value only increases when ``grid`` doubles
+    (on a BLAS build that keeps the grid-doubling bits, see
+    ``_torus_slices``).  Raises BudgetExceededError when order * grid^dims
+    exceeds the walker's limit and ValueError when the weights do not have a
+    finite sum.
     """
-    shift = _rescale_exponent(sum(abs(c) for c in p.weights))
-    if shift:
-        p = replace(p, weights=tuple(c * math.ldexp(1.0, -shift) for c in p.weights))
-    best = 0.0
-    for _, f_grid, runs in _torus_slices(p, grid, refine_iters, with_f=True):
+    best, shift = 0.0, 0
+    for _, f_grid, runs, shift in _torus_slices(p, grid, refine_iters, with_f=True):
         for f in [float(f_grid.max())] + [f_best for f_best, _, _ in runs]:
             if f > best * best:
                 best = math.sqrt(f)
@@ -387,7 +425,7 @@ def spectrum_sample(mu: DiscreteMeasure, grid: int = 512,
     as the grid refines.
     """
     chunks = []
-    for values, _, runs in _torus_slices(char_polynomial(mu), grid, refine_iters):
+    for values, _, runs, _ in _torus_slices(char_polynomial(mu), grid, refine_iters):
         chunks.append(values.ravel())
         if runs:
             chunks.append(np.array([px for _, _, px in runs], dtype=np.complex128))

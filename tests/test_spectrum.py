@@ -4,6 +4,8 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,7 +23,7 @@ from natspec.spectrum import (CharacterPolynomial, char_polynomial, character_va
                               covering_radius,
                               disk_grid, fekete_bound, hausdorff,
                               natural_spectrum_check, restrict, spectrum_sample,
-                              torus_max, transform_closure_sample)
+                              torus_grid_within, torus_max, transform_closure_sample)
 
 
 def test_fekete_bound_of_two_point_average(rho):
@@ -100,11 +102,16 @@ def test_torus_max_of_huge_weights(basis):
     pair = DiscreteMeasure.from_atoms(basis, [(basis.zero(), 1e200),
                                               (basis.half_turn() + basis.generator("a"), 1e200)])
     assert torus_max(char_polynomial(pair), 16) == pytest.approx(2e200, rel=1e-12, abs=0.0)
-    # the ascent of spectrum_sample squares the unscaled weights
-    lopsided = DiscreteMeasure.from_atoms(basis, [(basis.zero(), 1e200),
-                                                  (basis.generator("a"), 1e-10)])
-    with pytest.raises(ValueError, match="would not be finite"):
-        spectrum_sample(lopsided, 16)
+    # spectrum_sample ascends on rescaled weights and returns unscaled values;
+    # with a 1e-10 partner the rescaled ascent step underflows and is skipped
+    for small, n_runs in ((1e-10, 0), (1e190, 1)):
+        lopsided = DiscreteMeasure.from_atoms(basis, [(basis.zero(), 1e200),
+                                                      (basis.generator("a"), small)])
+        sample = spectrum_sample(lopsided, 16).points
+        assert np.array_equal(sample[:16], character_values(char_polynomial(lopsided), 16))
+        assert sample.size == 16 + n_runs and np.all(np.isfinite(sample))
+        assert np.all(np.abs(sample) <= (1e200 + small) * (1 + 1e-12))
+        assert np.max(np.abs(sample)) == pytest.approx(1e200 + small, rel=1e-12)
     huge = DiscreteMeasure.from_atoms(basis, [(basis.zero(), 1e308),
                                               (basis.generator("a"), 1e308)])
     with pytest.raises(ValueError, match="would not be finite"):
@@ -189,17 +196,22 @@ def character_polynomials(draw):
 @given(character_polynomials(), st.sampled_from((16, 24)))
 def test_character_values_follow_reference_order(p, grid):
     # t-major, then the grid^dims lattice in C order, against the scalar route
-    # at 64 sampled points (every point while the lattice is small)
     values = character_values(p, grid)
     shape = (p.order,) + (grid,) * p.dims
     assert values.shape == (math.prod(shape),)
-    flat = np.arange(values.size)
-    if values.size > 64:
-        flat = np.random.default_rng(values.size).choice(values.size, 64, replace=False)
-    ref = np.array([p.value(int(t), [2.0 * math.pi * int(j) / grid for j in idx])
-                    for t, *idx in zip(*np.unravel_index(flat, shape))])
+    if values.size * p.n_terms <= 12 * 24 ** 3 * 4:
+        # up to the cost of the largest 4-term, 3-axis draw: every point
+        points = list(np.ndindex(*shape))
+    else:
+        # too slow point by point: in every torsion class, each index of each
+        # axis at least once, so a fault along one lattice row cannot hide
+        rng = np.random.default_rng(values.size)
+        points = [(t, *idx) for t in range(p.order)
+                  for idx in zip(*(rng.permutation(grid) for _ in range(p.dims)))]
+    ref = [p.value(t, [2.0 * math.pi * int(j) / grid for j in idx]) for t, *idx in points]
+    flat = np.ravel_multi_index(tuple(np.array(points).T), shape)
     scale = sum(abs(c) for c in p.weights)
-    assert np.max(np.abs(values[flat] - ref)) <= 1e-12 * scale
+    assert np.max(np.abs(values[flat] - np.array(ref))) <= 1e-12 * scale
     # with no ascent the torus maximum is the lattice maximum; sqrt(re^2 + im^2)
     # carries up to about 2u relative error where abs() rounds once
     near = values[np.abs(values) >= np.max(np.abs(values)) * (1 - 1e-9)]
@@ -223,7 +235,7 @@ _THREAD_PROBE = """
 import hashlib, numpy as np
 from natspec.spectrum import CharacterPolynomial, character_values, torus_max
 rng = np.random.default_rng(7)
-for dims, grid, n_terms in ((4, 16, 300), (2, 256, 300)):
+for dims, grid, n_terms in ((4, 16, 300), (2, 256, 300), (1, 2049, 300)):
     p = CharacterPolynomial(
         2, tuple(int(m) for m in rng.integers(0, 2, n_terms)),
         tuple(tuple(int(e) for e in row) for row in rng.integers(-3, 4, (n_terms, dims))),
@@ -246,7 +258,25 @@ def test_grid_values_ignore_blas_thread_count():
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
-    assert len(outputs[0].splitlines()) == 2
+    assert len(outputs[0].splitlines()) == 3
+
+
+def test_grid_factors_stay_small_at_one_free_axis():
+    # with one free axis the left factor spans the whole grid: 128 terms x
+    # 2^16 points would be 128 MiB of factor rows, so they are built in chunks
+    p = CharacterPolynomial(1, (0,) * 300, tuple((e,) for e in range(-150, 150)),
+                            (1 / 300,) * 300, ("a",))
+    tracemalloc.start()
+    try:
+        values = character_values(p, 1 << 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20
+    # every chunk, against a term-by-term sum of exponentials
+    theta = 2.0 * np.pi * np.arange(1 << 16) / (1 << 16)
+    ref = sum(np.exp(1j * e * theta) for e in range(-150, 150)) / 300
+    assert np.max(np.abs(values - ref)) <= 1e-12
 
 
 def test_torus_walker_charges_its_point_budget(basis):
@@ -256,6 +286,10 @@ def test_torus_walker_charges_its_point_budget(basis):
     assert 0.0 < torus_max(p, 24, refine_iters=0) <= 1.0 + 1e-12
     with pytest.raises(BudgetExceededError, match="torsion classes"):
         torus_max(p, 32, refine_iters=0)
+    # the verifier's grid choice stays within the same limit
+    assert torus_grid_within(p, 2_000_000) == 16
+    assert torus_grid_within(replace(p, order=1), 2_000_000) == 32
+    assert torus_grid_within(replace(p, order=1), 10 ** 12) == 64
     # an lcm of about 10^15 must stop before any table of roots is built
     mu = DiscreteMeasure.from_atoms(basis, [
         (basis.from_turns(Fraction(1, 1000003)), 0.25),
