@@ -35,6 +35,10 @@ PARITY_TOL = 1e-9
 MODULUS_SLACK = 1e-9
 MEMBERSHIP_SLACK = 1e-6
 MANUAL_RADIUS_SCAN = 256
+# torus grid of the lower end of the "exact_discrete" radius brackets
+EXACT_DISCRETE_GRID = 128
+# grid points the verifier's check (f) may spend, see spectrum.torus_grid_within
+MEMBERSHIP_POINT_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -45,22 +49,17 @@ class DecompositionOptions:
     the norm-root upper bound, "exact_discrete" additionally brackets it from
     below with a torus maximum (discrete inputs only), and "manual" takes
     user radii validated against the transform lower bound
-    sup_{|n| <= 256} |mu_i_hat(n)|.  torus_point_budget picks the grid of
-    the verifier's check (f) through ``spectrum.torus_grid_within``, which
-    also keeps it within the torus walker's own point limit.
+    sup_{|n| <= 256} |mu_i_hat(n)|.
     """
 
     radius_mode: str = "fekete"
     manual_radii: Optional[tuple[float, float]] = None
     fekete_k_max: int = 6
-    fekete_rel_tol: float = 0.0
     budget: ConvolutionBudget = field(default_factory=ConvolutionBudget)
-    torus_grid: int = 128
     verify: bool = True
     verify_N: int = 10_000
     verify_grid: int = 256
     verify_tol: float = 0.05
-    torus_point_budget: int = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -115,14 +114,13 @@ def _embed(mu: MeasureLike, ext: GeneratorBasis) -> MeasureLike:
     if pad < 0 or ext.names[:old] != mu.basis.names:
         raise ValueError("extended basis must begin with the measure's basis")
 
-    def lift(angle: Angle) -> Angle:
-        return Angle(angle.turns, angle.coeffs + (0,) * pad)
+    def lift(d: DiscreteMeasure) -> DiscreteMeasure:
+        return DiscreteMeasure._rows(ext, d.den, d.num, np.pad(d.coef, ((0, 0), (0, pad))), d.w)
 
     if isinstance(mu, DiscreteMeasure):
-        return DiscreteMeasure(ext, {lift(a): w for a, w in mu.atoms.items()})
+        return lift(mu)
     m = as_mixed(mu)
-    disc = DiscreteMeasure(ext, {lift(a): w for a, w in m.disc.atoms.items()})
-    return MixedMeasure(disc, m.ac)
+    return MixedMeasure(lift(m.disc), m.ac)
 
 
 def _transform_sup(mu: MeasureLike, n_bound: int) -> float:
@@ -144,10 +142,8 @@ def _radii(mu0: MeasureLike, mu1: MeasureLike, opts: DecompositionOptions):
                     f"{name}={r} is below the transform bound {sup} "
                     f"(sup over |n| <= {MANUAL_RADIUS_SCAN})")
         return r0, r1, None, None
-    reports = (fekete_bound(mu0, opts.fekete_k_max, rel_tol=opts.fekete_rel_tol,
-                            budget=opts.budget),
-               fekete_bound(mu1, opts.fekete_k_max, rel_tol=opts.fekete_rel_tol,
-                            budget=opts.budget))
+    reports = (fekete_bound(mu0, opts.fekete_k_max, budget=opts.budget),
+               fekete_bound(mu1, opts.fekete_k_max, budget=opts.budget))
     r0, r1 = reports[0].final_bound, reports[1].final_bound
     if opts.radius_mode == "fekete":
         return r0, r1, None, reports
@@ -157,8 +153,8 @@ def _radii(mu0: MeasureLike, mu1: MeasureLike, opts: DecompositionOptions):
         if not as_mixed(m).is_discrete:
             raise RadiusValidationError(
                 "radius_mode 'exact_discrete' requires a discrete measure")
-    lo0 = torus_max(char_polynomial(as_mixed(mu0).disc), grid=opts.torus_grid)
-    lo1 = torus_max(char_polynomial(as_mixed(mu1).disc), grid=opts.torus_grid)
+    lo0 = torus_max(char_polynomial(as_mixed(mu0).disc), grid=EXACT_DISCRETE_GRID)
+    lo1 = torus_max(char_polynomial(as_mixed(mu1).disc), grid=EXACT_DISCRETE_GRID)
     return r0, r1, ((lo0, r0), (lo1, r1)), reports
 
 
@@ -200,22 +196,20 @@ def decompose(mu: MeasureLike, options: Optional[DecompositionOptions] = None
                                  ext, mu_ext, brackets, reports, None)
     if opts.verify:
         report = verify_decomposition(mu, result, N=opts.verify_N,
-                                      grid=opts.verify_grid, tol=opts.verify_tol,
-                                      torus_point_budget=opts.torus_point_budget)
+                                      grid=opts.verify_grid, tol=opts.verify_tol)
         result = replace(result, report=report)
     return result
 
 
 def _structural_residual(m: MixedMeasure) -> float:
-    atom_part = max((abs(w) for w in m.disc.atoms.values()), default=0.0)
+    atom_part = max((abs(w) for w in m.disc.w.tolist()), default=0.0)
     ac_part = max((abs(c) for c in m.ac.coeffs.values()), default=0.0)
     return max(atom_part, ac_part)
 
 
 def verify_decomposition(mu: MeasureLike, result: DecompositionResult, *,
-                         N: int = 10_000, grid: int = 256, tol: float = 0.05,
-                         refine_iters: int = 64,
-                         torus_point_budget: int = 2_000_000) -> VerificationReport:
+                         N: int = 10_000, grid: int = 256, tol: float = 0.05
+                         ) -> VerificationReport:
     """Certify a decomposition against the input measure.
 
     Checks: (a) the exact identity, structurally and through transforms up to
@@ -251,7 +245,7 @@ def verify_decomposition(mu: MeasureLike, result: DecompositionResult, *,
     # nu2 support: at most 8 atoms on the four fresh positions, no density
     half = ext.half_turn()
     allowed = {result.alpha, result.alpha + half, result.beta, result.beta + half}
-    shape_ok = (set(nu2m.disc.atoms) <= allowed and len(nu2m.disc.atoms) <= 8
+    shape_ok = (len(nu2m.disc) <= 8 and set(nu2m.disc.atoms) <= allowed
                 and nu2m.ac.is_zero)
     checks.append(VerificationCheck("nu2_support", shape_ok,
                                     0.0 if shape_ok else 1.0, 0.0))
@@ -299,8 +293,8 @@ def verify_decomposition(mu: MeasureLike, result: DecompositionResult, *,
     # most two generators (nu0 then has at most four free dimensions)
     if as_mixed(mu).is_discrete and len(mu.basis) <= 2:
         p = char_polynomial(nu0m.disc)
-        g_mem = torus_grid_within(p, torus_point_budget)
-        smax = torus_max(p, grid=g_mem, refine_iters=refine_iters)
+        g_mem = torus_grid_within(p, MEMBERSHIP_POINT_BUDGET)
+        smax = torus_max(p, grid=g_mem)
         checks.append(VerificationCheck(
             "spectrum_membership", smax <= r0 + MEMBERSHIP_SLACK, smax - r0,
             MEMBERSHIP_SLACK, {"sampled_max": smax, "radius": r0, "grid": g_mem}))

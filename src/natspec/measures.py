@@ -11,18 +11,20 @@ has transform e^{-ina}.
 from __future__ import annotations
 
 import math
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable, Mapping, Union
+from functools import lru_cache, reduce
+from typing import Iterable, Union
 
 import numpy as np
 
 from .angles import Angle, GeneratorBasis, reduced_phases
 from .errors import BasisMismatchError, BudgetExceededError
 
-_MAX_VECTOR_DENOMINATOR = 1 << 40  # largest denominator the array paths accept
+_MAX_DENOMINATOR = 1 << 62  # largest common turn denominator; also the sort-key span
 _MAX_COEFF = 1 << 62  # generator coefficients below this add without int64 wrap
+_MAX_ROOT_TABLE = 1 << 16  # unit_roots caches a table up to this denominator
 
 
 @dataclass(frozen=True)
@@ -34,25 +36,33 @@ class ConvolutionBudget:
     max_pairs: int = 4_000_000
 
 
-@lru_cache(maxsize=64)  # a few denominators per measure; tables can be large
-def _root_lut(q: int) -> np.ndarray:
-    """Roots of unity e^{2 pi i j / q} for j in range(q).
+def _roots(r: np.ndarray, q: int) -> np.ndarray:
+    roots = np.exp(2j * np.pi * (r / q))
+    for k, exact in enumerate((1.0, 1j, -1.0, -1j)):  # the roots on the axes
+        if k * q % 4 == 0:
+            roots[r == k * q // 4] = exact
+    return roots
 
-    Entries on the real/imaginary axes are patched to their exact values so
-    that order-2 structure (half-turn symmetries) cancels exactly in float
-    arithmetic.  Built so that the table for 2q agrees bitwise with the table
-    for q on the shared entries.
+
+@lru_cache(maxsize=64)
+def _root_table(q: int) -> np.ndarray:
+    table = _roots(np.arange(q, dtype=np.int64), q)
+    table.flags.writeable = False
+    return table
+
+
+def unit_roots(r, q: int):
+    """e^{2 pi i r / q} for integer residues 0 <= r < q (an array or a scalar).
+
+    Roots on the axes are exact, so half-turn symmetries cancel exactly; the
+    others are exp(2j*pi*(r/q)), whose bits depend only on r/q for q < 2**53.
+    Up to q = 2**16 they come from a cached table, above it from the same
+    formula for just the residues asked for, so memory follows ``r``, not q.
     """
-    j = np.arange(q, dtype=np.float64)
-    lut = np.exp(2j * np.pi * (j / q))
-    lut[0] = 1.0
-    if q % 2 == 0:
-        lut[q // 2] = -1.0
-    if q % 4 == 0:
-        lut[q // 4] = 1j
-        lut[3 * q // 4] = -1j
-    lut.flags.writeable = False
-    return lut
+    if q <= _MAX_ROOT_TABLE:
+        return _root_table(q)[r]
+    r = np.asarray(r, dtype=np.int64)
+    return _roots(r.reshape(-1), q).reshape(r.shape)[()]
 
 
 def _rational_residues(ns: np.ndarray, p: int, q: int) -> np.ndarray:
@@ -72,37 +82,147 @@ def _check_same_basis(a: GeneratorBasis, b: GeneratorBasis) -> None:
         raise BasisMismatchError("measures are defined over different generator bases")
 
 
-@dataclass(frozen=True, eq=False)
+def _common_den(a: int, b: int) -> int:
+    den = math.lcm(a, b)
+    if den > _MAX_DENOMINATOR:
+        raise ValueError(f"common turn denominator {den} is above 2**62")
+    return den
+
+
+def _check_sum_safe(*coefs: np.ndarray) -> None:
+    """Refuse coefficients whose pairwise int64 sums could wrap."""
+    if any(c.size and (c.min() <= -_MAX_COEFF or c.max() >= _MAX_COEFF) for c in coefs):
+        raise ValueError("generator coefficient too large for exact int64 sums")
+
+
+def _encode(basis: GeneratorBasis, pairs: Iterable[tuple[Angle, complex]]):
+    """(den, num, coef, w) with one row per (Angle, weight) pair, in order."""
+    pairs = [(a, complex(w)) for a, w in pairs]
+    if any(len(a.coeffs) != len(basis) for a, _ in pairs):
+        raise BasisMismatchError("atom coefficient length does not match basis")
+    den = reduce(_common_den, (a.turns.denominator for a, _ in pairs), 1)
+    try:
+        coef = np.array([a.coeffs for a, _ in pairs], dtype=np.int64)
+    except OverflowError as exc:
+        raise ValueError(f"generator coefficient outside the int64 range: {exc}") from exc
+    num = [a.turns.numerator * (den // a.turns.denominator) for a, _ in pairs]
+    return (den, np.array(num, dtype=np.int64), coef.reshape(len(pairs), len(basis)),
+            np.array([w for _, w in pairs], dtype=np.complex128))
+
+
+def _row_groups(columns: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """(group, first): equal rows of the int64 columns share a group id, ids
+    rise in lexicographic row order, and row ``first[g]`` is in group g.
+    Columns are packed by mixed radix into as few order-keeping keys as the
+    2**62 span allows: one unless the ranges are huge, and one key sorts 3x
+    faster than a stable lexsort."""
+    keys, span = [], _MAX_DENOMINATOR + 1
+    for col in columns:
+        lo = int(col.min(initial=0))
+        extent = int(col.max(initial=0)) - lo + 1
+        if span * extent <= _MAX_DENOMINATOR:  # in place: a packed key is never a column
+            keys[-1] *= extent
+            keys[-1] += col - lo
+            span *= extent
+        else:
+            keys.append(col - lo if extent <= _MAX_DENOMINATOR else col)
+            span = min(extent, _MAX_DENOMINATOR + 1)
+    order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
+    ranked = [key[order] for key in keys]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = np.any([key[1:] != key[:-1] for key in ranked], axis=0)
+    group = np.empty(len(order), dtype=np.int64)
+    group[order] = np.cumsum(starts) - 1
+    return group, order[starts]
+
+
+def _merge(den: int, num: np.ndarray, coef: np.ndarray, w: np.ndarray, drop_tol: float = 0.0):
+    """Canonical (den, num, coef, w) for weights w at (num / den turns, coef):
+    the one place where position-keyed sums happen.  Each sum starts from
+    complex(-0.0, -0.0) and adds its weights in input order, so one term
+    keeps its bits, signed zeros included.  Sums that are 0 or at most
+    ``drop_tol`` in modulus are dropped, rows come out unique and sorted
+    (turns, then coefficients), and den becomes the lcm of the reduced turn
+    denominators (1 for the zero measure)."""
+    group, first = _row_groups([num, *coef.T])
+    acc = np.full(len(first), complex(-0.0, -0.0))
+    np.add.at(acc, group, w)
+    keep = acc != 0
+    if drop_tol > 0.0:
+        keep &= np.array([abs(x) > drop_tol for x in acc.tolist()], dtype=bool)
+    num, coef, w = num[first[keep]], coef[first[keep]], acc[keep]
+    g = math.gcd(den, int(np.gcd.reduce(num)))
+    return den // g, num // g, coef, w
+
+
+class _Atoms(Mapping):
+    """The ``atoms`` view of a DiscreteMeasure."""
+
+    __slots__ = ("_mu",)
+
+    def __init__(self, mu: "DiscreteMeasure"):
+        self._mu = mu
+
+    def __len__(self) -> int:
+        return len(self._mu.w)
+
+    def __iter__(self):
+        mu = self._mu
+        return (Angle(Fraction(t, mu.den), tuple(c))
+                for t, c in zip(mu.num.tolist(), mu.coef.tolist()))
+
+    def __getitem__(self, angle: Angle) -> complex:
+        for key, w in self.items():
+            if key == angle:
+                return w
+        raise KeyError(angle)
+
+    def items(self):
+        return _AtomItems(self)
+
+
+class _AtomItems(ItemsView):
+    def __iter__(self):
+        return zip(self._mapping, self._mapping._mu.w.tolist())
+
+
 class DiscreteMeasure:
     """Finite complex combination of point masses at exact positions.
 
-    ``atoms`` maps Angle -> complex weight; the constructor drops exact zero
-    weights and stores atoms sorted by canonical position order.
+    A position is one integer row: a turn numerator over the common
+    denominator ``den`` (the lcm of the reduced turn denominators, at most
+    2**62), then the generator coefficients.  The read-only arrays ``num``
+    (int64[m]), ``coef`` (int64[m, k]) and ``w`` (complex128[m]) hold the
+    unique rows with nonzero weights, sorted by turns, then coefficients.
+    Angles appear only at the edge: the constructor takes a mapping
+    Angle -> weight, ``atoms`` is a read-only Mapping view.  ValueError when
+    den would pass 2**62 or a coefficient does not fit in int64.
     """
 
-    basis: GeneratorBasis
-    atoms: Mapping[Angle, complex]
+    __slots__ = ("basis", "den", "num", "coef", "w")
 
-    def __post_init__(self):
-        clean = {}
-        n = len(self.basis)
-        for angle, w in self.atoms.items():
-            if len(angle.coeffs) != n:
-                raise BasisMismatchError("atom coefficient length does not match basis")
-            w = complex(w)
-            if w != 0:
-                clean[angle] = w
-        ordered = dict(sorted(clean.items(), key=lambda kv: kv[0].sort_key()))
-        object.__setattr__(self, "atoms", ordered)
+    def __init__(self, basis: GeneratorBasis, atoms: Mapping[Angle, complex]):
+        self._store(basis, *_merge(*_encode(basis, atoms.items())))
+
+    def _store(self, basis, den, num, coef, w) -> "DiscreteMeasure":
+        for a in (num, coef, w):
+            a.flags.writeable = False
+        self.basis, self.den, self.num, self.coef, self.w = basis, den, num, coef, w
+        return self
+
+    @classmethod
+    def _rows(cls, basis: GeneratorBasis, den: int, num: np.ndarray, coef: np.ndarray,
+              w, drop_tol: float = 0.0) -> "DiscreteMeasure":
+        """Measure from rows in any order, repeats summed (see ``_merge``)."""
+        w = np.asarray(w, dtype=np.complex128)
+        return object.__new__(cls)._store(basis, *_merge(den, num, coef, w, drop_tol))
 
     @classmethod
     def from_atoms(cls, basis: GeneratorBasis,
                    pairs: Iterable[tuple[Angle, complex]]) -> "DiscreteMeasure":
-        """Build from (position, weight) pairs, merging repeated positions."""
-        acc: dict[Angle, complex] = {}
-        for angle, w in pairs:
-            acc[angle] = acc.get(angle, 0.0 + 0.0j) + complex(w)
-        return cls(basis, acc)
+        """Build from (position, weight) pairs; the weights at a repeated
+        position are summed in input order."""
+        return cls._rows(basis, *_encode(basis, pairs))
 
     @classmethod
     def zero(cls, basis: GeneratorBasis) -> "DiscreteMeasure":
@@ -113,68 +233,83 @@ class DiscreteMeasure:
                    weight: complex = 1.0) -> "DiscreteMeasure":
         return cls(basis, {angle: complex(weight)})
 
+    @property
+    def atoms(self) -> Mapping[Angle, complex]:
+        """Read-only Mapping Angle -> weight in canonical order, built lazily:
+        ``len`` builds no Angle; iterating, and each lookup, builds one per
+        atom visited."""
+        return _Atoms(self)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, DiscreteMeasure):
             return NotImplemented
-        return self.basis == other.basis and self.atoms == other.atoms
+        return (self.basis == other.basis and self.den == other.den
+                and all(np.array_equal(getattr(self, a), getattr(other, a))
+                        for a in ("num", "coef", "w")))
 
     def __len__(self) -> int:
-        return len(self.atoms)
+        return len(self.w)
 
     @property
     def is_zero(self) -> bool:
-        return not self.atoms
+        return not len(self.w)
 
     def norm(self) -> float:
         """Total variation: sum of absolute weights."""
-        return float(sum(abs(w) for w in self.atoms.values()))
+        return float(sum(abs(w) for w in self.w.tolist()))
 
     def scale(self, c: complex) -> "DiscreteMeasure":
         c = complex(c)
         if c == 0:
             return DiscreteMeasure.zero(self.basis)
-        return DiscreteMeasure(self.basis, {a: w * c for a, w in self.atoms.items()})
+        return DiscreteMeasure._rows(self.basis, self.den, self.num, self.coef,
+                                     [w * c for w in self.w.tolist()])
 
     def __neg__(self) -> "DiscreteMeasure":
-        return DiscreteMeasure(self.basis, {a: -w for a, w in self.atoms.items()})
+        return DiscreteMeasure._rows(self.basis, self.den, self.num, self.coef, -self.w)
 
     def __add__(self, other: "DiscreteMeasure") -> "DiscreteMeasure":
         if not isinstance(other, DiscreteMeasure):
             return NotImplemented
         _check_same_basis(self.basis, other.basis)
-        acc = dict(self.atoms)
-        for a, w in other.atoms.items():
-            acc[a] = acc.get(a, 0.0 + 0.0j) + w
-        return DiscreteMeasure(self.basis, acc)
+        den = _common_den(self.den, other.den)
+        num = np.concatenate([self.num * (den // self.den), other.num * (den // other.den)])
+        return DiscreteMeasure._rows(self.basis, den, num,
+                                     np.concatenate([self.coef, other.coef]),
+                                     np.concatenate([self.w, other.w]))
 
     def __sub__(self, other: "DiscreteMeasure") -> "DiscreteMeasure":
         return self + (-other)
 
     def translate(self, shift: Angle) -> "DiscreteMeasure":
-        """Pushforward under t -> t + shift (no weight arithmetic)."""
-        return DiscreteMeasure(self.basis, {a + shift: w for a, w in self.atoms.items()})
+        """Pushforward under t -> t + shift (no weight arithmetic).  Raises
+        ValueError when a coefficient sum could wrap in int64."""
+        s_den, s_num, s_coef, _ = _encode(self.basis, [(shift, 1.0)])
+        _check_sum_safe(self.coef, s_coef)
+        den = _common_den(self.den, s_den)
+        num = (self.num * (den // self.den) + int(s_num[0]) * (den // s_den)) % den
+        return DiscreteMeasure._rows(self.basis, den, num, self.coef + s_coef, self.w)
 
     def transform(self, ns) -> np.ndarray:
         """Fourier coefficients mu_hat(n) for an integer array ``ns``.
 
         Atoms sharing a generator-coefficient vector are summed through the
-        exact root-of-unity table, then multiplied once by e^{-i n g}, with
-        n g reduced mod 2 pi in extended precision.  Complex products are out
-        of place, so a value depends only on n, not on the array holding it.
+        exact roots of unity of their reduced turns (``unit_roots``), then
+        multiplied once by e^{-i n g}, with n g reduced mod 2 pi in extended
+        precision.  Complex products are out of place, so a value depends
+        only on n, not on the array holding it.
         """
         ns = np.asarray(ns, dtype=np.int64)
-        groups: dict[tuple[int, ...], list[tuple[Fraction, complex]]] = {}
-        for angle, w in self.atoms.items():
-            groups.setdefault(angle.coeffs, []).append((angle.turns, w))
+        common = np.gcd(self.num, self.den)
+        turns = zip((self.num // common).tolist(), (self.den // common).tolist())
+        groups: dict[tuple[int, ...], list[tuple[int, int, complex]]] = {}
+        for coeffs, (p, q), w in zip(self.coef.tolist(), turns, self.w.tolist()):
+            groups.setdefault(tuple(coeffs), []).append((p, q, w))
         out = np.zeros(ns.shape, dtype=np.complex128)
         for coeffs, members in groups.items():
             acc = np.zeros(ns.shape, dtype=np.complex128)
-            for turns, w in members:
-                p, q = turns.numerator, turns.denominator
-                if q > _MAX_VECTOR_DENOMINATOR:
-                    raise ValueError(
-                        f"position denominator {q} too large for vectorized transform")
-                acc += np.multiply(w, _root_lut(q)[_rational_residues(ns, p, q)])
+            for p, q, w in members:
+                acc += np.multiply(w, unit_roots(_rational_residues(ns, p, q), q))
             if any(coeffs):
                 g = np.longdouble(0.0)
                 for c, v in zip(coeffs, self.basis.values):
@@ -185,7 +320,7 @@ class DiscreteMeasure:
         return out
 
     def __repr__(self) -> str:
-        return f"DiscreteMeasure({len(self.atoms)} atoms, {len(self.basis)} generators)"
+        return f"DiscreteMeasure({len(self.w)} atoms, {len(self.basis)} generators)"
 
 
 @dataclass(frozen=True, eq=False)
@@ -369,76 +504,24 @@ def make_rho(alpha: Angle, beta: Angle, basis: GeneratorBasis) -> DiscreteMeasur
     return DiscreteMeasure(basis, {alpha: 0.5, beta: 0.5})
 
 
-def _merge_pairs(a: DiscreteMeasure, b: DiscreteMeasure) -> dict[Angle, complex]:
-    # Encode positions as integer rows (turn numerator over a common
-    # denominator, then generator coefficients) and merge equal rows.  Pairs
-    # are enumerated a-major in canonical order, and each merged weight
-    # accumulates its products in that pair order under numpy's complex
-    # rounding, whatever the number of pairs.
-    k = len(a.basis)
-    angles_a = list(a.atoms.keys())
-    angles_b = list(b.atoms.keys())
-    d = 1
-    for ang in angles_a + angles_b:
-        d = d * ang.turns.denominator // math.gcd(d, ang.turns.denominator)
-    if d > _MAX_VECTOR_DENOMINATOR:
-        raise ValueError(f"common position denominator {d} too large to vectorize")
-    if any(abs(c) >= _MAX_COEFF for ang in angles_a + angles_b for c in ang.coeffs):
-        raise ValueError("generator coefficient too large for exact int64 sums")
-    num_a = np.array([ang.turns.numerator * (d // ang.turns.denominator)
-                      for ang in angles_a], dtype=np.int64)
-    num_b = np.array([ang.turns.numerator * (d // ang.turns.denominator)
-                      for ang in angles_b], dtype=np.int64)
-    coef_a = np.array([ang.coeffs for ang in angles_a], dtype=np.int64).reshape(len(angles_a), k)
-    coef_b = np.array([ang.coeffs for ang in angles_b], dtype=np.int64).reshape(len(angles_b), k)
-    w_a = np.fromiter(a.atoms.values(), dtype=np.complex128, count=len(angles_a))
-    w_b = np.fromiter(b.atoms.values(), dtype=np.complex128, count=len(angles_b))
-
-    pairs = len(angles_a) * len(angles_b)
-    num = ((num_a[:, None] + num_b[None, :]) % d).reshape(pairs, 1)
-    coef = (coef_a[:, None, :] + coef_b[None, :, :]).reshape(pairs, k)
-    w = (w_a[:, None] * w_b[None, :]).ravel()
-    pos = np.concatenate([num, coef], axis=1)
-
-    # Sorting scalar keys is far cheaper than sorting rows, so pack each row
-    # into one int64 by mixed radix over the (small) per-column ranges; the
-    # packing is monotone per column, keeping the canonical position order.
-    lo = pos.min(axis=0)
-    extent = (pos.max(axis=0) - lo + 1).astype(np.int64)
-    if math.prod(int(e) for e in extent) < 2 ** 62:
-        key = np.zeros(len(pos), dtype=np.int64)
-        for j in range(pos.shape[1]):
-            key = key * extent[j] + (pos[:, j] - lo[j])
-        keys_u, inv = np.unique(key, return_inverse=True)
-        uniq = np.empty((len(keys_u), pos.shape[1]), dtype=np.int64)
-        rem = keys_u.copy()
-        for j in range(pos.shape[1] - 1, -1, -1):
-            uniq[:, j] = rem % extent[j] + lo[j]
-            rem //= extent[j]
-    else:
-        uniq, inv = np.unique(pos, axis=0, return_inverse=True)
-    acc = np.zeros(len(uniq), dtype=np.complex128)
-    np.add.at(acc, inv.ravel(), w)
-
-    out: dict[Angle, complex] = {}
-    for row, wsum in zip(uniq, acc):
-        ang = Angle(Fraction(int(row[0]), d), tuple(int(c) for c in row[1:]))
-        out[ang] = complex(wsum)
-    return out
-
-
 def _convolve_discrete(a: DiscreteMeasure, b: DiscreteMeasure, drop_tol: float,
                        budget: ConvolutionBudget | None) -> DiscreteMeasure:
+    # Pairs are enumerated a-major in canonical order, so each merged weight
+    # accumulates its products in that pair order under numpy's complex
+    # rounding, whatever the number of pairs.
     if a.is_zero or b.is_zero:
         return DiscreteMeasure.zero(a.basis)
-    pairs = len(a.atoms) * len(b.atoms)
+    pairs = len(a) * len(b)
     if budget is not None and pairs > budget.max_pairs:
         raise BudgetExceededError(
             f"convolution needs {pairs} atom pairs, budget allows {budget.max_pairs}")
-    acc = _merge_pairs(a, b)
-    if drop_tol > 0.0:
-        acc = {ang: w for ang, w in acc.items() if abs(w) > drop_tol}
-    result = DiscreteMeasure(a.basis, acc)  # exact zeros dropped by constructor
+    _check_sum_safe(a.coef, b.coef)
+    den = _common_den(a.den, b.den)
+    num = (a.num * (den // a.den))[:, None] + (b.num * (den // b.den))[None, :]
+    # one contiguous array per coefficient column: the merge reads columns
+    coef = np.add(a.coef.T[:, :, None], b.coef.T[:, None, :]).reshape(-1, pairs).T
+    w = a.w[:, None] * b.w[None, :]
+    result = DiscreteMeasure._rows(a.basis, den, (num % den).ravel(), coef, w.ravel(), drop_tol)
     if budget is not None and len(result) > budget.max_atoms:
         raise BudgetExceededError(
             f"convolution produced {len(result)} atoms, budget allows {budget.max_atoms}")
@@ -570,23 +653,27 @@ def _exact_halves_complex(w: complex, wp: complex) -> tuple[complex, complex]:
 
 
 def _parity_split_disc(mu: DiscreteMeasure) -> tuple[DiscreteMeasure, DiscreteMeasure]:
-    half = mu.basis.half_turn()
-    even: dict[Angle, complex] = {}
-    odd: dict[Angle, complex] = {}
-    seen: set[Angle] = set()
-    for pos, w in mu.atoms.items():
-        if pos in seen:
-            continue
-        partner = pos + half
-        wp = mu.atoms.get(partner, 0.0 + 0.0j)
-        seen.add(pos)
-        seen.add(partner)
-        h, d = _exact_halves_complex(w, wp)
-        even[pos] = h
-        even[partner] = h
-        odd[pos] = d
-        odd[partner] = -d
-    return DiscreteMeasure(mu.basis, even), DiscreteMeasure(mu.basis, odd)
+    # Half-turn partners share (num mod den/2, coef).  Each pair is split
+    # from the weight of its first atom in canonical order and the partner's
+    # weight, 0 when the partner is absent.
+    den = _common_den(mu.den, 2)
+    half = den // 2
+    num = mu.num * (den // mu.den)
+    group, first = _row_groups([num % half, *mu.coef.T])
+    index = np.arange(len(num))
+    lead = np.full(len(first), len(num))
+    last = np.zeros(len(first), dtype=np.int64)
+    np.minimum.at(lead, group, index)
+    np.maximum.at(last, group, index)
+    w = mu.w.tolist()
+    halves = [_exact_halves_complex(w[i], w[j] if j != i else 0j)
+              for i, j in zip(lead.tolist(), last.tolist())]
+    h = np.array([x for x, _ in halves], dtype=np.complex128)
+    d = np.array([x for _, x in halves], dtype=np.complex128)
+    pos = np.concatenate([num[lead], (num[lead] + half) % den])
+    coef = np.concatenate([mu.coef[lead], mu.coef[lead]])
+    return (DiscreteMeasure._rows(mu.basis, den, pos, coef, np.concatenate([h, h])),
+            DiscreteMeasure._rows(mu.basis, den, pos, coef, np.concatenate([d, -d])))
 
 
 def parity_projections(mu: MeasureLike) -> tuple[MeasureLike, MeasureLike]:

@@ -19,7 +19,7 @@ from scipy.spatial import cKDTree
 from .angles import GeneratorBasis, TWO_PI
 from .errors import BudgetExceededError
 from .measures import (ConvolutionBudget, DiscreteMeasure, MeasureLike, MixedMeasure,
-                       _root_lut, as_mixed, convolve, tv_norm_bounds)
+                       as_mixed, convolve, tv_norm_bounds, unit_roots)
 
 # norms whose square stays in the normal float range, with a factor 4 to spare
 _SQUARE_SAFE_MIN = 2.0 ** -511
@@ -52,17 +52,16 @@ def _rescale_exponent(norm: float) -> int:
     return 0
 
 
-def fekete_bound(mu: MeasureLike, k_max: int = 6, *, rel_tol: float = 0.0,
+def fekete_bound(mu: MeasureLike, k_max: int = 6, *,
                  budget: ConvolutionBudget | None = None) -> FeketeReport:
     """Certified upper bound for the spectral radius via repeated squaring.
 
     Each entry uses the total variation norm plus its quadrature error
     estimate, so every r_k is an upper bound for the true limit.  Stops early
-    when the budget is exhausted (reported via ``budget_hit``) or when the
-    relative improvement drops below ``rel_tol``.  A power whose square's
-    norm would leave the normal float range is first rescaled by a power of
-    two, which is exact, so tiny weights do not underflow to a zero bound.
-    Raises ValueError when the total variation itself is not finite.
+    when the budget is exhausted (reported via ``budget_hit``).  A power
+    whose square's norm would leave the normal float range is first rescaled
+    by a power of two, which is exact, so tiny weights do not underflow to a
+    zero bound.  Raises ValueError when the total variation is not finite.
     """
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
@@ -93,10 +92,7 @@ def fekete_bound(mu: MeasureLike, k_max: int = 6, *, rel_tol: float = 0.0,
             if shift:
                 q, rem = divmod(shift, 1 << k)
                 rk = math.ldexp(rk * 2.0 ** (rem / (1 << k)), q)
-            prev = entries[-1][1]
             entries.append((k, rk))
-            if rel_tol > 0.0 and prev - rk <= rel_tol * prev:
-                break
     final = min(r for _, r in entries)
     return FeketeReport(tuple(entries), final, budget_hit)
 
@@ -134,52 +130,40 @@ class CharacterPolynomial:
 
     def value(self, t: int, phis: Sequence[float]) -> complex:
         """Single character evaluation (reference implementation for tests)."""
-        omega = _root_lut(self.order)
         acc = 0.0 + 0.0j
         for m, row, c in zip(self.torsion, self.exponents, self.weights):
             phase = sum(e * p for e, p in zip(row, phis))
-            acc += c * omega[(m * t) % self.order] * complex(math.cos(phase), math.sin(phase))
+            acc += (c * unit_roots((m * t) % self.order, self.order)
+                    * complex(math.cos(phase), math.sin(phase)))
         return acc
 
 
 def char_polynomial(mu: DiscreteMeasure) -> CharacterPolynomial:
     """Character polynomial of a discrete measure.
 
-    The torsion order is the lcm of the turn denominators of the support;
+    The torsion order is the measure's common turn denominator (the lcm of
+    the reduced ones) and the torsion exponents its turn numerators;
     generator coefficients become free exponents.
     """
     if isinstance(mu, MixedMeasure):
         if not mu.ac.is_zero:
             raise TypeError("character polynomials are defined for discrete measures")
         mu = mu.disc
-    order = 1
-    for angle in mu.atoms:
-        q = angle.turns.denominator
-        order = order * q // math.gcd(order, q)
-    names = mu.basis.names
-    active = [i for i in range(len(names))
-              if any(angle.coeffs[i] for angle in mu.atoms)]
-    torsion = []
-    exponents = []
-    weights = []
-    for angle, w in mu.atoms.items():
-        torsion.append((angle.turns.numerator * (order // angle.turns.denominator)) % order)
-        exponents.append(tuple(angle.coeffs[i] for i in active))
-        weights.append(complex(w))
-    return CharacterPolynomial(order, tuple(torsion), tuple(exponents),
-                               tuple(weights), tuple(names[i] for i in active))
+    active = np.flatnonzero(mu.coef.any(axis=0))
+    return CharacterPolynomial(mu.den, tuple(mu.num.tolist()),
+                               tuple(map(tuple, mu.coef[:, active].tolist())),
+                               tuple(mu.w.tolist()), tuple(mu.basis.names[i] for i in active))
 
 
 def restrict(p: CharacterPolynomial, t: int, keep: Sequence[str]) -> CharacterPolynomial:
     """Fix the torsion character to ``t`` and pin every free variable not in
     ``keep`` at phase zero; merge terms that collapse together."""
-    omega = _root_lut(p.order)
     keep = list(keep)
     keep_idx = [p.dim_names.index(name) for name in keep]
     acc: dict[tuple[int, ...], complex] = {}
     for m, row, c in zip(p.torsion, p.exponents, p.weights):
         key = tuple(row[i] for i in keep_idx)
-        acc[key] = acc.get(key, 0.0 + 0.0j) + c * omega[(m * t) % p.order]
+        acc[key] = acc.get(key, 0.0 + 0.0j) + c * unit_roots((m * t) % p.order, p.order)
     keys = sorted(acc)
     return CharacterPolynomial(
         1, (0,) * len(keys), tuple(keys),
@@ -231,7 +215,8 @@ def _eval_on_grid(weights: np.ndarray, exponents: np.ndarray, grid: int) -> np.n
     """
     dims = exponents.shape[1]
     left = (dims + 1) // 2
-    roots = _root_lut(grid if dims else 1)  # without free axes every index is 0
+    size = grid if dims else 1  # without free axes every index is 0
+    roots = unit_roots(np.arange(size), size)
     reduced = exponents % grid
     n_left, n_right = grid ** left, grid ** (dims - left)
     pad = 1 if dims == 1 else 0
@@ -341,7 +326,6 @@ def _torus_slices(p: CharacterPolynomial, grid: int, refine_iters: int, with_f: 
     scale = math.ldexp(p.weight_scale(), -shift)
     step = 0.5 / (scale * scale) if scale * scale > 0 else 0.0  # 0 when it underflows
     ascend = refine_iters > 0 and step > 0
-    omega = _root_lut(p.order)
     torsion = np.asarray(p.torsion, dtype=np.int64)
     base_weights = np.asarray(p.weights, dtype=np.complex128)
     if shift:
@@ -353,7 +337,7 @@ def _torus_slices(p: CharacterPolynomial, grid: int, refine_iters: int, with_f: 
     f_grid = np.empty((grid,) * p.dims) if ascend or with_f else None
     im_sq = np.empty_like(f_grid) if f_grid is not None else None
     for t in range(p.order):
-        w_t = base_weights * omega[(torsion * t) % p.order]
+        w_t = base_weights * unit_roots((torsion * t) % p.order, p.order)
         values = _eval_on_grid(w_t, exponents, grid)
         if f_grid is not None:
             np.square(values.real, out=f_grid)

@@ -49,7 +49,7 @@ def _step_parity_recombination(rng):
         mu = random_mixed(rng, basis, n_atoms=4, degree=3)
         mu0, mu1 = parity_projections(mu)
         diff = (mu0 + mu1) - mu
-        resid = max((abs(w) for w in as_mixed(diff).disc.atoms.values()), default=0.0)
+        resid = max((abs(w) for w in as_mixed(diff).disc.w.tolist()), default=0.0)
         resid = max(resid, max((abs(c) for c in as_mixed(diff).ac.coeffs.values()),
                                default=0.0))
         worst = max(worst, resid)

@@ -247,6 +247,21 @@ def test_spectral_radius_torsion_blowup_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_decompose_at_huge_denominator_exits_1(tmp_path, capsys):
+    # one atom at 1/(2**38 + 7) turns: transforms must not build a length-q
+    # root table (2 TiB), and check (f) then stops on the torus budget
+    basis = GeneratorBasis.from_pairs((("a", math.sqrt(2.0)),))
+    mu = DiscreteMeasure.from_atoms(basis, [(basis.from_turns(Fraction(1, 274877906951)), 1.0)])
+    path = tmp_path / "far.json"
+    write_json(path, measure_to_json(mu))
+    rc = main(["decompose", "--input", str(path), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "torsion classes" in captured.err
+
+
 def test_spectral_radius_skips_lower_bound_for_densities(tmp_path, basis, capsys):
     path = tmp_path / "density.json"
     write_json(path, measure_to_json(MixedMeasure.from_density(basis, {1: 1.0, -2: 0.5})))

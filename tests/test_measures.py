@@ -1,20 +1,23 @@
 """Measure algebra: convolution, total variation, transforms, parity splits."""
 
 import math
+import struct
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from natspec.angles import GeneratorBasis, angle_add
+from natspec.angles import Angle, GeneratorBasis, angle_add
 from natspec.errors import BudgetExceededError
 from natspec.measures import (ConvolutionBudget, DiscreteMeasure, MixedMeasure,
-                              TrigPolyDensity, _rational_residues, as_mixed, convolve,
-                              convolve_power, fourier_coefficient, make_rho,
-                              make_theta0, make_theta1, parity_projections, tv_norm,
-                              tv_norm_bounds)
+                              TrigPolyDensity, _exact_halves_complex, _rational_residues,
+                              _roots, as_mixed, convolve, convolve_power,
+                              fourier_coefficient, make_rho, make_theta0, make_theta1,
+                              parity_projections, tv_norm, tv_norm_bounds, unit_roots)
 from natspec.sampling import default_rng, random_discrete, random_mixed
 
 NS = np.arange(-12, 13)
@@ -173,6 +176,34 @@ def test_convolve_refuses_coefficients_that_could_wrap(basis):
         convolve(far, far)
 
 
+def test_translate_refuses_coefficients_that_could_wrap(basis):
+    far = DiscreteMeasure.from_atoms(basis, [(basis.angle(0, (1 << 62, 0)), 1.0)])
+    with pytest.raises(ValueError, match="too large"):
+        far.translate(basis.generator("a"))
+    near = DiscreteMeasure.from_atoms(basis, [(basis.zero(), 1.0)])
+    with pytest.raises(ValueError, match="too large"):
+        near.translate(basis.angle(0, (0, -(1 << 62))))
+    assert near.translate(basis.angle(0, (0, 1 - (1 << 62)))).atoms == {
+        basis.angle(0, (0, 1 - (1 << 62))): 1.0}
+
+
+def test_construction_refuses_positions_int64_cannot_hold(basis):
+    with pytest.raises(ValueError, match="2\\*\\*62"):
+        DiscreteMeasure(basis, {basis.from_turns(Fraction(1, (1 << 62) + 1)): 1.0})
+    with pytest.raises(ValueError, match="2\\*\\*62"):  # lcm 2**40 * 3**26 > 2**62
+        DiscreteMeasure.from_atoms(basis, [(basis.from_turns(Fraction(1, 1 << 40)), 1.0),
+                                           (basis.from_turns(Fraction(1, 3 ** 26)), 1.0)])
+    a = DiscreteMeasure.from_atoms(basis, [(basis.from_turns(Fraction(1, 1 << 40)), 1.0)])
+    b = DiscreteMeasure.from_atoms(basis, [(basis.from_turns(Fraction(1, 3 ** 26)), 1.0)])
+    with pytest.raises(ValueError, match="2\\*\\*62"):
+        a + b
+    for c in (1 << 63, -(1 << 63) - 1):
+        with pytest.raises(ValueError, match="int64"):
+            DiscreteMeasure(basis, {basis.angle(0, (c, 0)): 1.0})
+    edge = DiscreteMeasure(basis, {basis.angle(0, ((1 << 63) - 1, -(1 << 63))): 1.0})
+    assert list(edge.atoms) == [basis.angle(0, ((1 << 63) - 1, -(1 << 63)))]
+
+
 def test_translate_matches_point_mass_convolution(basis):
     rng = default_rng(7)
     mu = random_discrete(rng, basis)
@@ -290,6 +321,121 @@ def test_grouped_transform_matches_mpmath(mu):
     vec = mu.transform(ns)
     for i in np.linspace(0, len(ns) - 1, 41).astype(int):
         assert abs(vec[i] - mp_transform(mu, int(ns[i]))) <= 1e-11 * mu.norm()
+
+
+def _bits(w: complex) -> bytes:
+    return struct.pack("<dd", w.real, w.imag)
+
+
+def test_unit_roots_direct_route_matches_table():
+    # the table route (q <= 2**16) and the direct route give the same bits,
+    # whatever the residues' order and array shape
+    rng = np.random.default_rng(1)
+    for q in list(range(1, 301)) + [4096, 65536]:
+        r = rng.permutation(q)[:4096]
+        assert unit_roots(r, q).tobytes() == _roots(r, q).tobytes()
+        assert unit_roots(r.reshape(-1, 1), q).shape == (len(r), 1)
+    # above the table, a root agrees with the table's root of the same fraction
+    for q, m in ((1 << 17, 2), (3 << 16, 3), (1 << 20, 16), (255 << 16, 255)):
+        j = rng.integers(0, q // m, size=4096)
+        assert unit_roots(m * j, q).tobytes() == unit_roots(j, q // m).tobytes()
+        for r in (0, q // 4, q // 2, 3 * q // 4):  # the axis roots, exact on both routes
+            if r % m == 0:
+                assert unit_roots(r, q) == unit_roots(r // m, q // m)
+    assert unit_roots(1, 4) == 1j and unit_roots(1 << 19, 1 << 20) == -1.0
+    assert isinstance(unit_roots(5, 1 << 20), np.complex128)
+
+
+def test_transform_at_huge_denominator_builds_no_table():
+    q = 274877906951  # 2**38 + 7: a length-q root table would take 4 TiB
+    mu = DiscreteMeasure.from_atoms(BASIS, [(BASIS.from_turns(Fraction(1, q)), 0.5 - 0.25j),
+                                            (BASIS.from_turns(Fraction(q - 3, 2 * q)), 1.0)])
+    ns = np.array([-(1 << 62), -q, -5, 0, 1, 7, q - 1, 2 * q + 1, 1 << 44], dtype=np.int64)
+    tracemalloc.start()
+    try:
+        vec = mu.transform(ns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    for n, v in zip(ns.tolist(), vec):
+        assert abs(v - mp_transform(mu, n)) <= 1e-12 * mu.norm()
+
+
+DENOMINATORS = tuple(range(1, 13)) + (97, 1_000_003)
+signed_st = st.sampled_from((0.0, -0.0)) | dyadic_st | unit_st
+
+
+@st.composite
+def position_pools(draw):
+    """A few positions over BASIS, some with their half-turn partner."""
+    pool = []
+    for _ in range(draw(st.integers(1, 5))):
+        q = draw(st.sampled_from(DENOMINATORS))
+        turns = Fraction(draw(st.integers(0, q - 1)), q)
+        coeffs = draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+        pool.append((turns, coeffs))
+        if draw(st.booleans()):
+            pool.append(((turns + Fraction(1, 2)) % 1, coeffs))
+    return pool
+
+
+def _dict_sum(pairs) -> dict:
+    """Second route for the merge: a dict keyed by (Fraction, tuple), each
+    sum taken in input order starting from its first term."""
+    acc: dict = {}
+    for key, w in pairs:
+        acc[key] = acc[key] + w if key in acc else w
+    return {key: w for key, w in acc.items() if w != 0}
+
+
+def _dict_parity(atoms: dict) -> tuple[dict, dict]:
+    even, odd = {}, {}
+    for key in sorted(atoms):
+        partner = ((key[0] + Fraction(1, 2)) % 1, key[1])
+        if key in even or key in odd or partner in even or partner in odd:
+            continue
+        h, d = _exact_halves_complex(atoms[key], atoms.get(partner, 0j))
+        even[key], even[partner], odd[key], odd[partner] = h, h, d, -d
+    return ({k: w for k, w in even.items() if w != 0}, {k: w for k, w in odd.items() if w != 0})
+
+
+def _assert_items(mu: DiscreteMeasure, expected: dict) -> None:
+    with mock.patch.object(Angle, "__post_init__", side_effect=AssertionError("Angle built")):
+        assert len(mu.atoms) == len(mu) == len(expected)
+    got = [((a.turns, a.coeffs), _bits(w)) for a, w in mu.atoms.items()]
+    assert got == [(key, _bits(expected[key])) for key in sorted(expected)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_merge_matches_dict_sums_bitwise(data):
+    pool = data.draw(position_pools())
+    weights = st.builds(complex, signed_st, signed_st)
+    draws = [data.draw(st.lists(st.tuples(st.sampled_from(pool), weights), max_size=10))
+             for _ in range(2)]
+    mu, nu = (DiscreteMeasure.from_atoms(BASIS, [(BASIS.angle(t, c), w) for (t, c), w in d])
+              for d in draws)
+    mu_d, nu_d = _dict_sum(draws[0]), _dict_sum(draws[1])
+    _assert_items(mu, mu_d)
+    _assert_items(mu + nu, _dict_sum(list(mu_d.items()) + list(nu_d.items())))
+    t, c = data.draw(st.sampled_from(pool))
+    _assert_items(mu.translate(BASIS.angle(t, c)),
+                  _dict_sum([(((k[0] + t) % 1, tuple(x + y for x, y in zip(k[1], c))), w)
+                             for k, w in mu_d.items()]))
+    for part, want in zip(parity_projections(mu), _dict_parity(mu_d)):
+        _assert_items(part, want)
+
+
+def test_merge_across_wide_coefficient_ranges():
+    # ranges too wide for one packed sort key: the rows are lexsorted
+    rng = np.random.default_rng(4)
+    values = (-(1 << 63), -(1 << 40), -1, 0, 3, 1 << 62, (1 << 63) - 1)
+    keys = [(Fraction(j, 3), (a, b)) for j in range(3) for a in values for b in values]
+    pairs = [(keys[i], complex(*rng.integers(-8, 9, size=2).tolist()) / 8)
+             for i in rng.integers(0, len(keys), size=400).tolist()]
+    mu = DiscreteMeasure.from_atoms(BASIS, [(BASIS.angle(t, c), w) for (t, c), w in pairs])
+    _assert_items(mu, _dict_sum(pairs))
 
 
 def test_parity_split_pairs_atoms_exactly(basis):
