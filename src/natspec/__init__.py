@@ -21,10 +21,9 @@ from .errors import (BasisMismatchError, BudgetExceededError, GeneratorsExhauste
 from .kronecker import (KroneckerProblem, KroneckerSolution, chordal, disk_preimage,
                         disk_preimage_shifted, hit_target, pair_transform_values,
                         solve)
-from .measures import (ConvolutionBudget, DiscreteMeasure, MeasureLike, MixedMeasure,
-                       TrigPolyDensity, as_mixed, convolve, convolve_power,
-                       fourier_coefficient, make_rho, make_theta0, make_theta1,
-                       parity_projections, tv_norm, tv_norm_bounds)
+from .measures import (DiscreteMeasure, MeasureLike, MixedMeasure, TrigPolyDensity,
+                       as_mixed, convolve, fourier_coefficient, make_rho, make_theta0,
+                       make_theta1, parity_projections, tv_norm, tv_norm_bounds)
 from .spectrum import (CharacterPolynomial, FeketeReport, NaturalSpectrumReport,
                        SpectrumSample, char_polynomial, character_values,
                        covering_radius, disk_grid, fekete_bound, hausdorff,
@@ -37,9 +36,8 @@ __all__ = [
     "Angle", "GeneratorBasis", "TWO_PI", "FRESH_GENERATOR_VALUES",
     "angle_add", "angle_scale", "angle_to_radians", "basis_fresh_generators",
     "DiscreteMeasure", "TrigPolyDensity", "MixedMeasure", "MeasureLike",
-    "ConvolutionBudget", "as_mixed", "convolve", "convolve_power",
-    "fourier_coefficient", "tv_norm", "tv_norm_bounds", "parity_projections",
-    "make_theta0", "make_theta1", "make_rho",
+    "as_mixed", "convolve", "fourier_coefficient", "tv_norm", "tv_norm_bounds",
+    "parity_projections", "make_theta0", "make_theta1", "make_rho",
     "FeketeReport", "fekete_bound", "CharacterPolynomial", "char_polynomial",
     "character_values", "restrict", "torus_max", "SpectrumSample",
     "spectrum_sample", "transform_closure_sample", "covering_radius",

@@ -12,16 +12,15 @@ and nu2 is a small discrete correction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .angles import Angle, GeneratorBasis, basis_fresh_generators
 from .errors import RadiusValidationError
-from .measures import (ConvolutionBudget, DiscreteMeasure, MeasureLike, MixedMeasure,
-                       as_mixed, convolve, make_rho, make_theta0, make_theta1,
-                       parity_projections, tv_norm)
+from .measures import (DiscreteMeasure, MeasureLike, MixedMeasure, as_mixed, convolve,
+                       make_rho, make_theta0, make_theta1, parity_projections, tv_norm)
 from .spectrum import (FeketeReport, char_polynomial, character_values,
                        covering_radius, disk_grid, fekete_bound, hausdorff,
                        restrict, torus_grid_within, torus_max)
@@ -39,6 +38,8 @@ MANUAL_RADIUS_SCAN = 256
 EXACT_DISCRETE_GRID = 128
 # grid points the verifier's check (f) may spend, see spectrum.torus_grid_within
 MEMBERSHIP_POINT_BUDGET = 2_000_000
+# largest transform range |n| <= N the verifier accepts (100x the largest in use)
+MAX_VERIFY_N = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -55,7 +56,6 @@ class DecompositionOptions:
     radius_mode: str = "fekete"
     manual_radii: Optional[tuple[float, float]] = None
     fekete_k_max: int = 6
-    budget: ConvolutionBudget = field(default_factory=ConvolutionBudget)
     verify: bool = True
     verify_N: int = 10_000
     verify_grid: int = 256
@@ -142,8 +142,7 @@ def _radii(mu0: MeasureLike, mu1: MeasureLike, opts: DecompositionOptions):
                     f"{name}={r} is below the transform bound {sup} "
                     f"(sup over |n| <= {MANUAL_RADIUS_SCAN})")
         return r0, r1, None, None
-    reports = (fekete_bound(mu0, opts.fekete_k_max, budget=opts.budget),
-               fekete_bound(mu1, opts.fekete_k_max, budget=opts.budget))
+    reports = (fekete_bound(mu0, opts.fekete_k_max), fekete_bound(mu1, opts.fekete_k_max))
     r0, r1 = reports[0].final_bound, reports[1].final_bound
     if opts.radius_mode == "fekete":
         return r0, r1, None, reports
@@ -163,6 +162,12 @@ def _validate_options(opts: DecompositionOptions) -> None:
         raise ValueError(f"unknown radius_mode {opts.radius_mode!r}")
     if opts.fekete_k_max < 0:
         raise ValueError("fekete_k_max must be nonnegative")
+    _check_N(opts.verify_N)
+
+
+def _check_N(N: int) -> None:
+    if not 1 <= N <= MAX_VERIFY_N:
+        raise ValueError("N must be between 1 and 2**20")
 
 
 def decompose(mu: MeasureLike, options: Optional[DecompositionOptions] = None
@@ -223,7 +228,9 @@ def verify_decomposition(mu: MeasureLike, result: DecompositionResult, *,
     rho, mu, nu0 and nu1 are each evaluated once on |n| <= N, from their own
     atoms (never by linearity, which would make (c) hold by construction);
     (c) reads even and odd slices of those values, (d) and (e) whole arrays.
+    Raises ValueError unless 1 <= N <= 2**20, before any array is built.
     """
+    _check_N(N)
     checks: list[VerificationCheck] = []
     ext = result.basis
     mu_e = as_mixed(_embed(mu, ext)) if mu.basis != ext else as_mixed(mu)

@@ -16,17 +16,9 @@ class GeneratorsExhaustedError(NatspecError, RuntimeError):
 
 
 class BudgetExceededError(NatspecError, RuntimeError):
-    """A convolution budget (atoms, degree, or pair count) was exceeded.
-
-    For iterated powers, ``completed_exponent`` records the largest j such
-    that the 2**j-fold power was fully computed, and ``partial`` holds that
-    measure when available.
-    """
-
-    def __init__(self, message: str, *, completed_exponent: int = 0, partial=None):
-        super().__init__(message)
-        self.completed_exponent = completed_exponent
-        self.partial = partial
+    """A fixed resource limit was reached: a convolution's atom pairs, result
+    atoms or density degree (see ``measures.convolve``), or the grid points
+    of the torus walker (see ``spectrum.torus_max``)."""
 
 
 class OutOfDiskError(NatspecError, ValueError):

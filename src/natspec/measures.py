@@ -25,15 +25,10 @@ from .errors import BasisMismatchError, BudgetExceededError
 _MAX_DENOMINATOR = 1 << 62  # largest common turn denominator; also the sort-key span
 _MAX_COEFF = 1 << 62  # generator coefficients below this add without int64 wrap
 _MAX_ROOT_TABLE = 1 << 16  # unit_roots caches a table up to this denominator
-
-
-@dataclass(frozen=True)
-class ConvolutionBudget:
-    """Resource limits for convolutions and iterated powers."""
-
-    max_atoms: int = 200_000
-    max_degree: int = 65_536
-    max_pairs: int = 4_000_000
+# limits every convolution enforces (BudgetExceededError beyond them)
+_MAX_PAIRS = 4_000_000  # atom pairs, checked before any row is built
+_MAX_ATOMS = 200_000  # atoms of the merged discrete result
+_MAX_DEGREE = 65_536  # degree of the density part of the result
 
 
 def _roots(r: np.ndarray, q: int) -> np.ndarray:
@@ -136,20 +131,18 @@ def _row_groups(columns: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return group, order[starts]
 
 
-def _merge(den: int, num: np.ndarray, coef: np.ndarray, w: np.ndarray, drop_tol: float = 0.0):
+def _merge(den: int, num: np.ndarray, coef: np.ndarray, w: np.ndarray):
     """Canonical (den, num, coef, w) for weights w at (num / den turns, coef):
     the one place where position-keyed sums happen.  Each sum starts from
     complex(-0.0, -0.0) and adds its weights in input order, so one term
-    keeps its bits, signed zeros included.  Sums that are 0 or at most
-    ``drop_tol`` in modulus are dropped, rows come out unique and sorted
-    (turns, then coefficients), and den becomes the lcm of the reduced turn
-    denominators (1 for the zero measure)."""
+    keeps its bits, signed zeros included.  Sums that are 0 are dropped,
+    rows come out unique and sorted (turns, then coefficients), and den
+    becomes the lcm of the reduced turn denominators (1 for the zero
+    measure)."""
     group, first = _row_groups([num, *coef.T])
     acc = np.full(len(first), complex(-0.0, -0.0))
     np.add.at(acc, group, w)
     keep = acc != 0
-    if drop_tol > 0.0:
-        keep &= np.array([abs(x) > drop_tol for x in acc.tolist()], dtype=bool)
     num, coef, w = num[first[keep]], coef[first[keep]], acc[keep]
     g = math.gcd(den, int(np.gcd.reduce(num)))
     return den // g, num // g, coef, w
@@ -212,10 +205,10 @@ class DiscreteMeasure:
 
     @classmethod
     def _rows(cls, basis: GeneratorBasis, den: int, num: np.ndarray, coef: np.ndarray,
-              w, drop_tol: float = 0.0) -> "DiscreteMeasure":
+              w) -> "DiscreteMeasure":
         """Measure from rows in any order, repeats summed (see ``_merge``)."""
         w = np.asarray(w, dtype=np.complex128)
-        return object.__new__(cls)._store(basis, *_merge(den, num, coef, w, drop_tol))
+        return object.__new__(cls)._store(basis, *_merge(den, num, coef, w))
 
     @classmethod
     def from_atoms(cls, basis: GeneratorBasis,
@@ -504,100 +497,65 @@ def make_rho(alpha: Angle, beta: Angle, basis: GeneratorBasis) -> DiscreteMeasur
     return DiscreteMeasure(basis, {alpha: 0.5, beta: 0.5})
 
 
-def _convolve_discrete(a: DiscreteMeasure, b: DiscreteMeasure, drop_tol: float,
-                       budget: ConvolutionBudget | None) -> DiscreteMeasure:
+def _convolve_discrete(a: DiscreteMeasure, b: DiscreteMeasure) -> DiscreteMeasure:
     # Pairs are enumerated a-major in canonical order, so each merged weight
     # accumulates its products in that pair order under numpy's complex
     # rounding, whatever the number of pairs.
     if a.is_zero or b.is_zero:
         return DiscreteMeasure.zero(a.basis)
     pairs = len(a) * len(b)
-    if budget is not None and pairs > budget.max_pairs:
+    if pairs > _MAX_PAIRS:
         raise BudgetExceededError(
-            f"convolution needs {pairs} atom pairs, budget allows {budget.max_pairs}")
+            f"convolution needs {pairs} atom pairs, the limit is {_MAX_PAIRS}")
     _check_sum_safe(a.coef, b.coef)
     den = _common_den(a.den, b.den)
     num = (a.num * (den // a.den))[:, None] + (b.num * (den // b.den))[None, :]
     # one contiguous array per coefficient column: the merge reads columns
     coef = np.add(a.coef.T[:, :, None], b.coef.T[:, None, :]).reshape(-1, pairs).T
     w = a.w[:, None] * b.w[None, :]
-    result = DiscreteMeasure._rows(a.basis, den, (num % den).ravel(), coef, w.ravel(), drop_tol)
-    if budget is not None and len(result) > budget.max_atoms:
+    result = DiscreteMeasure._rows(a.basis, den, (num % den).ravel(), coef, w.ravel())
+    if len(result) > _MAX_ATOMS:
         raise BudgetExceededError(
-            f"convolution produced {len(result)} atoms, budget allows {budget.max_atoms}")
+            f"convolution produced {len(result)} atoms, the limit is {_MAX_ATOMS}")
     return result
 
 
-def _convolve_disc_ac(d: DiscreteMeasure, f: TrigPolyDensity, drop_tol: float) -> TrigPolyDensity:
+def _convolve_disc_ac(d: DiscreteMeasure, f: TrigPolyDensity) -> TrigPolyDensity:
     if d.is_zero or f.is_zero:
         return TrigPolyDensity({})
     ks = np.fromiter(f.coeffs.keys(), dtype=np.int64, count=len(f.coeffs))
     cs = np.fromiter(f.coeffs.values(), dtype=np.complex128, count=len(f.coeffs))
-    vals = cs * d.transform(ks)
-    out = {int(k): complex(c) for k, c in zip(ks, vals)}
-    if drop_tol > 0.0:
-        out = {k: c for k, c in out.items() if abs(c) > drop_tol}
-    return TrigPolyDensity(out)
+    return TrigPolyDensity(dict(zip(ks.tolist(), (cs * d.transform(ks)).tolist())))
 
 
-def _convolve_ac_ac(f: TrigPolyDensity, g: TrigPolyDensity, drop_tol: float) -> TrigPolyDensity:
-    out = {}
-    small = f if len(f.coeffs) <= len(g.coeffs) else g
-    other = g if small is f else f
-    for k, c in small.coeffs.items():
-        oc = other.coeffs.get(k)
-        if oc is not None:
-            v = c * oc
-            if drop_tol <= 0.0 or abs(v) > drop_tol:
-                out[k] = v
-    return TrigPolyDensity(out)
+def _convolve_ac_ac(f: TrigPolyDensity, g: TrigPolyDensity) -> TrigPolyDensity:
+    return TrigPolyDensity({k: c * g.coeffs[k] for k, c in f.coeffs.items() if k in g.coeffs})
 
 
-def convolve(a: MeasureLike, b: MeasureLike, *, drop_tol: float = 0.0,
-             budget: ConvolutionBudget | None = None) -> MeasureLike:
+def convolve(a: MeasureLike, b: MeasureLike) -> MeasureLike:
     """Convolution a * b.  Returns DiscreteMeasure iff both inputs are discrete.
 
     Atom positions add exactly; weights multiply and merge in canonical
-    position order.  With the default drop_tol=0 only exact zero weights are
-    dropped, so structural cancellations (half-turn symmetrization and the
-    sign character) vanish identically.
+    position order.  Only exact zero weights are dropped, so structural
+    cancellations (half-turn symmetrization and the sign character) vanish
+    identically.  Raises BudgetExceededError when the discrete parts form
+    more than 4 000 000 atom pairs (before any pair is built), when the
+    discrete result has more than 200 000 atoms, or when the density result
+    has degree above 65 536.
     """
     if isinstance(a, DiscreteMeasure) and isinstance(b, DiscreteMeasure):
         _check_same_basis(a.basis, b.basis)
-        return _convolve_discrete(a, b, drop_tol, budget)
+        return _convolve_discrete(a, b)
     ma, mb = as_mixed(a), as_mixed(b)
     _check_same_basis(ma.basis, mb.basis)
-    disc = _convolve_discrete(ma.disc, mb.disc, drop_tol, budget)
-    ac = _convolve_disc_ac(ma.disc, mb.ac, drop_tol)
-    ac = ac + _convolve_disc_ac(mb.disc, ma.ac, drop_tol)
-    ac = ac + _convolve_ac_ac(ma.ac, mb.ac, drop_tol)
-    if budget is not None and ac.degree > budget.max_degree:
+    disc = _convolve_discrete(ma.disc, mb.disc)
+    ac = _convolve_disc_ac(ma.disc, mb.ac)
+    ac = ac + _convolve_disc_ac(mb.disc, ma.ac)
+    ac = ac + _convolve_ac_ac(ma.ac, mb.ac)
+    if ac.degree > _MAX_DEGREE:
         raise BudgetExceededError(
-            f"density degree {ac.degree} exceeds budget {budget.max_degree}")
+            f"density degree {ac.degree} is above the limit {_MAX_DEGREE}")
     return MixedMeasure(disc, ac)
-
-
-def convolve_power(mu: MeasureLike, k: int, *, drop_tol: float = 0.0,
-                   budget: ConvolutionBudget | None = None) -> MeasureLike:
-    """2**k-fold convolution power by repeated squaring.
-
-    On budget exhaustion raises with ``completed_exponent`` set to the largest
-    j whose 2**j-fold power was fully computed, and ``partial`` set to that
-    power.
-    """
-    if k < 0:
-        raise ValueError("power exponent must be nonnegative")
-    if budget is None:
-        budget = ConvolutionBudget()
-    cur = mu
-    for j in range(k):
-        try:
-            cur = convolve(cur, cur, drop_tol=drop_tol, budget=budget)
-        except BudgetExceededError as exc:
-            raise BudgetExceededError(
-                f"power 2**{j + 1} exceeded budget: {exc}",
-                completed_exponent=j, partial=cur) from exc
-    return cur
 
 
 def tv_norm(mu: MeasureLike) -> float:

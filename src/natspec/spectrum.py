@@ -18,8 +18,8 @@ from scipy.spatial import cKDTree
 
 from .angles import GeneratorBasis, TWO_PI
 from .errors import BudgetExceededError
-from .measures import (ConvolutionBudget, DiscreteMeasure, MeasureLike, MixedMeasure,
-                       as_mixed, convolve, tv_norm_bounds, unit_roots)
+from .measures import (DiscreteMeasure, MeasureLike, MixedMeasure, as_mixed, convolve,
+                       tv_norm_bounds, unit_roots)
 
 # norms whose square stays in the normal float range, with a factor 4 to spare
 _SQUARE_SAFE_MIN = 2.0 ** -511
@@ -52,21 +52,19 @@ def _rescale_exponent(norm: float) -> int:
     return 0
 
 
-def fekete_bound(mu: MeasureLike, k_max: int = 6, *,
-                 budget: ConvolutionBudget | None = None) -> FeketeReport:
+def fekete_bound(mu: MeasureLike, k_max: int = 6) -> FeketeReport:
     """Certified upper bound for the spectral radius via repeated squaring.
 
     Each entry uses the total variation norm plus its quadrature error
-    estimate, so every r_k is an upper bound for the true limit.  Stops early
-    when the budget is exhausted (reported via ``budget_hit``).  A power
-    whose square's norm would leave the normal float range is first rescaled
-    by a power of two, which is exact, so tiny weights do not underflow to a
-    zero bound.  Raises ValueError when the total variation is not finite.
+    estimate, so every r_k is an upper bound for the true limit.  Stops early,
+    with ``budget_hit`` set and the entries so far kept, when a squaring
+    passes the convolution limits of ``measures.convolve``.  A power whose
+    square's norm would leave the normal float range is first rescaled by a
+    power of two, which is exact, so tiny weights do not underflow to a zero
+    bound.  Raises ValueError when the total variation is not finite.
     """
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
-    if budget is None:
-        budget = ConvolutionBudget()
     cur = as_mixed(mu)
     value, err = tv_norm_bounds(cur)
     r = value + err
@@ -82,7 +80,7 @@ def fekete_bound(mu: MeasureLike, k_max: int = 6, *,
                 cur = cur.scale(math.ldexp(1.0, -e))
                 shift += e
             try:
-                cur = convolve(cur, cur, budget=budget)
+                cur = convolve(cur, cur)
             except BudgetExceededError:
                 budget_hit = True
                 break

@@ -262,6 +262,17 @@ def test_decompose_at_huge_denominator_exits_1(tmp_path, capsys):
     assert "torsion classes" in captured.err
 
 
+@pytest.mark.parametrize("n", ["0", "-1", "1000000000000"])
+def test_decompose_refuses_N_out_of_range(tmp_path, measure_file, n, capsys):
+    out = tmp_path / "out"
+    rc = main(["decompose", "--input", str(measure_file), "--out", str(out), "--N", n])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "error: N must be between 1 and 2**20\n"
+    assert not out.exists()
+
+
 def test_spectral_radius_skips_lower_bound_for_densities(tmp_path, basis, capsys):
     path = tmp_path / "density.json"
     write_json(path, measure_to_json(MixedMeasure.from_density(basis, {1: 1.0, -2: 0.5})))

@@ -141,6 +141,16 @@ def test_verify_flag_off_defers_report(basis):
     assert report.passed
 
 
+@pytest.mark.parametrize("N", [0, (1 << 20) + 1])
+def test_verify_refuses_N_out_of_range(basis, N):
+    mu = DiscreteMeasure.from_atoms(basis, [(basis.generator("b"), 1.0j)])
+    with pytest.raises(ValueError, match="N must be between 1 and 2"):
+        decompose(mu, DecompositionOptions(verify_N=N))
+    result = decompose(mu, DecompositionOptions(verify=False))
+    with pytest.raises(ValueError, match="N must be between 1 and 2"):
+        verify_decomposition(mu, result, N=N)
+
+
 def test_report_checks_carry_thresholds(basis):
     mu = DiscreteMeasure.from_atoms(basis, [(basis.generator("a"), 1.0)])
     report = decompose(mu, FAST).report

@@ -13,12 +13,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from natspec.angles import Angle, GeneratorBasis, angle_add
 from natspec.errors import BudgetExceededError
-from natspec.measures import (ConvolutionBudget, DiscreteMeasure, MixedMeasure,
-                              TrigPolyDensity, _exact_halves_complex, _rational_residues,
-                              _roots, as_mixed, convolve, convolve_power,
-                              fourier_coefficient, make_rho, make_theta0, make_theta1,
+from natspec.measures import (DiscreteMeasure, MixedMeasure, TrigPolyDensity,
+                              _exact_halves_complex, _rational_residues, _roots, as_mixed,
+                              convolve, fourier_coefficient, make_rho, make_theta0, make_theta1,
                               parity_projections, tv_norm, tv_norm_bounds, unit_roots)
 from natspec.sampling import default_rng, random_discrete, random_mixed
+from natspec.spectrum import fekete_bound
 
 NS = np.arange(-12, 13)
 
@@ -71,7 +71,7 @@ def test_half_turn_squares_to_identity(basis):
 
 
 def test_two_point_average_squared(basis, rho):
-    sq = convolve_power(rho, 1)
+    sq = convolve(rho, rho)
     expected = {(0, 2): 0.25 + 0j, (1, 1): 0.5 + 0j, (2, 0): 0.25 + 0j}
     assert {a.coeffs: w for a, w in sq.atoms.items()} == expected
     assert all(a.turns == 0 for a in sq.atoms)
@@ -79,30 +79,52 @@ def test_two_point_average_squared(basis, rho):
 
 def test_repeated_squaring_matches_direct_convolution(basis, rho):
     direct = convolve(convolve(convolve(rho, rho), rho), rho)
-    assert convolve_power(rho, 2) == direct
+    sq = convolve(rho, rho)
+    assert convolve(sq, sq) == direct
 
 
-def test_power_budget_reports_partial_progress(basis, rho):
-    with pytest.raises(BudgetExceededError) as exc:
-        convolve_power(rho, 6, budget=ConvolutionBudget(max_atoms=10))
-    assert exc.value.completed_exponent == 3
-    assert len(exc.value.partial.atoms) == 9
+def _line(basis, size: int, axis: int) -> DiscreteMeasure:
+    """``size`` unit atoms at j times one generator, 0 <= j < size."""
+    return DiscreteMeasure.from_atoms(
+        basis, [(basis.angle(0, (j, 0) if axis == 0 else (0, j)), 1.0) for j in range(size)])
 
 
-def test_convolve_budget_limits(basis, rho):
-    with pytest.raises(BudgetExceededError):
-        convolve(rho, rho, budget=ConvolutionBudget(max_atoms=2))
-    wide = MixedMeasure.from_density(basis, {k: 1.0 for k in range(-5, 6)})
-    with pytest.raises(BudgetExceededError):
-        convolve(wide, wide, budget=ConvolutionBudget(max_degree=4))
+def test_convolve_refuses_too_many_pairs_before_allocating(basis):
+    line = _line(basis, 2001, 0)  # 2001**2 = 4_004_001 pairs, one above the limit
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="4004001 atom pairs"):
+            convolve(line, line)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
-def test_drop_tol_prunes_small_products(basis):
-    small = DiscreteMeasure.from_atoms(
-        basis, [(basis.zero(), 1.0), (basis.generator("a"), 1e-15)])
-    pruned = convolve(small, small, drop_tol=1e-12)
-    assert len(pruned.atoms) == 1
-    assert pruned.atoms[basis.zero()] == 1.0
+def test_convolve_budget_limits(basis):
+    # orthogonal axes: every one of the 450 * 450 = 202_500 pairs is its own atom
+    with pytest.raises(BudgetExceededError, match="202500 atoms"):
+        convolve(_line(basis, 450, 0), _line(basis, 450, 1))
+    assert len(convolve(_line(basis, 400, 0), _line(basis, 500, 1))) == 200_000
+    delta = MixedMeasure.from_discrete(DiscreteMeasure.point_mass(basis, basis.zero()))
+    with pytest.raises(BudgetExceededError, match="65537"):
+        convolve(delta, MixedMeasure.from_density(basis, {65_537: 1.0}))
+    assert convolve(delta, MixedMeasure.from_density(basis, {-65_536: 1.0})).ac.degree == 65_536
+
+
+def test_fekete_bound_stops_at_the_convolution_limits(basis):
+    # 36 atoms on a 6 x 6 coefficient grid: mu^(2^k) has (5 * 2^k + 1)^2
+    # atoms, so the fifth squaring needs 6561**2 pairs and stops the loop
+    mu = DiscreteMeasure.from_atoms(
+        basis, [(basis.angle(0, (i, j)), complex(i + 1, j - 2) / 17)
+                for i in range(6) for j in range(6)])
+    report = fekete_bound(mu, k_max=8)
+    assert report.budget_hit
+    assert [k for k, _ in report.entries] == [0, 1, 2, 3, 4]
+    bits = [struct.pack("<d", r) for _, r in report.entries]
+    assert bits == [struct.pack("<d", r) for _, r in fekete_bound(mu, 4).entries]
+    sup = max(abs(mp_transform(mu, n)) for n in range(-256, 257))
+    assert all(r >= sup for _, r in report.entries)
 
 
 def test_convolution_theorem_on_random_measures(basis):
@@ -436,6 +458,54 @@ def test_merge_across_wide_coefficient_ranges():
              for i in rng.integers(0, len(keys), size=400).tolist()]
     mu = DiscreteMeasure.from_atoms(BASIS, [(BASIS.angle(t, c), w) for (t, c), w in pairs])
     _assert_items(mu, _dict_sum(pairs))
+
+
+# signed zeros, and values whose products round (j / 997 is not dyadic)
+rounding_st = st.sampled_from((0.0, -0.0)) | st.integers(-996, 996).map(lambda j: j / 997)
+
+
+@st.composite
+def mixed_measures(draw):
+    """A few atoms from a position pool plus density coefficients at |k| <= 6."""
+    pool = draw(position_pools())
+    weights = st.builds(complex, rounding_st | signed_st, rounding_st | signed_st)
+    # no atoms half the time, so a rounding bit of the density x density
+    # products is not lost in the larger discrete x density sums
+    atoms = draw(st.lists(st.tuples(st.sampled_from(pool), weights),
+                          max_size=6 * draw(st.integers(0, 1))))
+    disc = DiscreteMeasure.from_atoms(BASIS, [(BASIS.angle(t, c), w) for (t, c), w in atoms])
+    return MixedMeasure(disc, TrigPolyDensity(
+        draw(st.dictionaries(st.integers(-6, 6), weights, max_size=8))))
+
+
+def _density_sum(first: dict, *rest: dict) -> dict:
+    """Parts summed left to right as TrigPolyDensity adds them: a key missing
+    on the left reads 0j, and exact zeros are dropped after every step."""
+    acc = {k: v for k, v in first.items() if v != 0}
+    for part in rest:
+        for k, v in part.items():
+            if v != 0:
+                acc[k] = acc.get(k, 0j) + v
+        acc = {k: v for k, v in acc.items() if v != 0}
+    return acc
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_measures(), mixed_measures())
+@example(MixedMeasure.from_density(BASIS, {1: complex(3, 5) / 997}),  # numpy rounds
+         MixedMeasure.from_density(BASIS, {1: complex(7, -11) / 997}))  # it differently
+def test_density_convolution_matches_numpy_and_python_products_bitwise(a, b):
+    # second route: disc x density as numpy products c_k * d_hat(k), which
+    # round differently from Python's, density x density as Python products
+    def disc_ac(d: DiscreteMeasure, f: TrigPolyDensity) -> dict:
+        ks = np.array(list(f.coeffs), dtype=np.int64)
+        cs = np.array(list(f.coeffs.values()), dtype=np.complex128)
+        return dict(zip(ks.tolist(), (cs * d.transform(ks)).tolist()))
+
+    ac_ac = {k: c * b.ac.coeffs[k] for k, c in a.ac.coeffs.items() if k in b.ac.coeffs}
+    want = _density_sum(disc_ac(a.disc, b.ac), disc_ac(b.disc, a.ac), ac_ac)
+    got = convolve(a, b).ac.coeffs
+    assert [(k, _bits(v)) for k, v in got.items()] == [(k, _bits(want[k])) for k in sorted(want)]
 
 
 def test_parity_split_pairs_atoms_exactly(basis):
