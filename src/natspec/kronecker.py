@@ -4,8 +4,9 @@ For rationally independent alpha, beta (together with 2 pi) the pairs
 (n*alpha, n*beta) equidistribute on the torus, so any pair of target phases
 can be hit to any tolerance.  This module finds witnesses: either by a
 vectorized scan in canonical order (smallest |n| first, positive before
-negative) or by a reduced-lattice heuristic whose candidates are always
-re-verified against the direct objective.
+negative; one phase reduction per |n| serves both signs, in blocks that
+grow from 256 magnitudes) or by a reduced-lattice heuristic.  Every
+returned witness and error is recomputed on n itself.
 
 Everything here works with float radian values; the exact-position layer is
 not needed because every answer is certified by direct evaluation.
@@ -22,7 +23,13 @@ import numpy as np
 from .angles import TWO_PI, reduced_phases
 from .errors import KroneckerNotFoundError, OutOfDiskError
 
-_SCAN_BLOCK = 65_536
+_SCAN_BLOCK = 65_536  # magnitudes in the largest scan block
+_FIRST_BLOCK = 256  # magnitudes in the first one
+# the scan's conjugate-symmetry objective and the direct one differ by a few
+# ulps (about 1e-15); candidates this close to eps or to the least value are
+# settled by the direct objective
+_ROUTE_SLACK = 1e-12
+_SIGNS = np.array([1.0, -1.0])
 _NEIGHBOR_RANGE = 8
 
 
@@ -79,9 +86,14 @@ def _pair_errors(ns: np.ndarray, alpha: float, beta: float,
     return ea, eb
 
 
-def _candidate_blocks(n_max: int, min_abs: int, parity: str = "any",
-                      block: int = _SCAN_BLOCK) -> Iterator[np.ndarray]:
-    """Canonical candidate order in blocks: |n| increasing, +n before -n."""
+def _candidate_blocks(n_max: int, min_abs: int, parity: str = "any") -> Iterator[np.ndarray]:
+    """Candidate magnitudes m >= 0 of the requested parity, increasing, in
+    blocks of _FIRST_BLOCK magnitudes that double up to _SCAN_BLOCK.
+
+    Each m stands for +m and then -m in the canonical order (m = 0 once),
+    so a witness at small |n| costs a small block and a long scan still runs
+    in large ones.
+    """
     if parity == "any":
         start, step = max(min_abs, 0), 1
     elif parity == "even":
@@ -94,49 +106,89 @@ def _candidate_blocks(n_max: int, min_abs: int, parity: str = "any",
         step = 2
     else:
         raise ValueError(f"unknown parity {parity!r}")
-    for lo in range(start, n_max + 1, step * block):
-        m = np.arange(lo, min(lo + step * block, n_max + 1), step, dtype=np.int64)
-        ns = np.empty(2 * len(m), dtype=np.int64)
-        ns[0::2] = m
-        ns[1::2] = -m
-        if m.size and m[0] == 0:
-            ns = np.concatenate([m[:1], ns[2:]])
-        yield ns
+    lo, size = start, _FIRST_BLOCK
+    while lo <= n_max:
+        stop = min(lo + step * size, n_max + 1)
+        yield np.arange(lo, stop, step, dtype=np.int64)
+        lo, size = stop, min(2 * size, _SCAN_BLOCK)
 
 
-def _scan(err_fn, eps: float, n_max: int, min_abs: int, parity: str,
+def _signed(m: np.ndarray, i, zero: bool):
+    """Candidates at positions i of a block of magnitudes in canonical order."""
+    j = i + (zero & (i > 0))
+    return np.where(j % 2 == 0, m[j // 2], -m[j // 2])
+
+
+def _scan(objective, direct, eps: float, n_max: int, min_abs: int, parity: str,
           message: str) -> tuple[int, tuple[float, ...], int]:
     """First n in canonical order whose objective is below ``eps``.
 
-    ``err_fn`` maps a block of candidates to a tuple of arrays, the first of
-    which is the objective.  Returns (n, each array's value at n, evaluations);
-    raises KroneckerNotFoundError with the best candidate when none qualifies.
+    ``objective`` maps a block of magnitudes m >= 0 to an (len(m), 2) array
+    of the objective at +m and at -m, so one evaluation per |n| serves both
+    signs (for real angles the value at -n is the conjugate of the value at
+    n).  ``direct`` maps an array of candidates n to a tuple of arrays
+    evaluated on n itself, the objective first.  The two routes differ by a
+    few ulps, so every candidate the block puts within _ROUTE_SLACK of
+    ``eps`` is rechecked by ``direct`` in canonical order, and the first one
+    it accepts is the witness.  Returns (n, each direct array's value at n,
+    evaluations), where evaluations is the witness's canonical index + 1.
+    Raises KroneckerNotFoundError with the first candidate, in canonical
+    order, of least direct objective and that objective; only candidates
+    within _ROUTE_SLACK of the scan's least value are evaluated directly.
     """
-    best_n, best_err = None, math.inf
     evaluations = 0
-    for ns in _candidate_blocks(n_max, min_abs, parity):
-        arrays = err_fn(ns)
-        err = arrays[0]
-        hits = np.flatnonzero(err < eps)
-        if hits.size:
-            i = int(hits[0])
-            return int(ns[i]), tuple(float(a[i]) for a in arrays), evaluations + i + 1
-        evaluations += len(ns)
-        i = int(np.argmin(err))
-        if err[i] < best_err:
-            best_err, best_n = float(err[i]), int(ns[i])
-    raise KroneckerNotFoundError(message, best_n=best_n, best_err=best_err)
+    lowest, near = math.inf, []  # (block minimum, its candidates near it)
+    for m in _candidate_blocks(n_max, min_abs, parity):
+        obj = objective(m).ravel()
+        zero = bool(m[0] == 0)
+        if zero:
+            obj = np.delete(obj, 1)  # -0 is +0
+        for i in np.flatnonzero(obj < eps + _ROUTE_SLACK):
+            n = int(_signed(m, i, zero))
+            values = tuple(float(a[0]) for a in direct(np.array([n], dtype=np.int64)))
+            if values[0] < eps:
+                return n, values, evaluations + int(i) + 1
+        evaluations += len(obj)
+        low = float(obj.min())
+        if low <= lowest + _ROUTE_SLACK:
+            lowest = min(lowest, low)
+            near = [(b, ns) for b, ns in near if b <= lowest + _ROUTE_SLACK]
+            near.append((low, _signed(m, np.flatnonzero(obj <= low + _ROUTE_SLACK), zero)))
+            if sum(len(ns) for _, ns in near) > _SCAN_BLOCK:  # many equal values
+                near = [_first_least(near, direct)[:2]]
+    if not near:
+        raise KroneckerNotFoundError(message, best_n=None, best_err=math.inf)
+    _, ns, err = _first_least(near, direct)
+    raise KroneckerNotFoundError(message, best_n=int(ns[0]), best_err=err)
+
+
+def _first_least(near, direct) -> tuple[float, np.ndarray, float]:
+    """Collapse the scan's (block minimum, candidates) entries to the first
+    candidate of least direct objective: (least block minimum, [n], its
+    objective)."""
+    ns = np.concatenate([ns for _, ns in near])
+    errs = direct(ns)[0]
+    i = int(np.argmin(errs))
+    return min(b for b, _ in near), ns[i:i + 1], float(errs[i])
 
 
 def _solve_scan(problem: KroneckerProblem) -> KroneckerSolution:
-    def errors(ns):
-        ea, eb = _pair_errors(ns, problem.alpha, problem.beta,
-                              problem.target_x, problem.target_y)
+    alpha, beta = problem.alpha, problem.beta
+    x, y = problem.target_x, problem.target_y
+
+    def objective(m):
+        # columns +m and -m: the phase of -m is minus the phase of m
+        pa = reduced_phases(m, alpha)[:, None] * _SIGNS
+        pb = reduced_phases(m, beta)[:, None] * _SIGNS
+        return np.maximum(chordal(pa - x), chordal(pb - y))
+
+    def direct(ns):
+        ea, eb = _pair_errors(ns, alpha, beta, x, y)
         return np.maximum(ea, eb), ea, eb
 
     n, (_, ea, eb), evaluations = _scan(
-        errors, problem.epsilon, problem.n_max, problem.min_abs_n, problem.parity,
-        f"no n with |n| <= {problem.n_max} meets epsilon={problem.epsilon}")
+        objective, direct, problem.epsilon, problem.n_max, problem.min_abs_n,
+        problem.parity, f"no n with |n| <= {problem.n_max} meets epsilon={problem.epsilon}")
     return KroneckerSolution(n, ea, eb, evaluations)
 
 
@@ -346,10 +398,15 @@ def hit_target(alpha: float, beta: float, w: complex, eps: float,
                method: str = "scan") -> int:
     """Integer n of the requested parity with |(e^{-in a}+e^{-in b})/2 - w| < eps.
 
-    The scan method tests candidates directly in canonical order.  The
-    lattice method lifts w to a pair of unimodular targets, solves the
-    two-phase problem for the doubled angles, and re-verifies the resulting n
-    against the direct objective, falling back to the scan on failure.
+    The scan method returns the first such n in canonical order.  It runs in
+    blocks of 256 magnitudes doubling up to 65 536 and evaluates
+    rho(m) = (e^{-im a}+e^{-im b})/2 once per magnitude m: the objective at
+    -m is |conj(rho(m)) - w| = |rho(m) - conj(w)|.  The witness is confirmed
+    on n itself by ``pair_transform_values``, and a not-found error's best
+    error comes from the same direct route.  The lattice method lifts w to a
+    pair of unimodular targets, solves the two-phase problem for the doubled
+    angles, and re-verifies the resulting n against the direct objective,
+    falling back to the scan on failure.
     """
     w = complex(w)
     if not all(math.isfinite(x) for x in (w.real, w.imag, alpha, beta, eps)):
@@ -361,7 +418,10 @@ def hit_target(alpha: float, beta: float, w: complex, eps: float,
     if parity not in ("any", "even", "odd"):
         raise ValueError(f"unknown parity {parity!r}")
     if method == "scan":
-        n, _, _ = _scan(lambda ns: (np.abs(_rho_values(ns, alpha, beta) - w),),
+        # rho(-m) = conj(rho(m)), and |conj(rho) - w| = |rho - conj(w)|
+        targets = np.array([w, w.conjugate()])
+        n, _, _ = _scan(lambda m: np.abs(_rho_values(m, alpha, beta)[:, None] - targets),
+                        lambda ns: (np.abs(_rho_values(ns, alpha, beta) - w),),
                         eps, n_max, 0, parity,
                         f"no {parity} n with |n| <= {n_max} meets eps={eps}")
         return n

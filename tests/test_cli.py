@@ -153,6 +153,20 @@ def test_spectral_radius_brackets_discrete(tmp_path, measure_file, capsys):
     assert [k for k, _ in data["entries"]] == list(range(len(data["entries"])))
 
 
+def test_spectral_radius_bracket_of_point_masses_is_ordered(tmp_path, basis, capsys):
+    # the torus lower end of a point mass used to print an ulp above the upper end
+    rng = default_rng(2001)
+    path, out = tmp_path / "point.json", tmp_path / "radius.json"
+    for _ in range(25):
+        w = complex(*rng.normal(size=2))
+        write_json(path, measure_to_json(
+            DiscreteMeasure.from_atoms(basis, [(basis.generator("a"), w)])))
+        assert main(["spectral-radius", "--input", str(path), "--out", str(out)]) == 0
+        line = capsys.readouterr().out.splitlines()[0]
+        lower, upper = (float(v) for v in line[len("bracket ["):-1].split(", "))
+        assert lower <= upper
+
+
 def test_spectral_radius_rejects_nan_weight(tmp_path, measure_file, capsys):
     obj = json.loads(measure_file.read_text(encoding="utf-8"))
     obj["atoms"][0]["re"] = math.nan

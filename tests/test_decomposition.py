@@ -107,7 +107,11 @@ def test_exact_discrete_mode_brackets(basis):
     (lo0, hi0), (lo1, hi1) = result.radius_brackets
     assert lo0 <= hi0 + 1e-9 and lo1 <= hi1 + 1e-9
     assert result.R0 == hi0 and result.R1 == hi1
-    assert result.radius_brackets == ((1.0, 1.0), (1.0, 1.0))
+    # each parity piece is two atoms of weight 1/2 with |p| = 1 on the whole
+    # torus; the lower end is that grid value less the rounding allowance
+    # (K + 8) u sum |c_j| = 10u
+    lower = 1.0 - 10 * 2.0 ** -53
+    assert result.radius_brackets == ((lower, 1.0), (lower, 1.0))
 
 
 def test_exact_discrete_mode_rejects_densities(basis):

@@ -2,10 +2,15 @@
 
 import cmath
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from natspec import kronecker
+from natspec.angles import FRESH_GENERATOR_VALUES, reduced_phases
 from natspec.errors import KroneckerNotFoundError, OutOfDiskError
 from natspec.kronecker import (KroneckerProblem, chordal, disk_preimage,
                                disk_preimage_shifted, hit_target,
@@ -13,6 +18,7 @@ from natspec.kronecker import (KroneckerProblem, chordal, disk_preimage,
 
 SQRT2, SQRT3 = math.sqrt(2), math.sqrt(3)
 TWO_PI = 2.0 * math.pi
+GENERATORS = [value for _, value in FRESH_GENERATOR_VALUES]
 
 
 def _pair(n: int) -> complex:
@@ -198,3 +204,225 @@ def test_hit_target_lattice_method():
         w = complex(np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform()))
         n = hit_target(SQRT2, SQRT3, w, 0.1, method="lattice", n_max=10 ** 7)
         assert abs(_pair(n) - w) < 0.1
+
+
+# -- the fixed-block scan, as a second route ----------------------------------
+
+_REFERENCE_BLOCK = 65_536
+
+
+def _reference_scan(direct, eps, n_max, min_abs, parity):
+    """Two-sided scan in fixed blocks of 65 536 magnitudes, every candidate n
+    evaluated on n itself by ``direct`` (ns -> tuple of arrays, objective
+    first).  ("found", n, values at n, canonical index + 1) or ("missing",
+    first n of least objective, that objective)."""
+    start = max(min_abs, 1 if parity == "odd" else 0)
+    if parity != "any":
+        start += (start % 2) if parity == "even" else 1 - start % 2
+    step = 1 if parity == "any" else 2
+    best_n, best_err, evaluations = None, math.inf, 0
+    for lo in range(start, n_max + 1, step * _REFERENCE_BLOCK):
+        m = np.arange(lo, min(lo + step * _REFERENCE_BLOCK, n_max + 1), step, dtype=np.int64)
+        ns = np.stack([m, -m], axis=1).ravel()
+        if m[0] == 0:
+            ns = ns[1:]
+        arrays = direct(ns)
+        hits = np.flatnonzero(arrays[0] < eps)
+        if hits.size:
+            i = int(hits[0])
+            return "found", int(ns[i]), tuple(float(a[i]) for a in arrays), evaluations + i + 1
+        evaluations += len(ns)
+        i = int(np.argmin(arrays[0]))
+        if arrays[0][i] < best_err:
+            best_n, best_err = int(ns[i]), float(arrays[0][i])
+    return "missing", best_n, best_err
+
+
+# n_max on both sides of the first block edges (after 256 and 768 magnitudes:
+# n = 256 and 768 for parity "any", 512 and 1536 for a fixed parity), and of
+# the edge after the first full-size block (130 816 magnitudes)
+_EDGES = st.sampled_from((255, 256, 257, 511, 512, 513, 767, 768, 769, 1535, 1536, 1537))
+_FAR_EDGES = st.sampled_from((130_815, 130_816, 130_817, 261_631, 261_632, 261_633))
+_PARITIES = st.sampled_from(("any", "even", "odd"))
+_PHASES = st.one_of(st.just(0.0), st.floats(0.0, TWO_PI, exclude_max=True))
+_EPS = st.floats(-4.0, -0.3).map(lambda e: 10.0 ** e)
+_DISK = st.one_of(
+    st.floats(-1.0, 1.0).map(complex),  # real targets: +m and -m tie exactly
+    st.builds(lambda r, t: r * cmath.exp(1j * t), st.floats(0.0, 1.0), _PHASES))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(GENERATORS), st.sampled_from(GENERATORS), _PHASES, _PHASES, _EPS,
+       _EDGES, _PARITIES, st.integers(0, 300))
+def test_scan_matches_fixed_block_reference(alpha, beta, x, y, eps, n_max, parity, min_abs):
+    problem = KroneckerProblem(alpha, beta, x, y, eps, n_max, "scan", min_abs, parity)
+
+    def direct(ns):
+        ea = chordal(reduced_phases(ns, alpha) - x)
+        eb = chordal(reduced_phases(ns, beta) - y)
+        return np.maximum(ea, eb), ea, eb
+
+    ref = _reference_scan(direct, eps, n_max, min_abs, parity)
+    if ref[0] == "found":
+        _, n, (_, ea, eb), evaluations = ref
+        assert solve(problem) == kronecker.KroneckerSolution(n, ea, eb, evaluations)
+    else:
+        with pytest.raises(KroneckerNotFoundError) as exc:
+            solve(problem)
+        assert (exc.value.best_n, exc.value.best_err) == ref[1:]
+
+
+def test_scan_of_equal_values_keeps_its_memory_bounded():
+    # alpha = beta = 0 gives every candidate the same objective, so every one
+    # ties for the best; the first stands, and the ties do not pile up
+    problem = KroneckerProblem(0.0, 0.0, 1.0, 2.0, 1e-3, n_max=10 ** 6, parity="odd")
+    tracemalloc.start()
+    try:
+        with pytest.raises(KroneckerNotFoundError) as exc:
+            solve(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (exc.value.best_n, exc.value.best_err) == (1, float(chordal(2.0)))
+    assert peak < 40 << 20
+
+
+def _check_hit_target(alpha, beta, w, eps, parity, n_max):
+    ref = _reference_scan(lambda ns: (np.abs(pair_transform_values(ns, alpha, beta) - w),),
+                          eps, n_max, 0, parity)
+    if ref[0] == "found":
+        assert hit_target(alpha, beta, w, eps, parity, n_max) == ref[1]
+    else:
+        with pytest.raises(KroneckerNotFoundError) as exc:
+            hit_target(alpha, beta, w, eps, parity, n_max)
+        assert (exc.value.best_n, exc.value.best_err) == ref[1:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(GENERATORS), st.sampled_from(GENERATORS), _DISK, _EPS, _PARITIES,
+       _EDGES)
+def test_hit_target_matches_fixed_block_reference(alpha, beta, w, eps, parity, n_max):
+    _check_hit_target(alpha, beta, w, eps, parity, n_max)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.sampled_from(GENERATORS), st.sampled_from(GENERATORS), _DISK, _PARITIES,
+       _FAR_EDGES)
+def test_hit_target_matches_reference_past_the_full_blocks(alpha, beta, w, parity, n_max):
+    # eps tight enough to miss: the whole range is scanned, across the edges
+    # of full-size blocks in both scans
+    _check_hit_target(alpha, beta, w, 1e-6, parity, n_max)
+
+
+@pytest.mark.parametrize("parity, start, step", [("any", 0, 1), ("even", 0, 2),
+                                                  ("odd", 1, 2)])
+def test_candidate_blocks_double_up_to_the_full_size(parity, start, step):
+    n_max = 700_000
+    blocks = list(kronecker._candidate_blocks(n_max, 0, parity))
+    sizes = [len(b) for b in blocks]
+    assert sizes[:10] == [256 << k for k in range(9)] + [65_536]
+    assert max(sizes) == 65_536
+    assert np.array_equal(np.concatenate(blocks), np.arange(start, n_max + 1, step))
+
+
+@pytest.mark.parametrize("m", [1, 2, 255, 256, 257, 511, 512, 513, 767, 768, 769,
+                               1535, 1536, 1537])
+@pytest.mark.parametrize("pair", [(SQRT2, SQRT3), (math.sqrt(5), math.log(3))])
+def test_scan_settles_witnesses_at_eps_by_the_direct_objective(m, pair):
+    # targets exactly at n = -m, so only -m's direct objective (0) is below
+    # the least positive eps; the conjugate route puts it an ulp above zero
+    # about half the time, and block edges move its canonical index
+    alpha, beta = pair
+    ns = np.array([-m], dtype=np.int64)
+    x, y = float(reduced_phases(ns, alpha)[0]), float(reduced_phases(ns, beta)[0])
+    eps = math.ulp(0.0)
+    for parity in ("any", "even" if m % 2 == 0 else "odd"):
+        sol = solve(KroneckerProblem(alpha, beta, x, y, eps, m, parity=parity))
+        assert sol == kronecker.KroneckerSolution(-m, 0.0, 0.0, 2 * m + 1 if parity == "any"
+                                                  else m + 1)
+        w = complex(pair_transform_values(ns, alpha, beta)[0])
+        assert hit_target(alpha, beta, w, eps, parity, m) == -m
+
+
+# -- the lattice method's fallback to the scan ---------------------------------
+
+@pytest.fixture
+def scan_log(monkeypatch):
+    """Each scan a call runs (its message and result, or None when it found
+    nothing), and the direct evaluations made outside scans."""
+    log = {"outside": 0, "in_scan": False, "scans": []}
+    pair_errors, scan = kronecker._pair_errors, kronecker._scan
+
+    def counting(ns, *rest):
+        if not log["in_scan"]:
+            log["outside"] += len(ns)
+        return pair_errors(ns, *rest)
+
+    def recording(*args):
+        log["in_scan"] = True
+        log["scans"].append([args[-1], None])
+        try:
+            result = scan(*args)
+        finally:
+            log["in_scan"] = False
+        log["scans"][-1][1] = result
+        return result
+
+    monkeypatch.setattr(kronecker, "_pair_errors", counting)
+    monkeypatch.setattr(kronecker, "_scan", recording)
+    return log
+
+
+@pytest.mark.parametrize("parity", ["any", "even", "odd"])
+def test_lattice_problem_falls_back_to_the_scan(scan_log, parity):
+    rng = np.random.default_rng(71)
+    found = missed = 0
+    for _ in range(80):
+        x, y = (float(v) for v in rng.uniform(0.0, TWO_PI, 2))
+        problem = KroneckerProblem(SQRT2, SQRT3, x, y, 0.3, 200, "lattice", 0, parity)
+        scan_log.update(outside=0, scans=[])
+        try:
+            sol = solve(problem)
+        except KroneckerNotFoundError as exc:
+            # the last scan is the problem's own, and its best candidate stands
+            with pytest.raises(KroneckerNotFoundError) as ref:
+                solve(replace(problem, method="scan"))
+            assert (exc.best_n, exc.best_err) == (ref.value.best_n, ref.value.best_err)
+            missed += 1
+            continue
+        if len(scan_log["scans"]) != 1:
+            continue  # a lattice candidate hit, or the parity sub-problem missed
+        # one scan ran after every lattice candidate missed: the witness is its
+        # (lifted) witness, and evaluations add the lattice's to its index
+        n, _, evaluations = scan_log["scans"][0][1]
+        lifted = {"any": n, "even": 2 * n, "odd": 2 * n + 1}[parity]
+        assert sol.n == lifted
+        assert sol.evaluations == scan_log["outside"] + evaluations
+        assert scan_log["outside"] >= 1
+        if parity == "any":
+            assert sol == replace(solve(replace(problem, method="scan")),
+                                  evaluations=sol.evaluations)
+        found += 1
+    assert found >= 5 and missed >= 5
+
+
+@pytest.mark.parametrize("parity", ["any", "even", "odd"])
+def test_lattice_hit_target_falls_back_to_the_scan(scan_log, parity):
+    rng = np.random.default_rng(72)
+    found = missed = 0
+    for _ in range(60):
+        w = complex(np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform()))
+        scan_log.update(scans=[])
+        try:
+            n = hit_target(SQRT2, SQRT3, w, 0.1, parity, 200, "lattice")
+        except KroneckerNotFoundError as exc:
+            with pytest.raises(KroneckerNotFoundError) as ref:
+                hit_target(SQRT2, SQRT3, w, 0.1, parity, 200)
+            assert (exc.best_n, exc.best_err) == (ref.value.best_n, ref.value.best_err)
+            missed += 1
+            continue
+        if scan_log["scans"] and scan_log["scans"][-1][0].startswith(f"no {parity} n"):
+            assert n == scan_log["scans"][-1][1][0]
+            assert n == hit_target(SQRT2, SQRT3, w, 0.1, parity, 200)
+            found += 1
+    assert found >= 5 and missed >= 5

@@ -86,6 +86,19 @@ def test_torus_max_of_scaled_point(basis):
     assert torus_max(char_polynomial(point)) == pytest.approx(abs(0.25 - 0.5j), abs=1e-15)
 
 
+def test_torus_max_of_point_masses_stays_below_the_upper_bound(basis):
+    # |p| is |w| everywhere on the torus, and the rounded grid value used to
+    # come out an ulp above it: the lower end of the bracket must not
+    rng = np.random.default_rng(2000)
+    for _ in range(2000):
+        w = complex(*rng.normal(size=2)) * 10.0 ** rng.uniform(-3, 3)
+        point = DiscreteMeasure.from_atoms(basis, [(basis.generator("a"), w)])
+        lower = torus_max(char_polynomial(point), 128)
+        assert 0.0 < lower <= abs(mpmath.mpc(w.real, w.imag))
+        assert lower <= fekete_bound(point, 2).final_bound
+        assert lower <= fekete_bound(point).final_bound
+
+
 def test_torus_max_of_tiny_weights(basis):
     # weight_scale()**2 and |p|**2 underflow unless the weights are rescaled
     # by a power of two first; the bound must stay valid and not drop to zero
@@ -212,11 +225,14 @@ def test_character_values_follow_reference_order(p, grid):
     flat = np.ravel_multi_index(tuple(np.array(points).T), shape)
     scale = sum(abs(c) for c in p.weights)
     assert np.max(np.abs(values[flat] - np.array(ref))) <= 1e-12 * scale
-    # with no ascent the torus maximum is the lattice maximum; sqrt(re^2 + im^2)
-    # carries up to about 2u relative error where abs() rounds once
+    # with no ascent the torus maximum is the lattice maximum less the
+    # rounding allowance (K + 8) u sum |c_j|; sqrt(re^2 + im^2) carries up to
+    # about 2u relative error where abs() rounds once
     near = values[np.abs(values) >= np.max(np.abs(values)) * (1 - 1e-9)]
     top = max(abs(complex(v)) for v in near)
-    assert abs(torus_max(p, grid, refine_iters=0) - top) <= 2 * math.ulp(top)
+    allowance = (p.n_terms + 8) * 2.0 ** -53 * scale
+    assert abs(torus_max(p, grid, refine_iters=0) - max(0.0, top - allowance)) \
+        <= 2 * math.ulp(top)
 
 
 @settings(max_examples=20, deadline=None)
