@@ -1,9 +1,11 @@
 """Bracketing the spectral radius of a discrete measure.
 
 Upper bounds come from norms of repeated convolution squares (the norm-root
-sequence is nonincreasing); lower bounds come from maximizing the character
-polynomial over the torus of generalized characters.  Together they bracket
-the spectral radius, and the bracket tightens as both sides are refined.
+sequence is nonincreasing); lower bounds are maxima of the character
+polynomial over a lattice in the torus of generalized characters, which can
+only grow when the grid doubles.  Together they bracket the spectral radius,
+and the bracket tightens as more squarings and a finer grid (``--grid`` on
+the command line) refine both sides.
 """
 
 import math

@@ -24,11 +24,10 @@ from .kronecker import (KroneckerProblem, KroneckerSolution, chordal, disk_preim
 from .measures import (DiscreteMeasure, MeasureLike, MixedMeasure, TrigPolyDensity,
                        as_mixed, convolve, fourier_coefficient, make_rho, make_theta0,
                        make_theta1, parity_projections, tv_norm, tv_norm_bounds)
-from .spectrum import (CharacterPolynomial, FeketeReport, NaturalSpectrumReport,
-                       SpectrumSample, char_polynomial, character_values,
-                       covering_radius, disk_grid, fekete_bound, hausdorff,
-                       natural_spectrum_check, restrict, spectrum_sample,
-                       torus_max, transform_closure_sample)
+from .spectrum import (CharacterPolynomial, FeketeReport, SpectrumSample,
+                       char_polynomial, character_values, covering_radius,
+                       disk_grid, fekete_bound, hausdorff, restrict,
+                       spectrum_sample, torus_max, transform_closure_sample)
 
 __version__ = "0.1.0"
 
@@ -41,7 +40,7 @@ __all__ = [
     "FeketeReport", "fekete_bound", "CharacterPolynomial", "char_polynomial",
     "character_values", "restrict", "torus_max", "SpectrumSample",
     "spectrum_sample", "transform_closure_sample", "covering_radius",
-    "hausdorff", "disk_grid", "NaturalSpectrumReport", "natural_spectrum_check",
+    "hausdorff", "disk_grid",
     "KroneckerProblem", "KroneckerSolution", "chordal", "solve",
     "pair_transform_values", "disk_preimage", "disk_preimage_shifted", "hit_target",
     "RADIUS_MODES", "DecompositionOptions",

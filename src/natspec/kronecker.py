@@ -261,42 +261,17 @@ def _nearest_plane(b: list[np.ndarray], target: np.ndarray) -> list[int]:
     return coeffs
 
 
-def _solve_lattice(problem: KroneckerProblem) -> KroneckerSolution:
-    if problem.parity != "any":
-        # search the doubled angles for m, with the targets shifted by one
-        # copy of each angle when n = 2m + 1; the lifted candidate is
-        # re-verified against the original objective
-        alpha2, beta2, m_max, lift = _doubled(problem.alpha, problem.beta,
-                                              problem.n_max, problem.parity)
-        sub = replace(problem, alpha=alpha2, beta=beta2, n_max=m_max,
-                      min_abs_n=(problem.min_abs_n + 1) // 2, parity="any")
-        if problem.parity == "odd":
-            sub = replace(sub, target_x=_wrap(problem.target_x - problem.alpha),
-                          target_y=_wrap(problem.target_y - problem.beta),
-                          min_abs_n=max((problem.min_abs_n - 1) // 2, 0))
-        extra = 0
-        try:
-            subsol = _solve_lattice(sub)
-            n = lift(subsol.n)
-            extra = subsol.evaluations
-            if problem.min_abs_n <= abs(n) <= problem.n_max:
-                ns = np.array([n], dtype=np.int64)
-                ea, eb = _pair_errors(ns, problem.alpha, problem.beta,
-                                      problem.target_x, problem.target_y)
-                extra += 1
-                if ea[0] < problem.epsilon and eb[0] < problem.epsilon:
-                    return KroneckerSolution(int(n), float(ea[0]), float(eb[0]), extra)
-        except KroneckerNotFoundError:
-            pass
-        fallback = _solve_scan(problem)
-        return replace(fallback, evaluations=fallback.evaluations + extra)
+def _lattice_candidates(alpha: float, beta: float, x: float, y: float,
+                        epsilon: float) -> list[int]:
+    """Candidate n for n*alpha ~ x and n*beta ~ y from two reduced lattices,
+    best guesses first; none of them is verified here."""
     # Embed the integer n with weight epsilon/4 against the fractional parts
     # so that short vectors near the target correspond to good witnesses.
-    w = problem.epsilon / 4.0
-    rows = [np.array([w, problem.alpha / TWO_PI, problem.beta / TWO_PI]),
+    w = epsilon / 4.0
+    rows = [np.array([w, alpha / TWO_PI, beta / TWO_PI]),
             np.array([0.0, 1.0, 0.0]),
             np.array([0.0, 0.0, 1.0])]
-    target = np.array([0.0, problem.target_x / TWO_PI, problem.target_y / TWO_PI])
+    target = np.array([0.0, x / TWO_PI, y / TWO_PI])
     b, u = _lll(rows)
     coeffs = _nearest_plane(b, target)
     n0 = sum(coeffs[i] * u[i][0] for i in range(len(u)))
@@ -313,8 +288,8 @@ def _solve_lattice(problem: KroneckerProblem) -> KroneckerSolution:
     # ~epsilon**3 puts such witnesses at shortest-vector scale.  This rescues
     # homogeneous problems (targets at an excluded trivial witness) and very
     # tight tolerances, where every candidate above misses.
-    wh = max((problem.epsilon / 16.0) ** 3, 1e-18)
-    rows_h = [np.array([wh, problem.alpha / TWO_PI, problem.beta / TWO_PI]),
+    wh = max((epsilon / 16.0) ** 3, 1e-18)
+    rows_h = [np.array([wh, alpha / TWO_PI, beta / TWO_PI]),
               np.array([0.0, 1.0, 0.0]),
               np.array([0.0, 0.0, 1.0])]
     bh, uh = _lll(rows_h)
@@ -323,9 +298,23 @@ def _solve_lattice(problem: KroneckerProblem) -> KroneckerSolution:
     candidates += [nh + d for d in offsets]
     candidates += [k * uh[i][0] for i in range(len(uh))
                    for k in offsets[1:] if uh[i][0] != 0]
+    return candidates
+
+
+def _solve_lattice(problem: KroneckerProblem) -> KroneckerSolution:
+    """Verify the lattice candidates on the problem itself, in order, then
+    fall back to one scan; evaluations counts every direct check plus the
+    scan's own count.  A parity-restricted problem takes its candidates m
+    from the doubled angles, with the targets shifted by one copy of each
+    angle when n = 2m + 1, and lifts them to n."""
+    alpha, beta, _, lift = _doubled(problem.alpha, problem.beta, problem.n_max,
+                                    problem.parity)
+    x, y = problem.target_x, problem.target_y
+    if problem.parity == "odd":
+        x, y = _wrap(x - problem.alpha), _wrap(y - problem.beta)
     evaluations = 0
     seen: set[int] = set()
-    for n in candidates:
+    for n in map(lift, _lattice_candidates(alpha, beta, x, y, problem.epsilon)):
         if n in seen or abs(n) > problem.n_max or abs(n) < problem.min_abs_n:
             continue
         seen.add(n)

@@ -4,7 +4,10 @@ Upper bounds come from norms of iterated convolution squares (the limit of
 ||mu^m||^(1/m) is approached monotonically along powers of two).  Lower
 bounds come from evaluating the measure against generalized characters: a
 root of unity acting on the torsion part of the support group and free unit
-circle variables for the independent generators.
+circle variables for the independent generators.  A lower end is the
+maximum of |mu_hat| over a lattice of those characters, a uniform grid per
+free variable, less a rounding allowance; it can only grow when the grid
+doubles, so a finer grid (``--grid`` on the command line) tightens it.
 """
 
 from __future__ import annotations
@@ -128,11 +131,6 @@ class CharacterPolynomial:
     def n_terms(self) -> int:
         return len(self.weights)
 
-    def weight_scale(self) -> float:
-        """Lipschitz-type scale sum |c_j| * ||e_j||_1 used to size ascent steps."""
-        return float(sum(abs(c) * sum(abs(e) for e in row)
-                         for c, row in zip(self.weights, self.exponents)))
-
     def value(self, t: int, phis: Sequence[float]) -> complex:
         """Single character evaluation (reference implementation for tests)."""
         acc = 0.0 + 0.0j
@@ -184,13 +182,13 @@ def character_values(p: CharacterPolynomial, grid: int = 256) -> np.ndarray:
     product (see ``_torus_slices``), so their last bits depend on the BLAS
     build.
     """
-    return np.concatenate([values.ravel() for values, _, _, _ in _torus_slices(p, grid, 0)])
-
-
-def _axis_phases(grid: int) -> np.ndarray:
-    # computed as (j / grid) * 2pi so that subsampled grids reproduce the
-    # coarser grids bitwise, which keeps refinement monotone under doubling
-    return (np.arange(grid, dtype=np.float64) / grid) * TWO_PI
+    chunks = []
+    for values, shift in _torus_slices(p, grid):
+        if shift:
+            for part in (values.real, values.imag):
+                np.ldexp(part, shift, out=part)
+        chunks.append(values.ravel())
+    return np.concatenate(chunks)
 
 
 def _phase_index(exponents: np.ndarray, grid: int, points: range) -> np.ndarray:
@@ -245,72 +243,24 @@ def _eval_on_grid(weights: np.ndarray, exponents: np.ndarray, grid: int) -> np.n
     return acc[:, :n_right].reshape((grid,) * dims)
 
 
-def _eval_point(weights: np.ndarray, exponents: np.ndarray, phis: np.ndarray):
-    """(F, gradF) at one point, F = |p|^2."""
-    phase = exponents @ phis
-    vals = weights * np.exp(1j * phase)
-    p = vals.sum()
-    grad_p = 1j * (exponents * vals[:, None]).sum(axis=0)
-    f = float(p.real * p.real + p.imag * p.imag)
-    grad = 2.0 * (np.conj(p) * grad_p).real
-    return f, grad
-
-
-def _ascend(weights: np.ndarray, exponents: np.ndarray, start: np.ndarray,
-            step: float, iters: int) -> tuple[float, np.ndarray]:
-    x = start.astype(np.float64).copy()
-    f, grad = _eval_point(weights, exponents, x)
-    best, best_x = f, x.copy()
-    for _ in range(iters):
-        lam = step
-        improved = False
-        for _ in range(30):
-            cand = x + lam * grad
-            fc, gc = _eval_point(weights, exponents, cand)
-            if fc >= f:
-                x, f, grad = cand, fc, gc
-                improved = True
-                break
-            lam *= 0.5
-        if not improved:
-            break
-        if f > best:
-            best, best_x = f, x.copy()
-    return best, best_x
-
-
-def _grid_levels(grid: int) -> list[int]:
-    # dyadic subgrid sizes down to 16; every level of a coarser run is a
-    # level of a finer run, which makes torus_max nondecreasing in grid
-    levels = [grid]
-    g = grid
-    while g % 2 == 0 and g // 2 >= 16:
-        g //= 2
-        levels.append(g)
-    return levels
-
-
-def _torus_slices(p: CharacterPolynomial, grid: int, refine_iters: int, with_f: bool = False):
+def _torus_slices(p: CharacterPolynomial, grid: int):
     """Walk the character torus one torsion class t at a time.
 
-    Yields (values, F, runs, shift) per class: p on the grid^dims lattice,
-    F on that lattice, and the projected gradient ascent started from the
-    best point of every dyadic subgrid, each run as (F, x, p(x)) at its best
-    point.  F and the ascent use the weights times 2^-shift, where shift is
-    0 unless (sum |c_j|)^2 would leave the normal float range, so
-    F = |p|^2 * 4^-shift; the values and p(x) are scaled back by 2^shift.
-    F is computed only when the ascent runs or ``with_f`` is set (it is None
-    otherwise), and its buffer is overwritten by the next class.  A
-    polynomial without terms yields one zero value and no runs.
+    Yields (values, shift) per class: p on the grid^dims lattice, computed
+    on the weights times 2^-shift, where shift is 0 unless (sum |c_j|)^2
+    would leave the normal float range; multiplying the values by 2^shift
+    gives p itself, and |values|^2 stays finite and does not underflow to
+    zero.  Each class gets a fresh array, which the caller may overwrite.  A
+    polynomial without terms yields one zero value.
 
     The lattice values are blocked BLAS products (see ``_eval_on_grid``).
     With OpenBLAS 0.3.31 their bits were the same with 1 and 2 BLAS threads
-    and a grid-g point kept its bits on the grid-2g lattice; another BLAS
-    build, CPU kernel or thread count can break either, and
-    ``tests/test_spectrum.py`` checks both.  Raises BudgetExceededError,
-    before any table of roots is built, when order * grid^dims exceeds
-    _TORUS_POINT_LIMIT, and ValueError when the weights do not have a finite
-    sum.
+    and a grid-g point kept its bits on the grid-2g lattice, so a lattice
+    maximum can only grow when the grid doubles; another BLAS build, CPU
+    kernel or thread count can break either, and ``tests/test_spectrum.py``
+    checks both.  Raises BudgetExceededError, before any table of roots is
+    built, when order * grid^dims exceeds _TORUS_POINT_LIMIT, and ValueError
+    when the weights do not have a finite sum.
     """
     if grid < 16:
         raise ValueError("grid must be at least 16")
@@ -322,46 +272,20 @@ def _torus_slices(p: CharacterPolynomial, grid: int, refine_iters: int, with_f: 
             f"the character torus has {p.order} torsion classes x {grid}^{p.dims} grid "
             f"points = {points}, above the limit of {_TORUS_POINT_LIMIT}")
     if p.n_terms == 0:
-        yield np.zeros(1, dtype=np.complex128), np.zeros(1), [], 0
+        yield np.zeros(1, dtype=np.complex128), 0
         return
     total = sum(abs(c) for c in p.weights)
     if not math.isfinite(total):
         raise ValueError(f"the character weights sum to {total!r}, so p would not be finite")
     shift = _rescale_exponent(total)
-    scale = math.ldexp(p.weight_scale(), -shift)
-    step = 0.5 / (scale * scale) if scale * scale > 0 else 0.0  # 0 when it underflows
-    ascend = refine_iters > 0 and step > 0
     torsion = np.asarray(p.torsion, dtype=np.int64)
     base_weights = np.asarray(p.weights, dtype=np.complex128)
     if shift:
         base_weights *= math.ldexp(1.0, -shift)
     exponents = np.asarray(p.exponents, dtype=np.int64).reshape(p.n_terms, p.dims)
-    theta = _axis_phases(grid)
-    # F and its scratch half are reused across classes: fresh full-size
-    # temporaries cost more than the product itself
-    f_grid = np.empty((grid,) * p.dims) if ascend or with_f else None
-    im_sq = np.empty_like(f_grid) if f_grid is not None else None
     for t in range(p.order):
         w_t = base_weights * unit_roots((torsion * t) % p.order, p.order)
-        values = _eval_on_grid(w_t, exponents, grid)
-        if f_grid is not None:
-            np.square(values.real, out=f_grid)
-            f_grid += np.square(values.imag, out=im_sq)
-        runs = []
-        if ascend:
-            for level in _grid_levels(grid):
-                stride = grid // level
-                sub = f_grid[(slice(None, None, stride),) * p.dims]
-                idx = np.unravel_index(int(np.argmax(sub)), sub.shape)
-                start = np.array([theta[i * stride] for i in idx], dtype=np.float64)
-                f_best, x_best = _ascend(w_t, exponents, start, step, refine_iters)
-                px = complex((w_t * np.exp(1j * (exponents @ x_best))).sum())
-                runs.append((f_best, x_best, complex(math.ldexp(px.real, shift),
-                                                     math.ldexp(px.imag, shift))))
-        if shift:
-            for part in (values.real, values.imag):
-                np.ldexp(part, shift, out=part)
-        yield values, f_grid, runs, shift
+        yield _eval_on_grid(w_t, exponents, grid), shift
 
 
 def torus_grid_within(p: CharacterPolynomial, max_points: int) -> int:
@@ -375,25 +299,31 @@ def torus_grid_within(p: CharacterPolynomial, max_points: int) -> int:
     return grid
 
 
-def torus_max(p: CharacterPolynomial, grid: int = 512, refine_iters: int = 64) -> float:
+def torus_max(p: CharacterPolynomial, grid: int = 512) -> float:
     """Maximum of |p| over all generalized characters, from below.
 
-    Evaluates the full torsion-by-grid lattice and runs projected gradient
-    ascent (fixed step with halving safeguard) from the best point of every
-    dyadic subgrid, less the evaluation's rounding allowance
-    (K + _ROUNDING_TERMS) * u * sum |c_j| for K terms and clamped at 0, so
-    that the value is a lower bound and not a value rounded past it.  The
-    allowance does not depend on ``grid``, so the returned value only
-    increases when ``grid`` doubles (on a BLAS build that keeps the
-    grid-doubling bits, see ``_torus_slices``).  Raises BudgetExceededError
-    when order * grid^dims exceeds the walker's limit and ValueError when the
-    weights do not have a finite sum.
+    The maximum of |p| over the full torsion-by-grid lattice, less the
+    evaluation's rounding allowance (K + _ROUNDING_TERMS) * u * sum |c_j|
+    for K terms and clamped at 0, so that the value is a lower bound and not
+    a value rounded past it.  The allowance does not depend on ``grid`` and
+    the grid-g lattice lies in the grid-2g one, so the value only increases
+    when ``grid`` doubles (on a BLAS build that keeps the grid-doubling
+    bits, see ``_torus_slices``): a finer grid tightens the lower end.
+    Raises BudgetExceededError when order * grid^dims exceeds the walker's
+    limit and ValueError when the weights do not have a finite sum.
     """
-    best, shift = 0.0, 0
-    for _, f_grid, runs, shift in _torus_slices(p, grid, refine_iters, with_f=True):
-        for f in [float(f_grid.max())] + [f_best for f_best, _, _ in runs]:
-            if f > best * best:
-                best = math.sqrt(f)
+    best, shift, sq = 0.0, 0, None
+    for values, shift in _torus_slices(p, grid):
+        # |v|^2 goes into one buffer reused across classes (fresh full-size
+        # temporaries cost more than the product itself); the imaginary
+        # squares overwrite the class's own values, which are not read again
+        if sq is None:
+            sq = np.empty(values.shape)
+        np.square(values.real, out=sq)
+        sq += np.square(values.imag, out=values.imag)
+        f = float(sq.max())
+        if f > best * best:
+            best = math.sqrt(f)
     total = math.ldexp(sum(abs(c) for c in p.weights), -shift)
     return math.ldexp(max(0.0, best - (p.n_terms + _ROUNDING_TERMS) * _U * total), shift)
 
@@ -409,20 +339,14 @@ class SpectrumSample:
         object.__setattr__(self, "points", np.asarray(self.points, dtype=np.complex128).ravel())
 
 
-def spectrum_sample(mu: DiscreteMeasure, grid: int = 512,
-                    refine_iters: int = 64) -> SpectrumSample:
+def spectrum_sample(mu: DiscreteMeasure, grid: int = 512) -> SpectrumSample:
     """Dense sample of character values of a discrete measure.
 
-    Contains every lattice value plus the endpoints of the ascent runs used
-    by torus_max, so the sampled set converges to the full spectrum picture
-    as the grid refines.
+    Every value of ``character_values`` on the measure's character lattice,
+    so the sampled set converges to the full spectrum picture as the grid
+    refines; ``grid_spec`` is ``(grid,)``.
     """
-    chunks = []
-    for values, _, runs, _ in _torus_slices(char_polynomial(mu), grid, refine_iters):
-        chunks.append(values.ravel())
-        if runs:
-            chunks.append(np.array([px for _, _, px in runs], dtype=np.complex128))
-    return SpectrumSample(np.concatenate(chunks), (grid, refine_iters))
+    return SpectrumSample(character_values(char_polynomial(mu), grid), (grid,))
 
 
 def transform_closure_sample(mu: MeasureLike, N: int) -> SpectrumSample:
@@ -477,31 +401,6 @@ def disk_grid(radius: float = 1.0, tol: float = 0.05) -> np.ndarray:
     n_r = math.ceil(2.0 / tol)
     n_ang = math.ceil(TWO_PI / tol)
     radii = radius * (np.arange(n_r, dtype=np.float64) + 1.0) / n_r
-    angles = _axis_phases(n_ang)
+    angles = (np.arange(n_ang, dtype=np.float64) / n_ang) * TWO_PI
     pts = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
     return np.concatenate([np.zeros(1, dtype=np.complex128), pts])
-
-
-@dataclass(frozen=True)
-class NaturalSpectrumReport:
-    """Hausdorff comparison between transform closure and character values."""
-
-    distance: float
-    tol: float
-    passed: bool
-    n_transform_points: int
-    n_character_points: int
-
-
-def natural_spectrum_check(mu: DiscreteMeasure, N: int = 100_000, grid: int = 512,
-                           refine_iters: int = 64, tol: float = 0.05) -> NaturalSpectrumReport:
-    """Checks that character values are approximated by transform values.
-
-    For measures whose spectrum is natural the two clouds have small Hausdorff
-    distance once N and the grid are large enough.
-    """
-    trans = transform_closure_sample(mu, N)
-    spec = spectrum_sample(mu, grid, refine_iters)
-    dist = hausdorff(trans, spec)
-    return NaturalSpectrumReport(dist, tol, dist <= tol,
-                                 trans.points.size, spec.points.size)

@@ -60,7 +60,7 @@ def _step_rho_spectral_radius(rng):
     basis = random_basis(2)
     rho = make_rho(basis.generator("sqrt2"), basis.generator("sqrt3"), basis)
     rep = fekete_bound(rho, 4)
-    lower = torus_max(char_polynomial(rho), grid=128, refine_iters=32)
+    lower = torus_max(char_polynomial(rho), grid=128)
     ok = abs(rep.final_bound - 1.0) <= 1e-12 and lower >= 0.999
     return ok, f"upper {rep.final_bound!r} lower {lower!r}"
 
@@ -102,7 +102,7 @@ def _step_spectral_bracket(rng):
     for _ in range(5):
         mu = random_discrete(rng, basis, n_atoms=3)
         upper = fekete_bound(mu, 3).final_bound
-        lower = torus_max(char_polynomial(mu), grid=64, refine_iters=32)
+        lower = torus_max(char_polynomial(mu), grid=64)
         worst = max(worst, lower - upper)
     return worst <= 1e-9, f"max lower-minus-upper gap {float(worst)!r}"
 

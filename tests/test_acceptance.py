@@ -145,7 +145,7 @@ def test_criterion_07_even_piece_has_disk_spectrum():
         gap = hausdorff(cloud, disk_grid(result.R0, 0.05))
         worst_gap = max(worst_gap, float(gap))
         assert gap < 0.1
-        sample = spectrum_sample(result.nu0, grid=16, refine_iters=16)
+        sample = spectrum_sample(result.nu0, grid=16)
         excess = float(np.max(np.abs(sample.points))) - result.R0
         worst_excess = max(worst_excess, excess)
         assert excess <= 1e-6

@@ -390,20 +390,34 @@ def test_lattice_problem_falls_back_to_the_scan(scan_log, parity):
             assert (exc.best_n, exc.best_err) == (ref.value.best_n, ref.value.best_err)
             missed += 1
             continue
-        if len(scan_log["scans"]) != 1:
-            continue  # a lattice candidate hit, or the parity sub-problem missed
-        # one scan ran after every lattice candidate missed: the witness is its
-        # (lifted) witness, and evaluations add the lattice's to its index
+        if not scan_log["scans"]:
+            continue  # a lattice candidate hit
+        # the problem's own scan ran once after every lattice candidate
+        # missed: the witness is its witness, and evaluations add the direct
+        # checks to its index
+        assert len(scan_log["scans"]) == 1
         n, _, evaluations = scan_log["scans"][0][1]
-        lifted = {"any": n, "even": 2 * n, "odd": 2 * n + 1}[parity]
-        assert sol.n == lifted
+        assert sol.n == n
         assert sol.evaluations == scan_log["outside"] + evaluations
         assert scan_log["outside"] >= 1
-        if parity == "any":
-            assert sol == replace(solve(replace(problem, method="scan")),
-                                  evaluations=sol.evaluations)
+        assert sol == replace(solve(replace(problem, method="scan")),
+                              evaluations=sol.evaluations)
         found += 1
     assert found >= 5 and missed >= 5
+
+
+def test_parity_lattice_runs_one_scan_and_counts_every_check(scan_log):
+    # the doubled angles only propose candidates: each is checked on the
+    # problem itself, then the problem's own scan runs once, and evaluations
+    # count both
+    problem = KroneckerProblem(SQRT2, SQRT3, 5.435600483413056, 3.529710002291225, 0.3,
+                               n_max=45, method="lattice", parity="odd")
+    sol = solve(problem)
+    assert len(scan_log["scans"]) == 1
+    n, _, scanned = scan_log["scans"][0][1]
+    assert sol.n == n and n % 2 == 1
+    assert scan_log["outside"] >= 1
+    assert sol.evaluations == scan_log["outside"] + scanned
 
 
 @pytest.mark.parametrize("parity", ["any", "even", "odd"])

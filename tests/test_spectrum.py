@@ -22,7 +22,7 @@ from natspec.sampling import default_rng, random_discrete
 from natspec.spectrum import (CharacterPolynomial, char_polynomial, character_values,
                               covering_radius,
                               disk_grid, fekete_bound, hausdorff,
-                              natural_spectrum_check, restrict, spectrum_sample,
+                              restrict, spectrum_sample,
                               torus_grid_within, torus_max, transform_closure_sample)
 
 
@@ -100,8 +100,8 @@ def test_torus_max_of_point_masses_stays_below_the_upper_bound(basis):
 
 
 def test_torus_max_of_tiny_weights(basis):
-    # weight_scale()**2 and |p|**2 underflow unless the weights are rescaled
-    # by a power of two first; the bound must stay valid and not drop to zero
+    # |p|**2 underflows unless the weights are rescaled by a power of two
+    # first; the bound must stay valid and not drop to zero
     tiny = DiscreteMeasure.from_atoms(basis, [(basis.generator("a"), 1e-170)])
     assert 0.0 <= torus_max(char_polynomial(tiny), 16) <= 1e-170
     for w in (1e-170, 1e-300, 5e-324):
@@ -115,14 +115,13 @@ def test_torus_max_of_huge_weights(basis):
     pair = DiscreteMeasure.from_atoms(basis, [(basis.zero(), 1e200),
                                               (basis.half_turn() + basis.generator("a"), 1e200)])
     assert torus_max(char_polynomial(pair), 16) == pytest.approx(2e200, rel=1e-12, abs=0.0)
-    # spectrum_sample ascends on rescaled weights and returns unscaled values;
-    # with a 1e-10 partner the rescaled ascent step underflows and is skipped
-    for small, n_runs in ((1e-10, 0), (1e190, 1)):
+    # spectrum_sample evaluates on rescaled weights and returns unscaled values
+    for small in (1e-10, 1e190):
         lopsided = DiscreteMeasure.from_atoms(basis, [(basis.zero(), 1e200),
                                                       (basis.generator("a"), small)])
         sample = spectrum_sample(lopsided, 16).points
-        assert np.array_equal(sample[:16], character_values(char_polynomial(lopsided), 16))
-        assert sample.size == 16 + n_runs and np.all(np.isfinite(sample))
+        assert np.array_equal(sample, character_values(char_polynomial(lopsided), 16))
+        assert sample.size == 16 and np.all(np.isfinite(sample))
         assert np.all(np.abs(sample) <= (1e200 + small) * (1 + 1e-12))
         assert np.max(np.abs(sample)) == pytest.approx(1e200 + small, rel=1e-12)
     huge = DiscreteMeasure.from_atoms(basis, [(basis.zero(), 1e308),
@@ -225,14 +224,69 @@ def test_character_values_follow_reference_order(p, grid):
     flat = np.ravel_multi_index(tuple(np.array(points).T), shape)
     scale = sum(abs(c) for c in p.weights)
     assert np.max(np.abs(values[flat] - np.array(ref))) <= 1e-12 * scale
-    # with no ascent the torus maximum is the lattice maximum less the
-    # rounding allowance (K + 8) u sum |c_j|; sqrt(re^2 + im^2) carries up to
-    # about 2u relative error where abs() rounds once
+    # the torus maximum is the lattice maximum less the rounding allowance
+    # (K + 8) u sum |c_j|; sqrt(re^2 + im^2) carries up to about 2u relative
+    # error where abs() rounds once
     near = values[np.abs(values) >= np.max(np.abs(values)) * (1 - 1e-9)]
     top = max(abs(complex(v)) for v in near)
     allowance = (p.n_terms + 8) * 2.0 ** -53 * scale
-    assert abs(torus_max(p, grid, refine_iters=0) - max(0.0, top - allowance)) \
+    assert abs(torus_max(p, grid) - max(0.0, top - allowance)) \
         <= 2 * math.ulp(top)
+
+
+_TWO_GENERATORS = GeneratorBasis.from_pairs((("a", math.sqrt(2)), ("b", math.sqrt(3))))
+
+
+@st.composite
+def small_measures(draw):
+    # turns in multiples of 1/q for one q <= 6, so the torsion order is at
+    # most 6; at most 6 atoms over at most 2 generators
+    q = draw(st.integers(1, 6))
+    dims = draw(st.integers(0, 2))
+    atoms = draw(st.lists(
+        st.tuples(st.integers(0, q - 1), st.lists(st.integers(-3, 3), min_size=dims,
+                                                  max_size=dims),
+                  st.integers(-1000, 1000), st.integers(-1000, 1000)),
+        min_size=1, max_size=6))
+    return DiscreteMeasure.from_atoms(_TWO_GENERATORS, [
+        (_TWO_GENERATORS.angle(Fraction(k, q), coeffs + [0] * (2 - dims)),
+         complex(re, im) / 1000) for k, coeffs, re, im in atoms])
+
+
+def _lattice_max_mp(p: CharacterPolynomial, grid: int):
+    """max |p| over the order x grid^dims lattice, each value summed in
+    mpmath at 30 digits from the exact turns of its terms."""
+    roots = {}
+    best = mpmath.mpf(0)
+    with mpmath.workdps(30):
+        for t in range(p.order):
+            for idx in np.ndindex(*(grid,) * p.dims):
+                acc = mpmath.mpc(0)
+                for m, row, c in zip(p.torsion, p.exponents, p.weights):
+                    turns = (Fraction(m * t, p.order)
+                             + Fraction(sum(e * int(j) for e, j in zip(row, idx)), grid)) % 1
+                    if turns not in roots:
+                        roots[turns] = mpmath.expjpi(2 * mpmath.mpf(turns.numerator)
+                                                     / turns.denominator)
+                    acc += mpmath.mpc(c.real, c.imag) * roots[turns]
+                best = max(best, abs(acc))
+    return best
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_measures())
+def test_torus_max_brackets_the_exact_lattice_maximum(mu):
+    p = char_polynomial(mu)
+    lower = torus_max(p, 16)
+    top = _lattice_max_mp(p, 16)
+    allowance = (p.n_terms + 8) * 2.0 ** -53 * sum(abs(c) for c in p.weights)
+    # the allowance makes the value a lower bound; the computed lattice value
+    # may itself round below the exact one by up to the allowance, so the
+    # value lies within twice the allowance (and the last sqrt rounding)
+    assert lower <= top
+    assert lower >= top - 2 * allowance - 2 * math.ulp(float(top))
+    assert np.array_equal(spectrum_sample(mu, 16).points,
+                          character_values(p, 16))
 
 
 @settings(max_examples=20, deadline=None)
@@ -258,7 +312,7 @@ for dims, grid, n_terms in ((4, 16, 300), (2, 256, 300), (1, 2049, 300)):
         tuple(complex(re, im) for re, im in rng.uniform(-1, 1, (n_terms, 2))),
         tuple(f"g{i}" for i in range(dims)))
     print(hashlib.sha256(character_values(p, grid).tobytes()).hexdigest(),
-          repr(torus_max(p, grid, refine_iters=0)))
+          repr(torus_max(p, grid)))
 """
 
 
@@ -299,9 +353,9 @@ def test_torus_walker_charges_its_point_budget(basis):
     # the benchmark's largest lower bound, 24 torsion classes x 24^4 points, fits
     p = CharacterPolynomial(24, (0, 1, 5), ((1, 0, 0, 0), (0, 1, 1, 0), (0, 0, 1, -2)),
                             (0.5, 0.25j, -0.25), ("a", "b", "c", "d"))
-    assert 0.0 < torus_max(p, 24, refine_iters=0) <= 1.0 + 1e-12
+    assert 0.0 < torus_max(p, 24) <= 1.0 + 1e-12
     with pytest.raises(BudgetExceededError, match="torsion classes"):
-        torus_max(p, 32, refine_iters=0)
+        torus_max(p, 32)
     # the verifier's grid choice stays within the same limit
     assert torus_grid_within(p, 2_000_000) == 16
     assert torus_grid_within(replace(p, order=1), 2_000_000) == 32
@@ -345,13 +399,6 @@ def test_transform_closure_sample(theta0):
     assert set(np.round(points, 12)) == {0.0 + 0j, 1.0 + 0j}
     zero_only = transform_closure_sample(theta0, 0).points
     assert list(zero_only) == [1.0 + 0j]
-
-
-def test_natural_spectrum_check_on_sign_projector(theta1):
-    report = natural_spectrum_check(theta1, N=1000, grid=64)
-    assert report.passed and report.distance == 0.0
-    assert report.n_character_points == 2
-    assert report.n_transform_points == 2001
 
 
 def test_disk_grid_geometry():
