@@ -26,7 +26,12 @@ dyadic_st = st.builds(lambda m, e: m * 2.0 ** e,
                       st.integers(-1024, 1024), st.integers(-8, 0))
 weight_st = st.builds(complex, dyadic_st, dyadic_st)
 unit_st = st.floats(-1.0, 1.0, allow_nan=False)
-float_weight_st = st.builds(complex, unit_st, unit_st)
+# a relative bound such as 1e-12 * norm rounds to 0 when the norm is
+# subnormal, so the relative-accuracy properties draw normal weights and
+# subnormal ones are held to the underflow unit below
+normal_st = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
+float_weight_st = st.builds(complex, normal_st, normal_st)
+subnormal_st = st.floats(-2.0 ** -1022, 2.0 ** -1022)
 BASIS = GeneratorBasis.from_pairs((("a", math.sqrt(2)), ("b", math.sqrt(3))))
 
 
@@ -317,6 +322,27 @@ def test_rational_transform_matches_exact_phases(atoms, ns):
     vec = mu.transform(np.array(ns, dtype=np.int64))
     for n, v in zip(ns, vec):
         assert abs(v - mp_transform(mu, n)) <= 1e-12 * mu.norm()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from((1, 2, 3, 7, 12, 97, 1_000_003)),
+                          st.integers(0, 10 ** 6),
+                          st.builds(complex, subnormal_st, subnormal_st)),
+                min_size=1, max_size=4),
+       st.lists(st.integers(-(1 << 62), 1 << 62), min_size=1, max_size=8))
+@example([(3, 1, 5e-324j)], [1])  # an exact tie: -0.5 * 2**-1074
+def test_rational_transform_subnormal_weights_within_underflow_unit(atoms, ns):
+    # below 2**-1022 a product w * root keeps no relative precision: each of
+    # its two rounded terms is off by half a unit 2**-1074 plus |w| times the
+    # root's own error (under 1e-15: exp of 2 pi r/q with r/q rounded), sums
+    # of subnormals are exact, and the reference and the bound round once more
+    mu = DiscreteMeasure.from_atoms(
+        BASIS, [(BASIS.from_turns(Fraction(p % q, q)), w) for q, p, w in atoms])
+    bound = (len(atoms) + 2) * 2.0 ** -1074 + 2e-15 * mu.norm()
+    vec = mu.transform(np.array(ns, dtype=np.int64))
+    for n, v in zip(ns, vec):
+        err = v - mp_transform(mu, n)
+        assert abs(err.real) <= bound and abs(err.imag) <= bound
 
 
 @st.composite
