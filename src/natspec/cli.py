@@ -120,10 +120,10 @@ def _cmd_decompose(args) -> int:
 def _cmd_density_scan(args) -> int:
     if args.N < 4:
         raise SchemaError("--N must be at least 4 (scan starts at N=16)")
+    ref = disk_grid(1.0, args.tol)
     n_top = 1 << args.N
     ns = np.arange(-n_top, n_top + 1, dtype=np.int64)
     values = pair_transform_values(ns, args.alpha, args.beta)
-    ref = disk_grid(1.0, args.tol)
     rows = ["N,covering_radius_all,covering_radius_even,covering_radius_odd"]
     for e in range(4, args.N + 1):
         n_cur = 1 << e

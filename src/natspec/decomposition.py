@@ -20,9 +20,11 @@ import numpy as np
 from .angles import Angle, GeneratorBasis, basis_fresh_generators
 from .errors import RadiusValidationError
 from .measures import (DiscreteMeasure, MeasureLike, MixedMeasure, as_mixed, convolve,
-                       make_rho, make_theta0, make_theta1, parity_projections, tv_norm)
+                       make_rho, make_theta0, make_theta1, parity_projections,
+                       transforms, tv_norm)
 from .spectrum import (FeketeReport, char_polynomial, character_values,
-                       covering_radius, disk_grid, fekete_bound, hausdorff,
+                       covering_radius, disk_grid, disk_grid_shape, disk_hausdorff,
+                       fekete_bound,
                        restrict, torus_grid_within, torus_max)
 
 RADIUS_MODES = ("exact_discrete", "fekete", "manual")
@@ -123,9 +125,10 @@ def _embed(mu: MeasureLike, ext: GeneratorBasis) -> MeasureLike:
     return MixedMeasure(lift(m.disc), m.ac)
 
 
-def _transform_sup(mu: MeasureLike, n_bound: int) -> float:
+def _transform_sups(measures: list[MeasureLike], n_bound: int) -> list[float]:
     ns = np.arange(-n_bound, n_bound + 1, dtype=np.int64)
-    return float(np.max(np.abs(as_mixed(mu).transform(ns))))
+    return [float(np.max(np.abs(v)))
+            for v in transforms([as_mixed(m) for m in measures], ns)]
 
 
 def _radii(mu0: MeasureLike, mu1: MeasureLike, opts: DecompositionOptions):
@@ -135,8 +138,8 @@ def _radii(mu0: MeasureLike, mu1: MeasureLike, opts: DecompositionOptions):
         r0, r1 = float(opts.manual_radii[0]), float(opts.manual_radii[1])
         if r0 < 0 or r1 < 0:
             raise RadiusValidationError("radii must be nonnegative")
-        for r, m, name in ((r0, mu0, "R0"), (r1, mu1, "R1")):
-            sup = _transform_sup(m, MANUAL_RADIUS_SCAN)
+        sups = _transform_sups([mu0, mu1], MANUAL_RADIUS_SCAN)
+        for r, sup, name in ((r0, sups[0], "R0"), (r1, sups[1], "R1")):
             if r + 1e-12 < sup:
                 raise RadiusValidationError(
                     f"{name}={r} is below the transform bound {sup} "
@@ -163,6 +166,7 @@ def _validate_options(opts: DecompositionOptions) -> None:
     if opts.fekete_k_max < 0:
         raise ValueError("fekete_k_max must be nonnegative")
     _check_N(opts.verify_N)
+    disk_grid_shape(opts.verify_tol)
 
 
 def _check_N(N: int) -> None:
@@ -225,12 +229,20 @@ def verify_decomposition(mu: MeasureLike, result: DecompositionResult, *,
     most two generators, (f) that sampled character values of nu0 stay inside
     the R0 disk while covering it.
 
-    rho, mu, nu0 and nu1 are each evaluated once on |n| <= N, from their own
-    atoms (never by linearity, which would make (c) hold by construction);
-    (c) reads even and odd slices of those values, (d) and (e) whole arrays.
-    Raises ValueError unless 1 <= N <= 2**20, before any array is built.
+    The identity residual, rho, mu, nu0 and nu1 are evaluated on |n| <= N
+    in one ``transforms`` call: each from its own atoms (never by linearity,
+    which would make (c) hold by construction), sharing only the phase
+    factors e^{-ing} of the generator-coefficient vectors g they have in
+    common.  (c) reads even and odd slices of those values, (d) and (e)
+    whole arrays.  (e) is a Hausdorff distance between the cloud and the
+    polar grid ``disk_grid(R_i, tol)``: from each cloud point to its nearest
+    grid point exactly, in closed form (``disk_hausdorff``), and from each
+    grid point to the cloud by a KD-tree query.
+    Raises ValueError unless 1 <= N <= 2**20 and ``disk_grid`` accepts tol,
+    before any array is built.
     """
     _check_N(N)
+    disk_grid_shape(tol)
     checks: list[VerificationCheck] = []
     ext = result.basis
     mu_e = as_mixed(_embed(mu, ext)) if mu.basis != ext else as_mixed(mu)
@@ -243,7 +255,11 @@ def verify_decomposition(mu: MeasureLike, result: DecompositionResult, *,
     # (a) identity
     total = ((nu0m + nu1m) + nu2m) - mu_e
     struct = _structural_residual(total)
-    trans = float(np.max(np.abs(total.transform(ns_full)))) if not total.is_zero else 0.0
+    rho = make_rho(result.alpha, result.beta, ext)
+    residual = [] if total.is_zero else [total]
+    *total_t, rho_t, mu_t, nu0_t, nu1_t = transforms(residual + [rho, mu_e, nu0m, nu1m],
+                                                     ns_full)
+    trans = float(np.max(np.abs(total_t[0]))) if total_t else 0.0
     checks.append(VerificationCheck("identity_structural", struct <= IDENTITY_STRUCTURAL_TOL,
                                     struct, IDENTITY_STRUCTURAL_TOL))
     checks.append(VerificationCheck("identity_transform", trans <= IDENTITY_TRANSFORM_TOL,
@@ -260,17 +276,12 @@ def verify_decomposition(mu: MeasureLike, result: DecompositionResult, *,
     # (b) exact orthogonality; the grouping (mu_i * rho) * theta keeps every
     # cancellation a two-term sum of exact negatives
     mu0v, mu1v = parity_projections(mu_e)
-    rho = make_rho(result.alpha, result.beta, ext)
     o0 = convolve(convolve(mu0v, rho), make_theta1(ext))
     o1 = convolve(convolve(mu1v, rho), make_theta0(ext))
     ortho = tv_norm(o0) + tv_norm(o1)
     checks.append(VerificationCheck("orthogonality", ortho == 0.0, ortho, 0.0))
 
     # (c) parity laws
-    rho_t = rho.transform(ns_full)
-    mu_t = mu_e.transform(ns_full)
-    nu0_t = nu0m.transform(ns_full)
-    nu1_t = nu1m.transform(ns_full)
     c0_even = float(np.max(np.abs(nu0_t[even] - mu_t[even])))
     c0_odd = float(np.max(np.abs(nu0_t[odd] - r0 * rho_t[odd])))
     c1_even = float(np.max(np.abs(nu1_t[even] - r1 * rho_t[even])))
@@ -291,7 +302,7 @@ def verify_decomposition(mu: MeasureLike, result: DecompositionResult, *,
     # (e) density of the transform cloud in the scaled disk; the tolerance
     # scales with the radius so the check is invariant under mu -> c*mu
     for name, vals, r in (("density_nu0", nu0_t, r0), ("density_nu1", nu1_t, r1)):
-        metric = hausdorff(vals, disk_grid(r, tol))
+        metric = disk_hausdorff(vals, r, tol)
         thr = tol * max(1.0, r)
         checks.append(VerificationCheck(name, metric <= thr, metric, thr,
                                         {"radius": r}))

@@ -29,6 +29,8 @@ _MAX_ROOT_TABLE = 1 << 16  # unit_roots caches a table up to this denominator
 _MAX_PAIRS = 4_000_000  # atom pairs, checked before any row is built
 _MAX_ATOMS = 200_000  # atoms of the merged discrete result
 _MAX_DEGREE = 65_536  # degree of the density part of the result
+# bytes of phase factors ``transforms`` keeps for later measures of one call
+_MAX_FACTOR_CACHE = 32 << 20
 
 
 def _roots(r: np.ndarray, q: int) -> np.ndarray:
@@ -284,33 +286,9 @@ class DiscreteMeasure:
         return DiscreteMeasure._rows(self.basis, den, num, self.coef + s_coef, self.w)
 
     def transform(self, ns) -> np.ndarray:
-        """Fourier coefficients mu_hat(n) for an integer array ``ns``.
-
-        Atoms sharing a generator-coefficient vector are summed through the
-        exact roots of unity of their reduced turns (``unit_roots``), then
-        multiplied once by e^{-i n g}, with n g reduced mod 2 pi in extended
-        precision.  Complex products are out of place, so a value depends
-        only on n, not on the array holding it.
-        """
-        ns = np.asarray(ns, dtype=np.int64)
-        common = np.gcd(self.num, self.den)
-        turns = zip((self.num // common).tolist(), (self.den // common).tolist())
-        groups: dict[tuple[int, ...], list[tuple[int, int, complex]]] = {}
-        for coeffs, (p, q), w in zip(self.coef.tolist(), turns, self.w.tolist()):
-            groups.setdefault(tuple(coeffs), []).append((p, q, w))
-        out = np.zeros(ns.shape, dtype=np.complex128)
-        for coeffs, members in groups.items():
-            acc = np.zeros(ns.shape, dtype=np.complex128)
-            for p, q, w in members:
-                acc += np.multiply(w, unit_roots(_rational_residues(ns, p, q), q))
-            if any(coeffs):
-                g = np.longdouble(0.0)
-                for c, v in zip(coeffs, self.basis.values):
-                    if c:
-                        g += np.longdouble(c) * np.longdouble(v)
-                acc = np.multiply(acc, np.exp(-1j * reduced_phases(ns, g)))
-            out += acc
-        return out
+        """Fourier coefficients mu_hat(n) for an integer array ``ns``; see
+        ``transforms``, which this calls with the one measure."""
+        return transforms([self], ns)[0]
 
     def __repr__(self) -> str:
         return f"DiscreteMeasure({len(self.w)} atoms, {len(self.basis)} generators)"
@@ -467,6 +445,72 @@ class MixedMeasure:
     def __repr__(self) -> str:
         return (f"MixedMeasure({len(self.disc.atoms)} atoms, "
                 f"{len(self.ac.coeffs)} density coefficients)")
+
+
+def _generator_groups(d: DiscreteMeasure) -> dict[tuple[int, ...], list[tuple[int, int, complex]]]:
+    """Atoms as {coefficient vector: [(p, q, w), ...]} with reduced turns p/q,
+    in canonical row order."""
+    common = np.gcd(d.num, d.den)
+    turns = zip((d.num // common).tolist(), (d.den // common).tolist())
+    groups: dict[tuple[int, ...], list[tuple[int, int, complex]]] = {}
+    for coeffs, (p, q), w in zip(d.coef.tolist(), turns, d.w.tolist()):
+        groups.setdefault(tuple(coeffs), []).append((p, q, w))
+    return groups
+
+
+def _phase_factor(ns: np.ndarray, coeffs: tuple[int, ...], values: tuple[float, ...]
+                  ) -> np.ndarray:
+    """e^{-i n g} for g = sum c * v, with n g reduced mod 2 pi in extended precision."""
+    g = np.longdouble(0.0)
+    for c, v in zip(coeffs, values):
+        if c:
+            g += np.longdouble(c) * np.longdouble(v)
+    return np.exp(-1j * reduced_phases(ns, g))
+
+
+def transforms(measures: Iterable[MeasureLike], ns) -> list[np.ndarray]:
+    """Fourier coefficients of each measure at the integers ``ns``.
+
+    Each measure is summed from its own atoms, never from another measure's
+    values: atoms sharing a generator-coefficient vector g are summed through
+    the exact roots of unity of their reduced turns (``unit_roots``), then
+    multiplied once by e^{-i n g}; a density part adds its coefficients.
+    Complex products are out of place, so a value depends only on n and the
+    measure, not on the array holding it or the other measures in the call.
+    The factor e^{-i n g} is computed once for all the measures that use g
+    and kept only until the last of them, and only while the kept factors
+    fit in ``_MAX_FACTOR_CACHE`` bytes; past that it is computed again, to
+    the same bits.
+    """
+    ns = np.asarray(ns, dtype=np.int64)
+    measures = list(measures)
+    groups = [_generator_groups(as_mixed(m).disc) for m in measures]
+    keys = [[(c, m.basis.values) for c in grp if any(c)] for m, grp in zip(measures, groups)]
+    last_use = {key: i for i, ks in enumerate(keys) for key in ks}
+    cache: dict = {}
+    cached_bytes = 0
+    out = []
+    for i, (m, grp) in enumerate(zip(measures, groups)):
+        total = np.zeros(ns.shape, dtype=np.complex128)
+        for coeffs, members in grp.items():
+            acc = np.zeros(ns.shape, dtype=np.complex128)
+            for p, q, w in members:
+                acc += np.multiply(w, unit_roots(_rational_residues(ns, p, q), q))
+            if any(coeffs):
+                key = (coeffs, m.basis.values)
+                factor = cache.get(key)
+                if factor is None:
+                    factor = _phase_factor(ns, coeffs, m.basis.values)
+                    if last_use[key] > i and cached_bytes + factor.nbytes <= _MAX_FACTOR_CACHE:
+                        cache[key] = factor
+                        cached_bytes += factor.nbytes
+                acc = np.multiply(acc, factor)
+            total += acc
+        for key in keys[i]:
+            if last_use[key] == i and key in cache:
+                cached_bytes -= cache.pop(key).nbytes
+        out.append(total + m.ac.transform(ns) if isinstance(m, MixedMeasure) else total)
+    return out
 
 
 MeasureLike = Union[DiscreteMeasure, MixedMeasure]

@@ -43,6 +43,15 @@ _LEFT_CHUNK = 2048
 # top points of 400 random polynomials (K <= 20, order <= 6) was 3.8.
 _ROUNDING_TERMS = 8
 _U = 2.0 ** -53
+# most points disk_grid builds (tol down to about 0.0018)
+MAX_DISK_POINTS = 1 << 22
+# disk_hausdorff finds the nearest grid point in closed form for points
+# within this many radii of the center, for radii in this range: there the
+# squared distances stay normal floats, and every grid point other than the
+# five candidates is farther by a relative margin of order 1/rings**2 or
+# (angle step)**2 / rings, far above their rounding of a few parts in 1e16
+_NEAR_RADII = 4.0
+_SAFE_RADIUS = (2.0 ** -400, 2.0 ** 400)
 
 
 @dataclass(frozen=True)
@@ -373,10 +382,17 @@ def _as_xy(pts: np.ndarray) -> np.ndarray:
 
 
 def covering_radius(reference: PointsLike, sample: PointsLike) -> float:
-    """sup over reference points of the distance to the nearest sample point."""
+    """sup over reference points of the distance to the nearest sample point.
+
+    One KD-tree query over the sample.  The tree splits at sliding midpoints
+    and keeps its cells unshrunk (``balanced_tree=False``,
+    ``compact_nodes=False``) with 32 points per leaf, which builds and
+    queries faster here than the defaults; the nearest distances, each
+    sqrt(dx*dx + dy*dy), do not depend on the tree's shape.
+    """
     ref = _as_xy(_as_points(reference))
     smp = _as_xy(_as_points(sample))
-    tree = cKDTree(smp)
+    tree = cKDTree(smp, leafsize=32, balanced_tree=False, compact_nodes=False)
     d, _ = tree.query(ref, k=1)
     return float(np.max(d))
 
@@ -386,21 +402,89 @@ def hausdorff(a: PointsLike, b: PointsLike) -> float:
     return max(covering_radius(a, b), covering_radius(b, a))
 
 
+def disk_grid_shape(tol: float) -> tuple[int, int]:
+    """(rings, rays) of ``disk_grid`` at this tol, refused before any array
+    is built unless tol is finite, positive and asks for at most
+    MAX_DISK_POINTS points."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    # the first test keeps both ceilings finite
+    if tol < 2.0 / MAX_DISK_POINTS or (
+            math.ceil(2.0 / tol) * math.ceil(TWO_PI / tol) + 1 > MAX_DISK_POINTS):
+        raise ValueError(f"tol {tol!r} asks for more than {MAX_DISK_POINTS} disk grid points")
+    return math.ceil(2.0 / tol), math.ceil(TWO_PI / tol)
+
+
 def disk_grid(radius: float = 1.0, tol: float = 0.05) -> np.ndarray:
     """Polar reference grid for the closed disk of the given radius.
 
-    ceil(2/tol) radii by ceil(2pi/tol) angles plus the center; its covering
-    radius of the disk is below ``tol * radius``.
+    The center, then ceil(2/tol) rings by ceil(2pi/tol) rays, ring-major:
+    point 1 + i * rays + k sits at radius * (i + 1) / rings on ray k, at
+    angle 2 pi k / rays.  Its covering radius of the disk is below
+    ``tol * radius``.  ValueError unless tol is finite, positive and gives
+    at most MAX_DISK_POINTS (2**22) points, checked before any array is
+    built.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    n_r, n_ang = disk_grid_shape(tol)
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     if radius == 0.0:
         return np.zeros(1, dtype=np.complex128)
-    n_r = math.ceil(2.0 / tol)
-    n_ang = math.ceil(TWO_PI / tol)
     radii = radius * (np.arange(n_r, dtype=np.float64) + 1.0) / n_r
     angles = (np.arange(n_ang, dtype=np.float64) / n_ang) * TWO_PI
     pts = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
     return np.concatenate([np.zeros(1, dtype=np.complex128), pts])
+
+
+def _nearest_disk_distances(pts: np.ndarray, grid: np.ndarray, radius: float,
+                            n_r: int, n_ang: int) -> np.ndarray:
+    """Distance from each point to the nearest point of ``grid`` (the disk
+    grid of radius and shape (n_r, n_ang)), for points within a few radii.
+
+    The nearest grid point is the center or lies on one of the two rays
+    whose angles bracket the point's, on one of the two rings that bracket
+    the point's projection onto that ray.  Those five candidates are
+    measured as a KD-tree measures them, sqrt(dx*dx + dy*dy) against the
+    stored grid coordinates; every other grid point is farther by a margin
+    far above the rounding.
+    """
+    step = TWO_PI / n_ang
+    low = np.floor(np.arctan2(pts.imag, pts.real) / step).astype(np.int64)
+    ray_angles = np.arange(n_ang) * step
+    ray_x, ray_y = np.cos(ray_angles), np.sin(ray_angles)
+    idx = np.zeros((5, len(pts)), dtype=np.int64)  # the last row is the center
+    for j, ray in enumerate((low % n_ang, (low + 1) % n_ang)):
+        # ring i has radius (i + 1) / n_r of the disk's
+        inner = np.floor((pts.real * ray_x[ray] + pts.imag * ray_y[ray])
+                         * (n_r / radius)).astype(np.int64) - 1
+        for k in (0, 1):
+            idx[2 * j + k] = 1 + np.clip(inner + k, 0, n_r - 1) * n_ang + ray
+    dx = pts.real - grid.real[idx]
+    dy = pts.imag - grid.imag[idx]
+    return np.sqrt(np.min(dx * dx + dy * dy, axis=0))
+
+
+def disk_hausdorff(points: PointsLike, radius: float, tol: float = 0.05) -> float:
+    """``hausdorff(points, disk_grid(radius, tol))``, bit for bit, building
+    the grid once.
+
+    The grid-to-points direction is a ``covering_radius`` query.  In the
+    other direction the nearest grid point has a closed form (see
+    ``_nearest_disk_distances``) for points within _NEAR_RADII radii of the
+    center and a radius whose squares stay normal; any other point (far
+    away, or not finite) is queried in a tree over the grid.
+    """
+    pts = _as_points(points)
+    grid = disk_grid(radius, tol)
+    near = np.zeros(pts.shape, dtype=bool)
+    if _SAFE_RADIUS[0] <= radius <= _SAFE_RADIUS[1]:
+        bound = _NEAR_RADII * radius
+        near = (np.abs(pts.real) <= bound) & (np.abs(pts.imag) <= bound)
+    to_grid = []
+    if near.any():
+        n_r, n_ang = disk_grid_shape(tol)
+        to_grid.append(float(np.max(_nearest_disk_distances(pts[near], grid, radius,
+                                                            n_r, n_ang))))
+    if not near.all():
+        to_grid.append(covering_radius(pts[~near], grid))
+    return max(max(to_grid), covering_radius(grid, pts))

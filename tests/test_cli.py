@@ -390,3 +390,26 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.startswith("n ")
+
+
+@pytest.mark.parametrize("tol", ["1e-6", "inf", "nan"])
+def test_decompose_refuses_unusable_tol(tmp_path, measure_file, tol, capsys):
+    # 1e-6 asks for a 183 TiB disk grid; inf and nan have no grid at all
+    out = tmp_path / "out"
+    rc = main(["decompose", "--input", str(measure_file), "--out", str(out), "--tol", tol])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: tol ") and captured.err.count("\n") == 1
+    assert not list(tmp_path.rglob("nu*.json"))
+
+
+@pytest.mark.parametrize("tol", ["1e-6", "inf", "nan"])
+def test_density_scan_refuses_unusable_tol(tmp_path, tol, capsys):
+    out = tmp_path / "scan.csv"
+    rc = main(["density-scan", "--out", str(out), "--N", "4", "--tol", tol])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: tol ") and captured.err.count("\n") == 1
+    assert not out.exists()

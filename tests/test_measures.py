@@ -13,10 +13,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from natspec.angles import Angle, GeneratorBasis, angle_add
 from natspec.errors import BudgetExceededError
+from natspec import measures
 from natspec.measures import (DiscreteMeasure, MixedMeasure, TrigPolyDensity,
                               _exact_halves_complex, _rational_residues, _roots, as_mixed,
                               convolve, fourier_coefficient, make_rho, make_theta0, make_theta1,
-                              parity_projections, tv_norm, tv_norm_bounds, unit_roots)
+                              parity_projections, transforms, tv_norm, tv_norm_bounds,
+                              unit_roots)
 from natspec.sampling import default_rng, random_discrete, random_mixed
 from natspec.spectrum import fekete_bound
 
@@ -594,3 +596,55 @@ def test_scale_and_negate(basis, rho):
     assert tv_norm(doubled) == 2.0
     assert (-rho) + rho == DiscreteMeasure.from_atoms(basis, [])
     assert (rho - rho).is_zero
+
+
+def _one_by_one(ms, ns) -> list[bytes]:
+    return [transforms([m], ns)[0].tobytes() for m in ms]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(grouped_measures() | mixed_measures(), min_size=1, max_size=5),
+       st.sampled_from((None, 0, 1)))
+def test_batched_transforms_match_single_measures_bitwise(ms, cap_factors):
+    # measures over one basis share coefficient vectors; each keeps the bits
+    # it has alone, with the factor cache unbounded, off, or one factor deep
+    ns = np.arange(-300, 301, dtype=np.int64)
+    alone = _one_by_one(ms, ns)
+    assert alone == [m.transform(ns).tobytes() for m in ms]
+    cap = measures._MAX_FACTOR_CACHE if cap_factors is None else 16 * len(ns) * cap_factors
+    with mock.patch.object(measures, "_MAX_FACTOR_CACHE", cap):
+        batched = transforms(ms, ns)
+    assert [v.tobytes() for v in batched] == alone
+    for m, v in zip(ms, batched):
+        d = as_mixed(m)
+        for i in (0, 17, 300, 433, 600):
+            n = int(ns[i])
+            exact = mp_transform(d.disc, n) + d.ac.coeffs.get(n, 0j)
+            assert abs(v[i] - exact) <= 1e-12 * (d.disc.norm() + sum(map(abs, d.ac.coeffs.values())))
+
+
+def test_transforms_compute_each_phase_factor_once_within_the_cap():
+    # two measures with atoms on the same 12 coefficient vectors: 12 factors
+    # when all can be kept, 8 more when 4 can, 24 when none can
+    vectors = [(a, b) for a in (-1, 1, 2) for b in (-2, -1, 1, 3)]
+    ms = [DiscreteMeasure.from_atoms(BASIS, [(BASIS.angle(Fraction(k, 5), v), 1.0 + k * 1j)
+                                             for v in vectors]) for k in range(2)]
+    ns = np.arange(-2000, 2001, dtype=np.int64)
+    factor_bytes = 16 * len(ns)
+    real = measures._phase_factor
+    for cap, computed in ((measures._MAX_FACTOR_CACHE, 12), (4 * factor_bytes, 20), (0, 24)):
+        calls = []
+        with mock.patch.object(measures, "_phase_factor",
+                               lambda *a: calls.append(1) or real(*a)), \
+                mock.patch.object(measures, "_MAX_FACTOR_CACHE", cap):
+            tracemalloc.start()
+            try:
+                values = transforms(ms, ns)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert len(calls) == computed
+        assert [v.tobytes() for v in values] == _one_by_one(ms, ns)
+        # the two outputs, the kept factors (at most the cap), and about four
+        # work arrays: an accumulator, the long-double products and phases
+        assert peak <= (2 + 5) * factor_bytes + min(cap, 12 * factor_bytes)

@@ -19,9 +19,12 @@ from natspec.angles import GeneratorBasis
 from natspec.errors import BudgetExceededError
 from natspec.measures import DiscreteMeasure, convolve, make_theta1
 from natspec.sampling import default_rng, random_discrete
-from natspec.spectrum import (CharacterPolynomial, char_polynomial, character_values,
-                              covering_radius,
-                              disk_grid, fekete_bound, hausdorff,
+from scipy.spatial import cKDTree
+
+from natspec.spectrum import (MAX_DISK_POINTS, CharacterPolynomial, _nearest_disk_distances,
+                              char_polynomial, character_values, covering_radius,
+                              disk_grid, disk_grid_shape, disk_hausdorff, fekete_bound,
+                              hausdorff,
                               restrict, spectrum_sample,
                               torus_grid_within, torus_max, transform_closure_sample)
 
@@ -423,3 +426,87 @@ def test_point_set_distances():
     dense = np.array([0j, 1.0 + 0j])
     assert covering_radius(sparse, dense) == 0.0
     assert covering_radius(dense, sparse) == 1.0
+
+
+def _tree_distances(points: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    tree = cKDTree(np.column_stack([grid.real, grid.imag]))
+    return tree.query(np.column_stack([points.real, points.imag]), k=1)[0]
+
+
+def _disk_probes(rng, radius: float, tol: float) -> np.ndarray:
+    """Random and adversarial points for the disk grid of (radius, tol): grid
+    points, grid points off by an ulp, angle and ring midpoints, the center,
+    points just inside the first ring and points out to four radii."""
+    n_r, n_ang = disk_grid_shape(tol)
+    grid = disk_grid(radius, tol)
+    m = 300
+    on = grid[rng.integers(0, len(grid), m)]
+    ring = rng.integers(0, n_r, m)
+    ray = rng.integers(0, n_ang, m) + rng.choice([0.0, 0.5], m)
+    at = lambda r, k: r * np.exp(2j * np.pi * k / n_ang)
+    return np.concatenate([
+        radius * 1.3 * (rng.uniform(-1, 1, m) + 1j * rng.uniform(-1, 1, m)),
+        on, on * (1 + 1e-16), on * (1 - 1e-16), on * (1 + 2.0 ** -52), on * (1 - 2.0 ** -53),
+        at(radius * (ring + 1) / n_r, ray), at(radius * (ring + 1.5) / n_r, ray),
+        at(radius * rng.uniform(0, 1.0 / n_r, m), ray), at(radius * rng.uniform(1, 4, m), ray),
+        np.array([0j, complex(-0.0, -0.0), complex(0.0, -0.0), 0.5 * radius / n_r]),
+    ])
+
+
+@pytest.mark.parametrize("radius, tol", [
+    (1.0, 0.05), (2.37, 0.1), (0.6, 0.013), (1.0, 1.0), (5.0, 3.0), (1e-3, 0.2),
+    (3.0e5, 0.07), (2.0 ** -399, 0.05), (2.0 ** 399, 0.05)])
+def test_nearest_disk_distances_match_kdtree_bitwise(radius, tol):
+    # tol 1.0 and 3.0 leave 7 and 3 rays; the extreme radii are the edges of
+    # the closed form's range
+    rng = np.random.default_rng(int(tol * 1000) + 7)
+    grid = disk_grid(radius, tol)
+    pts = _disk_probes(rng, radius, tol)
+    got = _nearest_disk_distances(pts, grid, radius, *disk_grid_shape(tol))
+    assert got.tobytes() == _tree_distances(pts, grid).tobytes()
+
+
+def test_disk_hausdorff_equals_hausdorff_bitwise():
+    rng = np.random.default_rng(3)
+    huge = np.array([1e155 + 1e155j, 3e154, -1.3e154j, 1e20 + 3j, 0.5])
+    for radius, tol in ((1.0, 0.05), (0.8, 1.0), (4.0, 3.0), (1.0, 0.3), (0.0, 0.05),
+                        (1e153, 0.05), (2.0 ** -450, 0.1)):
+        clouds = [_disk_probes(rng, radius, tol), huge, huge * radius,
+                  radius * (rng.normal(size=500) + 1j * rng.normal(size=500))]
+        for pts in clouds:
+            assert disk_hausdorff(pts, radius, tol) == hausdorff(pts, disk_grid(radius, tol))
+    with pytest.raises(ValueError, match="empty point set"):
+        disk_hausdorff(np.array([], dtype=complex), 1.0)
+
+
+@pytest.mark.parametrize("tol", [0.0, -0.1, math.inf, math.nan, 1e-6, 5e-324])
+def test_disk_grid_refuses_unusable_tol(tol):
+    with pytest.raises(ValueError, match="tol"):
+        disk_grid(1.0, tol)
+    with pytest.raises(ValueError, match="tol"):
+        disk_hausdorff(np.array([0.5j]), 1.0, tol)
+
+
+def test_disk_grid_point_limit():
+    n_r, n_ang = disk_grid_shape(0.0018)
+    assert (n_r, n_ang) == (1112, 3491) and n_r * n_ang + 1 <= MAX_DISK_POINTS
+    assert disk_grid(1.0, 0.05).size == 1 + 40 * 126
+    with pytest.raises(ValueError, match="more than"):
+        disk_grid_shape(0.0017)
+
+
+def test_covering_radius_matches_brute_force_bitwise():
+    # two routes: the KD-tree query against every pairwise distance, each
+    # sqrt(dx*dx + dy*dy), on clouds with ties, clusters and a far outlier
+    rng = np.random.default_rng(5)
+    for trial in range(6):
+        a = rng.normal(size=400) + 1j * rng.normal(size=400)
+        b = np.concatenate([rng.normal(size=700) + 1j * rng.normal(size=700),
+                            disk_grid(1.5, 0.3), 1e-9 * rng.normal(size=50), [40.0 + 3j]])
+        if trial % 2:
+            a = np.round(a, 1)  # many equal distances
+        for ref, smp in ((a, b), (b, a)):
+            dx = ref.real[:, None] - smp.real[None, :]
+            dy = ref.imag[:, None] - smp.imag[None, :]
+            brute = float(np.max(np.sqrt(np.min(dx * dx + dy * dy, axis=1))))
+            assert covering_radius(ref, smp) == brute
