@@ -33,9 +33,42 @@ _MAX_DEGREE = 65_536  # degree of the density part of the result
 _MAX_FACTOR_CACHE = 32 << 20
 
 
+_QUARTER_PI_LD = np.longdouble("0.785398163397448309615660845819875721")
+# per octant o of the circle: whether the root's real part is the sine of the
+# reduced angle, and the signs of the real and imaginary parts
+_OCTANT_SWAP = np.array([False, True, True, False, False, True, True, False])
+_OCTANT_RE = np.array([1.0, 1.0, -1.0, -1.0, -1.0, -1.0, 1.0, 1.0])
+_OCTANT_IM = np.array([1.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0])
+
+
 def _roots(r: np.ndarray, q: int) -> np.ndarray:
-    roots = np.exp(2j * np.pi * (r / q))
-    for k, exact in enumerate((1.0, 1j, -1.0, -1j)):  # the roots on the axes
+    """e^{2 pi i r / q} for int64 residues 0 <= r < q.
+
+    8r = o q + s in integers puts r/q in octant o; the angle
+    pi/4 * a/q, with a = s for even o and q - s for odd o, lies in
+    [0, pi/4], and its cosine and sine, taken in long double, are placed by
+    the octant's symmetry.  So a root's bits depend only on the fraction
+    r/q, the roots of r and q - r are exact conjugates, the axis roots are
+    exact, and so are components of 1/2 and the two equal components on
+    the diagonals.  Each component is within about half an ulp where long
+    double is the x87 80-bit format.
+    """
+    if 8 * (q - 1) < 1 << 63:
+        octant, s = np.divmod(8 * r, q)
+    else:
+        eight_r = r.astype(object) * 8
+        octant, s = (eight_r // q).astype(np.int64), (eight_r % q).astype(np.int64)
+    a = np.where(octant % 2 == 1, q - s, s)
+    angle = _QUARTER_PI_LD * (a.astype(np.longdouble) / np.longdouble(q))
+    cos, sin = np.cos(angle).astype(np.float64), np.sin(angle).astype(np.float64)
+    if q % 3 == 0:
+        sin[a == 2 * (q // 3)] = 0.5  # the angle pi/6
+    sin[a == q] = cos[a == q]  # the angle pi/4
+    swap = _OCTANT_SWAP[octant]
+    roots = np.empty(r.shape, dtype=np.complex128)
+    roots.real = np.where(swap, sin, cos) * _OCTANT_RE[octant]
+    roots.imag = np.where(swap, cos, sin) * _OCTANT_IM[octant]
+    for k, exact in enumerate((1.0, 1j, -1.0, complex(0.0, -1.0))):  # the axes
         if k * q % 4 == 0:
             roots[r == k * q // 4] = exact
     return roots
@@ -51,10 +84,11 @@ def _root_table(q: int) -> np.ndarray:
 def unit_roots(r, q: int):
     """e^{2 pi i r / q} for integer residues 0 <= r < q (an array or a scalar).
 
-    Roots on the axes are exact, so half-turn symmetries cancel exactly; the
-    others are exp(2j*pi*(r/q)), whose bits depend only on r/q for q < 2**53.
-    Up to q = 2**16 they come from a cached table, above it from the same
-    formula for just the residues asked for, so memory follows ``r``, not q.
+    Roots on the axes are exact, so half-turn symmetries cancel exactly;
+    the others are reduced to an octant in integer arithmetic (``_roots``),
+    so their bits depend only on the fraction r/q.  Up to q = 2**16 they
+    come from a cached table, above it from the same formula for just the
+    residues asked for, so memory follows ``r``, not q.
     """
     if q <= _MAX_ROOT_TABLE:
         return _root_table(q)[r]

@@ -336,7 +336,7 @@ def test_rational_transform_matches_exact_phases(atoms, ns):
 def test_rational_transform_subnormal_weights_within_underflow_unit(atoms, ns):
     # below 2**-1022 a product w * root keeps no relative precision: each of
     # its two rounded terms is off by half a unit 2**-1074 plus |w| times the
-    # root's own error (under 1e-15: exp of 2 pi r/q with r/q rounded), sums
+    # root's own error (under 1e-15: about half an ulp per component), sums
     # of subnormals are exact, and the reference and the bound round once more
     mu = DiscreteMeasure.from_atoms(
         BASIS, [(BASIS.from_turns(Fraction(p % q, q)), w) for q, p, w in atoms])
@@ -394,6 +394,29 @@ def test_unit_roots_direct_route_matches_table():
                 assert unit_roots(r, q) == unit_roots(r // m, q // m)
     assert unit_roots(1, 4) == 1j and unit_roots(1 << 19, 1 << 20) == -1.0
     assert isinstance(unit_roots(5, 1 << 20), np.complex128)
+
+
+def test_unit_roots_within_an_ulp_of_mpmath_and_conjugate():
+    # two routes: the table against mpmath cosines and sines at 113 bits,
+    # each component within one ulp (exact where the true value is 0, and
+    # for r/q = 2/3 the real part is exactly -1/2)
+    for q in (3, 5, 6, 7, 12, 24, 360, (1 << 16) + 1):
+        r = np.arange(q)
+        roots = unit_roots(r, q)
+        with mpmath.workprec(113):
+            for k, z in enumerate(roots.tolist()):
+                angle = 2 * mpmath.pi * k / q
+                for got, exact in ((z.real, mpmath.cos(angle)), (z.imag, mpmath.sin(angle))):
+                    if abs(exact) < 2.0 ** -100:
+                        assert got == 0.0
+                    else:
+                        assert abs(mpmath.mpf(got) - exact) <= math.ulp(float(exact))
+        # a residue and its negative give conjugate roots, bit for bit
+        # (the half turn, its own negative, has an imaginary part of +0.0)
+        pair = r[(r > 0) & (2 * r != q)]
+        assert unit_roots(q - pair, q).tobytes() == np.conj(roots[pair]).tobytes()
+    assert unit_roots(2, 3) == complex(-0.5, -unit_roots(1, 3).imag)
+    assert unit_roots(1, 12).imag == 0.5 and unit_roots(1, 8).real == unit_roots(1, 8).imag
 
 
 def test_transform_at_huge_denominator_builds_no_table():
