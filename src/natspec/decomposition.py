@@ -24,8 +24,7 @@ from .measures import (DiscreteMeasure, MeasureLike, MixedMeasure, as_mixed, con
                        transforms, tv_norm)
 from .spectrum import (FeketeReport, char_polynomial, character_values,
                        covering_radius, disk_grid, disk_grid_shape, disk_hausdorff,
-                       fekete_bound,
-                       restrict, torus_grid_within, torus_max)
+                       fekete_bound, restrict, torus_grid_within, torus_max)
 
 RADIUS_MODES = ("exact_discrete", "fekete", "manual")
 
