@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime
+import functools
 import math
 import sys
 from pathlib import Path
@@ -33,7 +34,10 @@ def _timestamp_line() -> str:
     return _TIMESTAMP_PREFIX + datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The natspec argument parser, built once per process: parsing leaves
+    it unchanged, and help text still measures the terminal when printed."""
     p = argparse.ArgumentParser(
         prog="natspec",
         description="Decompose circle measures into natural-spectrum pieces, "

@@ -22,7 +22,7 @@ from .errors import RadiusValidationError
 from .measures import (DiscreteMeasure, MeasureLike, MixedMeasure, as_mixed, convolve,
                        make_rho, make_theta0, make_theta1, parity_projections,
                        transforms, tv_norm)
-from .spectrum import (FeketeReport, char_polynomial, character_values,
+from .spectrum import (_SAFE_RADIUS, FeketeReport, char_polynomial, character_values,
                        covering_radius, disk_grid, disk_grid_shape, disk_hausdorff,
                        fekete_bound, restrict, torus_grid_within, torus_max)
 
@@ -51,7 +51,8 @@ class DecompositionOptions:
     the norm-root upper bound, "exact_discrete" additionally brackets it from
     below with a torus maximum (discrete inputs only), and "manual" takes
     user radii validated against the transform lower bound
-    sup_{|n| <= 256} |mu_i_hat(n)|.
+    sup_{|n| <= 256} |mu_i_hat(n)|.  Manual radii that are negative, not
+    finite or above 2**400 are refused before any work.
     """
 
     radius_mode: str = "fekete"
@@ -132,11 +133,7 @@ def _transform_sups(measures: list[MeasureLike], n_bound: int) -> list[float]:
 
 def _radii(mu0: MeasureLike, mu1: MeasureLike, opts: DecompositionOptions):
     if opts.radius_mode == "manual":
-        if opts.manual_radii is None:
-            raise RadiusValidationError("radius_mode 'manual' needs manual_radii=(R0, R1)")
         r0, r1 = float(opts.manual_radii[0]), float(opts.manual_radii[1])
-        if r0 < 0 or r1 < 0:
-            raise RadiusValidationError("radii must be nonnegative")
         sups = _transform_sups([mu0, mu1], MANUAL_RADIUS_SCAN)
         for r, sup, name in ((r0, sups[0], "R0"), (r1, sups[1], "R1")):
             if r + 1e-12 < sup:
@@ -166,6 +163,17 @@ def _validate_options(opts: DecompositionOptions) -> None:
         raise ValueError("fekete_k_max must be nonnegative")
     _check_N(opts.verify_N)
     disk_grid_shape(opts.verify_tol)
+    if opts.radius_mode == "manual":
+        if opts.manual_radii is None:
+            raise RadiusValidationError("radius_mode 'manual' needs manual_radii=(R0, R1)")
+        for name, r in zip(("R0", "R1"), map(float, opts.manual_radii)):
+            if r < 0:
+                raise RadiusValidationError("radii must be nonnegative")
+            # NaN fails this test too; above the bound the verifier's disk
+            # geometry would leave the float range
+            if not r <= _SAFE_RADIUS[1]:
+                raise RadiusValidationError(
+                    f"{name}={r} is not a finite radius of at most 2**400")
 
 
 def _check_N(N: int) -> None:

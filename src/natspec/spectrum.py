@@ -33,9 +33,11 @@ _TORUS_POINT_LIMIT = 1 << 24
 # terms contracted per BLAS product; with OpenBLAS 0.3.31, zgemm gave the same
 # bits with 1 and 2 threads up to this depth and not deeper
 _TERM_BLOCK = 128
-# left-lattice points per BLAS product, so that a block's factor rows hold at
-# most _TERM_BLOCK * _LEFT_CHUNK complex entries (4 MiB) however fine the grid
-_LEFT_CHUNK = 2048
+# bytes of a row tile of the torus walk, of its left factor rows and of a
+# group of classes' right factors: small enough that a tile is still in a
+# core's cache when it is squared, large enough that a BLAS call's fixed cost
+# stays small
+_TILE_BYTES = 1 << 19
 # a computed |p| exceeds the true one by at most about (K + _ROUNDING_TERMS)
 # * u * sum |c_j| for K terms: the inner product's K + 2 roundings (Higham,
 # Accuracy and Stability, section 3.6) and six more for the table roots, the
@@ -187,17 +189,19 @@ def character_values(p: CharacterPolynomial, grid: int = 256) -> np.ndarray:
 
     Covers every torsion class crossed with a uniform ``grid``-point lattice
     per free dimension, t-major and in C order within a class.  A polynomial
-    without terms evaluates to {0}.  The values come from a blocked BLAS
-    product (see ``_torus_slices``), so their last bits depend on the BLAS
-    build.
+    without terms evaluates to {0}.  Each row tile of the walk (see
+    ``_torus_slices``) is copied into one preallocated output, which is then
+    scaled back once; the values come from a blocked BLAS product, so their
+    last bits depend on the BLAS build.
     """
-    chunks = []
-    for values, shift in _torus_slices(p, grid):
-        if shift:
-            for part in (values.real, values.imag):
-                np.ldexp(part, shift, out=part)
-        chunks.append(values.ravel())
-    return np.concatenate(chunks)
+    size, shift, tiles = _torus_slices(p, grid)
+    out = np.empty(size, dtype=np.complex128)
+    for offset, values in tiles:
+        out[offset:offset + values.size].reshape(values.shape)[...] = values
+    if shift:
+        for part in (out.real, out.imag):
+            np.ldexp(part, shift, out=part)
+    return out
 
 
 def _phase_index(exponents: np.ndarray, grid: int, points: range) -> np.ndarray:
@@ -212,64 +216,88 @@ def _phase_index(exponents: np.ndarray, grid: int, points: range) -> np.ndarray:
     return idx % grid
 
 
-def _eval_on_grid(weights: np.ndarray, exponents: np.ndarray, grid: int) -> np.ndarray:
-    """p on the full grid^dims lattice as a dims-dimensional complex array.
+def _eval_on_grid(weights: np.ndarray, torsion: np.ndarray, order: int,
+                  exponents: np.ndarray, grid: int):
+    """p on the order x grid^dims lattice, one row tile of one class at a time.
 
-    p(x, y) = sum_j L[j, x] R[j, y] with x over the first ceil(dims/2) axes
-    and y over the rest, so each block of at most _TERM_BLOCK terms is one
-    complex product L^T R; the blocks are summed in order.  L holds entries
-    of the grid's root-of-unity table, R the same times the weights.  The
-    rows x are taken in near-equal chunks of at most _LEFT_CHUNK, none of a
-    single row, which bounds L's memory without changing any product's depth.
-    At one free axis R gets a zero second column: numpy would otherwise call
-    BLAS's matrix-vector kernel, whose bits moved with the thread count and
-    the number of rows, where the matrix product's did not.
+    p(t; x, y) = sum_j L[j, x] R_t[j, y] with x over the first ceil(dims/2)
+    axes and y over the rest.  L holds entries of the grid's root-of-unity
+    table and R_t the same times the class weights weights[j] *
+    omega^(torsion[j] * t).  The rows x are split into near-equal tiles of
+    at least 2 rows (1 only without free axes, where there is one row),
+    sized so that a tile's values and its left factor rows each take about
+    _TILE_BYTES.  A tile is one complex product L^T R_t per block of at most
+    _TERM_BLOCK terms, the blocks summed in order.
+
+    The gathers of roots do not depend on t.  R's roots are gathered once
+    per walk.  The classes are taken in groups whose R_t together take about
+    _TILE_BYTES (one class at least), and a tile's L is gathered once per
+    group and serves every class in it.
+
+    Yields (offset, values) group by group, tile by tile, class by class:
+    offset is the flat t-major index of the tile's first point and values
+    the tile as (rows, grid^floor(dims/2)), a view of one buffer that the
+    next tile overwrites and the caller may overwrite too.  At one free axis
+    R gets a zero second column: numpy would otherwise call BLAS's
+    matrix-vector kernel, whose bits moved with the thread count and the
+    number of rows, where the matrix product's did not; the 2-row minimum
+    keeps that kernel away from the rows too.
     """
     dims = exponents.shape[1]
     left = (dims + 1) // 2
     size = grid if dims else 1  # without free axes every index is 0
     roots = unit_roots(np.arange(size), size)
     reduced = exponents % grid
+    n_terms = len(weights)
     n_left, n_right = grid ** left, grid ** (dims - left)
     pad = 1 if dims == 1 else 0
-    n_chunks = -(-n_left // _LEFT_CHUNK)
-    chunks = [range(n_left * k // n_chunks, n_left * (k + 1) // n_chunks)
-              for k in range(n_chunks)]
-    acc = np.empty((n_left, n_right + pad), dtype=np.complex128)
-    for start in range(0, len(weights), _TERM_BLOCK):
-        block = slice(start, start + _TERM_BLOCK)
-        rhs = weights[block, None] * roots[_phase_index(reduced[block, left:], grid,
-                                                        range(n_right))]
-        if pad:
-            rhs = np.hstack((rhs, np.zeros_like(rhs)))
-        for rows in chunks:
-            lhs = roots[_phase_index(reduced[block, :left], grid, rows)]
-            out = acc[rows.start:rows.stop]
-            if start == 0:
-                np.matmul(lhs.T, rhs, out=out)
-            else:
-                out += lhs.T @ rhs
-    return acc[:, :n_right].reshape((grid,) * dims)
+    right = roots[_phase_index(reduced[:, left:], grid, range(n_right))]
+    blocks = [slice(s, s + _TERM_BLOCK) for s in range(0, n_terms, _TERM_BLOCK)]
+    # near-equal tiles of a target of 4 rows or more hold at least 2 each;
+    # rounding the bounds up makes the first tile the largest
+    n_tiles = -(-n_left // max(4, _TILE_BYTES // (16 * max(n_right + pad, n_terms))))
+    tiles = [(-(-n_left * k // n_tiles), -(-n_left * (k + 1) // n_tiles))
+             for k in range(n_tiles)]
+    buf = np.empty((tiles[0][1], n_right + pad), dtype=np.complex128)
+    group = max(1, _TILE_BYTES // (16 * n_terms * (n_right + pad)))
+    for t0 in range(0, order, group):
+        classes = np.arange(t0, min(order, t0 + group))
+        rhs = np.zeros((len(classes), n_terms, n_right + pad), dtype=np.complex128)
+        class_weights = weights * unit_roots(np.multiply.outer(classes, torsion) % order, order)
+        np.multiply(class_weights[:, :, None], right, out=rhs[:, :, :n_right])
+        for lo, hi in tiles:
+            lhs = roots[_phase_index(reduced[:, :left], grid, range(lo, hi))]
+            tile = buf[:hi - lo]
+            for t, rhs_t in zip(classes.tolist(), rhs):
+                for block in blocks:
+                    if block.start == 0:
+                        np.matmul(lhs[block].T, rhs_t[block], out=tile)
+                    else:
+                        tile += lhs[block].T @ rhs_t[block]
+                yield (t * n_left + lo) * n_right, tile[:, :n_right]
 
 
 def _torus_slices(p: CharacterPolynomial, grid: int):
-    """Walk the character torus one torsion class t at a time.
+    """Set up the walk over the character torus: (size, shift, tiles).
 
-    Yields (values, shift) per class: p on the grid^dims lattice, computed
-    on the weights times 2^-shift, where shift is 0 unless (sum |c_j|)^2
-    would leave the normal float range; multiplying the values by 2^shift
-    gives p itself, and |values|^2 stays finite and does not underflow to
-    zero.  Each class gets a fresh array, which the caller may overwrite.  A
-    polynomial without terms yields one zero value.
+    size is the number of lattice points, order * grid^dims, and tiles the
+    row tiles of ``_eval_on_grid``, computed on the weights times 2^-shift,
+    where shift is 0 unless (sum |c_j|)^2 would leave the normal float
+    range; multiplying the values by 2^shift gives p itself, and |values|^2
+    stays finite and does not underflow to zero.  A polynomial without terms
+    has size 1 and one zero tile.  Besides the caller's own output the walk
+    holds a tile, its left factor rows and a group of right factors, each
+    about _TILE_BYTES, and R's roots, n_terms * grid^floor(dims/2) entries.
 
-    The lattice values are blocked BLAS products (see ``_eval_on_grid``).
-    With OpenBLAS 0.3.31 their bits were the same with 1 and 2 BLAS threads
-    and a grid-g point kept its bits on the grid-2g lattice, so a lattice
-    maximum can only grow when the grid doubles; another BLAS build, CPU
-    kernel or thread count can break either, and ``tests/test_spectrum.py``
-    checks both.  Raises BudgetExceededError, before any table of roots is
-    built, when order * grid^dims exceeds _TORUS_POINT_LIMIT, and ValueError
-    when the weights do not have a finite sum.
+    The lattice values are blocked BLAS products.  With OpenBLAS 0.3.31
+    their bits were the same with 1 and 2 BLAS threads and for any tile of
+    2 rows or more, and a grid-g point kept its bits on the grid-2g
+    lattice, so a lattice maximum can only grow when the grid doubles;
+    another BLAS build, CPU kernel or thread count can break either, and
+    ``tests/test_spectrum.py`` checks both.  Raises BudgetExceededError,
+    before any table of roots is built, when order * grid^dims exceeds
+    _TORUS_POINT_LIMIT, and ValueError when the weights do not have a
+    finite sum.
     """
     if grid < 16:
         raise ValueError("grid must be at least 16")
@@ -281,20 +309,17 @@ def _torus_slices(p: CharacterPolynomial, grid: int):
             f"the character torus has {p.order} torsion classes x {grid}^{p.dims} grid "
             f"points = {points}, above the limit of {_TORUS_POINT_LIMIT}")
     if p.n_terms == 0:
-        yield np.zeros(1, dtype=np.complex128), 0
-        return
+        return 1, 0, iter([(0, np.zeros((1, 1), dtype=np.complex128))])
     total = sum(abs(c) for c in p.weights)
     if not math.isfinite(total):
         raise ValueError(f"the character weights sum to {total!r}, so p would not be finite")
     shift = _rescale_exponent(total)
-    torsion = np.asarray(p.torsion, dtype=np.int64)
-    base_weights = np.asarray(p.weights, dtype=np.complex128)
+    weights = np.asarray(p.weights, dtype=np.complex128)
     if shift:
-        base_weights *= math.ldexp(1.0, -shift)
+        weights *= math.ldexp(1.0, -shift)
     exponents = np.asarray(p.exponents, dtype=np.int64).reshape(p.n_terms, p.dims)
-    for t in range(p.order):
-        w_t = base_weights * unit_roots((torsion * t) % p.order, p.order)
-        yield _eval_on_grid(w_t, exponents, grid), shift
+    return points, shift, _eval_on_grid(weights, np.asarray(p.torsion, dtype=np.int64),
+                                        p.order, exponents, grid)
 
 
 def torus_grid_within(p: CharacterPolynomial, max_points: int) -> int:
@@ -318,21 +343,24 @@ def torus_max(p: CharacterPolynomial, grid: int = 512) -> float:
     the grid-g lattice lies in the grid-2g one, so the value only increases
     when ``grid`` doubles (on a BLAS build that keeps the grid-doubling
     bits, see ``_torus_slices``): a finer grid tightens the lower end.
-    Raises BudgetExceededError when order * grid^dims exceeds the walker's
-    limit and ValueError when the weights do not have a finite sum.
+    Each row tile of the walk is reduced to its largest |v|^2 while it is
+    still in cache, and the square root is taken once, of the largest of
+    all.  Raises BudgetExceededError when order * grid^dims exceeds the
+    walker's limit and ValueError when the weights do not have a finite sum.
     """
-    best, shift, sq = 0.0, 0, None
-    for values, shift in _torus_slices(p, grid):
-        # |v|^2 goes into one buffer reused across classes (fresh full-size
-        # temporaries cost more than the product itself); the imaginary
-        # squares overwrite the class's own values, which are not read again
-        if sq is None:
-            sq = np.empty(values.shape)
-        np.square(values.real, out=sq)
-        sq += np.square(values.imag, out=values.imag)
-        f = float(sq.max())
-        if f > best * best:
-            best = math.sqrt(f)
+    _, shift, tiles = _torus_slices(p, grid)
+    top = 0.0
+    for _, values in tiles:
+        # |v|^2 in place, in contiguous passes over the tile: square both
+        # parts, then multiply by 1 + i, whose imaginary part re^2 + im^2
+        # rounds once, as the sum does (the products by 1 are exact); the
+        # real parts re^2 - im^2 are no larger, so the tile's largest float
+        # is its largest |v|^2
+        parts = values.view(np.float64)
+        np.square(parts, out=parts)
+        np.multiply(values, 1 + 1j, out=values)
+        top = max(top, float(parts.max()))
+    best = math.sqrt(top)
     total = math.ldexp(sum(abs(c) for c in p.weights), -shift)
     return math.ldexp(max(0.0, best - (p.n_terms + _ROUNDING_TERMS) * _U * total), shift)
 

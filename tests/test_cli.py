@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -115,6 +116,21 @@ def test_decompose_manual_radii_flow(tmp_path, measure_file, capsys):
                "--r0", "1e-6", "--r1", "1e-6"])
     assert rc == 2  # radii below the transform sup are rejected as bad input
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("radius", ["inf", "nan", "1e308"])
+def test_decompose_refuses_unusable_manual_radius(tmp_path, measure_file, capsys, radius):
+    out = tmp_path / "x"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["decompose", "--input", str(measure_file), "--out", str(out),
+                   "--radius-mode", "manual", "--r0", radius, "--r1", "10"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: R0=") and captured.err.count("\n") == 1
+    assert not caught
+    assert not out.exists()
 
 
 def test_density_scan_pinned_first_row(tmp_path, capsys):

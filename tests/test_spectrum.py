@@ -15,9 +15,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import natspec
+from natspec import spectrum
 from natspec.angles import GeneratorBasis
 from natspec.errors import BudgetExceededError
-from natspec.measures import DiscreteMeasure, convolve, make_theta1
+from natspec.measures import DiscreteMeasure, convolve, make_theta1, unit_roots
 from natspec.sampling import default_rng, random_discrete
 from scipy.spatial import cKDTree
 
@@ -308,9 +309,10 @@ _THREAD_PROBE = """
 import hashlib, numpy as np
 from natspec.spectrum import CharacterPolynomial, character_values, torus_max
 rng = np.random.default_rng(7)
-for dims, grid, n_terms in ((4, 16, 300), (2, 256, 300), (1, 2049, 300)):
+for order, dims, grid, n_terms in ((2, 4, 16, 300), (2, 2, 256, 300), (2, 1, 2049, 300),
+                                   (24, 4, 24, 6)):
     p = CharacterPolynomial(
-        2, tuple(int(m) for m in rng.integers(0, 2, n_terms)),
+        order, tuple(int(m) for m in rng.integers(0, order, n_terms)),
         tuple(tuple(int(e) for e in row) for row in rng.integers(-3, 4, (n_terms, dims))),
         tuple(complex(re, im) for re, im in rng.uniform(-1, 1, (n_terms, 2))),
         tuple(f"g{i}" for i in range(dims)))
@@ -321,7 +323,8 @@ for dims, grid, n_terms in ((4, 16, 300), (2, 256, 300), (1, 2049, 300)):
 
 def test_grid_values_ignore_blas_thread_count():
     # zgemm over more than 128 terms rounds differently with 1 and 2 threads;
-    # the walker contracts the terms in blocks so that its bits do not
+    # the walker contracts the terms in blocks so that its bits do not.  The
+    # last polynomial has the benchmark's shape, several row tiles per class
     env = {**os.environ, "PYTHONPATH": str(Path(natspec.__file__).resolve().parents[1])}
     outputs = []
     for threads in ("1", "2"):
@@ -331,7 +334,7 @@ def test_grid_values_ignore_blas_thread_count():
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
-    assert len(outputs[0].splitlines()) == 3
+    assert len(outputs[0].splitlines()) == 4
 
 
 def test_grid_factors_stay_small_at_one_free_axis():
@@ -350,6 +353,57 @@ def test_grid_factors_stay_small_at_one_free_axis():
     theta = 2.0 * np.pi * np.arange(1 << 16) / (1 << 16)
     ref = sum(np.exp(1j * e * theta) for e in range(-150, 150)) / 300
     assert np.max(np.abs(values - ref)) <= 1e-12
+
+
+def _untiled_values(p: CharacterPolynomial, grid: int) -> np.ndarray:
+    """character_values of p with one matmul per class and block of 128
+    terms over all of the class's rows: no row tiles, no class groups.  The
+    root indices are sum_a e_a j_a mod grid over explicit lattice points."""
+    left = (p.dims + 1) // 2
+    size = grid if p.dims else 1
+    roots = unit_roots(np.arange(size), size)
+    exponents = np.asarray(p.exponents, dtype=np.int64).reshape(p.n_terms, p.dims)
+
+    def factor(axes):
+        points = np.array(list(np.ndindex(*(grid,) * len(axes))), dtype=np.int64)
+        return roots[(exponents[:, axes] @ points.reshape(len(points), -1).T) % size]
+
+    lhs, right = factor(list(range(left))), factor(list(range(left, p.dims)))
+    weights, torsion = np.asarray(p.weights), np.asarray(p.torsion)
+    out = []
+    for t in range(p.order):
+        rhs = (weights * unit_roots((torsion * t) % p.order, p.order))[:, None] * right
+        if p.dims == 1:  # as the walker does, so that numpy calls zgemm
+            rhs = np.hstack((rhs, np.zeros_like(rhs)))
+        acc = lhs[:128].T @ rhs[:128]
+        for start in range(128, p.n_terms, 128):
+            acc += lhs[start:start + 128].T @ rhs[start:start + 128]
+        out.append(acc[:, :right.shape[1]].ravel())
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("tile_bytes", [None, 3000])
+@pytest.mark.parametrize("order, dims, grid", [(5, 0, 16), (3, 1, 37), (2, 4, 17)])
+def test_row_tiles_match_untiled_products_bitwise(monkeypatch, tile_bytes, order, dims, grid):
+    # 150 terms make two term blocks; at 17^2 = 289 left rows the default
+    # tile holds 113 rows (three tiles of 96 or 97), and 3000 bytes make
+    # tiles of 3 or 4 rows and one class per group
+    if tile_bytes is not None:
+        monkeypatch.setattr(spectrum, "_TILE_BYTES", tile_bytes)
+    rng = np.random.default_rng(order + dims)
+    n_terms = 150
+    p = CharacterPolynomial(
+        order, tuple(int(m) for m in rng.integers(0, order, n_terms)),
+        tuple(tuple(int(e) for e in row) for row in rng.integers(-40, 41, (n_terms, dims))),
+        tuple(complex(re, im) for re, im in rng.uniform(-1, 1, (n_terms, 2))),
+        tuple(f"g{i}" for i in range(dims)))
+    reference = _untiled_values(p, grid)
+    values = character_values(p, grid)
+    assert values.shape == (order * grid ** dims,)
+    assert np.array_equal(values, reference)
+    top = math.sqrt(float(np.max(reference.real ** 2 + reference.imag ** 2)))
+    total = sum(abs(c) for c in p.weights)
+    assert torus_max(p, grid) == top - (n_terms + 8) * 2.0 ** -53 * total
 
 
 def test_torus_walker_charges_its_point_budget(basis):
