@@ -28,6 +28,7 @@ from .spectrum import char_polynomial, covering_radius, disk_grid, fekete_bound,
 from .suite import run_suite
 
 _TIMESTAMP_PREFIX = "# generated "
+_MAX_DENSITY_SCAN_N = 20  # density-scan --N: at most 2**21 + 1 transform values
 
 
 def _timestamp_line() -> str:
@@ -60,7 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
     ds = sub.add_parser("density-scan", help="covering radii of the pair-rotation "
                                              "transform cloud as N grows")
     ds.add_argument("--out", required=True, help="output CSV file")
-    ds.add_argument("--N", type=int, default=16, help="largest power of two, scans N=2^4..2^this")
+    ds.add_argument("--N", type=int, default=16,
+                    help="largest power of two, scans N=2^4..2^this (at most 20)")
     ds.add_argument("--alpha", type=float, default=math.sqrt(2.0))
     ds.add_argument("--beta", type=float, default=math.sqrt(3.0))
     ds.add_argument("--tol", type=float, default=0.01, help="reference disk grid resolution")
@@ -80,7 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
     kr.add_argument("--y", type=float, default=None, help="target angle for beta (radians)")
     kr.add_argument("--eps", type=float, default=None,
                     help="chordal tolerance (overrides --input)")
-    kr.add_argument("--nmax", type=int, default=None, help="overrides --input (default 1000000)")
+    kr.add_argument("--nmax", type=int, default=None,
+                    help="overrides --input (default 1000000, at most 2^31)")
     kr.add_argument("--min-abs-n", type=int, default=None, help="overrides --input (default 0)")
     kr.add_argument("--parity", choices=("any", "even", "odd"), default=None,
                     help="restrict n to even or odd integers (overrides --input)")
@@ -124,6 +127,11 @@ def _cmd_decompose(args) -> int:
 def _cmd_density_scan(args) -> int:
     if args.N < 4:
         raise SchemaError("--N must be at least 4 (scan starts at N=16)")
+    if args.N > _MAX_DENSITY_SCAN_N:
+        raise SchemaError(f"--N must be at most {_MAX_DENSITY_SCAN_N} "
+                          f"(2^{_MAX_DENSITY_SCAN_N + 1} + 1 transform values)")
+    if not (math.isfinite(args.alpha) and math.isfinite(args.beta)):
+        raise SchemaError(f"--alpha and --beta must be finite, got {args.alpha!r}, {args.beta!r}")
     ref = disk_grid(1.0, args.tol)
     n_top = 1 << args.N
     ns = np.arange(-n_top, n_top + 1, dtype=np.int64)

@@ -4,9 +4,20 @@ For rationally independent alpha, beta (together with 2 pi) the pairs
 (n*alpha, n*beta) equidistribute on the torus, so any pair of target phases
 can be hit to any tolerance.  This module finds witnesses: either by a
 vectorized scan in canonical order (smallest |n| first, positive before
-negative; one phase reduction per |n| serves both signs, in blocks that
-grow from 256 magnitudes) or by a reduced-lattice heuristic.  Every
-returned witness and error is recomputed on n itself.
+negative; one evaluation per |n| serves both signs, in blocks that grow
+from 256 magnitudes) or by a reduced-lattice heuristic.  Every returned
+witness and error is recomputed on n itself.
+
+The scan builds e^{-i m g} for each angle g from two small root tables
+instead of one long-double phase reduction per magnitude: a fine table
+e^{-i a s g} for a < 256 (s is the magnitude step, 2 for a fixed parity),
+built once per scan, and a coarse column e^{-i n_b g} at each block row
+start n_b, reduced exactly like the direct route; then e^{-i m g} is the
+product of the two at m = n_b + a s.  The table value and the direct one
+differ by about two long-double roundings of m g, so candidates within
+1e-12 + 2 n_max max(|alpha|, |beta|) u_LD of eps (u_LD the long double's
+unit roundoff) are settled by the direct objective.  n_max is capped at
+MAX_N_MAX = 2**31, where that slack is about 1.4e-9 for angles below 2 pi.
 
 Everything here works with float radian values; the exact-position layer is
 not needed because every answer is certified by direct evaluation.
@@ -14,6 +25,7 @@ not needed because every answer is certified by direct evaluation.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 from typing import Iterator
@@ -25,11 +37,9 @@ from .errors import KroneckerNotFoundError, OutOfDiskError
 
 _SCAN_BLOCK = 65_536  # magnitudes in the largest scan block
 _FIRST_BLOCK = 256  # magnitudes in the first one
-# the scan's conjugate-symmetry objective and the direct one differ by a few
-# ulps (about 1e-15); candidates this close to eps or to the least value are
-# settled by the direct objective
-_ROUTE_SLACK = 1e-12
-_SIGNS = np.array([1.0, -1.0])
+_ROW = 256  # magnitudes per row of the scan's root tables
+_U_LD = float(np.finfo(np.longdouble).eps) / 2  # unit roundoff of reduced_phases
+MAX_N_MAX = 2 ** 31  # largest n_max a scan or hit_target accepts
 _NEIGHBOR_RANGE = 8
 
 
@@ -56,6 +66,8 @@ class KroneckerProblem:
             raise ValueError("epsilon must be positive")
         if self.n_max < 1:
             raise ValueError("n_max must be at least 1")
+        if self.n_max > MAX_N_MAX:
+            raise ValueError(f"n_max must be at most {MAX_N_MAX} (2**31), got {self.n_max}")
         if self.method not in ("scan", "lattice"):
             raise ValueError(f"unknown method {self.method!r}")
         if self.min_abs_n < 0:
@@ -119,76 +131,155 @@ def _signed(m: np.ndarray, i, zero: bool):
     return np.where(j % 2 == 0, m[j // 2], -m[j // 2])
 
 
-def _scan(objective, direct, eps: float, n_max: int, min_abs: int, parity: str,
-          message: str) -> tuple[int, tuple[float, ...], int]:
-    """First n in canonical order whose objective is below ``eps``.
+def _root_tables(angles: tuple[float, ...], parity: str, n_max: int):
+    """Root tables for a scan over magnitudes m of the parity's step s, and
+    the scan's route slack: (fine, coarse, slack).
 
-    ``objective`` maps a block of magnitudes m >= 0 to an (len(m), 2) array
-    of the objective at +m and at -m, so one evaluation per |n| serves both
-    signs (for real angles the value at -n is the conjugate of the value at
-    n).  ``direct`` maps an array of candidates n to a tuple of arrays
-    evaluated on n itself, the objective first.  The two routes differ by a
-    few ulps, so every candidate the block puts within _ROUTE_SLACK of
-    ``eps`` is rechecked by ``direct`` in canonical order, and the first one
-    it accepts is the witness.  Returns (n, each direct array's value at n,
-    evaluations), where evaluations is the witness's canonical index + 1.
-    Raises KroneckerNotFoundError with the first candidate, in canonical
-    order, of least direct objective and that objective; only candidates
-    within _ROUTE_SLACK of the scan's least value are evaluated directly.
+    ``fine`` is the (len(angles), _ROW) table e^{-i a s g}, a < _ROW, and
+    ``coarse(m)`` the (rows, len(angles)) column e^{-i n_b g} at the row
+    starts n_b = m[::_ROW] of a block, both reduced by ``reduced_phases`` as
+    the direct route is; e^{-i m g} = coarse(m)[b] * fine[a] at
+    m = n_b + a s.  Each factor's phase carries one long-double rounding of
+    its product and the direct phase one more, so for m <= n_max the two
+    routes differ by at most 2 n_max |g| u_LD plus a few float64 ulps:
+    ``slack`` = 1e-12 + 2 n_max max|g| u_LD.
     """
-    evaluations = 0
-    lowest, near = math.inf, []  # (block minimum, its candidates near it)
-    for m in _candidate_blocks(n_max, min_abs, parity):
-        obj = objective(m).ravel()
-        zero = bool(m[0] == 0)
-        if zero:
-            obj = np.delete(obj, 1)  # -0 is +0
-        for i in np.flatnonzero(obj < eps + _ROUTE_SLACK):
-            n = int(_signed(m, i, zero))
-            values = tuple(float(a[0]) for a in direct(np.array([n], dtype=np.int64)))
-            if values[0] < eps:
-                return n, values, evaluations + int(i) + 1
-        evaluations += len(obj)
-        low = float(obj.min())
-        if low <= lowest + _ROUTE_SLACK:
-            lowest = min(lowest, low)
-            near = [(b, ns) for b, ns in near if b <= lowest + _ROUTE_SLACK]
-            near.append((low, _signed(m, np.flatnonzero(obj <= low + _ROUTE_SLACK), zero)))
-            if sum(len(ns) for _, ns in near) > _SCAN_BLOCK:  # many equal values
-                near = [_first_least(near, direct)[:2]]
-    if not near:
-        raise KroneckerNotFoundError(message, best_n=None, best_err=math.inf)
-    _, ns, err = _first_least(near, direct)
-    raise KroneckerNotFoundError(message, best_n=int(ns[0]), best_err=err)
+    step = 1 if parity == "any" else 2
+    g = np.array(angles, dtype=np.float64)
+    fine = np.exp(-1j * reduced_phases(np.arange(0, _ROW * step, step, dtype=np.int64),
+                                       g[:, None]))
+
+    def coarse(m: np.ndarray) -> np.ndarray:
+        return np.exp(-1j * reduced_phases(m[::_ROW, None], g))
+
+    slack = 1e-12 + 2.0 * n_max * float(np.max(np.abs(g))) * _U_LD
+    return fine, coarse, slack
 
 
-def _first_least(near, direct) -> tuple[float, np.ndarray, float]:
-    """Collapse the scan's (block minimum, candidates) entries to the first
-    candidate of least direct objective: (least block minimum, [n], its
-    objective)."""
-    ns = np.concatenate([ns for _, ns in near])
-    errs = direct(ns)[0]
-    i = int(np.argmin(errs))
-    return min(b for b, _ in near), ns[i:i + 1], float(errs[i])
+def _chordal_objectives(alpha: float, beta: float, x: float, y: float, parity: str,
+                        n_max: int):
+    """(objective, direct, slack) of the two-phase scan: the larger chordal
+    error of n*alpha against x and of n*beta against y.
 
-
-def _solve_scan(problem: KroneckerProblem) -> KroneckerSolution:
-    alpha, beta = problem.alpha, problem.beta
-    x, y = problem.target_x, problem.target_y
+    The objective uses chordal(p - x) = |e^{-ip} - e^{-ix}|: with z the
+    table root e^{-i m alpha}, that is |z - e^{-ix}| at +m and |z - e^{ix}|
+    at -m.  The direct route rounds p - x in float64, which adds
+    max(|x|, |y|) u to the slack.
+    """
+    fine, coarse, slack = _root_tables((alpha, beta), parity, n_max)
+    slack += max(abs(x), abs(y)) * 2.0 ** -53
+    targets = ((cmath.exp(-1j * x), cmath.exp(-1j * y)),
+               (cmath.exp(1j * x), cmath.exp(1j * y)))
 
     def objective(m):
-        # columns +m and -m: the phase of -m is minus the phase of m
-        pa = reduced_phases(m, alpha)[:, None] * _SIGNS
-        pb = reduced_phases(m, beta)[:, None] * _SIGNS
-        return np.maximum(chordal(pa - x), chordal(pb - y))
+        c = coarse(m)
+        za = np.outer(c[:, 0], fine[0]).ravel()[:len(m)]
+        zb = np.outer(c[:, 1], fine[1]).ravel()[:len(m)]
+        obj = np.empty((len(m), 2))
+        for j, (tx, ty) in enumerate(targets):
+            np.maximum(np.abs(za - tx), np.abs(zb - ty), out=obj[:, j])
+        return obj
 
     def direct(ns):
         ea, eb = _pair_errors(ns, alpha, beta, x, y)
         return np.maximum(ea, eb), ea, eb
 
+    return objective, direct, slack
+
+
+def _rho_objectives(alpha: float, beta: float, w: complex, parity: str, n_max: int):
+    """(objective, direct, slack) of hit_target's scan: |rho(n) - w| with
+    rho(n) = (e^{-in alpha} + e^{-in beta}) / 2.
+
+    rho(m) is one rank-2 product of the root tables, and rho(-m) =
+    conj(rho(m)) with |conj(rho) - w| = |rho - conj(w)|.
+    """
+    fine, coarse, slack = _root_tables((alpha, beta), parity, n_max)
+    targets = (w, w.conjugate())
+
+    def objective(m):
+        rho = ((0.5 * coarse(m)) @ fine).ravel()[:len(m)]
+        obj = np.empty((len(m), 2))
+        for j, t in enumerate(targets):
+            np.abs(rho - t, out=obj[:, j])
+        return obj
+
+    def direct(ns):
+        return (np.abs(_rho_values(ns, alpha, beta) - w),)
+
+    return objective, direct, slack
+
+
+def _scan(objective, direct, slack: float, eps: float, n_max: int, min_abs: int,
+          parity: str, message: str) -> tuple[int, tuple[float, ...], int]:
+    """First n in canonical order whose direct objective is below ``eps``.
+
+    ``objective`` maps a block of magnitudes m >= 0 to an (len(m), 2) array
+    of the objective at +m and at -m, built from the two root tables of
+    ``_root_tables``, so one evaluation per |n| serves both signs and one
+    long-double phase reduction per angle serves 256 magnitudes.
+    ``direct`` maps an array of candidates n to a tuple of arrays evaluated
+    on n itself, the objective first.  The two routes differ by at most
+    ``slack``, 1e-12 + 2 n_max max(|alpha|, |beta|) u_LD, so every candidate
+    the block puts below ``eps + slack`` is rechecked by ``direct``, and the
+    first one, in canonical order, that it accepts is the witness.  Returns
+    (n, each direct array's value at n, evaluations), where evaluations is
+    the witness's canonical index + 1.  Raises KroneckerNotFoundError with
+    the first candidate, in canonical order, of least direct objective and
+    that objective; only candidates within 2 slack of the scan's least
+    value can hold it, and only those are evaluated directly.
+    """
+    near_slack = 2.0 * slack
+    evaluations = 0
+    lowest, near = math.inf, []  # (block minimum, m, objective, zero) near the least
+    for m in _candidate_blocks(n_max, min_abs, parity):
+        obj = objective(m).ravel()
+        zero = bool(m[0] == 0)
+        if zero:
+            obj = np.delete(obj, 1)  # -0 is +0
+        hits = np.flatnonzero(obj < eps + slack)
+        if hits.size:
+            arrays = direct(_signed(m, hits, zero))
+            accepted = np.flatnonzero(arrays[0] < eps)
+            if accepted.size:
+                k = int(accepted[0])
+                i = int(hits[k])
+                return (int(_signed(m, i, zero)), tuple(float(a[k]) for a in arrays),
+                        evaluations + i + 1)
+        evaluations += len(obj)
+        low = float(obj.min())
+        if low <= lowest + near_slack:
+            lowest = min(lowest, low)
+            near = [entry for entry in near if entry[0] <= lowest + near_slack]
+            near.append((low, m, obj, zero))
+            if sum(len(entry[2]) for entry in near) > 2 * _SCAN_BLOCK:  # many equal values
+                # the first least candidate stands for them all, as a block
+                # of one candidate at the least minimum
+                n, _ = _first_least(near, direct, near_slack)
+                near = [(lowest, np.array([n]), np.array([lowest]), False)]
+    if not near:
+        raise KroneckerNotFoundError(message, best_n=None, best_err=math.inf)
+    n, err = _first_least(near, direct, near_slack)
+    raise KroneckerNotFoundError(message, best_n=n, best_err=err)
+
+
+def _first_least(near, direct, near_slack: float) -> tuple[int, float]:
+    """The first candidate, in canonical order, of least direct objective
+    among those within ``near_slack`` of their block's minimum in the scan's
+    near entries, and that objective."""
+    ns = np.concatenate([_signed(m, np.flatnonzero(obj <= low + near_slack), zero)
+                         for low, m, obj, zero in near])
+    errs = direct(ns)[0]
+    i = int(np.argmin(errs))
+    return int(ns[i]), float(errs[i])
+
+
+def _solve_scan(problem: KroneckerProblem) -> KroneckerSolution:
     n, (_, ea, eb), evaluations = _scan(
-        objective, direct, problem.epsilon, problem.n_max, problem.min_abs_n,
-        problem.parity, f"no n with |n| <= {problem.n_max} meets epsilon={problem.epsilon}")
+        *_chordal_objectives(problem.alpha, problem.beta, problem.target_x,
+                             problem.target_y, problem.parity, problem.n_max),
+        problem.epsilon, problem.n_max, problem.min_abs_n, problem.parity,
+        f"no n with |n| <= {problem.n_max} meets epsilon={problem.epsilon}")
     return KroneckerSolution(n, ea, eb, evaluations)
 
 
@@ -364,8 +455,11 @@ def pair_transform_values(ns: np.ndarray, alpha: float, beta: float) -> np.ndarr
     """(e^{-in alpha} + e^{-in beta}) / 2 at each n.
 
     These are the transform values of the averaged two-point measure at alpha
-    and beta; phases are reduced in extended precision so the values stay
-    accurate for |n| up to about 1e12.
+    and beta.  Each phase n*g is formed and reduced mod 2 pi in long double
+    (``reduced_phases``), so its error is about |n g| u_LD, with u_LD the
+    long double's unit roundoff: 2**-64 for the x87 80-bit format, which is
+    about 5e-14 at |n g| = 1e6 and 6e-8 at |n g| = 2**40, and 2**-53 where
+    long double is float64.
     """
     pa = reduced_phases(ns, alpha)
     pb = reduced_phases(ns, beta)
@@ -389,13 +483,15 @@ def hit_target(alpha: float, beta: float, w: complex, eps: float,
 
     The scan method returns the first such n in canonical order.  It runs in
     blocks of 256 magnitudes doubling up to 65 536 and evaluates
-    rho(m) = (e^{-im a}+e^{-im b})/2 once per magnitude m: the objective at
-    -m is |conj(rho(m)) - w| = |rho(m) - conj(w)|.  The witness is confirmed
-    on n itself by ``pair_transform_values``, and a not-found error's best
-    error comes from the same direct route.  The lattice method lifts w to a
-    pair of unimodular targets, solves the two-phase problem for the doubled
-    angles, and re-verifies the resulting n against the direct objective,
-    falling back to the scan on failure.
+    rho(m) = (e^{-im a}+e^{-im b})/2 once per magnitude m, from the two root
+    tables of ``_root_tables``: the objective at -m is
+    |conj(rho(m)) - w| = |rho(m) - conj(w)|.  Candidates within the route
+    slack of eps are confirmed on n itself by ``pair_transform_values``, and
+    a not-found error's best error comes from the same direct route.  The
+    lattice method lifts w to a pair of unimodular targets, solves the
+    two-phase problem for the doubled angles, and re-verifies the resulting
+    n against the direct objective, falling back to the scan on failure.
+    n_max above MAX_N_MAX (2**31) is refused with ValueError.
     """
     w = complex(w)
     if not all(math.isfinite(x) for x in (w.real, w.imag, alpha, beta, eps)):
@@ -406,11 +502,10 @@ def hit_target(alpha: float, beta: float, w: complex, eps: float,
         raise ValueError("eps must be positive")
     if parity not in ("any", "even", "odd"):
         raise ValueError(f"unknown parity {parity!r}")
+    if n_max > MAX_N_MAX:
+        raise ValueError(f"n_max must be at most {MAX_N_MAX} (2**31), got {n_max}")
     if method == "scan":
-        # rho(-m) = conj(rho(m)), and |conj(rho) - w| = |rho - conj(w)|
-        targets = np.array([w, w.conjugate()])
-        n, _, _ = _scan(lambda m: np.abs(_rho_values(m, alpha, beta)[:, None] - targets),
-                        lambda ns: (np.abs(_rho_values(ns, alpha, beta) - w),),
+        n, _, _ = _scan(*_rho_objectives(alpha, beta, w, parity, n_max),
                         eps, n_max, 0, parity,
                         f"no {parity} n with |n| <= {n_max} meets eps={eps}")
         return n

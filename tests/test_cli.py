@@ -429,3 +429,45 @@ def test_density_scan_refuses_unusable_tol(tmp_path, tol, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: tol ") and captured.err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [["--N", "21"], ["--N", "40"], ["--alpha", "nan"],
+                                  ["--beta", "inf"], ["--alpha=-inf"]])
+def test_density_scan_refuses_unbounded_or_non_finite_input(tmp_path, args, capsys):
+    # --N 40 would ask for 2^41 transform values (16 TiB); nan and inf
+    # angles have no transform values at all; both are refused before any
+    # array is built
+    out = tmp_path / "scan.csv"
+    rc = main(["density-scan", "--out", str(out), *args])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("nmax", [2 ** 31 + 1, 2 ** 63 - 1])
+def test_kronecker_refuses_n_max_above_the_cap(tmp_path, nmax, capsys):
+    # an unsatisfiable eps would scan every |n| <= nmax; above 2^31 the
+    # request is refused before any scan, from flags and from a problem file
+    out = tmp_path / "solution.json"
+    flags = ["--alpha", "1.41", "--beta", "1.73", "--x", "0", "--y", "0", "--eps", "1e-30"]
+    rc = main(["kronecker", *flags, "--nmax", str(nmax), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "n_max must be at most 2147483648" in captured.err
+    assert not out.exists()
+
+    problem = kronecker_problem_to_json(KroneckerProblem(
+        alpha=1.41, beta=1.73, target_x=0.0, target_y=0.0, epsilon=1e-30))
+    problem["n_max"] = nmax
+    path = tmp_path / "problem.json"
+    write_json(path, problem)
+    rc = main(["kronecker", "--input", str(path), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "n_max must be at most 2147483648" in captured.err
+    assert not out.exists()

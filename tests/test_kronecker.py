@@ -91,6 +91,23 @@ def test_hit_target_rejects_non_finite_input(args, method):
         hit_target(*args, method=method)
 
 
+@pytest.mark.parametrize("n_max", [kronecker.MAX_N_MAX + 1, 2 ** 63 - 1])
+def test_n_max_above_the_cap_is_refused_before_any_scan(monkeypatch, n_max):
+    def no_scan(*args):
+        raise AssertionError("a scan started")
+
+    monkeypatch.setattr(kronecker, "_candidate_blocks", no_scan)
+    monkeypatch.setattr(kronecker, "_lattice_candidates", no_scan)
+    with pytest.raises(ValueError, match="n_max must be at most 2147483648"):
+        KroneckerProblem(SQRT2, SQRT3, 0.0, 0.0, 1e-30, n_max=n_max)
+    for method in ("scan", "lattice"):
+        with pytest.raises(ValueError, match="n_max must be at most 2147483648"):
+            hit_target(SQRT2, SQRT3, 0.5, 1e-30, n_max=n_max, method=method)
+    problem = KroneckerProblem(SQRT2, SQRT3, 0.0, 0.0, 1e-30, n_max=kronecker.MAX_N_MAX)
+    with pytest.raises(ValueError, match="n_max must be at most"):
+        replace(problem, n_max=n_max)
+
+
 def test_parity_restricted_scan():
     even = solve(KroneckerProblem(alpha=SQRT2, beta=SQRT3, target_x=1.0, target_y=2.0,
                                   epsilon=0.05, parity="even"))
@@ -196,6 +213,33 @@ def test_hit_target_respects_parity_and_tolerance():
             assert abs(_pair(n) - w) < 0.1
             if parity != "any":
                 assert (n % 2 == 0) == (parity == "even")
+
+
+# hit_target witnesses at eps 0.01 and n_max 10^6: four seeded targets for
+# each of the eight consecutive built-in generator pairs and each fixed
+# parity, recorded with the scan that reduced every magnitude's phases
+_FROZEN_WITNESSES = (
+    -3364, 11462, 8378, -13182, 6137, 2379, 1501, 3119,
+    -3482, -8356, 37032, 14074, -8175, 7605, -11375, 255,
+    -824, -9080, 9722, 12838, -2719, 4867, 8317, -8303,
+    12096, 1086, 3960, -18682, -3229, 6593, 9331, 425,
+    2204, -568, 13404, -1184, 11987, 34251, 26951, -4729,
+    4498, 1626, -1508, 458, 18397, 11963, -5599, 581,
+    -90092, 3132, -8122, 6158, 11817, 149777, 20513, 9401,
+    21290, -18500, 15440, 15116, -32523, -975, 9807, 6701,
+)
+
+
+def test_hit_target_witnesses_are_frozen():
+    rng = np.random.default_rng(2011)
+    got = []
+    for k in range(8):
+        for parity in ("even", "odd"):
+            for _ in range(4):
+                w = complex(math.sqrt(rng.uniform()) * np.exp(2j * math.pi * rng.uniform()))
+                got.append(hit_target(GENERATORS[2 * k], GENERATORS[2 * k + 1], w, 0.01,
+                                      parity, 10 ** 6))
+    assert tuple(got) == _FROZEN_WITNESSES
 
 
 def test_hit_target_lattice_method():
@@ -342,6 +386,41 @@ def test_scan_settles_witnesses_at_eps_by_the_direct_objective(m, pair):
                                                   else m + 1)
         w = complex(pair_transform_values(ns, alpha, beta)[0])
         assert hit_target(alpha, beta, w, eps, parity, m) == -m
+
+
+def test_scan_settles_a_witness_past_the_fixed_slack_by_the_direct_objective():
+    # at |n| ~ 9e6 the root tables put -m's objective 3.4e-12 above its
+    # direct value 0, beyond a fixed 1e-12 slack; the slack grown with n_max
+    # (7.0e-12 here) still sends -m to the direct objective
+    alpha, beta, m = math.sqrt(37), math.sqrt(31), 9_038_078
+    ns = np.array([-m], dtype=np.int64)
+    x, y = float(reduced_phases(ns, alpha)[0]), float(reduced_phases(ns, beta)[0])
+    eps = math.ulp(0.0)
+    sol = solve(KroneckerProblem(alpha, beta, x, y, eps, m, parity="even"))
+    assert sol == kronecker.KroneckerSolution(-m, 0.0, 0.0, m + 1)
+    w = complex(pair_transform_values(ns, alpha, beta)[0])
+    assert hit_target(alpha, beta, w, eps, "even", m) == -m
+
+
+_ANGLES = st.one_of(st.sampled_from(GENERATORS), st.just(0.0), st.floats(-64.0, 64.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ANGLES, _ANGLES, _PHASES, _PHASES, _DISK, _PARITIES,
+       st.sampled_from((10 ** 6, 10 ** 7, kronecker.MAX_N_MAX)), st.integers(1, 2048))
+def test_table_objectives_stay_within_the_slack_of_the_direct_ones(alpha, beta, x, y, w,
+                                                                    parity, n_max, size):
+    # a block of magnitudes of the parity ending at n_max, its last row
+    # partly filled unless size is a multiple of the row length
+    step = 1 if parity == "any" else 2
+    top = n_max if parity == "any" or n_max % 2 == (parity == "odd") else n_max - 1
+    m = np.arange(top - step * (size - 1), top + 1, step, dtype=np.int64)
+    ns = np.stack([m, -m], axis=1).ravel()
+    for objective, direct, slack in (
+            kronecker._chordal_objectives(alpha, beta, x, y, parity, n_max),
+            kronecker._rho_objectives(alpha, beta, w, parity, n_max)):
+        gap = np.abs(objective(m).ravel() - direct(ns)[0])
+        assert gap.max() <= slack
 
 
 # -- the lattice method's fallback to the scan ---------------------------------
