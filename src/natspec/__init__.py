@@ -3,14 +3,13 @@
 The package represents measures as finite atom lists at exactly-represented
 angles (rational turns plus integer combinations of named independent
 generators) together with trigonometric-polynomial densities.  On top of the
-convolution algebra it provides spectral-radius bounds, character-value
-sampling, simultaneous rotation approximation, and a constructive splitting
+convolution algebra it provides spectral-radius bounds, character values,
+simultaneous rotation approximation, and a constructive splitting
 of any measure into three pieces whose transform clouds fill out their
 spectral disks.
 """
 
 from .angles import (FRESH_GENERATOR_VALUES, Angle, GeneratorBasis, TWO_PI,
-                     angle_add, angle_scale, angle_to_radians,
                      basis_fresh_generators)
 from .decomposition import (RADIUS_MODES, DecompositionOptions,
                             DecompositionResult, VerificationCheck,
@@ -19,30 +18,26 @@ from .errors import (BasisMismatchError, BudgetExceededError, GeneratorsExhauste
                      KroneckerNotFoundError, NatspecError, OutOfDiskError,
                      RadiusValidationError, SchemaError)
 from .kronecker import (KroneckerProblem, KroneckerSolution, chordal, disk_preimage,
-                        disk_preimage_shifted, hit_target, pair_transform_values,
-                        solve)
+                        hit_target, pair_transform_values, solve)
 from .measures import (DiscreteMeasure, MeasureLike, MixedMeasure, TrigPolyDensity,
-                       as_mixed, convolve, fourier_coefficient, make_rho, make_theta0,
-                       make_theta1, parity_projections, tv_norm, tv_norm_bounds)
-from .spectrum import (CharacterPolynomial, FeketeReport, SpectrumSample,
-                       char_polynomial, character_values, covering_radius,
-                       disk_grid, fekete_bound, hausdorff, restrict,
-                       spectrum_sample, torus_max, transform_closure_sample)
+                       as_mixed, convolve, make_rho, make_theta0, make_theta1,
+                       parity_projections, tv_norm, tv_norm_bounds)
+from .spectrum import (CharacterPolynomial, FeketeReport, char_polynomial,
+                       character_values, covering_radius, disk_grid, fekete_bound,
+                       restrict, torus_max)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Angle", "GeneratorBasis", "TWO_PI", "FRESH_GENERATOR_VALUES",
-    "angle_add", "angle_scale", "angle_to_radians", "basis_fresh_generators",
+    "basis_fresh_generators",
     "DiscreteMeasure", "TrigPolyDensity", "MixedMeasure", "MeasureLike",
-    "as_mixed", "convolve", "fourier_coefficient", "tv_norm", "tv_norm_bounds",
+    "as_mixed", "convolve", "tv_norm", "tv_norm_bounds",
     "parity_projections", "make_theta0", "make_theta1", "make_rho",
     "FeketeReport", "fekete_bound", "CharacterPolynomial", "char_polynomial",
-    "character_values", "restrict", "torus_max", "SpectrumSample",
-    "spectrum_sample", "transform_closure_sample", "covering_radius",
-    "hausdorff", "disk_grid",
+    "character_values", "restrict", "torus_max", "covering_radius", "disk_grid",
     "KroneckerProblem", "KroneckerSolution", "chordal", "solve",
-    "pair_transform_values", "disk_preimage", "disk_preimage_shifted", "hit_target",
+    "pair_transform_values", "disk_preimage", "hit_target",
     "RADIUS_MODES", "DecompositionOptions",
     "DecompositionResult", "VerificationCheck", "VerificationReport",
     "decompose", "verify_decomposition",

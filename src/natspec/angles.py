@@ -163,30 +163,6 @@ class Angle:
         return (self.turns, self.coeffs)
 
 
-def angle_add(a: Angle, b: Angle) -> Angle:
-    return a + b
-
-
-def angle_scale(a: Angle, n: int) -> Angle:
-    return a.scale(n)
-
-
-def angle_to_radians(a: Angle, basis: GeneratorBasis) -> float:
-    """Numerical value in [0, 2*pi).  Exact only up to float rounding."""
-    if len(a.coeffs) != len(basis):
-        raise BasisMismatchError("angle coefficient length does not match basis")
-    x = TWO_PI * float(a.turns)
-    for c, v in zip(a.coeffs, basis.values):
-        if c:
-            x += c * v
-    x = math.fmod(x, TWO_PI)
-    if x < 0.0:
-        x += TWO_PI
-    if x >= TWO_PI:  # guard against fmod landing exactly on 2*pi
-        x = 0.0
-    return x
-
-
 def reduced_phases(ns: np.ndarray, value) -> np.ndarray:
     """(n * value) mod 2 pi for each n, reduced in extended precision and
     returned as float64."""

@@ -2,11 +2,13 @@
 
 For rationally independent alpha, beta (together with 2 pi) the pairs
 (n*alpha, n*beta) equidistribute on the torus, so any pair of target phases
-can be hit to any tolerance.  This module finds witnesses: either by a
-vectorized scan in canonical order (smallest |n| first, positive before
-negative; one evaluation per |n| serves both signs, in blocks that grow
-from 256 magnitudes) or by a reduced-lattice heuristic.  Every returned
-witness and error is recomputed on n itself.
+can be hit to any tolerance.  This module finds witnesses by a vectorized
+scan in canonical order (smallest |n| first, positive before negative; one
+evaluation per |n| serves both signs, in blocks that grow from 256
+magnitudes).  ``solve`` also offers a reduced-lattice heuristic for the
+two-phase problem (``method="lattice"``), which falls back to the scan;
+``hit_target`` always scans.  Every returned witness and error is
+recomputed on n itself.
 
 The scan builds e^{-i m g} for each angle g from two small root tables
 instead of one long-double phase reduction per magnitude: a fine table
@@ -17,7 +19,10 @@ product of the two at m = n_b + a s.  The table value and the direct one
 differ by about two long-double roundings of m g, so candidates within
 1e-12 + 2 n_max max(|alpha|, |beta|) u_LD of eps (u_LD the long double's
 unit roundoff) are settled by the direct objective.  n_max is capped at
-MAX_N_MAX = 2**31, where that slack is about 1.4e-9 for angles below 2 pi.
+MAX_N_MAX = 2**31, where that slack is about 1.4e-9 for angles below 2 pi,
+and inputs whose slack 2 n_max max(|alpha|, |beta|) u_LD exceeds
+_MAX_SLACK = 1e-6 are refused: there the phases of both routes carry
+errors that no longer bound a witness's distance from its target.
 
 Everything here works with float radian values; the exact-position layer is
 not needed because every answer is certified by direct evaluation.
@@ -40,6 +45,9 @@ _FIRST_BLOCK = 256  # magnitudes in the first one
 _ROW = 256  # magnitudes per row of the scan's root tables
 _U_LD = float(np.finfo(np.longdouble).eps) / 2  # unit roundoff of reduced_phases
 MAX_N_MAX = 2 ** 31  # largest n_max a scan or hit_target accepts
+# largest route slack 2 n_max max(|alpha|, |beta|) u_LD accepted; angles up
+# to 64 in magnitude at MAX_N_MAX give about 1.5e-8 with the x87 long double
+_MAX_SLACK = 1e-6
 _NEIGHBOR_RANGE = 8
 
 
@@ -59,21 +67,37 @@ class KroneckerProblem:
     parity: str = "any"
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "target_x", "target_y", "epsilon"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.n_max < 1:
-            raise ValueError("n_max must be at least 1")
-        if self.n_max > MAX_N_MAX:
-            raise ValueError(f"n_max must be at most {MAX_N_MAX} (2**31), got {self.n_max}")
+        _check_inputs({name: getattr(self, name) for name in
+                       ("alpha", "beta", "target_x", "target_y", "epsilon")},
+                      "epsilon", self.n_max, self.parity)
         if self.method not in ("scan", "lattice"):
             raise ValueError(f"unknown method {self.method!r}")
         if self.min_abs_n < 0:
             raise ValueError("min_abs_n must be nonnegative")
-        if self.parity not in ("any", "even", "odd"):
-            raise ValueError(f"unknown parity {self.parity!r}")
+
+
+def _check_inputs(values: dict, eps_name: str, n_max: int, parity: str) -> None:
+    """Refuse with ValueError, in O(1) and before any table, lattice or scan,
+    what neither ``solve`` nor ``hit_target`` can answer: a value of
+    ``values`` that is not finite, a tolerance ``values[eps_name]`` that is
+    not positive, n_max outside 1..MAX_N_MAX, an unknown parity, or a route
+    slack 2 n_max max(|alpha|, |beta|) u_LD above _MAX_SLACK."""
+    for name, x in values.items():
+        if not cmath.isfinite(x):
+            raise ValueError(f"{name} must be finite, got {x!r}")
+    if values[eps_name] <= 0:
+        raise ValueError(f"{eps_name} must be positive")
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
+    if n_max > MAX_N_MAX:
+        raise ValueError(f"n_max must be at most {MAX_N_MAX} (2**31), got {n_max}")
+    if parity not in ("any", "even", "odd"):
+        raise ValueError(f"unknown parity {parity!r}")
+    top = max(abs(values["alpha"]), abs(values["beta"]))
+    slack = 2.0 * n_max * top * _U_LD
+    if slack > _MAX_SLACK:
+        raise ValueError(f"angles up to {top!r} at n_max {n_max} give a route slack "
+                         f"of {slack:.3g}, above {_MAX_SLACK}")
 
 
 @dataclass(frozen=True)
@@ -283,16 +307,14 @@ def _solve_scan(problem: KroneckerProblem) -> KroneckerSolution:
     return KroneckerSolution(n, ea, eb, evaluations)
 
 
-def _doubled(alpha: float, beta: float, n_max: int, parity: str):
-    """(alpha', beta', m_max, lift) reducing a parity-restricted search to an
+def _doubled(alpha: float, beta: float, parity: str):
+    """(alpha', beta', lift) reducing a parity-restricted search to an
     unrestricted one over m: n = 2m (even) or n = 2m + 1 (odd), searched
     with the doubled angles; parity "any" keeps everything as it is."""
     if parity == "any":
-        return alpha, beta, n_max, lambda m: m
-    if parity == "even":
-        return _wrap(2.0 * alpha), _wrap(2.0 * beta), max(n_max // 2, 1), lambda m: 2 * m
-    return (_wrap(2.0 * alpha), _wrap(2.0 * beta), max((n_max - 1) // 2, 1),
-            lambda m: 2 * m + 1)
+        return alpha, beta, lambda m: m
+    return (_wrap(2.0 * alpha), _wrap(2.0 * beta),
+            (lambda m: 2 * m) if parity == "even" else (lambda m: 2 * m + 1))
 
 
 def _gram_schmidt(rows: list[np.ndarray]) -> tuple[list[np.ndarray], list[list[float]]]:
@@ -398,8 +420,7 @@ def _solve_lattice(problem: KroneckerProblem) -> KroneckerSolution:
     scan's own count.  A parity-restricted problem takes its candidates m
     from the doubled angles, with the targets shifted by one copy of each
     angle when n = 2m + 1, and lifts them to n."""
-    alpha, beta, _, lift = _doubled(problem.alpha, problem.beta, problem.n_max,
-                                    problem.parity)
+    alpha, beta, lift = _doubled(problem.alpha, problem.beta, problem.parity)
     x, y = problem.target_x, problem.target_y
     if problem.parity == "odd":
         x, y = _wrap(x - problem.alpha), _wrap(y - problem.beta)
@@ -444,13 +465,6 @@ def disk_preimage(w: complex) -> tuple[complex, complex]:
     return (w + d, w - d)
 
 
-def disk_preimage_shifted(w: complex, alpha: float, beta: float) -> tuple[complex, complex]:
-    """Unimodular (zeta, upsilon) with (zeta e^{-i alpha} + upsilon e^{-i beta}) / 2 == w."""
-    z, u = disk_preimage(w)
-    return (z * complex(math.cos(alpha), math.sin(alpha)),
-            u * complex(math.cos(beta), math.sin(beta)))
-
-
 def pair_transform_values(ns: np.ndarray, alpha: float, beta: float) -> np.ndarray:
     """(e^{-in alpha} + e^{-in beta}) / 2 at each n.
 
@@ -477,52 +491,26 @@ def _wrap(x: float) -> float:
 
 
 def hit_target(alpha: float, beta: float, w: complex, eps: float,
-               parity: str = "any", n_max: int = 10 ** 6,
-               method: str = "scan") -> int:
-    """Integer n of the requested parity with |(e^{-in a}+e^{-in b})/2 - w| < eps.
+               parity: str = "any", n_max: int = 10 ** 6) -> int:
+    """First integer n of the requested parity, in canonical order, with
+    |(e^{-in a}+e^{-in b})/2 - w| < eps.
 
-    The scan method returns the first such n in canonical order.  It runs in
-    blocks of 256 magnitudes doubling up to 65 536 and evaluates
-    rho(m) = (e^{-im a}+e^{-im b})/2 once per magnitude m, from the two root
-    tables of ``_root_tables``: the objective at -m is
+    The scan runs in blocks of 256 magnitudes doubling up to 65 536 and
+    evaluates rho(m) = (e^{-im a}+e^{-im b})/2 once per magnitude m, from
+    the two root tables of ``_root_tables``: the objective at -m is
     |conj(rho(m)) - w| = |rho(m) - conj(w)|.  Candidates within the route
     slack of eps are confirmed on n itself by ``pair_transform_values``, and
-    a not-found error's best error comes from the same direct route.  The
-    lattice method lifts w to a pair of unimodular targets, solves the
-    two-phase problem for the doubled angles, and re-verifies the resulting
-    n against the direct objective, falling back to the scan on failure.
-    n_max above MAX_N_MAX (2**31) is refused with ValueError.
+    a not-found error's best error comes from the same direct route.
+    Inputs are refused before any work by the check ``KroneckerProblem``
+    shares (ValueError for non-finite values, eps <= 0, n_max outside
+    1..MAX_N_MAX, an unknown parity or a route slack above _MAX_SLACK), and
+    a target outside the unit disk with OutOfDiskError.
     """
     w = complex(w)
-    if not all(math.isfinite(x) for x in (w.real, w.imag, alpha, beta, eps)):
-        raise ValueError("hit_target needs finite w, alpha, beta and eps")
+    _check_inputs({"alpha": alpha, "beta": beta, "w": w, "eps": eps}, "eps", n_max, parity)
     if abs(w) > 1.0 + 1e-12:
         raise OutOfDiskError(f"target modulus {abs(w)} exceeds 1")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if parity not in ("any", "even", "odd"):
-        raise ValueError(f"unknown parity {parity!r}")
-    if n_max > MAX_N_MAX:
-        raise ValueError(f"n_max must be at most {MAX_N_MAX} (2**31), got {n_max}")
-    if method == "scan":
-        n, _, _ = _scan(*_rho_objectives(alpha, beta, w, parity, n_max),
-                        eps, n_max, 0, parity,
-                        f"no {parity} n with |n| <= {n_max} meets eps={eps}")
-        return n
-    if method != "lattice":
-        raise ValueError(f"unknown method {method!r}")
-
-    alpha2, beta2, m_max, lift = _doubled(alpha, beta, n_max, parity)
-    z, u = disk_preimage_shifted(w, alpha, beta) if parity == "odd" else disk_preimage(w)
-    problem = KroneckerProblem(alpha2, beta2, _wrap(-np.angle(z)), _wrap(-np.angle(u)),
-                               eps / 2.0, m_max, "lattice")
-    try:
-        sol = solve(problem)
-        n = lift(sol.n)
-        if abs(n) <= n_max:
-            err = float(np.abs(_rho_values(np.array([n], dtype=np.int64), alpha, beta) - w)[0])
-            if err < eps:
-                return int(n)
-    except KroneckerNotFoundError:
-        pass
-    return hit_target(alpha, beta, w, eps, parity, n_max, "scan")
+    n, _, _ = _scan(*_rho_objectives(alpha, beta, w, parity, n_max),
+                    eps, n_max, 0, parity,
+                    f"no {parity} n with |n| <= {n_max} meets eps={eps}")
+    return n

@@ -321,7 +321,11 @@ class DiscreteMeasure:
 
     def transform(self, ns) -> np.ndarray:
         """Fourier coefficients mu_hat(n) for an integer array ``ns``; see
-        ``transforms``, which this calls with the one measure."""
+        ``transforms``, which this calls with the one measure.
+
+        A rational atom's phase is exact for every int64 n; a generator
+        atom's phase error is about |n| |g| u_LD (2.5e-8 at n = 2**40 and
+        0.10 at 2**62 for one copy of sqrt2 with the x87 long double)."""
         return transforms([self], ns)[0]
 
     def __repr__(self) -> str:
@@ -515,6 +519,14 @@ def transforms(measures: Iterable[MeasureLike], ns) -> list[np.ndarray]:
     and kept only until the last of them, and only while the kept factors
     fit in ``_MAX_FACTOR_CACHE`` bytes; past that it is computed again, to
     the same bits.
+
+    Phase accuracy: a rational atom's phase is exact for every int64 n (the
+    turn n p / q is reduced in integers).  A generator atom's phase n g is
+    formed and reduced mod 2 pi in long double, so its error is about
+    |n| |g| u_LD, with u_LD the long double's unit roundoff (2**-64 for the
+    x87 80-bit format, 2**-53 where long double is float64).  For one copy
+    of sqrt2 on x87 it measured 2.5e-8 at n = 2**40 and 0.10 at n = 2**62;
+    no error is raised.
     """
     ns = np.asarray(ns, dtype=np.int64)
     measures = list(measures)
@@ -647,11 +659,6 @@ def tv_norm_bounds(mu: MeasureLike) -> tuple[float, float]:
     value = m.disc.norm()
     ac_value, ac_err = m.ac.l1_norm_bounds()
     return value + ac_value, ac_err
-
-
-def fourier_coefficient(mu: MeasureLike, n: int) -> complex:
-    """Single transform value mu_hat(n)."""
-    return complex(as_mixed(mu).transform(np.array([int(n)], dtype=np.int64))[0])
 
 
 def _exact_halves(w: float, wp: float) -> tuple[float, float]:

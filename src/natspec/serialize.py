@@ -1,4 +1,4 @@
-"""JSON and CSV encodings for measures, problems, solutions, and reports.
+"""JSON encodings for measures, problems, solutions, and reports.
 
 JSON objects are dumped with sorted keys and two-space indentation so that
 identical inputs produce byte-identical files.  Parsers raise SchemaError on
@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from typing import Any, Union
+from typing import Any
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .errors import SchemaError
 from .kronecker import KroneckerProblem, KroneckerSolution
 from .measures import (DiscreteMeasure, MeasureLike, MixedMeasure, TrigPolyDensity,
                        as_mixed)
-from .spectrum import FeketeReport, SpectrumSample
+from .spectrum import FeketeReport
 
 
 def dumps(obj: Any) -> str:
@@ -115,12 +115,6 @@ def measure_from_json(obj: Any) -> MeasureLike:
         raise SchemaError(f"invalid measure: {exc}") from exc
 
 
-def kronecker_problem_to_json(p: KroneckerProblem) -> dict:
-    return {"alpha": p.alpha, "beta": p.beta, "target_x": p.target_x,
-            "target_y": p.target_y, "epsilon": p.epsilon, "n_max": p.n_max,
-            "method": p.method, "min_abs_n": p.min_abs_n, "parity": p.parity}
-
-
 def kronecker_problem_from_json(obj: Any) -> KroneckerProblem:
     try:
         return KroneckerProblem(
@@ -176,29 +170,3 @@ def decomposition_report_to_json(result: DecompositionResult) -> dict:
         out["verification"] = verification_report_to_json(result.report)
         out["passed"] = result.report.passed
     return out
-
-
-PointsLike = Union[SpectrumSample, np.ndarray]
-
-
-def sample_to_csv(sample: PointsLike) -> str:
-    pts = sample.points if isinstance(sample, SpectrumSample) else np.asarray(sample)
-    pts = np.asarray(pts, dtype=np.complex128).ravel()
-    lines = ["re,im"]
-    lines.extend(f"{float(z.real)!r},{float(z.imag)!r}" for z in pts)
-    return "\n".join(lines) + "\n"
-
-
-def points_from_csv(text: str) -> np.ndarray:
-    rows = [ln for ln in text.strip().splitlines()
-            if ln and not ln.startswith("#")]
-    if not rows or rows[0].strip().lower() != "re,im":
-        raise SchemaError("point CSV must start with an 're,im' header")
-    out = []
-    for ln in rows[1:]:
-        try:
-            a, b = ln.split(",")
-            out.append(complex(float(a), float(b)))
-        except Exception as exc:
-            raise SchemaError(f"invalid CSV row {ln!r}: {exc}") from exc
-    return np.asarray(out, dtype=np.complex128)

@@ -1,4 +1,4 @@
-"""Spectral radius brackets and spectrum sampling for circle measures.
+"""Spectral radius brackets and transform-cloud geometry for circle measures.
 
 Upper bounds come from norms of iterated convolution squares (the limit of
 ||mu^m||^(1/m) is approached monotonically along powers of two).  Lower
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -141,15 +141,6 @@ class CharacterPolynomial:
     @property
     def n_terms(self) -> int:
         return len(self.weights)
-
-    def value(self, t: int, phis: Sequence[float]) -> complex:
-        """Single character evaluation (reference implementation for tests)."""
-        acc = 0.0 + 0.0j
-        for m, row, c in zip(self.torsion, self.exponents, self.weights):
-            phase = sum(e * p for e, p in zip(row, phis))
-            acc += (c * unit_roots((m * t) % self.order, self.order)
-                    * complex(math.cos(phase), math.sin(phase)))
-        return acc
 
 
 def char_polynomial(mu: DiscreteMeasure) -> CharacterPolynomial:
@@ -365,41 +356,8 @@ def torus_max(p: CharacterPolynomial, grid: int = 512) -> float:
     return math.ldexp(max(0.0, best - (p.n_terms + _ROUNDING_TERMS) * _U * total), shift)
 
 
-@dataclass(frozen=True)
-class SpectrumSample:
-    """Cloud of transform values with the sampling resolution that made it."""
-
-    points: np.ndarray
-    grid_spec: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", np.asarray(self.points, dtype=np.complex128).ravel())
-
-
-def spectrum_sample(mu: DiscreteMeasure, grid: int = 512) -> SpectrumSample:
-    """Dense sample of character values of a discrete measure.
-
-    Every value of ``character_values`` on the measure's character lattice,
-    so the sampled set converges to the full spectrum picture as the grid
-    refines; ``grid_spec`` is ``(grid,)``.
-    """
-    return SpectrumSample(character_values(char_polynomial(mu), grid), (grid,))
-
-
-def transform_closure_sample(mu: MeasureLike, N: int) -> SpectrumSample:
-    """Transform values mu_hat(n) over |n| <= N."""
-    ns = np.arange(-N, N + 1, dtype=np.int64)
-    return SpectrumSample(as_mixed(mu).transform(ns), (N, 0))
-
-
-PointsLike = Union[SpectrumSample, np.ndarray, Sequence[complex]]
-
-
-def _as_points(x: PointsLike) -> np.ndarray:
-    if isinstance(x, SpectrumSample):
-        pts = x.points
-    else:
-        pts = np.asarray(x, dtype=np.complex128).ravel()
+def _as_points(x) -> np.ndarray:
+    pts = np.asarray(x, dtype=np.complex128).ravel()
     if pts.size == 0:
         raise ValueError("empty point set")
     return pts
@@ -409,7 +367,7 @@ def _as_xy(pts: np.ndarray) -> np.ndarray:
     return np.column_stack([pts.real, pts.imag])
 
 
-def covering_radius(reference: PointsLike, sample: PointsLike) -> float:
+def covering_radius(reference: np.ndarray, sample: np.ndarray) -> float:
     """sup over reference points of the distance to the nearest sample point.
 
     One KD-tree query over the sample.  The tree splits at sliding midpoints
@@ -423,11 +381,6 @@ def covering_radius(reference: PointsLike, sample: PointsLike) -> float:
     tree = cKDTree(smp, leafsize=32, balanced_tree=False, compact_nodes=False)
     d, _ = tree.query(ref, k=1)
     return float(np.max(d))
-
-
-def hausdorff(a: PointsLike, b: PointsLike) -> float:
-    """Symmetric Hausdorff distance between two planar point clouds."""
-    return max(covering_radius(a, b), covering_radius(b, a))
 
 
 def disk_grid_shape(tol: float) -> tuple[int, int]:
@@ -492,9 +445,10 @@ def _nearest_disk_distances(pts: np.ndarray, grid: np.ndarray, radius: float,
     return np.sqrt(np.min(dx * dx + dy * dy, axis=0))
 
 
-def disk_hausdorff(points: PointsLike, radius: float, tol: float = 0.05) -> float:
-    """``hausdorff(points, disk_grid(radius, tol))``, bit for bit, building
-    the grid once.
+def disk_hausdorff(points: np.ndarray, radius: float, tol: float = 0.05) -> float:
+    """Symmetric Hausdorff distance between the points and
+    ``disk_grid(radius, tol)``: the larger of ``covering_radius`` in each
+    direction, bit for bit, building the grid once.
 
     The grid-to-points direction is a ``covering_radius`` query.  In the
     other direction the nearest grid point has a closed form (see

@@ -16,10 +16,6 @@ from .sampling import default_rng, random_basis, random_discrete, random_mixed
 from .serialize import measure_from_json, measure_to_json
 from .spectrum import char_polynomial, fekete_bound, torus_max
 
-SUITE_CHECKS = ("theta_algebra", "convolution_transform", "parity_recombination",
-                "rho_spectral_radius", "kronecker_targets", "serialization_roundtrip",
-                "spectral_bracket", "decomposition")
-
 
 def _step_theta_algebra(rng):
     basis = random_basis(2)

@@ -6,8 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from natspec.angles import (FRESH_GENERATOR_VALUES, GeneratorBasis, angle_add,
-                            angle_scale, angle_to_radians, basis_fresh_generators)
+from natspec.angles import FRESH_GENERATOR_VALUES, GeneratorBasis, basis_fresh_generators
 from natspec.errors import BasisMismatchError, GeneratorsExhaustedError
 
 BASIS = GeneratorBasis.from_pairs((("a", math.sqrt(2)), ("b", math.sqrt(3))))
@@ -16,22 +15,6 @@ turns_st = st.fractions(min_value=-3, max_value=3, max_denominator=24)
 coeffs_st = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
 angles_st = st.builds(BASIS.angle, turns_st, coeffs_st)
 ints_st = st.integers(-8, 8)
-
-
-def _circle_gap(x: float, y: float) -> float:
-    """Distance between two radian values as points on the circle."""
-    return abs(math.remainder(x - y, 2.0 * math.pi))
-
-
-def test_half_turn_plus_generator_in_radians():
-    ang = BASIS.angle(Fraction(1, 2), (1, 0))
-    assert angle_to_radians(ang, BASIS) == 4.555806215962888
-
-
-def test_pure_rational_angle_in_radians():
-    assert angle_to_radians(BASIS.angle(Fraction(-1, 4)), BASIS) == pytest.approx(
-        1.5 * math.pi, abs=1e-15)
-    assert angle_to_radians(BASIS.zero(), BASIS) == 0.0
 
 
 def test_turns_wrap_into_unit_interval():
@@ -49,7 +32,7 @@ def test_zero_and_half_turn():
     assert BASIS.zero().turns == 0 and BASIS.zero().coeffs == (0, 0)
     half = BASIS.half_turn()
     assert half.turns == Fraction(1, 2)
-    assert angle_scale(half, 2) == BASIS.zero()
+    assert half.scale(2) == BASIS.zero()
 
 
 def test_generator_lookup():
@@ -67,39 +50,26 @@ def test_rationality_flag():
 
 @given(angles_st, angles_st)
 def test_addition_commutes(x, y):
-    assert angle_add(x, y) == angle_add(y, x)
+    assert x + y == y + x
 
 
 @given(angles_st, angles_st, angles_st)
 def test_addition_associates(x, y, z):
-    assert angle_add(angle_add(x, y), z) == angle_add(x, angle_add(y, z))
+    assert (x + y) + z == x + (y + z)
 
 
 @given(angles_st, ints_st)
 def test_scaling_is_repeated_addition(x, n):
     total = BASIS.zero()
-    step = x if n >= 0 else angle_scale(x, -1)
+    step = x if n >= 0 else x.scale(-1)
     for _ in range(abs(n)):
-        total = angle_add(total, step)
-    assert total == angle_scale(x, n)
+        total = total + step
+    assert total == x.scale(n)
 
 
 @given(angles_st)
 def test_negation_cancels(x):
-    assert angle_add(x, angle_scale(x, -1)) == BASIS.zero()
-
-
-@given(angles_st, angles_st)
-def test_radians_respect_circle_addition(x, y):
-    lhs = angle_to_radians(angle_add(x, y), BASIS)
-    rhs = angle_to_radians(x, BASIS) + angle_to_radians(y, BASIS)
-    assert _circle_gap(lhs, rhs) < 1e-9
-
-
-@given(turns_st, coeffs_st)
-def test_radians_land_in_principal_range(t, c):
-    r = angle_to_radians(BASIS.angle(t, c), BASIS)
-    assert 0.0 <= r < 2.0 * math.pi + 1e-12
+    assert x + x.scale(-1) == BASIS.zero()
 
 
 def test_fresh_generators_skip_values_already_in_basis():
@@ -133,4 +103,4 @@ def test_extended_basis_keeps_order_and_grows():
 def test_mismatched_bases_rejected():
     other = GeneratorBasis.from_pairs((("a", math.sqrt(2)),))
     with pytest.raises(BasisMismatchError):
-        angle_add(BASIS.zero(), other.zero())
+        BASIS.zero() + other.zero()

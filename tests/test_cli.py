@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,8 +17,7 @@ from natspec.angles import GeneratorBasis
 from natspec.cli import main
 from natspec.measures import DiscreteMeasure, MixedMeasure
 from natspec.sampling import default_rng, random_discrete
-from natspec.serialize import (dumps, kronecker_problem_to_json, measure_from_json,
-                               measure_to_json, write_json)
+from natspec.serialize import measure_from_json, measure_to_json, write_json
 from natspec.kronecker import KroneckerProblem
 
 
@@ -330,7 +330,7 @@ def test_kronecker_problem_file_input(tmp_path, capsys):
     problem = KroneckerProblem(alpha=math.sqrt(2), beta=math.sqrt(3), target_x=0.0,
                                target_y=0.0, epsilon=0.3, min_abs_n=1, parity="odd")
     path = tmp_path / "problem.json"
-    write_json(path, kronecker_problem_to_json(problem))
+    write_json(path, asdict(problem))
     rc = main(["kronecker", "--input", str(path)])
     stdout = capsys.readouterr().out
     assert rc == 0
@@ -342,7 +342,7 @@ def test_kronecker_solver_flags_override_problem_file(tmp_path, capsys):
     problem = KroneckerProblem(alpha=math.sqrt(2), beta=math.sqrt(3), target_x=0.0,
                                target_y=0.0, epsilon=0.3, min_abs_n=1, parity="odd")
     path = tmp_path / "problem.json"
-    write_json(path, kronecker_problem_to_json(problem))
+    write_json(path, asdict(problem))
     rc = main(["kronecker", "--input", str(path), "--parity", "even"])
     stdout = capsys.readouterr().out
     assert rc == 0
@@ -354,7 +354,7 @@ def test_kronecker_problem_flags_conflict_with_input_exit_2(tmp_path, capsys):
     problem = KroneckerProblem(alpha=math.sqrt(2), beta=math.sqrt(3), target_x=0.0,
                                target_y=0.0, epsilon=0.3)
     path = tmp_path / "problem.json"
-    write_json(path, kronecker_problem_to_json(problem))
+    write_json(path, asdict(problem))
     rc = main(["kronecker", "--input", str(path), "--alpha", "1.0"])
     err = capsys.readouterr().err
     assert rc == 2
@@ -379,7 +379,7 @@ def test_kronecker_non_finite_flag_exits_2(flag, capsys):
 
 
 def test_kronecker_non_finite_problem_file_exits_2(tmp_path, capsys):
-    problem = kronecker_problem_to_json(KroneckerProblem(
+    problem = asdict(KroneckerProblem(
         alpha=1.41, beta=1.73, target_x=0.5, target_y=0.5, epsilon=0.1))
     problem["target_x"] = math.nan
     path = tmp_path / "problem.json"
@@ -460,7 +460,7 @@ def test_kronecker_refuses_n_max_above_the_cap(tmp_path, nmax, capsys):
     assert "n_max must be at most 2147483648" in captured.err
     assert not out.exists()
 
-    problem = kronecker_problem_to_json(KroneckerProblem(
+    problem = asdict(KroneckerProblem(
         alpha=1.41, beta=1.73, target_x=0.0, target_y=0.0, epsilon=1e-30))
     problem["n_max"] = nmax
     path = tmp_path / "problem.json"
@@ -470,4 +470,17 @@ def test_kronecker_refuses_n_max_above_the_cap(tmp_path, nmax, capsys):
     assert rc == 2
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "n_max must be at most 2147483648" in captured.err
+    assert not out.exists()
+
+
+def test_kronecker_refuses_a_huge_angle_before_any_scan(tmp_path, capsys):
+    # n * 1e300 has no meaningful phase in long double: refused up front
+    out = tmp_path / "solution.json"
+    rc = main(["kronecker", "--alpha", "1e300", "--beta", "1.7", "--x", "0.3", "--y", "0",
+               "--eps", "1e-30", "--nmax", "100000", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "route slack" in captured.err
     assert not out.exists()

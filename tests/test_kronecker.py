@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -12,8 +13,7 @@ from hypothesis import given, settings, strategies as st
 from natspec import kronecker
 from natspec.angles import FRESH_GENERATOR_VALUES, reduced_phases
 from natspec.errors import KroneckerNotFoundError, OutOfDiskError
-from natspec.kronecker import (KroneckerProblem, chordal, disk_preimage,
-                               disk_preimage_shifted, hit_target,
+from natspec.kronecker import (KroneckerProblem, chordal, disk_preimage, hit_target,
                                pair_transform_values, solve)
 
 SQRT2, SQRT3 = math.sqrt(2), math.sqrt(3)
@@ -87,8 +87,12 @@ def test_problem_rejects_non_finite_numbers(field, bad):
     (SQRT2, math.inf, 0.5, 0.1), (SQRT2, SQRT3, 0.5, math.nan)])
 @pytest.mark.parametrize("method", ["scan", "lattice"])
 def test_hit_target_rejects_non_finite_input(args, method):
+    # hit_target and a problem of either method share one input check
+    alpha, beta, w, eps = args
     with pytest.raises(ValueError, match="finite"):
-        hit_target(*args, method=method)
+        hit_target(alpha, beta, w, eps)
+    with pytest.raises(ValueError, match="finite"):
+        KroneckerProblem(alpha, beta, complex(w).real, complex(w).imag, eps, method=method)
 
 
 @pytest.mark.parametrize("n_max", [kronecker.MAX_N_MAX + 1, 2 ** 63 - 1])
@@ -100,12 +104,45 @@ def test_n_max_above_the_cap_is_refused_before_any_scan(monkeypatch, n_max):
     monkeypatch.setattr(kronecker, "_lattice_candidates", no_scan)
     with pytest.raises(ValueError, match="n_max must be at most 2147483648"):
         KroneckerProblem(SQRT2, SQRT3, 0.0, 0.0, 1e-30, n_max=n_max)
-    for method in ("scan", "lattice"):
-        with pytest.raises(ValueError, match="n_max must be at most 2147483648"):
-            hit_target(SQRT2, SQRT3, 0.5, 1e-30, n_max=n_max, method=method)
+    with pytest.raises(ValueError, match="n_max must be at most 2147483648"):
+        hit_target(SQRT2, SQRT3, 0.5, 1e-30, n_max=n_max)
     problem = KroneckerProblem(SQRT2, SQRT3, 0.0, 0.0, 1e-30, n_max=kronecker.MAX_N_MAX)
     with pytest.raises(ValueError, match="n_max must be at most"):
         replace(problem, n_max=n_max)
+
+
+# angles at which n_max = 10**6 gives a route slack just past, and just
+# within, the bound
+_SLACK_EDGE = kronecker._MAX_SLACK / (2.0 * 10 ** 6 * kronecker._U_LD)
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"n_max": -5}, "n_max must be at least 1"), ({"n_max": 0}, "n_max must be at least 1"),
+    ({"parity": "sideways"}, "unknown parity"),
+    ({"alpha": 1e300}, "route slack"), ({"beta": -1.0001 * _SLACK_EDGE}, "route slack")])
+def test_both_entry_points_refuse_the_same_inputs_before_any_work(monkeypatch, change,
+                                                                   message):
+    def no_work(*args):
+        raise AssertionError("a table, lattice or scan was built")
+
+    for name in ("_root_tables", "_candidate_blocks", "_lattice_candidates"):
+        monkeypatch.setattr(kronecker, name, no_work)
+    a = dict(alpha=SQRT2, beta=SQRT3, n_max=10 ** 6, parity="any") | change
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match=message):
+        hit_target(a["alpha"], a["beta"], 0.3, 1e-30, a["parity"], a["n_max"])
+    for method in ("scan", "lattice"):
+        with pytest.raises(ValueError, match=message):
+            KroneckerProblem(a["alpha"], a["beta"], 0.0, 0.0, 1e-30, a["n_max"], method,
+                             parity=a["parity"])
+    assert time.perf_counter() - started < 0.1
+
+
+def test_the_slack_bound_accepts_every_angle_the_tests_use():
+    # the slack property test draws |g| <= 64 at every n_max up to the cap
+    for n_max in (10 ** 6, kronecker.MAX_N_MAX):
+        KroneckerProblem(64.0, -64.0, 0.0, 0.0, 0.1, n_max, "lattice")
+    KroneckerProblem(0.9999 * _SLACK_EDGE, SQRT3, 0.0, 0.0, 0.1, 10 ** 6)
 
 
 def test_parity_restricted_scan():
@@ -187,16 +224,6 @@ def test_disk_preimage_identity_on_random_points():
         assert abs(abs(z) - 1.0) <= 1e-12 and abs(abs(u) - 1.0) <= 1e-12
 
 
-def test_shifted_preimage_identity_on_random_points():
-    rng = np.random.default_rng(8)
-    ws = np.sqrt(rng.uniform(0.0, 1.0, 100)) * np.exp(2j * np.pi * rng.uniform(0, 1, 100))
-    for w in ws:
-        z, u = disk_preimage_shifted(complex(w), SQRT2, SQRT3)
-        mid = (z * cmath.exp(-1j * SQRT2) + u * cmath.exp(-1j * SQRT3)) / 2.0
-        assert abs(mid - w) <= 1e-12
-        assert abs(abs(z) - 1.0) <= 1e-12 and abs(abs(u) - 1.0) <= 1e-12
-
-
 def test_hit_target_frozen_examples():
     assert hit_target(SQRT2, SQRT3, 0.0, 0.1, parity="even") == 10
     assert hit_target(SQRT2, SQRT3, 0.7j, 0.1, parity="odd") == -5
@@ -240,14 +267,6 @@ def test_hit_target_witnesses_are_frozen():
                 got.append(hit_target(GENERATORS[2 * k], GENERATORS[2 * k + 1], w, 0.01,
                                       parity, 10 ** 6))
     assert tuple(got) == _FROZEN_WITNESSES
-
-
-def test_hit_target_lattice_method():
-    rng = np.random.default_rng(44)
-    for _ in range(5):
-        w = complex(np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform()))
-        n = hit_target(SQRT2, SQRT3, w, 0.1, method="lattice", n_max=10 ** 7)
-        assert abs(_pair(n) - w) < 0.1
 
 
 # -- the fixed-block scan, as a second route ----------------------------------
@@ -497,25 +516,3 @@ def test_parity_lattice_runs_one_scan_and_counts_every_check(scan_log):
     assert sol.n == n and n % 2 == 1
     assert scan_log["outside"] >= 1
     assert sol.evaluations == scan_log["outside"] + scanned
-
-
-@pytest.mark.parametrize("parity", ["any", "even", "odd"])
-def test_lattice_hit_target_falls_back_to_the_scan(scan_log, parity):
-    rng = np.random.default_rng(72)
-    found = missed = 0
-    for _ in range(60):
-        w = complex(np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform()))
-        scan_log.update(scans=[])
-        try:
-            n = hit_target(SQRT2, SQRT3, w, 0.1, parity, 200, "lattice")
-        except KroneckerNotFoundError as exc:
-            with pytest.raises(KroneckerNotFoundError) as ref:
-                hit_target(SQRT2, SQRT3, w, 0.1, parity, 200)
-            assert (exc.best_n, exc.best_err) == (ref.value.best_n, ref.value.best_err)
-            missed += 1
-            continue
-        if scan_log["scans"] and scan_log["scans"][-1][0].startswith(f"no {parity} n"):
-            assert n == scan_log["scans"][-1][1][0]
-            assert n == hit_target(SQRT2, SQRT3, w, 0.1, parity, 200)
-            found += 1
-    assert found >= 5 and missed >= 5

@@ -1,10 +1,10 @@
-"""JSON and CSV round trips with deterministic output."""
+"""JSON round trips with deterministic output."""
 
 import json
 import math
+from dataclasses import asdict
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from natspec.errors import SchemaError
@@ -13,9 +13,8 @@ from natspec.measures import MixedMeasure, TrigPolyDensity, as_mixed
 from natspec.sampling import default_rng, random_discrete, random_mixed
 from natspec.serialize import (angle_from_json, angle_to_json, basis_from_json,
                                basis_to_json, dumps, kronecker_problem_from_json,
-                               kronecker_problem_to_json, kronecker_solution_to_json,
-                               measure_from_json, measure_to_json, points_from_csv,
-                               read_json, sample_to_csv, write_json)
+                               kronecker_solution_to_json, measure_from_json,
+                               measure_to_json, read_json, write_json)
 
 
 def test_dumps_is_sorted_and_newline_terminated():
@@ -112,7 +111,7 @@ def test_kronecker_problem_round_trip():
     problem = KroneckerProblem(alpha=math.sqrt(2), beta=math.sqrt(3), target_x=1.0,
                                target_y=2.0, epsilon=0.05, n_max=12345,
                                method="lattice", min_abs_n=3, parity="odd")
-    assert kronecker_problem_from_json(kronecker_problem_to_json(problem)) == problem
+    assert kronecker_problem_from_json(asdict(problem)) == problem
     defaults = kronecker_problem_from_json(
         {"alpha": 1.0, "beta": 2.0, "target_x": 0.0, "target_y": 0.0, "epsilon": 0.1})
     assert defaults.n_max == 10 ** 6 and defaults.parity == "any"
@@ -125,17 +124,3 @@ def test_kronecker_solution_serializes():
     obj = kronecker_solution_to_json(sol)
     assert obj["n"] == 40 and obj["evaluations"] == 79
     assert json.loads(dumps(obj)) == obj
-
-
-def test_sample_csv_round_trip():
-    pts = np.array([0.25 + 0.5j, -1.0 + 0j, 1e-17 - 3.5j])
-    text = sample_to_csv(pts)
-    lines = text.strip().split("\n")
-    assert lines[0] == "re,im"
-    back = points_from_csv(text)
-    assert np.array_equal(back, pts)
-
-
-def test_points_from_csv_rejects_garbage():
-    with pytest.raises(SchemaError):
-        points_from_csv("re,im\n1.0,not_a_number\n")

@@ -25,9 +25,8 @@ from scipy.spatial import cKDTree
 from natspec.spectrum import (MAX_DISK_POINTS, CharacterPolynomial, _nearest_disk_distances,
                               char_polynomial, character_values, covering_radius,
                               disk_grid, disk_grid_shape, disk_hausdorff, fekete_bound,
-                              hausdorff,
-                              restrict, spectrum_sample,
-                              torus_grid_within, torus_max, transform_closure_sample)
+                              restrict, torus_grid_within, torus_max)
+from oracles import character_value, hausdorff
 
 
 def test_fekete_bound_of_two_point_average(rho):
@@ -119,12 +118,11 @@ def test_torus_max_of_huge_weights(basis):
     pair = DiscreteMeasure.from_atoms(basis, [(basis.zero(), 1e200),
                                               (basis.half_turn() + basis.generator("a"), 1e200)])
     assert torus_max(char_polynomial(pair), 16) == pytest.approx(2e200, rel=1e-12, abs=0.0)
-    # spectrum_sample evaluates on rescaled weights and returns unscaled values
+    # character_values evaluates on rescaled weights and returns unscaled values
     for small in (1e-10, 1e190):
         lopsided = DiscreteMeasure.from_atoms(basis, [(basis.zero(), 1e200),
                                                       (basis.generator("a"), small)])
-        sample = spectrum_sample(lopsided, 16).points
-        assert np.array_equal(sample, character_values(char_polynomial(lopsided), 16))
+        sample = character_values(char_polynomial(lopsided), 16)
         assert sample.size == 16 and np.all(np.isfinite(sample))
         assert np.all(np.abs(sample) <= (1e200 + small) * (1 + 1e-12))
         assert np.max(np.abs(sample)) == pytest.approx(1e200 + small, rel=1e-12)
@@ -224,7 +222,8 @@ def test_character_values_follow_reference_order(p, grid):
         rng = np.random.default_rng(values.size)
         points = [(t, *idx) for t in range(p.order)
                   for idx in zip(*(rng.permutation(grid) for _ in range(p.dims)))]
-    ref = [p.value(t, [2.0 * math.pi * int(j) / grid for j in idx]) for t, *idx in points]
+    ref = [character_value(p, t, [2.0 * math.pi * int(j) / grid for j in idx])
+           for t, *idx in points]
     flat = np.ravel_multi_index(tuple(np.array(points).T), shape)
     scale = sum(abs(c) for c in p.weights)
     assert np.max(np.abs(values[flat] - np.array(ref))) <= 1e-12 * scale
@@ -289,8 +288,6 @@ def test_torus_max_brackets_the_exact_lattice_maximum(mu):
     # value lies within twice the allowance (and the last sqrt rounding)
     assert lower <= top
     assert lower >= top - 2 * allowance - 2 * math.ulp(float(top))
-    assert np.array_equal(spectrum_sample(mu, 16).points,
-                          character_values(p, 16))
 
 
 @settings(max_examples=20, deadline=None)
@@ -424,37 +421,36 @@ def test_torus_walker_charges_its_point_budget(basis):
         (basis.from_turns(Fraction(1, 997)), 0.5)])
     p = char_polynomial(mu)
     assert p.order == 1000003 * 999983 * 997
-    for run in (lambda: torus_max(p, 16), lambda: character_values(p, 16),
-                lambda: spectrum_sample(mu, 16)):
+    for run in (lambda: torus_max(p, 16), lambda: character_values(p, 16)):
         with pytest.raises(BudgetExceededError):
             run()
 
 
 def test_spectrum_sample_of_sign_projector_is_binary(theta1):
-    sample = spectrum_sample(theta1, 64)
-    assert set(np.round(sample.points, 12)) == {0.0 + 0j, 1.0 + 0j}
+    sample = character_values(char_polynomial(theta1), 64)
+    assert set(np.round(sample, 12)) == {0.0 + 0j, 1.0 + 0j}
 
 
 def test_spectrum_sample_of_point_mass_covers_circle(basis):
     point = DiscreteMeasure.from_atoms(basis, [(basis.generator("a"), 1.0)])
-    sample = spectrum_sample(point, 64)
-    radii = np.abs(sample.points)
+    sample = character_values(char_polynomial(point), 64)
+    radii = np.abs(sample)
     assert np.max(np.abs(radii - 1.0)) < 1e-12
     circle = np.exp(2j * np.pi * np.arange(256) / 256)
-    assert covering_radius(circle, sample.points) < 0.2
+    assert covering_radius(circle, sample) < 0.2
 
 
 def test_spectrum_sample_of_pair_average_fills_disk(rho):
-    sample = spectrum_sample(rho, 512)
-    gap = hausdorff(sample.points, disk_grid(1.0, 0.01))
+    sample = character_values(char_polynomial(rho), 512)
+    gap = hausdorff(sample, disk_grid(1.0, 0.01))
     assert gap == pytest.approx(0.005537031006106562, abs=1e-9)
     assert gap < 0.01
 
 
 def test_transform_closure_sample(theta0):
-    points = transform_closure_sample(theta0, 10).points
+    points = theta0.transform(np.arange(-10, 11))
     assert set(np.round(points, 12)) == {0.0 + 0j, 1.0 + 0j}
-    zero_only = transform_closure_sample(theta0, 0).points
+    zero_only = theta0.transform(np.arange(0, 1))
     assert list(zero_only) == [1.0 + 0j]
 
 
