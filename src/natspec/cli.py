@@ -51,7 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--input", required=True, help="measure JSON file")
     d.add_argument("--out", required=True, help="output directory")
     d.add_argument("--N", type=int, default=10_000, help="transform range for checks")
-    d.add_argument("--grid", type=int, default=256, help="character grid per dimension")
     d.add_argument("--tol", type=float, default=0.05, help="density tolerance")
     d.add_argument("--kmax", type=int, default=6, help="norm-root bound depth")
     d.add_argument("--radius-mode", choices=RADIUS_MODES, default="fekete")
@@ -106,9 +105,7 @@ def _cmd_decompose(args) -> int:
             raise SchemaError("--radius-mode manual requires --r0 and --r1")
         manual = (args.r0, args.r1)
     opts = DecompositionOptions(radius_mode=args.radius_mode, manual_radii=manual,
-                                fekete_k_max=args.kmax, verify=True,
-                                verify_N=args.N, verify_grid=args.grid,
-                                verify_tol=args.tol)
+                                fekete_k_max=args.kmax, verify_N=args.N, verify_tol=args.tol)
     result = decompose(mu, opts)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -22,9 +22,9 @@ from .errors import RadiusValidationError
 from .measures import (DiscreteMeasure, MeasureLike, MixedMeasure, as_mixed, convolve,
                        make_rho, make_theta0, make_theta1, parity_projections,
                        transforms, tv_norm)
-from .spectrum import (_SAFE_RADIUS, FeketeReport, char_polynomial, character_values,
-                       covering_radius, disk_grid, disk_grid_shape, disk_hausdorff,
-                       fekete_bound, restrict, torus_grid_within, torus_max)
+from .spectrum import (_SAFE_RADIUS, FeketeReport, _coverage_grid, char_polynomial,
+                       character_values, covering_radius, disk_grid, disk_grid_shape,
+                       disk_hausdorff, fekete_bound, restrict, torus_grid_within, torus_max)
 
 RADIUS_MODES = ("exact_discrete", "fekete", "manual")
 
@@ -52,15 +52,14 @@ class DecompositionOptions:
     below with a torus maximum (discrete inputs only), and "manual" takes
     user radii validated against the transform lower bound
     sup_{|n| <= 256} |mu_i_hat(n)|.  Manual radii that are negative, not
-    finite or above 2**400 are refused before any work.
-    """
+    finite or above 2**400 are refused before any work.  verify_N and
+    verify_tol are ``verify_decomposition``'s N and tol."""
 
     radius_mode: str = "fekete"
     manual_radii: Optional[tuple[float, float]] = None
     fekete_k_max: int = 6
     verify: bool = True
     verify_N: int = 10_000
-    verify_grid: int = 256
     verify_tol: float = 0.05
 
 
@@ -211,8 +210,7 @@ def decompose(mu: MeasureLike, options: Optional[DecompositionOptions] = None
     result = DecompositionResult(nu0, nu1, nu2, float(r0), float(r1), alpha, beta,
                                  ext, mu_ext, brackets, reports, None)
     if opts.verify:
-        report = verify_decomposition(mu, result, N=opts.verify_N,
-                                      grid=opts.verify_grid, tol=opts.verify_tol)
+        report = verify_decomposition(mu, result, N=opts.verify_N, tol=opts.verify_tol)
         result = replace(result, report=report)
     return result
 
@@ -224,8 +222,7 @@ def _structural_residual(m: MixedMeasure) -> float:
 
 
 def verify_decomposition(mu: MeasureLike, result: DecompositionResult, *,
-                         N: int = 10_000, grid: int = 256, tol: float = 0.05
-                         ) -> VerificationReport:
+                         N: int = 10_000, tol: float = 0.05) -> VerificationReport:
     """Certify a decomposition against the input measure.
 
     Checks: (a) the exact identity, structurally and through transforms up to
@@ -234,7 +231,7 @@ def verify_decomposition(mu: MeasureLike, result: DecompositionResult, *,
     transform laws; (d) the modulus bound |nu_i_hat| <= R_i; (e) density of
     each transform cloud in its scaled disk; and, for discrete inputs over at
     most two generators, (f) that sampled character values of nu0 stay inside
-    the R0 disk while covering it.
+    the R0 disk while covering it, on a grid derived from tol (256 at 0.05).
 
     The identity residual, rho, mu, nu0 and nu1 are evaluated on |n| <= N
     in one ``transforms`` call: each from its own atoms (never by linearity,
@@ -329,7 +326,7 @@ def verify_decomposition(mu: MeasureLike, result: DecompositionResult, *,
         keep = [name for name in p.dim_names
                 if name in (ext.names[-2], ext.names[-1])]
         q = restrict(p, 1 if p.order % 2 == 0 else 0, keep)
-        vals = character_values(q, max(64, grid))
+        vals = character_values(q, _coverage_grid(tol))
         cov = covering_radius(disk_grid(r0, tol), vals)
         thr = tol * max(1.0, r0)
         checks.append(VerificationCheck("spectrum_coverage", cov <= thr, cov, thr,

@@ -396,6 +396,11 @@ def disk_grid_shape(tol: float) -> tuple[int, int]:
     return math.ceil(2.0 / tol), math.ceil(TWO_PI / tol)
 
 
+def _coverage_grid(tol: float) -> int:
+    """The coverage witness's grid, residual ~2R/grid: least 2**k >= 8 / tol, in 64..4096."""
+    return min(math.isqrt(_TORUS_POINT_LIMIT), max(64, 2 ** math.ceil(math.log2(8.0 / tol))))
+
+
 def disk_grid(radius: float = 1.0, tol: float = 0.05) -> np.ndarray:
     """Polar reference grid for the closed disk of the given radius.
 

@@ -110,7 +110,7 @@ def _step_decomposition(rng):
     for _ in range(2):
         mu = random_mixed(rng, basis, n_atoms=3, degree=2)
         result = decompose(mu, DecompositionOptions(verify=False, fekete_k_max=3))
-        report = verify_decomposition(mu, result, N=8192, grid=128, tol=0.05)
+        report = verify_decomposition(mu, result, N=8192, tol=0.05)
         worst_pass = worst_pass and report.passed
         residuals.append(report.check("identity_transform").residual)
     return worst_pass, f"identity residuals {residuals!r}"

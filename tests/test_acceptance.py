@@ -84,7 +84,7 @@ def test_criterion_03_decomposition_identity_and_parity_laws():
         # A shallow norm-root depth still yields certified radii; the laws
         # under test hold for any valid choice.
         result = decompose(mu, DecompositionOptions(verify=False, fekete_k_max=1))
-        report = verify_decomposition(mu, result, N=128, grid=16)
+        report = verify_decomposition(mu, result, N=128)
         checks = {c.name: c for c in report.checks}
         assert checks["identity_structural"].residual < 1e-12
         for name in ("identity_transform", "parity_nu0", "parity_nu1"):

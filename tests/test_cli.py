@@ -79,7 +79,7 @@ def test_malformed_json_exits_2(tmp_path, capsys):
 def test_decompose_writes_pieces_and_report(tmp_path, measure_file, capsys):
     out_dir = tmp_path / "result"
     rc = main(["decompose", "--input", str(measure_file), "--out", str(out_dir),
-               "--N", "10000", "--grid", "128"])
+               "--N", "10000"])
     stdout = capsys.readouterr().out
     assert rc == 0
     assert "PASS identity_structural:" in stdout
@@ -99,7 +99,7 @@ def test_decompose_outputs_are_reproducible(tmp_path, measure_file, capsys):
     dirs = [tmp_path / "one", tmp_path / "two"]
     for d in dirs:
         assert main(["decompose", "--input", str(measure_file), "--out", str(d),
-                     "--N", "10000", "--grid", "128"]) == 0
+                     "--N", "10000"]) == 0
     capsys.readouterr()
     for name in ("nu0.json", "nu1.json", "nu2.json", "report.json"):
         first = (dirs[0] / name).read_bytes()

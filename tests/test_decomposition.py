@@ -8,7 +8,7 @@ import pytest
 from natspec.decomposition import (DecompositionOptions, decompose,
                                    verify_decomposition)
 from natspec.errors import RadiusValidationError
-from natspec.measures import DiscreteMeasure, MixedMeasure, as_mixed
+from natspec.measures import DiscreteMeasure, MixedMeasure, as_mixed, tv_norm
 from natspec.sampling import default_rng, random_discrete, random_mixed
 
 ALL_CHECKS = ("identity_structural", "identity_transform", "nu2_support",
@@ -16,14 +16,12 @@ ALL_CHECKS = ("identity_structural", "identity_transform", "nu2_support",
               "modulus_nu1", "density_nu0", "density_nu1")
 DISCRETE_ONLY_CHECKS = ("spectrum_membership", "spectrum_coverage")
 
-FAST = DecompositionOptions(verify_N=10_000, verify_grid=128)
-
 
 def test_random_mixed_inputs_pass_all_checks(basis):
     rng = default_rng(404)
     for _ in range(3):
         mu = random_mixed(rng, basis)
-        result = decompose(mu, FAST)
+        result = decompose(mu)
         assert result.report.passed
         assert result.report.names() == ALL_CHECKS
 
@@ -32,14 +30,27 @@ def test_random_discrete_inputs_also_check_spectrum(basis):
     rng = default_rng(505)
     for _ in range(2):
         mu = random_discrete(rng, basis)
-        result = decompose(mu, FAST)
+        result = decompose(mu)
         assert result.report.passed
         assert result.report.names() == ALL_CHECKS + DISCRETE_ONLY_CHECKS
 
 
+@pytest.mark.parametrize("tol", [0.2, 0.1, 0.05, 0.02])
+def test_coverage_witness_resolves_a_quarter_of_tol(basis, tol):
+    # the witness's grid follows tol, so its covering radius of about
+    # 2 R0 / grid stays well inside the threshold tol * max(1, R0)
+    rng = default_rng(808)
+    for _ in range(3):
+        raw = random_discrete(rng, basis)
+        mu = raw.scale(2.0 / tv_norm(raw))
+        result = decompose(mu, DecompositionOptions(verify=False, fekete_k_max=3))
+        check = verify_decomposition(mu, result, N=2000, tol=tol).check("spectrum_coverage")
+        assert check.passed and check.residual <= check.threshold / 4
+
+
 def test_zero_measure_decomposes_to_zero(basis):
     zero = DiscreteMeasure.from_atoms(basis, [])
-    result = decompose(zero, FAST)
+    result = decompose(zero)
     assert result.R0 == 0.0 and result.R1 == 0.0
     assert result.nu0.is_zero and result.nu1.is_zero and result.nu2.is_zero
     assert result.report.passed
@@ -47,7 +58,7 @@ def test_zero_measure_decomposes_to_zero(basis):
 
 def test_point_mass_example(basis):
     mu = DiscreteMeasure.from_atoms(basis, [(basis.generator("a"), 1.0)])
-    result = decompose(mu, FAST)
+    result = decompose(mu)
     assert result.R0 == 1.0 and result.R1 == 1.0
     # the remainder piece is minus the average of the two fresh point masses
     assert result.nu2.atoms == {result.alpha: -0.5 - 0j, result.beta: -0.5 - 0j}
@@ -56,7 +67,7 @@ def test_point_mass_example(basis):
 
 
 def test_sign_projector_example(basis, theta0):
-    result = decompose(theta0, FAST)
+    result = decompose(theta0)
     assert result.R0 == 1.0 and result.R1 == 0.0
     assert result.nu1.is_zero
     assert result.report.passed
@@ -64,7 +75,7 @@ def test_sign_projector_example(basis, theta0):
 
 def test_pure_density_input(basis):
     mu = MixedMeasure.from_density(basis, {1: 1.0})
-    result = decompose(mu, FAST)
+    result = decompose(mu)
     assert result.R0 == 0.0
     assert result.R1 == pytest.approx(1.0, abs=1e-12)
     assert as_mixed(result.nu0).is_zero
@@ -131,7 +142,7 @@ def test_tampered_radius_is_caught(basis):
     mu = random_discrete(rng, basis)
     result = decompose(mu, DecompositionOptions(verify=False))
     tampered = dataclasses.replace(result, R0=result.R0 / 2.0)
-    report = verify_decomposition(mu, tampered, N=2000, grid=64)
+    report = verify_decomposition(mu, tampered, N=2000)
     assert not report.passed
     assert not report.check("parity_nu0").passed
     assert not report.check("modulus_nu0").passed
@@ -141,7 +152,7 @@ def test_verify_flag_off_defers_report(basis):
     mu = DiscreteMeasure.from_atoms(basis, [(basis.generator("b"), 1.0j)])
     result = decompose(mu, DecompositionOptions(verify=False))
     assert result.report is None
-    report = verify_decomposition(mu, result, N=10_000, grid=128)
+    report = verify_decomposition(mu, result, N=10_000)
     assert report.passed
 
 
@@ -157,7 +168,7 @@ def test_verify_refuses_N_out_of_range(basis, N):
 
 def test_report_checks_carry_thresholds(basis):
     mu = DiscreteMeasure.from_atoms(basis, [(basis.generator("a"), 1.0)])
-    report = decompose(mu, FAST).report
+    report = decompose(mu).report
     assert report.check("identity_structural").threshold == 1e-12
     assert report.check("identity_transform").threshold == 1e-9
     assert report.check("orthogonality").threshold == 0.0

@@ -545,6 +545,26 @@ def test_disk_grid_point_limit():
         disk_grid_shape(0.0017)
 
 
+def test_coverage_grid_follows_tol():
+    grids = [spectrum._coverage_grid(tol) for tol in (1e300, 0.2, 0.1, 0.05, 0.02)]
+    assert grids == [64, 64, 128, 256, 512]
+    # the finest tol that disk_grid_shape accepts asks for the largest grid
+    # whose square lattice the walker still holds
+    lo, hi = 0.0017, 0.0018
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        try:
+            disk_grid_shape(mid)
+            hi = mid
+        except ValueError:
+            lo = mid
+    assert spectrum._coverage_grid(hi) ** 2 == spectrum._TORUS_POINT_LIMIT
+    for tol in np.geomspace(hi, 1e3, 300):
+        grid = spectrum._coverage_grid(tol)
+        assert 64 <= grid <= 4096 and grid & (grid - 1) == 0
+        assert grid >= min(4096, 8 / tol) and (grid == 64 or grid / 2 < 8 / tol)
+
+
 def test_covering_radius_matches_brute_force_bitwise():
     # two routes: the KD-tree query against every pairwise distance, each
     # sqrt(dx*dx + dy*dy), on clouds with ties, clusters and a far outlier
