@@ -180,15 +180,16 @@ def character_values(p: CharacterPolynomial, grid: int = 256) -> np.ndarray:
 
     Covers every torsion class crossed with a uniform ``grid``-point lattice
     per free dimension, t-major and in C order within a class.  A polynomial
-    without terms evaluates to {0}.  Each row tile of the walk (see
-    ``_torus_slices``) is copied into one preallocated output, which is then
-    scaled back once; the values come from a blocked BLAS product, so their
-    last bits depend on the BLAS build.
+    without terms evaluates to {0}.  Each stack of row tiles of the walk (see
+    ``_torus_slices``) is copied through an (order, rows, columns) view into
+    one preallocated output, which is then scaled back once; the values come
+    from a blocked BLAS product, so their last bits depend on the BLAS build.
     """
-    size, shift, tiles = _torus_slices(p, grid)
-    out = np.empty(size, dtype=np.complex128)
-    for offset, values in tiles:
-        out[offset:offset + values.size].reshape(values.shape)[...] = values
+    shape, shift, tiles = _torus_slices(p, grid)
+    out = np.empty(shape, dtype=np.complex128)
+    for t, lo, values in tiles:
+        out[t:t + len(values), lo:lo + values.shape[1]] = values
+    out = out.reshape(-1)
     if shift:
         for part in (out.real, out.imag):
             np.ldexp(part, shift, out=part)
@@ -209,7 +210,8 @@ def _phase_index(exponents: np.ndarray, grid: int, points: range) -> np.ndarray:
 
 def _eval_on_grid(weights: np.ndarray, torsion: np.ndarray, order: int,
                   exponents: np.ndarray, grid: int):
-    """p on the order x grid^dims lattice, one row tile of one class at a time.
+    """p on the order x grid^dims lattice, one row tile of a chunk of classes
+    at a time.
 
     p(t; x, y) = sum_j L[j, x] R_t[j, y] with x over the first ceil(dims/2)
     axes and y over the rest.  L holds entries of the grid's root-of-unity
@@ -223,12 +225,17 @@ def _eval_on_grid(weights: np.ndarray, torsion: np.ndarray, order: int,
     The gathers of roots do not depend on t.  R's roots are gathered once
     per walk.  The classes are taken in groups whose R_t together take about
     _TILE_BYTES (one class at least), and a tile's L is gathered once per
-    group and serves every class in it.
+    group and serves every class in it.  Within a group, the classes go in
+    chunks whose tiles together take about _TILE_BYTES (one class at least,
+    as at the 24 x 24^4 lattice of the benchmark), and a chunk's tiles come
+    from one stacked product per block: one call of numpy's matmul loop,
+    which gives each class its own product of the shape and kernel it would
+    have alone, so the bits do not depend on the chunk.
 
-    Yields (offset, values) group by group, tile by tile, class by class:
-    offset is the flat t-major index of the tile's first point and values
-    the tile as (rows, grid^floor(dims/2)), a view of one buffer that the
-    next tile overwrites and the caller may overwrite too.  At one free axis
+    Yields (t, lo, values) group by group, tile by tile, chunk by chunk:
+    values holds the tile of rows lo.. of classes t.. as (classes, rows,
+    grid^floor(dims/2)), a view of one buffer that the next chunk
+    overwrites and the caller may overwrite too.  At one free axis
     R gets a zero second column: numpy would otherwise call BLAS's
     matrix-vector kernel, whose bits moved with the thread count and the
     number of rows, where the matrix product's did not; the 2-row minimum
@@ -249,8 +256,10 @@ def _eval_on_grid(weights: np.ndarray, torsion: np.ndarray, order: int,
     n_tiles = -(-n_left // max(4, _TILE_BYTES // (16 * max(n_right + pad, n_terms))))
     tiles = [(-(-n_left * k // n_tiles), -(-n_left * (k + 1) // n_tiles))
              for k in range(n_tiles)]
-    buf = np.empty((tiles[0][1], n_right + pad), dtype=np.complex128)
     group = max(1, _TILE_BYTES // (16 * n_terms * (n_right + pad)))
+    chunk = max(1, _TILE_BYTES // (16 * tiles[0][1] * (n_right + pad)))
+    buf = np.empty((min(order, group, chunk), tiles[0][1], n_right + pad),
+                   dtype=np.complex128)
     for t0 in range(0, order, group):
         classes = np.arange(t0, min(order, t0 + group))
         rhs = np.zeros((len(classes), n_terms, n_right + pad), dtype=np.complex128)
@@ -258,27 +267,29 @@ def _eval_on_grid(weights: np.ndarray, torsion: np.ndarray, order: int,
         np.multiply(class_weights[:, :, None], right, out=rhs[:, :, :n_right])
         for lo, hi in tiles:
             lhs = roots[_phase_index(reduced[:, :left], grid, range(lo, hi))]
-            tile = buf[:hi - lo]
-            for t, rhs_t in zip(classes.tolist(), rhs):
+            for c in range(0, len(classes), chunk):
+                stack = rhs[c:c + chunk]
+                tile = buf[:len(stack), :hi - lo]
                 for block in blocks:
                     if block.start == 0:
-                        np.matmul(lhs[block].T, rhs_t[block], out=tile)
+                        np.matmul(lhs[block].T, stack[:, block], out=tile)
                     else:
-                        tile += lhs[block].T @ rhs_t[block]
-                yield (t * n_left + lo) * n_right, tile[:, :n_right]
+                        tile += np.matmul(lhs[block].T, stack[:, block])
+                yield t0 + c, lo, tile[:, :, :n_right]
 
 
 def _torus_slices(p: CharacterPolynomial, grid: int):
-    """Set up the walk over the character torus: (size, shift, tiles).
+    """Set up the walk over the character torus: (shape, shift, tiles).
 
-    size is the number of lattice points, order * grid^dims, and tiles the
-    row tiles of ``_eval_on_grid``, computed on the weights times 2^-shift,
-    where shift is 0 unless (sum |c_j|)^2 would leave the normal float
-    range; multiplying the values by 2^shift gives p itself, and |values|^2
-    stays finite and does not underflow to zero.  A polynomial without terms
-    has size 1 and one zero tile.  Besides the caller's own output the walk
-    holds a tile, its left factor rows and a group of right factors, each
-    about _TILE_BYTES, and R's roots, n_terms * grid^floor(dims/2) entries.
+    shape is the lattice's (order, grid^ceil(dims/2), grid^floor(dims/2))
+    and tiles the row tiles of ``_eval_on_grid``, computed on the weights
+    times 2^-shift, where shift is 0 unless (sum |c_j|)^2 would leave the
+    normal float range; multiplying the values by 2^shift gives p itself,
+    and |values|^2 stays finite and does not underflow to zero.  A
+    polynomial without terms has shape (1, 1, 1) and one zero tile.  Besides
+    the caller's own output the walk holds a chunk of tiles, its left factor
+    rows and a group of right factors, each about _TILE_BYTES, and R's
+    roots, n_terms * grid^floor(dims/2) entries.
 
     The lattice values are blocked BLAS products.  With OpenBLAS 0.3.31
     their bits were the same with 1 and 2 BLAS threads and for any tile of
@@ -300,7 +311,7 @@ def _torus_slices(p: CharacterPolynomial, grid: int):
             f"the character torus has {p.order} torsion classes x {grid}^{p.dims} grid "
             f"points = {points}, above the limit of {_TORUS_POINT_LIMIT}")
     if p.n_terms == 0:
-        return 1, 0, iter([(0, np.zeros((1, 1), dtype=np.complex128))])
+        return (1, 1, 1), 0, iter([(0, 0, np.zeros((1, 1, 1), dtype=np.complex128))])
     total = sum(abs(c) for c in p.weights)
     if not math.isfinite(total):
         raise ValueError(f"the character weights sum to {total!r}, so p would not be finite")
@@ -309,8 +320,10 @@ def _torus_slices(p: CharacterPolynomial, grid: int):
     if shift:
         weights *= math.ldexp(1.0, -shift)
     exponents = np.asarray(p.exponents, dtype=np.int64).reshape(p.n_terms, p.dims)
-    return points, shift, _eval_on_grid(weights, np.asarray(p.torsion, dtype=np.int64),
-                                        p.order, exponents, grid)
+    left = (p.dims + 1) // 2
+    shape = (p.order, grid ** left, grid ** (p.dims - left))
+    return shape, shift, _eval_on_grid(weights, np.asarray(p.torsion, dtype=np.int64),
+                                       p.order, exponents, grid)
 
 
 def torus_grid_within(p: CharacterPolynomial, max_points: int) -> int:
@@ -341,7 +354,7 @@ def torus_max(p: CharacterPolynomial, grid: int = 512) -> float:
     """
     _, shift, tiles = _torus_slices(p, grid)
     top = 0.0
-    for _, values in tiles:
+    for _, _, values in tiles:
         # |v|^2 in place, in contiguous passes over the tile: square both
         # parts, then multiply by 1 + i, whose imaginary part re^2 + im^2
         # rounds once, as the sum does (the products by 1 are exact); the

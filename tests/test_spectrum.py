@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -379,21 +380,31 @@ def _untiled_values(p: CharacterPolynomial, grid: int) -> np.ndarray:
     return np.concatenate(out)
 
 
-@pytest.mark.parametrize("tile_bytes", [None, 3000])
-@pytest.mark.parametrize("order, dims, grid", [(5, 0, 16), (3, 1, 37), (2, 4, 17)])
-def test_row_tiles_match_untiled_products_bitwise(monkeypatch, tile_bytes, order, dims, grid):
-    # 150 terms make two term blocks; at 17^2 = 289 left rows the default
-    # tile holds 113 rows (three tiles of 96 or 97), and 3000 bytes make
-    # tiles of 3 or 4 rows and one class per group
-    if tile_bytes is not None:
-        monkeypatch.setattr(spectrum, "_TILE_BYTES", tile_bytes)
-    rng = np.random.default_rng(order + dims)
-    n_terms = 150
-    p = CharacterPolynomial(
+def _random_polynomial(order, dims, n_terms, seed):
+    rng = np.random.default_rng(seed)
+    return CharacterPolynomial(
         order, tuple(int(m) for m in rng.integers(0, order, n_terms)),
         tuple(tuple(int(e) for e in row) for row in rng.integers(-40, 41, (n_terms, dims))),
         tuple(complex(re, im) for re, im in rng.uniform(-1, 1, (n_terms, 2))),
         tuple(f"g{i}" for i in range(dims)))
+
+
+@pytest.mark.parametrize("tile_bytes", [None, 3000])
+@pytest.mark.parametrize("order, dims, grid, n_terms", [
+    (5, 0, 16, 150), (700, 0, 16, 150), (3, 1, 37, 150), (300, 1, 16, 150),
+    (300, 2, 16, 3), (2, 4, 17, 150)],
+    ids=["5-0-16", "700-0-16", "3-1-37", "300-1-16", "300-2-16-3", "2-4-17"])
+def test_row_tiles_match_untiled_products_bitwise(monkeypatch, tile_bytes, order, dims, grid,
+                                                  n_terms):
+    # 150 terms make two term blocks; at 17^2 = 289 left rows the default
+    # tile holds 113 rows (three tiles of 96 or 97), and 3000 bytes make
+    # tiles of 3 or 4 rows and one class per group.  Without free axes a
+    # group's classes, 218 by default, go in one stacked product; 3 terms on
+    # 16 x 16 points make chunks of 128 classes in groups of 300 (of 1 in
+    # groups of 3 at 3000 bytes)
+    if tile_bytes is not None:
+        monkeypatch.setattr(spectrum, "_TILE_BYTES", tile_bytes)
+    p = _random_polynomial(order, dims, n_terms, order + dims)
     reference = _untiled_values(p, grid)
     values = character_values(p, grid)
     assert values.shape == (order * grid ** dims,)
@@ -401,6 +412,20 @@ def test_row_tiles_match_untiled_products_bitwise(monkeypatch, tile_bytes, order
     top = math.sqrt(float(np.max(reference.real ** 2 + reference.imag ** 2)))
     total = sum(abs(c) for c in p.weights)
     assert torus_max(p, grid) == top - (n_terms + 8) * 2.0 ** -53 * total
+
+
+def test_torus_max_without_free_axes_takes_one_product_per_chunk_of_classes():
+    p = _random_polynomial(1 << 16, 0, 6, 7)
+    elapsed = []
+    for _ in range(3):
+        started = time.perf_counter()
+        value = torus_max(p, 16)
+        elapsed.append(time.perf_counter() - started)
+    assert min(elapsed) < 0.1  # 0.6 s with one product per class
+    reference = _untiled_values(p, 16)
+    top = math.sqrt(float(np.max(reference.real ** 2 + reference.imag ** 2)))
+    assert value == top - (6 + 8) * 2.0 ** -53 * sum(abs(c) for c in p.weights)
+    assert np.array_equal(character_values(p, 16), reference)
 
 
 def test_torus_walker_charges_its_point_budget(basis):
