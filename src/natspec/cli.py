@@ -24,7 +24,8 @@ from .measures import as_mixed
 from .serialize import (decomposition_report_to_json, fekete_report_to_json,
                         kronecker_problem_from_json, kronecker_solution_to_json,
                         measure_from_json, measure_to_json, read_json, write_json)
-from .spectrum import char_polynomial, covering_radius, disk_grid, fekete_bound, torus_max
+from .spectrum import (MAX_TORUS_DIMS, char_polynomial, check_torus_grid, covering_radius,
+                       disk_grid, fekete_bound, torus_max)
 from .suite import run_suite
 
 _TIMESTAMP_PREFIX = "# generated "
@@ -152,15 +153,19 @@ def _cmd_density_scan(args) -> int:
 
 def _cmd_spectral_radius(args) -> int:
     mu = measure_from_json(read_json(args.input))
-    report = fekete_bound(mu, args.kmax)
-    out = fekete_report_to_json(report)
     mixed = as_mixed(mu)
+    lattice = None
     if mixed.is_discrete:
         p = char_polynomial(mixed.disc)
-        if p.dims <= 4:
-            lower = torus_max(p, grid=args.grid)
-            out["torus_lower"] = lower
-            print(f"bracket [{lower!r}, {report.final_bound!r}]")
+        if p.dims <= MAX_TORUS_DIMS:
+            check_torus_grid(p, args.grid)  # refused before any squaring
+            lattice = p
+    report = fekete_bound(mu, args.kmax)
+    out = fekete_report_to_json(report)
+    if lattice is not None:
+        lower = torus_max(lattice, grid=args.grid)
+        out["torus_lower"] = lower
+        print(f"bracket [{lower!r}, {report.final_bound!r}]")
     print(f"upper bound {report.final_bound!r} "
           f"(entries {len(report.entries)}, budget_hit {report.budget_hit})")
     write_json(args.out, out)

@@ -23,8 +23,9 @@ from .measures import (DiscreteMeasure, MeasureLike, MixedMeasure, as_mixed, con
                        make_rho, make_theta0, make_theta1, parity_projections,
                        transforms, tv_norm)
 from .spectrum import (_SAFE_RADIUS, FeketeReport, _coverage_grid, char_polynomial,
-                       character_values, covering_radius, disk_grid, disk_grid_shape,
-                       disk_hausdorff, fekete_bound, restrict, torus_grid_within, torus_max)
+                       character_values, check_torus_grid, covering_radius, disk_grid,
+                       disk_grid_shape, disk_hausdorff, fekete_bound, restrict,
+                       torus_grid_within, torus_max)
 
 RADIUS_MODES = ("exact_discrete", "fekete", "manual")
 
@@ -35,7 +36,8 @@ PARITY_TOL = 1e-9
 MODULUS_SLACK = 1e-9
 MEMBERSHIP_SLACK = 1e-6
 MANUAL_RADIUS_SCAN = 256
-# torus grid of the lower end of the "exact_discrete" radius brackets
+# torus grid of the lower end of the "exact_discrete" radius brackets, halved
+# until the lattice fits the walker's limit
 EXACT_DISCRETE_GRID = 128
 # grid points the verifier's check (f) may spend, see spectrum.torus_grid_within
 MEMBERSHIP_POINT_BUDGET = 2_000_000
@@ -140,19 +142,25 @@ def _radii(mu0: MeasureLike, mu1: MeasureLike, opts: DecompositionOptions):
                     f"{name}={r} is below the transform bound {sup} "
                     f"(sup over |n| <= {MANUAL_RADIUS_SCAN})")
         return r0, r1, None, None
+    # exact_discrete brackets the radius between a torus maximum and the
+    # norm-root bound, returning the certified upper end; each lattice is
+    # fitted, or refused, before any squaring
+    lattices = []
+    if opts.radius_mode == "exact_discrete":
+        for m in (mu0, mu1):
+            if not as_mixed(m).is_discrete:
+                raise RadiusValidationError(
+                    "radius_mode 'exact_discrete' requires a discrete measure")
+            p = char_polynomial(as_mixed(m).disc)
+            grid = torus_grid_within(p, p.order * EXACT_DISCRETE_GRID ** p.dims)
+            check_torus_grid(p, grid)
+            lattices.append((p, grid))
     reports = (fekete_bound(mu0, opts.fekete_k_max), fekete_bound(mu1, opts.fekete_k_max))
     r0, r1 = reports[0].final_bound, reports[1].final_bound
-    if opts.radius_mode == "fekete":
+    if not lattices:
         return r0, r1, None, reports
-    # exact_discrete: bracket the radius between a torus maximum and the
-    # norm-root bound, returning the certified upper end
-    for m in (mu0, mu1):
-        if not as_mixed(m).is_discrete:
-            raise RadiusValidationError(
-                "radius_mode 'exact_discrete' requires a discrete measure")
-    lo0 = torus_max(char_polynomial(as_mixed(mu0).disc), grid=EXACT_DISCRETE_GRID)
-    lo1 = torus_max(char_polynomial(as_mixed(mu1).disc), grid=EXACT_DISCRETE_GRID)
-    return r0, r1, ((lo0, r0), (lo1, r1)), reports
+    (p0, g0), (p1, g1) = lattices
+    return r0, r1, ((torus_max(p0, g0), r0), (torus_max(p1, g1), r1)), reports
 
 
 def _validate_options(opts: DecompositionOptions) -> None:

@@ -30,6 +30,8 @@ _SQUARE_SAFE_MAX = 2.0 ** 511
 # order * grid**dims the torus walker accepts: twice the 24 * 24**4 points of
 # the largest lower bound the tests, demos and benchmark ask for
 _TORUS_POINT_LIMIT = 1 << 24
+# free dimensions of the character torus the walker evaluates
+MAX_TORUS_DIMS = 4
 # terms contracted per BLAS product; with OpenBLAS 0.3.31, zgemm gave the same
 # bits with 1 and 2 threads up to this depth and not deeper
 _TERM_BLOCK = 128
@@ -278,6 +280,23 @@ def _eval_on_grid(weights: np.ndarray, torsion: np.ndarray, order: int,
                 yield t0 + c, lo, tile[:, :, :n_right]
 
 
+def check_torus_grid(p: CharacterPolynomial, grid: int) -> None:
+    """Refuse, in O(1) and before any table of roots is built, a lattice the
+    walker cannot hold: ValueError for a grid below 16 or more than
+    MAX_TORUS_DIMS free dimensions, BudgetExceededError when order *
+    grid^dims exceeds _TORUS_POINT_LIMIT."""
+    if grid < 16:
+        raise ValueError("grid must be at least 16")
+    if p.dims > MAX_TORUS_DIMS:
+        raise ValueError(f"the character torus supports at most {MAX_TORUS_DIMS} free "
+                         f"dimensions, got {p.dims}")
+    points = p.order * grid ** p.dims
+    if points > _TORUS_POINT_LIMIT:
+        raise BudgetExceededError(
+            f"the character torus has {p.order} torsion classes x {grid}^{p.dims} grid "
+            f"points = {points}, above the limit of {_TORUS_POINT_LIMIT}")
+
+
 def _torus_slices(p: CharacterPolynomial, grid: int):
     """Set up the walk over the character torus: (shape, shift, tiles).
 
@@ -296,20 +315,11 @@ def _torus_slices(p: CharacterPolynomial, grid: int):
     2 rows or more, and a grid-g point kept its bits on the grid-2g
     lattice, so a lattice maximum can only grow when the grid doubles;
     another BLAS build, CPU kernel or thread count can break either, and
-    ``tests/test_spectrum.py`` checks both.  Raises BudgetExceededError,
-    before any table of roots is built, when order * grid^dims exceeds
-    _TORUS_POINT_LIMIT, and ValueError when the weights do not have a
-    finite sum.
+    ``tests/test_spectrum.py`` checks both.  Refuses the lattice as
+    ``check_torus_grid`` does, and raises ValueError when the weights do not
+    have a finite sum.
     """
-    if grid < 16:
-        raise ValueError("grid must be at least 16")
-    if p.dims > 4:
-        raise ValueError(f"the character torus supports at most 4 free dimensions, got {p.dims}")
-    points = p.order * grid ** p.dims
-    if points > _TORUS_POINT_LIMIT:
-        raise BudgetExceededError(
-            f"the character torus has {p.order} torsion classes x {grid}^{p.dims} grid "
-            f"points = {points}, above the limit of {_TORUS_POINT_LIMIT}")
+    check_torus_grid(p, grid)
     if p.n_terms == 0:
         return (1, 1, 1), 0, iter([(0, 0, np.zeros((1, 1, 1), dtype=np.complex128))])
     total = sum(abs(c) for c in p.weights)

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import natspec
+from natspec import cli
 from natspec.angles import GeneratorBasis
 from natspec.cli import main
 from natspec.measures import DiscreteMeasure, MixedMeasure
@@ -275,6 +276,41 @@ def test_spectral_radius_torsion_blowup_exits_1(tmp_path, capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "torsion classes" in captured.err
     assert not out.exists()
+
+
+def test_spectral_radius_refuses_the_grid_before_any_squaring(tmp_path, measure_file,
+                                                              monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "fekete_bound", lambda *a: calls.append(a))
+    out = tmp_path / "radius.json"
+    rc = main(["spectral-radius", "--input", str(measure_file), "--out", str(out),
+               "--grid", "100000000"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: the character torus has ")
+    assert captured.err.count("\n") == 1
+    assert calls == [] and not out.exists()
+
+
+def test_decompose_exact_discrete_over_four_generators(tmp_path, capsys):
+    basis = GeneratorBasis.from_pairs((("sqrt2", math.sqrt(2)), ("sqrt3", math.sqrt(3)),
+                                       ("ln3", math.log(3)), ("ln5", math.log(5))))
+    mu = DiscreteMeasure.from_atoms(basis, [
+        (basis.angle(Fraction(1, 3), (1, 1, 0, 0)), 0.5),
+        (basis.angle(Fraction(0), (0, 1, 1, 1)), 0.25j)])
+    path = tmp_path / "four.json"
+    write_json(path, measure_to_json(mu))
+    out = tmp_path / "out"
+    rc = main(["decompose", "--input", str(path), "--out", str(out),
+               "--radius-mode", "exact_discrete", "--kmax", "3"])
+    assert rc == 0, capsys.readouterr().err
+    # 6 torsion classes x 128^4 points exceed the walker's limit, so the
+    # lower ends come from grid 32
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert report["passed"] is True
+    for lo, hi in report["radius_brackets"]:
+        assert 0.0 < lo <= hi
 
 
 def test_decompose_at_huge_denominator_exits_1(tmp_path, capsys):

@@ -1,13 +1,15 @@
 """Splitting a measure into three pieces with disk-shaped transform closures."""
 
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from natspec import decomposition
 from natspec.decomposition import (DecompositionOptions, decompose,
                                    verify_decomposition)
-from natspec.errors import RadiusValidationError
+from natspec.errors import BudgetExceededError, RadiusValidationError
 from natspec.measures import DiscreteMeasure, MixedMeasure, as_mixed, tv_norm
 from natspec.sampling import default_rng, random_discrete, random_mixed
 
@@ -123,6 +125,19 @@ def test_exact_discrete_mode_brackets(basis):
     # (K + 8) u sum |c_j| = 10u
     lower = 1.0 - 10 * 2.0 ** -53
     assert result.radius_brackets == ((lower, 1.0), (lower, 1.0))
+
+
+def test_exact_discrete_mode_refuses_a_lattice_before_any_squaring(monkeypatch, basis):
+    # about 10^15 torsion classes fit no grid
+    mu = DiscreteMeasure.from_atoms(basis, [
+        (basis.from_turns(Fraction(1, 1000003)), 0.25),
+        (basis.from_turns(Fraction(1, 999983)) + basis.generator("a"), 0.25),
+        (basis.from_turns(Fraction(1, 997)), 0.5)])
+    calls = []
+    monkeypatch.setattr(decomposition, "fekete_bound", lambda *a: calls.append(a))
+    with pytest.raises(BudgetExceededError, match="torsion classes"):
+        decompose(mu, DecompositionOptions(radius_mode="exact_discrete", verify=False))
+    assert calls == []
 
 
 def test_exact_discrete_mode_rejects_densities(basis):
