@@ -100,11 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_decompose(args) -> int:
     mu = measure_from_json(read_json(args.input))
-    manual = None
-    if args.radius_mode == "manual":
-        if args.r0 is None or args.r1 is None:
-            raise SchemaError("--radius-mode manual requires --r0 and --r1")
-        manual = (args.r0, args.r1)
+    if args.radius_mode == "manual" and (args.r0 is None or args.r1 is None):
+        raise SchemaError("--radius-mode manual requires --r0 and --r1")
+    manual = None if args.r0 is None and args.r1 is None else (args.r0, args.r1)
     opts = DecompositionOptions(radius_mode=args.radius_mode, manual_radii=manual,
                                 fekete_k_max=args.kmax, verify_N=args.N, verify_tol=args.tol)
     result = decompose(mu, opts)

@@ -170,17 +170,18 @@ def _validate_options(opts: DecompositionOptions) -> None:
         raise ValueError("fekete_k_max must be nonnegative")
     _check_N(opts.verify_N)
     disk_grid_shape(opts.verify_tol)
-    if opts.radius_mode == "manual":
-        if opts.manual_radii is None:
-            raise RadiusValidationError("radius_mode 'manual' needs manual_radii=(R0, R1)")
-        for name, r in zip(("R0", "R1"), map(float, opts.manual_radii)):
-            if r < 0:
-                raise RadiusValidationError("radii must be nonnegative")
-            # NaN fails this test too; above the bound the verifier's disk
-            # geometry would leave the float range
-            if not r <= _SAFE_RADIUS[1]:
-                raise RadiusValidationError(
-                    f"{name}={r} is not a finite radius of at most 2**400")
+    if opts.radius_mode == "manual" and opts.manual_radii is None:
+        raise RadiusValidationError("radius_mode 'manual' needs manual_radii=(R0, R1)")
+    if opts.radius_mode != "manual" and opts.manual_radii is not None:
+        raise RadiusValidationError(f"manual radii are used only by radius_mode 'manual', "
+                                    f"not {opts.radius_mode!r}")
+    for name, r in zip(("R0", "R1"), map(float, opts.manual_radii or ())):
+        if r < 0:
+            raise RadiusValidationError("radii must be nonnegative")
+        # NaN fails this test too; above the bound the verifier's disk
+        # geometry would leave the float range
+        if not r <= _SAFE_RADIUS[1]:
+            raise RadiusValidationError(f"{name}={r} is not a finite radius of at most 2**400")
 
 
 def _check_N(N: int) -> None:

@@ -72,8 +72,9 @@ class KroneckerProblem:
                       "epsilon", self.n_max, self.parity)
         if self.method not in ("scan", "lattice"):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.min_abs_n < 0:
-            raise ValueError("min_abs_n must be nonnegative")
+        if not 0 <= self.min_abs_n <= self.n_max:
+            raise ValueError(f"min_abs_n must lie in 0..n_max = {self.n_max}, "
+                             f"got {self.min_abs_n}")
 
 
 def _check_inputs(values: dict, eps_name: str, n_max: int, parity: str) -> None:

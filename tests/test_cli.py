@@ -119,6 +119,19 @@ def test_decompose_manual_radii_flow(tmp_path, measure_file, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("radii", [["--r0", "5", "--r1", "7"], ["--r0", "5"]])
+def test_decompose_refuses_manual_radii_without_manual_mode(tmp_path, measure_file, radii,
+                                                            capsys):
+    out = tmp_path / "x"
+    rc = main(["decompose", "--input", str(measure_file), "--out", str(out), *radii])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == ("error: manual radii are used only by radius_mode 'manual', "
+                            "not 'fekete'\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("radius", ["inf", "nan", "1e308"])
 def test_decompose_refuses_unusable_manual_radius(tmp_path, measure_file, capsys, radius):
     out = tmp_path / "x"
@@ -506,6 +519,17 @@ def test_kronecker_refuses_n_max_above_the_cap(tmp_path, nmax, capsys):
     assert rc == 2
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "n_max must be at most 2147483648" in captured.err
+    assert not out.exists()
+
+
+def test_kronecker_refuses_min_abs_n_above_n_max(tmp_path, capsys):
+    out = tmp_path / "solution.json"
+    rc = main(["kronecker", "--alpha", "1.41", "--beta", "1.73", "--x", "0", "--y", "0",
+               "--eps", "0.1", "--nmax", "10", "--min-abs-n", "20", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "error: min_abs_n must lie in 0..n_max = 10, got 20\n"
     assert not out.exists()
 
 

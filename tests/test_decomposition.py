@@ -113,6 +113,16 @@ def test_manual_radii_must_dominate_transform(basis):
     assert result.fekete_reports is None and result.radius_brackets is None
 
 
+@pytest.mark.parametrize("mode", ["fekete", "exact_discrete"])
+def test_manual_radii_outside_manual_mode_are_refused(monkeypatch, basis, mode):
+    mu = DiscreteMeasure.from_atoms(basis, [(basis.generator("a"), 1.0)])
+    calls = []
+    monkeypatch.setattr(decomposition, "fekete_bound", lambda *a: calls.append(a))
+    with pytest.raises(RadiusValidationError, match="only by radius_mode 'manual'"):
+        decompose(mu, DecompositionOptions(radius_mode=mode, manual_radii=(5.0, 7.0)))
+    assert calls == []
+
+
 def test_exact_discrete_mode_brackets(basis):
     mu = DiscreteMeasure.from_atoms(basis, [(basis.generator("a"), 1.0)])
     result = decompose(mu, DecompositionOptions(radius_mode="exact_discrete",

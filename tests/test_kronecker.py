@@ -189,6 +189,13 @@ def test_min_abs_n_excludes_small_witnesses():
     assert max(sol.err_alpha, sol.err_beta) < 0.3
 
 
+def test_min_abs_n_outside_the_search_range_is_refused():
+    problem = KroneckerProblem(SQRT2, SQRT3, 0.0, 0.0, 0.1, n_max=10, min_abs_n=10)
+    for min_abs_n in (11, -1):
+        with pytest.raises(ValueError, match="min_abs_n must lie in 0..n_max = 10"):
+            replace(problem, min_abs_n=min_abs_n)
+
+
 def test_chordal_metric():
     assert chordal(0.0) == 0.0
     assert chordal(math.pi) == pytest.approx(2.0, abs=1e-15)
