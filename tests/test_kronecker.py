@@ -325,6 +325,10 @@ _DISK = st.one_of(
 @given(st.sampled_from(GENERATORS), st.sampled_from(GENERATORS), _PHASES, _PHASES, _EPS,
        _EDGES, _PARITIES, st.integers(0, 300))
 def test_scan_matches_fixed_block_reference(alpha, beta, x, y, eps, n_max, parity, min_abs):
+    if min_abs > n_max:  # an empty search range is refused
+        with pytest.raises(ValueError, match="min_abs_n must lie in"):
+            KroneckerProblem(alpha, beta, x, y, eps, n_max, "scan", min_abs, parity)
+        return
     problem = KroneckerProblem(alpha, beta, x, y, eps, n_max, "scan", min_abs, parity)
 
     def direct(ns):
