@@ -40,7 +40,9 @@ def main() -> None:
 
     # The structured interface works on the phase level: find n with
     # n*alpha near x and n*beta near y simultaneously (mod 2*pi, chordal
-    # distance).  The lattice method reaches |n| far beyond scanning range.
+    # distance).  The lattice method returns some verified witness, not
+    # necessarily the scan's first one, and at tight epsilon it finds one
+    # far sooner than the scan; both search the same |n| <= n_max.
     x, y = -0.7, 0.1
     problem = KroneckerProblem(alpha=ALPHA, beta=BETA, target_x=x, target_y=y,
                                epsilon=0.01, n_max=10 ** 9, method="lattice")

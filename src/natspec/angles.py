@@ -170,6 +170,11 @@ def reduced_phases(ns: np.ndarray, value) -> np.ndarray:
     return np.mod(prod, _TWO_PI_LD).astype(np.float64)
 
 
+def phase_factors(ns: np.ndarray, value) -> np.ndarray:
+    """e^{-i n value} for each n, from the phase ``reduced_phases`` gives."""
+    return np.exp(-1j * reduced_phases(ns, value))
+
+
 def basis_fresh_generators(basis: GeneratorBasis, count: int) -> tuple[tuple[str, float], ...]:
     """Next ``count`` built-in generator values not already present in ``basis``.
 

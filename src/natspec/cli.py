@@ -51,10 +51,14 @@ def build_parser() -> argparse.ArgumentParser:
                                          "clean transform structure")
     d.add_argument("--input", required=True, help="measure JSON file")
     d.add_argument("--out", required=True, help="output directory")
-    d.add_argument("--N", type=int, default=10_000, help="transform range for checks")
-    d.add_argument("--tol", type=float, default=0.05, help="density tolerance")
-    d.add_argument("--kmax", type=int, default=6, help="norm-root bound depth")
-    d.add_argument("--radius-mode", choices=RADIUS_MODES, default="fekete")
+    d.add_argument("--N", type=int, default=DecompositionOptions.verify_N,
+                   help="transform range for checks")
+    d.add_argument("--tol", type=float, default=DecompositionOptions.verify_tol,
+                   help="density tolerance")
+    d.add_argument("--kmax", type=int, default=DecompositionOptions.fekete_k_max,
+                   help="norm-root bound depth")
+    d.add_argument("--radius-mode", choices=RADIUS_MODES,
+                   default=DecompositionOptions.radius_mode)
     d.add_argument("--r0", type=float, default=None, help="manual radius for the even piece")
     d.add_argument("--r1", type=float, default=None, help="manual radius for the odd piece")
 

@@ -231,7 +231,8 @@ def _structural_residual(m: MixedMeasure) -> float:
 
 
 def verify_decomposition(mu: MeasureLike, result: DecompositionResult, *,
-                         N: int = 10_000, tol: float = 0.05) -> VerificationReport:
+                         N: int = DecompositionOptions.verify_N,
+                         tol: float = DecompositionOptions.verify_tol) -> VerificationReport:
     """Certify a decomposition against the input measure.
 
     Checks: (a) the exact identity, structurally and through transforms up to

@@ -6,9 +6,13 @@ can be hit to any tolerance.  This module finds witnesses by a vectorized
 scan in canonical order (smallest |n| first, positive before negative; one
 evaluation per |n| serves both signs, in blocks that grow from 256
 magnitudes).  ``solve`` also offers a reduced-lattice heuristic for the
-two-phase problem (``method="lattice"``), which falls back to the scan;
-``hit_target`` always scans.  Every returned witness and error is
-recomputed on n itself.
+two-phase problem (``method="lattice"``): one LLL reduction, rounded by
+Babai's nearest-plane method, proposes at most 65 candidates that are
+checked on the problem in one direct evaluation, and the scan runs when none
+meets epsilon.  Both routes are bounded by the same n_max; the scan returns
+the canonical first witness, the lattice some verified witness, sooner at
+tight tolerances.  ``hit_target`` always scans.  Every returned witness and
+error is recomputed on n itself.
 
 The scan builds e^{-i m g} for each angle g from two small root tables
 instead of one long-double phase reduction per magnitude: a fine table
@@ -37,7 +41,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .angles import TWO_PI, reduced_phases
+from .angles import TWO_PI, phase_factors, reduced_phases
 from .errors import KroneckerNotFoundError, OutOfDiskError
 
 _SCAN_BLOCK = 65_536  # magnitudes in the largest scan block
@@ -48,7 +52,9 @@ MAX_N_MAX = 2 ** 31  # largest n_max a scan or hit_target accepts
 # largest route slack 2 n_max max(|alpha|, |beta|) u_LD accepted; angles up
 # to 64 in magnitude at MAX_N_MAX give about 1.5e-8 with the x87 long double
 _MAX_SLACK = 1e-6
-_NEIGHBOR_RANGE = 8
+_NEIGHBOR_RANGE = 8  # Babai neighbours and basis multiples on either side
+_LLL_DELTA = 0.75  # Lovasz condition of the lattice reduction
+_LLL_MAX_ITERS = 1000  # swap-and-reduce steps before the reduction stops as it is
 
 
 @dataclass(frozen=True)
@@ -171,11 +177,10 @@ def _root_tables(angles: tuple[float, ...], parity: str, n_max: int):
     """
     step = 1 if parity == "any" else 2
     g = np.array(angles, dtype=np.float64)
-    fine = np.exp(-1j * reduced_phases(np.arange(0, _ROW * step, step, dtype=np.int64),
-                                       g[:, None]))
+    fine = phase_factors(np.arange(0, _ROW * step, step, dtype=np.int64), g[:, None])
 
     def coarse(m: np.ndarray) -> np.ndarray:
-        return np.exp(-1j * reduced_phases(m[::_ROW, None], g))
+        return phase_factors(m[::_ROW, None], g)
 
     slack = 1e-12 + 2.0 * n_max * float(np.max(np.abs(g))) * _U_LD
     return fine, coarse, slack
@@ -332,8 +337,7 @@ def _gram_schmidt(rows: list[np.ndarray]) -> tuple[list[np.ndarray], list[list[f
     return gs, mu
 
 
-def _lll(rows: list[np.ndarray], delta: float = 0.75,
-         max_iters: int = 1000) -> tuple[list[np.ndarray], list[list[int]]]:
+def _lll(rows: list[np.ndarray]) -> tuple[list[np.ndarray], list[list[int]]]:
     """Float LLL on a small basis; returns reduced rows and the integer
     transform expressing them in the original rows."""
     b = [row.astype(np.float64).copy() for row in rows]
@@ -341,7 +345,7 @@ def _lll(rows: list[np.ndarray], delta: float = 0.75,
     u = [[int(i == j) for j in range(n)] for i in range(n)]
     gs, mu = _gram_schmidt(b)
     k = 1
-    for _ in range(max_iters):
+    for _ in range(_LLL_MAX_ITERS):
         if k >= n:
             break
         for j in range(k - 1, -1, -1):
@@ -351,7 +355,7 @@ def _lll(rows: list[np.ndarray], delta: float = 0.75,
                 u[k] = [a - q * c for a, c in zip(u[k], u[j])]
                 gs, mu = _gram_schmidt(b)
         lhs = float(np.dot(gs[k], gs[k]))
-        rhs = (delta - mu[k][k - 1] ** 2) * float(np.dot(gs[k - 1], gs[k - 1]))
+        rhs = (_LLL_DELTA - mu[k][k - 1] ** 2) * float(np.dot(gs[k - 1], gs[k - 1]))
         if lhs >= rhs:
             k += 1
         else:
@@ -377,11 +381,20 @@ def _nearest_plane(b: list[np.ndarray], target: np.ndarray) -> list[int]:
 
 def _lattice_candidates(alpha: float, beta: float, x: float, y: float,
                         epsilon: float) -> list[int]:
-    """Candidate n for n*alpha ~ x and n*beta ~ y from two reduced lattices,
-    best guesses first; none of them is verified here."""
-    # Embed the integer n with weight epsilon/4 against the fractional parts
-    # so that short vectors near the target correspond to good witnesses.
-    w = epsilon / 4.0
+    """Candidate n for n*alpha ~ x and n*beta ~ y from one reduced lattice,
+    best guesses first; none of them is verified here.
+
+    The integer n is embedded with weight (epsilon/16)**3 against the
+    fractional parts of n*alpha and n*beta: a witness with both fractional
+    errors around epsilon / 2 pi turns typically has |n| ~ (epsilon / 2 pi)
+    ** -2, so that weight puts such witnesses at shortest-vector scale.  The
+    candidates are Babai's nearest-plane point for the target and its
+    neighbours up to _NEIGHBOR_RANGE on either side, then the multiples up to
+    _NEIGHBOR_RANGE of the n-components of the reduced basis, which rescue
+    homogeneous problems, where the nearest lattice point is the excluded
+    trivial witness n = 0.
+    """
+    w = max((epsilon / 16.0) ** 3, 1e-18)
     rows = [np.array([w, alpha / TWO_PI, beta / TWO_PI]),
             np.array([0.0, 1.0, 0.0]),
             np.array([0.0, 0.0, 1.0])]
@@ -389,56 +402,34 @@ def _lattice_candidates(alpha: float, beta: float, x: float, y: float,
     b, u = _lll(rows)
     coeffs = _nearest_plane(b, target)
     n0 = sum(coeffs[i] * u[i][0] for i in range(len(u)))
-    # Babai candidates and their near neighbors; then multiples of the
-    # n-components of the reduced basis (these rescue homogeneous problems,
-    # where the nearest lattice point is the excluded trivial witness n = 0).
     offsets = [0] + [s * k for k in range(1, _NEIGHBOR_RANGE + 1) for s in (1, -1)]
-    candidates = [n0 + d for d in offsets]
-    candidates += [k * u[i][0] for i in range(len(u))
-                   for k in offsets[1:] if u[i][0] != 0]
-    # Second reduction, weighted by the quality itself: a witness with both
-    # fractional errors around epsilon / 2 pi turns typically has
-    # |n| ~ (epsilon / 2 pi) ** -2, so scaling the integer coordinate by
-    # ~epsilon**3 puts such witnesses at shortest-vector scale.  This rescues
-    # homogeneous problems (targets at an excluded trivial witness) and very
-    # tight tolerances, where every candidate above misses.
-    wh = max((epsilon / 16.0) ** 3, 1e-18)
-    rows_h = [np.array([wh, alpha / TWO_PI, beta / TWO_PI]),
-              np.array([0.0, 1.0, 0.0]),
-              np.array([0.0, 0.0, 1.0])]
-    bh, uh = _lll(rows_h)
-    ch = _nearest_plane(bh, target)
-    nh = sum(ch[i] * uh[i][0] for i in range(len(uh)))
-    candidates += [nh + d for d in offsets]
-    candidates += [k * uh[i][0] for i in range(len(uh))
-                   for k in offsets[1:] if uh[i][0] != 0]
-    return candidates
+    return ([n0 + d for d in offsets]
+            + [k * u[i][0] for i in range(len(u)) for k in offsets[1:] if u[i][0] != 0])
 
 
 def _solve_lattice(problem: KroneckerProblem) -> KroneckerSolution:
-    """Verify the lattice candidates on the problem itself, in order, then
-    fall back to one scan; evaluations counts every direct check plus the
-    scan's own count.  A parity-restricted problem takes its candidates m
-    from the doubled angles, with the targets shifted by one copy of each
-    angle when n = 2m + 1, and lifts them to n."""
+    """Check the distinct lattice candidates in range on the problem itself,
+    all in one direct evaluation, and return the first, in candidate order,
+    that meets epsilon; otherwise fall back to the problem's own scan.
+    evaluations counts every candidate checked plus the scan's own count.  A
+    parity-restricted problem takes its candidates m from the doubled
+    angles, with the targets shifted by one copy of each angle when
+    n = 2m + 1, and lifts them to n."""
     alpha, beta, lift = _doubled(problem.alpha, problem.beta, problem.parity)
     x, y = problem.target_x, problem.target_y
     if problem.parity == "odd":
         x, y = _wrap(x - problem.alpha), _wrap(y - problem.beta)
-    evaluations = 0
-    seen: set[int] = set()
-    for n in map(lift, _lattice_candidates(alpha, beta, x, y, problem.epsilon)):
-        if n in seen or abs(n) > problem.n_max or abs(n) < problem.min_abs_n:
-            continue
-        seen.add(n)
-        ns = np.array([n], dtype=np.int64)
-        ea, eb = _pair_errors(ns, problem.alpha, problem.beta,
-                              problem.target_x, problem.target_y)
-        evaluations += 1
-        if ea[0] < problem.epsilon and eb[0] < problem.epsilon:
-            return KroneckerSolution(int(n), float(ea[0]), float(eb[0]), evaluations)
+    candidates = map(lift, _lattice_candidates(alpha, beta, x, y, problem.epsilon))
+    ns = np.array([n for n in dict.fromkeys(candidates)
+                   if problem.min_abs_n <= abs(n) <= problem.n_max], dtype=np.int64)
+    ea, eb = _pair_errors(ns, problem.alpha, problem.beta, problem.target_x,
+                          problem.target_y)
+    hits = np.flatnonzero((ea < problem.epsilon) & (eb < problem.epsilon))
+    if hits.size:
+        k = int(hits[0])
+        return KroneckerSolution(int(ns[k]), float(ea[k]), float(eb[k]), len(ns))
     fallback = _solve_scan(problem)
-    return replace(fallback, evaluations=fallback.evaluations + evaluations)
+    return replace(fallback, evaluations=fallback.evaluations + len(ns))
 
 
 def solve(problem: KroneckerProblem) -> KroneckerSolution:
@@ -454,11 +445,13 @@ def solve(problem: KroneckerProblem) -> KroneckerSolution:
 
 
 def disk_preimage(w: complex) -> tuple[complex, complex]:
-    """Unimodular (z, u) with (z + u) / 2 == w, for w in the closed unit disk."""
+    """Unimodular (z, u) with (z + u) / 2 == w, for w in the closed unit disk;
+    OutOfDiskError for any other w, one with a modulus that is not finite
+    included."""
     w = complex(w)
     r = abs(w)
-    if r > 1.0 + 1e-12:
-        raise OutOfDiskError(f"|w| = {r} exceeds 1")
+    if not r <= 1.0 + 1e-12:
+        raise OutOfDiskError(f"|w| = {r} is not at most 1")
     if r == 0.0:
         return (1 + 0j, -1 + 0j)
     s = math.sqrt(max(0.0, 1.0 - r * r))
@@ -476,9 +469,7 @@ def pair_transform_values(ns: np.ndarray, alpha: float, beta: float) -> np.ndarr
     about 5e-14 at |n g| = 1e6 and 6e-8 at |n g| = 2**40, and 2**-53 where
     long double is float64.
     """
-    pa = reduced_phases(ns, alpha)
-    pb = reduced_phases(ns, beta)
-    return 0.5 * (np.exp(-1j * pa) + np.exp(-1j * pb))
+    return 0.5 * (phase_factors(ns, alpha) + phase_factors(ns, beta))
 
 
 _rho_values = pair_transform_values

@@ -19,7 +19,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .angles import Angle, GeneratorBasis, reduced_phases
+from .angles import _PI_LD, Angle, GeneratorBasis, phase_factors
 from .errors import BasisMismatchError, BudgetExceededError
 
 _MAX_DENOMINATOR = 1 << 62  # largest common turn denominator; also the sort-key span
@@ -33,7 +33,7 @@ _MAX_DEGREE = 65_536  # degree of the density part of the result
 _MAX_FACTOR_CACHE = 32 << 20
 
 
-_QUARTER_PI_LD = np.longdouble("0.785398163397448309615660845819875721")
+_QUARTER_PI_LD = _PI_LD / 4
 # per octant o of the circle: whether the root's real part is the sine of the
 # reduced angle, and the signs of the real and imaginary parts
 _OCTANT_SWAP = np.array([False, True, True, False, False, True, True, False])
@@ -401,10 +401,15 @@ class TrigPolyDensity:
 
         Uniform quadrature at max(4096, 64*degree) points with one Richardson
         refinement; the error estimate is the refinement delta plus a small
-        floor for the final rounding.
+        floor for the final rounding.  Raises BudgetExceededError, before any
+        quadrature point is built, when the degree is above the limit every
+        convolution enforces.
         """
         if not self.coeffs:
             return 0.0, 0.0
+        if self.degree > _MAX_DEGREE:
+            raise BudgetExceededError(
+                f"density degree {self.degree} is above the limit {_MAX_DEGREE}")
         m = max(4096, 64 * self.degree)
         i1 = float(np.abs(self.values_on_grid(m)).mean())
         i2 = float(np.abs(self.values_on_grid(2 * m)).mean())
@@ -503,7 +508,7 @@ def _phase_factor(ns: np.ndarray, coeffs: tuple[int, ...], values: tuple[float, 
     for c, v in zip(coeffs, values):
         if c:
             g += np.longdouble(c) * np.longdouble(v)
-    return np.exp(-1j * reduced_phases(ns, g))
+    return phase_factors(ns, g)
 
 
 def transforms(measures: Iterable[MeasureLike], ns) -> list[np.ndarray]:

@@ -115,15 +115,19 @@ def measure_from_json(obj: Any) -> MeasureLike:
         raise SchemaError(f"invalid measure: {exc}") from exc
 
 
+_KRONECKER_OPTIONAL = {"n_max": int, "method": str, "min_abs_n": int, "parity": str}
+
+
 def kronecker_problem_from_json(obj: Any) -> KroneckerProblem:
+    """The problem a JSON object describes; ``KroneckerProblem`` supplies
+    the value of each optional key the object leaves out."""
     try:
         return KroneckerProblem(
             alpha=float(obj["alpha"]), beta=float(obj["beta"]),
             target_x=float(obj["target_x"]), target_y=float(obj["target_y"]),
-            epsilon=float(obj["epsilon"]), n_max=int(obj.get("n_max", 1_000_000)),
-            method=str(obj.get("method", "scan")),
-            min_abs_n=int(obj.get("min_abs_n", 0)),
-            parity=str(obj.get("parity", "any")))
+            epsilon=float(obj["epsilon"]),
+            **{key: cast(obj[key]) for key, cast in _KRONECKER_OPTIONAL.items()
+               if key in obj})
     except SchemaError:
         raise
     except Exception as exc:

@@ -3,10 +3,13 @@
 import math
 from fractions import Fraction
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from natspec.angles import FRESH_GENERATOR_VALUES, GeneratorBasis, basis_fresh_generators
+from natspec.angles import (FRESH_GENERATOR_VALUES, GeneratorBasis, basis_fresh_generators,
+                            phase_factors)
 from natspec.errors import BasisMismatchError, GeneratorsExhaustedError
 
 BASIS = GeneratorBasis.from_pairs((("a", math.sqrt(2)), ("b", math.sqrt(3))))
@@ -104,3 +107,18 @@ def test_mismatched_bases_rejected():
     other = GeneratorBasis.from_pairs((("a", math.sqrt(2)),))
     with pytest.raises(BasisMismatchError):
         BASIS.zero() + other.zero()
+
+
+LD_EPS = float(np.finfo(np.longdouble).eps)
+
+
+def test_phase_factors_match_mpmath():
+    # one long-double rounding of n g, then float64 roundings of the reduced
+    # phase and of the exponential
+    ns = np.array([0, 1, -7, 4096, -999_983, 2 ** 31, -(2 ** 40)], dtype=np.int64)
+    for g in (math.sqrt(2), math.log(3), 5.5):
+        got = phase_factors(ns, g)
+        with mpmath.workdps(40):
+            for n, z in zip(ns.tolist(), got):
+                exact = complex(mpmath.expj(-n * mpmath.mpf(g)))
+                assert abs(z - exact) <= 1e-15 + abs(n * g) * LD_EPS

@@ -1,8 +1,10 @@
 """Command line interface: subcommands, exit codes, deterministic outputs."""
 
+import inspect
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import warnings
@@ -16,6 +18,7 @@ import natspec
 from natspec import cli
 from natspec.angles import GeneratorBasis
 from natspec.cli import main
+from natspec.decomposition import DecompositionOptions, verify_decomposition
 from natspec.measures import DiscreteMeasure, MixedMeasure
 from natspec.sampling import default_rng, random_discrete
 from natspec.serialize import measure_from_json, measure_to_json, write_json
@@ -544,3 +547,36 @@ def test_kronecker_refuses_a_huge_angle_before_any_scan(tmp_path, capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "route slack" in captured.err
     assert not out.exists()
+
+
+def test_decompose_defaults_are_the_options_defaults():
+    args = cli.build_parser().parse_args(["decompose", "--input", "m", "--out", "o"])
+    opts = DecompositionOptions()
+    assert (args.N, args.tol, args.kmax, args.radius_mode) == (
+        opts.verify_N, opts.verify_tol, opts.fekete_k_max, opts.radius_mode)
+    params = inspect.signature(verify_decomposition).parameters
+    assert (params["N"].default, params["tol"].default) == (opts.verify_N, opts.verify_tol)
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+
+@pytest.mark.parametrize("command, out", [("decompose", "out"),
+                                          ("spectral-radius", "radius.json")])
+@pytest.mark.parametrize("k", [10 ** 9, 2 ** 70])
+def test_high_degree_density_exits_1_before_any_quadrature(tmp_path, command, out, k):
+    # the norm quadrature would take 64 k points; the degree is refused first,
+    # in a child process whose address space is capped at 3 GiB
+    path = tmp_path / "density.json"
+    path.write_text(json.dumps({"kind": "mixed", "basis": [], "atoms": [],
+                                "ac": [{"k": k, "re": 0.5, "im": 0.0}]}))
+    env = {**os.environ, "PYTHONPATH": str(Path(natspec.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "natspec", command, "--input", str(path),
+                           "--out", str(tmp_path / out)],
+                          env=env, capture_output=True, text=True, timeout=120,
+                          preexec_fn=_limit_address_space)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: density degree {k} is above the limit 65536\n"
+    assert not (tmp_path / out).exists()

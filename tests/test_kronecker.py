@@ -6,6 +6,7 @@ import time
 import tracemalloc
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -218,8 +219,10 @@ def test_disk_preimage_midpoints():
     z, u = disk_preimage(0.5)
     assert z == 0.5 + 0.8660254037844386j
     assert u == 0.5 - 0.8660254037844386j
-    with pytest.raises(OutOfDiskError):
-        disk_preimage(1.01)
+    for outside in (1.01, complex("nan"), complex(math.nan, 0.5), complex(0.5, math.inf),
+                    complex(-math.inf, math.nan)):
+        with pytest.raises(OutOfDiskError):
+            disk_preimage(outside)
 
 
 def test_disk_preimage_identity_on_random_points():
@@ -458,9 +461,15 @@ def test_table_objectives_stay_within_the_slack_of_the_direct_ones(alpha, beta, 
 @pytest.fixture
 def scan_log(monkeypatch):
     """Each scan a call runs (its message and result, or None when it found
-    nothing), and the direct evaluations made outside scans."""
-    log = {"outside": 0, "in_scan": False, "scans": []}
+    nothing), the direct evaluations made outside scans, and the last
+    candidates the lattice proposed."""
+    log = {"outside": 0, "in_scan": False, "scans": [], "candidates": []}
     pair_errors, scan = kronecker._pair_errors, kronecker._scan
+    lattice_candidates = kronecker._lattice_candidates
+
+    def proposing(*args):
+        log["candidates"] = lattice_candidates(*args)
+        return log["candidates"]
 
     def counting(ns, *rest):
         if not log["in_scan"]:
@@ -479,7 +488,18 @@ def scan_log(monkeypatch):
 
     monkeypatch.setattr(kronecker, "_pair_errors", counting)
     monkeypatch.setattr(kronecker, "_scan", recording)
+    monkeypatch.setattr(kronecker, "_lattice_candidates", proposing)
     return log
+
+
+_LIFTS = {"any": lambda m: m, "even": lambda m: 2 * m, "odd": lambda m: 2 * m + 1}
+
+
+def _in_range(problem, candidates) -> set:
+    """The distinct n = lift(m) of the lattice's candidates m with
+    min_abs_n <= |n| <= n_max: the candidates a lattice problem checks."""
+    lift = _LIFTS[problem.parity]
+    return {n for n in map(lift, candidates) if problem.min_abs_n <= abs(n) <= problem.n_max}
 
 
 @pytest.mark.parametrize("parity", ["any", "even", "odd"])
@@ -499,8 +519,11 @@ def test_lattice_problem_falls_back_to_the_scan(scan_log, parity):
             assert (exc.best_n, exc.best_err) == (ref.value.best_n, ref.value.best_err)
             missed += 1
             continue
+        checked = len(_in_range(problem, scan_log["candidates"]))
         if not scan_log["scans"]:
-            continue  # a lattice candidate hit
+            # a lattice candidate hit, and evaluations count the whole batch
+            assert sol.evaluations == scan_log["outside"] == checked
+            continue
         # the problem's own scan ran once after every lattice candidate
         # missed: the witness is its witness, and evaluations add the direct
         # checks to its index
@@ -508,7 +531,7 @@ def test_lattice_problem_falls_back_to_the_scan(scan_log, parity):
         n, _, evaluations = scan_log["scans"][0][1]
         assert sol.n == n
         assert sol.evaluations == scan_log["outside"] + evaluations
-        assert scan_log["outside"] >= 1
+        assert scan_log["outside"] == checked
         assert sol == replace(solve(replace(problem, method="scan")),
                               evaluations=sol.evaluations)
         found += 1
@@ -525,5 +548,109 @@ def test_parity_lattice_runs_one_scan_and_counts_every_check(scan_log):
     assert len(scan_log["scans"]) == 1
     n, _, scanned = scan_log["scans"][0][1]
     assert sol.n == n and n % 2 == 1
-    assert scan_log["outside"] >= 1
+    assert scan_log["outside"] == len(_in_range(problem, scan_log["candidates"]))
     assert sol.evaluations == scan_log["outside"] + scanned
+
+
+@pytest.mark.parametrize("parity", ["any", "odd"])
+def test_lattice_counts_its_in_range_candidates_before_the_scan(scan_log, parity):
+    # at n_max 1000 some candidates are in range and all of them miss: each
+    # is checked once, then the problem's own scan runs and finds the witness
+    problem = KroneckerProblem(SQRT2, SQRT3, 1.2828532109196775, 0.28757949978299274, 0.3,
+                               n_max=1000, method="lattice", parity=parity)
+    sol = solve(problem)
+    checked = len(_in_range(problem, scan_log["candidates"]))
+    assert checked >= 1
+    assert len(scan_log["scans"]) == 1
+    n, _, scanned = scan_log["scans"][0][1]
+    assert sol == replace(solve(replace(problem, method="scan")), evaluations=sol.evaluations)
+    assert sol.n == n
+    assert scan_log["outside"] == checked
+    assert sol.evaluations == checked + scanned
+
+
+def test_lattice_checks_each_distinct_candidate_once(scan_log):
+    # alpha = beta = 0: the reduced basis's multiples repeat the neighbours
+    # of the Babai point n = 0, and each n is checked only once
+    problem = KroneckerProblem(0.0, 0.0, 1.0, 2.0, 1e-3, n_max=100, method="lattice")
+    with pytest.raises(KroneckerNotFoundError):
+        solve(problem)
+    candidates = scan_log["candidates"]
+    assert len(set(candidates)) < len(candidates)
+    assert scan_log["outside"] == len(_in_range(problem, candidates)) == 17
+
+
+def test_lattice_makes_one_reduction_and_one_batched_check(monkeypatch):
+    # whether a candidate hits or the scan takes over, a lattice problem
+    # reduces one basis and checks its candidates in one direct evaluation
+    calls = []
+
+    def spy(name):
+        real = getattr(kronecker, name)
+
+        def logged(*args):
+            calls.append(name)
+            return real(*args)
+        return logged
+
+    for name in ("_lattice_candidates", "_lll", "_pair_errors", "_scan"):
+        monkeypatch.setattr(kronecker, name, spy(name))
+    rng = np.random.default_rng(14)
+    fallbacks = hits = 0
+    for n_max, eps in ((200, 0.3), (1000, 0.3), (10 ** 5, 0.01), (kronecker.MAX_N_MAX, 0.01)):
+        for parity in ("any", "even", "odd"):
+            x, y = (float(v) for v in rng.uniform(0.0, TWO_PI, 2))
+            calls.clear()
+            try:
+                solve(KroneckerProblem(SQRT2, SQRT3, x, y, eps, n_max, "lattice", 0, parity))
+            except KroneckerNotFoundError:
+                pass
+            assert calls[:3] == ["_lattice_candidates", "_lll", "_pair_errors"]
+            assert calls[3:4] in ([], ["_scan"])
+            assert calls.count("_lll") == calls.count("_lattice_candidates") == 1
+            fallbacks += len(calls) > 3
+            hits += len(calls) == 3
+    assert fallbacks >= 1 and hits >= 1
+
+
+def _mp_chordal(n: int, g: float, target: float) -> float:
+    """2 |sin((n g - target) / 2)| in mpmath at 30 digits, g and target
+    taken as the floats they are."""
+    with mpmath.workdps(30):
+        return float(2 * abs(mpmath.sin((n * mpmath.mpf(g) - mpmath.mpf(target)) / 2)))
+
+
+def test_lattice_witness_meets_epsilon_on_both_angles():
+    # with target_x = 0, multiples of a short basis vector meet epsilon on
+    # alpha alone; the candidate returned must meet it on both angles
+    sol = solve(KroneckerProblem(SQRT2, SQRT3, 0.0, 3.0, 0.1, n_max=10 ** 4, method="lattice"))
+    assert _mp_chordal(sol.n, SQRT2, 0.0) < 0.1 and _mp_chordal(sol.n, SQRT3, 3.0) < 0.1
+
+
+_AGREEMENT_GRID = [(200, 0.1), (200, 0.01), (10 ** 5, 0.1), (10 ** 5, 0.01),
+                   (kronecker.MAX_N_MAX, 0.1), (kronecker.MAX_N_MAX, 0.01),
+                   (kronecker.MAX_N_MAX, 0.001)]
+
+
+@pytest.mark.parametrize("n_max, eps", _AGREEMENT_GRID)
+@pytest.mark.parametrize("parity", ["any", "even", "odd"])
+def test_lattice_and_scan_agree_on_found_and_not_found(n_max, eps, parity):
+    rng = np.random.default_rng(1401)
+    for _ in range(10):
+        x, y = (float(v) for v in rng.uniform(0.0, TWO_PI, 2))
+        problem = KroneckerProblem(SQRT2, SQRT3, x, y, eps, n_max, "lattice", 0, parity)
+        try:
+            solve(replace(problem, method="scan"))
+            scan_found = True
+        except KroneckerNotFoundError:
+            scan_found = False
+        if not scan_found:
+            with pytest.raises(KroneckerNotFoundError):
+                solve(problem)
+            continue
+        sol = solve(problem)
+        assert problem.min_abs_n <= abs(sol.n) <= n_max
+        if parity != "any":
+            assert sol.n % 2 == (parity == "odd")
+        assert _mp_chordal(sol.n, SQRT2, x) < eps
+        assert _mp_chordal(sol.n, SQRT3, y) < eps

@@ -676,3 +676,17 @@ def test_transforms_compute_each_phase_factor_once_within_the_cap():
         # the two outputs, the kept factors (at most the cap), and about four
         # work arrays: an accumulator, the long-double products and phases
         assert peak <= (2 + 5) * factor_bytes + min(cap, 12 * factor_bytes)
+
+
+def test_quarter_pi_is_the_old_long_double_literal():
+    # pi/4 taken from the one long-double pi keeps the bits of the literal
+    # it replaced; dividing by 4 is exact, and == on finite nonzero long
+    # doubles compares every significant bit
+    assert measures._QUARTER_PI_LD == np.longdouble("0.785398163397448309615660845819875721")
+
+
+def test_high_degree_density_norm_is_refused_before_the_quadrature():
+    with pytest.raises(BudgetExceededError, match="density degree 65537 is above the limit"):
+        TrigPolyDensity({65_537: 1.0}).l1_norm_bounds()
+    value, _ = TrigPolyDensity({measures._MAX_DEGREE: 1.0}).l1_norm_bounds()
+    assert value == pytest.approx(1.0, abs=1e-9)

@@ -115,6 +115,11 @@ def test_kronecker_problem_round_trip():
     defaults = kronecker_problem_from_json(
         {"alpha": 1.0, "beta": 2.0, "target_x": 0.0, "target_y": 0.0, "epsilon": 0.1})
     assert defaults.n_max == 10 ** 6 and defaults.parity == "any"
+    assert defaults == KroneckerProblem(1.0, 2.0, 0.0, 0.0, 0.1)
+    partial = kronecker_problem_from_json(
+        {"alpha": 1.0, "beta": 2.0, "target_x": 0.0, "target_y": 0.0, "epsilon": 0.1,
+         "n_max": 500.0, "min_abs_n": "4"})
+    assert partial == KroneckerProblem(1.0, 2.0, 0.0, 0.0, 0.1, n_max=500, min_abs_n=4)
     with pytest.raises(SchemaError):
         kronecker_problem_from_json({"alpha": 1.0})
 
