@@ -407,10 +407,10 @@ class TrigPolyDensity:
         """
         if not self.coeffs:
             return 0.0, 0.0
-        if self.degree > _MAX_DEGREE:
-            raise BudgetExceededError(
-                f"density degree {self.degree} is above the limit {_MAX_DEGREE}")
-        m = max(4096, 64 * self.degree)
+        degree = self.degree
+        if degree > _MAX_DEGREE:
+            raise BudgetExceededError(f"density degree {degree} is above the limit {_MAX_DEGREE}")
+        m = max(4096, 64 * degree)
         i1 = float(np.abs(self.values_on_grid(m)).mean())
         i2 = float(np.abs(self.values_on_grid(2 * m)).mean())
         value = i2 + (i2 - i1) / 3.0
