@@ -43,11 +43,12 @@ def main() -> None:
     diff = total - result.mu_embedded
     print(f"\nnu0 + nu1 + nu2 - mu is the zero measure: {diff.is_zero}")
 
-    # Brackets for the radii come along for free in the default mode.
-    if result.radius_brackets is not None:
-        (lo0, hi0), (lo1, hi1) = result.radius_brackets
-        print(f"radius brackets: R0 in [{lo0:.6f}, {hi0:.6f}], "
-              f"R1 in [{lo1:.6f}, {hi1:.6f}]")
+    # A discrete measure's radii can be bracketed from below as well: the
+    # "exact_discrete" mode adds a torus maximum under each norm-root bound.
+    exact = decompose(atoms, DecompositionOptions(radius_mode="exact_discrete", verify=False))
+    (lo0, hi0), (lo1, hi1) = exact.radius_brackets
+    print(f"\natoms alone, radius brackets: R0 in [{lo0:.6f}, {hi0:.6f}], "
+          f"R1 in [{lo1:.6f}, {hi1:.6f}]")
 
 
 if __name__ == "__main__":

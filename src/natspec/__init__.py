@@ -23,8 +23,7 @@ from .measures import (DiscreteMeasure, MeasureLike, MixedMeasure, TrigPolyDensi
                        as_mixed, convolve, make_rho, make_theta0, make_theta1,
                        parity_projections, tv_norm, tv_norm_bounds)
 from .spectrum import (CharacterPolynomial, FeketeReport, char_polynomial,
-                       character_values, covering_radius, disk_grid, fekete_bound,
-                       restrict, torus_max)
+                       covering_radius, disk_grid, fekete_bound, torus_max)
 
 __version__ = "0.1.0"
 
@@ -35,7 +34,7 @@ __all__ = [
     "as_mixed", "convolve", "tv_norm", "tv_norm_bounds",
     "parity_projections", "make_theta0", "make_theta1", "make_rho",
     "FeketeReport", "fekete_bound", "CharacterPolynomial", "char_polynomial",
-    "character_values", "restrict", "torus_max", "covering_radius", "disk_grid",
+    "torus_max", "covering_radius", "disk_grid",
     "KroneckerProblem", "KroneckerSolution", "chordal", "solve",
     "pair_transform_values", "disk_preimage", "hit_target",
     "RADIUS_MODES", "DecompositionOptions",

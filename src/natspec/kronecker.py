@@ -339,7 +339,10 @@ def _gram_schmidt(rows: list[np.ndarray]) -> tuple[list[np.ndarray], list[list[f
 
 def _lll(rows: list[np.ndarray]) -> tuple[list[np.ndarray], list[list[int]]]:
     """Float LLL on a small basis; returns reduced rows and the integer
-    transform expressing them in the original rows."""
+    transform expressing them in the original rows.  A size-reduction step
+    b_k -= q b_j keeps every Gram-Schmidt vector and lowers mu[k][i] by
+    q mu[j][i] (with mu[j][j] = 1), so the basis is orthogonalised once and
+    again only after a swap."""
     b = [row.astype(np.float64).copy() for row in rows]
     n = len(b)
     u = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -353,7 +356,9 @@ def _lll(rows: list[np.ndarray]) -> tuple[list[np.ndarray], list[list[int]]]:
             if q:
                 b[k] = b[k] - q * b[j]
                 u[k] = [a - q * c for a, c in zip(u[k], u[j])]
-                gs, mu = _gram_schmidt(b)
+                for i in range(j):
+                    mu[k][i] -= q * mu[j][i]
+                mu[k][j] -= q
         lhs = float(np.dot(gs[k], gs[k]))
         rhs = (_LLL_DELTA - mu[k][k - 1] ** 2) * float(np.dot(gs[k - 1], gs[k - 1]))
         if lhs >= rhs:

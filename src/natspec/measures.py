@@ -482,8 +482,9 @@ class MixedMeasure:
         return as_mixed(other) - self
 
     def transform(self, ns) -> np.ndarray:
-        ns = np.asarray(ns, dtype=np.int64)
-        return self.disc.transform(ns) + self.ac.transform(ns)
+        """Fourier coefficients at the integers ``ns``: ``transforms`` of
+        the one measure, the atoms' sum plus the density's coefficients."""
+        return transforms([self], ns)[0]
 
     def __repr__(self) -> str:
         return (f"MixedMeasure({len(self.disc.atoms)} atoms, "

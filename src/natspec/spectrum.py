@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -160,21 +159,6 @@ def char_polynomial(mu: DiscreteMeasure) -> CharacterPolynomial:
     return CharacterPolynomial(mu.den, tuple(mu.num.tolist()),
                                tuple(map(tuple, mu.coef[:, active].tolist())),
                                tuple(mu.w.tolist()), tuple(mu.basis.names[i] for i in active))
-
-
-def restrict(p: CharacterPolynomial, t: int, keep: Sequence[str]) -> CharacterPolynomial:
-    """Fix the torsion character to ``t`` and pin every free variable not in
-    ``keep`` at phase zero; merge terms that collapse together."""
-    keep = list(keep)
-    keep_idx = [p.dim_names.index(name) for name in keep]
-    acc: dict[tuple[int, ...], complex] = {}
-    for m, row, c in zip(p.torsion, p.exponents, p.weights):
-        key = tuple(row[i] for i in keep_idx)
-        acc[key] = acc.get(key, 0.0 + 0.0j) + c * unit_roots((m * t) % p.order, p.order)
-    keys = sorted(acc)
-    return CharacterPolynomial(
-        1, (0,) * len(keys), tuple(keys),
-        tuple(acc[k] for k in keys), tuple(keep))
 
 
 def character_values(p: CharacterPolynomial, grid: int = 256) -> np.ndarray:
@@ -417,11 +401,6 @@ def disk_grid_shape(tol: float) -> tuple[int, int]:
             math.ceil(2.0 / tol) * math.ceil(TWO_PI / tol) + 1 > MAX_DISK_POINTS):
         raise ValueError(f"tol {tol!r} asks for more than {MAX_DISK_POINTS} disk grid points")
     return math.ceil(2.0 / tol), math.ceil(TWO_PI / tol)
-
-
-def _coverage_grid(tol: float) -> int:
-    """The coverage witness's grid, residual ~2R/grid: least 2**k >= 8 / tol, in 64..4096."""
-    return min(math.isqrt(_TORUS_POINT_LIMIT), max(64, 2 ** math.ceil(math.log2(8.0 / tol))))
 
 
 def disk_grid(radius: float = 1.0, tol: float = 0.05) -> np.ndarray:

@@ -10,13 +10,14 @@ from natspec import decomposition
 from natspec.decomposition import (DecompositionOptions, decompose,
                                    verify_decomposition)
 from natspec.errors import BudgetExceededError, RadiusValidationError
-from natspec.measures import DiscreteMeasure, MixedMeasure, as_mixed, tv_norm
+from natspec.measures import (DiscreteMeasure, MixedMeasure, as_mixed, convolve, make_rho,
+                              make_theta0, parity_projections)
 from natspec.sampling import default_rng, random_discrete, random_mixed
 
 ALL_CHECKS = ("identity_structural", "identity_transform", "nu2_support",
               "orthogonality", "parity_nu0", "parity_nu1", "modulus_nu0",
               "modulus_nu1", "density_nu0", "density_nu1")
-DISCRETE_ONLY_CHECKS = ("spectrum_membership", "spectrum_coverage")
+DISCRETE_ONLY_CHECKS = ("spectrum_membership",)
 
 
 def test_random_mixed_inputs_pass_all_checks(basis):
@@ -37,17 +38,23 @@ def test_random_discrete_inputs_also_check_spectrum(basis):
         assert result.report.names() == ALL_CHECKS + DISCRETE_ONLY_CHECKS
 
 
-@pytest.mark.parametrize("tol", [0.2, 0.1, 0.05, 0.02])
-def test_coverage_witness_resolves_a_quarter_of_tol(basis, tol):
-    # the witness's grid follows tol, so its covering radius of about
-    # 2 R0 / grid stays well inside the threshold tol * max(1, R0)
-    rng = default_rng(808)
+def test_density_check_catches_a_radius_or_piece_that_misses_the_disk(basis):
+    # (e) alone certifies that the R0 disk lies in nu0's spectrum: a radius
+    # raised past the cloud, or theta0 in place of theta1 in nu0, fails it
+    rng = default_rng(505)
     for _ in range(3):
-        raw = random_discrete(rng, basis)
-        mu = raw.scale(2.0 / tv_norm(raw))
-        result = decompose(mu, DecompositionOptions(verify=False, fekete_k_max=3))
-        check = verify_decomposition(mu, result, N=2000, tol=tol).check("spectrum_coverage")
-        assert check.passed and check.residual <= check.threshold / 4
+        mu = random_discrete(rng, basis)
+        result = decompose(mu)
+        assert result.report.passed
+        ext = result.basis
+        wrong_piece = convolve(make_rho(result.alpha, result.beta, ext), make_theta0(ext))
+        mu0, _ = parity_projections(result.mu_embedded)
+        for tampered in (dataclasses.replace(result, R0=1.5 * result.R0),
+                         dataclasses.replace(result, nu0=mu0 + wrong_piece.scale(result.R0))):
+            report = verify_decomposition(mu, tampered)
+            assert not report.passed
+            density = report.check("density_nu0")
+            assert not density.passed and density.residual > 2 * density.threshold
 
 
 def test_zero_measure_decomposes_to_zero(basis):

@@ -25,6 +25,8 @@ def test_demo_runs_cleanly(demo, tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert proc.stdout
+    if demo.stem == "04_decomposition":
+        assert "radius brackets:" in proc.stdout
 
 
 def test_every_exported_name_resolves():

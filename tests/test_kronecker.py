@@ -654,3 +654,87 @@ def test_lattice_and_scan_agree_on_found_and_not_found(n_max, eps, parity):
             assert sol.n % 2 == (parity == "odd")
         assert _mp_chordal(sol.n, SQRT2, x) < eps
         assert _mp_chordal(sol.n, SQRT3, y) < eps
+
+
+# -- the lattice reduction -------------------------------------------------------
+
+def _reorthogonalising_lll(rows):
+    """Float LLL that recomputes the Gram-Schmidt basis after every
+    size-reduction step as well as after every swap: (rows, transform, swaps)."""
+    b = [row.astype(np.float64).copy() for row in rows]
+    n = len(b)
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    gs, mu = kronecker._gram_schmidt(b)
+    k, swaps = 1, 0
+    for _ in range(kronecker._LLL_MAX_ITERS):
+        if k >= n:
+            break
+        for j in range(k - 1, -1, -1):
+            q = round(mu[k][j])
+            if q:
+                b[k] = b[k] - q * b[j]
+                u[k] = [a - q * c for a, c in zip(u[k], u[j])]
+                gs, mu = kronecker._gram_schmidt(b)
+        rhs = (kronecker._LLL_DELTA - mu[k][k - 1] ** 2) * float(np.dot(gs[k - 1], gs[k - 1]))
+        if float(np.dot(gs[k], gs[k])) >= rhs:
+            k += 1
+        else:
+            b[k], b[k - 1] = b[k - 1], b[k]
+            u[k], u[k - 1] = u[k - 1], u[k]
+            gs, mu = kronecker._gram_schmidt(b)
+            swaps += 1
+            k = max(k - 1, 1)
+    return b, u, swaps
+
+
+def _lattice_grid():
+    """Seeded (alpha, beta, x, y, eps, parity) at eps 0.1, 0.01 and 0.001
+    with every parity, over three generator pairs."""
+    rng = np.random.default_rng(91)
+    pairs = [(SQRT2, SQRT3), (math.log(3), math.log(5)), (math.sqrt(5), math.sqrt(7))]
+    for eps in (0.1, 0.01, 0.001):
+        for parity in ("any", "even", "odd"):
+            for alpha, beta in pairs:
+                for _ in range(4):
+                    x, y = (float(v) for v in rng.uniform(0.0, TWO_PI, 2))
+                    yield alpha, beta, x, y, eps, parity
+
+
+def test_lll_orthogonalises_once_and_after_each_swap(monkeypatch):
+    gram_schmidt, lll = kronecker._gram_schmidt, kronecker._lll
+    log = {"inside": False, "calls": 0, "runs": []}
+
+    def counting(rows):
+        log["calls"] += log["inside"]
+        return gram_schmidt(rows)
+
+    def recording(rows):
+        log.update(inside=True, calls=0)
+        try:
+            b, u = lll(rows)
+        finally:
+            log["inside"] = False
+        log["runs"].append((rows, b, u, log["calls"]))
+        return b, u
+
+    monkeypatch.setattr(kronecker, "_gram_schmidt", counting)
+    monkeypatch.setattr(kronecker, "_lll", recording)
+    for alpha, beta, x, y, eps, _ in _lattice_grid():
+        kronecker._lattice_candidates(alpha, beta, x, y, eps)
+    assert len(log["runs"]) == 108
+    for rows, b, u, calls in log["runs"]:
+        ref_b, ref_u, swaps = _reorthogonalising_lll(rows)
+        assert swaps > 0 and calls == 1 + swaps
+        assert u == ref_u and all(np.array_equal(r, s) for r, s in zip(b, ref_b))
+
+
+def test_lattice_solutions_match_a_reorthogonalising_reduction(monkeypatch):
+    found = []
+    for alpha, beta, x, y, eps, parity in _lattice_grid():
+        problem = KroneckerProblem(alpha, beta, x, y, eps, 2 ** 31, "lattice", 0, parity)
+        found.append(solve(problem))
+    monkeypatch.setattr(kronecker, "_lll", lambda rows: _reorthogonalising_lll(rows)[:2])
+    for (alpha, beta, x, y, eps, parity), sol in zip(_lattice_grid(), found):
+        problem = KroneckerProblem(alpha, beta, x, y, eps, 2 ** 31, "lattice", 0, parity)
+        ref = solve(problem)
+        assert (sol.n, sol.evaluations) == (ref.n, ref.evaluations)

@@ -639,6 +639,9 @@ def test_batched_transforms_match_single_measures_bitwise(ms, cap_factors):
     ns = np.arange(-300, 301, dtype=np.int64)
     alone = _one_by_one(ms, ns)
     assert alone == [m.transform(ns).tobytes() for m in ms]
+    # a mixed measure's values are its atoms' sum plus its density's
+    assert alone == [(d.disc.transform(ns) + d.ac.transform(ns)).tobytes()
+                     for d in map(as_mixed, ms)]
     cap = measures._MAX_FACTOR_CACHE if cap_factors is None else 16 * len(ns) * cap_factors
     with mock.patch.object(measures, "_MAX_FACTOR_CACHE", cap):
         batched = transforms(ms, ns)

@@ -19,14 +19,14 @@ import natspec
 from natspec import spectrum
 from natspec.angles import GeneratorBasis
 from natspec.errors import BudgetExceededError
-from natspec.measures import DiscreteMeasure, convolve, make_theta1, unit_roots
+from natspec.measures import DiscreteMeasure, unit_roots
 from natspec.sampling import default_rng, random_discrete
 from scipy.spatial import cKDTree
 
 from natspec.spectrum import (MAX_DISK_POINTS, CharacterPolynomial, _nearest_disk_distances,
                               char_polynomial, character_values, covering_radius,
                               disk_grid, disk_grid_shape, disk_hausdorff, fekete_bound,
-                              restrict, torus_grid_within, torus_max)
+                              torus_grid_within, torus_max)
 from oracles import character_value, hausdorff
 
 
@@ -163,24 +163,6 @@ def test_torus_max_monotone_under_grid_doubling(basis):
         coarse = torus_max(p, 32)
         fine = torus_max(p, 64)
         assert fine >= coarse - 1e-12
-
-
-def test_restrict_folds_torsion_character_into_weights(basis, rho, theta1):
-    shifted = convolve(rho, theta1)
-    p = char_polynomial(shifted)
-    assert p.order == 2 and set(p.torsion) == {0, 1}
-    # the odd character turns the four signed atoms into the two-point average
-    odd_part = restrict(p, 1, ["a", "b"])
-    assert odd_part.order == 1 and set(odd_part.torsion) <= {0}
-    assert set(odd_part.exponents) == {(0, 1), (1, 0)}
-    assert all(w == 0.5 for w in odd_part.weights)
-    assert 0.999 <= torus_max(odd_part, 64) <= 1.0 + 1e-9
-    # the even character cancels them entirely
-    even_part = restrict(p, 0, ["a", "b"])
-    assert torus_max(even_part, 64) == 0.0
-    on_a = restrict(char_polynomial(rho), 0, ["a"])
-    assert on_a.dim_names == ("a",)
-    assert set(on_a.exponents) == {(0,), (1,)}
 
 
 def test_character_values_fill_grid(rho):
@@ -568,26 +550,6 @@ def test_disk_grid_point_limit():
     assert disk_grid(1.0, 0.05).size == 1 + 40 * 126
     with pytest.raises(ValueError, match="more than"):
         disk_grid_shape(0.0017)
-
-
-def test_coverage_grid_follows_tol():
-    grids = [spectrum._coverage_grid(tol) for tol in (1e300, 0.2, 0.1, 0.05, 0.02)]
-    assert grids == [64, 64, 128, 256, 512]
-    # the finest tol that disk_grid_shape accepts asks for the largest grid
-    # whose square lattice the walker still holds
-    lo, hi = 0.0017, 0.0018
-    for _ in range(60):
-        mid = (lo + hi) / 2
-        try:
-            disk_grid_shape(mid)
-            hi = mid
-        except ValueError:
-            lo = mid
-    assert spectrum._coverage_grid(hi) ** 2 == spectrum._TORUS_POINT_LIMIT
-    for tol in np.geomspace(hi, 1e3, 300):
-        grid = spectrum._coverage_grid(tol)
-        assert 64 <= grid <= 4096 and grid & (grid - 1) == 0
-        assert grid >= min(4096, 8 / tol) and (grid == 64 or grid / 2 < 8 / tol)
 
 
 def test_covering_radius_matches_brute_force_bitwise():
