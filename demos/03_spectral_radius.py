@@ -5,13 +5,14 @@ sequence is nonincreasing); lower bounds are maxima of the character
 polynomial over a lattice in the torus of generalized characters, which can
 only grow when the grid doubles.  Together they bracket the spectral radius,
 and the bracket tightens as more squarings and a finer grid (``--grid`` on
-the command line) refine both sides.
+the command line) refine both sides.  ``spectral_bracket`` needs no
+squarings: the lattice maximum also bounds |p| between lattice points.
 """
 
 import math
 
 from natspec import (DiscreteMeasure, GeneratorBasis, char_polynomial, fekete_bound,
-                     make_rho, torus_max)
+                     make_rho, spectral_bracket, torus_max)
 
 
 def main() -> None:
@@ -43,6 +44,10 @@ def main() -> None:
         hi = fekete_bound(mu, k_max=k_max).final_bound
         print(f"  grid {grid:>3}, k_max {k_max}:  bracket [{lo:.6f}, {hi:.6f}]"
               f"  width {hi - lo:.6f}")
+    # Without squarings: lattice walks alone give both ends, the upper one
+    # from how fast |p|^2 can fall between lattice points.
+    lo, hi = spectral_bracket(mu)
+    print(f"  spectral_bracket:        bracket [{lo:.6f}, {hi:.6f}]  width {hi - lo:.6f}")
 
     # Torsion positions join the torus scan as exact roots of unity.
     from fractions import Fraction

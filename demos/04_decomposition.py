@@ -43,12 +43,15 @@ def main() -> None:
     diff = total - result.mu_embedded
     print(f"\nnu0 + nu1 + nu2 - mu is the zero measure: {diff.is_zero}")
 
-    # A discrete measure's radii can be bracketed from below as well: the
-    # "exact_discrete" mode adds a torus maximum under each norm-root bound.
-    exact = decompose(atoms, DecompositionOptions(radius_mode="exact_discrete", verify=False))
-    (lo0, hi0), (lo1, hi1) = exact.radius_brackets
-    print(f"\natoms alone, radius brackets: R0 in [{lo0:.6f}, {hi0:.6f}], "
-          f"R1 in [{lo1:.6f}, {hi1:.6f}]")
+    # Each radius is the upper end of a certified bracket of its piece's
+    # spectral radius: the atoms' torus maximum, or the density's largest
+    # coefficient where that is larger, and the upper end from the same
+    # lattice walk.  The atoms alone have their own brackets.
+    for label, res in (("input", result),
+                       ("atoms alone", decompose(atoms, DecompositionOptions(verify=False)))):
+        (lo0, hi0), (lo1, hi1) = res.radius_brackets
+        print(f"\n{label}, radius brackets: R0 in [{lo0:.6f}, {hi0:.6f}], "
+              f"R1 in [{lo1:.6f}, {hi1:.6f}]")
 
 
 if __name__ == "__main__":

@@ -56,9 +56,12 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--tol", type=float, default=DecompositionOptions.verify_tol,
                    help="density tolerance")
     d.add_argument("--kmax", type=int, default=DecompositionOptions.fekete_k_max,
-                   help="norm-root bound depth")
+                   help="norm-root depth of the radius fallback, used only for a piece "
+                        "whose character torus the walker refuses")
     d.add_argument("--radius-mode", choices=RADIUS_MODES,
-                   default=DecompositionOptions.radius_mode)
+                   default=DecompositionOptions.radius_mode,
+                   help="bracket: certified upper end of the spectral-radius bracket; "
+                        "manual: --r0 and --r1")
     d.add_argument("--r0", type=float, default=None, help="manual radius for the even piece")
     d.add_argument("--r1", type=float, default=None, help="manual radius for the odd piece")
 
@@ -117,6 +120,11 @@ def _cmd_decompose(args) -> int:
     write_json(out / "nu2.json", measure_to_json(result.nu2))
     write_json(out / "report.json", decomposition_report_to_json(result))
     assert result.report is not None
+    for name, fallback in zip(("R0", "R1"), result.radius_fallbacks or ()):
+        if fallback is not None:
+            stop = ", stopped on the convolution budget" if fallback.report.budget_hit else ""
+            print(f"# radius fallback: {name} is the norm-root bound over k <= {args.kmax}"
+                  f"{stop}, because {fallback.reason}")
     for check in result.report.checks:
         print(f"{'PASS' if check.passed else 'FAIL'} {check.name}: "
               f"residual {check.residual!r} (threshold {check.threshold!r})")

@@ -18,15 +18,15 @@ from typing import Optional
 import numpy as np
 
 from .angles import Angle, GeneratorBasis, basis_fresh_generators
-from .errors import RadiusValidationError
+from .errors import BudgetExceededError, RadiusValidationError
 from .measures import (DiscreteMeasure, MeasureLike, MixedMeasure, as_mixed, convolve,
                        make_rho, make_theta0, make_theta1, parity_projections,
                        transforms, tv_norm)
-from .spectrum import (_SAFE_RADIUS, FeketeReport, char_polynomial, check_torus_grid,
-                       disk_grid_shape, disk_hausdorff, fekete_bound, torus_grid_within,
-                       torus_max)
+from .spectrum import (_SAFE_RADIUS, FeketeReport, _transform_allowance, char_polynomial,
+                       disk_grid_shape, disk_hausdorff, fekete_bound, spectral_bracket,
+                       torus_grid_within, torus_max)
 
-RADIUS_MODES = ("exact_discrete", "fekete", "manual")
+RADIUS_MODES = ("bracket", "manual")
 
 # Absolute residual thresholds for the verifier checks.
 IDENTITY_TRANSFORM_TOL = 1e-9
@@ -35,9 +35,6 @@ PARITY_TOL = 1e-9
 MODULUS_SLACK = 1e-9
 MEMBERSHIP_SLACK = 1e-6
 MANUAL_RADIUS_SCAN = 256
-# torus grid of the lower end of the "exact_discrete" radius brackets, halved
-# until the lattice fits the walker's limit
-EXACT_DISCRETE_GRID = 128
 # grid points the verifier's check (f) may spend, see spectrum.torus_grid_within
 MEMBERSHIP_POINT_BUDGET = 2_000_000
 # largest transform range |n| <= N the verifier accepts (100x the largest in use)
@@ -48,15 +45,19 @@ MAX_VERIFY_N = 1 << 20
 class DecompositionOptions:
     """Tuning knobs for ``decompose``.
 
-    radius_mode selects how the two disk radii are produced: "fekete" uses
-    the norm-root upper bound, "exact_discrete" additionally brackets it from
-    below with a torus maximum (discrete inputs only), and "manual" takes
-    user radii validated against the transform lower bound
-    sup_{|n| <= 256} |mu_i_hat(n)|.  Manual radii that are negative, not
-    finite or above 2**400 are refused before any work.  verify_N and
-    verify_tol are ``verify_decomposition``'s N and tol."""
+    radius_mode selects how the two disk radii are produced.  "bracket"
+    takes each radius R_i as the certified upper end of
+    ``spectrum.spectral_bracket(mu_i)``; when the torus walker refuses a
+    piece's lattice (too many torsion classes or free dimensions), that
+    piece's radius is the norm-root bound ``fekete_bound(mu_i,
+    fekete_k_max)`` instead, so fekete_k_max is the depth of that fallback
+    only.  "manual" takes user radii, refused unless each is at least
+    sup_{|n| <= 256} |mu_i_hat(n)| less that sup's rounding allowance, a
+    multiple of u * ||mu_i||.  Manual radii that are negative, not finite
+    or above 2**400 are refused before any work.  verify_N and verify_tol
+    are ``verify_decomposition``'s N and tol."""
 
-    radius_mode: str = "fekete"
+    radius_mode: str = "bracket"
     manual_radii: Optional[tuple[float, float]] = None
     fekete_k_max: int = 6
     verify: bool = True
@@ -92,8 +93,22 @@ class VerificationReport:
 
 
 @dataclass(frozen=True)
+class RadiusFallback:
+    """Why the torus walker refused a piece's lattice, and the norm-root
+    report whose final bound became that piece's radius instead."""
+
+    reason: str
+    report: FeketeReport
+
+
+@dataclass(frozen=True)
 class DecompositionResult:
-    """nu0 + nu1 + nu2 == mu with nu2 supported on the four fresh positions."""
+    """nu0 + nu1 + nu2 == mu with nu2 supported on the four fresh positions.
+
+    In "bracket" mode radius_brackets holds each piece's (lower, upper)
+    spectral-radius bracket, whose upper end is its radius, and
+    radius_fallbacks a RadiusFallback for each piece whose lattice was
+    refused (its lower end is then 0); both are None in "manual" mode."""
 
     nu0: MeasureLike
     nu1: MeasureLike
@@ -105,7 +120,7 @@ class DecompositionResult:
     basis: GeneratorBasis
     mu_embedded: MeasureLike
     radius_brackets: Optional[tuple[tuple[float, float], tuple[float, float]]]
-    fekete_reports: Optional[tuple[FeketeReport, FeketeReport]]
+    radius_fallbacks: Optional[tuple[Optional[RadiusFallback], Optional[RadiusFallback]]]
     report: Optional[VerificationReport]
 
 
@@ -135,31 +150,22 @@ def _radii(mu0: MeasureLike, mu1: MeasureLike, opts: DecompositionOptions):
     if opts.radius_mode == "manual":
         r0, r1 = float(opts.manual_radii[0]), float(opts.manual_radii[1])
         sups = _transform_sups([mu0, mu1], MANUAL_RADIUS_SCAN)
-        for r, sup, name in ((r0, sups[0], "R0"), (r1, sups[1], "R1")):
-            if r + 1e-12 < sup:
+        for r, sup, m, name in ((r0, sups[0], mu0, "R0"), (r1, sups[1], mu1, "R1")):
+            if r < sup - _transform_allowance(as_mixed(m), MANUAL_RADIUS_SCAN):
                 raise RadiusValidationError(
                     f"{name}={r} is below the transform bound {sup} "
                     f"(sup over |n| <= {MANUAL_RADIUS_SCAN})")
         return r0, r1, None, None
-    # exact_discrete brackets the radius between a torus maximum and the
-    # norm-root bound, returning the certified upper end; each lattice is
-    # fitted, or refused, before any squaring
-    lattices = []
-    if opts.radius_mode == "exact_discrete":
-        for m in (mu0, mu1):
-            if not as_mixed(m).is_discrete:
-                raise RadiusValidationError(
-                    "radius_mode 'exact_discrete' requires a discrete measure")
-            p = char_polynomial(as_mixed(m).disc)
-            grid = torus_grid_within(p, p.order * EXACT_DISCRETE_GRID ** p.dims)
-            check_torus_grid(p, grid)
-            lattices.append((p, grid))
-    reports = (fekete_bound(mu0, opts.fekete_k_max), fekete_bound(mu1, opts.fekete_k_max))
-    r0, r1 = reports[0].final_bound, reports[1].final_bound
-    if not lattices:
-        return r0, r1, None, reports
-    (p0, g0), (p1, g1) = lattices
-    return r0, r1, ((torus_max(p0, g0), r0), (torus_max(p1, g1), r1)), reports
+    brackets, fallbacks = [], []
+    for m in (mu0, mu1):
+        try:
+            brackets.append(spectral_bracket(m))
+            fallbacks.append(None)
+        except BudgetExceededError as exc:
+            report = fekete_bound(m, opts.fekete_k_max)
+            brackets.append((0.0, report.final_bound))
+            fallbacks.append(RadiusFallback(str(exc), report))
+    return brackets[0][1], brackets[1][1], tuple(brackets), tuple(fallbacks)
 
 
 def _validate_options(opts: DecompositionOptions) -> None:
@@ -206,7 +212,7 @@ def decompose(mu: MeasureLike, options: Optional[DecompositionOptions] = None
     beta = ext.generator(fresh[1][0])
     mu_ext = _embed(mu, ext)
     mu0, mu1 = parity_projections(mu_ext)
-    r0, r1, brackets, reports = _radii(mu0, mu1, opts)
+    r0, r1, brackets, fallbacks = _radii(mu0, mu1, opts)
     rho = make_rho(alpha, beta, ext)
     rt1 = convolve(rho, make_theta1(ext))
     rt0 = convolve(rho, make_theta0(ext))
@@ -216,7 +222,7 @@ def decompose(mu: MeasureLike, options: Optional[DecompositionOptions] = None
     nu1 = mu1 + add1
     nu2 = (-add0) + (-add1)
     result = DecompositionResult(nu0, nu1, nu2, float(r0), float(r1), alpha, beta,
-                                 ext, mu_ext, brackets, reports, None)
+                                 ext, mu_ext, brackets, fallbacks, None)
     if opts.verify:
         report = verify_decomposition(mu, result, N=opts.verify_N, tol=opts.verify_tol)
         result = replace(result, report=report)

@@ -337,12 +337,13 @@ def _gram_schmidt(rows: list[np.ndarray]) -> tuple[list[np.ndarray], list[list[f
     return gs, mu
 
 
-def _lll(rows: list[np.ndarray]) -> tuple[list[np.ndarray], list[list[int]]]:
-    """Float LLL on a small basis; returns reduced rows and the integer
-    transform expressing them in the original rows.  A size-reduction step
-    b_k -= q b_j keeps every Gram-Schmidt vector and lowers mu[k][i] by
-    q mu[j][i] (with mu[j][j] = 1), so the basis is orthogonalised once and
-    again only after a swap."""
+def _lll(rows: list[np.ndarray]
+         ) -> tuple[list[np.ndarray], list[list[int]], list[np.ndarray]]:
+    """Float LLL on a small basis; returns reduced rows, the integer
+    transform expressing them in the original rows, and the reduced rows'
+    Gram-Schmidt vectors.  A size-reduction step b_k -= q b_j keeps every
+    Gram-Schmidt vector and lowers mu[k][i] by q mu[j][i] (with mu[j][j] =
+    1), so the basis is orthogonalised once and again only after a swap."""
     b = [row.astype(np.float64).copy() for row in rows]
     n = len(b)
     u = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -368,11 +369,12 @@ def _lll(rows: list[np.ndarray]) -> tuple[list[np.ndarray], list[list[int]]]:
             u[k], u[k - 1] = u[k - 1], u[k]
             gs, mu = _gram_schmidt(b)
             k = max(k - 1, 1)
-    return b, u
+    return b, u, gs
 
 
-def _nearest_plane(b: list[np.ndarray], target: np.ndarray) -> list[int]:
-    gs, _ = _gram_schmidt(b)
+def _nearest_plane(b: list[np.ndarray], gs: list[np.ndarray], target: np.ndarray) -> list[int]:
+    """Babai's nearest-plane coefficients of target in the basis b, whose
+    Gram-Schmidt vectors are gs."""
     c = target.astype(np.float64).copy()
     coeffs = [0] * len(b)
     for i in reversed(range(len(b))):
@@ -404,8 +406,8 @@ def _lattice_candidates(alpha: float, beta: float, x: float, y: float,
             np.array([0.0, 1.0, 0.0]),
             np.array([0.0, 0.0, 1.0])]
     target = np.array([0.0, x / TWO_PI, y / TWO_PI])
-    b, u = _lll(rows)
-    coeffs = _nearest_plane(b, target)
+    b, u, gs = _lll(rows)
+    coeffs = _nearest_plane(b, gs, target)
     n0 = sum(coeffs[i] * u[i][0] for i in range(len(u)))
     offsets = [0] + [s * k for k in range(1, _NEIGHBOR_RANGE + 1) for s in (1, -1)]
     return ([n0 + d for d in offsets]

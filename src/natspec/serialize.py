@@ -168,8 +168,11 @@ def decomposition_report_to_json(result: DecompositionResult) -> dict:
     if result.radius_brackets is not None:
         out["radius_brackets"] = [[float(lo), float(hi)]
                                   for lo, hi in result.radius_brackets]
-    if result.fekete_reports is not None:
-        out["fekete"] = [fekete_report_to_json(r) for r in result.fekete_reports]
+    fallbacks = result.radius_fallbacks or ()
+    if any(fallbacks):
+        # one entry per piece, null for a piece whose bracket was certified
+        out["fekete"] = [None if f is None else fekete_report_to_json(f.report)
+                         for f in fallbacks]
     if result.report is not None:
         out["verification"] = verification_report_to_json(result.report)
         out["passed"] = result.report.passed

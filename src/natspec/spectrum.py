@@ -1,27 +1,38 @@
 """Spectral radius brackets and transform-cloud geometry for circle measures.
 
-Upper bounds come from norms of iterated convolution squares (the limit of
-||mu^m||^(1/m) is approached monotonically along powers of two).  Lower
-bounds come from evaluating the measure against generalized characters: a
-root of unity acting on the torsion part of the support group and free unit
-circle variables for the independent generators.  A lower end is the
-maximum of |mu_hat| over a lattice of those characters, a uniform grid per
-free variable, less a rounding allowance; it can only grow when the grid
-doubles, so a finer grid (``--grid`` on the command line) tightens it.
+The spectral radius of a discrete measure mu is the maximum of |mu_hat| over
+its generalized characters: a root of unity acting on the torsion part of
+the support group and free unit circle variables for the independent
+generators (the dual torus of Z_q x Z^d, Rudin, *Fourier Analysis on
+Groups*, ch. 5).  ``torus_max`` is the maximum over a lattice of those
+characters, a uniform grid per free variable, less a rounding allowance: a
+lower end, which can only grow when the grid doubles, so a finer grid
+(``--grid`` on the command line) tightens it.  ``spectral_bracket`` adds a
+certified upper end from the same lattice walk: between lattice points |p|^2
+cannot fall faster than a cosine (the van der Corput-Schaake inequality, in
+Duffin and Schaeffer's form), so the lattice maximum, divided by the square
+root of that cosine at the grid's spacing, bounds the maximum over the whole
+torus.  For a measure with a density part sum_K c_k e_k the radius is the
+larger of the discrete part's and max_K |mu_hat(k)|.
+
+``fekete_bound`` gives an upper end without the torus: norms of iterated
+convolution squares, whose roots ||mu^m||^(1/m) approach the radius along
+powers of two.  It serves lattices the walker refuses, and the
+``spectral-radius`` command.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .angles import GeneratorBasis, TWO_PI
 from .errors import BudgetExceededError
 from .measures import (DiscreteMeasure, MeasureLike, MixedMeasure, as_mixed, convolve,
-                       tv_norm_bounds, unit_roots)
+                       transforms, tv_norm_bounds, unit_roots)
 
 # norms whose square stays in the normal float range, with a factor 4 to spare
 _SQUARE_SAFE_MIN = 2.0 ** -511
@@ -46,6 +57,11 @@ _TILE_BYTES = 1 << 19
 # top points of 400 random polynomials (K <= 20, order <= 6) was 3.8.
 _ROUNDING_TERMS = 8
 _U = 2.0 ** -53
+# the bracket loop stops once upper - lower is at most this share of upper
+_BRACKET_REL_WIDTH = 2.0 ** -6
+# the largest pi * span / grid at which the upper end of a grid can come
+# within _BRACKET_REL_WIDTH of its lower end: sqrt(cos) >= 1 - width
+_BRACKET_ANGLE = math.acos((1.0 - _BRACKET_REL_WIDTH) ** 2)
 # most points disk_grid builds (tol down to about 0.0018)
 MAX_DISK_POINTS = 1 << 22
 # disk_hausdorff finds the nearest grid point in closed form for points
@@ -195,9 +211,9 @@ def _phase_index(exponents: np.ndarray, grid: int, points: range) -> np.ndarray:
 
 
 def _eval_on_grid(weights: np.ndarray, torsion: np.ndarray, order: int,
-                  exponents: np.ndarray, grid: int):
-    """p on the order x grid^dims lattice, one row tile of a chunk of classes
-    at a time.
+                  exponents: np.ndarray, grid: int, classes: range):
+    """p on the lattice of the torsion classes ``classes`` (a subrange of
+    range(order)) x grid^dims, one row tile of a chunk of classes at a time.
 
     p(t; x, y) = sum_j L[j, x] R_t[j, y] with x over the first ceil(dims/2)
     axes and y over the rest.  L holds entries of the grid's root-of-unity
@@ -218,8 +234,8 @@ def _eval_on_grid(weights: np.ndarray, torsion: np.ndarray, order: int,
     which gives each class its own product of the shape and kernel it would
     have alone, so the bits do not depend on the chunk.
 
-    Yields (t, lo, values) group by group, tile by tile, chunk by chunk:
-    values holds the tile of rows lo.. of classes t.. as (classes, rows,
+    Yields (i, lo, values) group by group, tile by tile, chunk by chunk:
+    values holds the tile of rows lo.. of classes classes[i].. as (classes, rows,
     grid^floor(dims/2)), a view of one buffer that the next chunk
     overwrites and the caller may overwrite too.  At one free axis
     R gets a zero second column: numpy would otherwise call BLAS's
@@ -244,16 +260,16 @@ def _eval_on_grid(weights: np.ndarray, torsion: np.ndarray, order: int,
              for k in range(n_tiles)]
     group = max(1, _TILE_BYTES // (16 * n_terms * (n_right + pad)))
     chunk = max(1, _TILE_BYTES // (16 * tiles[0][1] * (n_right + pad)))
-    buf = np.empty((min(order, group, chunk), tiles[0][1], n_right + pad),
+    buf = np.empty((min(len(classes), group, chunk), tiles[0][1], n_right + pad),
                    dtype=np.complex128)
-    for t0 in range(0, order, group):
-        classes = np.arange(t0, min(order, t0 + group))
-        rhs = np.zeros((len(classes), n_terms, n_right + pad), dtype=np.complex128)
-        class_weights = weights * unit_roots(np.multiply.outer(classes, torsion) % order, order)
+    for i0 in range(0, len(classes), group):
+        ts = np.asarray(classes[i0:i0 + group], dtype=np.int64)
+        rhs = np.zeros((len(ts), n_terms, n_right + pad), dtype=np.complex128)
+        class_weights = weights * unit_roots(np.multiply.outer(ts, torsion) % order, order)
         np.multiply(class_weights[:, :, None], right, out=rhs[:, :, :n_right])
         for lo, hi in tiles:
             lhs = roots[_phase_index(reduced[:, :left], grid, range(lo, hi))]
-            for c in range(0, len(classes), chunk):
+            for c in range(0, len(ts), chunk):
                 stack = rhs[c:c + chunk]
                 tile = buf[:len(stack), :hi - lo]
                 for block in blocks:
@@ -261,7 +277,7 @@ def _eval_on_grid(weights: np.ndarray, torsion: np.ndarray, order: int,
                         np.matmul(lhs[block].T, stack[:, block], out=tile)
                     else:
                         tile += np.matmul(lhs[block].T, stack[:, block])
-                yield t0 + c, lo, tile[:, :, :n_right]
+                yield i0 + c, lo, tile[:, :, :n_right]
 
 
 def check_torus_grid(p: CharacterPolynomial, grid: int) -> None:
@@ -281,10 +297,11 @@ def check_torus_grid(p: CharacterPolynomial, grid: int) -> None:
             f"points = {points}, above the limit of {_TORUS_POINT_LIMIT}")
 
 
-def _torus_slices(p: CharacterPolynomial, grid: int):
+def _torus_slices(p: CharacterPolynomial, grid: int, classes: Optional[range] = None):
     """Set up the walk over the character torus: (shape, shift, tiles).
 
-    shape is the lattice's (order, grid^ceil(dims/2), grid^floor(dims/2))
+    The walk covers the torsion classes ``classes``, all of them by default.
+    shape is the lattice's (classes, grid^ceil(dims/2), grid^floor(dims/2))
     and tiles the row tiles of ``_eval_on_grid``, computed on the weights
     times 2^-shift, where shift is 0 unless (sum |c_j|)^2 would leave the
     normal float range; multiplying the values by 2^shift gives p itself,
@@ -314,10 +331,11 @@ def _torus_slices(p: CharacterPolynomial, grid: int):
     if shift:
         weights *= math.ldexp(1.0, -shift)
     exponents = np.asarray(p.exponents, dtype=np.int64).reshape(p.n_terms, p.dims)
+    classes = range(p.order) if classes is None else classes
     left = (p.dims + 1) // 2
-    shape = (p.order, grid ** left, grid ** (p.dims - left))
+    shape = (len(classes), grid ** left, grid ** (p.dims - left))
     return shape, shift, _eval_on_grid(weights, np.asarray(p.torsion, dtype=np.int64),
-                                       p.order, exponents, grid)
+                                       p.order, exponents, grid, classes)
 
 
 def torus_grid_within(p: CharacterPolynomial, max_points: int) -> int:
@@ -341,12 +359,25 @@ def torus_max(p: CharacterPolynomial, grid: int = 512) -> float:
     the grid-g lattice lies in the grid-2g one, so the value only increases
     when ``grid`` doubles (on a BLAS build that keeps the grid-doubling
     bits, see ``_torus_slices``): a finer grid tightens the lower end.
-    Each row tile of the walk is reduced to its largest |v|^2 while it is
-    still in cache, and the square root is taken once, of the largest of
-    all.  Raises BudgetExceededError when order * grid^dims exceeds the
+    Raises BudgetExceededError when order * grid^dims exceeds the
     walker's limit and ValueError when the weights do not have a finite sum.
     """
-    _, shift, tiles = _torus_slices(p, grid)
+    best, allowance, shift = _lattice_max(p, grid)
+    return math.ldexp(max(0.0, best - allowance), shift)
+
+
+def _lattice_max(p: CharacterPolynomial, grid: int,
+                 classes: Optional[range] = None) -> tuple[float, float, int]:
+    """(best, allowance, shift): the largest computed |p| over the lattice
+    of the torsion classes ``classes`` (all by default) and the rounding
+    allowance (K + _ROUNDING_TERMS) * u * sum |c_j|, both times 2^-shift
+    (see ``_torus_slices``).
+
+    Each row tile of the walk is reduced to its largest |v|^2 while it is
+    still in cache, and the square root is taken once, of the largest of
+    all.
+    """
+    _, shift, tiles = _torus_slices(p, grid, classes)
     top = 0.0
     for _, _, values in tiles:
         # |v|^2 in place, in contiguous passes over the tile: square both
@@ -358,9 +389,162 @@ def torus_max(p: CharacterPolynomial, grid: int = 512) -> float:
         np.square(parts, out=parts)
         np.multiply(values, 1 + 1j, out=values)
         top = max(top, float(parts.max()))
-    best = math.sqrt(top)
     total = math.ldexp(sum(abs(c) for c in p.weights), -shift)
-    return math.ldexp(max(0.0, best - (p.n_terms + _ROUNDING_TERMS) * _U * total), shift)
+    return math.sqrt(top), (p.n_terms + _ROUNDING_TERMS) * _U * total, shift
+
+
+def _exponent_span(p: CharacterPolynomial) -> int:
+    """sum over the free axes of p's largest less its smallest exponent."""
+    return sum(max(axis) - min(axis) for axis in zip(*p.exponents))
+
+
+def _grid_upper(best: float, allowance: float, span: int, grid: int) -> float:
+    """(best + allowance) / sqrt(cos(pi * span / grid)), rounded upward,
+    for a grid above 2 * span.
+
+    Along the segment from a maximum point of F = |p|^2 to its nearest
+    lattice point, at most pi / grid away on each axis, F is a nonnegative
+    function of exponential type at most pi * span / grid, and such a
+    function falls from its maximum no faster than the cosine of that type
+    times the distance (van der Corput and Schaake; Duffin and Schaeffer):
+    sup |p| <= sqrt(F(lattice point) / cos(pi * span / grid)).  The angle is
+    taken 4u larger, past the roundings of pi and of the quotient, and the
+    result 8u larger, past the roundings of the sum, the cosine, the root
+    and the division.
+    """
+    angle = math.pi * span / grid * (1 + 4 * _U)
+    return (best + allowance) / math.sqrt(math.cos(angle)) * (1 + 8 * _U)
+
+
+def _transform_allowance(m: MixedMeasure, n_max: int) -> float:
+    """Bound on the rounding of ``measures.transforms``'s mu_hat(n) for
+    |n| <= n_max: for K atoms and a density coefficient, (K + 1 +
+    _ROUNDING_TERMS) * u times the atoms' total modulus plus the largest
+    density coefficient, as for the lattice, and for the generator phases
+    n g, which are reduced in long double, 8 eps_LD * n_max * sum |w_j| |g_j|.
+    It scales with mu, so a verdict against it does not change when mu is
+    scaled by a power of two."""
+    weights = np.abs(m.disc.w)
+    gens = np.abs(m.disc.coef).astype(np.float64) @ np.abs(np.asarray(m.basis.values,
+                                                                      dtype=np.float64))
+    phase = 8 * float(np.finfo(np.longdouble).eps) * n_max * float(weights @ gens)
+    total = float(weights.sum()) + max((abs(c) for c in m.ac.coeffs.values()), default=0.0)
+    return (len(weights) + 1 + _ROUNDING_TERMS) * _U * total + phase
+
+
+def _below_modulus(r: float, w: complex) -> bool:
+    """r^2 < re(w)^2 + im(w)^2, compared exactly in integers (every float is
+    a dyadic rational)."""
+    (a, b), (c, d), (e, f) = (r.as_integer_ratio(), w.real.as_integer_ratio(),
+                              w.imag.as_integer_ratio())
+    return (a * d * f) ** 2 < ((c * f) ** 2 + (e * d) ** 2) * b * b
+
+
+def _norm_upward(d: DiscreteMeasure) -> float:
+    """sum |w_j| rounded upward: each modulus is moved up an ulp at a time
+    until it is at least its exact value, and the correctly rounded sum
+    (``math.fsum``) an ulp up when its exact residual is positive; so the
+    value is ``d.norm()`` whenever that is exact."""
+    norm = d.norm()
+    if not math.isfinite(norm):
+        return norm
+    moduli = []
+    for w in d.w.tolist():
+        r = abs(w)
+        while _below_modulus(r, w):
+            r = math.nextafter(r, math.inf)
+        moduli.append(r)
+    total = math.fsum(moduli)
+    return math.nextafter(total, math.inf) if math.fsum(moduli + [-total]) > 0 else total
+
+
+def _live_classes(p: CharacterPolynomial) -> range:
+    """The torsion classes at which p can be nonzero.  When the half turn
+    m -> m + order/2 maps p's terms onto themselves, p(t) = (-1)^t p(t) and
+    p vanishes at odd t; when it maps them onto their negatives, p vanishes
+    at even t.  The even and odd pieces of ``measures.parity_projections``
+    are of these two kinds."""
+    half = p.order // 2
+    if p.order % 2 or not p.n_terms:
+        return range(p.order)
+    terms = dict(zip(zip(p.torsion, p.exponents), p.weights))
+    image = [terms.get(((m + half) % p.order, e)) for m, e in zip(p.torsion, p.exponents)]
+    if image == list(p.weights):
+        return range(0, p.order, 2)
+    if image == [-c for c in p.weights]:
+        return range(1, p.order, 2)
+    return range(p.order)
+
+
+def _density_bracket(m: MixedMeasure) -> tuple[float, float]:
+    """max over the density's frequencies k of |mu_hat(k)|, less and plus
+    its rounding allowance."""
+    ks = np.fromiter(m.ac.coeffs, dtype=np.int64, count=len(m.ac.coeffs))
+    top = float(np.max(np.abs(transforms([m], ks)[0])))
+    allowance = _transform_allowance(m, int(np.max(np.abs(ks))))
+    return max(0.0, top - allowance), top + allowance
+
+
+def spectral_bracket(mu: MeasureLike) -> tuple[float, float]:
+    """Certified (lower, upper) bracket of the spectral radius of mu.
+
+    For the discrete part d, with character polynomial p, each lattice walk
+    of the grid loop gives a lower end, its maximum less the rounding
+    allowance (as ``torus_max``), and, once the grid exceeds twice the
+    exponent span S of p (the sum over the free axes of the exponents'
+    ranges), an upper end (max + allowance) / sqrt(cos(pi S / grid)).  The
+    loop keeps the largest lower and the smallest upper end and stops once
+    upper - lower <= _BRACKET_REL_WIDTH * upper, or when the next grid
+    would pass the walker's _TORUS_POINT_LIMIT.  Its first grid is 16,
+    where the cap below may already close the bracket; the next is the
+    coarsest power of two whose upper end can come within
+    _BRACKET_REL_WIDTH of its lower end, and the grid then doubles.
+    Without free axes one walk gives [max - allowance, max + allowance].
+    Torsion classes where p vanishes identically, half of them for a
+    parity piece (``_live_classes``), are not walked.
+
+    A density part sum_K c_k e_k is orthogonal to d * (delta - sum_K e_k),
+    so r(mu) = max(r(d), max_K |mu_hat(k)|); that maximum, less and plus its
+    rounding allowance, is folded into both ends.  The upper end is capped
+    at ||mu||, the atoms' part rounded upward, plus the density part's
+    quadrature error: ``fekete_bound``'s first entry, or an ulp above it.
+
+    Raises BudgetExceededError, before any walk, when d has more than
+    MAX_TORUS_DIMS free dimensions or order * 16^dims exceeds the walker's
+    limit, and ValueError when the total variation is not finite.
+    """
+    m = as_mixed(mu)
+    density_value, density_err = m.ac.l1_norm_bounds()
+    upper = _norm_upward(m.disc) + density_value + density_err
+    if not math.isfinite(upper):
+        raise ValueError(f"the total variation bound {upper!r} is not finite")
+    p = char_polynomial(m.disc)
+    if p.dims > MAX_TORUS_DIMS:
+        raise BudgetExceededError(f"the character torus has {p.dims} free dimensions, above "
+                                  f"the walker's {MAX_TORUS_DIMS}")
+    check_torus_grid(p, 16)
+    lower, upper_k = _density_bracket(m) if not m.ac.is_zero else (0.0, 0.0)
+    span = _exponent_span(p)
+    classes = _live_classes(p)
+    fine = 16
+    while (p.dims and math.pi * span > _BRACKET_ANGLE * fine
+           and p.order * (2 * fine) ** p.dims <= _TORUS_POINT_LIMIT):
+        fine *= 2
+    grid = 16
+    while True:
+        best, allowance, shift = _lattice_max(p, grid, classes)
+        lower = max(lower, math.ldexp(max(0.0, best - allowance), shift))
+        if not p.dims:
+            upper = min(upper, max(upper_k, math.ldexp(best + allowance, shift)))
+            break
+        if grid > 2 * span:
+            grid_upper = math.ldexp(_grid_upper(best, allowance, span, grid), shift)
+            upper = min(upper, max(upper_k, grid_upper))
+        if (upper - lower <= _BRACKET_REL_WIDTH * upper
+                or p.order * (2 * grid) ** p.dims > _TORUS_POINT_LIMIT):
+            break
+        grid = max(2 * grid, fine)
+    return lower, upper
 
 
 def _as_points(x) -> np.ndarray:
@@ -383,6 +567,8 @@ def covering_radius(reference: np.ndarray, sample: np.ndarray) -> float:
     queries faster here than the defaults; the nearest distances, each
     sqrt(dx*dx + dy*dy), do not depend on the tree's shape.
     """
+    from scipy.spatial import cKDTree  # imported here: nothing else loads scipy
+
     ref = _as_xy(_as_points(reference))
     smp = _as_xy(_as_points(sample))
     tree = cKDTree(smp, leafsize=32, balanced_tree=False, compact_nodes=False)

@@ -1,9 +1,12 @@
 """Slow, direct reference implementations that the tests compare against."""
 
 import math
+from fractions import Fraction
 from typing import Sequence
 
-from natspec.measures import unit_roots
+import mpmath
+
+from natspec.measures import DiscreteMeasure, unit_roots
 from natspec.spectrum import CharacterPolynomial, covering_radius
 
 
@@ -20,3 +23,22 @@ def character_value(p: CharacterPolynomial, t: int, phis: Sequence[float]) -> co
         acc += (c * unit_roots((m * t) % p.order, p.order)
                 * complex(math.cos(phase), math.sin(phase)))
     return acc
+
+
+def mp_transform(mu: DiscreteMeasure, n: int) -> complex:
+    """mu_hat(n) summed atom by atom in mpmath at 30 digits.
+
+    The rational part of each phase is reduced exactly in Fraction
+    arithmetic, so the value is right for any n; the irrational part uses
+    the exact binary values of the generator floats.
+    """
+    with mpmath.workdps(30):
+        total = mpmath.mpc(0)
+        for angle, w in mu.atoms.items():
+            p, q = angle.turns.numerator, angle.turns.denominator
+            rational = Fraction((-n * p) % q, q)
+            irrational = sum((c * mpmath.mpf(v) for c, v in zip(angle.coeffs, mu.basis.values)),
+                             mpmath.mpf(0))
+            phase = 2 * mpmath.pi * mpmath.mpf(rational.numerator) / rational.denominator
+            total += mpmath.mpc(w.real, w.imag) * mpmath.expj(phase - n * irrational)
+        return complex(total)

@@ -16,7 +16,7 @@ import pytest
 
 import natspec
 from natspec import cli
-from natspec.angles import GeneratorBasis
+from natspec.angles import FRESH_GENERATOR_VALUES, GeneratorBasis
 from natspec.cli import main
 from natspec.decomposition import DecompositionOptions, verify_decomposition
 from natspec.measures import DiscreteMeasure, MixedMeasure
@@ -131,7 +131,7 @@ def test_decompose_refuses_manual_radii_without_manual_mode(tmp_path, measure_fi
     assert rc == 2
     assert captured.out == ""
     assert captured.err == ("error: manual radii are used only by radius_mode 'manual', "
-                            "not 'fekete'\n")
+                            "not 'bracket'\n")
     assert not out.exists()
 
 
@@ -309,7 +309,7 @@ def test_spectral_radius_refuses_the_grid_before_any_squaring(tmp_path, measure_
     assert calls == [] and not out.exists()
 
 
-def test_decompose_exact_discrete_over_four_generators(tmp_path, capsys):
+def test_decompose_brackets_over_four_generators(tmp_path, capsys):
     basis = GeneratorBasis.from_pairs((("sqrt2", math.sqrt(2)), ("sqrt3", math.sqrt(3)),
                                        ("ln3", math.log(3)), ("ln5", math.log(5))))
     mu = DiscreteMeasure.from_atoms(basis, [
@@ -318,15 +318,34 @@ def test_decompose_exact_discrete_over_four_generators(tmp_path, capsys):
     path = tmp_path / "four.json"
     write_json(path, measure_to_json(mu))
     out = tmp_path / "out"
-    rc = main(["decompose", "--input", str(path), "--out", str(out),
-               "--radius-mode", "exact_discrete", "--kmax", "3"])
+    rc = main(["decompose", "--input", str(path), "--out", str(out), "--kmax", "3"])
     assert rc == 0, capsys.readouterr().err
-    # 6 torsion classes x 128^4 points exceed the walker's limit, so the
-    # lower ends come from grid 32
+    assert "# radius fallback" not in capsys.readouterr().out
+    # 6 torsion classes x 32^4 points is the largest lattice within the
+    # walker's limit
     report = json.loads((out / "report.json").read_text(encoding="utf-8"))
-    assert report["passed"] is True
+    assert report["passed"] is True and "fekete" not in report
     for lo, hi in report["radius_brackets"]:
         assert 0.0 < lo <= hi
+
+
+def test_decompose_reports_a_radius_fallback(tmp_path, capsys):
+    # five free dimensions are more than the torus walker takes: both radii
+    # fall back to the norm-root bound, and each fallback prints one line
+    basis = GeneratorBasis.from_pairs(FRESH_GENERATOR_VALUES[:5])
+    mu = DiscreteMeasure.from_atoms(basis, [(basis.angle(Fraction(0), (1, 0, 1, 0, 1)), 0.5),
+                                            (basis.angle(Fraction(0), (0, 1, 0, 1, 1)), 0.5)])
+    path = tmp_path / "five.json"
+    write_json(path, measure_to_json(mu))
+    out = tmp_path / "out"
+    rc = main(["decompose", "--input", str(path), "--out", str(out), "--kmax", "2"])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    fallbacks = [ln for ln in lines if ln.startswith("# radius fallback: ")]
+    assert [ln.split()[3] for ln in fallbacks] == ["R0", "R1"]
+    assert all("k <= 2" in ln and "5 free dimensions" in ln for ln in fallbacks)
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert [f["final_bound"] for f in report["fekete"]] == [report["R0"], report["R1"]]
 
 
 def test_decompose_at_huge_denominator_exits_1(tmp_path, capsys):
@@ -580,3 +599,13 @@ def test_high_degree_density_exits_1_before_any_quadrature(tmp_path, command, ou
     assert proc.stdout == ""
     assert proc.stderr == f"error: density degree {k} is above the limit 65536\n"
     assert not (tmp_path / out).exists()
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # scipy serves only the KD-tree covering; importing it costs a cold
+    # start of kronecker or spectral-radius about a third of a second
+    env = {**os.environ, "PYTHONPATH": str(Path(natspec.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c",
+                           "import sys, natspec.cli; print('scipy' in sys.modules)"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stdout == "False\n"

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 from natspec import decomposition
+from natspec.angles import FRESH_GENERATOR_VALUES, GeneratorBasis
 from natspec.decomposition import (DecompositionOptions, decompose,
                                    verify_decomposition)
-from natspec.errors import BudgetExceededError, RadiusValidationError
+from natspec.errors import RadiusValidationError
 from natspec.measures import (DiscreteMeasure, MixedMeasure, as_mixed, convolve, make_rho,
                               make_theta0, parity_projections)
 from natspec.sampling import default_rng, random_discrete, random_mixed
+from natspec.spectrum import fekete_bound
 
 ALL_CHECKS = ("identity_structural", "identity_transform", "nu2_support",
               "orthogonality", "parity_nu0", "parity_nu1", "modulus_nu0",
@@ -117,56 +119,122 @@ def test_manual_radii_must_dominate_transform(basis):
     result = decompose(mu, DecompositionOptions(radius_mode="manual",
                                                 manual_radii=(2.0, 2.0), verify=False))
     assert result.R0 == 2.0 and result.R1 == 2.0
-    assert result.fekete_reports is None and result.radius_brackets is None
+    assert result.radius_fallbacks is None and result.radius_brackets is None
 
 
-@pytest.mark.parametrize("mode", ["fekete", "exact_discrete"])
+@pytest.mark.parametrize("scale", [1.0, 2.0 ** 40, 2.0 ** -40])
+def test_manual_radii_are_checked_relative_to_the_norm(basis, scale):
+    # |mu0_hat(n)| reaches 1.5e-13 here: an absolute slack of 1e-12 let the
+    # radii (0, 0) through, a slack relative to ||mu_i|| refuses them at
+    # every scale
+    mu = DiscreteMeasure.from_atoms(basis, [(basis.generator("a"), 1e-13),
+                                            (basis.zero(), 2e-13)]).scale(scale)
+    with pytest.raises(RadiusValidationError, match="R0=0.0 is below the transform bound"):
+        decompose(mu, DecompositionOptions(radius_mode="manual", manual_radii=(0.0, 0.0),
+                                           verify=False))
+    base = decompose(mu, DecompositionOptions(verify=False))
+    result = decompose(mu, DecompositionOptions(radius_mode="manual",
+                                                manual_radii=(base.R0, base.R1)))
+    assert result.report.passed
+
+
+@pytest.mark.parametrize("mode", ["bracket", "fekete", "exact_discrete"])
 def test_manual_radii_outside_manual_mode_are_refused(monkeypatch, basis, mode):
+    # the modes "fekete" and "exact_discrete" are gone and refused as unknown
     mu = DiscreteMeasure.from_atoms(basis, [(basis.generator("a"), 1.0)])
     calls = []
     monkeypatch.setattr(decomposition, "fekete_bound", lambda *a: calls.append(a))
-    with pytest.raises(RadiusValidationError, match="only by radius_mode 'manual'"):
+    message = "only by radius_mode 'manual'" if mode == "bracket" else "unknown radius_mode"
+    with pytest.raises(ValueError, match=message):
         decompose(mu, DecompositionOptions(radius_mode=mode, manual_radii=(5.0, 7.0)))
     assert calls == []
 
 
-def test_exact_discrete_mode_brackets(basis):
+def test_bracket_mode_brackets(basis):
     mu = DiscreteMeasure.from_atoms(basis, [(basis.generator("a"), 1.0)])
-    result = decompose(mu, DecompositionOptions(radius_mode="exact_discrete",
-                                                verify=False))
+    result = decompose(mu, DecompositionOptions(verify=False))
     (lo0, hi0), (lo1, hi1) = result.radius_brackets
-    assert lo0 <= hi0 + 1e-9 and lo1 <= hi1 + 1e-9
     assert result.R0 == hi0 and result.R1 == hi1
+    assert result.radius_fallbacks == (None, None)
     # each parity piece is two atoms of weight 1/2 with |p| = 1 on the whole
     # torus; the lower end is that grid value less the rounding allowance
-    # (K + 8) u sum |c_j| = 10u
+    # (K + 8) u sum |c_j| = 10u, the upper end the norm
     lower = 1.0 - 10 * 2.0 ** -53
     assert result.radius_brackets == ((lower, 1.0), (lower, 1.0))
 
 
-def test_exact_discrete_mode_refuses_a_lattice_before_any_squaring(monkeypatch, basis):
-    # about 10^15 torsion classes fit no grid
+def _counting_fekete(monkeypatch):
+    calls = []
+    real = decomposition.fekete_bound
+
+    def counting(mu, k_max):
+        calls.append(k_max)
+        return real(mu, k_max)
+
+    monkeypatch.setattr(decomposition, "fekete_bound", counting)
+    return calls
+
+
+def test_radius_falls_back_to_the_norm_roots_only_for_a_refused_lattice(monkeypatch, basis):
+    calls = _counting_fekete(monkeypatch)
+    rng = default_rng(808)
+    for mu in (random_discrete(rng, basis), random_mixed(rng, basis)):
+        result = decompose(mu, DecompositionOptions(verify=False))
+        assert calls == [] and result.radius_fallbacks == (None, None)
+    # about 10^15 torsion classes fit no grid, in either piece
     mu = DiscreteMeasure.from_atoms(basis, [
         (basis.from_turns(Fraction(1, 1000003)), 0.25),
         (basis.from_turns(Fraction(1, 999983)) + basis.generator("a"), 0.25),
         (basis.from_turns(Fraction(1, 997)), 0.5)])
-    calls = []
-    monkeypatch.setattr(decomposition, "fekete_bound", lambda *a: calls.append(a))
-    with pytest.raises(BudgetExceededError, match="torsion classes"):
-        decompose(mu, DecompositionOptions(radius_mode="exact_discrete", verify=False))
-    assert calls == []
+    result = decompose(mu, DecompositionOptions(fekete_k_max=2, verify=False))
+    assert calls == [2, 2]
+    for fallback, r, (lo, hi) in zip(result.radius_fallbacks, (result.R0, result.R1),
+                                     result.radius_brackets):
+        assert "torsion classes" in fallback.reason
+        assert r == fallback.report.final_bound == hi and lo == 0.0
+    # an even measure: the odd piece is zero and keeps its bracket
+    calls.clear()
+    even = DiscreteMeasure.from_atoms(basis, [
+        (basis.from_turns(Fraction(1, 1000003)), 0.5),
+        (basis.from_turns(Fraction(1, 1000003)) + basis.half_turn(), 0.5),
+        (basis.from_turns(Fraction(1, 999983)) + basis.generator("b"), 0.25),
+        (basis.from_turns(Fraction(1, 999983)) + basis.generator("b") + basis.half_turn(),
+         0.25)])
+    result = decompose(even, DecompositionOptions(fekete_k_max=1, verify=False))
+    assert calls == [1]
+    assert result.radius_fallbacks[1] is None and result.R1 == 0.0
+    assert result.R0 == result.radius_fallbacks[0].report.final_bound
 
 
-def test_exact_discrete_mode_rejects_densities(basis):
-    mu = MixedMeasure.from_density(basis, {1: 1.0})
-    with pytest.raises(RadiusValidationError):
-        decompose(mu, DecompositionOptions(radius_mode="exact_discrete", verify=False))
+def test_radius_falls_back_above_the_walkers_dimensions(monkeypatch):
+    calls = _counting_fekete(monkeypatch)
+    basis = GeneratorBasis.from_pairs(FRESH_GENERATOR_VALUES[:5])
+    mu = DiscreteMeasure.from_atoms(basis, [(basis.angle(Fraction(0), (1, 0, 1, 0, 1)), 0.5),
+                                            (basis.angle(Fraction(0), (0, 1, 0, 1, 1)), 0.5)])
+    result = decompose(mu, DecompositionOptions(fekete_k_max=1))
+    assert calls == [1, 1]
+    assert all("5 free dimensions" in f.reason for f in result.radius_fallbacks)
+    assert result.report.passed
+
+
+def test_mixed_radii_come_from_the_bracket(basis):
+    # the density's e_3 term dominates the odd piece: R1 is |mu_hat(3)| to
+    # within its rounding allowance, below the norm
+    mu = MixedMeasure(DiscreteMeasure.from_atoms(basis, [(basis.generator("a"), 0.0625)]),
+                      MixedMeasure.from_density(basis, {3: 2.0, -1: 0.25j}).ac)
+    result = decompose(mu)
+    assert result.report.passed
+    (lo1, hi1) = result.radius_brackets[1]
+    exact = abs(mu.transform(np.array([3]))[0])
+    assert lo1 <= exact <= hi1 == result.R1 and hi1 - lo1 <= 1e-13
+    assert result.R1 < fekete_bound(parity_projections(result.mu_embedded)[1], 0).final_bound
 
 
 def test_options_validation(basis):
     mu = DiscreteMeasure.from_atoms(basis, [(basis.zero(), 1.0)])
-    with pytest.raises(ValueError):
-        decompose(mu, DecompositionOptions(radius_mode="guess", verify=False))
+    for mode in ("guess", "fekete", "exact_discrete"):
+        with pytest.raises(ValueError, match="unknown radius_mode"):
+            decompose(mu, DecompositionOptions(radius_mode=mode, verify=False))
 
 
 def test_tampered_radius_is_caught(basis):

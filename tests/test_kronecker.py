@@ -660,7 +660,8 @@ def test_lattice_and_scan_agree_on_found_and_not_found(n_max, eps, parity):
 
 def _reorthogonalising_lll(rows):
     """Float LLL that recomputes the Gram-Schmidt basis after every
-    size-reduction step as well as after every swap: (rows, transform, swaps)."""
+    size-reduction step as well as after every swap: (rows, transform,
+    Gram-Schmidt vectors, swaps)."""
     b = [row.astype(np.float64).copy() for row in rows]
     n = len(b)
     u = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -684,7 +685,7 @@ def _reorthogonalising_lll(rows):
             gs, mu = kronecker._gram_schmidt(b)
             swaps += 1
             k = max(k - 1, 1)
-    return b, u, swaps
+    return b, u, gs, swaps
 
 
 def _lattice_grid():
@@ -701,31 +702,31 @@ def _lattice_grid():
 
 
 def test_lll_orthogonalises_once_and_after_each_swap(monkeypatch):
+    # the nearest-plane step reuses the reduction's Gram-Schmidt vectors, so
+    # a whole candidate search orthogonalises once and again after each swap
     gram_schmidt, lll = kronecker._gram_schmidt, kronecker._lll
-    log = {"inside": False, "calls": 0, "runs": []}
+    log = {"calls": 0, "runs": []}
 
     def counting(rows):
-        log["calls"] += log["inside"]
+        log["calls"] += 1
         return gram_schmidt(rows)
 
     def recording(rows):
-        log.update(inside=True, calls=0)
-        try:
-            b, u = lll(rows)
-        finally:
-            log["inside"] = False
-        log["runs"].append((rows, b, u, log["calls"]))
-        return b, u
+        b, u, gs = lll(rows)
+        log["runs"].append((rows, b, u))
+        return b, u, gs
 
     monkeypatch.setattr(kronecker, "_gram_schmidt", counting)
     monkeypatch.setattr(kronecker, "_lll", recording)
     for alpha, beta, x, y, eps, _ in _lattice_grid():
+        log["calls"] = 0
         kronecker._lattice_candidates(alpha, beta, x, y, eps)
-    assert len(log["runs"]) == 108
-    for rows, b, u, calls in log["runs"]:
-        ref_b, ref_u, swaps = _reorthogonalising_lll(rows)
+        calls = log["calls"]
+        rows, b, u = log["runs"][-1]
+        ref_b, ref_u, _, swaps = _reorthogonalising_lll(rows)
         assert swaps > 0 and calls == 1 + swaps
         assert u == ref_u and all(np.array_equal(r, s) for r, s in zip(b, ref_b))
+    assert len(log["runs"]) == 108
 
 
 def test_lattice_solutions_match_a_reorthogonalising_reduction(monkeypatch):
@@ -733,7 +734,7 @@ def test_lattice_solutions_match_a_reorthogonalising_reduction(monkeypatch):
     for alpha, beta, x, y, eps, parity in _lattice_grid():
         problem = KroneckerProblem(alpha, beta, x, y, eps, 2 ** 31, "lattice", 0, parity)
         found.append(solve(problem))
-    monkeypatch.setattr(kronecker, "_lll", lambda rows: _reorthogonalising_lll(rows)[:2])
+    monkeypatch.setattr(kronecker, "_lll", lambda rows: _reorthogonalising_lll(rows)[:3])
     for (alpha, beta, x, y, eps, parity), sol in zip(_lattice_grid(), found):
         problem = KroneckerProblem(alpha, beta, x, y, eps, 2 ** 31, "lattice", 0, parity)
         ref = solve(problem)

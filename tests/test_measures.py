@@ -21,6 +21,7 @@ from natspec.measures import (DiscreteMeasure, MixedMeasure, TrigPolyDensity,
                               unit_roots)
 from natspec.sampling import default_rng, random_discrete, random_mixed
 from natspec.spectrum import fekete_bound
+from oracles import mp_transform
 
 NS = np.arange(-12, 13)
 
@@ -35,25 +36,6 @@ normal_st = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
 float_weight_st = st.builds(complex, normal_st, normal_st)
 subnormal_st = st.floats(-2.0 ** -1022, 2.0 ** -1022)
 BASIS = GeneratorBasis.from_pairs((("a", math.sqrt(2)), ("b", math.sqrt(3))))
-
-
-def mp_transform(mu: DiscreteMeasure, n: int) -> complex:
-    """mu_hat(n) summed atom by atom in mpmath at 30 digits.
-
-    The rational part of each phase is reduced exactly in Fraction
-    arithmetic, so the value is right for any n; the irrational part uses
-    the exact binary values of the generator floats.
-    """
-    with mpmath.workdps(30):
-        total = mpmath.mpc(0)
-        for angle, w in mu.atoms.items():
-            p, q = angle.turns.numerator, angle.turns.denominator
-            rational = Fraction((-n * p) % q, q)
-            irrational = sum((c * mpmath.mpf(v) for c, v in zip(angle.coeffs, mu.basis.values)),
-                             mpmath.mpf(0))
-            phase = 2 * mpmath.pi * mpmath.mpf(rational.numerator) / rational.denominator
-            total += mpmath.mpc(w.real, w.imag) * mpmath.expj(phase - n * irrational)
-        return complex(total)
 
 
 def test_projection_measures_are_idempotent(basis, theta0, theta1):

@@ -17,17 +17,18 @@ from hypothesis import assume, given, settings, strategies as st
 
 import natspec
 from natspec import spectrum
-from natspec.angles import GeneratorBasis
+from natspec.angles import FRESH_GENERATOR_VALUES, GeneratorBasis
 from natspec.errors import BudgetExceededError
-from natspec.measures import DiscreteMeasure, unit_roots
-from natspec.sampling import default_rng, random_discrete
+from natspec.measures import (DiscreteMeasure, MixedMeasure, TrigPolyDensity, as_mixed,
+                              parity_projections, unit_roots)
+from natspec.sampling import default_rng, random_discrete, random_mixed
 from scipy.spatial import cKDTree
 
 from natspec.spectrum import (MAX_DISK_POINTS, CharacterPolynomial, _nearest_disk_distances,
                               char_polynomial, character_values, covering_radius,
                               disk_grid, disk_grid_shape, disk_hausdorff, fekete_bound,
-                              torus_grid_within, torus_max)
-from oracles import character_value, hausdorff
+                              spectral_bracket, torus_grid_within, torus_max)
+from oracles import character_value, hausdorff, mp_transform
 
 
 def test_fekete_bound_of_two_point_average(rho):
@@ -567,3 +568,145 @@ def test_covering_radius_matches_brute_force_bitwise():
             dy = ref.imag[:, None] - smp.imag[None, :]
             brute = float(np.max(np.sqrt(np.min(dx * dx + dy * dy, axis=1))))
             assert covering_radius(ref, smp) == brute
+
+
+# -- the spectral-radius bracket ----------------------------------------------
+
+def _mp_sup(mu: MixedMeasure, n_max: int) -> float:
+    """sup over |n| <= n_max of |mu_hat(n)|, taken in mpmath: every n whose
+    numpy value comes within 2e-12 * ||mu|| of the numpy maximum is summed
+    again in mpmath (``oracles.mp_transform``), so no n outside that set can
+    hold the exact maximum."""
+    ns = np.arange(-n_max, n_max + 1, dtype=np.int64)
+    values = np.abs(mu.transform(ns))
+    slack = 2e-12 * (mu.disc.norm() + sum(abs(c) for c in mu.ac.coeffs.values()))
+    near = ns[values >= values.max() - slack]
+    return max(abs(mp_transform(mu.disc, int(n)) + mu.ac.coeffs.get(int(n), 0j))
+               for n in near)
+
+
+def _bracket_inputs():
+    rng = default_rng(1601)
+    for _ in range(3):
+        yield as_mixed(random_discrete(rng, _TWO_GENERATORS))
+    # e_k-heavy: the density's coefficients dwarf the atoms
+    for _ in range(2):
+        atoms = random_discrete(rng, _TWO_GENERATORS).scale(0.05)
+        yield MixedMeasure(atoms, TrigPolyDensity({-2: 1.5 - 0.5j, 3: -2.0j, 5: 0.75}))
+    yield random_mixed(rng, _TWO_GENERATORS)
+
+
+@pytest.mark.parametrize("mu", list(_bracket_inputs()))
+def test_spectral_bracket_contains_the_mpmath_transform_sup(mu):
+    lower, upper = spectral_bracket(mu)
+    # the cap is fekete_bound's first entry, ||mu||, with the atoms' moduli
+    # and their sum rounded upward rather than to nearest
+    norm = fekete_bound(mu, 0).entries[0][1]
+    assert 0.0 < lower <= upper <= norm * (1 + (len(mu.disc) + 2) * 2.0 ** -53)
+    assert upper - lower <= 2.0 ** -6 * upper
+    assert upper >= _mp_sup(mu, 10_000)
+    if not mu.ac.is_zero:
+        # r(mu) = max(r(d), max_K |mu_hat(k)|), so both ends are at least
+        # that maximum, the lower end less its allowance
+        top = max(abs(mp_transform(mu.disc, k) + c) for k, c in mu.ac.coeffs.items())
+        allowance = spectrum._transform_allowance(mu, max(map(abs, mu.ac.coeffs)))
+        assert lower >= top - allowance and upper >= top
+        if mu.disc.norm() < 0.5 * top:
+            assert upper - lower <= 2 * allowance + math.ulp(upper)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_measures(), st.lists(st.floats(0.0, 2 * math.pi), min_size=2, max_size=2))
+def test_spectral_bracket_dominates_every_character(mu, phis):
+    # the upper end bounds |p| everywhere on the torus: at each point of the
+    # grid-16 lattice and at an arbitrary character, summed in mpmath (whose
+    # own rounding at 30 digits the factor 1 + 1e-20, taken in mpmath, covers)
+    p = char_polynomial(mu)
+    lower, upper = spectral_bracket(mu)
+    assert lower <= upper
+    with mpmath.workdps(30):
+        bound = mpmath.mpf(upper) * (1 + mpmath.mpf("1e-20"))
+    assert bound >= _lattice_max_mp(p, 16)
+    with mpmath.workdps(30):
+        for t in range(p.order):
+            value = sum((mpmath.mpc(c.real, c.imag)
+                         * mpmath.expj(2 * mpmath.pi * mpmath.mpf(m * t % p.order) / p.order
+                                       + sum(e * mpmath.mpf(x) for e, x in zip(row, phis)))
+                         for m, row, c in zip(p.torsion, p.exponents, p.weights)),
+                        mpmath.mpc(0))
+            assert bound >= abs(value)
+
+
+def test_spectral_bracket_without_free_axes_is_two_allowances_wide():
+    basis = GeneratorBasis()
+    rng = default_rng(1602)
+    for q in (1, 5, 12, 65):
+        mu = DiscreteMeasure.from_atoms(basis, [
+            (basis.from_turns(Fraction(int(k), q)), complex(*rng.uniform(-1, 1, 2)))
+            for k in rng.integers(0, q, 6)])
+        p = char_polynomial(mu)
+        with mpmath.workdps(30):
+            exact = max(abs(sum((mpmath.mpc(c.real, c.imag)
+                                 * mpmath.expjpi(2 * mpmath.mpf(m * t % q) / q)
+                                 for m, c in zip(p.torsion, p.weights)), mpmath.mpc(0)))
+                        for t in range(q))
+        lower, upper = spectral_bracket(mu)
+        allowance = (p.n_terms + 8) * 2.0 ** -53 * sum(abs(c) for c in p.weights)
+        assert lower <= exact <= upper
+        # each end rounds once, by at most half an ulp
+        assert upper - lower <= 2 * allowance + math.ulp(upper)
+
+
+@pytest.mark.parametrize("k", [-40, 40])
+def test_spectral_bracket_scales_exactly(k):
+    rng = default_rng(1603)
+    for _ in range(4):
+        mu = random_discrete(rng, _TWO_GENERATORS)
+        lower, upper = spectral_bracket(mu)
+        assert spectral_bracket(mu.scale(2.0 ** k)) == (math.ldexp(lower, k),
+                                                        math.ldexp(upper, k))
+
+
+def test_spectral_bracket_refuses_a_lattice_before_any_walk(monkeypatch, basis):
+    walks = []
+    monkeypatch.setattr(spectrum, "_lattice_max", lambda *a: walks.append(a))
+    huge_order = DiscreteMeasure.from_atoms(basis, [
+        (basis.from_turns(Fraction(1, 1000003)), 0.25),
+        (basis.from_turns(Fraction(1, 999983)) + basis.generator("a"), 0.25)])
+    with pytest.raises(BudgetExceededError, match="torsion classes"):
+        spectral_bracket(huge_order)
+    five = GeneratorBasis.from_pairs(FRESH_GENERATOR_VALUES[:5])
+    wide = DiscreteMeasure.from_atoms(five, [(five.angle(Fraction(0), (1, 1, 1, 1, 1)), 1.0)])
+    with pytest.raises(BudgetExceededError, match="5 free dimensions"):
+        spectral_bracket(wide)
+    assert walks == []
+
+
+def test_spectral_bracket_caps_at_the_norm_rounded_upward(basis):
+    # |0.001 + 0.001j| rounds below its exact value, so the norm as summed
+    # is not an upper end; the bracket's cap is rounded upward
+    mu = DiscreteMeasure.from_atoms(basis, [(basis.zero(), 0.001 + 0.001j)])
+    with mpmath.workdps(30):
+        exact = mpmath.sqrt(2 * mpmath.mpf(0.001) ** 2)
+    norm = fekete_bound(mu, 0).final_bound
+    lower, upper = spectral_bracket(mu)
+    assert norm < exact <= upper <= norm + 2 * math.ulp(norm)
+
+
+def test_parity_pieces_walk_only_their_live_classes():
+    # an even piece vanishes at the odd torsion classes and an odd piece at
+    # the even ones; the walk over the live classes keeps the full walk's
+    # bits there, and the other classes hold only rounding noise
+    rng = default_rng(1604)
+    for _ in range(4):
+        mu = random_discrete(rng, _TWO_GENERATORS)
+        assert spectrum._live_classes(char_polynomial(mu)) == range(char_polynomial(mu).order)
+        for start, piece in enumerate(parity_projections(mu)):
+            p = char_polynomial(piece)
+            live = spectrum._live_classes(p)
+            assert live == range(start, p.order, 2)
+            values = character_values(p, 16).reshape(p.order, -1)
+            squares = values.real ** 2 + values.imag ** 2  # as the walker squares
+            best, allowance, shift = spectrum._lattice_max(p, 16, live)
+            assert shift == 0 and best == math.sqrt(float(np.max(squares[start::2])))
+            assert math.sqrt(float(np.max(squares[1 - start::2]))) <= allowance
