@@ -521,6 +521,10 @@ def transforms(measures: Iterable[MeasureLike], ns) -> list[np.ndarray]:
     multiplied once by e^{-i n g}; a density part adds its coefficients.
     Complex products are out of place, so a value depends only on n and the
     measure, not on the array holding it or the other measures in the call.
+    A group's rational sum depends only on n mod L, L the lcm of its reduced
+    turn denominators: when 4 L <= len(ns) it is summed by the same steps at
+    n = 0, ..., L - 1 only and gathered at ns mod L (computed once per L in
+    the call), to the same bits.
     The factor e^{-i n g} is computed once for all the measures that use g
     and kept only until the last of them, and only while the kept factors
     fit in ``_MAX_FACTOR_CACHE`` bytes; past that it is computed again, to
@@ -541,13 +545,20 @@ def transforms(measures: Iterable[MeasureLike], ns) -> list[np.ndarray]:
     last_use = {key: i for i, ks in enumerate(keys) for key in ks}
     cache: dict = {}
     cached_bytes = 0
+    folds: dict[int, np.ndarray] = {}  # L -> ns mod L
     out = []
     for i, (m, grp) in enumerate(zip(measures, groups)):
         total = np.zeros(ns.shape, dtype=np.complex128)
         for coeffs, members in grp.items():
-            acc = np.zeros(ns.shape, dtype=np.complex128)
+            period = math.lcm(*(q for _, q, _ in members))
+            points = np.arange(period, dtype=np.int64) if 4 * period <= ns.size else ns
+            acc = np.zeros(points.shape, dtype=np.complex128)
             for p, q, w in members:
-                acc += np.multiply(w, unit_roots(_rational_residues(ns, p, q), q))
+                acc += np.multiply(w, unit_roots(_rational_residues(points, p, q), q))
+            if points is not ns:
+                if period not in folds:
+                    folds[period] = ns % period
+                acc = acc[folds[period]]
             if any(coeffs):
                 key = (coeffs, m.basis.values)
                 factor = cache.get(key)

@@ -64,13 +64,8 @@ _BRACKET_REL_WIDTH = 2.0 ** -6
 _BRACKET_ANGLE = math.acos((1.0 - _BRACKET_REL_WIDTH) ** 2)
 # most points disk_grid builds (tol down to about 0.0018)
 MAX_DISK_POINTS = 1 << 22
-# disk_hausdorff finds the nearest grid point in closed form for points
-# within this many radii of the center, for radii in this range: there the
-# squared distances stay normal floats, and every grid point other than the
-# five candidates is farther by a relative margin of order 1/rings**2 or
-# (angle step)**2 / rings, far above their rounding of a few parts in 1e16
-_NEAR_RADII = 4.0
-_SAFE_RADIUS = (2.0 ** -400, 2.0 ** 400)
+# disk_grid's covering radius of its disk, in units of tol * radius
+_DISK_COVER = math.sqrt(5.0) / 4.0
 
 
 @dataclass(frozen=True)
@@ -94,9 +89,11 @@ def fekete_bound(mu: MeasureLike, k_max: int = 6) -> FeketeReport:
     """Certified upper bound for the spectral radius via repeated squaring.
 
     Each entry uses the total variation norm plus its quadrature error
-    estimate, so every r_k is an upper bound for the true limit.  Stops early,
-    with ``budget_hit`` set and the entries so far kept, when a squaring
-    passes the convolution limits of ``measures.convolve``.  A power whose
+    estimate, so every r_k is an upper bound for the true limit; the first,
+    ||mu||, sums the atoms' moduli rounded upward (``_norm_bounds``), so it
+    is never below the exact norm of the atoms.  Stops early, with
+    ``budget_hit`` set and the entries so far kept, when a squaring passes
+    the convolution limits of ``measures.convolve``.  A power whose
     square's norm would leave the normal float range is first rescaled by a
     power of two, which is exact, so tiny weights do not underflow to a zero
     bound.  Raises ValueError when the total variation is not finite.
@@ -104,10 +101,7 @@ def fekete_bound(mu: MeasureLike, k_max: int = 6) -> FeketeReport:
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     cur = as_mixed(mu)
-    value, err = tv_norm_bounds(cur)
-    r = value + err
-    if not math.isfinite(r):
-        raise ValueError(f"the total variation bound {r!r} is not finite")
+    value, r = _norm_bounds(cur)
     entries = [(0, r)]
     budget_hit = False
     shift = 0  # mu^(2^k) = cur * 2^shift
@@ -440,22 +434,29 @@ def _below_modulus(r: float, w: complex) -> bool:
     return (a * d * f) ** 2 < ((c * f) ** 2 + (e * d) ** 2) * b * b
 
 
-def _norm_upward(d: DiscreteMeasure) -> float:
-    """sum |w_j| rounded upward: each modulus is moved up an ulp at a time
-    until it is at least its exact value, and the correctly rounded sum
-    (``math.fsum``) an ulp up when its exact residual is positive; so the
-    value is ``d.norm()`` whenever that is exact."""
-    norm = d.norm()
-    if not math.isfinite(norm):
-        return norm
-    moduli = []
-    for w in d.w.tolist():
-        r = abs(w)
-        while _below_modulus(r, w):
-            r = math.nextafter(r, math.inf)
-        moduli.append(r)
-    total = math.fsum(moduli)
-    return math.nextafter(total, math.inf) if math.fsum(moduli + [-total]) > 0 else total
+def _norm_bounds(m: MixedMeasure) -> tuple[float, float]:
+    """(||mu|| as summed, an upper end of it), ValueError unless the upper
+    end is finite.  The upper end moves each atom's modulus up an ulp at a
+    time until it is at least its exact value, and their correctly rounded
+    sum (``math.fsum``) an ulp up when its exact residual is positive, so
+    it is the atoms' ``norm()`` whenever that is exact.  Both ends add the
+    density's quadrature value, and the upper end its error estimate."""
+    density_value, density_err = m.ac.l1_norm_bounds()
+    atoms = norm = m.disc.norm()
+    if math.isfinite(norm):
+        moduli = []
+        for w in m.disc.w.tolist():
+            r = abs(w)
+            while _below_modulus(r, w):
+                r = math.nextafter(r, math.inf)
+            moduli.append(r)
+        atoms = math.fsum(moduli)
+        if math.fsum(moduli + [-atoms]) > 0:
+            atoms = math.nextafter(atoms, math.inf)
+    upper = atoms + density_value + density_err
+    if not math.isfinite(upper):
+        raise ValueError(f"the total variation bound {upper!r} is not finite")
+    return norm + density_value, upper
 
 
 def _live_classes(p: CharacterPolynomial) -> range:
@@ -507,17 +508,14 @@ def spectral_bracket(mu: MeasureLike) -> tuple[float, float]:
     so r(mu) = max(r(d), max_K |mu_hat(k)|); that maximum, less and plus its
     rounding allowance, is folded into both ends.  The upper end is capped
     at ||mu||, the atoms' part rounded upward, plus the density part's
-    quadrature error: ``fekete_bound``'s first entry, or an ulp above it.
+    quadrature error: ``fekete_bound``'s first entry.
 
     Raises BudgetExceededError, before any walk, when d has more than
     MAX_TORUS_DIMS free dimensions or order * 16^dims exceeds the walker's
     limit, and ValueError when the total variation is not finite.
     """
     m = as_mixed(mu)
-    density_value, density_err = m.ac.l1_norm_bounds()
-    upper = _norm_upward(m.disc) + density_value + density_err
-    if not math.isfinite(upper):
-        raise ValueError(f"the total variation bound {upper!r} is not finite")
+    upper = _norm_bounds(m)[1]
     p = char_polynomial(m.disc)
     if p.dims > MAX_TORUS_DIMS:
         raise BudgetExceededError(f"the character torus has {p.dims} free dimensions, above "
@@ -547,14 +545,10 @@ def spectral_bracket(mu: MeasureLike) -> tuple[float, float]:
     return lower, upper
 
 
-def _as_points(x) -> np.ndarray:
+def _as_xy(x) -> np.ndarray:
     pts = np.asarray(x, dtype=np.complex128).ravel()
     if pts.size == 0:
         raise ValueError("empty point set")
-    return pts
-
-
-def _as_xy(pts: np.ndarray) -> np.ndarray:
     return np.column_stack([pts.real, pts.imag])
 
 
@@ -569,8 +563,8 @@ def covering_radius(reference: np.ndarray, sample: np.ndarray) -> float:
     """
     from scipy.spatial import cKDTree  # imported here: nothing else loads scipy
 
-    ref = _as_xy(_as_points(reference))
-    smp = _as_xy(_as_points(sample))
+    ref = _as_xy(reference)
+    smp = _as_xy(sample)
     tree = cKDTree(smp, leafsize=32, balanced_tree=False, compact_nodes=False)
     d, _ = tree.query(ref, k=1)
     return float(np.max(d))
@@ -594,10 +588,13 @@ def disk_grid(radius: float = 1.0, tol: float = 0.05) -> np.ndarray:
 
     The center, then ceil(2/tol) rings by ceil(2pi/tol) rays, ring-major:
     point 1 + i * rays + k sits at radius * (i + 1) / rings on ray k, at
-    angle 2 pi k / rays.  Its covering radius of the disk is below
-    ``tol * radius``.  ValueError unless tol is finite, positive and gives
-    at most MAX_DISK_POINTS (2**22) points, checked before any array is
-    built.
+    angle 2 pi k / rays.  Its covering radius of the disk is at most
+    _DISK_COVER * tol * radius, about 0.56 tol * radius: a point of the disk
+    at modulus s lies within radius / (2 rings) <= tol * radius / 4 of the
+    nearest ring modulus r (or the center) and within pi / rays <= tol / 2
+    of a ray's angle, and s^2 + r^2 - 2 s r cos(a) <= (s - r)^2 + s r a^2.
+    ValueError unless tol is finite, positive and gives at most
+    MAX_DISK_POINTS (2**22) points, checked before any array is built.
     """
     n_r, n_ang = disk_grid_shape(tol)
     if radius < 0:
@@ -608,58 +605,3 @@ def disk_grid(radius: float = 1.0, tol: float = 0.05) -> np.ndarray:
     angles = (np.arange(n_ang, dtype=np.float64) / n_ang) * TWO_PI
     pts = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
     return np.concatenate([np.zeros(1, dtype=np.complex128), pts])
-
-
-def _nearest_disk_distances(pts: np.ndarray, grid: np.ndarray, radius: float,
-                            n_r: int, n_ang: int) -> np.ndarray:
-    """Distance from each point to the nearest point of ``grid`` (the disk
-    grid of radius and shape (n_r, n_ang)), for points within a few radii.
-
-    The nearest grid point is the center or lies on one of the two rays
-    whose angles bracket the point's, on one of the two rings that bracket
-    the point's projection onto that ray.  Those five candidates are
-    measured as a KD-tree measures them, sqrt(dx*dx + dy*dy) against the
-    stored grid coordinates; every other grid point is farther by a margin
-    far above the rounding.
-    """
-    step = TWO_PI / n_ang
-    low = np.floor(np.arctan2(pts.imag, pts.real) / step).astype(np.int64)
-    ray_angles = np.arange(n_ang) * step
-    ray_x, ray_y = np.cos(ray_angles), np.sin(ray_angles)
-    idx = np.zeros((5, len(pts)), dtype=np.int64)  # the last row is the center
-    for j, ray in enumerate((low % n_ang, (low + 1) % n_ang)):
-        # ring i has radius (i + 1) / n_r of the disk's
-        inner = np.floor((pts.real * ray_x[ray] + pts.imag * ray_y[ray])
-                         * (n_r / radius)).astype(np.int64) - 1
-        for k in (0, 1):
-            idx[2 * j + k] = 1 + np.clip(inner + k, 0, n_r - 1) * n_ang + ray
-    dx = pts.real - grid.real[idx]
-    dy = pts.imag - grid.imag[idx]
-    return np.sqrt(np.min(dx * dx + dy * dy, axis=0))
-
-
-def disk_hausdorff(points: np.ndarray, radius: float, tol: float = 0.05) -> float:
-    """Symmetric Hausdorff distance between the points and
-    ``disk_grid(radius, tol)``: the larger of ``covering_radius`` in each
-    direction, bit for bit, building the grid once.
-
-    The grid-to-points direction is a ``covering_radius`` query.  In the
-    other direction the nearest grid point has a closed form (see
-    ``_nearest_disk_distances``) for points within _NEAR_RADII radii of the
-    center and a radius whose squares stay normal; any other point (far
-    away, or not finite) is queried in a tree over the grid.
-    """
-    pts = _as_points(points)
-    grid = disk_grid(radius, tol)
-    near = np.zeros(pts.shape, dtype=bool)
-    if _SAFE_RADIUS[0] <= radius <= _SAFE_RADIUS[1]:
-        bound = _NEAR_RADII * radius
-        near = (np.abs(pts.real) <= bound) & (np.abs(pts.imag) <= bound)
-    to_grid = []
-    if near.any():
-        n_r, n_ang = disk_grid_shape(tol)
-        to_grid.append(float(np.max(_nearest_disk_distances(pts[near], grid, radius,
-                                                            n_r, n_ang))))
-    if not near.all():
-        to_grid.append(covering_radius(pts[~near], grid))
-    return max(max(to_grid), covering_radius(grid, pts))

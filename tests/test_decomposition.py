@@ -1,6 +1,8 @@
 """Splitting a measure into three pieces with disk-shaped transform closures."""
 
 import dataclasses
+import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -8,13 +10,14 @@ import pytest
 
 from natspec import decomposition
 from natspec.angles import FRESH_GENERATOR_VALUES, GeneratorBasis
+from natspec.cli import main
 from natspec.decomposition import (DecompositionOptions, decompose,
                                    verify_decomposition)
 from natspec.errors import RadiusValidationError
 from natspec.measures import (DiscreteMeasure, MixedMeasure, as_mixed, convolve, make_rho,
-                              make_theta0, parity_projections)
+                              make_theta0, parity_projections, transforms)
 from natspec.sampling import default_rng, random_discrete, random_mixed
-from natspec.spectrum import fekete_bound
+from natspec.spectrum import disk_grid, fekete_bound
 
 ALL_CHECKS = ("identity_structural", "identity_transform", "nu2_support",
               "orthogonality", "parity_nu0", "parity_nu1", "modulus_nu0",
@@ -41,22 +44,47 @@ def test_random_discrete_inputs_also_check_spectrum(basis):
 
 
 def test_density_check_catches_a_radius_or_piece_that_misses_the_disk(basis):
-    # (e) alone certifies that the R0 disk lies in nu0's spectrum: a radius
-    # raised past the cloud, or theta0 in place of theta1 in nu0, fails it
+    # a radius raised past the cloud leaves grid points of the R0 disk
+    # uncovered and fails (e); theta0 in place of theta1 in nu0 pushes cloud
+    # points out of the disk, which (d) catches, the check (e) relies on
     rng = default_rng(505)
     for _ in range(3):
         mu = random_discrete(rng, basis)
         result = decompose(mu)
         assert result.report.passed
         ext = result.basis
+        raised = verify_decomposition(mu, dataclasses.replace(result, R0=1.5 * result.R0))
+        density = raised.check("density_nu0")
+        assert not raised.passed
+        assert not density.passed and density.residual > 2 * density.threshold
         wrong_piece = convolve(make_rho(result.alpha, result.beta, ext), make_theta0(ext))
         mu0, _ = parity_projections(result.mu_embedded)
-        for tampered in (dataclasses.replace(result, R0=1.5 * result.R0),
-                         dataclasses.replace(result, nu0=mu0 + wrong_piece.scale(result.R0))):
-            report = verify_decomposition(mu, tampered)
-            assert not report.passed
-            density = report.check("density_nu0")
-            assert not density.passed and density.residual > 2 * density.threshold
+        swapped = verify_decomposition(mu, dataclasses.replace(
+            result, nu0=mu0 + wrong_piece.scale(result.R0)))
+        modulus = swapped.check("modulus_nu0")
+        assert not swapped.passed
+        assert not modulus.passed and modulus.residual > 2 * modulus.threshold
+
+
+def test_density_check_records_the_cloud_side_bound(basis):
+    # the cloud-to-grid half is bounded a priori once (d) passes: every cloud
+    # point is within the grid's covering radius of the disk, plus the
+    # modulus slack, of a grid point; the bound is below the threshold, and
+    # that half, measured in brute force, stays under it
+    rng = default_rng(506)
+    mu = random_mixed(rng, basis)
+    result = decompose(mu, DecompositionOptions(verify_tol=0.1))
+    assert result.report.passed
+    nu_t = transforms([result.nu0, result.nu1], np.arange(-10_000, 10_001))
+    for name, vals in zip(("density_nu0", "density_nu1"), nu_t):
+        check = result.report.check(name)
+        r = check.details["radius"]
+        bound = check.details["cloud_to_grid_bound"]
+        assert bound == math.sqrt(5) / 4 * 0.1 * r + decomposition.MODULUS_SLACK
+        assert bound < check.threshold
+        grid = disk_grid(r, 0.1)
+        assert max(np.max(np.min(np.abs(chunk[:, None] - grid[None, :]), axis=1))
+                   for chunk in np.array_split(vals, 20)) <= bound
 
 
 def test_zero_measure_decomposes_to_zero(basis):
@@ -215,6 +243,19 @@ def test_radius_falls_back_above_the_walkers_dimensions(monkeypatch):
     assert calls == [1, 1]
     assert all("5 free dimensions" in f.reason for f in result.radius_fallbacks)
     assert result.report.passed
+
+
+def test_a_density_the_norm_refuses_runs_no_fallback(monkeypatch, tmp_path, capsys):
+    # degree 10^6 is refused by the bracket's norm quadrature, not by the
+    # walker; fekete_bound's quadrature would refuse it at once, so it is not
+    # called, and the command exits 1 with the quadrature's message
+    calls = _counting_fekete(monkeypatch)
+    path = tmp_path / "density.json"
+    path.write_text(json.dumps({"kind": "mixed", "basis": [], "atoms": [],
+                                "ac": [{"k": 10 ** 6, "re": 0.5, "im": 0.0}]}))
+    assert main(["decompose", "--input", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert calls == []
+    assert capsys.readouterr().err == "error: density degree 1000000 is above the limit 65536\n"
 
 
 def test_mixed_radii_come_from_the_bracket(basis):

@@ -675,3 +675,65 @@ def test_high_degree_density_norm_is_refused_before_the_quadrature():
         TrigPolyDensity({65_537: 1.0}).l1_norm_bounds()
     value, _ = TrigPolyDensity({measures._MAX_DEGREE: 1.0}).l1_norm_bounds()
     assert value == pytest.approx(1.0, abs=1e-9)
+
+
+def _per_n_transform(mu: DiscreteMeasure, ns: np.ndarray) -> np.ndarray:
+    """transforms' sum with every rational part evaluated at each n itself:
+    the same groups, steps and order, without the period table."""
+    total = np.zeros(ns.shape, dtype=np.complex128)
+    for coeffs, members in measures._generator_groups(mu).items():
+        acc = np.zeros(ns.shape, dtype=np.complex128)
+        for p, q, w in members:
+            acc += np.multiply(w, unit_roots(_rational_residues(ns, p, q), q))
+        if any(coeffs):
+            acc = np.multiply(acc, measures._phase_factor(ns, coeffs, mu.basis.values))
+        total += acc
+    return total
+
+
+def test_period_table_keeps_the_per_n_bits(monkeypatch):
+    # a group's rational sum depends only on n mod L; with 4 L <= len(ns) it
+    # is summed on range(L) and gathered, on each side of that boundary the
+    # values equal the per-n route bit for bit.  Three groups share L = 12;
+    # q = 65537 is past the cached root tables; the weights carry signed
+    # zeros and the n include both int64 extremes
+    extremes = [np.iinfo(np.int64).min, np.iinfo(np.int64).min + 1, -(1 << 62) - 7, -13, -1,
+                0, 1, 12, 1 << 62, np.iinfo(np.int64).max - 1, np.iinfo(np.int64).max]
+    a, b, zero = BASIS.generator("a"), BASIS.generator("b"), (0, 0)
+    twelve = DiscreteMeasure.from_atoms(BASIS, [
+        (BASIS.from_turns(Fraction(1, 3)), complex(-0.0, 2.0)),
+        (BASIS.from_turns(Fraction(3, 4)), complex(0.75, -0.0)),
+        (BASIS.from_turns(Fraction(5, 12)) + a, complex(-0.0, -1.5)),
+        (BASIS.from_turns(Fraction(1, 12)) + a + b, -0.25 + 0.5j),
+        (BASIS.from_turns(Fraction(1, 6)) + a + b, complex(1.0, -0.0)),
+        (BASIS.from_turns(Fraction(1, 4)) + a + b, 0.125 - 2.0j),
+        (BASIS.from_turns(Fraction(1, 2)) + b, complex(-0.0, 0.5))])
+    big = DiscreteMeasure.from_atoms(BASIS, [
+        (BASIS.from_turns(Fraction(1, 65537)), 0.5 - 0.25j),
+        (BASIS.from_turns(Fraction(65535, 65537)), complex(-0.0, 1.0)),
+        (BASIS.from_turns(Fraction(7, 65537)) + b, complex(2.0, -0.0))])
+    periods = [{math.lcm(*(q for _, q, _ in members))
+                for members in measures._generator_groups(mu).values()} for mu in (twelve, big)]
+    assert periods == [{12, 2}, {65537}]
+    rng = default_rng(1701)
+    seen = []
+    real = measures._rational_residues
+    monkeypatch.setattr(measures, "_rational_residues",
+                        lambda ns, p, q: seen.append((len(ns), q)) or real(ns, p, q))
+    for mu, group_periods in zip((twelve, big), periods):
+        top = max(group_periods)
+        for size in (4 * top - 1, 4 * top, 4 * top + 5):
+            ns = np.concatenate([extremes, rng.integers(-(1 << 63), (1 << 63) - 1,
+                                                        size - len(extremes),
+                                                        dtype=np.int64)])
+            seen.clear()
+            got = transforms([mu], ns)[0]
+            assert got.tobytes() == _per_n_transform(mu, ns).tobytes()
+            # each group was summed on range(L) exactly when 4 L <= len(ns)
+            assert {length for length, _ in seen} == {
+                period if 4 * period <= size else size for period in group_periods}
+    # the gathered values do not depend on the other measures in the call
+    ns = np.concatenate([extremes, rng.integers(-50, 50, 60)])
+    together = transforms([twelve, big, twelve], ns)
+    assert [v.tobytes() for v in together] == [
+        transforms([m], ns)[0].tobytes() for m in (twelve, big, twelve)]

@@ -24,10 +24,9 @@ from natspec.measures import (DiscreteMeasure, MixedMeasure, TrigPolyDensity, as
 from natspec.sampling import default_rng, random_discrete, random_mixed
 from scipy.spatial import cKDTree
 
-from natspec.spectrum import (MAX_DISK_POINTS, CharacterPolynomial, _nearest_disk_distances,
-                              char_polynomial, character_values, covering_radius,
-                              disk_grid, disk_grid_shape, disk_hausdorff, fekete_bound,
-                              spectral_bracket, torus_grid_within, torus_max)
+from natspec.spectrum import (MAX_DISK_POINTS, CharacterPolynomial, char_polynomial,
+                              character_values, covering_radius, disk_grid, disk_grid_shape,
+                              fekete_bound, spectral_bracket, torus_grid_within, torus_max)
 from oracles import character_value, hausdorff, mp_transform
 
 
@@ -486,63 +485,35 @@ def test_point_set_distances():
     assert covering_radius(dense, sparse) == 1.0
 
 
-def _tree_distances(points: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    tree = cKDTree(np.column_stack([grid.real, grid.imag]))
-    return tree.query(np.column_stack([points.real, points.imag]), k=1)[0]
-
-
-def _disk_probes(rng, radius: float, tol: float) -> np.ndarray:
-    """Random and adversarial points for the disk grid of (radius, tol): grid
-    points, grid points off by an ulp, angle and ring midpoints, the center,
-    points just inside the first ring and points out to four radii."""
-    n_r, n_ang = disk_grid_shape(tol)
-    grid = disk_grid(radius, tol)
-    m = 300
-    on = grid[rng.integers(0, len(grid), m)]
-    ring = rng.integers(0, n_r, m)
-    ray = rng.integers(0, n_ang, m) + rng.choice([0.0, 0.5], m)
-    at = lambda r, k: r * np.exp(2j * np.pi * k / n_ang)
-    return np.concatenate([
-        radius * 1.3 * (rng.uniform(-1, 1, m) + 1j * rng.uniform(-1, 1, m)),
-        on, on * (1 + 1e-16), on * (1 - 1e-16), on * (1 + 2.0 ** -52), on * (1 - 2.0 ** -53),
-        at(radius * (ring + 1) / n_r, ray), at(radius * (ring + 1.5) / n_r, ray),
-        at(radius * rng.uniform(0, 1.0 / n_r, m), ray), at(radius * rng.uniform(1, 4, m), ray),
-        np.array([0j, complex(-0.0, -0.0), complex(0.0, -0.0), 0.5 * radius / n_r]),
-    ])
-
-
 @pytest.mark.parametrize("radius, tol", [
-    (1.0, 0.05), (2.37, 0.1), (0.6, 0.013), (1.0, 1.0), (5.0, 3.0), (1e-3, 0.2),
-    (3.0e5, 0.07), (2.0 ** -399, 0.05), (2.0 ** 399, 0.05)])
-def test_nearest_disk_distances_match_kdtree_bitwise(radius, tol):
-    # tol 1.0 and 3.0 leave 7 and 3 rays; the extreme radii are the edges of
-    # the closed form's range
-    rng = np.random.default_rng(int(tol * 1000) + 7)
+    *((r, t) for r in (1e-120, 1.0, 1e120) for t in (0.013, 0.05, 0.1, 1.0, 3.0)),
+    (2.37, 0.1), (0.6, 0.013), (5.0, 3.0), (1e-3, 0.2), (3.0e5, 0.07)])
+def test_disk_grid_covers_its_disk_within_tol(radius, tol):
+    # two routes for the covering radius of the disk by disk_grid, which the
+    # verifier's one-sided density check rests on: the a-priori bound
+    # sqrt(5)/4 * tol * radius, and a dense polar sample of the disk, four
+    # times finer than the grid each way, queried in a tree over the grid.
+    # Every disk point is within `spacing` of a sample point, so the sampled
+    # radius plus the spacing bounds the true one from above
+    n_r, n_ang = disk_grid_shape(tol)
+    rings, rays = 4 * n_r, 4 * n_ang
+    spacing = radius / (2 * rings) + math.pi * radius / rays
     grid = disk_grid(radius, tol)
-    pts = _disk_probes(rng, radius, tol)
-    got = _nearest_disk_distances(pts, grid, radius, *disk_grid_shape(tol))
-    assert got.tobytes() == _tree_distances(pts, grid).tobytes()
-
-
-def test_disk_hausdorff_equals_hausdorff_bitwise():
-    rng = np.random.default_rng(3)
-    huge = np.array([1e155 + 1e155j, 3e154, -1.3e154j, 1e20 + 3j, 0.5])
-    for radius, tol in ((1.0, 0.05), (0.8, 1.0), (4.0, 3.0), (1.0, 0.3), (0.0, 0.05),
-                        (1e153, 0.05), (2.0 ** -450, 0.1)):
-        clouds = [_disk_probes(rng, radius, tol), huge, huge * radius,
-                  radius * (rng.normal(size=500) + 1j * rng.normal(size=500))]
-        for pts in clouds:
-            assert disk_hausdorff(pts, radius, tol) == hausdorff(pts, disk_grid(radius, tol))
-    with pytest.raises(ValueError, match="empty point set"):
-        disk_hausdorff(np.array([], dtype=complex), 1.0)
+    tree = cKDTree(np.column_stack([grid.real, grid.imag]))
+    directions = np.exp(2j * np.pi * np.arange(rays) / rays)
+    sampled = 0.0
+    for moduli in np.array_split(radius * np.arange(rings + 1) / rings, rings // 64 + 1):
+        pts = (moduli[:, None] * directions[None, :]).ravel()
+        sampled = max(sampled, float(np.max(tree.query(np.column_stack([pts.real,
+                                                                         pts.imag]))[0])))
+    assert sampled + spacing < tol * radius
+    assert sampled <= math.sqrt(5) / 4 * tol * radius * (1 + 1e-12)
 
 
 @pytest.mark.parametrize("tol", [0.0, -0.1, math.inf, math.nan, 1e-6, 5e-324])
 def test_disk_grid_refuses_unusable_tol(tol):
     with pytest.raises(ValueError, match="tol"):
         disk_grid(1.0, tol)
-    with pytest.raises(ValueError, match="tol"):
-        disk_hausdorff(np.array([0.5j]), 1.0, tol)
 
 
 def test_disk_grid_point_limit():
@@ -684,13 +655,37 @@ def test_spectral_bracket_refuses_a_lattice_before_any_walk(monkeypatch, basis):
 
 def test_spectral_bracket_caps_at_the_norm_rounded_upward(basis):
     # |0.001 + 0.001j| rounds below its exact value, so the norm as summed
-    # is not an upper end; the bracket's cap is rounded upward
-    mu = DiscreteMeasure.from_atoms(basis, [(basis.zero(), 0.001 + 0.001j)])
+    # is not an upper end; the bracket's cap, fekete_bound's first entry, is
+    # rounded upward
+    w = 0.001 + 0.001j
+    mu = DiscreteMeasure.from_atoms(basis, [(basis.zero(), w)])
     with mpmath.workdps(30):
         exact = mpmath.sqrt(2 * mpmath.mpf(0.001) ** 2)
     norm = fekete_bound(mu, 0).final_bound
     lower, upper = spectral_bracket(mu)
-    assert norm < exact <= upper <= norm + 2 * math.ulp(norm)
+    assert abs(w) < exact <= upper <= norm <= abs(w) + 2 * math.ulp(abs(w))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.complex_numbers(min_magnitude=1e-300, max_magnitude=1e300,
+                                   allow_nan=False, allow_infinity=False),
+                min_size=1, max_size=6))
+def test_fekete_first_entry_is_at_least_the_exact_norm(weights):
+    # two routes: the first entry against sum |w_j| at 60 digits in mpmath,
+    # which it may exceed by a few ulps (or subnormal steps) and never
+    # undercut; a density part adds its quadrature value and error estimate
+    basis = _TWO_GENERATORS
+    disc = DiscreteMeasure.from_atoms(basis, [(basis.from_turns(Fraction(j, 7)), w)
+                                              for j, w in enumerate(weights)])
+    entry = fekete_bound(disc, 0).entries[0][1]
+    with mpmath.workdps(60):
+        exact = mpmath.fsum(mpmath.sqrt(mpmath.mpf(w.real) ** 2 + mpmath.mpf(w.imag) ** 2)
+                            for w in weights)
+        slack = exact * (len(weights) + 2) * 2.0 ** -52 + 4 * len(weights) * 2.0 ** -1074
+        assert exact <= mpmath.mpf(entry) <= exact + slack
+    density = TrigPolyDensity({2: 0.5, -3: 0.25j})
+    value, err = density.l1_norm_bounds()
+    assert fekete_bound(MixedMeasure(disc, density), 0).entries[0][1] == entry + value + err
 
 
 def test_parity_pieces_walk_only_their_live_classes():
