@@ -15,7 +15,7 @@ from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
@@ -31,6 +31,10 @@ _MAX_ATOMS = 200_000  # atoms of the merged discrete result
 _MAX_DEGREE = 65_536  # degree of the density part of the result
 # bytes of phase factors ``transforms`` keeps for later measures of one call
 _MAX_FACTOR_CACHE = 32 << 20
+# ``transforms`` builds e^{-i n g} at n = B b + a from a table over a < B and
+# one over the b of the call: B = _TABLE_SPLIT = 2**_TABLE_SHIFT
+_TABLE_SHIFT = 8
+_TABLE_SPLIT = 1 << _TABLE_SHIFT
 
 
 _QUARTER_PI_LD = _PI_LD / 4
@@ -324,8 +328,9 @@ class DiscreteMeasure:
         ``transforms``, which this calls with the one measure.
 
         A rational atom's phase is exact for every int64 n; a generator
-        atom's phase error is about |n| |g| u_LD (2.5e-8 at n = 2**40 and
-        0.10 at 2**62 for one copy of sqrt2 with the x87 long double)."""
+        atom's two table phases err by about (|n| + 512) |g| u_LD plus a few
+        float64 ulps (2.5e-8 at n = 2**40 and 0.10 at 2**62 for one copy of
+        sqrt2 with the x87 long double)."""
         return transforms([self], ns)[0]
 
     def __repr__(self) -> str:
@@ -502,14 +507,38 @@ def _generator_groups(d: DiscreteMeasure) -> dict[tuple[int, ...], list[tuple[in
     return groups
 
 
-def _phase_factor(ns: np.ndarray, coeffs: tuple[int, ...], values: tuple[float, ...]
-                  ) -> np.ndarray:
-    """e^{-i n g} for g = sum c * v, with n g reduced mod 2 pi in extended precision."""
+def _table_split(ns: np.ndarray) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """n = B b + a, B = _TABLE_SPLIT, as (a, hi_points, hi_index): the low
+    parts a = n & (B - 1) as uint8, and the points B b of the high table
+    with, for each n, the index of its own B b there, in the smallest
+    unsigned type that holds it.  The shift floors, so this holds for
+    negative n and at both int64 extremes.  The high table is
+    B * arange(b_min, b_max + 1) when that has at most len(ns) entries, else
+    B b itself, one entry per n (hi_index None)."""
+    a = (ns & (_TABLE_SPLIT - 1)).astype(np.uint8)
+    b = ns >> _TABLE_SHIFT
+    if b.size and int(b.max()) - int(b.min()) < b.size:
+        b_min, b_max = int(b.min()), int(b.max())
+        points = _TABLE_SPLIT * np.arange(b_min, b_max + 1, dtype=np.int64)
+        return a, points, (b - b_min).astype(np.min_scalar_type(b_max - b_min))
+    return a, _TABLE_SPLIT * b, None
+
+
+def _phase_factor(split: tuple[np.ndarray, np.ndarray, Optional[np.ndarray]],
+                  coeffs: tuple[int, ...],
+                  values: tuple[float, ...]) -> np.ndarray:
+    """e^{-i n g} for g = sum c * v at the n of ``split`` (``_table_split``):
+    lo[a] * hi[b], with lo = e^{-i a g} over a < B and hi = e^{-i B b g} at
+    the split's high points, both from ``phase_factors``, so n g is never
+    formed."""
     g = np.longdouble(0.0)
     for c, v in zip(coeffs, values):
         if c:
             g += np.longdouble(c) * np.longdouble(v)
-    return phase_factors(ns, g)
+    a, hi_points, hi_index = split
+    lo = phase_factors(np.arange(_TABLE_SPLIT, dtype=np.int64), g)
+    hi = phase_factors(hi_points, g)
+    return np.multiply(np.take(lo, a), hi if hi_index is None else np.take(hi, hi_index))
 
 
 def transforms(measures: Iterable[MeasureLike], ns) -> list[np.ndarray]:
@@ -529,14 +558,23 @@ def transforms(measures: Iterable[MeasureLike], ns) -> list[np.ndarray]:
     and kept only until the last of them, and only while the kept factors
     fit in ``_MAX_FACTOR_CACHE`` bytes; past that it is computed again, to
     the same bits.
+    The factor itself is a product of two table entries: with n = B b + a,
+    B = _TABLE_SPLIT = 256 and 0 <= a < B (a shift and a mask, computed once
+    per call), e^{-i n g} = e^{-i a g} e^{-i B b g}, the first from a table
+    over a < B and the second from one over b_min..b_max when that range has
+    at most len(ns) entries, else at each n's own B b.  Both tables come
+    from ``angles.phase_factors``, so a value still depends only on n and
+    the measure; at n = -N..N a generator vector costs at most
+    B + ceil((2N + 1) / B) + 1 kernel evaluations in place of 2N + 1.
 
     Phase accuracy: a rational atom's phase is exact for every int64 n (the
-    turn n p / q is reduced in integers).  A generator atom's phase n g is
-    formed and reduced mod 2 pi in long double, so its error is about
-    |n| |g| u_LD, with u_LD the long double's unit roundoff (2**-64 for the
-    x87 80-bit format, 2**-53 where long double is float64).  For one copy
-    of sqrt2 on x87 it measured 2.5e-8 at n = 2**40 and 0.10 at n = 2**62;
-    no error is raised.
+    turn n p / q is reduced in integers).  A generator atom's two phases a g
+    and B b g are each reduced mod 2 pi in long double, so together they
+    carry about (|n| + 2 B) |g| u_LD, with u_LD the long double's unit
+    roundoff (2**-64 for the x87 80-bit format, 2**-53 where long double is
+    float64), plus a few float64 ulps for the two roundings to float64 and
+    the product.  For one copy of sqrt2 on x87 the error measured 2.5e-8 at
+    n = 2**40 and 0.10 at n = 2**62; no error is raised.
     """
     ns = np.asarray(ns, dtype=np.int64)
     measures = list(measures)
@@ -546,6 +584,7 @@ def transforms(measures: Iterable[MeasureLike], ns) -> list[np.ndarray]:
     cache: dict = {}
     cached_bytes = 0
     folds: dict[int, np.ndarray] = {}  # L -> ns mod L
+    split = None  # ns as B b + a, once the first generator vector needs it
     out = []
     for i, (m, grp) in enumerate(zip(measures, groups)):
         total = np.zeros(ns.shape, dtype=np.complex128)
@@ -557,13 +596,15 @@ def transforms(measures: Iterable[MeasureLike], ns) -> list[np.ndarray]:
                 acc += np.multiply(w, unit_roots(_rational_residues(points, p, q), q))
             if points is not ns:
                 if period not in folds:
-                    folds[period] = ns % period
-                acc = acc[folds[period]]
+                    folds[period] = (ns % period).astype(np.min_scalar_type(period - 1))
+                acc = np.take(acc, folds[period])
             if any(coeffs):
                 key = (coeffs, m.basis.values)
                 factor = cache.get(key)
                 if factor is None:
-                    factor = _phase_factor(ns, coeffs, m.basis.values)
+                    if split is None:
+                        split = _table_split(ns)
+                    factor = _phase_factor(split, coeffs, m.basis.values)
                     if last_use[key] > i and cached_bytes + factor.nbytes <= _MAX_FACTOR_CACHE:
                         cache[key] = factor
                         cached_bytes += factor.nbytes

@@ -25,14 +25,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
 from .angles import GeneratorBasis, TWO_PI
 from .errors import BudgetExceededError
-from .measures import (DiscreteMeasure, MeasureLike, MixedMeasure, as_mixed, convolve,
-                       transforms, tv_norm_bounds, unit_roots)
+from .measures import (_TABLE_SPLIT, DiscreteMeasure, MeasureLike, MixedMeasure, as_mixed,
+                       convolve, transforms, tv_norm_bounds, unit_roots)
 
 # norms whose square stays in the normal float range, with a factor 4 to spare
 _SQUARE_SAFE_MIN = 2.0 ** -511
@@ -56,7 +57,13 @@ _TILE_BYTES = 1 << 19
 # weight-times-root products and the modulus.  The largest excess seen at the
 # top points of 400 random polynomials (K <= 20, order <= 6) was 3.8.
 _ROUNDING_TERMS = 8
+# the rounding that the second of ``transforms``' two phase factors adds, in
+# units of u per unit of |w|: its phase rounded to float64 (half an ulp of a
+# phase below 2 pi, 4 u), its exponential (sqrt2 u) and the product of the
+# two factors (sqrt5 u)
+_TABLE_ROUNDINGS = 8
 _U = 2.0 ** -53
+_ETA = 2.0 ** -1074  # the underflow unit: the smallest subnormal float
 # the bracket loop stops once upper - lower is at most this share of upper
 _BRACKET_REL_WIDTH = 2.0 ** -6
 # the largest pi * span / grid at which the upper end of a grid can come
@@ -70,7 +77,8 @@ _DISK_COVER = math.sqrt(5.0) / 4.0
 
 @dataclass(frozen=True)
 class FeketeReport:
-    """Nonincreasing norm-root sequence r_k = ||mu^(2^k)||^(1/2^k)."""
+    """Upper ends r_k of the nonincreasing norm roots ||mu^(2^k)||^(1/2^k);
+    ``final_bound`` is the least of them."""
 
     entries: tuple[tuple[int, float], ...]
     final_bound: float
@@ -85,18 +93,72 @@ def _rescale_exponent(norm: float) -> int:
     return 0
 
 
+def _sum_upward(terms: list[float]) -> float:
+    """The correctly rounded sum of ``terms``, an ulp up when it is finite
+    and its exact residual is positive: never below the exact sum."""
+    total = math.fsum(terms)
+    if math.isfinite(total) and math.fsum(terms + [-total]) > 0:
+        total = math.nextafter(total, math.inf)
+    return total
+
+
+def _root_upward(x: float, shift: int, k: int) -> float:
+    """An upper end of (x 2^shift)^(1/2^k) for a finite x >= 0: k square
+    roots of a mantissa below 4 whose exponent halves alongside, each root
+    an ulp up when its exact square falls below its argument, and one more
+    ulp when the result lands in the subnormal range and rounds down; inf
+    past the float range."""
+    if x == 0.0:
+        return 0.0
+    m, e = math.frexp(x)
+    e += shift
+    for _ in range(k):
+        if e % 2:
+            m, e = 2.0 * m, e - 1
+        r = math.sqrt(m)
+        if Fraction(r) ** 2 < Fraction(m):
+            r = math.nextafter(r, math.inf)
+        m, e = r, e // 2
+    try:
+        root = math.ldexp(m, e)
+    except OverflowError:
+        return math.inf
+    if Fraction(root) < Fraction(m) * Fraction(2) ** e:
+        root = math.nextafter(root, math.inf)
+    return root
+
+
+def _square_error(norm: float, err: float, atoms: int) -> float:
+    """Bound on ||fl(c * c) - x * x|| for a computed c with ||c|| <= norm,
+    K = ``atoms`` atoms and ||c - x|| <= err: (2 norm + err) err for the
+    error carried in, 2 (K + 1) u norm^2 for the products and the sums of at
+    most K of them that ``convolve`` merges into one atom (each weight is
+    within sqrt5 u + sqrt2 gamma_{K-1} of its pairs' moduli), and one
+    underflow unit per pair, the whole moved up for its own roundings."""
+    bound = ((2.0 * norm + err) * err + 2.0 * (atoms + 1) * _U * norm * norm
+             + atoms * atoms * _ETA)
+    return bound * (1.0 + 8.0 * _U)
+
+
 def fekete_bound(mu: MeasureLike, k_max: int = 6) -> FeketeReport:
     """Certified upper bound for the spectral radius via repeated squaring.
 
     Each entry uses the total variation norm plus its quadrature error
     estimate, so every r_k is an upper bound for the true limit; the first,
     ||mu||, sums the atoms' moduli rounded upward (``_norm_bounds``), so it
-    is never below the exact norm of the atoms.  Stops early, with
-    ``budget_hit`` set and the entries so far kept, when a squaring passes
-    the convolution limits of ``measures.convolve``.  A power whose
-    square's norm would leave the normal float range is first rescaled by a
-    power of two, which is exact, so tiny weights do not underflow to a zero
-    bound.  Raises ValueError when the total variation is not finite.
+    is never below the exact norm of the atoms.  A later entry is rounded
+    upward too: the computed square's norm is raised by its summation error
+    and by a bound on how far the squarings' rounding has moved its atoms
+    (``_square_error``), and its 2^k-th root is taken upward
+    (``_root_upward``), so it is never below the exact ||mu^(2^k)||^(1/2^k)
+    of a discrete mu; a density part's coefficients keep the quadrature
+    estimate alone.  Stops early, with ``budget_hit`` set and the entries
+    so far kept, when a squaring passes the convolution limits of
+    ``measures.convolve``, and without ``budget_hit`` when an entry's upper
+    end passes the largest float.  A power whose square's norm would leave
+    the normal float range is first rescaled by a power of two, so tiny
+    weights do not underflow to a zero bound.  Raises ValueError when the
+    total variation is not finite.
     """
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
@@ -104,24 +166,32 @@ def fekete_bound(mu: MeasureLike, k_max: int = 6) -> FeketeReport:
     value, r = _norm_bounds(cur)
     entries = [(0, r)]
     budget_hit = False
-    shift = 0  # mu^(2^k) = cur * 2^shift
+    shift = 0  # mu^(2^k) = cur * 2^shift, up to the rounding err bounds
+    norm, err = r, 0.0  # ||cur|| <= norm and ||cur - mu^(2^k) 2^-shift|| <= err
     if r > 0.0:
         for k in range(1, k_max + 1):
             e = _rescale_exponent(value)
             if e:
                 cur = cur.scale(math.ldexp(1.0, -e))
                 shift += e
+                # norm lands in [2^-53, 1), exactly; a weight or err scaled
+                # into the subnormal range loses at most an underflow unit
+                norm = math.ldexp(norm, -e)
+                err = math.ldexp(err, -e) + (len(cur.disc) + 1) * _ETA
+            atoms = len(cur.disc)
             try:
                 cur = convolve(cur, cur)
             except BudgetExceededError:
                 budget_hit = True
                 break
             shift *= 2
-            value, err = tv_norm_bounds(cur)
-            rk = (value + err) ** (1.0 / (1 << k))
-            if shift:
-                q, rem = divmod(shift, 1 << k)
-                rk = math.ldexp(rk * 2.0 ** (rem / (1 << k)), q)
+            err = _square_error(norm, err, atoms)
+            value, quad_err = tv_norm_bounds(cur)
+            # Python's sequential sum of the K moduli, each within an ulp
+            norm = _sum_upward([value * (1.0 + (len(cur.disc) + 3) * _U), quad_err])
+            rk = _root_upward(_sum_upward([norm, err]), shift, k)
+            if rk == math.inf:  # within ulps of the float range: nothing finite bounds it
+                break
             entries.append((k, rk))
     final = min(r for _, r in entries)
     return FeketeReport(tuple(entries), final, budget_hit)
@@ -413,17 +483,23 @@ def _grid_upper(best: float, allowance: float, span: int, grid: int) -> float:
 def _transform_allowance(m: MixedMeasure, n_max: int) -> float:
     """Bound on the rounding of ``measures.transforms``'s mu_hat(n) for
     |n| <= n_max: for K atoms and a density coefficient, (K + 1 +
-    _ROUNDING_TERMS) * u times the atoms' total modulus plus the largest
-    density coefficient, as for the lattice, and for the generator phases
-    n g, which are reduced in long double, 8 eps_LD * n_max * sum |w_j| |g_j|.
-    It scales with mu, so a verdict against it does not change when mu is
-    scaled by a power of two."""
+    _ROUNDING_TERMS + _TABLE_ROUNDINGS) * u times the atoms' total modulus
+    plus the largest density coefficient, and for the generator phases
+    8 eps_LD * (n_max + 2 B) * sum |w_j| |g_j|.  ``transforms`` builds
+    e^{-i n g} as e^{-i a g} e^{-i B b g} with n = B b + a, 0 <= a < B =
+    _TABLE_SPLIT, so |a| + |B b| <= |n| + 2 B; each of the two phases is
+    formed and reduced in long double, within about 4 eps_LD of its size,
+    so even at |n| <= 3 they reach B b = -256 and a = 253.  The float64
+    terms are the lattice's (``_lattice_max``) and _TABLE_ROUNDINGS more for
+    the second factor.  It scales with mu, so a verdict against it does not
+    change when mu is scaled by a power of two."""
     weights = np.abs(m.disc.w)
     gens = np.abs(m.disc.coef).astype(np.float64) @ np.abs(np.asarray(m.basis.values,
                                                                       dtype=np.float64))
-    phase = 8 * float(np.finfo(np.longdouble).eps) * n_max * float(weights @ gens)
+    phase = (8 * float(np.finfo(np.longdouble).eps) * (n_max + 2 * _TABLE_SPLIT)
+             * float(weights @ gens))
     total = float(weights.sum()) + max((abs(c) for c in m.ac.coeffs.values()), default=0.0)
-    return (len(weights) + 1 + _ROUNDING_TERMS) * _U * total + phase
+    return (len(weights) + 1 + _ROUNDING_TERMS + _TABLE_ROUNDINGS) * _U * total + phase
 
 
 def _below_modulus(r: float, w: complex) -> bool:
@@ -437,10 +513,10 @@ def _below_modulus(r: float, w: complex) -> bool:
 def _norm_bounds(m: MixedMeasure) -> tuple[float, float]:
     """(||mu|| as summed, an upper end of it), ValueError unless the upper
     end is finite.  The upper end moves each atom's modulus up an ulp at a
-    time until it is at least its exact value, and their correctly rounded
-    sum (``math.fsum``) an ulp up when its exact residual is positive, so
-    it is the atoms' ``norm()`` whenever that is exact.  Both ends add the
-    density's quadrature value, and the upper end its error estimate."""
+    time until it is at least its exact value, and sums them upward
+    (``_sum_upward``), so it is the atoms' ``norm()`` whenever that is
+    exact.  Both ends add the density's quadrature value, and the upper end
+    its error estimate, summed upward."""
     density_value, density_err = m.ac.l1_norm_bounds()
     atoms = norm = m.disc.norm()
     if math.isfinite(norm):
@@ -450,10 +526,8 @@ def _norm_bounds(m: MixedMeasure) -> tuple[float, float]:
             while _below_modulus(r, w):
                 r = math.nextafter(r, math.inf)
             moduli.append(r)
-        atoms = math.fsum(moduli)
-        if math.fsum(moduli + [-atoms]) > 0:
-            atoms = math.nextafter(atoms, math.inf)
-    upper = atoms + density_value + density_err
+        atoms = _sum_upward(moduli)
+    upper = _sum_upward([atoms, density_value, density_err])
     if not math.isfinite(upper):
         raise ValueError(f"the total variation bound {upper!r} is not finite")
     return norm + density_value, upper

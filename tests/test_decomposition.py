@@ -3,12 +3,13 @@
 import dataclasses
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from natspec import decomposition
+from natspec import decomposition, measures
 from natspec.angles import FRESH_GENERATOR_VALUES, GeneratorBasis
 from natspec.cli import main
 from natspec.decomposition import (DecompositionOptions, decompose,
@@ -295,6 +296,22 @@ def test_verify_flag_off_defers_report(basis):
     assert result.report is None
     report = verify_decomposition(mu, result, N=10_000)
     assert report.passed
+
+
+def test_verification_builds_each_phase_factor_from_two_small_tables(monkeypatch, basis):
+    # at N = 10^4 each generator vector g costs at most B + ceil((2N + 1) / B)
+    # + 1 kernel evaluations, B = 256, not the 2N + 1 of one per n.  mu is
+    # discrete, so the verifier's convolutions take no transforms of their own
+    N, B = 10_000, measures._TABLE_SPLIT
+    mu = random_discrete(default_rng(606), basis)
+    result = decompose(mu, DecompositionOptions(verify=False))
+    evaluations = Counter()
+    real = measures.phase_factors
+    monkeypatch.setattr(measures, "phase_factors",
+                        lambda ns, g: evaluations.update({g: ns.size}) or real(ns, g))
+    assert verify_decomposition(mu, result, N=N).passed
+    assert len(evaluations) >= 2
+    assert max(evaluations.values()) <= B + -(-(2 * N + 1) // B) + 1
 
 
 @pytest.mark.parametrize("N", [0, (1 << 20) + 1])

@@ -3,6 +3,7 @@
 import math
 import struct
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from natspec.angles import Angle, GeneratorBasis
+from natspec.angles import Angle, GeneratorBasis, phase_factors
 from natspec.errors import BudgetExceededError
 from natspec import measures
 from natspec.measures import (DiscreteMeasure, MixedMeasure, TrigPolyDensity,
@@ -637,18 +638,19 @@ def test_batched_transforms_match_single_measures_bitwise(ms, cap_factors):
 
 
 def test_transforms_compute_each_phase_factor_once_within_the_cap():
-    # two measures with atoms on the same 12 coefficient vectors: 12 factors
-    # when all can be kept, 8 more when 4 can, 24 when none can
+    # two measures with atoms on the same 12 coefficient vectors: each g's
+    # two tables are built once when all factors can be kept, 8 of them
+    # twice when 4 can, all 12 twice when none can
     vectors = [(a, b) for a in (-1, 1, 2) for b in (-2, -1, 1, 3)]
     ms = [DiscreteMeasure.from_atoms(BASIS, [(BASIS.angle(Fraction(k, 5), v), 1.0 + k * 1j)
                                              for v in vectors]) for k in range(2)]
     ns = np.arange(-2000, 2001, dtype=np.int64)
     factor_bytes = 16 * len(ns)
-    real = measures._phase_factor
-    for cap, computed in ((measures._MAX_FACTOR_CACHE, 12), (4 * factor_bytes, 20), (0, 24)):
-        calls = []
-        with mock.patch.object(measures, "_phase_factor",
-                               lambda *a: calls.append(1) or real(*a)), \
+    real = measures.phase_factors
+    for cap, twice in ((measures._MAX_FACTOR_CACHE, 0), (4 * factor_bytes, 8), (0, 12)):
+        tables = []
+        with mock.patch.object(measures, "phase_factors",
+                               lambda ns, g: tables.append((g, len(ns))) or real(ns, g)), \
                 mock.patch.object(measures, "_MAX_FACTOR_CACHE", cap):
             tracemalloc.start()
             try:
@@ -656,10 +658,15 @@ def test_transforms_compute_each_phase_factor_once_within_the_cap():
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert len(calls) == computed
+        # per g, a low table over a < 256 and a high one over b = -8..7
+        builds = Counter(g for g, _ in tables)
+        assert len(builds) == 12 and sorted(builds.values()) == [2] * (12 - twice) + [4] * twice
+        assert Counter(size for _, size in tables) == {256: len(tables) // 2,
+                                                        16: len(tables) // 2}
         assert [v.tobytes() for v in values] == _one_by_one(ms, ns)
         # the two outputs, the kept factors (at most the cap), and about four
-        # work arrays: an accumulator, the long-double products and phases
+        # work arrays: an accumulator, the two gathered table columns and
+        # their product
         assert peak <= (2 + 5) * factor_bytes + min(cap, 12 * factor_bytes)
 
 
@@ -677,16 +684,32 @@ def test_high_degree_density_norm_is_refused_before_the_quadrature():
     assert value == pytest.approx(1.0, abs=1e-9)
 
 
+def _per_n_factor(ns: np.ndarray, coeffs: tuple[int, ...], values: tuple[float, ...]
+                  ) -> np.ndarray:
+    """e^{-i n g} as e^{-i a g} e^{-i 256 b g} with n = 256 b + a split in
+    Python integers: each n's own 256 b, and its a's one-element
+    ``phase_factors`` value."""
+    g = np.longdouble(0.0)
+    for c, v in zip(coeffs, values):
+        if c:
+            g += np.longdouble(c) * np.longdouble(v)
+    split = [divmod(n, 256) for n in ns.tolist()]
+    lo = {a: phase_factors(np.array([a]), g)[0] for a in range(256)}
+    return np.multiply(np.array([lo[a] for _, a in split], dtype=np.complex128),
+                       phase_factors(np.array([256 * b for b, _ in split], dtype=np.int64), g))
+
+
 def _per_n_transform(mu: DiscreteMeasure, ns: np.ndarray) -> np.ndarray:
-    """transforms' sum with every rational part evaluated at each n itself:
-    the same groups, steps and order, without the period table."""
+    """transforms' sum with every rational part and every phase factor
+    evaluated at each n itself: the same groups, steps and order, without
+    the period table or the shared phase tables."""
     total = np.zeros(ns.shape, dtype=np.complex128)
     for coeffs, members in measures._generator_groups(mu).items():
         acc = np.zeros(ns.shape, dtype=np.complex128)
         for p, q, w in members:
             acc += np.multiply(w, unit_roots(_rational_residues(ns, p, q), q))
         if any(coeffs):
-            acc = np.multiply(acc, measures._phase_factor(ns, coeffs, mu.basis.values))
+            acc = np.multiply(acc, _per_n_factor(ns, coeffs, mu.basis.values))
         total += acc
     return total
 
@@ -737,3 +760,47 @@ def test_period_table_keeps_the_per_n_bits(monkeypatch):
     together = transforms([twelve, big, twelve], ns)
     assert [v.tobytes() for v in together] == [
         transforms([m], ns)[0].tobytes() for m in (twelve, big, twelve)]
+
+
+def test_phase_tables_give_each_n_the_same_bits_in_any_array(monkeypatch):
+    # n = 256 b + a: the high table spans b_min..b_max when that is at most
+    # len(ns) entries and holds each n's own 256 b otherwise; an n keeps its
+    # bits in a dense arange, in sparse arrays with both int64 extremes, on
+    # each side of that boundary, and alone
+    lo64, hi64 = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+    a, b = BASIS.generator("a"), BASIS.generator("b")
+    mu = DiscreteMeasure.from_atoms(BASIS, [
+        (BASIS.from_turns(Fraction(1, 3)), 0.5 - 1.0j),
+        (BASIS.from_turns(Fraction(2, 7)) + a.scale(3) - b, complex(-0.0, 1.25)),
+        (BASIS.from_turns(Fraction(1, 2)) + a.scale(3) - b, -0.75 + 0.5j),
+        (a + b.scale(2), 2.0 - 0.25j),
+        (b.scale(-5), complex(0.125, -0.0))])
+    routes = []
+    real = measures._table_split
+    monkeypatch.setattr(measures, "_table_split",
+                        lambda ns: routes.append(real(ns)[2] is not None) or real(ns))
+    rows = 40  # 256 * 40 = 10 240 n over 40 values of b
+    arrays = {
+        "dense arange": (np.arange(-5000, 5001, dtype=np.int64), True),
+        # rows values of b in rows entries: the last dense case
+        "dense at the boundary": (256 * np.arange(-20, rows - 20, dtype=np.int64) + 255, True),
+        # one b further: rows + 1 values of b in rows entries
+        "sparse past the boundary": (np.append(256 * np.arange(-20, rows - 21), 256 * 20), False),
+        "sparse with extremes": (np.array([lo64, lo64 + 1, -(1 << 40) - 3, -257, -256, -1, 0, 1,
+                                           255, 256, 10_000, 1 << 40, hi64 - 1, hi64],
+                                          dtype=np.int64), False),
+    }
+    values = {}
+    for name, (ns, dense) in arrays.items():
+        routes.clear()
+        got = transforms([mu], ns)[0]
+        assert routes == [dense], name
+        for n, v in zip(ns.tolist(), got.tolist()):
+            values.setdefault(n, set()).add(struct.pack("<dd", v.real, v.imag))
+    # an n alone is always a dense split of one entry
+    for n, bits in values.items():
+        alone = transforms([mu], np.array([n], dtype=np.int64))[0][0]
+        bits.add(struct.pack("<dd", alone.real, alone.imag))
+        assert len(bits) == 1, n
+    # the boundary arrays share n with the dense arange and the sparse ones
+    assert len(values) < sum(len(ns) for ns, _ in arrays.values())

@@ -1,5 +1,6 @@
 """Spectral radius bounds, character polynomials, and spectrum geometry."""
 
+import itertools
 import math
 import os
 import subprocess
@@ -13,14 +14,14 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import natspec
 from natspec import spectrum
 from natspec.angles import FRESH_GENERATOR_VALUES, GeneratorBasis
 from natspec.errors import BudgetExceededError
 from natspec.measures import (DiscreteMeasure, MixedMeasure, TrigPolyDensity, as_mixed,
-                              parity_projections, unit_roots)
+                              parity_projections, transforms, unit_roots)
 from natspec.sampling import default_rng, random_discrete, random_mixed
 from scipy.spatial import cKDTree
 
@@ -42,8 +43,14 @@ def test_fekete_bound_of_two_point_average(rho):
 def test_fekete_bound_point_mass_is_exact(basis, theta0):
     point = DiscreteMeasure.from_atoms(basis, [(basis.zero(), -1.5j)])
     report = fekete_bound(point)
-    assert report.final_bound == 1.5
-    assert all(b == 1.5 for _, b in report.entries)
+    assert report.final_bound == 1.5 == report.entries[0][1]
+    # a later entry carries its squarings' rounding bound, a few ulps
+    assert all(1.5 <= b <= 1.5 + 8 * math.ulp(1.5) for _, b in report.entries)
+    # at the top of the float range no finite float bounds a later entry,
+    # so the sequence ends after the first
+    huge = fekete_bound(DiscreteMeasure.from_atoms(basis, [(basis.zero(), sys.float_info.max)]), 2)
+    assert huge.entries == ((0, sys.float_info.max),) and not huge.budget_hit
+    assert huge.final_bound == sys.float_info.max
     assert fekete_bound(theta0).final_bound == 1.0
 
 
@@ -586,6 +593,49 @@ def test_spectral_bracket_contains_the_mpmath_transform_sup(mu):
             assert upper - lower <= 2 * allowance + math.ulp(upper)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_transform_allowance_holds_on_both_phase_table_routes(seed):
+    # two routes: each value of transforms within _transform_allowance of
+    # the 30-digit mpmath sum, the n taken in one dense window (the high
+    # table spans b_min..b_max) and scattered among far-apart n (each n's
+    # own 256 b), to the same bits; at |k| <= 3 the two tables already reach
+    # 256 b = -256 and a = 253, so the allowance is not proportional to n
+    rng = default_rng(1603 + seed)
+    basis = GeneratorBasis.from_pairs(FRESH_GENERATOR_VALUES[:3])
+    atoms = random_discrete(rng, basis, n_atoms=int(rng.integers(1, 7)), coeff_bound=3)
+    mu = MixedMeasure(atoms, TrigPolyDensity({-3: 0.25 - 0.5j, 1: 0.125j}) if seed % 2
+                      else TrigPolyDensity({}))
+    far = np.array([-(1 << 50), 1 << 45], dtype=np.int64)
+    for window in (np.arange(-3, 4), np.arange(10_000 - 8, 10_000 + 8),
+                   np.arange(-10_000 - 8, -10_000 + 8),
+                   np.arange((1 << 40) - 260, (1 << 40) + 4), np.arange(-(1 << 40) - 4, -(1 << 40) + 4)):
+        ns = window.astype(np.int64)
+        dense = transforms([mu], ns)[0]
+        sparse = transforms([mu], np.concatenate([far, ns]))[0][len(far):]
+        assert dense.tobytes() == sparse.tobytes()
+        allowance = spectrum._transform_allowance(mu, int(np.max(np.abs(ns))))
+        for n, v in zip(ns.tolist(), dense.tolist()):
+            exact = mp_transform(mu.disc, n) + mu.ac.coeffs.get(n, 0j)
+            assert abs(v - exact) <= allowance, (n, abs(v - exact), allowance)
+
+
+def test_transform_allowance_holds_for_lone_unit_atoms_at_small_k():
+    # at |k| <= 3 a lone atom of weight 1 has the smallest allowance, all
+    # float64 roundings and no n-proportional slack, while its two table
+    # phases still reach -256 g and 253 g: every vector in [-2, 2]^4
+    basis = GeneratorBasis.from_pairs(FRESH_GENERATOR_VALUES[:4])
+    ks = np.arange(-3, 4)
+    with mpmath.workdps(40):
+        for coeffs in itertools.product(range(-2, 3), repeat=4):
+            if not any(coeffs):
+                continue
+            mu = as_mixed(DiscreteMeasure.from_atoms(basis, [(basis.angle(0, coeffs), 1.0)]))
+            allowance = spectrum._transform_allowance(mu, 3)
+            g = mpmath.fsum(c * mpmath.mpf(v) for c, v in zip(coeffs, basis.values))
+            for k, v in zip(ks.tolist(), transforms([mu], ks)[0].tolist()):
+                assert abs(mpmath.mpc(v.real, v.imag) - mpmath.expj(-k * g)) <= allowance
+
+
 @settings(max_examples=25, deadline=None)
 @given(small_measures(), st.lists(st.floats(0.0, 2 * math.pi), min_size=2, max_size=2))
 def test_spectral_bracket_dominates_every_character(mu, phis):
@@ -666,6 +716,47 @@ def test_spectral_bracket_caps_at_the_norm_rounded_upward(basis):
     assert abs(w) < exact <= upper <= norm <= abs(w) + 2 * math.ulp(abs(w))
 
 
+def _mp_power_norm_roots(mu: DiscreteMeasure, k_max: int) -> list:
+    """||mu^(2^k)||^(1/2^k) for k = 1..k_max, the squares taken on the exact
+    positions with 60-digit mpmath weights."""
+    with mpmath.workdps(60):
+        atoms = {a: mpmath.mpc(w.real, w.imag) for a, w in mu.atoms.items()}
+        roots = []
+        for k in range(1, k_max + 1):
+            square: dict = {}
+            for a, w in atoms.items():
+                for b, v in atoms.items():
+                    square[a + b] = square.get(a + b, 0) + w * v
+            atoms = square
+            roots.append(mpmath.root(mpmath.fsum(abs(w) for w in atoms.values()), 1 << k))
+        return roots
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 5), st.integers(-2, 2), st.integers(-1, 1),
+                          st.complex_numbers(min_magnitude=1e-300, max_magnitude=1e300,
+                                             allow_nan=False, allow_infinity=False)),
+                min_size=1, max_size=4))
+@example([(0, 1, 0, 0.001 + 0.001j)])
+def test_fekete_later_entries_are_at_least_the_exact_norm_roots(atoms):
+    # two routes: every entry against ||mu^(2^k)||^(1/2^k) of the exact
+    # squares at 60 digits, which it never undercuts, whatever the
+    # squarings' rounding; colliding positions cancel, and weights past
+    # 2**+-511 take the power-of-two rescaling.  The example is one atom
+    # whose to-nearest entries fell below |w|
+    basis = _TWO_GENERATORS
+    mu = DiscreteMeasure.from_atoms(basis, [(basis.angle(Fraction(t, 6), (a, b)), w)
+                                            for t, a, b, w in atoms])
+    assume(not mu.is_zero)
+    report = fekete_bound(mu, 3)
+    exact = _mp_power_norm_roots(mu, 3)
+    assert [k for k, _ in report.entries] == [0, 1, 2, 3]
+    for (_, r), x in zip(report.entries[1:], exact):
+        assert mpmath.mpf(r) >= x
+        # and the rounding bound stays a few parts in 10^15 of the root
+        assert r <= x * (1 + 1e-12) + 1e-300
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.complex_numbers(min_magnitude=1e-300, max_magnitude=1e300,
                                    allow_nan=False, allow_infinity=False),
@@ -685,7 +776,9 @@ def test_fekete_first_entry_is_at_least_the_exact_norm(weights):
         assert exact <= mpmath.mpf(entry) <= exact + slack
     density = TrigPolyDensity({2: 0.5, -3: 0.25j})
     value, err = density.l1_norm_bounds()
-    assert fekete_bound(MixedMeasure(disc, density), 0).entries[0][1] == entry + value + err
+    mixed = fekete_bound(MixedMeasure(disc, density), 0).entries[0][1]
+    exact_sum = Fraction(entry) + Fraction(value) + Fraction(err)
+    assert exact_sum <= Fraction(mixed) <= Fraction(math.nextafter(entry + value + err, math.inf))
 
 
 def test_parity_pieces_walk_only_their_live_classes():
