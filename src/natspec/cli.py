@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .blas import one_blas_thread
 from .decomposition import RADIUS_MODES, DecompositionOptions, decompose
 from .errors import KroneckerNotFoundError, NatspecError, SchemaError
 from .kronecker import KroneckerProblem, pair_transform_values, solve
@@ -25,11 +26,13 @@ from .serialize import (decomposition_report_to_json, fekete_report_to_json,
                         kronecker_problem_from_json, kronecker_solution_to_json,
                         measure_from_json, measure_to_json, read_json, write_json)
 from .spectrum import (MAX_TORUS_DIMS, char_polynomial, check_torus_grid, covering_radius,
-                       disk_grid, fekete_bound, torus_max)
+                       disk_grid, disk_grid_shape, fekete_bound, torus_max)
 from .suite import run_suite
 
 _TIMESTAMP_PREFIX = "# generated "
 _MAX_DENSITY_SCAN_N = 20  # density-scan --N: at most 2**21 + 1 transform values
+# density-scan's nearest-point queries: disk grid points x levels x 3 parities
+_MAX_DENSITY_SCAN_QUERIES = 1 << 23
 
 
 def _timestamp_line() -> str:
@@ -140,6 +143,12 @@ def _cmd_density_scan(args) -> int:
                           f"(2^{_MAX_DENSITY_SCAN_N + 1} + 1 transform values)")
     if not (math.isfinite(args.alpha) and math.isfinite(args.beta)):
         raise SchemaError(f"--alpha and --beta must be finite, got {args.alpha!r}, {args.beta!r}")
+    rings, rays = disk_grid_shape(args.tol)
+    queries = (rings * rays + 1) * (args.N - 3) * 3
+    if queries > _MAX_DENSITY_SCAN_QUERIES:
+        raise SchemaError(f"--N {args.N} and --tol {args.tol!r} ask for {queries} disk grid "
+                          f"queries ({rings * rays + 1} points x {args.N - 3} levels x 3), "
+                          f"above the limit of {_MAX_DENSITY_SCAN_QUERIES}")
     ref = disk_grid(1.0, args.tol)
     n_top = 1 << args.N
     ns = np.arange(-n_top, n_top + 1, dtype=np.int64)
@@ -240,10 +249,15 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and return its exit code.  The subcommand runs with
+    numpy's bundled OpenBLAS at one thread (``blas.one_blas_thread``), so
+    that the torus walk can spread over the CPUs, and the previous thread
+    count is restored when it ends; without such a library nothing is set."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        with one_blas_thread():
+            return _DISPATCH[args.command](args)
     except (SchemaError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -507,36 +507,39 @@ def _generator_groups(d: DiscreteMeasure) -> dict[tuple[int, ...], list[tuple[in
     return groups
 
 
-def _table_split(ns: np.ndarray) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """n = B b + a, B = _TABLE_SPLIT, as (a, hi_points, hi_index): the low
-    parts a = n & (B - 1) as uint8, and the points B b of the high table
+def _table_split(ns: np.ndarray) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray],
+                                            np.ndarray]:
+    """n = B b + a, B = _TABLE_SPLIT, as (a, hi_points, hi_index, low): the
+    low parts a = n & (B - 1) as uint8, the points B b of the high table
     with, for each n, the index of its own B b there, in the smallest
-    unsigned type that holds it.  The shift floors, so this holds for
-    negative n and at both int64 extremes.  The high table is
-    B * arange(b_min, b_max + 1) when that has at most len(ns) entries, else
-    B b itself, one entry per n (hi_index None)."""
+    unsigned type that holds it, and the distinct low parts, ascending.  The
+    shift floors, so this holds for negative n and at both int64 extremes.
+    The high table is B * arange(b_min, b_max + 1) when that has at most
+    len(ns) entries, else B b itself, one entry per n (hi_index None)."""
     a = (ns & (_TABLE_SPLIT - 1)).astype(np.uint8)
+    low = np.flatnonzero(np.bincount(a, minlength=_TABLE_SPLIT))
     b = ns >> _TABLE_SHIFT
     if b.size and int(b.max()) - int(b.min()) < b.size:
         b_min, b_max = int(b.min()), int(b.max())
         points = _TABLE_SPLIT * np.arange(b_min, b_max + 1, dtype=np.int64)
-        return a, points, (b - b_min).astype(np.min_scalar_type(b_max - b_min))
-    return a, _TABLE_SPLIT * b, None
+        return a, points, (b - b_min).astype(np.min_scalar_type(b_max - b_min)), low
+    return a, _TABLE_SPLIT * b, None, low
 
 
-def _phase_factor(split: tuple[np.ndarray, np.ndarray, Optional[np.ndarray]],
+def _phase_factor(split: tuple[np.ndarray, np.ndarray, Optional[np.ndarray], np.ndarray],
                   coeffs: tuple[int, ...],
                   values: tuple[float, ...]) -> np.ndarray:
     """e^{-i n g} for g = sum c * v at the n of ``split`` (``_table_split``):
-    lo[a] * hi[b], with lo = e^{-i a g} over a < B and hi = e^{-i B b g} at
-    the split's high points, both from ``phase_factors``, so n g is never
-    formed."""
+    lo[a] * hi[b], with lo = e^{-i a g} at the call's distinct a < B only
+    and hi = e^{-i B b g} at the split's high points, both from
+    ``phase_factors``, so n g is never formed."""
     g = np.longdouble(0.0)
     for c, v in zip(coeffs, values):
         if c:
             g += np.longdouble(c) * np.longdouble(v)
-    a, hi_points, hi_index = split
-    lo = phase_factors(np.arange(_TABLE_SPLIT, dtype=np.int64), g)
+    a, hi_points, hi_index, low = split
+    lo = np.empty(_TABLE_SPLIT, dtype=np.complex128)
+    lo[low] = phase_factors(low, g)
     hi = phase_factors(hi_points, g)
     return np.multiply(np.take(lo, a), hi if hi_index is None else np.take(hi, hi_index))
 
@@ -561,11 +564,12 @@ def transforms(measures: Iterable[MeasureLike], ns) -> list[np.ndarray]:
     The factor itself is a product of two table entries: with n = B b + a,
     B = _TABLE_SPLIT = 256 and 0 <= a < B (a shift and a mask, computed once
     per call), e^{-i n g} = e^{-i a g} e^{-i B b g}, the first from a table
-    over a < B and the second from one over b_min..b_max when that range has
-    at most len(ns) entries, else at each n's own B b.  Both tables come
-    from ``angles.phase_factors``, so a value still depends only on n and
-    the measure; at n = -N..N a generator vector costs at most
-    B + ceil((2N + 1) / B) + 1 kernel evaluations in place of 2N + 1.
+    at the call's distinct a and the second from one over b_min..b_max when
+    that range has at most len(ns) entries, else at each n's own B b.  Both
+    tables come from ``angles.phase_factors``, so a value still depends only
+    on n and the measure; at n = -N..N a generator vector costs at most
+    B + ceil((2N + 1) / B) + 1 kernel evaluations in place of 2N + 1, and at
+    a few n, such as a density's frequencies, at most two per n.
 
     Phase accuracy: a rational atom's phase is exact for every int64 n (the
     turn n p / q is reduced in integers).  A generator atom's two phases a g

@@ -23,7 +23,11 @@ powers of two.  It serves lattices the walker refuses, and the
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+import queue
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -31,6 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .angles import GeneratorBasis, TWO_PI
+from .blas import blas_threads
 from .errors import BudgetExceededError
 from .measures import (_TABLE_SPLIT, DiscreteMeasure, MeasureLike, MixedMeasure, as_mixed,
                        convolve, transforms, tv_norm_bounds, unit_roots)
@@ -51,6 +56,12 @@ _TERM_BLOCK = 128
 # core's cache when it is squared, large enough that a BLAS call's fixed cost
 # stays small
 _TILE_BYTES = 1 << 19
+# lattice points from which a walk spreads its classes over the CPUs when
+# BLAS runs one thread (``_lattice_max``).  On 2 CPUs with 6 terms, the
+# spread walk took 0.27-0.37 ms against 0.06-0.09 ms below 2^14 points,
+# 1.16-1.19x the one-thread walk at 2^18, 0.71-0.97x at 2^19 and
+# 0.55-0.67x from 2^20 to the 8.0 M points of the bracket benchmark
+_SPREAD_POINTS = 1 << 20
 # a computed |p| exceeds the true one by at most about (K + _ROUNDING_TERMS)
 # * u * sum |c_j| for K terms: the inner product's K + 2 roundings (Higham,
 # Accuracy and Stability, section 3.6) and six more for the table roots, the
@@ -423,11 +434,71 @@ def torus_max(p: CharacterPolynomial, grid: int = 512) -> float:
     the grid-g lattice lies in the grid-2g one, so the value only increases
     when ``grid`` doubles (on a BLAS build that keeps the grid-doubling
     bits, see ``_torus_slices``): a finer grid tightens the lower end.
-    Raises BudgetExceededError when order * grid^dims exceeds the
-    walker's limit and ValueError when the weights do not have a finite sum.
+    At one BLAS thread, as under ``natspec`` on the command line, a lattice
+    of at least _SPREAD_POINTS points is walked in one share of classes
+    per CPU, to the same bits (``_lattice_max``).  Raises
+    BudgetExceededError when order * grid^dims exceeds the walker's limit
+    and ValueError when the weights do not have a finite sum.
     """
     best, allowance, shift = _lattice_max(p, grid)
     return math.ldexp(max(0.0, best - allowance), shift)
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@functools.lru_cache(maxsize=1)
+def _helpers() -> queue.SimpleQueue:
+    """The job queue of CPUs - 1 daemon worker threads, started at the first
+    spread walk and kept for the next.  A job (function, argument, reply)
+    puts (function(argument), None) or (None, the exception) on reply.
+    (``concurrent.futures`` would do the same, at 0.6 MB of imports.)"""
+    jobs: queue.SimpleQueue = queue.SimpleQueue()
+
+    def serve() -> None:
+        while True:
+            function, argument, reply = jobs.get()
+            try:
+                reply.put((function(argument), None))
+            except BaseException as exc:  # handed to the waiting caller
+                reply.put((None, exc))
+
+    for _ in range(max(1, _cpus() - 1)):
+        threading.Thread(target=serve, name="natspec-walk", daemon=True).start()
+    return jobs
+
+
+def _shares(classes: range, points: int) -> list[range]:
+    """``classes`` cut into min(CPUs, classes) contiguous near-equal shares
+    when BLAS runs one thread and the lattice has at least _SPREAD_POINTS
+    points; else ``classes`` whole."""
+    if points < _SPREAD_POINTS or blas_threads() != 1:
+        return [classes]
+    count = min(_cpus(), len(classes))
+    return [classes[len(classes) * k // count:len(classes) * (k + 1) // count]
+            for k in range(count)]
+
+
+def _tiles_top(tiles) -> float:
+    """The largest computed |v|^2 over the row tiles of a walk.
+
+    Each tile is reduced while it is still in cache: |v|^2 in place, in
+    contiguous passes over the tile: square both parts, then multiply by
+    1 + i, whose imaginary part re^2 + im^2 rounds once, as the sum does
+    (the products by 1 are exact); the real parts re^2 - im^2 are no
+    larger, so the tile's largest float is its largest |v|^2.
+    """
+    top = 0.0
+    for _, _, values in tiles:
+        parts = values.view(np.float64)
+        np.square(parts, out=parts)
+        np.multiply(values, 1 + 1j, out=values)
+        top = max(top, float(parts.max()))
+    return top
 
 
 def _lattice_max(p: CharacterPolynomial, grid: int,
@@ -438,21 +509,31 @@ def _lattice_max(p: CharacterPolynomial, grid: int,
     (see ``_torus_slices``).
 
     Each row tile of the walk is reduced to its largest |v|^2 while it is
-    still in cache, and the square root is taken once, of the largest of
-    all.
+    still in cache (``_tiles_top``), and the square root is taken once, of
+    the largest of all.  When the bundled BLAS runs one thread
+    (``blas.blas_threads``) and the lattice has at least _SPREAD_POINTS
+    points, the classes are cut into one contiguous share per CPU
+    (``_shares``): the calling thread walks the first and worker threads
+    the others, each with the tiles, chunks and product shapes of
+    ``_eval_on_grid``, and best is the largest of the shares' maxima.  A
+    class's products do not depend on its chunk and the maximum is exact, so
+    the result has the bits of the walk on one thread.  With more BLAS
+    threads the walk stays on the calling thread, whose BLAS calls already
+    use the other cores.
     """
-    _, shift, tiles = _torus_slices(p, grid, classes)
-    top = 0.0
-    for _, _, values in tiles:
-        # |v|^2 in place, in contiguous passes over the tile: square both
-        # parts, then multiply by 1 + i, whose imaginary part re^2 + im^2
-        # rounds once, as the sum does (the products by 1 are exact); the
-        # real parts re^2 - im^2 are no larger, so the tile's largest float
-        # is its largest |v|^2
-        parts = values.view(np.float64)
-        np.square(parts, out=parts)
-        np.multiply(values, 1 + 1j, out=values)
-        top = max(top, float(parts.max()))
+    classes = range(p.order) if classes is None else classes
+    walks = [_torus_slices(p, grid, share)
+             for share in _shares(classes, len(classes) * grid ** p.dims)]
+    shift = walks[0][1]
+    reply: queue.SimpleQueue = queue.SimpleQueue()
+    for _, _, tiles in walks[1:]:
+        _helpers().put((_tiles_top, tiles, reply))
+    top = _tiles_top(walks[0][2])
+    for _ in walks[1:]:
+        other, exc = reply.get()
+        if exc is not None:
+            raise exc
+        top = max(top, other)
     total = math.ldexp(sum(abs(c) for c in p.weights), -shift)
     return math.sqrt(top), (p.n_terms + _ROUNDING_TERMS) * _U * total, shift
 
@@ -576,7 +657,9 @@ def spectral_bracket(mu: MeasureLike) -> tuple[float, float]:
     _BRACKET_REL_WIDTH of its lower end, and the grid then doubles.
     Without free axes one walk gives [max - allowance, max + allowance].
     Torsion classes where p vanishes identically, half of them for a
-    parity piece (``_live_classes``), are not walked.
+    parity piece (``_live_classes``), are not walked.  At one BLAS thread a
+    walk of at least _SPREAD_POINTS lattice points spreads the live classes
+    over the CPUs, to the same bits (``_lattice_max``).
 
     A density part sum_K c_k e_k is orthogonal to d * (delta - sum_K e_k),
     so r(mu) = max(r(d), max_K |mu_hat(k)|); that maximum, less and plus its

@@ -7,6 +7,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 import warnings
 from dataclasses import asdict
 from fractions import Fraction
@@ -15,13 +16,14 @@ from pathlib import Path
 import pytest
 
 import natspec
-from natspec import cli
+from natspec import blas, cli, spectrum
 from natspec.angles import FRESH_GENERATOR_VALUES, GeneratorBasis
 from natspec.cli import main
 from natspec.decomposition import DecompositionOptions, verify_decomposition
 from natspec.measures import DiscreteMeasure, MixedMeasure
 from natspec.sampling import default_rng, random_discrete
-from natspec.serialize import measure_from_json, measure_to_json, write_json
+from natspec.serialize import measure_from_json, measure_to_json, read_json, write_json
+from natspec.spectrum import char_polynomial, torus_max
 from natspec.kronecker import KroneckerProblem
 
 
@@ -517,6 +519,26 @@ def test_density_scan_refuses_unbounded_or_non_finite_input(tmp_path, args, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args, refusal", [
+    (["--N", "20", "--tol", "1e-3"], "error: tol 0.001 asks for more than"),
+    (["--N", "16", "--tol", "0.004"], "error: --N 16 and --tol 0.004 ask for 30634539 disk grid "
+                                      "queries (785501 points x 13 levels x 3)")])
+def test_density_scan_refuses_its_work_before_doing_any(tmp_path, args, refusal, capsys):
+    # the scan costs about (disk grid points) x (N - 3 levels) x 3 queries:
+    # 12.6 M grid points at tol 1e-3, and 30.6 M queries at tol 0.004
+    out = tmp_path / "scan.csv"
+    started = time.perf_counter()
+    rc = main(["density-scan", "--out", str(out), *args])
+    assert time.perf_counter() - started < 1.0
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith(refusal) and captured.err.count("\n") == 1
+    assert not out.exists()
+    # the default scan's 125 801 points x 13 levels x 3 stay within the limit
+    assert 125_801 * 13 * 3 <= cli._MAX_DENSITY_SCAN_QUERIES
+
+
 @pytest.mark.parametrize("nmax", [2 ** 31 + 1, 2 ** 63 - 1])
 def test_kronecker_refuses_n_max_above_the_cap(tmp_path, nmax, capsys):
     # an unsatisfiable eps would scan every |n| <= nmax; above 2^31 the
@@ -609,3 +631,99 @@ def test_importing_the_cli_loads_no_scipy():
                            "import sys, natspec.cli; print('scipy' in sys.modules)"],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0 and proc.stdout == "False\n"
+
+
+# -- the BLAS thread policy ---------------------------------------------------
+
+def _bracket_measure_file(tmp_path) -> Path:
+    """Six atoms over four generators with turn denominator 16: a torus of
+    16 x 16^4 points, at the spread walk's threshold."""
+    rng = default_rng(1905)
+    basis = GeneratorBasis.from_pairs(FRESH_GENERATOR_VALUES[:4])
+    atoms = [(basis.angle(Fraction(int(rng.integers(0, 16)) if k else 1, 16),
+                          tuple(int(k % 4 == i) + int(c)
+                                for i, c in enumerate(rng.integers(-1, 2, 4)))),
+              complex(*rng.uniform(-1, 1, 2))) for k in range(6)]
+    path = tmp_path / "bracket.json"
+    write_json(path, measure_to_json(DiscreteMeasure.from_atoms(basis, atoms)))
+    return path
+
+
+def test_cli_runs_at_one_blas_thread_and_restores_the_host_count(tmp_path, monkeypatch,
+                                                                 capsys):
+    functions = blas._thread_functions()
+    if functions is None:
+        pytest.skip("numpy has no bundled OpenBLAS with thread-count symbols")
+    get, set_ = functions
+    seen = []
+    for name, handler in list(cli._DISPATCH.items()):
+        monkeypatch.setitem(cli._DISPATCH, name,
+                            lambda args, run=handler: seen.append(blas.blas_threads()) or run(args))
+    path = _bracket_measure_file(tmp_path)
+    runs = [(0, ["spectral-radius", "--input", str(path), "--out", str(tmp_path / "sr.json"),
+                 "--kmax", "1", "--grid", "16"]),
+            (1, ["kronecker", "--alpha", "1.41", "--beta", "1.73", "--x", "1", "--y", "2",
+                 "--eps", "1e-9", "--nmax", "10"]),
+            (2, ["spectral-radius", "--input", str(tmp_path / "missing.json"),
+                 "--out", str(tmp_path / "x.json")])]
+    host = get()
+    try:
+        set_(2)
+        for code, argv in runs:
+            assert main(argv) == code
+            assert get() == 2
+    finally:
+        set_(host)
+    capsys.readouterr()
+    assert seen == [1, 1, 1]
+
+
+_IMPORT_PROBE = """
+import ctypes
+from pathlib import Path
+import numpy as np
+libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+get = None
+for path in libs.glob("*openblas*"):
+    get = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_num_threads64_", None)
+if get is None:
+    print("no symbol")
+else:
+    before = get()
+    import natspec, natspec.cli
+    print(before, get())
+"""
+
+
+def test_importing_the_cli_keeps_the_host_blas_thread_count():
+    env = {**os.environ, "PYTHONPATH": str(Path(natspec.__file__).resolve().parents[1]),
+           "OPENBLAS_NUM_THREADS": "2"}
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    if proc.stdout == "no symbol\n":
+        pytest.skip("numpy has no bundled scipy-openblas")
+    assert proc.stdout == "2 2\n"
+
+
+@pytest.mark.parametrize("loader", ["found", "not found"])
+def test_cli_walk_spreads_only_when_blas_runs_one_thread(tmp_path, monkeypatch, capsys,
+                                                         loader):
+    if loader == "found" and blas._thread_functions() is None:
+        pytest.skip("numpy has no bundled OpenBLAS with thread-count symbols")
+    if loader == "not found":
+        monkeypatch.setattr(blas, "_thread_functions", lambda: None)
+    counts = []
+    real = spectrum._shares
+    monkeypatch.setattr(spectrum, "_cpus", lambda: 2)
+    monkeypatch.setattr(spectrum, "_shares",
+                        lambda classes, points: counts.append(len(real(classes, points)))
+                        or real(classes, points))
+    path, out = _bracket_measure_file(tmp_path), tmp_path / "sr.json"
+    rc = main(["spectral-radius", "--input", str(path), "--out", str(out),
+               "--kmax", "1", "--grid", "16"])
+    assert rc == 0 and "bracket [" in capsys.readouterr().out
+    assert counts == [2 if loader == "found" else 1]
+    # the same bits as the library's walk on the calling thread
+    p = char_polynomial(measure_from_json(read_json(path)))
+    assert json.loads(out.read_text(encoding="utf-8"))["torus_lower"] == torus_max(p, 16)

@@ -21,6 +21,7 @@ from natspec.measures import (DiscreteMeasure, MixedMeasure, TrigPolyDensity,
                               parity_projections, transforms, tv_norm, tv_norm_bounds,
                               unit_roots)
 from natspec.sampling import default_rng, random_discrete, random_mixed
+from natspec import spectrum
 from natspec.spectrum import fekete_bound
 from oracles import mp_transform
 
@@ -668,6 +669,58 @@ def test_transforms_compute_each_phase_factor_once_within_the_cap():
         # work arrays: an accumulator, the two gathered table columns and
         # their product
         assert peak <= (2 + 5) * factor_bytes + min(cap, 12 * factor_bytes)
+
+
+def _full_low_table_factor(ns: np.ndarray, coeffs: tuple[int, ...],
+                           values: tuple[float, ...]) -> np.ndarray:
+    """e^{-i n g} with the low table over every a < 256, whatever the call's
+    n: ``transforms``' route before the low table was cut to the call's a."""
+    g = np.longdouble(0.0)
+    for c, v in zip(coeffs, values):
+        if c:
+            g += np.longdouble(c) * np.longdouble(v)
+    a, hi_points, hi_index, _ = measures._table_split(ns)
+    lo = phase_factors(np.arange(256, dtype=np.int64), g)
+    hi = phase_factors(hi_points, g)
+    return np.multiply(np.take(lo, a), hi if hi_index is None else np.take(hi, hi_index))
+
+
+@pytest.mark.parametrize("ns", [
+    [-3, -2, -1, 0, 1, 2, 3], [-2, 3, 5], [7], [-256, 255, 256, 1 << 40],
+    list(range(-300, 301)), [np.iinfo(np.int64).min, -1, 0, np.iinfo(np.int64).max]])
+def test_low_table_at_the_call_s_low_parts_keeps_the_full_table_bits(ns):
+    ns = np.array(ns, dtype=np.int64)
+    split = measures._table_split(ns)
+    assert split[3].tolist() == sorted(set((ns & 255).tolist()))
+    for coeffs in ((1, 0), (0, -3), (2, 5), (-7, 1)):
+        got = measures._phase_factor(split, coeffs, BASIS.values)
+        assert got.tobytes() == _full_low_table_factor(ns, coeffs, BASIS.values).tobytes()
+
+
+def test_few_n_build_phase_tables_at_their_own_low_and_high_parts(monkeypatch):
+    # a density's frequencies (convolution with atoms, the bracket's density
+    # maximum) used to build all 256 low entries for every generator vector
+    rng = default_rng(1901)
+    atoms = random_discrete(rng, BASIS, n_atoms=6)
+    density = TrigPolyDensity({-3: 0.5, -1: 0.25j, 2: -0.75, 3: 0.125 + 0.5j})
+    events = []
+    real_split, real_factors = measures._table_split, measures.phase_factors
+    monkeypatch.setattr(measures, "_table_split",
+                        lambda ns: events.append(ns) or real_split(ns))
+    monkeypatch.setattr(measures, "phase_factors",
+                        lambda ns, g: events.append((g, len(ns))) or real_factors(ns, g))
+    for run in (lambda: convolve(atoms, MixedMeasure(DiscreteMeasure.zero(BASIS), density)),
+                lambda: spectrum._density_bracket(MixedMeasure(atoms, density))):
+        events.clear()
+        run()
+        [ns] = [e for e in events if isinstance(e, np.ndarray)]
+        bound = len(set((ns & 255).tolist())) + len(set((ns >> 8).tolist()))
+        evaluations = Counter()
+        for e in events[1:]:
+            evaluations[e[0]] += e[1]
+        generators = {tuple(c) for c in atoms.coef.tolist() if any(c)}
+        assert len(evaluations) == len(generators)
+        assert max(evaluations.values()) <= bound == 4 + 2
 
 
 def test_quarter_pi_is_the_old_long_double_literal():

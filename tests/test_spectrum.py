@@ -19,6 +19,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 import natspec
 from natspec import spectrum
 from natspec.angles import FRESH_GENERATOR_VALUES, GeneratorBasis
+from natspec.blas import one_blas_thread
 from natspec.errors import BudgetExceededError
 from natspec.measures import (DiscreteMeasure, MixedMeasure, TrigPolyDensity, as_mixed,
                               parity_projections, transforms, unit_roots)
@@ -294,7 +295,10 @@ def test_character_values_refine_bitwise_under_grid_doubling(p, grid):
 
 _THREAD_PROBE = """
 import hashlib, numpy as np
-from natspec.spectrum import CharacterPolynomial, character_values, torus_max
+from fractions import Fraction
+from natspec.angles import FRESH_GENERATOR_VALUES, GeneratorBasis
+from natspec.measures import DiscreteMeasure
+from natspec.spectrum import CharacterPolynomial, character_values, spectral_bracket, torus_max
 rng = np.random.default_rng(7)
 for order, dims, grid, n_terms in ((2, 4, 16, 300), (2, 2, 256, 300), (2, 1, 2049, 300),
                                    (24, 4, 24, 6)):
@@ -305,13 +309,21 @@ for order, dims, grid, n_terms in ((2, 4, 16, 300), (2, 2, 256, 300), (2, 1, 204
         tuple(f"g{i}" for i in range(dims)))
     print(hashlib.sha256(character_values(p, grid).tobytes()).hexdigest(),
           repr(torus_max(p, grid)))
+basis = GeneratorBasis.from_pairs(FRESH_GENERATOR_VALUES[:4])
+atoms = [(basis.angle(Fraction(int(rng.integers(0, 24)) if k else 1, 24),
+                      tuple(int(k % 4 == i) + int(c) for i, c in enumerate(rng.integers(-1, 2, 4)))),
+          complex(*rng.uniform(-1, 1, 2))) for k in range(6)]
+print(repr(spectral_bracket(DiscreteMeasure.from_atoms(basis, atoms))))
 """
 
 
 def test_grid_values_ignore_blas_thread_count():
     # zgemm over more than 128 terms rounds differently with 1 and 2 threads;
     # the walker contracts the terms in blocks so that its bits do not.  The
-    # last polynomial has the benchmark's shape, several row tiles per class
+    # last polynomial and the bracket's measure have the benchmark's shape,
+    # several row tiles per class; at one BLAS thread their walks spread
+    # over the CPUs, so the two runs also compare the spread and the
+    # sequential walk
     env = {**os.environ, "PYTHONPATH": str(Path(natspec.__file__).resolve().parents[1])}
     outputs = []
     for threads in ("1", "2"):
@@ -321,7 +333,94 @@ def test_grid_values_ignore_blas_thread_count():
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
-    assert len(outputs[0].splitlines()) == 4
+    assert len(outputs[0].splitlines()) == 5
+
+
+def _four_generator_measure(order: int, seed: int) -> DiscreteMeasure:
+    """Six atoms over four generators, each generator present, with common
+    turn denominator ``order``."""
+    rng = np.random.default_rng(seed)
+    basis = GeneratorBasis.from_pairs(FRESH_GENERATOR_VALUES[:4])
+    atoms = [(basis.angle(Fraction(int(rng.integers(0, order)) if k else 1, order),
+                          tuple(int(k % 4 == i) + int(c)
+                                for i, c in enumerate(rng.integers(-1, 2, 4)))),
+              complex(*rng.uniform(-1, 1, 2))) for k in range(6)]
+    return DiscreteMeasure.from_atoms(basis, atoms)
+
+
+def _sequential_and_spread(monkeypatch, run):
+    """(run() with every walk on the calling thread, run() with the walks
+    spread as at one BLAS thread on 3 CPUs, the share counts of the spread
+    run's walks)."""
+    threads, counts = [None], []
+    real = spectrum._shares
+    monkeypatch.setattr(spectrum, "blas_threads", lambda: threads[0])
+    monkeypatch.setattr(spectrum, "_cpus", lambda: 3)
+    monkeypatch.setattr(spectrum, "_shares",
+                        lambda classes, points: counts.append(len(real(classes, points)))
+                        or real(classes, points))
+    with one_blas_thread():
+        sequential = run()
+        assert set(counts) == {1}
+        counts.clear()
+        threads[0] = 1
+        spread = run()
+    return sequential, spread, counts
+
+
+def test_spread_threshold_sits_between_the_edge_lattices():
+    assert 15 * 16 ** 4 < spectrum._SPREAD_POINTS <= 16 * 16 ** 4
+
+
+@pytest.mark.parametrize("name, order, grid, classes, shares", [
+    ("single live class", 1, 32, None, [1, 1]),
+    # the live classes, then torus_max's walk of every class
+    ("parity piece", 48, 16, range(1, 48, 2), [3, 3]),
+    ("just below the threshold", 15, 16, None, [1, 1]),
+    ("just above the threshold", 16, 16, None, [3, 3])])
+def test_spread_walk_keeps_the_sequential_bits(monkeypatch, name, order, grid, classes, shares):
+    p = char_polynomial(_four_generator_measure(order, 1901))
+    if classes is not None:
+        p = char_polynomial(parity_projections(_four_generator_measure(order, 1901))[1])
+        assert spectrum._live_classes(p) == classes
+    assert p.order == order and p.dims == 4
+    sequential, spread, counts = _sequential_and_spread(
+        monkeypatch, lambda: (spectrum._lattice_max(p, grid, classes), torus_max(p, grid)))
+    assert spread == sequential, name
+    assert counts == shares, name
+
+
+@pytest.mark.parametrize("top_class", [0, 7, 15])
+def test_spread_walk_finds_the_maximum_in_any_share(monkeypatch, top_class):
+    # |1 + e^{2 pi i (t - top_class) / 16}| peaks at t = top_class, which lies
+    # in the first, second or third of the 3 shares; the small terms make the
+    # lattice 16 x 16^4, at the threshold
+    unit = np.eye(4, dtype=int).tolist()
+    p = CharacterPolynomial(16, (0, 1, 0, 0, 0, 0),
+                            ((0, 0, 0, 0), (0, 0, 0, 0), *map(tuple, unit)),
+                            (1.0, complex(np.exp(-2j * np.pi * top_class / 16)), 0.01, 0.01j,
+                             -0.01, -0.01j), ("a", "b", "c", "d"))
+    sequential, spread, counts = _sequential_and_spread(
+        monkeypatch, lambda: spectrum._lattice_max(p, 16))
+    assert spread == sequential and counts == [3]
+    assert spectrum._lattice_max(p, 16, range(top_class, top_class + 1)) == sequential
+
+
+@pytest.mark.parametrize("name, mu", [
+    ("single live class", parity_projections(_four_generator_measure(2, 1902))[0]),
+    ("parity piece", parity_projections(_four_generator_measure(48, 1903))[1]),
+    ("just below the threshold", _four_generator_measure(15, 1904)),
+    ("just above the threshold", _four_generator_measure(16, 1905))])
+def test_spread_bracket_keeps_the_sequential_bits(monkeypatch, name, mu):
+    sequential, spread, counts = _sequential_and_spread(monkeypatch,
+                                                        lambda: spectral_bracket(mu))
+    assert spread == sequential, name
+    p = char_polynomial(mu)
+    live = spectrum._live_classes(p)
+    # one share per CPU exactly when the walk's lattice reaches the threshold
+    grids = [16 * 2 ** k for k in range(len(counts))]
+    assert counts == [3 if len(live) > 1 and len(live) * g ** 4 >= 1 << 20 else 1
+                      for g in grids], name
 
 
 def test_grid_factors_stay_small_at_one_free_axis():
