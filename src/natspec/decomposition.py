@@ -22,9 +22,8 @@ from .errors import BudgetExceededError, RadiusValidationError
 from .measures import (_MAX_DEGREE, DiscreteMeasure, MeasureLike, MixedMeasure, as_mixed,
                        convolve, make_rho, make_theta0, make_theta1, parity_projections,
                        transforms, tv_norm)
-from .spectrum import (_DISK_COVER, FeketeReport, _transform_allowance, char_polynomial,
-                       covering_radius, disk_grid, disk_grid_shape, fekete_bound,
-                       spectral_bracket, torus_grid_within, torus_max)
+from .spectrum import (_DISK_COVER, FeketeReport, _transform_allowance, covering_radius,
+                       disk_grid, disk_grid_shape, fekete_bound, spectral_bracket)
 
 RADIUS_MODES = ("bracket", "manual")
 
@@ -33,10 +32,7 @@ IDENTITY_TRANSFORM_TOL = 1e-9
 IDENTITY_STRUCTURAL_TOL = 1e-12
 PARITY_TOL = 1e-9
 MODULUS_SLACK = 1e-9
-MEMBERSHIP_SLACK = 1e-6
 MANUAL_RADIUS_SCAN = 256
-# grid points the verifier's check (f) may spend, see spectrum.torus_grid_within
-MEMBERSHIP_POINT_BUDGET = 2_000_000
 # largest transform range |n| <= N the verifier accepts (100x the largest in use)
 MAX_VERIFY_N = 1 << 20
 
@@ -146,6 +142,21 @@ def _transform_sups(measures: list[MeasureLike], n_bound: int) -> list[float]:
             for v in transforms([as_mixed(m) for m in measures], ns)]
 
 
+def _radius_bracket(m: MeasureLike, k_max: int
+                    ) -> tuple[tuple[float, float], Optional[RadiusFallback]]:
+    """(``spectral_bracket(m)``, None), or, when the torus walker refuses m's
+    lattice, ((0, ``fekete_bound(m, k_max)``'s bound), the fallback)."""
+    try:
+        return spectral_bracket(m), None
+    except BudgetExceededError as exc:
+        # only the walker's refusal of the lattice falls back: a density the
+        # norm's quadrature refuses, fekete_bound's quadrature refuses too
+        if as_mixed(m).ac.degree > _MAX_DEGREE:
+            raise
+        report = fekete_bound(m, k_max)
+        return (0.0, report.final_bound), RadiusFallback(str(exc), report)
+
+
 def _radii(mu0: MeasureLike, mu1: MeasureLike, opts: DecompositionOptions):
     if opts.radius_mode == "manual":
         r0, r1 = float(opts.manual_radii[0]), float(opts.manual_radii[1])
@@ -156,20 +167,8 @@ def _radii(mu0: MeasureLike, mu1: MeasureLike, opts: DecompositionOptions):
                     f"{name}={r} is below the transform bound {sup} "
                     f"(sup over |n| <= {MANUAL_RADIUS_SCAN})")
         return r0, r1, None, None
-    brackets, fallbacks = [], []
-    for m in (mu0, mu1):
-        try:
-            brackets.append(spectral_bracket(m))
-            fallbacks.append(None)
-        except BudgetExceededError as exc:
-            # only the walker's refusal of the lattice falls back: a density the
-            # norm's quadrature refuses, fekete_bound's quadrature refuses too
-            if as_mixed(m).ac.degree > _MAX_DEGREE:
-                raise
-            report = fekete_bound(m, opts.fekete_k_max)
-            brackets.append((0.0, report.final_bound))
-            fallbacks.append(RadiusFallback(str(exc), report))
-    return brackets[0][1], brackets[1][1], tuple(brackets), tuple(fallbacks)
+    brackets, fallbacks = zip(*(_radius_bracket(m, opts.fekete_k_max) for m in (mu0, mu1)))
+    return brackets[0][1], brackets[1][1], brackets, fallbacks
 
 
 def _validate_options(opts: DecompositionOptions) -> None:
@@ -244,22 +243,32 @@ def verify_decomposition(mu: MeasureLike, result: DecompositionResult, *,
                          tol: float = DecompositionOptions.verify_tol) -> VerificationReport:
     """Certify a decomposition against the input measure.
 
-    Each check is exact, or a finite net that can miss a failure between
-    its points.  (a) The identity nu0 + nu1 + nu2 == mu, exact on stored
-    weights and a net through transforms over |n| <= N; the support shape
-    of nu2, exact.  (b) Orthogonality of the parity projections against the
-    opposite-parity correction, exact.  (c) The parity transform laws and
-    (d) the modulus bound |nu_i_hat| <= R_i, nets over |n| <= N.  (e)
-    Density of each transform cloud in its R_i disk, a net: the covering
-    radius of ``disk_grid(R_i, tol)`` by the cloud is at most tol * max(1,
-    R_i).  (e) relies on (d) for the other half of the Hausdorff distance:
-    once (d) passes, each cloud point is within R_i + MODULUS_SLACK of 0, so
-    within the a-priori ``cloud_to_grid_bound`` (about 0.56 tol R_i, below
-    the threshold) of the grid.  (f) For discrete inputs over at most two
-    generators, a net of the spectrum: nu0's character values on a lattice
-    stay inside the R0 disk.  Each nu0_hat(n) lies in nu0's spectrum, so
-    when (e) passes these points cover the R0 disk, and (f) checks the
-    other half.
+    Each check is exact (on stored weights, with no rounding), a net (a
+    finite sample that can miss a failure between its points) or a proof (a
+    certified bound over the whole spectrum).  (a) The identity nu0 + nu1 +
+    nu2 == mu, exact on stored weights and a net through transforms over
+    |n| <= N; the support shape of nu2, exact.  (b) Orthogonality of the
+    parity projections against the opposite-parity correction, exact.  (c)
+    The parity transform laws and (d) the modulus bound |nu_i_hat| <= R_i,
+    nets over |n| <= N; once (f) passes, (d) holds at every n, since
+    |nu_i_hat(n)| <= r(nu_i).  (e) Density of each transform cloud in its
+    R_i disk, a net: the covering radius of ``disk_grid(R_i, tol)`` by the
+    cloud is at most tol * max(1, R_i).  (e) relies on (d) for the other
+    half of the Hausdorff distance: once (d) passes, each cloud point is
+    within R_i + MODULUS_SLACK of 0, so within the a-priori
+    ``cloud_to_grid_bound`` (about 0.56 tol R_i, below the threshold) of
+    the grid.  (f) The spectrum of nu_i inside the R_i disk, a proof:
+    r(nu0) = max(r(mu0), R0) once nu0 - mu0 == R0 rho * theta1, since every
+    complex homomorphism h of the measure algebra has h(theta0) + h(theta1)
+    = 1 and h(theta0) h(theta1) = 0: where h(theta1) = 0, h(nu0) = h(mu0),
+    and where h(theta0) = 0, h(mu0) = h(mu0 * theta0) = 0 and h(nu0) = R0
+    h(rho), with r(rho) = 1.  Likewise for nu1 with theta0 and R1.  (f)
+    checks that premise, exactly on stored weights, and that the upper end
+    of r(mu_i) that ``decompose`` takes in bracket mode is at most R_i:
+    ``spectral_bracket(mu_i)``'s, or ``fekete_bound(mu_i, k)``'s where the
+    walker refuses mu_i's lattice, k the depth its fallback report reached
+    (the default fekete_k_max without one).  The threshold is 0: the
+    bracket's bits do not depend on the BLAS thread count.
 
     The identity residual, rho, mu, nu0 and nu1 are evaluated on |n| <= N
     in one ``transforms`` call: each from its own atoms (never by linearity,
@@ -304,8 +313,9 @@ def verify_decomposition(mu: MeasureLike, result: DecompositionResult, *,
     # (b) exact orthogonality; the grouping (mu_i * rho) * theta keeps every
     # cancellation a two-term sum of exact negatives
     mu0v, mu1v = parity_projections(mu_e)
-    o0 = convolve(convolve(mu0v, rho), make_theta1(ext))
-    o1 = convolve(convolve(mu1v, rho), make_theta0(ext))
+    theta0, theta1 = make_theta0(ext), make_theta1(ext)
+    o0 = convolve(convolve(mu0v, rho), theta1)
+    o1 = convolve(convolve(mu1v, rho), theta0)
     ortho = tv_norm(o0) + tv_norm(o1)
     checks.append(VerificationCheck("orthogonality", ortho == 0.0, ortho, 0.0))
 
@@ -335,14 +345,15 @@ def verify_decomposition(mu: MeasureLike, result: DecompositionResult, *,
             name, metric <= thr, metric, thr,
             {"radius": r, "cloud_to_grid_bound": _DISK_COVER * tol * r + MODULUS_SLACK}))
 
-    # (f) spectrum inside the R0 disk, feasible for discrete inputs over at
-    # most two generators (nu0 then has at most four free dimensions)
-    if as_mixed(mu).is_discrete and len(mu.basis) <= 2:
-        p = char_polynomial(nu0m.disc)
-        g_mem = torus_grid_within(p, MEMBERSHIP_POINT_BUDGET)
-        smax = torus_max(p, grid=g_mem)
-        checks.append(VerificationCheck(
-            "spectrum_membership", smax <= r0 + MEMBERSHIP_SLACK, smax - r0,
-            MEMBERSHIP_SLACK, {"sampled_max": smax, "radius": r0, "grid": g_mem}))
+    # (f) spectrum inside the R_i disk, from mu_i's own radius bracket
+    fallbacks = result.radius_fallbacks or (None, None)
+    for name, nu, mu_i, theta, r, fallback in (
+            ("spectrum_nu0", nu0m, mu0v, theta1, r0, fallbacks[0]),
+            ("spectrum_nu1", nu1m, mu1v, theta0, r1, fallbacks[1])):
+        exact = ((nu - mu_i) - convolve(rho, theta).scale(r)).is_zero
+        k = fallback.report.entries[-1][0] if fallback else DecompositionOptions.fekete_k_max
+        upper = _radius_bracket(mu_i, k)[0][1]
+        checks.append(VerificationCheck(name, exact and upper <= r, upper - r, 0.0,
+                                        {"upper": upper, "radius": r, "exact": exact}))
 
     return VerificationReport(tuple(checks))

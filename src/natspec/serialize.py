@@ -148,7 +148,7 @@ def _check_to_json(c: VerificationCheck) -> dict:
     out = {"name": c.name, "passed": c.passed, "residual": c.residual,
            "threshold": c.threshold}
     if c.details is not None:
-        out["details"] = {k: (float(v) if isinstance(v, (int, float, np.floating))
+        out["details"] = {k: (float(v) if isinstance(v, (float, np.floating))
                               else v) for k, v in c.details.items()}
     return out
 

@@ -413,17 +413,6 @@ def _torus_slices(p: CharacterPolynomial, grid: int, classes: Optional[range] = 
                                        p.order, exponents, grid, classes)
 
 
-def torus_grid_within(p: CharacterPolynomial, max_points: int) -> int:
-    """Largest power-of-two grid, at least 16, whose order * grid^dims lies
-    within both ``max_points`` and the walker's _TORUS_POINT_LIMIT.  It is 16
-    when no grid fits, and the walker then raises BudgetExceededError."""
-    limit = min(max_points, _TORUS_POINT_LIMIT)
-    grid = 16
-    while p.dims and p.order * (2 * grid) ** p.dims <= limit:
-        grid *= 2
-    return grid
-
-
 def torus_max(p: CharacterPolynomial, grid: int = 512) -> float:
     """Maximum of |p| over all generalized characters, from below.
 

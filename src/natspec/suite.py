@@ -14,7 +14,7 @@ from .measures import (as_mixed, convolve, make_rho, make_theta0, make_theta1,
                        parity_projections)
 from .sampling import default_rng, random_basis, random_discrete, random_mixed
 from .serialize import measure_from_json, measure_to_json
-from .spectrum import char_polynomial, fekete_bound, torus_max
+from .spectrum import char_polynomial, fekete_bound, spectral_bracket, torus_max
 
 
 def _step_theta_algebra(rng):
@@ -97,10 +97,9 @@ def _step_spectral_bracket(rng):
     worst = -np.inf
     for _ in range(5):
         mu = random_discrete(rng, basis, n_atoms=3)
-        upper = fekete_bound(mu, 3).final_bound
-        lower = torus_max(char_polynomial(mu), grid=64)
-        worst = max(worst, lower - upper)
-    return worst <= 1e-9, f"max lower-minus-upper gap {float(worst)!r}"
+        lower, upper = spectral_bracket(mu)
+        worst = max(worst, lower - min(upper, fekete_bound(mu, 3).final_bound))
+    return worst <= 0.0, f"max lower-minus-upper gap {float(worst)!r}"
 
 
 def _step_decomposition(rng):

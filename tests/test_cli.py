@@ -8,6 +8,7 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from dataclasses import asdict
 from fractions import Fraction
@@ -350,19 +351,31 @@ def test_decompose_reports_a_radius_fallback(tmp_path, capsys):
     assert [f["final_bound"] for f in report["fekete"]] == [report["R0"], report["R1"]]
 
 
-def test_decompose_at_huge_denominator_exits_1(tmp_path, capsys):
+def test_decompose_at_huge_denominator_falls_back_and_builds_no_table(tmp_path, capsys):
     # one atom at 1/(2**38 + 7) turns: transforms must not build a length-q
-    # root table (2 TiB), and check (f) then stops on the torus budget
+    # root table (4 TiB); the walker refuses both pieces' lattices, so both
+    # radii, and check (f) after them, take the norm-root bound
     basis = GeneratorBasis.from_pairs((("a", math.sqrt(2.0)),))
     mu = DiscreteMeasure.from_atoms(basis, [(basis.from_turns(Fraction(1, 274877906951)), 1.0)])
     path = tmp_path / "far.json"
     write_json(path, measure_to_json(mu))
-    rc = main(["decompose", "--input", str(path), "--out", str(tmp_path / "out")])
+    tracemalloc.start()
+    try:
+        rc = main(["decompose", "--input", str(path), "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     captured = capsys.readouterr()
-    assert rc == 1
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert "torsion classes" in captured.err
+    assert rc == 0 and captured.err == ""
+    assert peak < 1 << 27
+    lines = captured.out.splitlines()
+    fallbacks = [ln for ln in lines if ln.startswith("# radius fallback: ")]
+    assert [ln.split()[3] for ln in fallbacks] == ["R0", "R1"]
+    assert all("torsion classes" in ln for ln in fallbacks)
+    checks = lines[len(fallbacks):-1]
+    assert len(checks) == 12 and all(ln.startswith("PASS ") for ln in checks)
+    assert checks[-2:] == ["PASS spectrum_nu0: residual 0.0 (threshold 0.0)",
+                           "PASS spectrum_nu1: residual 0.0 (threshold 0.0)"]
 
 
 @pytest.mark.parametrize("n", ["0", "-1", "1000000000000"])

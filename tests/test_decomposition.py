@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from natspec import decomposition, measures
+from natspec import decomposition, measures, spectrum
 from natspec.angles import FRESH_GENERATOR_VALUES, GeneratorBasis
 from natspec.cli import main
 from natspec.decomposition import (DecompositionOptions, decompose,
@@ -18,12 +18,12 @@ from natspec.errors import RadiusValidationError
 from natspec.measures import (DiscreteMeasure, MixedMeasure, as_mixed, convolve, make_rho,
                               make_theta0, parity_projections, transforms)
 from natspec.sampling import default_rng, random_discrete, random_mixed
-from natspec.spectrum import disk_grid, fekete_bound
+from natspec.serialize import measure_to_json
+from natspec.spectrum import char_polynomial, disk_grid, fekete_bound, spectral_bracket
 
 ALL_CHECKS = ("identity_structural", "identity_transform", "nu2_support",
               "orthogonality", "parity_nu0", "parity_nu1", "modulus_nu0",
-              "modulus_nu1", "density_nu0", "density_nu1")
-DISCRETE_ONLY_CHECKS = ("spectrum_membership",)
+              "modulus_nu1", "density_nu0", "density_nu1", "spectrum_nu0", "spectrum_nu1")
 
 
 def test_random_mixed_inputs_pass_all_checks(basis):
@@ -41,7 +41,94 @@ def test_random_discrete_inputs_also_check_spectrum(basis):
         mu = random_discrete(rng, basis)
         result = decompose(mu)
         assert result.report.passed
-        assert result.report.names() == ALL_CHECKS + DISCRETE_ONLY_CHECKS
+        assert result.report.names() == ALL_CHECKS
+
+
+def order_448_measure() -> DiscreteMeasure:
+    """Three atoms over sqrt2 and sqrt3 with turns 1/64 and 3/7: 448 torsion
+    classes.  nu0's lattice, 448 x 16^4 points with the two fresh axes, is
+    above the walker's limit; mu0's, 448 x 16^2, is not."""
+    basis = GeneratorBasis.from_pairs(FRESH_GENERATOR_VALUES[:2])
+    return DiscreteMeasure.from_atoms(basis, [
+        (basis.from_turns(Fraction(1, 64)) + basis.generator("sqrt2"), 0.5),
+        (basis.generator("sqrt3"), 0.3),
+        (basis.from_turns(Fraction(3, 7)), 0.2j)])
+
+
+def test_spectrum_check_runs_at_a_torsion_order_the_nu0_lattice_would_pass(tmp_path, capsys):
+    result = decompose(order_448_measure())
+    assert result.radius_fallbacks == (None, None)
+    assert result.report.passed
+    assert result.report.names() == ALL_CHECKS
+    for name, r in (("spectrum_nu0", result.R0), ("spectrum_nu1", result.R1)):
+        check = result.report.check(name)
+        assert check.details == {"upper": r, "radius": r, "exact": True}
+        assert check.residual == 0.0 and check.threshold == 0.0
+    path = tmp_path / "order448.json"
+    path.write_text(json.dumps(measure_to_json(order_448_measure())))
+    assert main(["decompose", "--input", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+    assert report["passed"] is True
+    checks = {c["name"]: c for c in report["verification"]["checks"]}
+    assert tuple(checks) == ALL_CHECKS
+    for name, r in (("spectrum_nu0", report["R0"]), ("spectrum_nu1", report["R1"])):
+        assert checks[name]["details"] == {"upper": r, "radius": r, "exact": True}
+
+
+def test_manual_radius_below_the_spectral_radius_fails_the_spectrum_check():
+    # R1 halfway between sup_{|n| <= 10^4} |mu1_hat(n)| and the certified
+    # lower end of r(mu1) is below the radius, yet above every transform
+    # value that (d) and (e) read
+    basis = GeneratorBasis.from_pairs(FRESH_GENERATOR_VALUES[:2])
+    rng = default_rng(7)
+    for _ in range(3):
+        mu = random_mixed(rng, basis)
+        base = decompose(mu, DecompositionOptions(verify=False))
+        mu1 = parity_projections(base.mu_embedded)[1]
+        sup = float(np.max(np.abs(transforms([mu1], np.arange(-10_000, 10_001))[0])))
+        lower = spectral_bracket(mu1)[0]
+        assert sup < lower
+        r1 = (sup + lower) / 2
+        report = decompose(mu, DecompositionOptions(radius_mode="manual",
+                                                    manual_radii=(base.R0, r1))).report
+        assert [c.name for c in report.checks if not c.passed] == ["spectrum_nu1"]
+        check = report.check("spectrum_nu1")
+        assert check.details["exact"] and check.residual >= lower - r1 > 0
+
+
+def test_spectrum_check_catches_a_split_that_keeps_the_identity(basis):
+    # moving one half-turn pair of mu0's atoms from nu0 to nu1 leaves
+    # nu0 + nu1 + nu2 == mu exact, but nu_i - mu_i is no longer R_i rho * theta
+    mu = random_discrete(default_rng(909), basis)
+    result = decompose(mu, DecompositionOptions(verify=False))
+    mu0 = parity_projections(result.mu_embedded)[0]
+    x, w = next(iter(mu0.atoms.items()))
+    partner = x + result.basis.half_turn()
+    assert mu0.atoms[partner] == w
+    pair = DiscreteMeasure.from_atoms(result.basis, [(x, w), (partner, w)])
+    report = verify_decomposition(mu, dataclasses.replace(
+        result, nu0=result.nu0 - pair, nu1=result.nu1 + pair))
+    assert report.check("identity_structural").residual == 0.0
+    for name in ("spectrum_nu0", "spectrum_nu1"):
+        check = report.check(name)
+        assert not check.passed and check.details["exact"] is False
+        assert check.residual <= 0.0
+
+
+def test_verifier_walks_no_lattice_beyond_the_parity_pieces(monkeypatch, basis):
+    rng = default_rng(910)
+    for mu in (random_discrete(rng, basis), random_mixed(rng, basis), order_448_measure()):
+        result = decompose(mu, DecompositionOptions(verify=False))
+        free = max(char_polynomial(as_mixed(m).disc).dims
+                   for m in parity_projections(result.mu_embedded))
+        walked = []
+        real = spectrum._lattice_max
+        monkeypatch.setattr(spectrum, "_lattice_max",
+                            lambda p, *a: walked.append(p.dims) or real(p, *a))
+        assert verify_decomposition(mu, result).passed
+        monkeypatch.undo()
+        assert walked and max(walked) <= free < len(result.basis)
 
 
 def test_density_check_catches_a_radius_or_piece_that_misses_the_disk(basis):
@@ -120,7 +207,6 @@ def test_pure_density_input(basis):
     assert result.R1 == pytest.approx(1.0, abs=1e-12)
     assert as_mixed(result.nu0).is_zero
     assert result.report.passed
-    # spectrum membership needs a purely discrete input, so it is skipped here
     assert result.report.names() == ALL_CHECKS
 
 
@@ -241,7 +327,9 @@ def test_radius_falls_back_above_the_walkers_dimensions(monkeypatch):
     mu = DiscreteMeasure.from_atoms(basis, [(basis.angle(Fraction(0), (1, 0, 1, 0, 1)), 0.5),
                                             (basis.angle(Fraction(0), (0, 1, 0, 1, 1)), 0.5)])
     result = decompose(mu, DecompositionOptions(fekete_k_max=1))
-    assert calls == [1, 1]
+    # one call per radius, and one per piece again in check (f), at the
+    # depth that the radius's report reached
+    assert calls == [1, 1, 1, 1]
     assert all("5 free dimensions" in f.reason for f in result.radius_fallbacks)
     assert result.report.passed
 

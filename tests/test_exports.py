@@ -1,8 +1,9 @@
-"""Every public name has a caller outside the tests, and every knob a reader."""
+"""Every public name has a caller outside the tests, and every knob and constant a reader."""
 
 import argparse
 import ast
 import dataclasses
+import re
 from pathlib import Path
 
 import natspec
@@ -63,3 +64,22 @@ def test_every_knob_is_read():
     tree = ast.parse((package / "decomposition.py").read_text(encoding="utf-8"))
     assert [field.name for field in dataclasses.fields(DecompositionOptions)
             if field.name not in _attributes_read(tree)] == []
+
+
+def test_every_constant_is_read():
+    # a module-level UPPER_CASE constant of the package that no code in the
+    # package reads, by name or as an attribute, is a threshold or a budget
+    # that nothing applies
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "natspec").glob("*.py"))]
+    defined, read = set(), set()
+    for tree in trees:
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            defined |= {t.id for t in targets if isinstance(t, ast.Name)
+                        and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", t.id)}
+        read |= _attributes_read(tree) | {node.id for node in ast.walk(tree)
+                                          if isinstance(node, ast.Name)
+                                          and isinstance(node.ctx, ast.Load)}
+    assert sorted(defined - read) == []

@@ -7,7 +7,6 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,7 +27,7 @@ from scipy.spatial import cKDTree
 
 from natspec.spectrum import (MAX_DISK_POINTS, CharacterPolynomial, char_polynomial,
                               character_values, covering_radius, disk_grid, disk_grid_shape,
-                              fekete_bound, spectral_bracket, torus_grid_within, torus_max)
+                              fekete_bound, spectral_bracket, torus_max)
 from oracles import character_value, hausdorff, mp_transform
 
 
@@ -523,10 +522,6 @@ def test_torus_walker_charges_its_point_budget(basis):
     assert 0.0 < torus_max(p, 24) <= 1.0 + 1e-12
     with pytest.raises(BudgetExceededError, match="torsion classes"):
         torus_max(p, 32)
-    # the verifier's grid choice stays within the same limit
-    assert torus_grid_within(p, 2_000_000) == 16
-    assert torus_grid_within(replace(p, order=1), 2_000_000) == 32
-    assert torus_grid_within(replace(p, order=1), 10 ** 12) == 64
     # an lcm of about 10^15 must stop before any table of roots is built
     mu = DiscreteMeasure.from_atoms(basis, [
         (basis.from_turns(Fraction(1, 1000003)), 0.25),
