@@ -15,24 +15,25 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .blas import one_blas_thread
 from .decomposition import RADIUS_MODES, DecompositionOptions, decompose
 from .errors import KroneckerNotFoundError, NatspecError, SchemaError
-from .kronecker import KroneckerProblem, pair_transform_values, solve
+from .kronecker import KroneckerProblem, solve
 from .measures import as_mixed
 from .serialize import (decomposition_report_to_json, fekete_report_to_json,
                         kronecker_problem_from_json, kronecker_solution_to_json,
                         measure_from_json, measure_to_json, read_json, write_json)
-from .spectrum import (MAX_TORUS_DIMS, char_polynomial, check_torus_grid, covering_radius,
-                       disk_grid, disk_grid_shape, fekete_bound, torus_max)
+from .spectrum import (MAX_TORUS_DIMS, _pair_covering, char_polynomial, check_torus_grid,
+                       disk_grid_shape, fekete_bound, torus_max)
 from .suite import run_suite
 
 _TIMESTAMP_PREFIX = "# generated "
 _MAX_DENSITY_SCAN_N = 20  # density-scan --N: at most 2**21 + 1 transform values
 # density-scan's nearest-point queries: disk grid points x levels x 3 parities
 _MAX_DENSITY_SCAN_QUERIES = 1 << 23
+# the same queries, each weighted by log2 of the size of the cloud it
+# searches: 50.7 M for the default --N 16 --tol 0.01, 79.1 M for --N 20
+_MAX_DENSITY_SCAN_WORK = 1 << 26
 
 
 def _timestamp_line() -> str:
@@ -128,6 +129,13 @@ def _cmd_decompose(args) -> int:
             stop = ", stopped on the convolution budget" if fallback.report.budget_hit else ""
             print(f"# radius fallback: {name} is the norm-root bound over k <= {args.kmax}"
                   f"{stop}, because {fallback.reason}")
+    for name in ("nu0", "nu1"):
+        details = result.report.check(f"density_{name}").details
+        if details["route"] == "exact":
+            reason = ("the fresh pair is not two generator positions" if details["bound"] is None
+                      else f"the fresh pair's bound {details['bound']!r} is above the threshold")
+            print(f"# density fallback: {name} took the exact covering of its cloud, "
+                  f"because {reason}")
     for check in result.report.checks:
         print(f"{'PASS' if check.passed else 'FAIL'} {check.name}: "
               f"residual {check.residual!r} (threshold {check.threshold!r})")
@@ -149,20 +157,18 @@ def _cmd_density_scan(args) -> int:
         raise SchemaError(f"--N {args.N} and --tol {args.tol!r} ask for {queries} disk grid "
                           f"queries ({rings * rays + 1} points x {args.N - 3} levels x 3), "
                           f"above the limit of {_MAX_DENSITY_SCAN_QUERIES}")
-    ref = disk_grid(1.0, args.tol)
-    n_top = 1 << args.N
-    ns = np.arange(-n_top, n_top + 1, dtype=np.int64)
-    values = pair_transform_values(ns, args.alpha, args.beta)
+    # at N = 2^e the clouds hold 2^(e+1) + 1, 2^e + 1 and 2^e points
+    work = (rings * rays + 1) * sum(math.log2(2 ** (e + 1) + 1) + math.log2(2 ** e + 1) + e
+                                    for e in range(4, args.N + 1))
+    if work > _MAX_DENSITY_SCAN_WORK:
+        raise SchemaError(f"--N {args.N} and --tol {args.tol!r} ask for {work:.4g} disk grid "
+                          f"queries weighted by log2 of the cloud each searches, above the "
+                          f"limit of {_MAX_DENSITY_SCAN_WORK}")
     rows = ["N,covering_radius_all,covering_radius_even,covering_radius_odd"]
     for e in range(4, args.N + 1):
-        n_cur = 1 << e
-        mask = np.abs(ns) <= n_cur
-        sub_ns, sub_vals = ns[mask], values[mask]
-        cov = {}
-        for name, sel in (("all", np.ones_like(sub_ns, dtype=bool)),
-                          ("even", sub_ns % 2 == 0), ("odd", sub_ns % 2 != 0)):
-            cov[name] = covering_radius(ref, sub_vals[sel])
-        rows.append(f"{n_cur},{cov['all']!r},{cov['even']!r},{cov['odd']!r}")
+        cov = [_pair_covering(args.alpha, args.beta, 1 << e, args.tol, parity)
+               for parity in ("all", "even", "odd")]
+        rows.append(f"{1 << e},{cov[0]!r},{cov[1]!r},{cov[2]!r}")
     text = _timestamp_line() + "\n" + "\n".join(rows) + "\n"
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     Path(args.out).write_text(text, encoding="utf-8")

@@ -251,6 +251,19 @@ class DiscreteMeasure:
         return object.__new__(cls)._store(basis, *_merge(den, num, coef, w))
 
     @classmethod
+    def _canonical_rows(cls, basis: GeneratorBasis, den: int, num: np.ndarray,
+                        coef: np.ndarray, w) -> "DiscreteMeasure":
+        """Measure from rows that are already unique and in canonical order,
+        as ``_rows`` would return it without the grouping and the sort: zero
+        weights are dropped, den is reduced, and every weight keeps its bits."""
+        w = np.asarray(w, dtype=np.complex128)
+        keep = w != 0
+        if not keep.all():
+            num, coef, w = num[keep], coef[keep], w[keep]
+        g = math.gcd(den, int(np.gcd.reduce(num)))
+        return object.__new__(cls)._store(basis, den // g, num // g, coef, w)
+
+    @classmethod
     def from_atoms(cls, basis: GeneratorBasis,
                    pairs: Iterable[tuple[Angle, complex]]) -> "DiscreteMeasure":
         """Build from (position, weight) pairs; the weights at a repeated
@@ -295,11 +308,13 @@ class DiscreteMeasure:
         c = complex(c)
         if c == 0:
             return DiscreteMeasure.zero(self.basis)
-        return DiscreteMeasure._rows(self.basis, self.den, self.num, self.coef,
-                                     [w * c for w in self.w.tolist()])
+        # a product that underflows to zero drops its row
+        return DiscreteMeasure._canonical_rows(self.basis, self.den, self.num, self.coef,
+                                               [w * c for w in self.w.tolist()])
 
     def __neg__(self) -> "DiscreteMeasure":
-        return DiscreteMeasure._rows(self.basis, self.den, self.num, self.coef, -self.w)
+        return DiscreteMeasure._canonical_rows(self.basis, self.den, self.num, self.coef,
+                                               -self.w)
 
     def __add__(self, other: "DiscreteMeasure") -> "DiscreteMeasure":
         if not isinstance(other, DiscreteMeasure):

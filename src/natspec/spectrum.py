@@ -37,6 +37,7 @@ import numpy as np
 from .angles import GeneratorBasis, TWO_PI
 from .blas import blas_threads
 from .errors import BudgetExceededError
+from .kronecker import pair_transform_values
 from .measures import (_TABLE_SPLIT, DiscreteMeasure, MeasureLike, MixedMeasure, as_mixed,
                        convolve, transforms, tv_norm_bounds, unit_roots)
 
@@ -84,6 +85,9 @@ _BRACKET_ANGLE = math.acos((1.0 - _BRACKET_REL_WIDTH) ** 2)
 MAX_DISK_POINTS = 1 << 22
 # disk_grid's covering radius of its disk, in units of tol * radius
 _DISK_COVER = math.sqrt(5.0) / 4.0
+# fresh-pair coverings ``_pair_covering`` keeps, a float each: a
+# decomposition reads two, and a density scan three per level
+_PAIR_COVER_CACHE = 16
 
 
 @dataclass(frozen=True)
@@ -572,6 +576,18 @@ def _transform_allowance(m: MixedMeasure, n_max: int) -> float:
     return (len(weights) + 1 + _ROUNDING_TERMS + _TABLE_ROUNDINGS) * _U * total + phase
 
 
+def _pair_allowance(alpha: float, beta: float, n_max: int) -> float:
+    """Bound on the rounding of ``kronecker.pair_transform_values`` at |n| <=
+    n_max.  Each phase n g is formed in long double within |n g| eps_LD / 2,
+    reduced by a 2 pi that is itself within pi eps_LD per turn, so within
+    |n g| eps_LD / 2 more, and by a mod that rounds once more (2 pi eps_LD);
+    rounding it to float64 (4 u below 2 pi), its exponential and the average
+    of the two add a few u.  Charged twice over: 2 eps_LD (n_max max|g| + 8)
+    + 16 u."""
+    eps_ld = float(np.finfo(np.longdouble).eps)
+    return 2 * eps_ld * (n_max * max(abs(alpha), abs(beta)) + 8) + 16 * _U
+
+
 def _below_modulus(r: float, w: complex) -> bool:
     """r^2 < re(w)^2 + im(w)^2, compared exactly in integers (every float is
     a dyadic rational)."""
@@ -751,3 +767,19 @@ def disk_grid(radius: float = 1.0, tol: float = 0.05) -> np.ndarray:
     angles = (np.arange(n_ang, dtype=np.float64) / n_ang) * TWO_PI
     pts = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
     return np.concatenate([np.zeros(1, dtype=np.complex128), pts])
+
+
+@functools.lru_cache(maxsize=_PAIR_COVER_CACHE)
+def _pair_covering(alpha: float, beta: float, N: int, tol: float, parity: str) -> float:
+    """Covering radius of ``disk_grid(1, tol)`` by rho_hat(n) = (e^{-in alpha}
+    + e^{-in beta}) / 2 over the |n| <= N of one parity: "all", "even" or
+    "odd".  The values come from ``kronecker.pair_transform_values``, which
+    takes each n on its own, so a value's bits do not depend on the range
+    around it.  The result depends on the arguments alone and is cached:
+    check (e) of ``verify_decomposition`` and ``density-scan`` both read it,
+    and every decomposition with the same fresh pair, N and tol shares one
+    covering."""
+    ns = np.arange(-N, N + 1, dtype=np.int64)
+    if parity != "all":
+        ns = ns[(ns % 2 == 0) == (parity == "even")]
+    return covering_radius(disk_grid(1.0, tol), pair_transform_values(ns, alpha, beta))

@@ -1,11 +1,23 @@
-"""Shared fixtures: a two-generator basis and the canonical small measures."""
+"""Shared fixtures: a two-generator basis, the canonical small measures, the
+seed-42 suite's decompositions, and an empty fresh-pair covering cache
+around every test."""
 
 import math
 
 import pytest
 
+from natspec import spectrum, suite
 from natspec.angles import GeneratorBasis
 from natspec.measures import make_rho, make_theta0, make_theta1
+
+
+@pytest.fixture(autouse=True)
+def empty_pair_covering_cache():
+    """Each test starts and ends with no cached fresh-pair covering, so that
+    spy and call-count tests do not depend on the tests run before them."""
+    spectrum._pair_covering.cache_clear()
+    yield
+    spectrum._pair_covering.cache_clear()
 
 
 @pytest.fixture(scope="session")
@@ -26,3 +38,22 @@ def theta1(basis):
 @pytest.fixture(scope="session")
 def rho(basis):
     return make_rho(basis.generator("a"), basis.generator("b"), basis)
+
+
+@pytest.fixture()
+def suite_verifications(monkeypatch) -> list:
+    """(mu, result, report) of each verification in the seed-42 suite's
+    decomposition step, at N = 8192 and tol 0.05."""
+    calls = []
+    real = suite.verify_decomposition
+
+    def spy(mu, result, **kwargs):
+        report = real(mu, result, **kwargs)
+        calls.append((mu, result, report))
+        return report
+
+    monkeypatch.setattr(suite, "verify_decomposition", spy)
+    assert suite.run_suite(42)[0]
+    monkeypatch.undo()
+    assert len(calls) == 2
+    return calls

@@ -5,6 +5,7 @@ from fractions import Fraction
 from typing import Sequence
 
 import mpmath
+import numpy as np
 
 from natspec.measures import DiscreteMeasure, unit_roots
 from natspec.spectrum import CharacterPolynomial, covering_radius
@@ -13,6 +14,20 @@ from natspec.spectrum import CharacterPolynomial, covering_radius
 def hausdorff(a, b) -> float:
     """Symmetric Hausdorff distance between two planar point clouds."""
     return max(covering_radius(a, b), covering_radius(b, a))
+
+
+def brute_covering(reference, sample) -> float:
+    """``covering_radius`` without a tree: the distance sqrt(dx*dx + dy*dy)
+    from every reference point to every sample point, a dense block of
+    reference rows at a time, then each row's minimum and their maximum."""
+    ref = np.asarray(reference, dtype=np.complex128).ravel()
+    smp = np.asarray(sample, dtype=np.complex128).ravel()
+    worst = 0.0
+    for block in np.array_split(ref, max(1, ref.size * smp.size >> 21)):
+        dx = block.real[:, None] - smp.real[None, :]
+        dy = block.imag[:, None] - smp.imag[None, :]
+        worst = max(worst, float(np.max(np.sqrt(np.min(dx * dx + dy * dy, axis=1)))))
+    return worst
 
 
 def character_value(p: CharacterPolynomial, t: int, phis: Sequence[float]) -> complex:

@@ -351,6 +351,33 @@ def test_decompose_reports_a_radius_fallback(tmp_path, capsys):
     assert [f["final_bound"] for f in report["fekete"]] == [report["R0"], report["R1"]]
 
 
+def test_decompose_reports_a_density_fallback(tmp_path, capsys, suite_verifications):
+    # at N = 8192 the fresh pair's half-clouds cover the unit disk to about
+    # 0.07 only, so on the suite's input the bound is above the threshold,
+    # check (e) takes each cloud's own covering, and each says so in one
+    # comment line; at the default N the bound decides, and nothing is said
+    mu, _, library = suite_verifications[0]
+    path = tmp_path / "suite.json"
+    write_json(path, measure_to_json(mu))
+    for n, routes in (("8192", ["exact", "exact"]), ("10000", ["bound", "bound"])):
+        out = tmp_path / n
+        rc = main(["decompose", "--input", str(path), "--out", str(out), "--N", n,
+                   "--kmax", "3"])
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        fallbacks = [ln for ln in lines if ln.startswith("# density fallback: ")]
+        assert [ln.split()[3] for ln in fallbacks] == [
+            name for name, route in zip(("nu0", "nu1"), routes) if route == "exact"]
+        assert all("bound" in ln and "above the threshold" in ln for ln in fallbacks)
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        checks = {c["name"]: c for c in report["verification"]["checks"]}
+        assert [checks[name]["details"]["route"]
+                for name in ("density_nu0", "density_nu1")] == routes
+        if n == "8192":
+            assert [checks[name]["residual"] for name in ("density_nu0", "density_nu1")] == [
+                library.check(name).residual for name in ("density_nu0", "density_nu1")]
+
+
 def test_decompose_at_huge_denominator_falls_back_and_builds_no_table(tmp_path, capsys):
     # one atom at 1/(2**38 + 7) turns: transforms must not build a length-q
     # root table (4 TiB); the walker refuses both pieces' lattices, so both
@@ -550,6 +577,29 @@ def test_density_scan_refuses_its_work_before_doing_any(tmp_path, args, refusal,
     assert not out.exists()
     # the default scan's 125 801 points x 13 levels x 3 stay within the limit
     assert 125_801 * 13 * 3 <= cli._MAX_DENSITY_SCAN_QUERIES
+
+
+def test_density_scan_weighs_each_query_by_the_cloud_it_searches(tmp_path, monkeypatch,
+                                                                 capsys):
+    # --N 20 --tol 0.01 asks for 6.4 M queries, within the query limit, but
+    # at N = 2^20 each searches a cloud of up to 2^21 + 1 points (7.2 s in
+    # all); weighted by log2 of those sizes it is 79 M, above the limit
+    out = tmp_path / "scan.csv"
+    started = time.perf_counter()
+    rc = main(["density-scan", "--out", str(out), "--N", "20", "--tol", "0.01"])
+    assert time.perf_counter() - started < 1.0
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: --N 20 and --tol 0.01 ask for 7.916e+07 disk grid "
+                                   "queries weighted by log2")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+    # the default --N 16 (50.7 M) stays within both limits: with the
+    # coverings stubbed out, the scan runs
+    monkeypatch.setattr(cli, "_pair_covering", lambda *args: 0.0)
+    assert main(["density-scan", "--out", str(out), "--N", "16"]) == 0
+    assert out.read_text(encoding="utf-8").splitlines()[-1] == "65536,0.0,0.0,0.0"
 
 
 @pytest.mark.parametrize("nmax", [2 ** 31 + 1, 2 ** 63 - 1])

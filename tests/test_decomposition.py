@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from natspec import decomposition, measures, spectrum
 from natspec.angles import FRESH_GENERATOR_VALUES, GeneratorBasis
@@ -19,7 +20,10 @@ from natspec.measures import (DiscreteMeasure, MixedMeasure, as_mixed, convolve,
                               make_theta0, parity_projections, transforms)
 from natspec.sampling import default_rng, random_discrete, random_mixed
 from natspec.serialize import measure_to_json
-from natspec.spectrum import char_polynomial, disk_grid, fekete_bound, spectral_bracket
+from natspec.kronecker import pair_transform_values
+from natspec.spectrum import (char_polynomial, covering_radius, disk_grid, fekete_bound,
+                              spectral_bracket)
+from oracles import brute_covering
 
 ALL_CHECKS = ("identity_structural", "identity_transform", "nu2_support",
               "orthogonality", "parity_nu0", "parity_nu1", "modulus_nu0",
@@ -173,6 +177,101 @@ def test_density_check_records_the_cloud_side_bound(basis):
         grid = disk_grid(r, 0.1)
         assert max(np.max(np.min(np.abs(chunk[:, None] - grid[None, :]), axis=1))
                    for chunk in np.array_split(vals, 20)) <= bound
+
+
+def measure_with_fresh_pair(i: int, j: int, weights) -> DiscreteMeasure:
+    """Three atoms over e and the built-in generators before j other than i,
+    so that ``decompose`` takes FRESH_GENERATOR_VALUES[i] and [j] as its
+    fresh pair."""
+    basis = GeneratorBasis.from_pairs([("e", math.e)] + [FRESH_GENERATOR_VALUES[k]
+                                                         for k in range(j) if k != i])
+    e = basis.generator("e")
+    return DiscreteMeasure.from_atoms(basis, [
+        (e, weights[0]), (basis.from_turns(Fraction(1, 3)), weights[1]),
+        (e + e + basis.from_turns(Fraction(1, 4)), weights[2])])
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from([(i, j) for j in range(len(FRESH_GENERATOR_VALUES)) for i in range(j)]),
+       st.integers(16, 1 << 12), st.floats(0.05, 0.2),
+       st.lists(st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+                min_size=3, max_size=3))
+def test_density_check_is_at_least_the_brute_force_covering(pair, N, tol, weights):
+    # two routes: the tree's cached covering of the fresh pair's half-cloud
+    # equals a dense distance matrix's, and check (e)'s residual, bound or
+    # exact, is at least the dense covering of the R_i disk by nu_i's cloud
+    i, j = pair
+    alpha, beta = FRESH_GENERATOR_VALUES[i][1], FRESH_GENERATOR_VALUES[j][1]
+    ns = np.arange(-N, N + 1, dtype=np.int64)
+    for parity, sel in (("all", ns == ns), ("even", ns % 2 == 0), ("odd", ns % 2 != 0)):
+        assert spectrum._pair_covering(alpha, beta, N, tol, parity) == brute_covering(
+            disk_grid(1.0, tol), pair_transform_values(ns[sel], alpha, beta))
+    result = decompose(measure_with_fresh_pair(i, j, weights),
+                       DecompositionOptions(verify_N=N, verify_tol=tol))
+    assert result.basis.values[-2:] == (alpha, beta)
+    for name, nu, r in (("density_nu0", result.nu0, result.R0),
+                        ("density_nu1", result.nu1, result.R1)):
+        check = result.report.check(name)
+        assert check.residual >= brute_covering(disk_grid(r, tol), transforms([nu], ns)[0])
+        if check.details["route"] == "bound":
+            assert check.residual == check.details["bound"] <= check.threshold
+
+
+def test_density_check_falls_back_to_the_exact_covering_on_the_suite(suite_verifications):
+    # at N = 8192 the half-clouds cover the unit disk to 0.069 only, so the
+    # bound is above the threshold and the cloud's own covering decides, bit
+    # for bit as before the bound
+    for mu, result, report in suite_verifications:
+        nu_t = transforms([result.nu0, result.nu1], np.arange(-8192, 8193))
+        for name, vals, r in zip(("density_nu0", "density_nu1"), nu_t, (result.R0, result.R1)):
+            check = report.check(name)
+            assert check.passed and check.details["route"] == "exact"
+            assert check.details["bound"] > check.threshold
+            assert check.residual == covering_radius(disk_grid(r, 0.05), vals)
+
+
+@pytest.mark.parametrize("shift", [1e-6, 0.01, 0.3])
+def test_a_moved_weight_fails_parity_and_the_density_verdict_follows_the_oracle(basis, shift):
+    # moving one weight of nu0's R0 rho * theta1 atoms breaks nu0_hat = R0
+    # rho_hat at odd n, which (c) catches; (e) then passes exactly when the
+    # dense covering is within the threshold, whichever route it takes
+    mu = random_mixed(default_rng(511), basis)
+    result = decompose(mu, DecompositionOptions(verify=False))
+    assert result.nu0.disc.atoms[result.alpha] == 0.25 * result.R0
+    moved = DiscreteMeasure.from_atoms(result.basis, [(result.alpha, shift * result.R0)])
+    report = verify_decomposition(mu, dataclasses.replace(result, nu0=result.nu0 + moved))
+    assert not report.check("parity_nu0").passed
+    check = report.check("density_nu0")
+    vals = transforms([result.nu0 + moved], np.arange(-10_000, 10_001))[0]
+    oracle = brute_covering(disk_grid(result.R0, 0.05), vals)
+    assert check.passed == (oracle <= check.threshold)
+    assert check.residual >= oracle
+    assert check.details["route"] == ("bound" if shift < 0.3 else "exact")
+
+
+def test_a_second_decomposition_with_the_same_fresh_pair_builds_no_tree(monkeypatch, basis):
+    calls = []
+    real = spectrum.covering_radius
+
+    def counting(*args):
+        calls.append(len(args[1]))
+        return real(*args)
+
+    monkeypatch.setattr(spectrum, "covering_radius", counting)
+    monkeypatch.setattr(decomposition, "covering_radius", counting)
+    rng = default_rng(512)
+    first = decompose(random_mixed(rng, basis))
+    assert calls == [10_000, 10_001]  # the odd and the even n with |n| <= 10^4
+    second = decompose(random_discrete(rng, basis))
+    assert calls == [10_000, 10_001]
+    for result in (first, second):
+        assert result.report.passed
+        assert {result.report.check(name).details["route"]
+                for name in ("density_nu0", "density_nu1")} == {"bound"}
+
+
+def test_pair_covering_cache_size_is_the_module_constant():
+    assert spectrum._pair_covering.cache_parameters()["maxsize"] == spectrum._PAIR_COVER_CACHE
 
 
 def test_zero_measure_decomposes_to_zero(basis):

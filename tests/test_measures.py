@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from natspec.angles import Angle, GeneratorBasis, phase_factors
 from natspec.errors import BudgetExceededError
-from natspec import measures
+from natspec import decomposition, measures
 from natspec.measures import (DiscreteMeasure, MixedMeasure, TrigPolyDensity,
                               _exact_halves_complex, _rational_residues, _roots, as_mixed,
                               convolve, make_rho, make_theta0, make_theta1,
@@ -498,6 +498,52 @@ def test_merge_across_wide_coefficient_ranges():
              for i in rng.integers(0, len(keys), size=400).tolist()]
     mu = DiscreteMeasure.from_atoms(BASIS, [(BASIS.angle(t, c), w) for (t, c), w in pairs])
     _assert_items(mu, _dict_sum(pairs))
+
+
+def _assert_same_rows(got: DiscreteMeasure, want: DiscreteMeasure) -> None:
+    assert got.basis == want.basis and got.den == want.den
+    for name in ("num", "coef", "w"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# scales whose products with signed_st weights round, underflow to zero or
+# to subnormals, or flip signs of zero
+scale_st = st.builds(complex, st.sampled_from((0.0, -0.0, 1.0, -3.5, 2.0 ** -1074,
+                                               2.0 ** -1060, 1 / 997, 2.0 ** 900)),
+                     st.sampled_from((0.0, -0.0, 2.0 ** -1074, -1.0, 1 / 3)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_canonical_rows_match_the_merge_bitwise(data):
+    # scale, negation and the decomposition's basis lift keep rows that are
+    # already canonical and skip the merge's grouping and sort; the merge of
+    # the same rows gives the same den, num, coef and w, bit for bit
+    pool = data.draw(position_pools())
+    weights = st.builds(complex, signed_st, signed_st)
+    pairs = data.draw(st.lists(st.tuples(st.sampled_from(pool), weights), max_size=10))
+    mu = DiscreteMeasure.from_atoms(BASIS, [(BASIS.angle(t, c), w) for (t, c), w in pairs])
+    c = data.draw(scale_st)
+    if c != 0:
+        _assert_same_rows(mu.scale(c), DiscreteMeasure._rows(
+            BASIS, mu.den, mu.num, mu.coef, [w * c for w in mu.w.tolist()]))
+    _assert_same_rows(-mu, DiscreteMeasure._rows(BASIS, mu.den, mu.num, mu.coef, -mu.w))
+    ext = BASIS.extended((("ln3", math.log(3)),))
+    _assert_same_rows(decomposition._embed(mu, ext), DiscreteMeasure._rows(
+        ext, mu.den, mu.num, np.pad(mu.coef, ((0, 0), (0, 1))), mu.w))
+
+
+def test_scale_drops_an_underflowed_weight_and_reduces_den():
+    # 0.25 * 2**-1074 rounds to zero: its atom at a quarter turn goes, and
+    # the half-turn atom left needs den 2 only
+    mu = DiscreteMeasure.from_atoms(BASIS, [(BASIS.from_turns(Fraction(1, 4)), 0.25),
+                                            (BASIS.from_turns(Fraction(1, 2)), -1.0)])
+    tiny = mu.scale(2.0 ** -1074)
+    assert tiny.den == 2 and tiny.num.tolist() == [1]
+    assert _bits(tiny.w[0]) == _bits(complex(-(2.0 ** -1074), 0.0))
+    _assert_same_rows(tiny, DiscreteMeasure._rows(BASIS, mu.den, mu.num, mu.coef,
+                                                  [w * 2.0 ** -1074 for w in mu.w.tolist()]))
 
 
 # signed zeros, and values whose products round (j / 997 is not dyadic)
