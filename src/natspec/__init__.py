@@ -23,8 +23,8 @@ from .measures import (DiscreteMeasure, MeasureLike, MixedMeasure, TrigPolyDensi
                        as_mixed, convolve, make_rho, make_theta0, make_theta1,
                        parity_projections, tv_norm, tv_norm_bounds)
 from .spectrum import (CharacterPolynomial, FeketeReport, char_polynomial,
-                       covering_radius, disk_grid, fekete_bound, spectral_bracket,
-                       torus_max)
+                       covering_radius, disk_grid, fekete_bound, radius_bracket,
+                       spectral_bracket)
 
 __version__ = "0.1.0"
 
@@ -35,7 +35,7 @@ __all__ = [
     "as_mixed", "convolve", "tv_norm", "tv_norm_bounds",
     "parity_projections", "make_theta0", "make_theta1", "make_rho",
     "FeketeReport", "fekete_bound", "CharacterPolynomial", "char_polynomial",
-    "torus_max", "spectral_bracket", "covering_radius", "disk_grid",
+    "radius_bracket", "spectral_bracket", "covering_radius", "disk_grid",
     "KroneckerProblem", "KroneckerSolution", "chordal", "solve",
     "pair_transform_values", "disk_preimage", "hit_target",
     "RADIUS_MODES", "DecompositionOptions",

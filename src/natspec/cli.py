@@ -19,12 +19,10 @@ from .blas import one_blas_thread
 from .decomposition import RADIUS_MODES, DecompositionOptions, decompose
 from .errors import KroneckerNotFoundError, NatspecError, SchemaError
 from .kronecker import KroneckerProblem, solve
-from .measures import as_mixed
 from .serialize import (decomposition_report_to_json, fekete_report_to_json,
                         kronecker_problem_from_json, kronecker_solution_to_json,
                         measure_from_json, measure_to_json, read_json, write_json)
-from .spectrum import (MAX_TORUS_DIMS, _pair_covering, char_polynomial, check_torus_grid,
-                       disk_grid_shape, fekete_bound, torus_max)
+from .spectrum import _pair_covering, disk_grid_shape, radius_bracket
 from .suite import run_suite
 
 _TIMESTAMP_PREFIX = "# generated "
@@ -61,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="density tolerance")
     d.add_argument("--kmax", type=int, default=DecompositionOptions.fekete_k_max,
                    help="norm-root depth of the radius fallback, used only for a piece "
-                        "whose character torus the walker refuses")
+                        "whose lattice the walker refuses or whose walks end wider than 2^-6")
     d.add_argument("--radius-mode", choices=RADIUS_MODES,
                    default=DecompositionOptions.radius_mode,
                    help="bracket: certified upper end of the spectral-radius bracket; "
@@ -78,12 +76,15 @@ def build_parser() -> argparse.ArgumentParser:
     ds.add_argument("--beta", type=float, default=math.sqrt(3.0))
     ds.add_argument("--tol", type=float, default=0.01, help="reference disk grid resolution")
 
-    sr = sub.add_parser("spectral-radius", help="norm-root upper bound, plus a torus "
-                                                "lower bound for small discrete measures")
+    sr = sub.add_parser("spectral-radius", help="certified bracket [lower, upper] of the "
+                                                "spectral radius")
     sr.add_argument("--input", required=True, help="measure JSON file")
     sr.add_argument("--out", required=True, help="output JSON file")
-    sr.add_argument("--kmax", type=int, default=6)
-    sr.add_argument("--grid", type=int, default=128, help="torus grid for the lower bound")
+    sr.add_argument("--kmax", type=int, default=6,
+                    help="norm-root depth of the radius fallback, used only when the walker "
+                         "refuses the lattice or the walks end wider than 2^-6")
+    sr.add_argument("--grid", type=int, default=None,
+                    help="finest torus grid walked, at least 16 (default: the walker's limit)")
 
     kr = sub.add_parser("kronecker", help="find n with n*alpha and n*beta near targets")
     kr.add_argument("--input", default=None, help="problem JSON file")
@@ -125,10 +126,7 @@ def _cmd_decompose(args) -> int:
     write_json(out / "report.json", decomposition_report_to_json(result))
     assert result.report is not None
     for name, fallback in zip(("R0", "R1"), result.radius_fallbacks or ()):
-        if fallback is not None:
-            stop = ", stopped on the convolution budget" if fallback.report.budget_hit else ""
-            print(f"# radius fallback: {name} is the norm-root bound over k <= {args.kmax}"
-                  f"{stop}, because {fallback.reason}")
+        _print_radius_fallback(name, fallback, args.kmax)
     for name in ("nu0", "nu1"):
         details = result.report.check(f"density_{name}").details
         if details["route"] == "exact":
@@ -176,23 +174,22 @@ def _cmd_density_scan(args) -> int:
     return 0
 
 
+def _print_radius_fallback(name: str, fallback, k_max: int) -> None:
+    """The comment line of a bracket that ran the norm-root squarings."""
+    if fallback is not None:
+        stop = ", stopped on the convolution budget" if fallback.report.budget_hit else ""
+        print(f"# radius fallback: {name} ran the norm-root squarings over k <= {k_max}"
+              f"{stop}, because {fallback.reason}")
+
+
 def _cmd_spectral_radius(args) -> int:
     mu = measure_from_json(read_json(args.input))
-    mixed = as_mixed(mu)
-    lattice = None
-    if mixed.is_discrete:
-        p = char_polynomial(mixed.disc)
-        if p.dims <= MAX_TORUS_DIMS:
-            check_torus_grid(p, args.grid)  # refused before any squaring
-            lattice = p
-    report = fekete_bound(mu, args.kmax)
-    out = fekete_report_to_json(report)
-    if lattice is not None:
-        lower = torus_max(lattice, grid=args.grid)
-        out["torus_lower"] = lower
-        print(f"bracket [{lower!r}, {report.final_bound!r}]")
-    print(f"upper bound {report.final_bound!r} "
-          f"(entries {len(report.entries)}, budget_hit {report.budget_hit})")
+    (lower, upper), fallback = radius_bracket(mu, args.kmax, args.grid)
+    out = {"torus_lower": lower, "final_bound": upper}
+    if fallback is not None:
+        out["fekete"] = fekete_report_to_json(fallback.report)
+    _print_radius_fallback("mu", fallback, args.kmax)
+    print(f"bracket [{lower!r}, {upper!r}]")
     write_json(args.out, out)
     return 0
 

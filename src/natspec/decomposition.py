@@ -18,13 +18,13 @@ from typing import Optional
 import numpy as np
 
 from .angles import Angle, GeneratorBasis, basis_fresh_generators
-from .errors import BudgetExceededError, RadiusValidationError
-from .measures import (_MAX_DEGREE, DiscreteMeasure, MeasureLike, MixedMeasure, as_mixed,
-                       convolve, make_rho, make_theta0, make_theta1, parity_projections,
-                       transforms, tv_norm)
-from .spectrum import (_DISK_COVER, _U, FeketeReport, _pair_allowance, _pair_covering,
+from .errors import RadiusValidationError
+from .measures import (DiscreteMeasure, MeasureLike, MixedMeasure, as_mixed, convolve,
+                       make_rho, make_theta0, make_theta1, parity_projections, transforms,
+                       tv_norm)
+from .spectrum import (_DISK_COVER, _U, RadiusFallback, _pair_allowance, _pair_covering,
                        _transform_allowance, covering_radius, disk_grid, disk_grid_shape,
-                       fekete_bound, spectral_bracket)
+                       radius_bracket)
 
 RADIUS_MODES = ("bracket", "manual")
 
@@ -44,15 +44,14 @@ class DecompositionOptions:
 
     radius_mode selects how the two disk radii are produced.  "bracket"
     takes each radius R_i as the certified upper end of
-    ``spectrum.spectral_bracket(mu_i)``; when the torus walker refuses a
-    piece's lattice (too many torsion classes or free dimensions), that
-    piece's radius is the norm-root bound ``fekete_bound(mu_i,
-    fekete_k_max)`` instead, so fekete_k_max is the depth of that fallback
-    only.  "manual" takes user radii, refused unless each is at least
-    sup_{|n| <= 256} |mu_i_hat(n)| less that sup's rounding allowance, a
-    multiple of u * ||mu_i||.  Manual radii that are negative, not finite
-    or above 2**400 are refused before any work.  verify_N and verify_tol
-    are ``verify_decomposition``'s N and tol."""
+    ``spectrum.radius_bracket(mu_i, fekete_k_max)``, whose norm-root
+    squarings run only where the walker refuses the piece's lattice or the
+    walks end wide: fekete_k_max is the depth of that fallback only.
+    "manual" takes user radii, refused unless each is at least sup_{|n| <=
+    256} |mu_i_hat(n)| less that sup's rounding allowance, a multiple of u
+    * ||mu_i||.  Manual radii that are negative, not finite or above 2**400
+    are refused before any work.  verify_N and verify_tol are
+    ``verify_decomposition``'s N and tol."""
 
     radius_mode: str = "bracket"
     manual_radii: Optional[tuple[float, float]] = None
@@ -90,22 +89,13 @@ class VerificationReport:
 
 
 @dataclass(frozen=True)
-class RadiusFallback:
-    """Why the torus walker refused a piece's lattice, and the norm-root
-    report whose final bound became that piece's radius instead."""
-
-    reason: str
-    report: FeketeReport
-
-
-@dataclass(frozen=True)
 class DecompositionResult:
     """nu0 + nu1 + nu2 == mu with nu2 supported on the four fresh positions.
 
     In "bracket" mode radius_brackets holds each piece's (lower, upper)
     spectral-radius bracket, whose upper end is its radius, and
-    radius_fallbacks a RadiusFallback for each piece whose lattice was
-    refused (its lower end is then 0); both are None in "manual" mode."""
+    radius_fallbacks a RadiusFallback for each piece whose bracket ran the
+    norm-root squarings; both are None in "manual" mode."""
 
     nu0: MeasureLike
     nu1: MeasureLike
@@ -145,21 +135,6 @@ def _transform_sups(measures: list[MeasureLike], n_bound: int) -> list[float]:
             for v in transforms([as_mixed(m) for m in measures], ns)]
 
 
-def _radius_bracket(m: MeasureLike, k_max: int
-                    ) -> tuple[tuple[float, float], Optional[RadiusFallback]]:
-    """(``spectral_bracket(m)``, None), or, when the torus walker refuses m's
-    lattice, ((0, ``fekete_bound(m, k_max)``'s bound), the fallback)."""
-    try:
-        return spectral_bracket(m), None
-    except BudgetExceededError as exc:
-        # only the walker's refusal of the lattice falls back: a density the
-        # norm's quadrature refuses, fekete_bound's quadrature refuses too
-        if as_mixed(m).ac.degree > _MAX_DEGREE:
-            raise
-        report = fekete_bound(m, k_max)
-        return (0.0, report.final_bound), RadiusFallback(str(exc), report)
-
-
 def _radii(mu0: MeasureLike, mu1: MeasureLike, opts: DecompositionOptions):
     if opts.radius_mode == "manual":
         r0, r1 = float(opts.manual_radii[0]), float(opts.manual_radii[1])
@@ -170,7 +145,7 @@ def _radii(mu0: MeasureLike, mu1: MeasureLike, opts: DecompositionOptions):
                     f"{name}={r} is below the transform bound {sup} "
                     f"(sup over |n| <= {MANUAL_RADIUS_SCAN})")
         return r0, r1, None, None
-    brackets, fallbacks = zip(*(_radius_bracket(m, opts.fekete_k_max) for m in (mu0, mu1)))
+    brackets, fallbacks = zip(*(radius_bracket(m, opts.fekete_k_max) for m in (mu0, mu1)))
     return brackets[0][1], brackets[1][1], brackets, fallbacks
 
 
@@ -296,8 +271,7 @@ def verify_decomposition(mu: MeasureLike, result: DecompositionResult, *,
     h(rho), with r(rho) = 1.  Likewise for nu1 with theta0 and R1.  (f)
     checks that premise, exactly on stored weights, and that the upper end
     of r(mu_i) that ``decompose`` takes in bracket mode is at most R_i:
-    ``spectral_bracket(mu_i)``'s, or ``fekete_bound(mu_i, k)``'s where the
-    walker refuses mu_i's lattice, k the depth its fallback report reached
+    ``radius_bracket(mu_i, k)``'s, k the depth its fallback report reached
     (the default fekete_k_max without one).  The threshold is 0: the
     bracket's bits do not depend on the BLAS thread count.
 
@@ -401,7 +375,7 @@ def verify_decomposition(mu: MeasureLike, result: DecompositionResult, *,
             ("spectrum_nu1", nu1m, mu1v, theta0, r1, fallbacks[1])):
         exact = ((nu - mu_i) - convolve(rho, theta).scale(r)).is_zero
         k = fallback.report.entries[-1][0] if fallback else DecompositionOptions.fekete_k_max
-        upper = _radius_bracket(mu_i, k)[0][1]
+        upper = radius_bracket(mu_i, k)[0][1]
         checks.append(VerificationCheck(name, exact and upper <= r, upper - r, 0.0,
                                         {"upper": upper, "radius": r, "exact": exact}))
 

@@ -4,21 +4,20 @@ The spectral radius of a discrete measure mu is the maximum of |mu_hat| over
 its generalized characters: a root of unity acting on the torsion part of
 the support group and free unit circle variables for the independent
 generators (the dual torus of Z_q x Z^d, Rudin, *Fourier Analysis on
-Groups*, ch. 5).  ``torus_max`` is the maximum over a lattice of those
-characters, a uniform grid per free variable, less a rounding allowance: a
-lower end, which can only grow when the grid doubles, so a finer grid
-(``--grid`` on the command line) tightens it.  ``spectral_bracket`` adds a
-certified upper end from the same lattice walk: between lattice points |p|^2
-cannot fall faster than a cosine (the van der Corput-Schaake inequality, in
-Duffin and Schaeffer's form), so the lattice maximum, divided by the square
-root of that cosine at the grid's spacing, bounds the maximum over the whole
-torus.  For a measure with a density part sum_K c_k e_k the radius is the
-larger of the discrete part's and max_K |mu_hat(k)|.
+Groups*, ch. 5).  ``spectral_bracket`` walks lattices of those characters,
+a uniform grid per free variable.  Each lattice maximum, less a rounding
+allowance, is a lower end; between lattice points |p|^2 cannot fall faster
+than a cosine (the van der Corput-Schaake inequality, in Duffin and
+Schaeffer's form), so the lattice maximum, divided by the square root of
+that cosine at the grid's spacing, bounds the maximum over the whole torus.
+For a measure with a density part sum_K c_k e_k the radius is the larger of
+the discrete part's and max_K |mu_hat(k)|.
 
 ``fekete_bound`` gives an upper end without the torus: norms of iterated
 convolution squares, whose roots ||mu^m||^(1/m) approach the radius along
-powers of two.  It serves lattices the walker refuses, and the
-``spectral-radius`` command.
+powers of two.  ``radius_bracket``, the bracket that ``decompose``, its
+verifier and the ``spectral-radius`` command take, runs it only where the
+walker refuses the lattice or the walks end wide.
 """
 
 from __future__ import annotations
@@ -38,14 +37,14 @@ from .angles import GeneratorBasis, TWO_PI
 from .blas import blas_threads
 from .errors import BudgetExceededError
 from .kronecker import pair_transform_values
-from .measures import (_TABLE_SPLIT, DiscreteMeasure, MeasureLike, MixedMeasure, as_mixed,
-                       convolve, transforms, tv_norm_bounds, unit_roots)
+from .measures import (_MAX_DEGREE, _TABLE_SPLIT, DiscreteMeasure, MeasureLike,
+                       MixedMeasure, as_mixed, convolve, transforms, tv_norm_bounds,
+                       unit_roots)
 
 # norms whose square stays in the normal float range, with a factor 4 to spare
 _SQUARE_SAFE_MIN = 2.0 ** -511
 _SQUARE_SAFE_MAX = 2.0 ** 511
-# order * grid**dims the torus walker accepts: twice the 24 * 24**4 points of
-# the largest lower bound the tests, demos and benchmark ask for
+# order * grid**dims the torus walker accepts
 _TORUS_POINT_LIMIT = 1 << 24
 # free dimensions of the character torus the walker evaluates
 MAX_TORUS_DIMS = 4
@@ -61,7 +60,7 @@ _TILE_BYTES = 1 << 19
 # BLAS runs one thread (``_lattice_max``).  On 2 CPUs with 6 terms, the
 # spread walk took 0.27-0.37 ms against 0.06-0.09 ms below 2^14 points,
 # 1.16-1.19x the one-thread walk at 2^18, 0.71-0.97x at 2^19 and
-# 0.55-0.67x from 2^20 to the 8.0 M points of the bracket benchmark
+# 0.55-0.67x from 2^20 to 8.0 M points
 _SPREAD_POINTS = 1 << 20
 # a computed |p| exceeds the true one by at most about (K + _ROUNDING_TERMS)
 # * u * sum |c_j| for K terms: the inner product's K + 2 roundings (Higham,
@@ -308,7 +307,7 @@ def _eval_on_grid(weights: np.ndarray, torsion: np.ndarray, order: int,
     _TILE_BYTES (one class at least), and a tile's L is gathered once per
     group and serves every class in it.  Within a group, the classes go in
     chunks whose tiles together take about _TILE_BYTES (one class at least,
-    as at the 24 x 24^4 lattice of the benchmark), and a chunk's tiles come
+    as at a 24 x 24^4 lattice), and a chunk's tiles come
     from one stacked product per block: one call of numpy's matmul loop,
     which gives each class its own product of the shape and kernel it would
     have alone, so the bits do not depend on the chunk.
@@ -361,14 +360,14 @@ def _eval_on_grid(weights: np.ndarray, torsion: np.ndarray, order: int,
 
 def check_torus_grid(p: CharacterPolynomial, grid: int) -> None:
     """Refuse, in O(1) and before any table of roots is built, a lattice the
-    walker cannot hold: ValueError for a grid below 16 or more than
-    MAX_TORUS_DIMS free dimensions, BudgetExceededError when order *
-    grid^dims exceeds _TORUS_POINT_LIMIT."""
+    walker cannot hold: ValueError for a grid below 16, BudgetExceededError
+    for more than MAX_TORUS_DIMS free dimensions or when order * grid^dims
+    exceeds _TORUS_POINT_LIMIT."""
     if grid < 16:
         raise ValueError("grid must be at least 16")
     if p.dims > MAX_TORUS_DIMS:
-        raise ValueError(f"the character torus supports at most {MAX_TORUS_DIMS} free "
-                         f"dimensions, got {p.dims}")
+        raise BudgetExceededError(f"the character torus has {p.dims} free dimensions, above "
+                                  f"the walker's {MAX_TORUS_DIMS}")
     points = p.order * grid ** p.dims
     if points > _TORUS_POINT_LIMIT:
         raise BudgetExceededError(
@@ -418,21 +417,13 @@ def _torus_slices(p: CharacterPolynomial, grid: int, classes: Optional[range] = 
 
 
 def torus_max(p: CharacterPolynomial, grid: int = 512) -> float:
-    """Maximum of |p| over all generalized characters, from below.
-
-    The maximum of |p| over the full torsion-by-grid lattice, less the
-    evaluation's rounding allowance (K + _ROUNDING_TERMS) * u * sum |c_j|
-    for K terms and clamped at 0, so that the value is a lower bound and not
-    a value rounded past it.  The allowance does not depend on ``grid`` and
-    the grid-g lattice lies in the grid-2g one, so the value only increases
-    when ``grid`` doubles (on a BLAS build that keeps the grid-doubling
-    bits, see ``_torus_slices``): a finer grid tightens the lower end.
-    At one BLAS thread, as under ``natspec`` on the command line, a lattice
-    of at least _SPREAD_POINTS points is walked in one share of classes
-    per CPU, to the same bits (``_lattice_max``).  Raises
-    BudgetExceededError when order * grid^dims exceeds the walker's limit
-    and ValueError when the weights do not have a finite sum.
-    """
+    """A lower end of max |p| over the generalized characters: the maximum
+    of |p| over the full torsion-by-grid lattice (``_lattice_max``), less
+    its rounding allowance and clamped at 0.  The grid-g lattice lies in the
+    grid-2g one, so the value only increases when ``grid`` doubles, on a
+    BLAS build that keeps the grid-doubling bits (see ``_torus_slices``).
+    Raises as ``check_torus_grid`` does, and ValueError when the weights do
+    not have a finite sum."""
     best, allowance, shift = _lattice_max(p, grid)
     return math.ldexp(max(0.0, best - allowance), shift)
 
@@ -646,7 +637,8 @@ def _density_bracket(m: MixedMeasure) -> tuple[float, float]:
     return max(0.0, top - allowance), top + allowance
 
 
-def spectral_bracket(mu: MeasureLike) -> tuple[float, float]:
+def spectral_bracket(mu: MeasureLike, max_grid: Optional[int] = None
+                     ) -> tuple[float, float]:
     """Certified (lower, upper) bracket of the spectral radius of mu.
 
     For the discrete part d, with character polynomial p, each lattice walk
@@ -656,15 +648,16 @@ def spectral_bracket(mu: MeasureLike) -> tuple[float, float]:
     ranges), an upper end (max + allowance) / sqrt(cos(pi S / grid)).  The
     loop keeps the largest lower and the smallest upper end and stops once
     upper - lower <= _BRACKET_REL_WIDTH * upper, or when the next grid
-    would pass the walker's _TORUS_POINT_LIMIT.  Its first grid is 16,
-    where the cap below may already close the bracket; the next is the
-    coarsest power of two whose upper end can come within
-    _BRACKET_REL_WIDTH of its lower end, and the grid then doubles.
-    Without free axes one walk gives [max - allowance, max + allowance].
-    Torsion classes where p vanishes identically, half of them for a
-    parity piece (``_live_classes``), are not walked.  At one BLAS thread a
-    walk of at least _SPREAD_POINTS lattice points spreads the live classes
-    over the CPUs, to the same bits (``_lattice_max``).
+    would pass ``max_grid`` (no ceiling by default) or the walker's
+    _TORUS_POINT_LIMIT.  Its first grid is 16, where the cap below may
+    already close the bracket; the next is the coarsest power of two whose
+    upper end can come within _BRACKET_REL_WIDTH of its lower end, or the
+    finest within those limits, and the grid then doubles.  Without free
+    axes one walk gives [max - allowance, max + allowance].  Torsion classes
+    where p vanishes identically, half of them for a parity piece
+    (``_live_classes``), are not walked.  At one BLAS thread a walk of at
+    least _SPREAD_POINTS lattice points spreads the live classes over the
+    CPUs, to the same bits (``_lattice_max``).
 
     A density part sum_K c_k e_k is orthogonal to d * (delta - sum_K e_k),
     so r(mu) = max(r(d), max_K |mu_hat(k)|); that maximum, less and plus its
@@ -672,23 +665,25 @@ def spectral_bracket(mu: MeasureLike) -> tuple[float, float]:
     at ||mu||, the atoms' part rounded upward, plus the density part's
     quadrature error: ``fekete_bound``'s first entry.
 
-    Raises BudgetExceededError, before any walk, when d has more than
+    Raises ValueError, before any work, for a max_grid below 16;
+    BudgetExceededError, before any walk, when d has more than
     MAX_TORUS_DIMS free dimensions or order * 16^dims exceeds the walker's
-    limit, and ValueError when the total variation is not finite.
+    limit; and ValueError when the total variation is not finite.
     """
+    if max_grid is not None and max_grid < 16:
+        raise ValueError("grid must be at least 16")
     m = as_mixed(mu)
     upper = _norm_bounds(m)[1]
     p = char_polynomial(m.disc)
-    if p.dims > MAX_TORUS_DIMS:
-        raise BudgetExceededError(f"the character torus has {p.dims} free dimensions, above "
-                                  f"the walker's {MAX_TORUS_DIMS}")
     check_torus_grid(p, 16)
     lower, upper_k = _density_bracket(m) if not m.ac.is_zero else (0.0, 0.0)
     span = _exponent_span(p)
     classes = _live_classes(p)
+    limit = (_TORUS_POINT_LIMIT if max_grid is None
+             else min(_TORUS_POINT_LIMIT, p.order * max_grid ** p.dims))
     fine = 16
     while (p.dims and math.pi * span > _BRACKET_ANGLE * fine
-           and p.order * (2 * fine) ** p.dims <= _TORUS_POINT_LIMIT):
+           and p.order * (2 * fine) ** p.dims <= limit):
         fine *= 2
     grid = 16
     while True:
@@ -701,10 +696,44 @@ def spectral_bracket(mu: MeasureLike) -> tuple[float, float]:
             grid_upper = math.ldexp(_grid_upper(best, allowance, span, grid), shift)
             upper = min(upper, max(upper_k, grid_upper))
         if (upper - lower <= _BRACKET_REL_WIDTH * upper
-                or p.order * (2 * grid) ** p.dims > _TORUS_POINT_LIMIT):
+                or p.order * (2 * grid) ** p.dims > limit):
             break
         grid = max(2 * grid, fine)
     return lower, upper
+
+
+@dataclass(frozen=True)
+class RadiusFallback:
+    """Why ``radius_bracket`` ran the norm-root squarings, and their report."""
+
+    reason: str
+    report: FeketeReport
+
+
+def radius_bracket(mu: MeasureLike, k_max: int = 6, max_grid: Optional[int] = None
+                   ) -> tuple[tuple[float, float], Optional[RadiusFallback]]:
+    """((lower, upper), fallback): ``spectral_bracket(mu, max_grid)`` and None,
+    unless the walker refuses mu's lattice or the walks end wider than
+    _BRACKET_REL_WIDTH of their upper end.  Then ``fekete_bound(mu, k_max)``
+    runs, the upper end is the smaller of the two (the lower is 0 on a
+    refusal) and fallback is the RadiusFallback.  ValueError, before any
+    work, for a negative k_max or a max_grid below 16; a density the norm's
+    quadrature refuses raises BudgetExceededError, as fekete_bound would."""
+    if k_max < 0:
+        raise ValueError("k_max must be nonnegative")
+    try:
+        lower, upper = spectral_bracket(mu, max_grid)
+    except BudgetExceededError as exc:
+        if as_mixed(mu).ac.degree > _MAX_DEGREE:
+            raise
+        lower, upper, reason = 0.0, math.inf, f"the walker refused the lattice: {exc}"
+    else:
+        if upper - lower <= _BRACKET_REL_WIDTH * upper:
+            return (lower, upper), None
+        reason = (f"the lattice walks ended at [{lower!r}, {upper!r}], wider than 2^-6 of "
+                  f"the upper end")
+    report = fekete_bound(mu, k_max)
+    return (lower, min(upper, report.final_bound)), RadiusFallback(reason, report)
 
 
 def _as_xy(x) -> np.ndarray:

@@ -1,12 +1,15 @@
 """Command line interface: subcommands, exit codes, deterministic outputs."""
 
+import contextlib
 import inspect
+import io
 import json
 import math
 import os
 import resource
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 import warnings
@@ -14,17 +17,20 @@ from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import natspec
 from natspec import blas, cli, spectrum
 from natspec.angles import FRESH_GENERATOR_VALUES, GeneratorBasis
 from natspec.cli import main
 from natspec.decomposition import DecompositionOptions, verify_decomposition
-from natspec.measures import DiscreteMeasure, MixedMeasure
+from natspec.measures import DiscreteMeasure, MixedMeasure, as_mixed
 from natspec.sampling import default_rng, random_discrete
 from natspec.serialize import measure_from_json, measure_to_json, read_json, write_json
-from natspec.spectrum import char_polynomial, torus_max
+from natspec.spectrum import (char_polynomial, fekete_bound, radius_bracket, spectral_bracket,
+                              torus_max)
 from natspec.kronecker import KroneckerProblem
 
 
@@ -178,15 +184,17 @@ def test_density_scan_rejects_tiny_exponent(tmp_path, capsys):
 
 
 def test_spectral_radius_brackets_discrete(tmp_path, measure_file, capsys):
+    # the command writes radius_bracket's two ends, and nothing else when
+    # the walks close the bracket without the norm-root squarings
     out = tmp_path / "radius.json"
     rc = main(["spectral-radius", "--input", str(measure_file), "--out", str(out)])
     stdout = capsys.readouterr().out
     assert rc == 0
-    assert "bracket [" in stdout and "upper bound " in stdout
-    data = json.loads(out.read_text(encoding="utf-8"))
-    assert data["torus_lower"] <= data["final_bound"] + 1e-6
-    assert isinstance(data["budget_hit"], bool)
-    assert [k for k, _ in data["entries"]] == list(range(len(data["entries"])))
+    (lower, upper), fallback = radius_bracket(measure_from_json(read_json(measure_file)), 6)
+    assert fallback is None and 0.0 < lower <= upper
+    assert stdout == f"bracket [{lower!r}, {upper!r}]\n"
+    assert json.loads(out.read_text(encoding="utf-8")) == {"torus_lower": lower,
+                                                           "final_bound": upper}
 
 
 def test_spectral_radius_bracket_of_point_masses_is_ordered(tmp_path, basis, capsys):
@@ -278,8 +286,10 @@ def test_spectral_radius_brackets_extreme_weights(tmp_path, weight, capsys):
     assert data["final_bound"] == pytest.approx(2 * weight, rel=1e-12, abs=0.0)
 
 
-def test_spectral_radius_torsion_blowup_exits_1(tmp_path, capsys):
-    # torsion order lcm(1000003, 999983, 997), about 10^15 classes
+def test_spectral_radius_torsion_blowup_falls_back_to_the_squarings(tmp_path, capsys):
+    # torsion order lcm(1000003, 999983, 997), about 10^15 classes: the
+    # walker refuses the lattice, the norm-root squarings give the upper end
+    # and 0 the lower, and the command says why and exits 0, as decompose does
     basis = GeneratorBasis.from_pairs((("a", math.sqrt(2.0)),))
     mu = DiscreteMeasure.from_atoms(basis, [
         (basis.from_turns(Fraction(1, 1000003)), 0.25),
@@ -290,26 +300,39 @@ def test_spectral_radius_torsion_blowup_exits_1(tmp_path, capsys):
     out = tmp_path / "radius.json"
     rc = main(["spectral-radius", "--input", str(path), "--out", str(out), "--kmax", "0"])
     captured = capsys.readouterr()
-    assert rc == 1
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert "torsion classes" in captured.err
-    assert not out.exists()
+    assert rc == 0 and captured.err == ""
+    fallback, bracket = captured.out.splitlines()
+    assert fallback.startswith("# radius fallback: mu ran the norm-root squarings over k <= 0, "
+                               "because the walker refused the lattice: the character torus "
+                               "has ")
+    assert "torsion classes" in fallback
+    assert bracket == "bracket [0.0, 1.0]"
+    assert json.loads(out.read_text(encoding="utf-8")) == {
+        "torus_lower": 0.0, "final_bound": 1.0,
+        "fekete": {"entries": [[0, 1.0]], "final_bound": 1.0, "budget_hit": False}}
 
 
 def test_spectral_radius_refuses_the_grid_before_any_squaring(tmp_path, measure_file,
                                                               monkeypatch, capsys):
+    # --grid below 16 and a negative --kmax are refused before any walk or
+    # squaring; a --grid past the walker's limit is no ceiling at all
     calls = []
-    monkeypatch.setattr(cli, "fekete_bound", lambda *a: calls.append(a))
+    monkeypatch.setattr(spectrum, "fekete_bound", lambda *a: calls.append(a))
+    monkeypatch.setattr(spectrum, "_lattice_max", lambda *a: calls.append(a))
     out = tmp_path / "radius.json"
-    rc = main(["spectral-radius", "--input", str(measure_file), "--out", str(out),
-               "--grid", "100000000"])
-    captured = capsys.readouterr()
-    assert rc == 1
-    assert captured.out == ""
-    assert captured.err.startswith("error: the character torus has ")
-    assert captured.err.count("\n") == 1
-    assert calls == [] and not out.exists()
+    for flags, message in ((["--grid", "8"], "error: grid must be at least 16\n"),
+                           (["--kmax", "-1"], "error: k_max must be nonnegative\n")):
+        rc = main(["spectral-radius", "--input", str(measure_file), "--out", str(out)] + flags)
+        assert rc == 2
+        assert capsys.readouterr() == ("", message)
+        assert calls == [] and not out.exists()
+    monkeypatch.undo()
+    huge = tmp_path / "huge.json"
+    assert main(["spectral-radius", "--input", str(measure_file), "--out", str(huge),
+                 "--grid", "100000000"]) == 0
+    assert main(["spectral-radius", "--input", str(measure_file), "--out", str(out)]) == 0
+    assert huge.read_bytes() == out.read_bytes()
+    capsys.readouterr()
 
 
 def test_decompose_brackets_over_four_generators(tmp_path, capsys):
@@ -416,15 +439,139 @@ def test_decompose_refuses_N_out_of_range(tmp_path, measure_file, n, capsys):
     assert not out.exists()
 
 
-def test_spectral_radius_skips_lower_bound_for_densities(tmp_path, basis, capsys):
+def test_spectral_radius_brackets_densities(tmp_path, basis, capsys):
+    # a density's bracket is max_K |mu_hat(k)| less and plus its allowance:
+    # the lower end is written as torus_lower, as for atoms
+    mu = MixedMeasure.from_density(basis, {1: 1.0, -2: 0.5})
     path = tmp_path / "density.json"
-    write_json(path, measure_to_json(MixedMeasure.from_density(basis, {1: 1.0, -2: 0.5})))
+    write_json(path, measure_to_json(mu))
     out = tmp_path / "radius.json"
     assert main(["spectral-radius", "--input", str(path), "--out", str(out)]) == 0
-    stdout = capsys.readouterr().out
-    assert "bracket" not in stdout
+    (lower, upper), fallback = radius_bracket(mu, 6)
+    assert fallback is None
+    assert capsys.readouterr().out == f"bracket [{lower!r}, {upper!r}]\n"
+    assert json.loads(out.read_text(encoding="utf-8")) == {"torus_lower": lower,
+                                                           "final_bound": upper}
+    allowance = spectrum._transform_allowance(mu, 2)
+    assert 1.0 - allowance <= lower <= 1.0 <= upper <= 1.0 + allowance
+
+
+def _np_transform_sup_with_slack(mu: MixedMeasure, n_max: int) -> tuple[float, float]:
+    """(sup over |n| <= n_max of |mu_hat(n)|, its rounding slack), summed
+    directly in numpy from each atom's angle 2 pi turns + sum_i c_i g_i and
+    the density's coefficients, with no natspec transform code.  The slack
+    charges each atom 8 u (n_max |angle| + K + 8) of its modulus, past the
+    roundings of its angle, of n times it, of the exponential and of the sum
+    of K terms."""
+    u = 2.0 ** -53
+    ns = np.arange(-n_max, n_max + 1)
+    angles = np.array([2 * math.pi * float(a.turns)
+                       + sum(c * v for c, v in zip(a.coeffs, mu.basis.values))
+                       for a in mu.disc.atoms], dtype=np.float64)
+    weights = np.array(list(mu.disc.atoms.values()), dtype=np.complex128)
+    values = np.exp(-1j * np.outer(ns, angles)) @ weights if len(weights) else 0 * ns + 0j
+    for k, c in mu.ac.coeffs.items():
+        if abs(k) <= n_max:
+            values[k + n_max] += c
+    slack = 8 * u * float(np.abs(weights) @ (n_max * np.abs(angles) + len(weights) + 8))
+    return float(np.max(np.abs(values))), slack
+
+
+@st.composite
+def _cli_measures(draw):
+    # turns in multiples of 1/q for q <= 6, at most 5 atoms over at most two
+    # generators, and a density of degree at most 3 on half the draws
+    basis = GeneratorBasis.from_pairs((("a", math.sqrt(2)), ("b", math.sqrt(3))))
+    q = draw(st.integers(1, 6))
+    weight = st.builds(complex, st.integers(-1000, 1000), st.integers(-1000, 1000))
+    atoms = draw(st.lists(st.tuples(st.integers(0, q - 1), st.integers(-3, 3),
+                                    st.integers(-3, 3), weight), min_size=1, max_size=5))
+    disc = DiscreteMeasure.from_atoms(basis, [(basis.angle(Fraction(k, q), (a, b)), w / 1000)
+                                              for k, a, b, w in atoms])
+    density = draw(st.one_of(st.just({}), st.dictionaries(st.integers(-3, 3), weight,
+                                                          min_size=1, max_size=4)))
+    if not density:
+        return disc
+    return MixedMeasure(disc, MixedMeasure.from_density(
+        basis, {k: c / 1000 for k, c in density.items()}).ac)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_cli_measures())
+def test_spectral_radius_writes_the_library_bracket_bit_for_bit(mu):
+    # two routes: the command's two keys are radius_bracket's ends, and the
+    # upper end is at least the transform sup that numpy sums directly
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "mu.json", Path(tmp) / "radius.json"
+        write_json(path, measure_to_json(mu))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["spectral-radius", "--input", str(path), "--out", str(out)]) == 0
+        data = json.loads(out.read_text(encoding="utf-8"))
+    (lower, upper), _ = radius_bracket(mu, 6)
+    assert (data["torus_lower"], data["final_bound"]) == (lower, upper)
+    sup, slack = _np_transform_sup_with_slack(as_mixed(mu), 256)
+    assert lower <= upper and sup <= upper + slack
+
+
+def _one_axis_measure() -> DiscreteMeasure:
+    """1 + z - z^2 on one generator: radius sqrt5, norm 3, exponent span 2."""
+    basis = GeneratorBasis.from_pairs((("a", math.sqrt(2)),))
+    return DiscreteMeasure.from_atoms(basis, [(basis.zero(), 1.0), (basis.generator("a"), 1.0),
+                                              (basis.angle(coeffs=(2,)), -1.0)])
+
+
+def test_spectral_radius_grid_is_the_finest_lattice_walked(tmp_path, monkeypatch, capsys):
+    # without --grid the walks go on to grid 32, where the bracket closes;
+    # --grid 16 or 24 stops them at 16, whose upper end is 4% wide, so the
+    # norm-root squarings run and the smaller upper end is kept
+    mu = _one_axis_measure()
+    path, out = tmp_path / "mu.json", tmp_path / "radius.json"
+    write_json(path, measure_to_json(mu))
+    grids = []
+    real = spectrum._lattice_max
+    monkeypatch.setattr(spectrum, "_lattice_max",
+                        lambda p, grid, classes=None: grids.append(grid)
+                        or real(p, grid, classes))
+    for flags, walked in (([], [16, 32]), (["--grid", "24"], [16]), (["--grid", "16"], [16])):
+        grids.clear()
+        assert main(["spectral-radius", "--input", str(path), "--out", str(out),
+                     "--kmax", "4"] + flags) == 0
+        assert grids == walked
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln for ln in lines if ln.startswith("#")] == lines[1:4:2] and len(lines) == 5
+    lower, upper = spectral_bracket(mu, 16)
+    report = fekete_bound(mu, 4)
+    assert lines[-2] == (f"# radius fallback: mu ran the norm-root squarings over k <= 4, "
+                         f"because the lattice walks ended at [{lower!r}, {upper!r}], wider "
+                         f"than 2^-6 of the upper end")
+    assert report.final_bound < upper
+    assert json.loads(out.read_text(encoding="utf-8")) == {
+        "torus_lower": lower, "final_bound": report.final_bound,
+        "fekete": {"entries": [list(e) for e in report.entries],
+                   "final_bound": report.final_bound, "budget_hit": False}}
+
+
+def test_bench_bracket_command_line_runs_in_a_child_process(tmp_path):
+    # the bracket benchmark's command line on an order-24 measure over four
+    # generators: exit 0 and both keys it reads
+    basis = GeneratorBasis.from_pairs(FRESH_GENERATOR_VALUES[:4])
+    mu = DiscreteMeasure.from_atoms(basis, [
+        (basis.angle(Fraction(1, 8), (1, 0, -1, 2)), 0.5 - 0.25j),
+        (basis.angle(Fraction(2, 3), (0, 1, 1, 0)), -0.75),
+        (basis.angle(Fraction(5, 24), (-2, 1, 0, 1)), 0.125j),
+        (basis.angle(Fraction(0), (1, 1, 1, 1)), 0.3 + 0.1j),
+        (basis.angle(Fraction(1, 2), (2, -1, 0, 0)), -0.2j),
+        (basis.angle(Fraction(7, 12), (0, 0, 2, -1)), 0.6)])
+    assert char_polynomial(mu).order == 24 and char_polynomial(mu).dims == 4
+    path, out = tmp_path / "mu.json", tmp_path / "sr.json"
+    write_json(path, measure_to_json(mu))
+    env = {**os.environ, "PYTHONPATH": str(Path(natspec.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "natspec", "spectral-radius", "--input",
+                           str(path), "--out", str(out), "--kmax", "3", "--grid", "24"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == ""
     data = json.loads(out.read_text(encoding="utf-8"))
-    assert "torus_lower" not in data
+    assert 0.0 < data["torus_lower"] <= data["final_bound"]
 
 
 def test_kronecker_flags_and_solution_file(tmp_path, capsys):

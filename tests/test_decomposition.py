@@ -357,7 +357,7 @@ def test_manual_radii_outside_manual_mode_are_refused(monkeypatch, basis, mode):
     # the modes "fekete" and "exact_discrete" are gone and refused as unknown
     mu = DiscreteMeasure.from_atoms(basis, [(basis.generator("a"), 1.0)])
     calls = []
-    monkeypatch.setattr(decomposition, "fekete_bound", lambda *a: calls.append(a))
+    monkeypatch.setattr(spectrum, "fekete_bound", lambda *a: calls.append(a))
     message = "only by radius_mode 'manual'" if mode == "bracket" else "unknown radius_mode"
     with pytest.raises(ValueError, match=message):
         decompose(mu, DecompositionOptions(radius_mode=mode, manual_radii=(5.0, 7.0)))
@@ -379,13 +379,13 @@ def test_bracket_mode_brackets(basis):
 
 def _counting_fekete(monkeypatch):
     calls = []
-    real = decomposition.fekete_bound
+    real = spectrum.fekete_bound
 
     def counting(mu, k_max):
         calls.append(k_max)
         return real(mu, k_max)
 
-    monkeypatch.setattr(decomposition, "fekete_bound", counting)
+    monkeypatch.setattr(spectrum, "fekete_bound", counting)
     return calls
 
 

@@ -797,6 +797,67 @@ def test_spectral_bracket_refuses_a_lattice_before_any_walk(monkeypatch, basis):
     assert walks == []
 
 
+def _spied_grids(monkeypatch) -> list:
+    grids = []
+    real = spectrum._lattice_max
+    monkeypatch.setattr(spectrum, "_lattice_max",
+                        lambda p, grid, classes=None: grids.append(grid) or real(p, grid, classes))
+    return grids
+
+
+@pytest.mark.parametrize("max_grid, walked", [(None, [16, 128]), (1 << 40, [16, 128]),
+                                              (127, [16, 64]), (64, [16, 64]), (63, [16, 32]),
+                                              (31, [16]), (16, [16])])
+def test_spectral_bracket_walks_no_grid_above_its_ceiling(monkeypatch, basis, max_grid, walked):
+    # exponent span 6: the first grid whose upper end can close the bracket
+    # is 128; a ceiling below it takes the finest power of two it allows
+    grids = _spied_grids(monkeypatch)
+    mu = DiscreteMeasure.from_atoms(basis, [(basis.zero(), 1.0), (basis.angle(coeffs=(3, 0)), 1.0),
+                                            (basis.angle(coeffs=(6, 0)), -1.0)])
+    lower, upper = spectral_bracket(mu, max_grid)
+    assert grids == walked
+    assert lower == max(spectral_bracket(mu, grid)[0] for grid in walked)
+
+
+def test_spectral_bracket_refuses_a_ceiling_below_16(monkeypatch, basis):
+    grids = _spied_grids(monkeypatch)
+    mu = DiscreteMeasure.from_atoms(basis, [(basis.generator("a"), 1.0)])
+    with pytest.raises(ValueError, match="grid must be at least 16"):
+        spectral_bracket(mu, 15)
+    with pytest.raises(ValueError, match="grid must be at least 16"):
+        spectrum.radius_bracket(mu, 2, 8)
+    with pytest.raises(ValueError, match="k_max must be nonnegative"):
+        spectrum.radius_bracket(mu, -1)
+    assert grids == []
+
+
+def test_radius_bracket_runs_the_squarings_only_on_a_wide_bracket(monkeypatch, basis):
+    # 1 + z - z^2 on one generator: the grid-16 walk ends 3.9% wide, above
+    # 2^-6, so fekete_bound runs and the smaller upper end is taken, with
+    # the walks' lower end kept; the full walk closes the bracket alone
+    calls = []
+    real = spectrum.fekete_bound
+    monkeypatch.setattr(spectrum, "fekete_bound",
+                        lambda mu, k_max: calls.append(k_max) or real(mu, k_max))
+    mu = DiscreteMeasure.from_atoms(basis, [(basis.zero(), 1.0), (basis.generator("a"), 1.0),
+                                            (basis.angle(coeffs=(2, 0)), -1.0)])
+    assert spectrum.radius_bracket(mu, 5) == (spectral_bracket(mu), None)
+    assert calls == []
+    lower, upper = spectral_bracket(mu, 16)
+    assert upper - lower > 2.0 ** -6 * upper
+    bracket, fallback = spectrum.radius_bracket(mu, 5, 16)
+    assert calls == [5]
+    assert fallback.report == real(mu, 5) and fallback.report.final_bound < upper
+    assert bracket == (lower, fallback.report.final_bound)
+    assert fallback.reason == (f"the lattice walks ended at [{lower!r}, {upper!r}], wider than "
+                               f"2^-6 of the upper end")
+    # the radius is sqrt5, inside both brackets
+    assert bracket[0] <= math.sqrt(5) <= bracket[1] <= upper
+    # at k_max 0 the squarings' only entry is the norm 3, above the walks'
+    # upper end, which is kept
+    assert spectrum.radius_bracket(mu, 0, 16)[0] == (lower, upper)
+
+
 def test_spectral_bracket_caps_at_the_norm_rounded_upward(basis):
     # |0.001 + 0.001j| rounds below its exact value, so the norm as summed
     # is not an upper end; the bracket's cap, fekete_bound's first entry, is
