@@ -276,9 +276,9 @@ def verify_decomposition(mu: MeasureLike, result: DecompositionResult, *,
     bracket's bits do not depend on the BLAS thread count.
 
     The identity residual, rho, mu, nu0 and nu1 are evaluated on |n| <= N
-    in one ``transforms`` call: each from its own atoms (never by linearity,
-    which would make (c) hold by construction), sharing only the phase
-    factors e^{-ing} of the generator-coefficient vectors g they have in
+    in one ``transforms`` call: each from its own atoms' tables (never by
+    linearity, which would make (c) hold by construction), sharing only the
+    phase tables of the generator-coefficient vectors g they have in
     common.  (c) reads even and odd slices of those values, (d) and (e)'s
     exact route whole arrays.  Raises ValueError unless 1 <= N <= 2**20 and
     ``disk_grid`` accepts tol, before any array is built.

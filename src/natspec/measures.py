@@ -15,7 +15,7 @@ from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from typing import Iterable, Optional, Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -29,12 +29,15 @@ _MAX_ROOT_TABLE = 1 << 16  # unit_roots caches a table up to this denominator
 _MAX_PAIRS = 4_000_000  # atom pairs, checked before any row is built
 _MAX_ATOMS = 200_000  # atoms of the merged discrete result
 _MAX_DEGREE = 65_536  # degree of the density part of the result
-# bytes of phase factors ``transforms`` keeps for later measures of one call
-_MAX_FACTOR_CACHE = 32 << 20
-# ``transforms`` builds e^{-i n g} at n = B b + a from a table over a < B and
-# one over the b of the call: B = _TABLE_SPLIT = 2**_TABLE_SHIFT
-_TABLE_SHIFT = 8
-_TABLE_SPLIT = 1 << _TABLE_SHIFT
+# ``transforms`` evaluates at n = B b + a, B = _TABLE_SPLIT and 0 <= a < B,
+# in blocks of R = _ROW_BLOCK rows b (2**_BLOCK_SHIFT n), _GROUP_BLOCKS
+# blocks (2 MiB of values) per stacked product
+_TABLE_SHIFT, _BLOCK_SHIFT = 8, 12
+_TABLE_SPLIT, _ROW_BLOCK = 1 << _TABLE_SHIFT, 1 << (_BLOCK_SHIFT - _TABLE_SHIFT)
+_GROUP_BLOCKS = 32
+# terms contracted per BLAS product; with OpenBLAS 0.3.31, zgemm gave the same
+# bits with 1 and 2 threads up to this depth and not deeper
+_TERM_BLOCK = 128
 
 
 _QUARTER_PI_LD = _PI_LD / 4
@@ -100,15 +103,16 @@ def unit_roots(r, q: int):
     return _roots(r.reshape(-1), q).reshape(r.shape)[()]
 
 
-def _rational_residues(ns: np.ndarray, p: int, q: int) -> np.ndarray:
-    """(-n * p) mod q for each n, exact for every int64 n.
+def _rational_residues(ns: np.ndarray, p, q: int) -> np.ndarray:
+    """(-n * p) mod q for each n and each 0 <= p < q (an int, or an array
+    that broadcasts against ns), exact for every int64 n.
 
     n is reduced mod q before the product; when (q - 1) * p could still
     overflow int64 the product is taken in Python integers.
     """
     r = ns % q
-    if (q - 1) * p >= 1 << 63:
-        return ((-r.astype(object) * p) % q).astype(np.int64)
+    if (q - 1) * int(np.max(p)) >= 1 << 63:
+        return ((-r.astype(object) * np.asarray(p).astype(object)) % q).astype(np.int64)
     return (-r * p) % q
 
 
@@ -339,13 +343,9 @@ class DiscreteMeasure:
         return DiscreteMeasure._rows(self.basis, den, num, self.coef + s_coef, self.w)
 
     def transform(self, ns) -> np.ndarray:
-        """Fourier coefficients mu_hat(n) for an integer array ``ns``; see
-        ``transforms``, which this calls with the one measure.
-
-        A rational atom's phase is exact for every int64 n; a generator
-        atom's two table phases err by about (|n| + 512) |g| u_LD plus a few
-        float64 ulps (2.5e-8 at n = 2**40 and 0.10 at 2**62 for one copy of
-        sqrt2 with the x87 long double)."""
+        """Fourier coefficients mu_hat(n) at the integers ``ns``, a 1-D
+        integer array: ``transforms`` of the one measure, which states how
+        the values are rounded."""
         return transforms([self], ns)[0]
 
     def __repr__(self) -> str:
@@ -396,8 +396,9 @@ class TrigPolyDensity:
         return self + (-other)
 
     def transform(self, ns) -> np.ndarray:
-        """Measure transform of f dt/2pi at integers ``ns``; equals c_n."""
-        ns = np.asarray(ns, dtype=np.int64)
+        """Measure transform of f dt/2pi at the integers ``ns``, a 1-D integer
+        array (ValueError for any other); equals c_n."""
+        ns = _integer_points(ns)
         out = np.zeros(ns.shape, dtype=np.complex128)
         if not self.coeffs:
             return out
@@ -502,8 +503,9 @@ class MixedMeasure:
         return as_mixed(other) - self
 
     def transform(self, ns) -> np.ndarray:
-        """Fourier coefficients at the integers ``ns``: ``transforms`` of
-        the one measure, the atoms' sum plus the density's coefficients."""
+        """Fourier coefficients at the integers ``ns``, a 1-D integer array
+        (ValueError for any other): ``transforms`` of the one measure, the
+        atoms' sum plus the density's coefficients."""
         return transforms([self], ns)[0]
 
     def __repr__(self) -> str:
@@ -511,129 +513,131 @@ class MixedMeasure:
                 f"{len(self.ac.coeffs)} density coefficients)")
 
 
-def _generator_groups(d: DiscreteMeasure) -> dict[tuple[int, ...], list[tuple[int, int, complex]]]:
-    """Atoms as {coefficient vector: [(p, q, w), ...]} with reduced turns p/q,
-    in canonical row order."""
-    common = np.gcd(d.num, d.den)
-    turns = zip((d.num // common).tolist(), (d.den // common).tolist())
-    groups: dict[tuple[int, ...], list[tuple[int, int, complex]]] = {}
-    for coeffs, (p, q), w in zip(d.coef.tolist(), turns, d.w.tolist()):
-        groups.setdefault(tuple(coeffs), []).append((p, q, w))
-    return groups
+def _integer_points(ns) -> np.ndarray:
+    """``ns`` as a 1-D int64 array; ValueError for another shape, and for
+    booleans, floats (even integral ones) and other non-integers."""
+    points = np.asarray(ns)
+    if points.ndim != 1:
+        raise ValueError(f"ns must be a 1-D array of integers, not {points.ndim}-D")
+    if points.size and (points.dtype.kind not in "iu" or points.dtype.kind == "u"
+                        and points.max() > np.iinfo(np.int64).max):
+        raise ValueError(f"ns must hold int64 integers, not {points.dtype}")
+    return points.astype(np.int64, copy=False)
 
 
-def _table_split(ns: np.ndarray) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray],
-                                            np.ndarray]:
-    """n = B b + a, B = _TABLE_SPLIT, as (a, hi_points, hi_index, low): the
-    low parts a = n & (B - 1) as uint8, the points B b of the high table
-    with, for each n, the index of its own B b there, in the smallest
-    unsigned type that holds it, and the distinct low parts, ascending.  The
-    shift floors, so this holds for negative n and at both int64 extremes.
-    The high table is B * arange(b_min, b_max + 1) when that has at most
-    len(ns) entries, else B b itself, one entry per n (hi_index None)."""
-    a = (ns & (_TABLE_SPLIT - 1)).astype(np.uint8)
-    low = np.flatnonzero(np.bincount(a, minlength=_TABLE_SPLIT))
-    b = ns >> _TABLE_SHIFT
-    if b.size and int(b.max()) - int(b.min()) < b.size:
-        b_min, b_max = int(b.min()), int(b.max())
-        points = _TABLE_SPLIT * np.arange(b_min, b_max + 1, dtype=np.int64)
-        return a, points, (b - b_min).astype(np.min_scalar_type(b_max - b_min)), low
-    return a, _TABLE_SPLIT * b, None, low
+def _blocks(ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(blocks, position) for n = R B k + B r + a, 0 <= r < R and 0 <= a < B:
+    the call's blocks k, ascending, and each n's index R B i + B r + a in
+    the stacked product, whose row r of block i is b = R blocks[i] + r.
+    The blocks are every k from the least to the largest when that is at
+    most len(ns) of them, else the distinct k.  The shifts floor, so this
+    holds at both int64 extremes."""
+    if ns.size:
+        first, last = int(ns.min()) >> _BLOCK_SHIFT, int(ns.max()) >> _BLOCK_SHIFT
+        if last - first < ns.size:
+            return np.arange(first, last + 1, dtype=np.int64), ns - (first << _BLOCK_SHIFT)
+    blocks, rank = np.unique(ns >> _BLOCK_SHIFT, return_inverse=True)
+    return blocks, (rank << _BLOCK_SHIFT) + (ns & ((1 << _BLOCK_SHIFT) - 1))
 
 
-def _phase_factor(split: tuple[np.ndarray, np.ndarray, Optional[np.ndarray], np.ndarray],
-                  coeffs: tuple[int, ...],
-                  values: tuple[float, ...]) -> np.ndarray:
-    """e^{-i n g} for g = sum c * v at the n of ``split`` (``_table_split``):
-    lo[a] * hi[b], with lo = e^{-i a g} at the call's distinct a < B only
-    and hi = e^{-i B b g} at the split's high points, both from
-    ``phase_factors``, so n g is never formed."""
-    g = np.longdouble(0.0)
-    for c, v in zip(coeffs, values):
-        if c:
-            g += np.longdouble(c) * np.longdouble(v)
-    a, hi_points, hi_index, low = split
-    lo = np.empty(_TABLE_SPLIT, dtype=np.complex128)
-    lo[low] = phase_factors(low, g)
-    hi = phase_factors(hi_points, g)
-    return np.multiply(np.take(lo, a), hi if hi_index is None else np.take(hi, hi_index))
+def _generator_value(coeffs: tuple[int, ...], values: tuple[float, ...]) -> np.longdouble:
+    """g = sum of c * v over the nonzero coefficients, in order, in long double."""
+    return sum((np.longdouble(c) * np.longdouble(v) for c, v in zip(coeffs, values) if c),
+               np.longdouble(0.0))
+
+
+def _term_factors(points: np.ndarray, d: DiscreteMeasure, vector: np.ndarray, block: slice,
+                  tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(L, H) of ``transforms`` for the atoms ``block`` of d at points = (the
+    B points a, then the points B b), with lo, hi the row vector[j] of
+    ``tables``, the phase factors there (none for -1), and zero terms
+    padding the block to at least 2."""
+    w, vector = d.w[block], vector[block]
+    e = np.zeros((max(2, len(w)), len(points)), dtype=np.complex128)
+    e[:len(w)] = unit_roots(_rational_residues(points, d.num[block, None], d.den), d.den)
+    rows = np.flatnonzero(vector >= 0)
+    if rows.size:
+        e[rows] = np.multiply(e[rows], tables[vector[rows]])
+    left = np.zeros((len(points) - _TABLE_SPLIT, len(e)), dtype=np.complex128)
+    np.multiply(w, e[:len(w), _TABLE_SPLIT:].T, out=left[:, :len(w)])
+    return e[:, :_TABLE_SPLIT], left
 
 
 def transforms(measures: Iterable[MeasureLike], ns) -> list[np.ndarray]:
-    """Fourier coefficients of each measure at the integers ``ns``.
+    """Fourier coefficients of each measure at the integers ``ns``, a 1-D
+    integer array (ValueError for any other, before any work).
 
-    Each measure is summed from its own atoms, never from another measure's
-    values: atoms sharing a generator-coefficient vector g are summed through
-    the exact roots of unity of their reduced turns (``unit_roots``), then
-    multiplied once by e^{-i n g}; a density part adds its coefficients.
-    Complex products are out of place, so a value depends only on n and the
-    measure, not on the array holding it or the other measures in the call.
-    A group's rational sum depends only on n mod L, L the lcm of its reduced
-    turn denominators: when 4 L <= len(ns) it is summed by the same steps at
-    n = 0, ..., L - 1 only and gathered at ns mod L (computed once per L in
-    the call), to the same bits.
-    The factor e^{-i n g} is computed once for all the measures that use g
-    and kept only until the last of them, and only while the kept factors
-    fit in ``_MAX_FACTOR_CACHE`` bytes; past that it is computed again, to
-    the same bits.
-    The factor itself is a product of two table entries: with n = B b + a,
-    B = _TABLE_SPLIT = 256 and 0 <= a < B (a shift and a mask, computed once
-    per call), e^{-i n g} = e^{-i a g} e^{-i B b g}, the first from a table
-    at the call's distinct a and the second from one over b_min..b_max when
-    that range has at most len(ns) entries, else at each n's own B b.  Both
-    tables come from ``angles.phase_factors``, so a value still depends only
-    on n and the measure; at n = -N..N a generator vector costs at most
-    B + ceil((2N + 1) / B) + 1 kernel evaluations in place of 2N + 1, and at
-    a few n, such as a density's frequencies, at most two per n.
+    With n = B b + a, B = _TABLE_SPLIT = 256 and 0 <= a < B, an atom's term
+    w_j e^{-i n theta_j} is H_j[b] L_j[a], with L_j[a] = root_j(a) lo_g[a]
+    over every a < B and H_j[b] = w_j (root_j(B b) hi_g[b]) over the call's
+    b: root_j(n) is ``unit_roots`` of (-n num_j) mod den, reduced exactly
+    for every int64 n, and lo_g, hi_g are e^{-i a g} and e^{-i B b g} from
+    ``angles.phase_factors`` for the atom's generator value g.  So each
+    measure's values are one matrix product of its own tables; the measures
+    of a call share only the phase tables, and a density adds its terms.
 
-    Phase accuracy: a rational atom's phase is exact for every int64 n (the
-    turn n p / q is reduced in integers).  A generator atom's two phases a g
-    and B b g are each reduced mod 2 pi in long double, so together they
-    carry about (|n| + 2 B) |g| u_LD, with u_LD the long double's unit
-    roundoff (2**-64 for the x87 80-bit format, 2**-53 where long double is
-    float64), plus a few float64 ulps for the two roundings to float64 and
-    the product.  For one copy of sqrt2 on x87 the error measured 2.5e-8 at
-    n = 2**40 and 0.10 at n = 2**62; no error is raised.
+    The b go in blocks of R = _ROW_BLOCK = 16 rows aligned to b = 0 mod R,
+    each one (R x K)(K x B) product of the same shape in a stacked
+    ``np.matmul``, the K terms cut into blocks of at most _TERM_BLOCK = 128
+    summed in order (a block of one term padded with a zero term), as
+    ``spectrum``'s torus walker does.  So a value depends only on n and the
+    measure, not on the other n, the other measures or the BLAS thread
+    count.  A product holds at most _GROUP_BLOCKS = 32 blocks (|n| < 2**16
+    in one), and each g's tables are built once per product.
+
+    A term rounds two roots, two exponentials and four complex products
+    (``spectrum._transform_allowance`` bounds a value's rounding).  The
+    phases a g and B b g are each reduced mod 2 pi in long double, so
+    together they carry about (|n| + 2 B) |g| u_LD, u_LD the long double's
+    unit roundoff (2**-64 for x87, 2**-53 where long double is float64):
+    for one copy of sqrt2 on x87 the error measured 2.5e-8 at n = 2**40 and
+    0.10 at n = 2**62; no error is raised.
     """
-    ns = np.asarray(ns, dtype=np.int64)
+    ns = _integer_points(ns)
     measures = list(measures)
-    groups = [_generator_groups(as_mixed(m).disc) for m in measures]
-    keys = [[(c, m.basis.values) for c in grp if any(c)] for m, grp in zip(measures, groups)]
-    last_use = {key: i for i, ks in enumerate(keys) for key in ks}
-    cache: dict = {}
-    cached_bytes = 0
-    folds: dict[int, np.ndarray] = {}  # L -> ns mod L
-    split = None  # ns as B b + a, once the first generator vector needs it
-    out = []
-    for i, (m, grp) in enumerate(zip(measures, groups)):
-        total = np.zeros(ns.shape, dtype=np.complex128)
-        for coeffs, members in grp.items():
-            period = math.lcm(*(q for _, q, _ in members))
-            points = np.arange(period, dtype=np.int64) if 4 * period <= ns.size else ns
-            acc = np.zeros(points.shape, dtype=np.complex128)
-            for p, q, w in members:
-                acc += np.multiply(w, unit_roots(_rational_residues(points, p, q), q))
-            if points is not ns:
-                if period not in folds:
-                    folds[period] = (ns % period).astype(np.min_scalar_type(period - 1))
-                acc = np.take(acc, folds[period])
-            if any(coeffs):
-                key = (coeffs, m.basis.values)
-                factor = cache.get(key)
-                if factor is None:
-                    if split is None:
-                        split = _table_split(ns)
-                    factor = _phase_factor(split, coeffs, m.basis.values)
-                    if last_use[key] > i and cached_bytes + factor.nbytes <= _MAX_FACTOR_CACHE:
-                        cache[key] = factor
-                        cached_bytes += factor.nbytes
-                acc = np.multiply(acc, factor)
-            total += acc
-        for key in keys[i]:
-            if last_use[key] == i and key in cache:
-                cached_bytes -= cache.pop(key).nbytes
-        out.append(total + m.ac.transform(ns) if isinstance(m, MixedMeasure) else total)
-    return out
+    discs = [as_mixed(m).disc for m in measures]
+    index: dict = {}  # (coefficients, basis values) -> row of the phase tables
+    vectors = [np.array([index.setdefault((c, d.basis.values), len(index)) if any(c) else -1
+                         for c in map(tuple, d.coef.tolist())], dtype=np.int64) for d in discs]
+    gs = np.array([_generator_value(*key) for key in index], dtype=np.longdouble)[:, None]
+    blocks, position = _blocks(ns)
+    starts = range(0, len(blocks), _GROUP_BLOCKS)
+    single = len(starts) == 1  # then each output is one gather from the product
+    if single:
+        picks = [slice(None)]
+    else:
+        order = np.argsort(position, kind="stable")
+        bounds = np.searchsorted(position[order], [s << _BLOCK_SHIFT
+                                                   for s in (*starts, len(blocks))])
+        picks = [order[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    totals = [None if single and len(d) else np.zeros(ns.shape, dtype=np.complex128)
+              for d in discs]
+    for start, pick in zip(starts, picks):
+        chunk = blocks[start:start + _GROUP_BLOCKS]
+        high = (_ROW_BLOCK * chunk[:, None]
+                + np.arange(_ROW_BLOCK, dtype=np.int64)).reshape(-1) << _TABLE_SHIFT
+        points = np.concatenate([np.arange(_TABLE_SPLIT, dtype=np.int64), high])
+        tables = phase_factors(points, gs) if index else None
+        at = position[pick] - (start << _BLOCK_SHIFT) if start else position[pick]
+        buf = np.empty((len(chunk), _ROW_BLOCK, _TABLE_SPLIT), dtype=np.complex128)
+        for i, (d, vector) in enumerate(zip(discs, vectors)):
+            if not len(d):
+                continue
+            for s in range(0, len(d), _TERM_BLOCK):
+                right, left = _term_factors(points, d, vector, slice(s, s + _TERM_BLOCK), tables)
+                stack = left.reshape(len(chunk), _ROW_BLOCK, -1)
+                if s == 0:
+                    np.matmul(stack, right, out=buf)
+                else:
+                    buf += np.matmul(stack, right)
+            if single:
+                totals[i] = buf.reshape(-1)[at]
+            else:
+                totals[i][pick] = buf.reshape(-1)[at]
+    for m, total in zip(measures, totals):
+        if isinstance(m, MixedMeasure) and not m.ac.is_zero:
+            total += m.ac.transform(ns)
+    return totals
 
 
 MeasureLike = Union[DiscreteMeasure, MixedMeasure]

@@ -37,7 +37,7 @@ from .angles import GeneratorBasis, TWO_PI
 from .blas import blas_threads
 from .errors import BudgetExceededError
 from .kronecker import pair_transform_values
-from .measures import (_MAX_DEGREE, _TABLE_SPLIT, DiscreteMeasure, MeasureLike,
+from .measures import (_MAX_DEGREE, _TABLE_SPLIT, _TERM_BLOCK, DiscreteMeasure, MeasureLike,
                        MixedMeasure, as_mixed, convolve, transforms, tv_norm_bounds,
                        unit_roots)
 
@@ -48,9 +48,6 @@ _SQUARE_SAFE_MAX = 2.0 ** 511
 _TORUS_POINT_LIMIT = 1 << 24
 # free dimensions of the character torus the walker evaluates
 MAX_TORUS_DIMS = 4
-# terms contracted per BLAS product; with OpenBLAS 0.3.31, zgemm gave the same
-# bits with 1 and 2 threads up to this depth and not deeper
-_TERM_BLOCK = 128
 # bytes of a row tile of the torus walk, of its left factor rows and of a
 # group of classes' right factors: small enough that a tile is still in a
 # core's cache when it is squared, large enough that a BLAS call's fixed cost
@@ -68,11 +65,6 @@ _SPREAD_POINTS = 1 << 20
 # weight-times-root products and the modulus.  The largest excess seen at the
 # top points of 400 random polynomials (K <= 20, order <= 6) was 3.8.
 _ROUNDING_TERMS = 8
-# the rounding that the second of ``transforms``' two phase factors adds, in
-# units of u per unit of |w|: its phase rounded to float64 (half an ulp of a
-# phase below 2 pi, 4 u), its exponential (sqrt2 u) and the product of the
-# two factors (sqrt5 u)
-_TABLE_ROUNDINGS = 8
 _U = 2.0 ** -53
 _ETA = 2.0 ** -1074  # the underflow unit: the smallest subnormal float
 # the bracket loop stops once upper - lower is at most this share of upper
@@ -547,24 +539,26 @@ def _grid_upper(best: float, allowance: float, span: int, grid: int) -> float:
 
 def _transform_allowance(m: MixedMeasure, n_max: int) -> float:
     """Bound on the rounding of ``measures.transforms``'s mu_hat(n) for
-    |n| <= n_max: for K atoms and a density coefficient, (K + 1 +
-    _ROUNDING_TERMS + _TABLE_ROUNDINGS) * u times the atoms' total modulus
-    plus the largest density coefficient, and for the generator phases
-    8 eps_LD * (n_max + 2 B) * sum |w_j| |g_j|.  ``transforms`` builds
-    e^{-i n g} as e^{-i a g} e^{-i B b g} with n = B b + a, 0 <= a < B =
-    _TABLE_SPLIT, so |a| + |B b| <= |n| + 2 B; each of the two phases is
-    formed and reduced in long double, within about 4 eps_LD of its size,
-    so even at |n| <= 3 they reach B b = -256 and a = 253.  The float64
-    terms are the lattice's (``_lattice_max``) and _TABLE_ROUNDINGS more for
-    the second factor.  It scales with mu, so a verdict against it does not
-    change when mu is scaled by a power of two."""
+    |n| <= n_max, for K atoms: (K + 25) u times the atoms' total modulus
+    plus the largest density coefficient, and 8 eps_LD (n_max + 2 B)
+    sum |w_j| |g_j| for the phases.  The sum of at most K + 1 terms (with
+    the zero padding) and the density's coefficient round K + 1 times, and
+    a term w_j root_j(B b) hi_g[b] root_j(a) lo_g[a] carries 24 u of |w_j|:
+    two roots (u each), two phase factors (4 u for the phase rounded to
+    float64 below 2 pi and sqrt2 u for the exponential, each) and four
+    complex products (sqrt5 u each), 21.8 u.  With n = B b + a and
+    0 <= a < B = _TABLE_SPLIT, |a| + |B b| <= |n| + 2 B, and each of the
+    phases a g and B b g is formed and reduced in long double within about
+    4 eps_LD of its size; even at |n| <= 3 they reach B b = -256 and
+    a = 253.  It scales with mu, so a verdict against it does not change
+    when mu is scaled by a power of two."""
     weights = np.abs(m.disc.w)
     gens = np.abs(m.disc.coef).astype(np.float64) @ np.abs(np.asarray(m.basis.values,
                                                                       dtype=np.float64))
     phase = (8 * float(np.finfo(np.longdouble).eps) * (n_max + 2 * _TABLE_SPLIT)
              * float(weights @ gens))
     total = float(weights.sum()) + max((abs(c) for c in m.ac.coeffs.values()), default=0.0)
-    return (len(weights) + 1 + _ROUNDING_TERMS + _TABLE_ROUNDINGS) * _U * total + phase
+    return (len(weights) + 25) * _U * total + phase
 
 
 def _pair_allowance(alpha: float, beta: float, n_max: int) -> float:

@@ -486,19 +486,21 @@ def test_verify_flag_off_defers_report(basis):
 
 
 def test_verification_builds_each_phase_factor_from_two_small_tables(monkeypatch, basis):
-    # at N = 10^4 each generator vector g costs at most B + ceil((2N + 1) / B)
-    # + 1 kernel evaluations, B = 256, not the 2N + 1 of one per n.  mu is
+    # at N = 10^4 each generator vector g costs B + R * 6 kernel evaluations:
+    # B = 256 for its low table and R = 16 for each of the six blocks of
+    # 4096 n that |n| <= N meets, not the 2N + 1 of one per n.  mu is
     # discrete, so the verifier's convolutions take no transforms of their own
-    N, B = 10_000, measures._TABLE_SPLIT
+    N, B, R = 10_000, measures._TABLE_SPLIT, measures._ROW_BLOCK
     mu = random_discrete(default_rng(606), basis)
     result = decompose(mu, DecompositionOptions(verify=False))
     evaluations = Counter()
     real = measures.phase_factors
-    monkeypatch.setattr(measures, "phase_factors",
-                        lambda ns, g: evaluations.update({g: ns.size}) or real(ns, g))
+    monkeypatch.setattr(measures, "phase_factors", lambda ns, g: evaluations.update(
+        {value: ns.size for value in np.ravel(g)}) or real(ns, g))
     assert verify_decomposition(mu, result, N=N).passed
     assert len(evaluations) >= 2
-    assert max(evaluations.values()) <= B + -(-(2 * N + 1) // B) + 1
+    assert (N >> 12) - (-N >> 12) + 1 == 6
+    assert max(evaluations.values()) <= B + R * 6
 
 
 @pytest.mark.parametrize("N", [0, (1 << 20) + 1])

@@ -1,10 +1,13 @@
 """Measure algebra: convolution, total variation, transforms, parity splits."""
 
 import math
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
-from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import mpmath
@@ -12,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import natspec
 from natspec.angles import Angle, GeneratorBasis, phase_factors
 from natspec.errors import BudgetExceededError
 from natspec import decomposition, measures
@@ -323,13 +327,17 @@ def test_rational_transform_matches_exact_phases(atoms, ns):
        st.lists(st.integers(-(1 << 62), 1 << 62), min_size=1, max_size=8))
 @example([(3, 1, 5e-324j)], [1])  # an exact tie: -0.5 * 2**-1074
 def test_rational_transform_subnormal_weights_within_underflow_unit(atoms, ns):
-    # below 2**-1022 a product w * root keeps no relative precision: each of
-    # its two rounded terms is off by half a unit 2**-1074 plus |w| times the
-    # root's own error (under 1e-15: about half an ulp per component), sums
-    # of subnormals are exact, and the reference and the bound round once more
+    # below 2**-1022 a product keeps no relative precision: each rounded
+    # product is off by half a unit eta = 2**-1074.  A term is H L with
+    # H = w * root(256 b) and L = root(a): each component of H is off by
+    # eta (two products) plus |w| times the root's own error (under 1e-15:
+    # about half an ulp per component), which L, of modulus 1, carries into
+    # a component of H L as at most sqrt2 eta, and the two products of that
+    # component add eta more; sums of subnormals are exact, and the
+    # reference and the bound round once more
     mu = DiscreteMeasure.from_atoms(
         BASIS, [(BASIS.from_turns(Fraction(p % q, q)), w) for q, p, w in atoms])
-    bound = (len(atoms) + 2) * 2.0 ** -1074 + 2e-15 * mu.norm()
+    bound = ((1 + math.sqrt(2)) * len(atoms) + 2) * 2.0 ** -1074 + 2e-15 * mu.norm()
     vec = mu.transform(np.array(ns, dtype=np.int64))
     for n, v in zip(ns, vec):
         err = v - mp_transform(mu, n)
@@ -660,21 +668,57 @@ def _one_by_one(ms, ns) -> list[bytes]:
     return [transforms([m], ns)[0].tobytes() for m in ms]
 
 
+def _one_n_value(mu: DiscreteMeasure, n: int) -> complex:
+    """transforms' formula at one n on its own: n = 256 b + a split in
+    Python integers, each atom's residues in Python integers, its roots and
+    phase factors from one-element ``unit_roots`` and ``phase_factors``
+    calls at this a and this 256 b only, H_j = w_j (root_j(256 b) hi_g) and
+    L_j = root_j(a) lo_g, and the sum as element (b mod 16, a) of one
+    (16 x K)(K x 256) product per block of 128 terms (at least 2, padded
+    with zeros) whose other rows and columns are zero, the blocks summed in
+    order."""
+    b, a = divmod(n, 256)
+    row = b % 16
+    one = lambda x: np.array([x], dtype=np.complex128)  # noqa: E731
+    total = None
+    for s in range(0, len(mu), 128):
+        width = max(2, min(128, len(mu) - s))
+        left = np.zeros((16, width), dtype=np.complex128)
+        right = np.zeros((width, 256), dtype=np.complex128)
+        for j in range(s, min(s + 128, len(mu))):
+            num, coeffs, w = int(mu.num[j]), tuple(mu.coef[j].tolist()), complex(mu.w[j])
+            low = one(unit_roots((-a * num) % mu.den, mu.den))
+            high = one(unit_roots((-256 * b * num) % mu.den, mu.den))
+            if any(coeffs):
+                g = np.longdouble(0.0)
+                for c, v in zip(coeffs, mu.basis.values):
+                    if c:
+                        g += np.longdouble(c) * np.longdouble(v)
+                low = np.multiply(low, phase_factors(np.array([a], dtype=np.int64), g))
+                high = np.multiply(high, phase_factors(np.array([256 * b], dtype=np.int64), g))
+            left[row, j - s] = np.multiply(one(w), high)[0]
+            right[j - s, a] = low[0]
+        value = np.matmul(left, right)[row, a]
+        total = value if total is None else total + value
+    return complex(0.0) if total is None else complex(total)
+
+
+def _per_n_transform(mu: DiscreteMeasure, ns: np.ndarray) -> np.ndarray:
+    return np.array([_one_n_value(mu, n) for n in ns.tolist()], dtype=np.complex128)
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.lists(grouped_measures() | mixed_measures(), min_size=1, max_size=5),
-       st.sampled_from((None, 0, 1)))
-def test_batched_transforms_match_single_measures_bitwise(ms, cap_factors):
-    # measures over one basis share coefficient vectors; each keeps the bits
-    # it has alone, with the factor cache unbounded, off, or one factor deep
+@given(st.lists(grouped_measures() | mixed_measures(), min_size=1, max_size=5))
+def test_batched_transforms_match_single_measures_bitwise(ms):
+    # measures over one basis share coefficient vectors, and with them a
+    # call's phase tables; each keeps the bits it has alone
     ns = np.arange(-300, 301, dtype=np.int64)
     alone = _one_by_one(ms, ns)
     assert alone == [m.transform(ns).tobytes() for m in ms]
     # a mixed measure's values are its atoms' sum plus its density's
     assert alone == [(d.disc.transform(ns) + d.ac.transform(ns)).tobytes()
                      for d in map(as_mixed, ms)]
-    cap = measures._MAX_FACTOR_CACHE if cap_factors is None else 16 * len(ns) * cap_factors
-    with mock.patch.object(measures, "_MAX_FACTOR_CACHE", cap):
-        batched = transforms(ms, ns)
+    batched = transforms(ms, ns)
     assert [v.tobytes() for v in batched] == alone
     for m, v in zip(ms, batched):
         d = as_mixed(m)
@@ -684,89 +728,151 @@ def test_batched_transforms_match_single_measures_bitwise(ms, cap_factors):
             assert abs(v[i] - exact) <= 1e-12 * (d.disc.norm() + sum(map(abs, d.ac.coeffs.values())))
 
 
-def test_transforms_compute_each_phase_factor_once_within_the_cap():
+def _table_builds(monkeypatch) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(points, generator values) of every ``phase_factors`` call that
+    ``transforms`` makes from now on."""
+    builds, real = [], measures.phase_factors
+    monkeypatch.setattr(measures, "phase_factors",
+                        lambda points, g: builds.append((points, np.ravel(g))) or real(points, g))
+    return builds
+
+
+def test_transforms_compute_each_phase_factor_once_within_the_cap(monkeypatch):
     # two measures with atoms on the same 12 coefficient vectors: each g's
-    # two tables are built once when all factors can be kept, 8 of them
-    # twice when 4 can, all 12 twice when none can
+    # two tables, the low one over a < 256 and the high one over the 16 rows
+    # b of each of the call's ten blocks of 4096 n (b = -80..79), are built
+    # once per call.  The call's memory is capped at its outputs, each n's
+    # place in the product, one product, and four arrays of the terms'
+    # roots and factors at the table points: no full-length temporary
     vectors = [(a, b) for a in (-1, 1, 2) for b in (-2, -1, 1, 3)]
     ms = [DiscreteMeasure.from_atoms(BASIS, [(BASIS.angle(Fraction(k, 5), v), 1.0 + k * 1j)
                                              for v in vectors]) for k in range(2)]
-    ns = np.arange(-2000, 2001, dtype=np.int64)
-    factor_bytes = 16 * len(ns)
-    real = measures.phase_factors
-    for cap, twice in ((measures._MAX_FACTOR_CACHE, 0), (4 * factor_bytes, 8), (0, 12)):
-        tables = []
-        with mock.patch.object(measures, "phase_factors",
-                               lambda ns, g: tables.append((g, len(ns))) or real(ns, g)), \
-                mock.patch.object(measures, "_MAX_FACTOR_CACHE", cap):
-            tracemalloc.start()
-            try:
-                values = transforms(ms, ns)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        # per g, a low table over a < 256 and a high one over b = -8..7
-        builds = Counter(g for g, _ in tables)
-        assert len(builds) == 12 and sorted(builds.values()) == [2] * (12 - twice) + [4] * twice
-        assert Counter(size for _, size in tables) == {256: len(tables) // 2,
-                                                        16: len(tables) // 2}
-        assert [v.tobytes() for v in values] == _one_by_one(ms, ns)
-        # the two outputs, the kept factors (at most the cap), and about four
-        # work arrays: an accumulator, the two gathered table columns and
-        # their product
-        assert peak <= (2 + 5) * factor_bytes + min(cap, 12 * factor_bytes)
-
-
-def _full_low_table_factor(ns: np.ndarray, coeffs: tuple[int, ...],
-                           values: tuple[float, ...]) -> np.ndarray:
-    """e^{-i n g} with the low table over every a < 256, whatever the call's
-    n: ``transforms``' route before the low table was cut to the call's a."""
-    g = np.longdouble(0.0)
-    for c, v in zip(coeffs, values):
-        if c:
-            g += np.longdouble(c) * np.longdouble(v)
-    a, hi_points, hi_index, _ = measures._table_split(ns)
-    lo = phase_factors(np.arange(256, dtype=np.int64), g)
-    hi = phase_factors(hi_points, g)
-    return np.multiply(np.take(lo, a), hi if hi_index is None else np.take(hi, hi_index))
+    ns = np.arange(-20_000, 20_001, dtype=np.int64)
+    builds = _table_builds(monkeypatch)
+    tracemalloc.start()
+    try:
+        values = transforms(ms, ns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    [(points, gs)] = builds
+    assert len(set(gs.tolist())) == len(gs) == 12
+    assert points.tolist() == list(range(256)) + [256 * b for b in range(-80, 80)]
+    assert [v.tobytes() for v in values] == _one_by_one(ms, ns)
+    cap = (2 * 16 + 8) * len(ns) + 16 * 10 * 4096 + 4 * 16 * 12 * len(points)
+    assert peak <= cap
 
 
 @pytest.mark.parametrize("ns", [
     [-3, -2, -1, 0, 1, 2, 3], [-2, 3, 5], [7], [-256, 255, 256, 1 << 40],
     list(range(-300, 301)), [np.iinfo(np.int64).min, -1, 0, np.iinfo(np.int64).max]])
-def test_low_table_at_the_call_s_low_parts_keeps_the_full_table_bits(ns):
+def test_low_table_at_the_call_s_low_parts_keeps_the_full_table_bits(ns, monkeypatch):
+    # whatever a = n mod 256 the call holds, each generator vector's low
+    # table spans every a < 256, and each n gets the bits of the formula
+    # taken at that n alone
     ns = np.array(ns, dtype=np.int64)
-    split = measures._table_split(ns)
-    assert split[3].tolist() == sorted(set((ns & 255).tolist()))
-    for coeffs in ((1, 0), (0, -3), (2, 5), (-7, 1)):
-        got = measures._phase_factor(split, coeffs, BASIS.values)
-        assert got.tobytes() == _full_low_table_factor(ns, coeffs, BASIS.values).tobytes()
+    mu = DiscreteMeasure.from_atoms(BASIS, [
+        (BASIS.angle(Fraction(k, 7), coeffs), complex(1.0 - k, 0.5 * k))
+        for k, coeffs in enumerate(((1, 0), (0, -3), (2, 5), (-7, 1)))])
+    builds = _table_builds(monkeypatch)
+    got = transforms([mu], ns)[0]
+    [(points, gs)] = builds
+    assert len(gs) == 4 and points[:256].tolist() == list(range(256))
+    assert got.tobytes() == _per_n_transform(mu, ns).tobytes()
 
 
 def test_few_n_build_phase_tables_at_their_own_low_and_high_parts(monkeypatch):
     # a density's frequencies (convolution with atoms, the bracket's density
-    # maximum) used to build all 256 low entries for every generator vector
+    # maximum) build each generator vector's tables at the 256 low points
+    # and at the 16 rows of each block of 4096 n they meet, two here, however
+    # far apart those blocks are
     rng = default_rng(1901)
     atoms = random_discrete(rng, BASIS, n_atoms=6)
-    density = TrigPolyDensity({-3: 0.5, -1: 0.25j, 2: -0.75, 3: 0.125 + 0.5j})
-    events = []
-    real_split, real_factors = measures._table_split, measures.phase_factors
-    monkeypatch.setattr(measures, "_table_split",
-                        lambda ns: events.append(ns) or real_split(ns))
-    monkeypatch.setattr(measures, "phase_factors",
-                        lambda ns, g: events.append((g, len(ns))) or real_factors(ns, g))
-    for run in (lambda: convolve(atoms, MixedMeasure(DiscreteMeasure.zero(BASIS), density)),
-                lambda: spectrum._density_bracket(MixedMeasure(atoms, density))):
-        events.clear()
-        run()
-        [ns] = [e for e in events if isinstance(e, np.ndarray)]
-        bound = len(set((ns & 255).tolist())) + len(set((ns >> 8).tolist()))
-        evaluations = Counter()
-        for e in events[1:]:
-            evaluations[e[0]] += e[1]
-        generators = {tuple(c) for c in atoms.coef.tolist() if any(c)}
-        assert len(evaluations) == len(generators)
-        assert max(evaluations.values()) <= bound == 4 + 2
+    generators = {tuple(c) for c in atoms.coef.tolist() if any(c)}
+    for density in (TrigPolyDensity({-3: 0.5, -1: 0.25j, 2: -0.75, 3: 0.125 + 0.5j}),
+                    TrigPolyDensity({-(1 << 16): 0.5, 3: 0.125 + 0.5j})):
+        for run in (lambda: convolve(atoms, MixedMeasure(DiscreteMeasure.zero(BASIS), density)),
+                    lambda: spectrum._density_bracket(MixedMeasure(atoms, density))):
+            builds = _table_builds(monkeypatch)
+            run()
+            [(points, gs)] = builds
+            assert len(gs) == len(generators)
+            assert len(points) == 256 + 16 * 2
+
+
+@pytest.mark.parametrize("ns", [
+    [0.5], [1.9], np.array([2.0, 3.0]), np.array([1 + 0j]), [True, False], ["1"],
+    np.array([1 << 63], dtype=np.uint64), 3, np.int64(3), [[1, 2]],
+    np.zeros((2, 2), dtype=np.int64)],
+    ids=["half", "1.9", "integral floats", "complex", "booleans", "strings", "uint64 past int64",
+         "0-d int", "0-d int64", "2-D list", "2-D array"])
+def test_transforms_refuse_ns_that_are_not_a_1d_integer_array(ns, monkeypatch):
+    # a float n once read as the integer below it, and a 0-d or 2-D ns
+    # failed deep inside the phase tables; each is refused before any work
+    mu = DiscreteMeasure.from_atoms(BASIS, [(BASIS.angle(Fraction(1, 3), (1, -1)), 0.5j),
+                                            (BASIS.generator("b"), 1.0)])
+    mixed = MixedMeasure(mu, TrigPolyDensity({1: 0.25}))
+    monkeypatch.setattr(measures, "phase_factors", mock.Mock(side_effect=AssertionError))
+    for evaluate in (lambda: transforms([mu, mixed], ns), lambda: mu.transform(ns),
+                     lambda: mixed.transform(ns), lambda: mixed.ac.transform(ns)):
+        with pytest.raises(ValueError, match="ns "):
+            evaluate()
+
+
+def test_transforms_take_any_1d_integer_array():
+    mu = MixedMeasure(DiscreteMeasure.from_atoms(
+        BASIS, [(BASIS.angle(Fraction(1, 3), (1, -1)), 0.5j), (BASIS.generator("b"), 1.0)]),
+        TrigPolyDensity({1: 0.25}))
+    want = mu.transform(np.array([-2, 0, 1, 200], dtype=np.int64))
+    for ns in ([-2, 0, 1, 200], np.array([-2, 0, 1, 200], dtype=np.int16),
+               np.array([-2, 0, 1, 200], dtype=np.int32)):
+        assert mu.transform(ns).tobytes() == want.tobytes()
+    assert mu.transform(np.array([0, 1, 200], dtype=np.uint8)).tobytes() == want[1:].tobytes()
+    assert mu.transform([]).shape == (0,)
+
+
+_TRANSFORM_THREAD_PROBE = """
+import hashlib, numpy as np
+from fractions import Fraction
+from natspec.angles import FRESH_GENERATOR_VALUES, GeneratorBasis
+from natspec.measures import DiscreteMeasure, MixedMeasure, TrigPolyDensity, transforms
+rng = np.random.default_rng(11)
+basis = GeneratorBasis.from_pairs(FRESH_GENERATOR_VALUES[:2])
+
+def atoms(count, q):
+    return [(basis.angle(Fraction(int(rng.integers(0, q)), q),
+                         tuple(int(c) for c in rng.integers(1, 4, 2) * rng.choice([-1, 1], 2))),
+             complex(*rng.uniform(-1, 1, 2))) for _ in range(count)]
+
+one = DiscreteMeasure.from_atoms(basis, atoms(1, 7))
+mixed = MixedMeasure(DiscreteMeasure.from_atoms(basis, atoms(6, 12)),
+                     TrigPolyDensity({-2: 0.5j, 1: 0.25, 4097: -0.75}))
+many = DiscreteMeasure.from_atoms(basis, atoms(300, 97))
+assert len(one) == 1 and len(many) > 2 * 128
+dense = np.arange(-10_000, 10_001, dtype=np.int64)
+sparse = np.concatenate([rng.integers(-(1 << 62), 1 << 62, 50), [-(1 << 63), (1 << 63) - 1]])
+for ns in (dense, sparse):
+    for values in transforms([one, mixed, many], ns):
+        print(hashlib.sha256(values.tobytes()).hexdigest())
+"""
+
+
+def test_transforms_ignore_blas_thread_count():
+    # one (R x K)(K x 256) product shape per block of rows, at most 128
+    # terms deep: the bits are the same with 1 and 2 BLAS threads for one
+    # atom (a zero term pads it to 2), a measure on two generators with a
+    # density, and 300 atoms (three term blocks), at a dense range and at
+    # sparse n with both int64 extremes
+    env = {**os.environ, "PYTHONPATH": str(Path(natspec.__file__).resolve().parents[1])}
+    outputs = []
+    for threads in ("1", "2"):
+        env["OPENBLAS_NUM_THREADS"] = threads
+        proc = subprocess.run([sys.executable, "-c", _TRANSFORM_THREAD_PROBE], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].splitlines()) == 6
 
 
 def test_quarter_pi_is_the_old_long_double_literal():
@@ -783,45 +889,15 @@ def test_high_degree_density_norm_is_refused_before_the_quadrature():
     assert value == pytest.approx(1.0, abs=1e-9)
 
 
-def _per_n_factor(ns: np.ndarray, coeffs: tuple[int, ...], values: tuple[float, ...]
-                  ) -> np.ndarray:
-    """e^{-i n g} as e^{-i a g} e^{-i 256 b g} with n = 256 b + a split in
-    Python integers: each n's own 256 b, and its a's one-element
-    ``phase_factors`` value."""
-    g = np.longdouble(0.0)
-    for c, v in zip(coeffs, values):
-        if c:
-            g += np.longdouble(c) * np.longdouble(v)
-    split = [divmod(n, 256) for n in ns.tolist()]
-    lo = {a: phase_factors(np.array([a]), g)[0] for a in range(256)}
-    return np.multiply(np.array([lo[a] for _, a in split], dtype=np.complex128),
-                       phase_factors(np.array([256 * b for b, _ in split], dtype=np.int64), g))
-
-
-def _per_n_transform(mu: DiscreteMeasure, ns: np.ndarray) -> np.ndarray:
-    """transforms' sum with every rational part and every phase factor
-    evaluated at each n itself: the same groups, steps and order, without
-    the period table or the shared phase tables."""
-    total = np.zeros(ns.shape, dtype=np.complex128)
-    for coeffs, members in measures._generator_groups(mu).items():
-        acc = np.zeros(ns.shape, dtype=np.complex128)
-        for p, q, w in members:
-            acc += np.multiply(w, unit_roots(_rational_residues(ns, p, q), q))
-        if any(coeffs):
-            acc = np.multiply(acc, _per_n_factor(ns, coeffs, mu.basis.values))
-        total += acc
-    return total
-
-
-def test_period_table_keeps_the_per_n_bits(monkeypatch):
-    # a group's rational sum depends only on n mod L; with 4 L <= len(ns) it
-    # is summed on range(L) and gathered, on each side of that boundary the
-    # values equal the per-n route bit for bit.  Three groups share L = 12;
-    # q = 65537 is past the cached root tables; the weights carry signed
-    # zeros and the n include both int64 extremes
+def test_period_table_keeps_the_per_n_bits():
+    # every n of a call gets the bits of transforms' formula taken at that n
+    # alone, whatever the other n: measures whose rational parts repeat with
+    # periods 12, 2 and 65537 (past the cached root tables), at a dense range
+    # and at n drawn from all of int64; the weights carry signed zeros and
+    # the n include both int64 extremes
     extremes = [np.iinfo(np.int64).min, np.iinfo(np.int64).min + 1, -(1 << 62) - 7, -13, -1,
                 0, 1, 12, 1 << 62, np.iinfo(np.int64).max - 1, np.iinfo(np.int64).max]
-    a, b, zero = BASIS.generator("a"), BASIS.generator("b"), (0, 0)
+    a, b = BASIS.generator("a"), BASIS.generator("b")
     twelve = DiscreteMeasure.from_atoms(BASIS, [
         (BASIS.from_turns(Fraction(1, 3)), complex(-0.0, 2.0)),
         (BASIS.from_turns(Fraction(3, 4)), complex(0.75, -0.0)),
@@ -834,27 +910,13 @@ def test_period_table_keeps_the_per_n_bits(monkeypatch):
         (BASIS.from_turns(Fraction(1, 65537)), 0.5 - 0.25j),
         (BASIS.from_turns(Fraction(65535, 65537)), complex(-0.0, 1.0)),
         (BASIS.from_turns(Fraction(7, 65537)) + b, complex(2.0, -0.0))])
-    periods = [{math.lcm(*(q for _, q, _ in members))
-                for members in measures._generator_groups(mu).values()} for mu in (twelve, big)]
-    assert periods == [{12, 2}, {65537}]
     rng = default_rng(1701)
-    seen = []
-    real = measures._rational_residues
-    monkeypatch.setattr(measures, "_rational_residues",
-                        lambda ns, p, q: seen.append((len(ns), q)) or real(ns, p, q))
-    for mu, group_periods in zip((twelve, big), periods):
-        top = max(group_periods)
-        for size in (4 * top - 1, 4 * top, 4 * top + 5):
-            ns = np.concatenate([extremes, rng.integers(-(1 << 63), (1 << 63) - 1,
-                                                        size - len(extremes),
-                                                        dtype=np.int64)])
-            seen.clear()
-            got = transforms([mu], ns)[0]
-            assert got.tobytes() == _per_n_transform(mu, ns).tobytes()
-            # each group was summed on range(L) exactly when 4 L <= len(ns)
-            assert {length for length, _ in seen} == {
-                period if 4 * period <= size else size for period in group_periods}
-    # the gathered values do not depend on the other measures in the call
+    for mu in (twelve, big):
+        for ns in (np.arange(-300, 301, dtype=np.int64),
+                   np.concatenate([extremes, rng.integers(-(1 << 63), (1 << 63) - 1, 40,
+                                                          dtype=np.int64)])):
+            assert transforms([mu], ns)[0].tobytes() == _per_n_transform(mu, ns).tobytes()
+    # the values do not depend on the other measures in the call
     ns = np.concatenate([extremes, rng.integers(-50, 50, 60)])
     together = transforms([twelve, big, twelve], ns)
     assert [v.tobytes() for v in together] == [
@@ -862,10 +924,11 @@ def test_period_table_keeps_the_per_n_bits(monkeypatch):
 
 
 def test_phase_tables_give_each_n_the_same_bits_in_any_array(monkeypatch):
-    # n = 256 b + a: the high table spans b_min..b_max when that is at most
-    # len(ns) entries and holds each n's own 256 b otherwise; an n keeps its
-    # bits in a dense arange, in sparse arrays with both int64 extremes, on
-    # each side of that boundary, and alone
+    # n = 4096 k + 256 r + a: the product spans every block k from the least
+    # to the largest when that is at most len(ns) blocks and only the
+    # distinct k otherwise; an n keeps its bits in a dense arange, in sparse
+    # arrays with both int64 extremes, on each side of that boundary, and
+    # alone
     lo64, hi64 = np.iinfo(np.int64).min, np.iinfo(np.int64).max
     a, b = BASIS.generator("a"), BASIS.generator("b")
     mu = DiscreteMeasure.from_atoms(BASIS, [
@@ -875,16 +938,19 @@ def test_phase_tables_give_each_n_the_same_bits_in_any_array(monkeypatch):
         (a + b.scale(2), 2.0 - 0.25j),
         (b.scale(-5), complex(0.125, -0.0))])
     routes = []
-    real = measures._table_split
-    monkeypatch.setattr(measures, "_table_split",
-                        lambda ns: routes.append(real(ns)[2] is not None) or real(ns))
-    rows = 40  # 256 * 40 = 10 240 n over 40 values of b
+    real = measures._blocks
+    monkeypatch.setattr(measures, "_blocks", lambda ns: routes.append(
+        len(real(ns)[0]) == (int(ns.max()) >> 12) - (int(ns.min()) >> 12) + 1) or real(ns))
+    rows = 40  # 40 entries over 40 blocks of 4096 n
     arrays = {
         "dense arange": (np.arange(-5000, 5001, dtype=np.int64), True),
-        # rows values of b in rows entries: the last dense case
-        "dense at the boundary": (256 * np.arange(-20, rows - 20, dtype=np.int64) + 255, True),
-        # one b further: rows + 1 values of b in rows entries
-        "sparse past the boundary": (np.append(256 * np.arange(-20, rows - 21), 256 * 20), False),
+        # 36 blocks, more than one product group holds
+        "dense over two groups": (np.arange(-70_000, 70_001, 997, dtype=np.int64), True),
+        # rows blocks in rows entries: the last dense case
+        "dense at the boundary": (4096 * np.arange(-20, rows - 20, dtype=np.int64) + 4095, True),
+        # one block further: rows + 1 blocks spanned by rows entries
+        "sparse past the boundary": (np.append(4096 * np.arange(-20, rows - 21), 4096 * 20),
+                                     False),
         "sparse with extremes": (np.array([lo64, lo64 + 1, -(1 << 40) - 3, -257, -256, -1, 0, 1,
                                            255, 256, 10_000, 1 << 40, hi64 - 1, hi64],
                                           dtype=np.int64), False),
@@ -896,7 +962,7 @@ def test_phase_tables_give_each_n_the_same_bits_in_any_array(monkeypatch):
         assert routes == [dense], name
         for n, v in zip(ns.tolist(), got.tolist()):
             values.setdefault(n, set()).add(struct.pack("<dd", v.real, v.imag))
-    # an n alone is always a dense split of one entry
+    # an n alone is always a dense call of one block
     for n, bits in values.items():
         alone = transforms([mu], np.array([n], dtype=np.int64))[0][0]
         bits.add(struct.pack("<dd", alone.real, alone.imag))

@@ -690,10 +690,11 @@ def test_spectral_bracket_contains_the_mpmath_transform_sup(mu):
 @pytest.mark.parametrize("seed", range(4))
 def test_transform_allowance_holds_on_both_phase_table_routes(seed):
     # two routes: each value of transforms within _transform_allowance of
-    # the 30-digit mpmath sum, the n taken in one dense window (the high
-    # table spans b_min..b_max) and scattered among far-apart n (each n's
-    # own 256 b), to the same bits; at |k| <= 3 the two tables already reach
-    # 256 b = -256 and a = 253, so the allowance is not proportional to n
+    # the 30-digit mpmath sum, the n taken in one dense window (the product
+    # spans every block of 4096 n between its ends) and scattered among
+    # far-apart n (only the blocks the n meet), to the same bits; at
+    # |k| <= 3 the two tables already reach 256 b = -256 and a = 253, so the
+    # allowance is not proportional to n
     rng = default_rng(1603 + seed)
     basis = GeneratorBasis.from_pairs(FRESH_GENERATOR_VALUES[:3])
     atoms = random_discrete(rng, basis, n_atoms=int(rng.integers(1, 7)), coeff_bound=3)
@@ -711,6 +712,43 @@ def test_transform_allowance_holds_on_both_phase_table_routes(seed):
         for n, v in zip(ns.tolist(), dense.tolist()):
             exact = mp_transform(mu.disc, n) + mu.ac.coeffs.get(n, 0j)
             assert abs(v - exact) <= allowance, (n, abs(v - exact), allowance)
+
+
+_INT64 = (-(1 << 63), (1 << 63) - 1)
+_THREE = GeneratorBasis.from_pairs(FRESH_GENERATOR_VALUES[:3])
+
+
+@st.composite
+def far_transform_inputs(draw):
+    """(mu, ns): up to six atoms over three generators at rational turns
+    with denominators up to 65537, past the cached root tables, and n up to
+    2**62 in modulus, near 0 and near 2**40, plus both int64 extremes."""
+    turns = st.sampled_from((1, 2, 3, 5, 12, 97, 257, 65536, 65537)).flatmap(
+        lambda q: st.builds(Fraction, st.integers(0, q - 1), st.just(q)))
+    vectors = st.tuples(*[st.integers(-3, 3)] * 3)
+    weights = st.builds(complex, st.floats(-1, 1, allow_subnormal=False),
+                        st.floats(-1, 1, allow_subnormal=False))
+    atoms = draw(st.lists(st.tuples(turns, vectors, weights), min_size=1, max_size=6))
+    mu = DiscreteMeasure.from_atoms(_THREE, [(_THREE.angle(t, c), w) for t, c, w in atoms])
+    near = st.integers(-10_000, 10_000) | st.integers((1 << 40) - 300, (1 << 40) + 300)
+    ns = draw(st.lists(near | st.integers(-(1 << 62), 1 << 62), min_size=1, max_size=8))
+    return mu, np.array(ns + list(_INT64), dtype=np.int64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(far_transform_inputs())
+@example((DiscreteMeasure.from_atoms(_THREE, [(_THREE.angle(Fraction(65535, 65537), (2, -3, 1)),
+                                                1.0 - 0.5j)]),
+          np.array([-3, 1 << 40, *_INT64], dtype=np.int64)))
+def test_transform_allowance_holds_against_mpmath_at_far_n(inputs):
+    # second route: the 30-digit mpmath sum, each rational phase reduced in
+    # Fraction arithmetic and each generator phase taken from the exact
+    # binary values of the generators; each n against its own allowance
+    mu, ns = inputs
+    assume(len(mu))
+    for n, v in zip(ns.tolist(), transforms([mu], ns)[0].tolist()):
+        error = abs(v - mp_transform(mu, n))
+        assert error <= spectrum._transform_allowance(as_mixed(mu), abs(n)), (n, error)
 
 
 def test_transform_allowance_holds_for_lone_unit_atoms_at_small_k():
