@@ -15,6 +15,7 @@ import math
 import sys
 from pathlib import Path
 
+from .angles import GeneratorBasis
 from .blas import one_blas_thread
 from .decomposition import RADIUS_MODES, DecompositionOptions, decompose
 from .errors import KroneckerNotFoundError, NatspecError, SchemaError
@@ -72,8 +73,10 @@ def build_parser() -> argparse.ArgumentParser:
     ds.add_argument("--out", required=True, help="output CSV file")
     ds.add_argument("--N", type=int, default=16,
                     help="largest power of two, scans N=2^4..2^this (at most 20)")
-    ds.add_argument("--alpha", type=float, default=math.sqrt(2.0))
-    ds.add_argument("--beta", type=float, default=math.sqrt(3.0))
+    ds.add_argument("--alpha", type=float, default=math.sqrt(2.0),
+                    help="first angle, in (0, 2 pi)")
+    ds.add_argument("--beta", type=float, default=math.sqrt(3.0),
+                    help="second angle, in (0, 2 pi) and not --alpha")
     ds.add_argument("--tol", type=float, default=0.01, help="reference disk grid resolution")
 
     sr = sub.add_parser("spectral-radius", help="certified bracket [lower, upper] of the "
@@ -130,10 +133,8 @@ def _cmd_decompose(args) -> int:
     for name in ("nu0", "nu1"):
         details = result.report.check(f"density_{name}").details
         if details["route"] == "exact":
-            reason = ("the fresh pair is not two generator positions" if details["bound"] is None
-                      else f"the fresh pair's bound {details['bound']!r} is above the threshold")
-            print(f"# density fallback: {name} took the exact covering of its cloud, "
-                  f"because {reason}")
+            print(f"# density fallback: {name} took the exact covering of its cloud, because "
+                  f"the fresh pair's bound {details['bound']!r} is above the threshold")
     for check in result.report.checks:
         print(f"{'PASS' if check.passed else 'FAIL'} {check.name}: "
               f"residual {check.residual!r} (threshold {check.threshold!r})")
@@ -147,8 +148,12 @@ def _cmd_density_scan(args) -> int:
     if args.N > _MAX_DENSITY_SCAN_N:
         raise SchemaError(f"--N must be at most {_MAX_DENSITY_SCAN_N} "
                           f"(2^{_MAX_DENSITY_SCAN_N + 1} + 1 transform values)")
-    if not (math.isfinite(args.alpha) and math.isfinite(args.beta)):
-        raise SchemaError(f"--alpha and --beta must be finite, got {args.alpha!r}, {args.beta!r}")
+    try:
+        basis = GeneratorBasis.from_pairs((("alpha", args.alpha), ("beta", args.beta)))
+    except ValueError as exc:
+        raise SchemaError(f"--alpha and --beta must be distinct and in (0, 2 pi), got "
+                          f"{args.alpha!r}, {args.beta!r}") from exc
+    alpha, beta = basis.generator("alpha"), basis.generator("beta")
     rings, rays = disk_grid_shape(args.tol)
     queries = (rings * rays + 1) * (args.N - 3) * 3
     if queries > _MAX_DENSITY_SCAN_QUERIES:
@@ -164,7 +169,7 @@ def _cmd_density_scan(args) -> int:
                           f"limit of {_MAX_DENSITY_SCAN_WORK}")
     rows = ["N,covering_radius_all,covering_radius_even,covering_radius_odd"]
     for e in range(4, args.N + 1):
-        cov = [_pair_covering(args.alpha, args.beta, 1 << e, args.tol, parity)
+        cov = [_pair_covering(alpha, beta, basis, 1 << e, args.tol, parity)
                for parity in ("all", "even", "odd")]
         rows.append(f"{1 << e},{cov[0]!r},{cov[1]!r},{cov[2]!r}")
     text = _timestamp_line() + "\n" + "\n".join(rows) + "\n"

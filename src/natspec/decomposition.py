@@ -19,12 +19,11 @@ import numpy as np
 
 from .angles import Angle, GeneratorBasis, basis_fresh_generators
 from .errors import RadiusValidationError
-from .measures import (DiscreteMeasure, MeasureLike, MixedMeasure, as_mixed, convolve,
-                       make_rho, make_theta0, make_theta1, parity_projections, transforms,
-                       tv_norm)
-from .spectrum import (_DISK_COVER, _U, RadiusFallback, _pair_allowance, _pair_covering,
-                       _transform_allowance, covering_radius, disk_grid, disk_grid_shape,
-                       radius_bracket)
+from .measures import (_U, DiscreteMeasure, MeasureLike, MixedMeasure, _transform_allowance,
+                       as_mixed, convolve, make_rho, make_theta0, make_theta1,
+                       parity_projections, transforms, tv_norm)
+from .spectrum import (_DISK_COVER, RadiusFallback, _pair_covering, covering_radius,
+                       disk_grid, disk_grid_shape, radius_bracket)
 
 RADIUS_MODES = ("bracket", "manual")
 
@@ -210,17 +209,6 @@ def decompose(mu: MeasureLike, options: Optional[DecompositionOptions] = None
     return result
 
 
-def _pair_values(result: DecompositionResult) -> Optional[tuple[float, float]]:
-    """The float values of the fresh pair when alpha and beta are both pure
-    generator positions (no turns, one unit coefficient), else None."""
-    values = []
-    for angle in (result.alpha, result.beta):
-        if angle.turns or [c for c in angle.coeffs if c] != [1]:
-            return None
-        values.append(result.basis.values[angle.coeffs.index(1)])
-    return values[0], values[1]
-
-
 def _structural_residual(m: MixedMeasure) -> float:
     atom_part = max((abs(w) for w in m.disc.w.tolist()), default=0.0)
     ac_part = max((abs(c) for c in m.ac.coeffs.values()), default=0.0)
@@ -245,16 +233,17 @@ def verify_decomposition(mu: MeasureLike, result: DecompositionResult, *,
     cloud is at most tol * max(1, R_i).  At odd n, nu0_hat(n) = R0
     rho_hat(n) up to (c)'s residual c0_odd, so a grid point g, within 8 u R0
     of R0 u for u the matching point of ``disk_grid(1, tol)``, is within R0
-    |u - rho_hat(n)| + c0_odd of the cloud, plus the phase rounding of the
-    two routes to rho_hat: the covering radius is at most the bound R0 cov
-    + c0_odd + e, cov the covering of ``disk_grid(1, tol)`` by rho_hat at
-    the odd |n| <= N (``spectrum._pair_covering``, cached: it depends on
-    the fresh pair, N, tol and the parity alone) and e an a-priori rounding
-    term.  nu1 takes the even n and c1_even.  Where the bound is at most
-    the threshold it is the residual (route "bound"); elsewhere, and for a
-    result whose alpha and beta are not pure generator positions, the
-    residual is the cloud's own covering radius (route "exact").  The bound
-    is at least that radius, so the verdict is the one the radius gives.
+    |u - rho_hat(n)| + c0_odd of the cloud: the covering radius is at most
+    the bound R0 cov + c0_odd + 8 u (R0 + R0 cov + c0_odd), cov the
+    covering of ``disk_grid(1, tol)`` by rho_hat at the odd |n| <= N
+    (``spectrum._pair_covering``, cached: it depends on the fresh pair's
+    positions, the basis, N, tol and the parity alone).  Its rho_hat comes
+    from ``transforms`` too, so cov and c0_odd are taken on the same floats
+    and the bound needs no allowance for the phases' rounding.  nu1 takes
+    the even n and c1_even.  Where the bound is at most the threshold it is
+    the residual (route "bound"); elsewhere the residual is the cloud's own
+    covering radius (route "exact").  The bound is at least that radius, so
+    the verdict is the one the radius gives.
     The check is a finite witness, at resolution tol, of the density of
     rho_hat over odd and over even n in the unit disk, which is Kronecker's
     theorem for a fresh pair with 1, alpha / 2 pi and beta / 2 pi
@@ -280,7 +269,8 @@ def verify_decomposition(mu: MeasureLike, result: DecompositionResult, *,
     linearity, which would make (c) hold by construction), sharing only the
     phase tables of the generator-coefficient vectors g they have in
     common.  (c) reads even and odd slices of those values, (d) and (e)'s
-    exact route whole arrays.  Raises ValueError unless 1 <= N <= 2**20 and
+    exact route whole arrays, and (e)'s cached covering rho_hat's values
+    at the same n, bit for bit.  Raises ValueError unless 1 <= N <= 2**20 and
     ``disk_grid`` accepts tol, before any array is built.
     """
     _check_N(N)
@@ -345,27 +335,19 @@ def verify_decomposition(mu: MeasureLike, result: DecompositionResult, *,
     # (e) density of the transform cloud in the scaled disk, from the grid's
     # side: the fresh pair's cached covering bounds it, and the cloud's own
     # covering decides only where that bound is above the threshold
-    pair = _pair_values(result)
-    if pair is not None:
-        phases = _transform_allowance(as_mixed(rho), N) + _pair_allowance(*pair, N)
     for name, vals, r, half, c in (("density_nu0", nu0_t, r0, "odd", c0_odd),
                                    ("density_nu1", nu1_t, r1, "even", c1_even)):
         thr = tol * max(1.0, r)
+        cov = _pair_covering(result.alpha, result.beta, ext, N, tol, half)
+        # the grid's rescaling (8 u R) and the float sums of cov, c and the bound
+        rounding = 8 * _U * (r + r * cov + c)
+        bound = r * cov + c + rounding
         details = {"radius": r, "cloud_to_grid_bound": _DISK_COVER * tol * r + MODULUS_SLACK,
-                   "route": "exact", "bound": None, "pair_cover": None,
-                   "parity_residual": c, "rounding": None}
-        metric = None
-        if pair is not None:
-            cov = _pair_covering(*pair, N, tol, half)
-            # the two routes' phases, the grid's rescaling (8 u R) and the
-            # float sums of cov, c and the bound
-            rounding = r * (phases + 8 * _U) + 8 * _U * (r * cov + c)
-            bound = r * cov + c + rounding
-            details.update(bound=bound, pair_cover=cov, rounding=rounding)
-            if bound <= thr:
-                metric, details["route"] = bound, "bound"
-        if metric is None:
-            metric = covering_radius(disk_grid(r, tol), vals)
+                   "route": "bound", "bound": bound, "pair_cover": cov,
+                   "parity_residual": c, "rounding": rounding}
+        metric = bound
+        if bound > thr:
+            metric, details["route"] = covering_radius(disk_grid(r, tol), vals), "exact"
         checks.append(VerificationCheck(name, metric <= thr, metric, thr, details))
 
     # (f) spectrum inside the R_i disk, from mu_i's own radius bracket

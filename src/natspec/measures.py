@@ -38,6 +38,7 @@ _GROUP_BLOCKS = 32
 # terms contracted per BLAS product; with OpenBLAS 0.3.31, zgemm gave the same
 # bits with 1 and 2 threads up to this depth and not deeper
 _TERM_BLOCK = 128
+_U = 2.0 ** -53  # the unit roundoff of float64
 
 
 _QUARTER_PI_LD = _PI_LD / 4
@@ -586,7 +587,7 @@ def transforms(measures: Iterable[MeasureLike], ns) -> list[np.ndarray]:
     in one), and each g's tables are built once per product.
 
     A term rounds two roots, two exponentials and four complex products
-    (``spectrum._transform_allowance`` bounds a value's rounding).  The
+    (``_transform_allowance`` bounds a value's rounding).  The
     phases a g and B b g are each reduced mod 2 pi in long double, so
     together they carry about (|n| + 2 B) |g| u_LD, u_LD the long double's
     unit roundoff (2**-64 for x87, 2**-53 where long double is float64):
@@ -638,6 +639,30 @@ def transforms(measures: Iterable[MeasureLike], ns) -> list[np.ndarray]:
         if isinstance(m, MixedMeasure) and not m.ac.is_zero:
             total += m.ac.transform(ns)
     return totals
+
+
+def _transform_allowance(m: MixedMeasure, n_max: int) -> float:
+    """Bound on the rounding of ``transforms``'s mu_hat(n) for
+    |n| <= n_max, for K atoms: (K + 25) u times the atoms' total modulus
+    plus the largest density coefficient, and 8 eps_LD (n_max + 2 B)
+    sum |w_j| |g_j| for the phases.  The sum of at most K + 1 terms (with
+    the zero padding) and the density's coefficient round K + 1 times, and
+    a term w_j root_j(B b) hi_g[b] root_j(a) lo_g[a] carries 24 u of |w_j|:
+    two roots (u each), two phase factors (4 u for the phase rounded to
+    float64 below 2 pi and sqrt2 u for the exponential, each) and four
+    complex products (sqrt5 u each), 21.8 u.  With n = B b + a and
+    0 <= a < B = _TABLE_SPLIT, |a| + |B b| <= |n| + 2 B, and each of the
+    phases a g and B b g is formed and reduced in long double within about
+    4 eps_LD of its size; even at |n| <= 3 they reach B b = -256 and
+    a = 253.  It scales with mu, so a verdict against it does not change
+    when mu is scaled by a power of two."""
+    weights = np.abs(m.disc.w)
+    gens = np.abs(m.disc.coef).astype(np.float64) @ np.abs(np.asarray(m.basis.values,
+                                                                      dtype=np.float64))
+    phase = (8 * float(np.finfo(np.longdouble).eps) * (n_max + 2 * _TABLE_SPLIT)
+             * float(weights @ gens))
+    total = float(weights.sum()) + max((abs(c) for c in m.ac.coeffs.values()), default=0.0)
+    return (len(weights) + 25) * _U * total + phase
 
 
 MeasureLike = Union[DiscreteMeasure, MixedMeasure]

@@ -33,13 +33,12 @@ from typing import Optional
 
 import numpy as np
 
-from .angles import GeneratorBasis, TWO_PI
+from .angles import Angle, GeneratorBasis, TWO_PI
 from .blas import blas_threads
 from .errors import BudgetExceededError
-from .kronecker import pair_transform_values
-from .measures import (_MAX_DEGREE, _TABLE_SPLIT, _TERM_BLOCK, DiscreteMeasure, MeasureLike,
-                       MixedMeasure, as_mixed, convolve, transforms, tv_norm_bounds,
-                       unit_roots)
+from .measures import (_MAX_DEGREE, _TERM_BLOCK, _U, DiscreteMeasure, MeasureLike, MixedMeasure,
+                       _transform_allowance, as_mixed, convolve, make_rho, transforms,
+                       tv_norm_bounds, unit_roots)
 
 # norms whose square stays in the normal float range, with a factor 4 to spare
 _SQUARE_SAFE_MIN = 2.0 ** -511
@@ -65,7 +64,6 @@ _SPREAD_POINTS = 1 << 20
 # weight-times-root products and the modulus.  The largest excess seen at the
 # top points of 400 random polynomials (K <= 20, order <= 6) was 3.8.
 _ROUNDING_TERMS = 8
-_U = 2.0 ** -53
 _ETA = 2.0 ** -1074  # the underflow unit: the smallest subnormal float
 # the bracket loop stops once upper - lower is at most this share of upper
 _BRACKET_REL_WIDTH = 2.0 ** -6
@@ -537,42 +535,6 @@ def _grid_upper(best: float, allowance: float, span: int, grid: int) -> float:
     return (best + allowance) / math.sqrt(math.cos(angle)) * (1 + 8 * _U)
 
 
-def _transform_allowance(m: MixedMeasure, n_max: int) -> float:
-    """Bound on the rounding of ``measures.transforms``'s mu_hat(n) for
-    |n| <= n_max, for K atoms: (K + 25) u times the atoms' total modulus
-    plus the largest density coefficient, and 8 eps_LD (n_max + 2 B)
-    sum |w_j| |g_j| for the phases.  The sum of at most K + 1 terms (with
-    the zero padding) and the density's coefficient round K + 1 times, and
-    a term w_j root_j(B b) hi_g[b] root_j(a) lo_g[a] carries 24 u of |w_j|:
-    two roots (u each), two phase factors (4 u for the phase rounded to
-    float64 below 2 pi and sqrt2 u for the exponential, each) and four
-    complex products (sqrt5 u each), 21.8 u.  With n = B b + a and
-    0 <= a < B = _TABLE_SPLIT, |a| + |B b| <= |n| + 2 B, and each of the
-    phases a g and B b g is formed and reduced in long double within about
-    4 eps_LD of its size; even at |n| <= 3 they reach B b = -256 and
-    a = 253.  It scales with mu, so a verdict against it does not change
-    when mu is scaled by a power of two."""
-    weights = np.abs(m.disc.w)
-    gens = np.abs(m.disc.coef).astype(np.float64) @ np.abs(np.asarray(m.basis.values,
-                                                                      dtype=np.float64))
-    phase = (8 * float(np.finfo(np.longdouble).eps) * (n_max + 2 * _TABLE_SPLIT)
-             * float(weights @ gens))
-    total = float(weights.sum()) + max((abs(c) for c in m.ac.coeffs.values()), default=0.0)
-    return (len(weights) + 25) * _U * total + phase
-
-
-def _pair_allowance(alpha: float, beta: float, n_max: int) -> float:
-    """Bound on the rounding of ``kronecker.pair_transform_values`` at |n| <=
-    n_max.  Each phase n g is formed in long double within |n g| eps_LD / 2,
-    reduced by a 2 pi that is itself within pi eps_LD per turn, so within
-    |n g| eps_LD / 2 more, and by a mod that rounds once more (2 pi eps_LD);
-    rounding it to float64 (4 u below 2 pi), its exponential and the average
-    of the two add a few u.  Charged twice over: 2 eps_LD (n_max max|g| + 8)
-    + 16 u."""
-    eps_ld = float(np.finfo(np.longdouble).eps)
-    return 2 * eps_ld * (n_max * max(abs(alpha), abs(beta)) + 8) + 16 * _U
-
-
 def _below_modulus(r: float, w: complex) -> bool:
     """r^2 < re(w)^2 + im(w)^2, compared exactly in integers (every float is
     a dyadic rational)."""
@@ -793,16 +755,18 @@ def disk_grid(radius: float = 1.0, tol: float = 0.05) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=_PAIR_COVER_CACHE)
-def _pair_covering(alpha: float, beta: float, N: int, tol: float, parity: str) -> float:
-    """Covering radius of ``disk_grid(1, tol)`` by rho_hat(n) = (e^{-in alpha}
-    + e^{-in beta}) / 2 over the |n| <= N of one parity: "all", "even" or
-    "odd".  The values come from ``kronecker.pair_transform_values``, which
-    takes each n on its own, so a value's bits do not depend on the range
-    around it.  The result depends on the arguments alone and is cached:
-    check (e) of ``verify_decomposition`` and ``density-scan`` both read it,
-    and every decomposition with the same fresh pair, N and tol shares one
-    covering."""
+def _pair_covering(alpha: Angle, beta: Angle, basis: GeneratorBasis, N: int, tol: float,
+                   parity: str) -> float:
+    """Covering radius of ``disk_grid(1, tol)`` by rho_hat over the |n| <= N
+    of one parity: "all", "even" or "odd", for rho = ``make_rho(alpha, beta,
+    basis)``.  The values come from ``transforms``, whose value at n depends
+    only on n and the measure, so they are bit for bit the rho_hat that
+    ``verify_decomposition`` reads at those n.  The result depends on the
+    arguments alone and is cached: check (e) of ``verify_decomposition``
+    and ``density-scan`` both read it, and every decomposition with the
+    same fresh pair, basis, N and tol shares one covering."""
     ns = np.arange(-N, N + 1, dtype=np.int64)
     if parity != "all":
         ns = ns[(ns % 2 == 0) == (parity == "even")]
-    return covering_radius(disk_grid(1.0, tol), pair_transform_values(ns, alpha, beta))
+    [values] = transforms([make_rho(alpha, beta, basis)], ns)
+    return covering_radius(disk_grid(1.0, tol), values)

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import natspec
-from natspec import blas, cli, spectrum
+from natspec import blas, cli, measures, spectrum
 from natspec.angles import FRESH_GENERATOR_VALUES, GeneratorBasis
 from natspec.cli import main
 from natspec.decomposition import DecompositionOptions, verify_decomposition
@@ -452,7 +452,7 @@ def test_spectral_radius_brackets_densities(tmp_path, basis, capsys):
     assert capsys.readouterr().out == f"bracket [{lower!r}, {upper!r}]\n"
     assert json.loads(out.read_text(encoding="utf-8")) == {"torus_lower": lower,
                                                            "final_bound": upper}
-    allowance = spectrum._transform_allowance(mu, 2)
+    allowance = measures._transform_allowance(mu, 2)
     assert 1.0 - allowance <= lower <= 1.0 <= upper <= 1.0 + allowance
 
 
@@ -692,11 +692,14 @@ def test_density_scan_refuses_unusable_tol(tmp_path, tol, capsys):
 
 
 @pytest.mark.parametrize("args", [["--N", "21"], ["--N", "40"], ["--alpha", "nan"],
-                                  ["--beta", "inf"], ["--alpha=-inf"]])
+                                  ["--beta", "inf"], ["--alpha=-inf"], ["--alpha", "7"],
+                                  ["--alpha", "0"], ["--alpha", "1.5", "--beta", "1.5"]])
 def test_density_scan_refuses_unbounded_or_non_finite_input(tmp_path, args, capsys):
     # --N 40 would ask for 2^41 transform values (16 TiB); nan and inf
-    # angles have no transform values at all; both are refused before any
-    # array is built
+    # angles have no transform values at all; the angles are the generators
+    # of a basis, so each lies in (0, 2 pi) and they differ: the cloud at
+    # alpha >= 2 pi is the one at alpha mod 2 pi, and at alpha = beta a
+    # curve, not a disk.  Each is refused before any array is built
     out = tmp_path / "scan.csv"
     rc = main(["density-scan", "--out", str(out), *args])
     captured = capsys.readouterr()

@@ -17,10 +17,9 @@ from natspec.decomposition import (DecompositionOptions, decompose,
                                    verify_decomposition)
 from natspec.errors import RadiusValidationError
 from natspec.measures import (DiscreteMeasure, MixedMeasure, as_mixed, convolve, make_rho,
-                              make_theta0, parity_projections, transforms)
+                              make_theta0, make_theta1, parity_projections, transforms)
 from natspec.sampling import default_rng, random_discrete, random_mixed
 from natspec.serialize import measure_to_json
-from natspec.kronecker import pair_transform_values
 from natspec.spectrum import (char_polynomial, covering_radius, disk_grid, fekete_bound,
                               spectral_bracket)
 from oracles import brute_covering
@@ -198,23 +197,84 @@ def measure_with_fresh_pair(i: int, j: int, weights) -> DiscreteMeasure:
                 min_size=3, max_size=3))
 def test_density_check_is_at_least_the_brute_force_covering(pair, N, tol, weights):
     # two routes: the tree's cached covering of the fresh pair's half-cloud
-    # equals a dense distance matrix's, and check (e)'s residual, bound or
-    # exact, is at least the dense covering of the R_i disk by nu_i's cloud
+    # equals a dense distance matrix's over the transforms values of rho,
+    # and check (e)'s residual, bound or exact, is at least the dense
+    # covering of the R_i disk by nu_i's cloud
     i, j = pair
-    alpha, beta = FRESH_GENERATOR_VALUES[i][1], FRESH_GENERATOR_VALUES[j][1]
-    ns = np.arange(-N, N + 1, dtype=np.int64)
-    for parity, sel in (("all", ns == ns), ("even", ns % 2 == 0), ("odd", ns % 2 != 0)):
-        assert spectrum._pair_covering(alpha, beta, N, tol, parity) == brute_covering(
-            disk_grid(1.0, tol), pair_transform_values(ns[sel], alpha, beta))
     result = decompose(measure_with_fresh_pair(i, j, weights),
                        DecompositionOptions(verify_N=N, verify_tol=tol))
-    assert result.basis.values[-2:] == (alpha, beta)
+    assert result.basis.values[-2:] == (FRESH_GENERATOR_VALUES[i][1],
+                                        FRESH_GENERATOR_VALUES[j][1])
+    ns = np.arange(-N, N + 1, dtype=np.int64)
+    [rho_t] = transforms([make_rho(result.alpha, result.beta, result.basis)], ns)
+    for parity, sel in (("all", ns == ns), ("even", ns % 2 == 0), ("odd", ns % 2 != 0)):
+        assert spectrum._pair_covering(result.alpha, result.beta, result.basis, N, tol,
+                                       parity) == brute_covering(disk_grid(1.0, tol), rho_t[sel])
     for name, nu, r in (("density_nu0", result.nu0, result.R0),
                         ("density_nu1", result.nu1, result.R1)):
         check = result.report.check(name)
+        assert None not in [check.details[key] for key in ("bound", "pair_cover", "rounding")]
         assert check.residual >= brute_covering(disk_grid(r, tol), transforms([nu], ns)[0])
         if check.details["route"] == "bound":
             assert check.residual == check.details["bound"] <= check.threshold
+
+
+def with_fresh_pair(result, alpha, beta):
+    """``result`` rebuilt as ``decompose`` builds it, on the positions alpha
+    and beta of its basis in place of its fresh generators."""
+    mu0, mu1 = parity_projections(result.mu_embedded)
+    rho = make_rho(alpha, beta, result.basis)
+    add0 = convolve(rho, make_theta1(result.basis)).scale(result.R0)
+    add1 = convolve(rho, make_theta0(result.basis)).scale(result.R1)
+    return dataclasses.replace(result, nu0=mu0 + add0, nu1=mu1 + add1, nu2=(-add0) + (-add1),
+                               alpha=alpha, beta=beta)
+
+
+def test_a_fresh_pair_of_other_positions_takes_the_bound(basis):
+    # alpha a generator plus a third of a turn, beta a generator less
+    # another: the cached covering reads rho_hat from transforms as the
+    # verifier does, so these positions take the bound like bare generators
+    mu = random_mixed(default_rng(514), basis)
+    plain = decompose(mu, DecompositionOptions(verify=False))
+    ext = plain.basis
+    result = with_fresh_pair(plain, ext.generator("ln3") + ext.from_turns(Fraction(1, 3)),
+                             ext.generator("ln5") - ext.generator("a"))
+    report = verify_decomposition(mu, result)
+    assert report.passed
+    ns = np.arange(-10_000, 10_001, dtype=np.int64)
+    for name, nu, r in (("density_nu0", result.nu0, result.R0),
+                        ("density_nu1", result.nu1, result.R1)):
+        check = report.check(name)
+        assert check.details["route"] == "bound"
+        assert check.residual >= brute_covering(disk_grid(r, 0.05), transforms([nu], ns)[0])
+
+
+def test_the_cached_covering_reads_the_verifier_s_rho_values_bit_for_bit(monkeypatch, basis):
+    # the bound R cov + c needs no phase allowance only because cov covers
+    # the very floats rho_t that check (c) compares against; a stray atom on
+    # nu2 leaves an identity residual, so the verifier's call takes five
+    # measures
+    mu = random_mixed(default_rng(513), basis)
+    result = decompose(mu, DecompositionOptions(verify=False))
+    stray = DiscreteMeasure.from_atoms(result.basis, [(result.alpha, 1e-3)])
+    calls, samples = [], []
+    real_transforms, real_covering = decomposition.transforms, spectrum.covering_radius
+
+    def transforms_spy(ms, ns):
+        values = real_transforms(ms, ns)
+        calls.append((list(ms), values))
+        return values
+
+    monkeypatch.setattr(decomposition, "transforms", transforms_spy)
+    monkeypatch.setattr(spectrum, "covering_radius",
+                        lambda reference, sample: samples.append(sample)
+                        or real_covering(reference, sample))
+    verify_decomposition(mu, dataclasses.replace(result, nu2=result.nu2 + stray))
+    [(ms, values)] = calls
+    assert len(ms) == 5 and ms[1] == make_rho(result.alpha, result.beta, result.basis)
+    odd, even = samples  # |n| <= 10^4: the odd n of nu0, then the even n of nu1
+    assert odd.tobytes() == values[1][1::2].tobytes()
+    assert even.tobytes() == values[1][0::2].tobytes()
 
 
 def test_density_check_falls_back_to_the_exact_covering_on_the_suite(suite_verifications):
@@ -486,21 +546,23 @@ def test_verify_flag_off_defers_report(basis):
 
 
 def test_verification_builds_each_phase_factor_from_two_small_tables(monkeypatch, basis):
-    # at N = 10^4 each generator vector g costs B + R * 6 kernel evaluations:
-    # B = 256 for its low table and R = 16 for each of the six blocks of
-    # 4096 n that |n| <= N meets, not the 2N + 1 of one per n.  mu is
-    # discrete, so the verifier's convolutions take no transforms of their own
+    # at N = 10^4 each call builds each generator vector g's tables from
+    # B + R * 6 kernel evaluations: B = 256 for its low table and R = 16 for
+    # each of the six blocks of 4096 n that |n| <= N meets, not the 2N + 1
+    # of one per n.  The verifier's call and the two half-clouds of the
+    # cached covering each make one such build.  mu is discrete, so the
+    # verifier's convolutions take no transforms of their own
     N, B, R = 10_000, measures._TABLE_SPLIT, measures._ROW_BLOCK
     mu = random_discrete(default_rng(606), basis)
     result = decompose(mu, DecompositionOptions(verify=False))
-    evaluations = Counter()
+    calls = []
     real = measures.phase_factors
-    monkeypatch.setattr(measures, "phase_factors", lambda ns, g: evaluations.update(
-        {value: ns.size for value in np.ravel(g)}) or real(ns, g))
+    monkeypatch.setattr(measures, "phase_factors", lambda ns, g: calls.append(
+        Counter({value: ns.size for value in np.ravel(g)})) or real(ns, g))
     assert verify_decomposition(mu, result, N=N).passed
-    assert len(evaluations) >= 2
+    assert len(set().union(*calls)) >= 2
     assert (N >> 12) - (-N >> 12) + 1 == 6
-    assert max(evaluations.values()) <= B + R * 6
+    assert max(max(call.values()) for call in calls) <= B + R * 6
 
 
 @pytest.mark.parametrize("N", [0, (1 << 20) + 1])

@@ -1,4 +1,5 @@
-"""Every public name has a caller outside the tests, and every knob and constant a reader."""
+"""Every public name and private function has a caller outside the tests, and every knob
+and constant a reader."""
 
 import argparse
 import ast
@@ -83,3 +84,15 @@ def test_every_constant_is_read():
                                           if isinstance(node, ast.Name)
                                           and isinstance(node.ctx, ast.Load)}
     assert sorted(defined - read) == []
+
+
+def test_every_private_function_has_a_caller():
+    # a private helper that no package, demo or benchmark code calls is left
+    # over from a deletion; dunder methods are called by the language
+    defined = set()
+    for path in sorted((ROOT / "src" / "natspec").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and node.name.startswith("_") and not node.name.endswith("__")):
+                defined.add(node.name)
+    assert sorted(defined - _callers()) == []

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import natspec
-from natspec import spectrum
+from natspec import measures, spectrum
 from natspec.angles import FRESH_GENERATOR_VALUES, GeneratorBasis
 from natspec.blas import one_blas_thread
 from natspec.errors import BudgetExceededError
@@ -681,7 +681,7 @@ def test_spectral_bracket_contains_the_mpmath_transform_sup(mu):
         # r(mu) = max(r(d), max_K |mu_hat(k)|), so both ends are at least
         # that maximum, the lower end less its allowance
         top = max(abs(mp_transform(mu.disc, k) + c) for k, c in mu.ac.coeffs.items())
-        allowance = spectrum._transform_allowance(mu, max(map(abs, mu.ac.coeffs)))
+        allowance = measures._transform_allowance(mu, max(map(abs, mu.ac.coeffs)))
         assert lower >= top - allowance and upper >= top
         if mu.disc.norm() < 0.5 * top:
             assert upper - lower <= 2 * allowance + math.ulp(upper)
@@ -708,7 +708,7 @@ def test_transform_allowance_holds_on_both_phase_table_routes(seed):
         dense = transforms([mu], ns)[0]
         sparse = transforms([mu], np.concatenate([far, ns]))[0][len(far):]
         assert dense.tobytes() == sparse.tobytes()
-        allowance = spectrum._transform_allowance(mu, int(np.max(np.abs(ns))))
+        allowance = measures._transform_allowance(mu, int(np.max(np.abs(ns))))
         for n, v in zip(ns.tolist(), dense.tolist()):
             exact = mp_transform(mu.disc, n) + mu.ac.coeffs.get(n, 0j)
             assert abs(v - exact) <= allowance, (n, abs(v - exact), allowance)
@@ -748,7 +748,7 @@ def test_transform_allowance_holds_against_mpmath_at_far_n(inputs):
     assume(len(mu))
     for n, v in zip(ns.tolist(), transforms([mu], ns)[0].tolist()):
         error = abs(v - mp_transform(mu, n))
-        assert error <= spectrum._transform_allowance(as_mixed(mu), abs(n)), (n, error)
+        assert error <= measures._transform_allowance(as_mixed(mu), abs(n)), (n, error)
 
 
 def test_transform_allowance_holds_for_lone_unit_atoms_at_small_k():
@@ -762,7 +762,7 @@ def test_transform_allowance_holds_for_lone_unit_atoms_at_small_k():
             if not any(coeffs):
                 continue
             mu = as_mixed(DiscreteMeasure.from_atoms(basis, [(basis.angle(0, coeffs), 1.0)]))
-            allowance = spectrum._transform_allowance(mu, 3)
+            allowance = measures._transform_allowance(mu, 3)
             g = mpmath.fsum(c * mpmath.mpf(v) for c, v in zip(coeffs, basis.values))
             for k, v in zip(ks.tolist(), transforms([mu], ks)[0].tolist()):
                 assert abs(mpmath.mpc(v.real, v.imag) - mpmath.expj(-k * g)) <= allowance
