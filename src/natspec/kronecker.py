@@ -137,18 +137,9 @@ def _candidate_blocks(n_max: int, min_abs: int, parity: str = "any") -> Iterator
     so a witness at small |n| costs a small block and a long scan still runs
     in large ones.
     """
-    if parity == "any":
-        start, step = max(min_abs, 0), 1
-    elif parity == "even":
-        start = max(min_abs, 0)
-        start += start % 2
-        step = 2
-    elif parity == "odd":
-        start = max(min_abs, 1)
-        start += 1 - start % 2
-        step = 2
-    else:
-        raise ValueError(f"unknown parity {parity!r}")
+    step, odd = (1 if parity == "any" else 2), parity == "odd"
+    start = max(min_abs, int(odd))
+    start += (start - odd) % step
     lo, size = start, _FIRST_BLOCK
     while lo <= n_max:
         stop = min(lo + step * size, n_max + 1)

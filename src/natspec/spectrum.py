@@ -25,8 +25,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-import queue
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -426,24 +424,17 @@ def _cpus() -> int:
 
 
 @functools.lru_cache(maxsize=1)
-def _helpers() -> queue.SimpleQueue:
-    """The job queue of CPUs - 1 daemon worker threads, started at the first
-    spread walk and kept for the next.  A job (function, argument, reply)
-    puts (function(argument), None) or (None, the exception) on reply.
-    (``concurrent.futures`` would do the same, at 0.6 MB of imports.)"""
-    jobs: queue.SimpleQueue = queue.SimpleQueue()
+def _pool():
+    """The thread pool of CPUs - 1 workers that walks the shares of a spread
+    walk, started at the first one and kept for the next.  A forked child
+    drops its parent's pool, whose threads it does not have, and starts
+    its own."""
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(max(1, _cpus() - 1), thread_name_prefix="natspec-walk")
 
-    def serve() -> None:
-        while True:
-            function, argument, reply = jobs.get()
-            try:
-                reply.put((function(argument), None))
-            except BaseException as exc:  # handed to the waiting caller
-                reply.put((None, exc))
 
-    for _ in range(max(1, _cpus() - 1)):
-        threading.Thread(target=serve, name="natspec-walk", daemon=True).start()
-    return jobs
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
 def _shares(classes: range, points: int) -> list[range]:
@@ -487,27 +478,23 @@ def _lattice_max(p: CharacterPolynomial, grid: int,
     the largest of all.  When the bundled BLAS runs one thread
     (``blas.blas_threads``) and the lattice has at least _SPREAD_POINTS
     points, the classes are cut into one contiguous share per CPU
-    (``_shares``): the calling thread walks the first and worker threads
-    the others, each with the tiles, chunks and product shapes of
-    ``_eval_on_grid``, and best is the largest of the shares' maxima.  A
-    class's products do not depend on its chunk and the maximum is exact, so
-    the result has the bits of the walk on one thread.  With more BLAS
-    threads the walk stays on the calling thread, whose BLAS calls already
-    use the other cores.
+    (``_shares``): the calling thread walks the first and the process's
+    pool (``_pool``, started at the first spread walk; a forked child
+    starts its own) the others, each with the tiles, chunks and product
+    shapes of ``_eval_on_grid``, and best is the largest of the shares'
+    maxima.  A worker's exception is raised again on the caller, and
+    interpreter exit waits for a share still running.  A class's products
+    do not depend on its chunk and the maximum is exact, so the result has
+    the bits of the walk on one thread.  With more BLAS threads the walk
+    stays on the calling thread, whose BLAS calls already use the other
+    cores.
     """
     classes = range(p.order) if classes is None else classes
     walks = [_torus_slices(p, grid, share)
              for share in _shares(classes, len(classes) * grid ** p.dims)]
     shift = walks[0][1]
-    reply: queue.SimpleQueue = queue.SimpleQueue()
-    for _, _, tiles in walks[1:]:
-        _helpers().put((_tiles_top, tiles, reply))
-    top = _tiles_top(walks[0][2])
-    for _ in walks[1:]:
-        other, exc = reply.get()
-        if exc is not None:
-            raise exc
-        top = max(top, other)
+    others = [_pool().submit(_tiles_top, tiles) for _, _, tiles in walks[1:]]
+    top = max([_tiles_top(walks[0][2])] + [other.result() for other in others])
     total = math.ldexp(sum(abs(c) for c in p.weights), -shift)
     return math.sqrt(top), (p.n_terms + _ROUNDING_TERMS) * _U * total, shift
 
@@ -740,12 +727,15 @@ def disk_grid(radius: float = 1.0, tol: float = 0.05) -> np.ndarray:
     at modulus s lies within radius / (2 rings) <= tol * radius / 4 of the
     nearest ring modulus r (or the center) and within pi / rays <= tol / 2
     of a ray's angle, and s^2 + r^2 - 2 s r cos(a) <= (s - r)^2 + s r a^2.
-    ValueError unless tol is finite, positive and gives at most
-    MAX_DISK_POINTS (2**22) points, checked before any array is built.
+    ValueError, before any array is built, unless tol is finite, positive
+    and gives at most MAX_DISK_POINTS (2**22) points, and radius is finite,
+    nonnegative and keeps radius * rings finite.
     """
     n_r, n_ang = disk_grid_shape(tol)
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
+    # NaN fails this test too
+    if not (radius >= 0 and math.isfinite(radius * n_r)):
+        raise ValueError(f"radius must be finite and nonnegative with a finite "
+                         f"radius * rings, got {radius!r}")
     if radius == 0.0:
         return np.zeros(1, dtype=np.complex128)
     radii = radius * (np.arange(n_r, dtype=np.float64) + 1.0) / n_r

@@ -838,12 +838,14 @@ def test_high_degree_density_exits_1_before_any_quadrature(tmp_path, command, ou
 
 def test_importing_the_cli_loads_no_scipy():
     # scipy serves only the KD-tree covering; importing it costs a cold
-    # start of kronecker or spectral-radius about a third of a second
+    # start of kronecker or spectral-radius about a third of a second.
+    # concurrent.futures serves only the spread torus walk's pool
     env = {**os.environ, "PYTHONPATH": str(Path(natspec.__file__).resolve().parents[1])}
     proc = subprocess.run([sys.executable, "-c",
-                           "import sys, natspec.cli; print('scipy' in sys.modules)"],
+                           "import sys, natspec.cli; "
+                           "print('scipy' in sys.modules, 'concurrent.futures' in sys.modules)"],
                           env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0 and proc.stdout == "False\n"
+    assert proc.returncode == 0 and proc.stdout == "False False\n"
 
 
 # -- the BLAS thread policy ---------------------------------------------------

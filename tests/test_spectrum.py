@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from fractions import Fraction
@@ -420,6 +421,80 @@ def test_spread_bracket_keeps_the_sequential_bits(monkeypatch, name, mu):
     grids = [16 * 2 ** k for k in range(len(counts))]
     assert counts == [3 if len(live) > 1 and len(live) * g ** 4 >= 1 << 20 else 1
                       for g in grids], name
+
+
+class _ShareFault(Exception):
+    pass
+
+
+def test_a_worker_s_exception_reaches_the_caller(monkeypatch):
+    p = char_polynomial(_four_generator_measure(16, 1905))
+    with one_blas_thread():
+        sequential = spectrum._lattice_max(p, 16)
+    monkeypatch.setattr(spectrum, "blas_threads", lambda: 1)
+    monkeypatch.setattr(spectrum, "_cpus", lambda: 2)
+    caller, real = threading.get_ident(), spectrum._tiles_top
+
+    def fault_off_the_caller(tiles):
+        if threading.get_ident() != caller:
+            raise _ShareFault("a worker's share")
+        return real(tiles)
+
+    monkeypatch.setattr(spectrum, "_tiles_top", fault_off_the_caller)
+    with one_blas_thread(), pytest.raises(_ShareFault, match="a worker's share"):
+        spectrum._lattice_max(p, 16)
+    monkeypatch.setattr(spectrum, "_tiles_top", real)
+    with one_blas_thread():
+        assert spectrum._lattice_max(p, 16) == sequential
+
+
+_FORK_PROBE = """
+import os, signal, sys
+import numpy as np
+from natspec import spectrum
+from natspec.blas import one_blas_thread
+from natspec.spectrum import CharacterPolynomial
+spectrum._cpus = lambda: 2
+spectrum.blas_threads = lambda: 1
+shares, real = [], spectrum._shares
+spectrum._shares = lambda classes, points: shares.append(len(real(classes, points))) or real(
+    classes, points)
+rng = np.random.default_rng(1906)
+p = CharacterPolynomial(
+    16, tuple(int(m) for m in rng.integers(0, 16, 6)),
+    tuple(tuple(int(e) for e in row) for row in rng.integers(-1, 2, (6, 4))),
+    tuple(complex(re, im) for re, im in rng.uniform(-1, 1, (6, 2))), ("a", "b", "c", "d"))
+with one_blas_thread():
+    best = spectrum._lattice_max(p, 16)
+    pid = os.fork()
+    if pid == 0:
+        signal.alarm(20)
+        code = 0 if spectrum._lattice_max(p, 16) == best else 3
+        if sys.argv[1] == "sys.exit":
+            sys.exit(code)
+        os._exit(code)
+print(shares, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+@pytest.mark.parametrize("leave", ["sys.exit", "os._exit"])
+def test_a_forked_child_walks_on_its_own_pool(leave):
+    # the child inherits the parent's pool object but none of its threads;
+    # a walk that queued its share there would wait until the alarm killed it
+    env = {**os.environ, "PYTHONPATH": str(Path(natspec.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", _FORK_PROBE, leave], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    # the parent's walk of 16 x 16^4 points spread over 2 shares, and the
+    # child left with code 0: its walk gave the parent's bits
+    assert proc.stdout == "[2] 0\n"
+
+
+@pytest.mark.parametrize("radius", [math.nan, math.inf, 1e308, -1.0])
+def test_disk_grid_refuses_unusable_radius(radius):
+    with pytest.raises(ValueError, match="radius"):
+        disk_grid(radius, 0.5)
 
 
 def test_grid_factors_stay_small_at_one_free_axis():
