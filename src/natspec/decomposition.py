@@ -119,8 +119,9 @@ def _embed(mu: MeasureLike, ext: GeneratorBasis) -> MeasureLike:
 
     def lift(d: DiscreteMeasure) -> DiscreteMeasure:
         # zero columns appended after the last keep the rows' order
-        return DiscreteMeasure._canonical_rows(ext, d.den, d.num,
-                                               np.pad(d.coef, ((0, 0), (0, pad))), d.w)
+        coef = np.zeros((len(d), len(ext)), dtype=np.int64)
+        coef[:, :old] = d.coef
+        return DiscreteMeasure._canonical_rows(ext, d.den, d.num, coef, d.w)
 
     if isinstance(mu, DiscreteMeasure):
         return lift(mu)
@@ -223,7 +224,9 @@ def verify_decomposition(mu: MeasureLike, result: DecompositionResult, *,
     Each check is exact (on stored weights, with no rounding), a net (a
     finite sample that can miss a failure between its points) or a proof (a
     certified bound over the whole spectrum).  (a) The identity nu0 + nu1 +
-    nu2 == mu, exact on stored weights and a net through transforms over
+    nu2 == mu on stored weights, exact wherever the parity split finds an
+    exact pair of halves (``measures._exact_halves``) and otherwise a
+    bound within the halves' rounding, and a net through transforms over
     |n| <= N; the support shape of nu2, exact.  (b) Orthogonality of the
     parity projections against the opposite-parity correction, exact.  (c)
     The parity transform laws and (d) the modulus bound |nu_i_hat| <= R_i,

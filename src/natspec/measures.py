@@ -150,29 +150,33 @@ def _encode(basis: GeneratorBasis, pairs: Iterable[tuple[Angle, complex]]):
             np.array([w for _, w in pairs], dtype=np.complex128))
 
 
-def _row_groups(columns: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """(group, first): equal rows of the int64 columns share a group id, ids
-    rise in lexicographic row order, and row ``first[g]`` is in group g.
-    Columns are packed by mixed radix into as few order-keeping keys as the
-    2**62 span allows: one unless the ranges are huge, and one key sorts 3x
-    faster than a stable lexsort."""
-    keys, span = [], _MAX_DENOMINATOR + 1
-    for col in columns:
-        lo = int(col.min(initial=0))
-        extent = int(col.max(initial=0)) - lo + 1
-        if span * extent <= _MAX_DENOMINATOR:  # in place: a packed key is never a column
-            keys[-1] *= extent
-            keys[-1] += col - lo
+def _row_groups(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(group, first) for the rows of a table given by its int64 columns,
+    one per row of ``columns``: equal rows share a group id, ids rise in
+    lexicographic row order, and row ``first[g]`` is in group g.  Columns
+    are packed by mixed radix into as few order-keeping keys as the 2**62
+    span allows, each one int64 product of strides and columns: one unless
+    the ranges are huge, and one key sorts 3x faster than a stable lexsort."""
+    lo = columns.min(axis=1, initial=0).tolist()
+    hi = columns.max(axis=1, initial=0).tolist()
+    packs, span = [], _MAX_DENOMINATOR + 1  # [first column, strides] of each key
+    for i, extent in enumerate(h - l + 1 for l, h in zip(lo, hi)):
+        if span * extent <= _MAX_DENOMINATOR:
+            packs[-1][1] = [s * extent for s in packs[-1][1]] + [1]
             span *= extent
         else:
-            keys.append(col - lo if extent <= _MAX_DENOMINATOR else col)
+            packs.append([i, [1]])
             span = min(extent, _MAX_DENOMINATOR + 1)
+    # lo <= 0 <= hi, so a key's partial sums stay within (-span, span)
+    keys = [np.array(strides) @ columns[i:i + len(strides)] for i, strides in packs]
     order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
-    ranked = [key[order] for key in keys]
-    starts = np.ones(len(order), dtype=bool)
-    starts[1:] = np.any([key[1:] != key[:-1] for key in ranked], axis=0)
+    starts = np.zeros(len(order), dtype=bool)
+    starts[:1] = True
+    for key in keys:
+        ranked = key[order]
+        starts[1:] |= ranked[1:] != ranked[:-1]
     group = np.empty(len(order), dtype=np.int64)
-    group[order] = np.cumsum(starts) - 1
+    group[order] = np.add.accumulate(starts, dtype=np.int64) - 1
     return group, order[starts]
 
 
@@ -184,7 +188,7 @@ def _merge(den: int, num: np.ndarray, coef: np.ndarray, w: np.ndarray):
     rows come out unique and sorted (turns, then coefficients), and den
     becomes the lcm of the reduced turn denominators (1 for the zero
     measure)."""
-    group, first = _row_groups([num, *coef.T])
+    group, first = _row_groups(np.vstack([num, coef.T]))
     acc = np.full(len(first), complex(-0.0, -0.0))
     np.add.at(acc, group, w)
     keep = acc != 0
@@ -405,10 +409,10 @@ class TrigPolyDensity:
             return out
         ks = np.fromiter(self.coeffs.keys(), dtype=np.int64, count=len(self.coeffs))
         cs = np.fromiter(self.coeffs.values(), dtype=np.complex128, count=len(self.coeffs))
-        idx = np.searchsorted(ks, ns)
-        idx_c = np.clip(idx, 0, len(ks) - 1)
-        mask = ks[idx_c] == ns
-        out[mask] = cs[idx_c[mask]]
+        inside = np.flatnonzero((ns >= ks[0]) & (ns <= ks[-1]))
+        idx = np.searchsorted(ks, ns[inside])
+        hit = ks[idx] == ns[inside]
+        out[inside[hit]] = cs[idx[hit]]
         return out
 
     def values_on_grid(self, m: int) -> np.ndarray:
@@ -547,21 +551,22 @@ def _generator_value(coeffs: tuple[int, ...], values: tuple[float, ...]) -> np.l
                np.longdouble(0.0))
 
 
-def _term_factors(points: np.ndarray, d: DiscreteMeasure, vector: np.ndarray, block: slice,
-                  tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _term_factors(lows: np.ndarray, points: np.ndarray, d: DiscreteMeasure, vector: np.ndarray,
+                  block: slice, tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(L, H) of ``transforms`` for the atoms ``block`` of d at points = (the
-    B points a, then the points B b), with lo, hi the row vector[j] of
-    ``tables``, the phase factors there (none for -1), and zero terms
-    padding the block to at least 2."""
+    call's low points a, ``lows``, then the points B b), with lo, hi the row
+    vector[j] of ``tables``, the phase factors there (none for -1): L is
+    zero at every other a < B, and zero terms pad the block to at least 2."""
     w, vector = d.w[block], vector[block]
-    e = np.zeros((max(2, len(w)), len(points)), dtype=np.complex128)
-    e[:len(w)] = unit_roots(_rational_residues(points, d.num[block, None], d.den), d.den)
+    e = unit_roots(_rational_residues(points, d.num[block, None], d.den), d.den)
     rows = np.flatnonzero(vector >= 0)
     if rows.size:
         e[rows] = np.multiply(e[rows], tables[vector[rows]])
-    left = np.zeros((len(points) - _TABLE_SPLIT, len(e)), dtype=np.complex128)
-    np.multiply(w, e[:len(w), _TABLE_SPLIT:].T, out=left[:, :len(w)])
-    return e[:, :_TABLE_SPLIT], left
+    right = np.zeros((max(2, len(w)), _TABLE_SPLIT), dtype=np.complex128)
+    right[:len(w), lows] = e[:, :len(lows)]
+    left = np.zeros((len(points) - len(lows), len(right)), dtype=np.complex128)
+    np.multiply(w, e[:, len(lows):].T, out=left[:, :len(w)])
+    return right, left
 
 
 def transforms(measures: Iterable[MeasureLike], ns) -> list[np.ndarray]:
@@ -570,9 +575,10 @@ def transforms(measures: Iterable[MeasureLike], ns) -> list[np.ndarray]:
 
     With n = B b + a, B = _TABLE_SPLIT = 256 and 0 <= a < B, an atom's term
     w_j e^{-i n theta_j} is H_j[b] L_j[a], with L_j[a] = root_j(a) lo_g[a]
-    over every a < B and H_j[b] = w_j (root_j(B b) hi_g[b]) over the call's
-    b: root_j(n) is ``unit_roots`` of (-n num_j) mod den, reduced exactly
-    for every int64 n, and lo_g, hi_g are e^{-i a g} and e^{-i B b g} from
+    over the call's distinct a (0 at every other a < B) and H_j[b] = w_j
+    (root_j(B b) hi_g[b]) over the rows b of the call's blocks: root_j(n)
+    is ``unit_roots`` of (-n num_j) mod den, reduced exactly for every
+    int64 n, and lo_g, hi_g are e^{-i a g} and e^{-i B b g} from
     ``angles.phase_factors`` for the atom's generator value g.  So each
     measure's values are one matrix product of its own tables; the measures
     of a call share only the phase tables, and a density adds its terms.
@@ -581,10 +587,12 @@ def transforms(measures: Iterable[MeasureLike], ns) -> list[np.ndarray]:
     each one (R x K)(K x B) product of the same shape in a stacked
     ``np.matmul``, the K terms cut into blocks of at most _TERM_BLOCK = 128
     summed in order (a block of one term padded with a zero term), as
-    ``spectrum``'s torus walker does.  So a value depends only on n and the
-    measure, not on the other n, the other measures or the BLAS thread
-    count.  A product holds at most _GROUP_BLOCKS = 32 blocks (|n| < 2**16
-    in one), and each g's tables are built once per product.
+    ``spectrum``'s torus walker does.  An entry of the product reads only
+    its own row and column, so a value depends only on n and the measure,
+    not on the other n (nor on which a < B they fill), the other measures
+    or the BLAS thread count.  A product holds at most _GROUP_BLOCKS = 32
+    blocks (|n| < 2**16 in one), and each g's tables are built once per
+    product, at the call's distinct a and the product's rows b.
 
     A term rounds two roots, two exponentials and four complex products
     (``_transform_allowance`` bounds a value's rounding).  The
@@ -602,6 +610,9 @@ def transforms(measures: Iterable[MeasureLike], ns) -> list[np.ndarray]:
                          for c in map(tuple, d.coef.tolist())], dtype=np.int64) for d in discs]
     gs = np.array([_generator_value(*key) for key in index], dtype=np.longdouble)[:, None]
     blocks, position = _blocks(ns)
+    held = np.zeros(_TABLE_SPLIT, dtype=bool)
+    held[ns & (_TABLE_SPLIT - 1)] = True
+    lows = np.flatnonzero(held)
     starts = range(0, len(blocks), _GROUP_BLOCKS)
     single = len(starts) == 1  # then each output is one gather from the product
     if single:
@@ -617,7 +628,7 @@ def transforms(measures: Iterable[MeasureLike], ns) -> list[np.ndarray]:
         chunk = blocks[start:start + _GROUP_BLOCKS]
         high = (_ROW_BLOCK * chunk[:, None]
                 + np.arange(_ROW_BLOCK, dtype=np.int64)).reshape(-1) << _TABLE_SHIFT
-        points = np.concatenate([np.arange(_TABLE_SPLIT, dtype=np.int64), high])
+        points = np.concatenate([lows, high])
         tables = phase_factors(points, gs) if index else None
         at = position[pick] - (start << _BLOCK_SHIFT) if start else position[pick]
         buf = np.empty((len(chunk), _ROW_BLOCK, _TABLE_SPLIT), dtype=np.complex128)
@@ -625,7 +636,8 @@ def transforms(measures: Iterable[MeasureLike], ns) -> list[np.ndarray]:
             if not len(d):
                 continue
             for s in range(0, len(d), _TERM_BLOCK):
-                right, left = _term_factors(points, d, vector, slice(s, s + _TERM_BLOCK), tables)
+                right, left = _term_factors(lows, points, d, vector, slice(s, s + _TERM_BLOCK),
+                                            tables)
                 stack = left.reshape(len(chunk), _ROW_BLOCK, -1)
                 if s == 0:
                     np.matmul(stack, right, out=buf)
@@ -676,14 +688,21 @@ def as_mixed(mu: MeasureLike) -> MixedMeasure:
     raise TypeError(f"not a measure: {mu!r}")
 
 
+def _half_turn_pair(basis: GeneratorBasis, odd: complex) -> DiscreteMeasure:
+    """0.5 delta_0 + odd delta_pi, built as its two canonical rows."""
+    return DiscreteMeasure._canonical_rows(basis, 2, np.arange(2, dtype=np.int64),
+                                           np.zeros((2, len(basis)), dtype=np.int64),
+                                           [0.5, odd])
+
+
 def make_theta0(basis: GeneratorBasis) -> DiscreteMeasure:
     """(delta_0 + delta_pi) / 2: averaging over the half-turn subgroup."""
-    return DiscreteMeasure(basis, {basis.zero(): 0.5, basis.half_turn(): 0.5})
+    return _half_turn_pair(basis, 0.5)
 
 
 def make_theta1(basis: GeneratorBasis) -> DiscreteMeasure:
     """(delta_0 - delta_pi) / 2: the half-turn sign character."""
-    return DiscreteMeasure(basis, {basis.zero(): 0.5, basis.half_turn(): -0.5})
+    return _half_turn_pair(basis, -0.5)
 
 
 def make_rho(alpha: Angle, beta: Angle, basis: GeneratorBasis) -> DiscreteMeasure:
@@ -804,11 +823,12 @@ def _exact_halves_complex(w: complex, wp: complex) -> tuple[complex, complex]:
 def _parity_split_disc(mu: DiscreteMeasure) -> tuple[DiscreteMeasure, DiscreteMeasure]:
     # Half-turn partners share (num mod den/2, coef).  Each pair is split
     # from the weight of its first atom in canonical order and the partner's
-    # weight, 0 when the partner is absent.
+    # weight, 0 when the partner is absent.  The pieces' rows are unique, so
+    # one sort puts both in canonical order, each weight a one-term sum.
     den = _common_den(mu.den, 2)
     half = den // 2
     num = mu.num * (den // mu.den)
-    group, first = _row_groups([num % half, *mu.coef.T])
+    group, first = _row_groups(np.vstack([num % half, mu.coef.T]))
     index = np.arange(len(num))
     lead = np.full(len(first), len(num))
     last = np.zeros(len(first), dtype=np.int64)
@@ -821,8 +841,12 @@ def _parity_split_disc(mu: DiscreteMeasure) -> tuple[DiscreteMeasure, DiscreteMe
     d = np.array([x for _, x in halves], dtype=np.complex128)
     pos = np.concatenate([num[lead], (num[lead] + half) % den])
     coef = np.concatenate([mu.coef[lead], mu.coef[lead]])
-    return (DiscreteMeasure._rows(mu.basis, den, pos, coef, np.concatenate([h, h])),
-            DiscreteMeasure._rows(mu.basis, den, pos, coef, np.concatenate([d, -d])))
+    _, order = _row_groups(np.vstack([pos, coef.T]))
+    pos, coef = pos[order], coef[order]
+    return (DiscreteMeasure._canonical_rows(mu.basis, den, pos, coef,
+                                            np.concatenate([h, h])[order]),
+            DiscreteMeasure._canonical_rows(mu.basis, den, pos, coef,
+                                            np.concatenate([d, -d])[order]))
 
 
 def parity_projections(mu: MeasureLike) -> tuple[MeasureLike, MeasureLike]:

@@ -84,8 +84,11 @@ def angle_from_json(obj: Any, basis: GeneratorBasis) -> Angle:
 def measure_to_json(mu: MeasureLike) -> dict:
     m = as_mixed(mu)
     kind = "discrete" if isinstance(mu, DiscreteMeasure) else "mixed"
-    atoms = [{"angle": angle_to_json(a, m.basis), "re": w.real, "im": w.imag}
-             for a, w in m.disc.atoms.items()]
+    d, names = m.disc, m.basis.names
+    atoms = [{"angle": {"turns": str(Fraction(t, d.den)),
+                        "coeffs": {name: c for name, c in zip(names, row) if c}},
+              "re": w.real, "im": w.imag}
+             for t, row, w in zip(d.num.tolist(), d.coef.tolist(), d.w.tolist())]
     ac = [{"k": int(k), "re": c.real, "im": c.imag}
           for k, c in m.ac.coeffs.items()]
     return {"kind": kind, "basis": basis_to_json(m.basis), "atoms": atoms, "ac": ac}

@@ -744,6 +744,15 @@ def disk_grid(radius: float = 1.0, tol: float = 0.05) -> np.ndarray:
     return np.concatenate([np.zeros(1, dtype=np.complex128), pts])
 
 
+@functools.lru_cache(maxsize=1)
+def _unit_disk_grid(tol: float) -> np.ndarray:
+    """``disk_grid(1, tol)``, read-only, kept for the last tol: every
+    fresh-pair covering at one tol queries the same grid."""
+    grid = disk_grid(1.0, tol)
+    grid.flags.writeable = False
+    return grid
+
+
 @functools.lru_cache(maxsize=_PAIR_COVER_CACHE)
 def _pair_covering(alpha: Angle, beta: Angle, basis: GeneratorBasis, N: int, tol: float,
                    parity: str) -> float:
@@ -759,4 +768,4 @@ def _pair_covering(alpha: Angle, beta: Angle, basis: GeneratorBasis, N: int, tol
     if parity != "all":
         ns = ns[(ns % 2 == 0) == (parity == "even")]
     [values] = transforms([make_rho(alpha, beta, basis)], ns)
-    return covering_radius(disk_grid(1.0, tol), values)
+    return covering_radius(_unit_disk_grid(tol), values)

@@ -13,11 +13,14 @@ from natspec.measures import make_rho, make_theta0, make_theta1
 
 @pytest.fixture(autouse=True)
 def empty_pair_covering_cache():
-    """Each test starts and ends with no cached fresh-pair covering, so that
-    spy and call-count tests do not depend on the tests run before them."""
+    """Each test starts and ends with no cached fresh-pair covering or unit
+    disk grid, so that spy and call-count tests do not depend on the tests
+    run before them."""
     spectrum._pair_covering.cache_clear()
+    spectrum._unit_disk_grid.cache_clear()
     yield
     spectrum._pair_covering.cache_clear()
+    spectrum._unit_disk_grid.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -177,6 +177,30 @@ def test_density_scan_pinned_first_row(tmp_path, capsys):
         assert all(b <= a for a, b in zip(vals, vals[1:]))
 
 
+def test_density_scan_builds_one_unit_disk_grid_per_tol(tmp_path, monkeypatch, capsys):
+    # every fresh-pair covering at one tol queries the same unit disk grid: a
+    # scan over three levels and three parities builds it once, and a scan
+    # at another tol once more; each row equals the coverings of grids built
+    # afresh for each cell, the route before the grid was kept
+    builds, real = [], spectrum.disk_grid
+    monkeypatch.setattr(spectrum, "disk_grid",
+                        lambda radius, tol: builds.append((radius, tol)) or real(radius, tol))
+    basis = GeneratorBasis.from_pairs((("alpha", math.sqrt(2.0)), ("beta", math.sqrt(3.0))))
+    rho = measures.make_rho(basis.generator("alpha"), basis.generator("beta"), basis)
+    for tol in (0.1, 0.05):
+        assert main(["density-scan", "--out", str(tmp_path / "scan.csv"), "--N", "6",
+                     "--tol", repr(tol)]) == 0
+        rows = capsys.readouterr().out.strip().split("\n")[1:]
+        want = []
+        for e in range(4, 7):
+            ns = np.arange(-(1 << e), (1 << e) + 1, dtype=np.int64)
+            cov = [spectrum.covering_radius(real(1.0, tol), measures.transforms([rho], part)[0])
+                   for part in (ns, ns[ns % 2 == 0], ns[ns % 2 == 1])]
+            want.append(f"{1 << e},{cov[0]!r},{cov[1]!r},{cov[2]!r}")
+        assert rows == want
+    assert builds == [(1.0, 0.1), (1.0, 0.05)]
+
+
 def test_density_scan_rejects_tiny_exponent(tmp_path, capsys):
     rc = main(["density-scan", "--out", str(tmp_path / "s.csv"), "--N", "3"])
     assert rc == 2

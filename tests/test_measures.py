@@ -508,6 +508,28 @@ def test_merge_across_wide_coefficient_ranges():
     _assert_items(mu, _dict_sum(pairs))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_row_groups_rank_rows_like_sorted_tuples(data):
+    # columns whose ranges reach both int64 ends, and packed keys at the
+    # 2**62 span: each row's group is its rank among the distinct rows, as
+    # sorted Python tuples give it, and row first[g] is in group g
+    extents = data.draw(st.lists(st.sampled_from((1, 2, 3, 1 << 31, 1 << 61, 1 << 62,
+                                                  (1 << 62) + 1, 1 << 64)),
+                                 min_size=1, max_size=4))
+    pools = []
+    for extent in extents:
+        lo = max(-(1 << 63), -data.draw(st.integers(0, extent - 1)))
+        hi = min(lo + extent - 1, (1 << 63) - 1)
+        pools.append(data.draw(st.lists(st.sampled_from((lo, hi)) | st.integers(lo, hi),
+                                        min_size=1, max_size=3)))
+    rows = data.draw(st.lists(st.tuples(*map(st.sampled_from, pools)), max_size=12))
+    group, first = measures._row_groups(np.array(rows, dtype=np.int64).reshape(-1, len(pools)).T)
+    ranks = {row: i for i, row in enumerate(sorted(set(rows)))}
+    assert group.tolist() == [ranks[row] for row in rows]
+    assert [rows[i] for i in first.tolist()] == sorted(ranks)
+
+
 def _assert_same_rows(got: DiscreteMeasure, want: DiscreteMeasure) -> None:
     assert got.basis == want.basis and got.den == want.den
     for name in ("num", "coef", "w"):
@@ -556,6 +578,35 @@ def test_scale_drops_an_underflowed_weight_and_reduces_den():
 
 # signed zeros, and values whose products round (j / 997 is not dyadic)
 rounding_st = st.sampled_from((0.0, -0.0)) | st.integers(-996, 996).map(lambda j: j / 997)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 5])
+def test_half_turn_pairs_match_the_angle_route_and_dict_sums(k):
+    # theta0 and theta1 are built as their two rows; the constructor's route
+    # through Angle, the encoding and the merge, and a dict sum, give the
+    # same den, num, coef and w, bit for bit
+    basis = GeneratorBasis.from_pairs((f"g{i}", 0.5 + i) for i in range(k))
+    for make, odd in ((make_theta0, 0.5), (make_theta1, -0.5)):
+        pairs = [(basis.zero(), complex(0.5)), (basis.half_turn(), complex(odd))]
+        _assert_same_rows(make(basis), DiscreteMeasure(basis, dict(pairs)))
+        _assert_items(make(basis), _dict_sum([((a.turns, a.coeffs), w) for a, w in pairs]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_parity_pieces_match_the_angle_route_and_dict_sums(data):
+    # the parity pieces are sorted once for both and kept as canonical rows;
+    # rebuilding each from its (Angle, weight) pairs through the merge, and
+    # the dict route of the split, give the same rows, bit for bit
+    pool = data.draw(position_pools())
+    weights = st.builds(complex, signed_st | rounding_st, signed_st | rounding_st)
+    pairs = data.draw(st.lists(st.tuples(st.sampled_from(pool), weights), max_size=10))
+    mu = DiscreteMeasure.from_atoms(BASIS, [(BASIS.angle(t, c), w) for (t, c), w in pairs])
+    for part, want in zip(parity_projections(mu), _dict_parity(_dict_sum(pairs))):
+        _assert_items(part, want)
+        merged = DiscreteMeasure.from_atoms(BASIS, [(BASIS.angle(t, c), w)
+                                                    for (t, c), w in want.items()])
+        _assert_same_rows(part, merged)
 
 
 @st.composite
@@ -767,9 +818,10 @@ def test_transforms_compute_each_phase_factor_once_within_the_cap(monkeypatch):
     [-3, -2, -1, 0, 1, 2, 3], [-2, 3, 5], [7], [-256, 255, 256, 1 << 40],
     list(range(-300, 301)), [np.iinfo(np.int64).min, -1, 0, np.iinfo(np.int64).max]])
 def test_low_table_at_the_call_s_low_parts_keeps_the_full_table_bits(ns, monkeypatch):
-    # whatever a = n mod 256 the call holds, each generator vector's low
-    # table spans every a < 256, and each n gets the bits of the formula
-    # taken at that n alone
+    # each generator vector's low table is built at the call's distinct
+    # a = n mod 256 only, ascending, then at the 16 rows of each block of
+    # 4096 n; the other a < 256 stay zero in the product, and each n gets
+    # the bits of the formula taken at that n alone, over every a < 256
     ns = np.array(ns, dtype=np.int64)
     mu = DiscreteMeasure.from_atoms(BASIS, [
         (BASIS.angle(Fraction(k, 7), coeffs), complex(1.0 - k, 0.5 * k))
@@ -777,27 +829,46 @@ def test_low_table_at_the_call_s_low_parts_keeps_the_full_table_bits(ns, monkeyp
     builds = _table_builds(monkeypatch)
     got = transforms([mu], ns)[0]
     [(points, gs)] = builds
-    assert len(gs) == 4 and points[:256].tolist() == list(range(256))
+    lows = sorted({n % 256 for n in ns.tolist()})
+    assert len(gs) == 4 and points[:len(lows)].tolist() == lows
+    assert len(points) == len(lows) + 16 * len(measures._blocks(ns)[0])
     assert got.tobytes() == _per_n_transform(mu, ns).tobytes()
 
 
 def test_few_n_build_phase_tables_at_their_own_low_and_high_parts(monkeypatch):
     # a density's frequencies (convolution with atoms, the bracket's density
-    # maximum) build each generator vector's tables at the 256 low points
-    # and at the 16 rows of each block of 4096 n they meet, two here, however
-    # far apart those blocks are
+    # maximum) build each generator vector's tables at their own a = n mod
+    # 256 only and at the 16 rows of each block of 4096 n they meet, two
+    # here, however far apart those blocks are; the values keep the bits of
+    # the formula at each n alone
     rng = default_rng(1901)
     atoms = random_discrete(rng, BASIS, n_atoms=6)
     generators = {tuple(c) for c in atoms.coef.tolist() if any(c)}
     for density in (TrigPolyDensity({-3: 0.5, -1: 0.25j, 2: -0.75, 3: 0.125 + 0.5j}),
                     TrigPolyDensity({-(1 << 16): 0.5, 3: 0.125 + 0.5j})):
+        lows = sorted(k % 256 for k in density.coeffs)
         for run in (lambda: convolve(atoms, MixedMeasure(DiscreteMeasure.zero(BASIS), density)),
                     lambda: spectrum._density_bracket(MixedMeasure(atoms, density))):
             builds = _table_builds(monkeypatch)
             run()
             [(points, gs)] = builds
             assert len(gs) == len(generators)
-            assert len(points) == 256 + 16 * 2
+            assert points[:len(lows)].tolist() == lows and len(points) == len(lows) + 16 * 2
+        ks = np.array(list(density.coeffs), dtype=np.int64)
+        assert atoms.transform(ks).tobytes() == _per_n_transform(atoms, ks).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(grouped_measures() | mixed_measures(), min_size=1, max_size=3),
+       st.lists(st.integers(0, 18_000), min_size=1, max_size=9))
+def test_few_n_transforms_are_slices_of_a_dense_call(ms, picks):
+    # two routes to the same n: a call at a few n, whose tables hold only
+    # their own a = n mod 256, and the dense call over five blocks of 4096
+    # n, whose tables hold every a; each n keeps its bits in any order
+    dense = np.arange(-9000, 9001, dtype=np.int64)
+    full = transforms(ms, dense)
+    few = transforms(ms, dense[picks])
+    assert [v.tobytes() for v in few] == [v[picks].tobytes() for v in full]
 
 
 @pytest.mark.parametrize("ns", [

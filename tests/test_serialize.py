@@ -1,5 +1,6 @@
 """JSON round trips with deterministic output."""
 
+import hashlib
 import json
 import math
 from dataclasses import asdict
@@ -7,10 +8,11 @@ from fractions import Fraction
 
 import pytest
 
+from natspec.decomposition import DecompositionOptions, decompose
 from natspec.errors import SchemaError
 from natspec.kronecker import KroneckerProblem, KroneckerSolution
 from natspec.measures import MixedMeasure, TrigPolyDensity, as_mixed
-from natspec.sampling import default_rng, random_discrete, random_mixed
+from natspec.sampling import default_rng, random_basis, random_discrete, random_mixed
 from natspec.serialize import (angle_from_json, angle_to_json, basis_from_json,
                                basis_to_json, dumps, kronecker_problem_from_json,
                                kronecker_solution_to_json, measure_from_json,
@@ -129,3 +131,36 @@ def test_kronecker_solution_serializes():
     obj = kronecker_solution_to_json(sol)
     assert obj["n"] == 40 and obj["evaluations"] == 79
     assert json.loads(dumps(obj)) == obj
+
+
+# sha256 of dumps(measure_to_json(nu)) for nu0, nu1 and nu2
+PINNED_PIECES = [
+    ("20f6d18ca5dbb1c3763f366cc6b3affdf4a6551078d824c9e70fafa6e3fd444a",
+     "817d4c76b3b87086fe768afe88ad9bf42ab9225d255e4fb770d23710b3de2b0b",
+     "d7eb0ddc0c5aa66f08445045645d2241e2e111e7dde688140e23b69743abe83f"),
+    ("6119252347713257029edbfca65c269ce68f3f55d8d8d8742980cc7f88cdd733",
+     "df9f074d029db4602eb5f93dcf908aa11f48428f19d915ccbd4f2c9faa0b7a72",
+     "9af519a9e4cf87d75c195ac1b7a4f8bb3f1a5f7f32b8f0762f5ca8549b88412d"),
+    ("b760a01efd673efb62c9237d88fd72e5f5bcd9582af72a88567acc315e4b2296",
+     "2667c5969f58da0e7a304ea7fed0af0daebdbc2e8a77957c67346a703225fb00",
+     "ebbe51b350630229ba4c02ee0ac780a40d387fc52cd9570cfaad2fd33b21bf88"),
+]
+
+
+def test_manual_radius_pieces_keep_their_pinned_bytes():
+    # frozen files of the three pieces: the parity split, the half-turn
+    # pairs, the merges of nu0, nu1 and nu2 and the atoms' JSON all reach
+    # these bytes; manual radii keep the radius walk out of them.  The
+    # inputs have half-turn partners (denominators 2, 4 and 6), and the
+    # radii are not dyadic, so nu2's merged weights round
+    basis = random_basis(2)
+    inputs = [(random_discrete(default_rng(2601), basis, n_atoms=6, denominators=(1, 2, 4)),
+               (7.3, 9.1)),
+              (random_discrete(default_rng(2602), basis, n_atoms=8, denominators=(2, 3, 6)),
+               (5.9, 6.7)),
+              (random_mixed(default_rng(2603), basis), (4.1, 3.7))]
+    for (mu, radii), pinned in zip(inputs, PINNED_PIECES):
+        result = decompose(mu, DecompositionOptions(radius_mode="manual", manual_radii=radii,
+                                                    verify=False))
+        assert tuple(hashlib.sha256(dumps(measure_to_json(nu)).encode()).hexdigest()
+                     for nu in (result.nu0, result.nu1, result.nu2)) == pinned
