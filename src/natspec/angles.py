@@ -96,9 +96,6 @@ class GeneratorBasis:
     def half_turn(self) -> "Angle":
         return Angle(Fraction(1, 2), (0,) * len(self))
 
-    def from_turns(self, turns) -> "Angle":
-        return Angle(Fraction(turns), (0,) * len(self))
-
     def generator(self, name: str) -> "Angle":
         """The angle equal to one copy of the named generator."""
         i = self.index(name)
@@ -149,15 +146,6 @@ class Angle:
 
     def __sub__(self, other: "Angle") -> "Angle":
         return self + (-other)
-
-    def scale(self, n: int) -> "Angle":
-        """Integer multiple n*self on the circle."""
-        n = int(n)
-        return Angle(self.turns * n, tuple(c * n for c in self.coeffs))
-
-    @property
-    def is_rational(self) -> bool:
-        return not any(self.coeffs)
 
     def sort_key(self):
         return (self.turns, self.coeffs)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .angles import Angle, GeneratorBasis, basis_fresh_generators
 from .errors import RadiusValidationError
-from .measures import (_U, DiscreteMeasure, MeasureLike, MixedMeasure, _transform_allowance,
+from .measures import (_U, DiscreteMeasure, MeasureLike, MixedMeasure, _transform_sups,
                        as_mixed, convolve, make_rho, make_theta0, make_theta1,
                        parity_projections, transforms, tv_norm)
 from .spectrum import (_DISK_COVER, RadiusFallback, _pair_covering, covering_radius,
@@ -83,9 +83,6 @@ class VerificationReport:
                 return c
         raise KeyError(name)
 
-    def names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.checks)
-
 
 @dataclass(frozen=True)
 class DecompositionResult:
@@ -129,18 +126,13 @@ def _embed(mu: MeasureLike, ext: GeneratorBasis) -> MeasureLike:
     return MixedMeasure(lift(m.disc), m.ac)
 
 
-def _transform_sups(measures: list[MeasureLike], n_bound: int) -> list[float]:
-    ns = np.arange(-n_bound, n_bound + 1, dtype=np.int64)
-    return [float(np.max(np.abs(v)))
-            for v in transforms([as_mixed(m) for m in measures], ns)]
-
-
 def _radii(mu0: MeasureLike, mu1: MeasureLike, opts: DecompositionOptions):
     if opts.radius_mode == "manual":
         r0, r1 = float(opts.manual_radii[0]), float(opts.manual_radii[1])
-        sups = _transform_sups([mu0, mu1], MANUAL_RADIUS_SCAN)
-        for r, sup, m, name in ((r0, sups[0], mu0, "R0"), (r1, sups[1], mu1, "R1")):
-            if r < sup - _transform_allowance(as_mixed(m), MANUAL_RADIUS_SCAN):
+        ns = np.arange(-MANUAL_RADIUS_SCAN, MANUAL_RADIUS_SCAN + 1, dtype=np.int64)
+        for r, (sup, allowance), name in zip((r0, r1), _transform_sups([mu0, mu1], ns),
+                                             ("R0", "R1")):
+            if r < sup - allowance:
                 raise RadiusValidationError(
                     f"{name}={r} is below the transform bound {sup} "
                     f"(sup over |n| <= {MANUAL_RADIUS_SCAN})")
@@ -280,7 +272,7 @@ def verify_decomposition(mu: MeasureLike, result: DecompositionResult, *,
     disk_grid_shape(tol)
     checks: list[VerificationCheck] = []
     ext = result.basis
-    mu_e = as_mixed(_embed(mu, ext)) if mu.basis != ext else as_mixed(mu)
+    mu_e = as_mixed(_embed(mu, ext))
     nu0m, nu1m, nu2m = as_mixed(result.nu0), as_mixed(result.nu1), as_mixed(result.nu2)
     r0, r1 = result.R0, result.R1
     ns_full = np.arange(-N, N + 1, dtype=np.int64)

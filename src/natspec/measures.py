@@ -283,11 +283,6 @@ class DiscreteMeasure:
     def zero(cls, basis: GeneratorBasis) -> "DiscreteMeasure":
         return cls(basis, {})
 
-    @classmethod
-    def point_mass(cls, basis: GeneratorBasis, angle: Angle,
-                   weight: complex = 1.0) -> "DiscreteMeasure":
-        return cls(basis, {angle: complex(weight)})
-
     @property
     def atoms(self) -> Mapping[Angle, complex]:
         """Read-only Mapping Angle -> weight in canonical order, built lazily:
@@ -337,15 +332,6 @@ class DiscreteMeasure:
 
     def __sub__(self, other: "DiscreteMeasure") -> "DiscreteMeasure":
         return self + (-other)
-
-    def translate(self, shift: Angle) -> "DiscreteMeasure":
-        """Pushforward under t -> t + shift (no weight arithmetic).  Raises
-        ValueError when a coefficient sum could wrap in int64."""
-        s_den, s_num, s_coef, _ = _encode(self.basis, [(shift, 1.0)])
-        _check_sum_safe(self.coef, s_coef)
-        den = _common_den(self.den, s_den)
-        num = (self.num * (den // self.den) + int(s_num[0]) * (den // s_den)) % den
-        return DiscreteMeasure._rows(self.basis, den, num, self.coef + s_coef, self.w)
 
     def transform(self, ns) -> np.ndarray:
         """Fourier coefficients mu_hat(n) at the integers ``ns``, a 1-D
@@ -470,10 +456,6 @@ class MixedMeasure:
             return cls(DiscreteMeasure.zero(basis), coeffs)
         return cls(DiscreteMeasure.zero(basis), TrigPolyDensity(coeffs))
 
-    @classmethod
-    def zero(cls, basis: GeneratorBasis) -> "MixedMeasure":
-        return cls(DiscreteMeasure.zero(basis), TrigPolyDensity({}))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, MixedMeasure):
             return NotImplemented
@@ -482,10 +464,6 @@ class MixedMeasure:
     @property
     def is_zero(self) -> bool:
         return self.disc.is_zero and self.ac.is_zero
-
-    @property
-    def is_discrete(self) -> bool:
-        return self.ac.is_zero
 
     def scale(self, c: complex) -> "MixedMeasure":
         return MixedMeasure(self.disc.scale(c), self.ac.scale(c))
@@ -503,9 +481,6 @@ class MixedMeasure:
 
     def __radd__(self, other) -> "MixedMeasure":
         return as_mixed(other) + self
-
-    def __rsub__(self, other) -> "MixedMeasure":
-        return as_mixed(other) - self
 
     def transform(self, ns) -> np.ndarray:
         """Fourier coefficients at the integers ``ns``, a 1-D integer array
@@ -535,11 +510,12 @@ def _blocks(ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the call's blocks k, ascending, and each n's index R B i + B r + a in
     the stacked product, whose row r of block i is b = R blocks[i] + r.
     The blocks are every k from the least to the largest when that is at
-    most len(ns) of them, else the distinct k.  The shifts floor, so this
-    holds at both int64 extremes."""
+    most twice the blocks the n could fill, 2 ceil(len(ns) / (R B)) + 2,
+    else the distinct k: n in far-apart clusters compute no block between
+    them.  The shifts floor, so this holds at both int64 extremes."""
     if ns.size:
         first, last = int(ns.min()) >> _BLOCK_SHIFT, int(ns.max()) >> _BLOCK_SHIFT
-        if last - first < ns.size:
+        if last - first < 2 * (-(-ns.size >> _BLOCK_SHIFT)) + 2:
             return np.arange(first, last + 1, dtype=np.int64), ns - (first << _BLOCK_SHIFT)
     blocks, rank = np.unique(ns >> _BLOCK_SHIFT, return_inverse=True)
     return blocks, (rank << _BLOCK_SHIFT) + (ns & ((1 << _BLOCK_SHIFT) - 1))
@@ -675,6 +651,16 @@ def _transform_allowance(m: MixedMeasure, n_max: int) -> float:
              * float(weights @ gens))
     total = float(weights.sum()) + max((abs(c) for c in m.ac.coeffs.values()), default=0.0)
     return (len(weights) + 25) * _U * total + phase
+
+
+def _transform_sups(measures: Iterable[MeasureLike], ns) -> list[tuple[float, float]]:
+    """(max |mu_hat(n)| over ``ns``, ``_transform_allowance`` at the largest
+    |n|) for each measure, from one ``transforms`` call."""
+    ns = _integer_points(ns)
+    mixed = [as_mixed(m) for m in measures]
+    n_max = int(np.max(np.abs(ns)))
+    return [(float(np.max(np.abs(v))), _transform_allowance(m, n_max))
+            for m, v in zip(mixed, transforms(mixed, ns))]
 
 
 MeasureLike = Union[DiscreteMeasure, MixedMeasure]

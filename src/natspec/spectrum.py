@@ -35,7 +35,7 @@ from .angles import Angle, GeneratorBasis, TWO_PI
 from .blas import blas_threads
 from .errors import BudgetExceededError
 from .measures import (_MAX_DEGREE, _TERM_BLOCK, _U, DiscreteMeasure, MeasureLike, MixedMeasure,
-                       _transform_allowance, as_mixed, convolve, make_rho, transforms,
+                       _transform_sups, as_mixed, convolve, make_rho, transforms,
                        tv_norm_bounds, unit_roots)
 
 # norms whose square stays in the normal float range, with a factor 4 to spare
@@ -571,15 +571,6 @@ def _live_classes(p: CharacterPolynomial) -> range:
     return range(p.order)
 
 
-def _density_bracket(m: MixedMeasure) -> tuple[float, float]:
-    """max over the density's frequencies k of |mu_hat(k)|, less and plus
-    its rounding allowance."""
-    ks = np.fromiter(m.ac.coeffs, dtype=np.int64, count=len(m.ac.coeffs))
-    top = float(np.max(np.abs(transforms([m], ks)[0])))
-    allowance = _transform_allowance(m, int(np.max(np.abs(ks))))
-    return max(0.0, top - allowance), top + allowance
-
-
 def spectral_bracket(mu: MeasureLike, max_grid: Optional[int] = None
                      ) -> tuple[float, float]:
     """Certified (lower, upper) bracket of the spectral radius of mu.
@@ -619,7 +610,10 @@ def spectral_bracket(mu: MeasureLike, max_grid: Optional[int] = None
     upper = _norm_bounds(m)[1]
     p = char_polynomial(m.disc)
     check_torus_grid(p, 16)
-    lower, upper_k = _density_bracket(m) if not m.ac.is_zero else (0.0, 0.0)
+    lower = upper_k = 0.0
+    if not m.ac.is_zero:  # max over the density's frequencies k of |mu_hat(k)|
+        [(top, allowance)] = _transform_sups([m], list(m.ac.coeffs))
+        lower, upper_k = max(0.0, top - allowance), top + allowance
     span = _exponent_span(p)
     classes = _live_classes(p)
     limit = (_TORUS_POINT_LIMIT if max_grid is None

@@ -253,7 +253,7 @@ def test_spectral_radius_rejects_nan_weight(tmp_path, measure_file, capsys):
 def test_spectral_radius_over_empty_basis(tmp_path, capsys):
     basis = GeneratorBasis()
     mu = DiscreteMeasure.from_atoms(
-        basis, [(basis.from_turns(Fraction(j, 65)), 1.0 / 65) for j in range(65)])
+        basis, [(basis.angle(Fraction(j, 65)), 1.0 / 65) for j in range(65)])
     path = tmp_path / "roots.json"
     write_json(path, measure_to_json(mu))
     out = tmp_path / "radius.json"
@@ -316,9 +316,9 @@ def test_spectral_radius_torsion_blowup_falls_back_to_the_squarings(tmp_path, ca
     # and 0 the lower, and the command says why and exits 0, as decompose does
     basis = GeneratorBasis.from_pairs((("a", math.sqrt(2.0)),))
     mu = DiscreteMeasure.from_atoms(basis, [
-        (basis.from_turns(Fraction(1, 1000003)), 0.25),
-        (basis.from_turns(Fraction(1, 999983)) + basis.generator("a"), 0.25),
-        (basis.from_turns(Fraction(1, 997)), 0.5)])
+        (basis.angle(Fraction(1, 1000003)), 0.25),
+        (basis.angle(Fraction(1, 999983)) + basis.generator("a"), 0.25),
+        (basis.angle(Fraction(1, 997)), 0.5)])
     path = tmp_path / "lcm.json"
     write_json(path, measure_to_json(mu))
     out = tmp_path / "radius.json"
@@ -430,7 +430,7 @@ def test_decompose_at_huge_denominator_falls_back_and_builds_no_table(tmp_path, 
     # root table (4 TiB); the walker refuses both pieces' lattices, so both
     # radii, and check (f) after them, take the norm-root bound
     basis = GeneratorBasis.from_pairs((("a", math.sqrt(2.0)),))
-    mu = DiscreteMeasure.from_atoms(basis, [(basis.from_turns(Fraction(1, 274877906951)), 1.0)])
+    mu = DiscreteMeasure.from_atoms(basis, [(basis.angle(Fraction(1, 274877906951)), 1.0)])
     path = tmp_path / "far.json"
     write_json(path, measure_to_json(mu))
     tracemalloc.start()
@@ -684,10 +684,11 @@ def test_kronecker_not_found_exit_1(capsys):
 
 
 def test_module_entry_point():
+    env = {**os.environ, "PYTHONPATH": str(Path(natspec.__file__).resolve().parents[1])}
     proc = subprocess.run(
         [sys.executable, "-m", "natspec", "kronecker", "--alpha", "1.4142135623730951",
          "--beta", "1.7320508075688772", "--x", "1.0", "--y", "2.0", "--eps", "0.1"],
-        capture_output=True, text=True)
+        env=env, capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.startswith("n ")
 

@@ -35,7 +35,7 @@ def test_random_mixed_inputs_pass_all_checks(basis):
         mu = random_mixed(rng, basis)
         result = decompose(mu)
         assert result.report.passed
-        assert result.report.names() == ALL_CHECKS
+        assert tuple(c.name for c in result.report.checks) == ALL_CHECKS
 
 
 def test_random_discrete_inputs_also_check_spectrum(basis):
@@ -44,7 +44,7 @@ def test_random_discrete_inputs_also_check_spectrum(basis):
         mu = random_discrete(rng, basis)
         result = decompose(mu)
         assert result.report.passed
-        assert result.report.names() == ALL_CHECKS
+        assert tuple(c.name for c in result.report.checks) == ALL_CHECKS
 
 
 def order_448_measure() -> DiscreteMeasure:
@@ -53,16 +53,16 @@ def order_448_measure() -> DiscreteMeasure:
     above the walker's limit; mu0's, 448 x 16^2, is not."""
     basis = GeneratorBasis.from_pairs(FRESH_GENERATOR_VALUES[:2])
     return DiscreteMeasure.from_atoms(basis, [
-        (basis.from_turns(Fraction(1, 64)) + basis.generator("sqrt2"), 0.5),
+        (basis.angle(Fraction(1, 64)) + basis.generator("sqrt2"), 0.5),
         (basis.generator("sqrt3"), 0.3),
-        (basis.from_turns(Fraction(3, 7)), 0.2j)])
+        (basis.angle(Fraction(3, 7)), 0.2j)])
 
 
 def test_spectrum_check_runs_at_a_torsion_order_the_nu0_lattice_would_pass(tmp_path, capsys):
     result = decompose(order_448_measure())
     assert result.radius_fallbacks == (None, None)
     assert result.report.passed
-    assert result.report.names() == ALL_CHECKS
+    assert tuple(c.name for c in result.report.checks) == ALL_CHECKS
     for name, r in (("spectrum_nu0", result.R0), ("spectrum_nu1", result.R1)):
         check = result.report.check(name)
         assert check.details == {"upper": r, "radius": r, "exact": True}
@@ -186,8 +186,8 @@ def measure_with_fresh_pair(i: int, j: int, weights) -> DiscreteMeasure:
                                                          for k in range(j) if k != i])
     e = basis.generator("e")
     return DiscreteMeasure.from_atoms(basis, [
-        (e, weights[0]), (basis.from_turns(Fraction(1, 3)), weights[1]),
-        (e + e + basis.from_turns(Fraction(1, 4)), weights[2])])
+        (e, weights[0]), (basis.angle(Fraction(1, 3)), weights[1]),
+        (e + e + basis.angle(Fraction(1, 4)), weights[2])])
 
 
 @settings(max_examples=10, deadline=None)
@@ -237,7 +237,7 @@ def test_a_fresh_pair_of_other_positions_takes_the_bound(basis):
     mu = random_mixed(default_rng(514), basis)
     plain = decompose(mu, DecompositionOptions(verify=False))
     ext = plain.basis
-    result = with_fresh_pair(plain, ext.generator("ln3") + ext.from_turns(Fraction(1, 3)),
+    result = with_fresh_pair(plain, ext.generator("ln3") + ext.angle(Fraction(1, 3)),
                              ext.generator("ln5") - ext.generator("a"))
     report = verify_decomposition(mu, result)
     assert report.passed
@@ -366,7 +366,7 @@ def test_pure_density_input(basis):
     assert result.R1 == pytest.approx(1.0, abs=1e-12)
     assert as_mixed(result.nu0).is_zero
     assert result.report.passed
-    assert result.report.names() == ALL_CHECKS
+    assert tuple(c.name for c in result.report.checks) == ALL_CHECKS
 
 
 def test_scaling_equivariance(basis):
@@ -457,9 +457,9 @@ def test_radius_falls_back_to_the_norm_roots_only_for_a_refused_lattice(monkeypa
         assert calls == [] and result.radius_fallbacks == (None, None)
     # about 10^15 torsion classes fit no grid, in either piece
     mu = DiscreteMeasure.from_atoms(basis, [
-        (basis.from_turns(Fraction(1, 1000003)), 0.25),
-        (basis.from_turns(Fraction(1, 999983)) + basis.generator("a"), 0.25),
-        (basis.from_turns(Fraction(1, 997)), 0.5)])
+        (basis.angle(Fraction(1, 1000003)), 0.25),
+        (basis.angle(Fraction(1, 999983)) + basis.generator("a"), 0.25),
+        (basis.angle(Fraction(1, 997)), 0.5)])
     result = decompose(mu, DecompositionOptions(fekete_k_max=2, verify=False))
     assert calls == [2, 2]
     for fallback, r, (lo, hi) in zip(result.radius_fallbacks, (result.R0, result.R1),
@@ -469,10 +469,10 @@ def test_radius_falls_back_to_the_norm_roots_only_for_a_refused_lattice(monkeypa
     # an even measure: the odd piece is zero and keeps its bracket
     calls.clear()
     even = DiscreteMeasure.from_atoms(basis, [
-        (basis.from_turns(Fraction(1, 1000003)), 0.5),
-        (basis.from_turns(Fraction(1, 1000003)) + basis.half_turn(), 0.5),
-        (basis.from_turns(Fraction(1, 999983)) + basis.generator("b"), 0.25),
-        (basis.from_turns(Fraction(1, 999983)) + basis.generator("b") + basis.half_turn(),
+        (basis.angle(Fraction(1, 1000003)), 0.5),
+        (basis.angle(Fraction(1, 1000003)) + basis.half_turn(), 0.5),
+        (basis.angle(Fraction(1, 999983)) + basis.generator("b"), 0.25),
+        (basis.angle(Fraction(1, 999983)) + basis.generator("b") + basis.half_turn(),
          0.25)])
     result = decompose(even, DecompositionOptions(fekete_k_max=1, verify=False))
     assert calls == [1]

@@ -1,5 +1,5 @@
-"""Every public name and private function has a caller outside the tests, and every knob
-and constant a reader."""
+"""Every public name, public function, member and private function has a caller outside
+the tests, and every knob and constant a reader."""
 
 import argparse
 import ast
@@ -34,6 +34,33 @@ def _callers() -> set[str]:
 def test_every_public_name_has_a_caller_outside_the_tests():
     used = _callers()
     assert [name for name in natspec.__all__ if name not in used] == []
+
+
+def _bench_spans() -> set[str]:
+    """The "module.attribute" of each entry of ``bench/tracing.py``'s SPANS."""
+    tree = ast.parse((ROOT / "bench" / "tracing.py").read_text(encoding="utf-8"))
+    [spans] = [node.value for node in tree.body if isinstance(node, ast.Assign)
+               and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["SPANS"]]
+    return {f"{entry.elts[1].value}.{entry.elts[2].value}" for entry in spans.elts}
+
+
+def test_every_public_function_and_member_has_a_caller_outside_the_tests():
+    # a public module-level function, method or property that only the tests
+    # call is a second route to what the package does another way, or to
+    # nothing; the benchmark times these two, looked up by name
+    traced = {"spectrum.torus_max", "spectrum.character_values"}
+    assert {f"natspec.{qualified}" for qualified in traced} <= _bench_spans()
+    public = []
+    for path in sorted((ROOT / "src" / "natspec").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ClassDef):
+                public += [(f"{path.stem}.{node.name}.{member.name}", member.name)
+                           for member in node.body if isinstance(member, ast.FunctionDef)]
+            elif isinstance(node, ast.FunctionDef):
+                public.append((f"{path.stem}.{node.name}", node.name))
+    used = _callers()
+    assert [qualified for qualified, name in public if not name.startswith("_")
+            and name not in used and qualified not in traced] == []
 
 
 def _attributes_read(tree: ast.AST, owner=None) -> set[str]:

@@ -25,7 +25,6 @@ from natspec.measures import (DiscreteMeasure, MixedMeasure, TrigPolyDensity,
                               parity_projections, transforms, tv_norm, tv_norm_bounds,
                               unit_roots)
 from natspec.sampling import default_rng, random_discrete, random_mixed
-from natspec import spectrum
 from natspec.spectrum import fekete_bound
 from oracles import mp_transform
 
@@ -101,7 +100,7 @@ def test_convolve_budget_limits(basis):
     with pytest.raises(BudgetExceededError, match="202500 atoms"):
         convolve(_line(basis, 450, 0), _line(basis, 450, 1))
     assert len(convolve(_line(basis, 400, 0), _line(basis, 500, 1))) == 200_000
-    delta = MixedMeasure.from_discrete(DiscreteMeasure.point_mass(basis, basis.zero()))
+    delta = MixedMeasure.from_discrete(DiscreteMeasure(basis, {basis.zero(): 1.0}))
     with pytest.raises(BudgetExceededError, match="65537"):
         convolve(delta, MixedMeasure.from_density(basis, {65_537: 1.0}))
     assert convolve(delta, MixedMeasure.from_density(basis, {-65_536: 1.0})).ac.degree == 65_536
@@ -194,24 +193,28 @@ def test_convolve_refuses_coefficients_that_could_wrap(basis):
 
 
 def test_translate_refuses_coefficients_that_could_wrap(basis):
+    # a translate is a convolution with a unit point mass at the shift
+    def translate(mu, shift):
+        return convolve(DiscreteMeasure(basis, {shift: 1.0}), mu)
+
     far = DiscreteMeasure.from_atoms(basis, [(basis.angle(0, (1 << 62, 0)), 1.0)])
     with pytest.raises(ValueError, match="too large"):
-        far.translate(basis.generator("a"))
+        translate(far, basis.generator("a"))
     near = DiscreteMeasure.from_atoms(basis, [(basis.zero(), 1.0)])
     with pytest.raises(ValueError, match="too large"):
-        near.translate(basis.angle(0, (0, -(1 << 62))))
-    assert near.translate(basis.angle(0, (0, 1 - (1 << 62)))).atoms == {
+        translate(near, basis.angle(0, (0, -(1 << 62))))
+    assert translate(near, basis.angle(0, (0, 1 - (1 << 62)))).atoms == {
         basis.angle(0, (0, 1 - (1 << 62))): 1.0}
 
 
 def test_construction_refuses_positions_int64_cannot_hold(basis):
     with pytest.raises(ValueError, match="2\\*\\*62"):
-        DiscreteMeasure(basis, {basis.from_turns(Fraction(1, (1 << 62) + 1)): 1.0})
+        DiscreteMeasure(basis, {basis.angle(Fraction(1, (1 << 62) + 1)): 1.0})
     with pytest.raises(ValueError, match="2\\*\\*62"):  # lcm 2**40 * 3**26 > 2**62
-        DiscreteMeasure.from_atoms(basis, [(basis.from_turns(Fraction(1, 1 << 40)), 1.0),
-                                           (basis.from_turns(Fraction(1, 3 ** 26)), 1.0)])
-    a = DiscreteMeasure.from_atoms(basis, [(basis.from_turns(Fraction(1, 1 << 40)), 1.0)])
-    b = DiscreteMeasure.from_atoms(basis, [(basis.from_turns(Fraction(1, 3 ** 26)), 1.0)])
+        DiscreteMeasure.from_atoms(basis, [(basis.angle(Fraction(1, 1 << 40)), 1.0),
+                                           (basis.angle(Fraction(1, 3 ** 26)), 1.0)])
+    a = DiscreteMeasure.from_atoms(basis, [(basis.angle(Fraction(1, 1 << 40)), 1.0)])
+    b = DiscreteMeasure.from_atoms(basis, [(basis.angle(Fraction(1, 3 ** 26)), 1.0)])
     with pytest.raises(ValueError, match="2\\*\\*62"):
         a + b
     for c in (1 << 63, -(1 << 63) - 1):
@@ -219,14 +222,6 @@ def test_construction_refuses_positions_int64_cannot_hold(basis):
             DiscreteMeasure(basis, {basis.angle(0, (c, 0)): 1.0})
     edge = DiscreteMeasure(basis, {basis.angle(0, ((1 << 63) - 1, -(1 << 63))): 1.0})
     assert list(edge.atoms) == [basis.angle(0, ((1 << 63) - 1, -(1 << 63)))]
-
-
-def test_translate_matches_point_mass_convolution(basis):
-    rng = default_rng(7)
-    mu = random_discrete(rng, basis)
-    shift = basis.angle(Fraction(1, 3), (1, -1))
-    point = DiscreteMeasure.from_atoms(basis, [(shift, 1.0)])
-    assert convolve(point, mu) == mu.translate(shift)
 
 
 def test_tv_norm_exact_on_point_masses(basis, theta0, theta1, rho):
@@ -313,7 +308,7 @@ def test_rational_residues_are_exact(pq, ns):
 @example([(1_000_003, 999_998, 1.0 + 0j)], [1 << 44])  # wrapped in int64 before
 def test_rational_transform_matches_exact_phases(atoms, ns):
     mu = DiscreteMeasure.from_atoms(
-        BASIS, [(BASIS.from_turns(Fraction(p % q, q)), w) for q, p, w in atoms])
+        BASIS, [(BASIS.angle(Fraction(p % q, q)), w) for q, p, w in atoms])
     vec = mu.transform(np.array(ns, dtype=np.int64))
     for n, v in zip(ns, vec):
         assert abs(v - mp_transform(mu, n)) <= 1e-12 * mu.norm()
@@ -336,7 +331,7 @@ def test_rational_transform_subnormal_weights_within_underflow_unit(atoms, ns):
     # component add eta more; sums of subnormals are exact, and the
     # reference and the bound round once more
     mu = DiscreteMeasure.from_atoms(
-        BASIS, [(BASIS.from_turns(Fraction(p % q, q)), w) for q, p, w in atoms])
+        BASIS, [(BASIS.angle(Fraction(p % q, q)), w) for q, p, w in atoms])
     bound = ((1 + math.sqrt(2)) * len(atoms) + 2) * 2.0 ** -1074 + 2e-15 * mu.norm()
     vec = mu.transform(np.array(ns, dtype=np.int64))
     for n, v in zip(ns, vec):
@@ -418,8 +413,8 @@ def test_unit_roots_within_an_ulp_of_mpmath_and_conjugate():
 
 def test_transform_at_huge_denominator_builds_no_table():
     q = 274877906951  # 2**38 + 7: a length-q root table would take 4 TiB
-    mu = DiscreteMeasure.from_atoms(BASIS, [(BASIS.from_turns(Fraction(1, q)), 0.5 - 0.25j),
-                                            (BASIS.from_turns(Fraction(q - 3, 2 * q)), 1.0)])
+    mu = DiscreteMeasure.from_atoms(BASIS, [(BASIS.angle(Fraction(1, q)), 0.5 - 0.25j),
+                                            (BASIS.angle(Fraction(q - 3, 2 * q)), 1.0)])
     ns = np.array([-(1 << 62), -q, -5, 0, 1, 7, q - 1, 2 * q + 1, 1 << 44], dtype=np.int64)
     tracemalloc.start()
     try:
@@ -489,9 +484,11 @@ def test_merge_matches_dict_sums_bitwise(data):
     mu_d, nu_d = _dict_sum(draws[0]), _dict_sum(draws[1])
     _assert_items(mu, mu_d)
     _assert_items(mu + nu, _dict_sum(list(mu_d.items()) + list(nu_d.items())))
+    # a translate, as a convolution with a unit point mass: each weight is
+    # its complex product with 1, which can flip a signed zero
     t, c = data.draw(st.sampled_from(pool))
-    _assert_items(mu.translate(BASIS.angle(t, c)),
-                  _dict_sum([(((k[0] + t) % 1, tuple(x + y for x, y in zip(k[1], c))), w)
+    _assert_items(convolve(DiscreteMeasure(BASIS, {BASIS.angle(t, c): 1.0}), mu),
+                  _dict_sum([(((k[0] + t) % 1, tuple(x + y for x, y in zip(k[1], c))), (1 + 0j) * w)
                              for k, w in mu_d.items()]))
     for part, want in zip(parity_projections(mu), _dict_parity(mu_d)):
         _assert_items(part, want)
@@ -567,8 +564,8 @@ def test_canonical_rows_match_the_merge_bitwise(data):
 def test_scale_drops_an_underflowed_weight_and_reduces_den():
     # 0.25 * 2**-1074 rounds to zero: its atom at a quarter turn goes, and
     # the half-turn atom left needs den 2 only
-    mu = DiscreteMeasure.from_atoms(BASIS, [(BASIS.from_turns(Fraction(1, 4)), 0.25),
-                                            (BASIS.from_turns(Fraction(1, 2)), -1.0)])
+    mu = DiscreteMeasure.from_atoms(BASIS, [(BASIS.angle(Fraction(1, 4)), 0.25),
+                                            (BASIS.angle(Fraction(1, 2)), -1.0)])
     tiny = mu.scale(2.0 ** -1074)
     assert tiny.den == 2 and tiny.num.tolist() == [1]
     assert _bits(tiny.w[0]) == _bits(complex(-(2.0 ** -1074), 0.0))
@@ -693,7 +690,7 @@ def test_parity_split_recombines_mixed(basis):
 
 def test_as_mixed_wraps_discrete(basis, rho):
     wrapped = as_mixed(rho)
-    assert wrapped.is_discrete and wrapped.disc == rho
+    assert wrapped.ac.is_zero and wrapped.disc == rho
     assert as_mixed(wrapped) is wrapped
 
 
@@ -848,7 +845,8 @@ def test_few_n_build_phase_tables_at_their_own_low_and_high_parts(monkeypatch):
                     TrigPolyDensity({-(1 << 16): 0.5, 3: 0.125 + 0.5j})):
         lows = sorted(k % 256 for k in density.coeffs)
         for run in (lambda: convolve(atoms, MixedMeasure(DiscreteMeasure.zero(BASIS), density)),
-                    lambda: spectrum._density_bracket(MixedMeasure(atoms, density))):
+                    lambda: measures._transform_sups([MixedMeasure(atoms, density)],
+                                                     list(density.coeffs))):
             builds = _table_builds(monkeypatch)
             run()
             [(points, gs)] = builds
@@ -970,17 +968,17 @@ def test_period_table_keeps_the_per_n_bits():
                 0, 1, 12, 1 << 62, np.iinfo(np.int64).max - 1, np.iinfo(np.int64).max]
     a, b = BASIS.generator("a"), BASIS.generator("b")
     twelve = DiscreteMeasure.from_atoms(BASIS, [
-        (BASIS.from_turns(Fraction(1, 3)), complex(-0.0, 2.0)),
-        (BASIS.from_turns(Fraction(3, 4)), complex(0.75, -0.0)),
-        (BASIS.from_turns(Fraction(5, 12)) + a, complex(-0.0, -1.5)),
-        (BASIS.from_turns(Fraction(1, 12)) + a + b, -0.25 + 0.5j),
-        (BASIS.from_turns(Fraction(1, 6)) + a + b, complex(1.0, -0.0)),
-        (BASIS.from_turns(Fraction(1, 4)) + a + b, 0.125 - 2.0j),
-        (BASIS.from_turns(Fraction(1, 2)) + b, complex(-0.0, 0.5))])
+        (BASIS.angle(Fraction(1, 3)), complex(-0.0, 2.0)),
+        (BASIS.angle(Fraction(3, 4)), complex(0.75, -0.0)),
+        (BASIS.angle(Fraction(5, 12)) + a, complex(-0.0, -1.5)),
+        (BASIS.angle(Fraction(1, 12)) + a + b, -0.25 + 0.5j),
+        (BASIS.angle(Fraction(1, 6)) + a + b, complex(1.0, -0.0)),
+        (BASIS.angle(Fraction(1, 4)) + a + b, 0.125 - 2.0j),
+        (BASIS.angle(Fraction(1, 2)) + b, complex(-0.0, 0.5))])
     big = DiscreteMeasure.from_atoms(BASIS, [
-        (BASIS.from_turns(Fraction(1, 65537)), 0.5 - 0.25j),
-        (BASIS.from_turns(Fraction(65535, 65537)), complex(-0.0, 1.0)),
-        (BASIS.from_turns(Fraction(7, 65537)) + b, complex(2.0, -0.0))])
+        (BASIS.angle(Fraction(1, 65537)), 0.5 - 0.25j),
+        (BASIS.angle(Fraction(65535, 65537)), complex(-0.0, 1.0)),
+        (BASIS.angle(Fraction(7, 65537)) + b, complex(2.0, -0.0))])
     rng = default_rng(1701)
     for mu in (twelve, big):
         for ns in (np.arange(-300, 301, dtype=np.int64),
@@ -996,32 +994,31 @@ def test_period_table_keeps_the_per_n_bits():
 
 def test_phase_tables_give_each_n_the_same_bits_in_any_array(monkeypatch):
     # n = 4096 k + 256 r + a: the product spans every block k from the least
-    # to the largest when that is at most len(ns) blocks and only the
-    # distinct k otherwise; an n keeps its bits in a dense arange, in sparse
+    # to the largest when that is at most 2 ceil(len(ns) / 4096) + 2 blocks
+    # and only the distinct k otherwise; an n keeps its bits in a dense arange, in sparse
     # arrays with both int64 extremes, on each side of that boundary, and
     # alone
     lo64, hi64 = np.iinfo(np.int64).min, np.iinfo(np.int64).max
     a, b = BASIS.generator("a"), BASIS.generator("b")
     mu = DiscreteMeasure.from_atoms(BASIS, [
-        (BASIS.from_turns(Fraction(1, 3)), 0.5 - 1.0j),
-        (BASIS.from_turns(Fraction(2, 7)) + a.scale(3) - b, complex(-0.0, 1.25)),
-        (BASIS.from_turns(Fraction(1, 2)) + a.scale(3) - b, -0.75 + 0.5j),
-        (a + b.scale(2), 2.0 - 0.25j),
-        (b.scale(-5), complex(0.125, -0.0))])
+        (BASIS.angle(Fraction(1, 3)), 0.5 - 1.0j),
+        (BASIS.angle(Fraction(2, 7), (3, -1)), complex(-0.0, 1.25)),
+        (BASIS.angle(Fraction(1, 2), (3, -1)), -0.75 + 0.5j),
+        (a + b + b, 2.0 - 0.25j),
+        (BASIS.angle(0, (0, -5)), complex(0.125, -0.0))])
     routes = []
     real = measures._blocks
     monkeypatch.setattr(measures, "_blocks", lambda ns: routes.append(
         len(real(ns)[0]) == (int(ns.max()) >> 12) - (int(ns.min()) >> 12) + 1) or real(ns))
-    rows = 40  # 40 entries over 40 blocks of 4096 n
+    rows = 40  # entries in each boundary array
     arrays = {
         "dense arange": (np.arange(-5000, 5001, dtype=np.int64), True),
         # 36 blocks, more than one product group holds
         "dense over two groups": (np.arange(-70_000, 70_001, 997, dtype=np.int64), True),
-        # rows blocks in rows entries: the last dense case
-        "dense at the boundary": (4096 * np.arange(-20, rows - 20, dtype=np.int64) + 4095, True),
-        # one block further: rows + 1 blocks spanned by rows entries
-        "sparse past the boundary": (np.append(4096 * np.arange(-20, rows - 21), 4096 * 20),
-                                     False),
+        # 4 blocks spanned by rows entries, one block empty: the last dense case
+        "dense at the boundary": (np.append(np.arange(-20, rows - 21), 4096 * 2), True),
+        # one block further: 5 blocks spanned, 3 of them met
+        "sparse past the boundary": (np.append(np.arange(-20, rows - 21), 4096 * 3), False),
         "sparse with extremes": (np.array([lo64, lo64 + 1, -(1 << 40) - 3, -257, -256, -1, 0, 1,
                                            255, 256, 10_000, 1 << 40, hi64 - 1, hi64],
                                           dtype=np.int64), False),
@@ -1040,3 +1037,24 @@ def test_phase_tables_give_each_n_the_same_bits_in_any_array(monkeypatch):
         assert len(bits) == 1, n
     # the boundary arrays share n with the dense arange and the sparse ones
     assert len(values) < sum(len(ns) for ns, _ in arrays.values())
+
+
+def test_far_apart_clusters_compute_no_block_between_them(rho):
+    # two clusters of 50 000 n at -10**8 and 10**8 span 48 830 blocks of
+    # 4096 n; the product computes at most twice the blocks that the n could
+    # fill, and each n keeps the bits of a call on its own cluster
+    low = np.arange(-10 ** 8, 50_000 - 10 ** 8, dtype=np.int64)
+    ns = np.concatenate([low, -low[::-1]])
+    assert len(measures._blocks(ns)[0]) <= 2 * -(-ns.size // 4096) + 2
+    apart = np.concatenate([transforms([rho], ns[:50_000])[0],
+                            transforms([rho], ns[50_000:])[0]])
+    assert transforms([rho], ns)[0].tobytes() == apart.tobytes()
+    # the benchmark's calls (a symmetric range, its even and odd n, a
+    # density's frequencies) keep the path that spans every block
+    dense = np.arange(-10 ** 4, 10 ** 4 + 1, dtype=np.int64)
+    for ns in (dense, dense[::2], dense[1::2], np.arange(-256, 257, dtype=np.int64),
+               np.arange(-3, 4, dtype=np.int64)):
+        with mock.patch.object(np, "unique", side_effect=AssertionError("distinct blocks")):
+            blocks, position = measures._blocks(ns)
+        assert blocks.tolist() == list(range(int(ns.min()) >> 12, (int(ns.max()) >> 12) + 1))
+        assert position.tolist() == (ns - (blocks[0] << 12)).tolist()

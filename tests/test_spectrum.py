@@ -599,9 +599,9 @@ def test_torus_walker_charges_its_point_budget(basis):
         torus_max(p, 32)
     # an lcm of about 10^15 must stop before any table of roots is built
     mu = DiscreteMeasure.from_atoms(basis, [
-        (basis.from_turns(Fraction(1, 1000003)), 0.25),
-        (basis.from_turns(Fraction(1, 999983)) + basis.generator("a"), 0.25),
-        (basis.from_turns(Fraction(1, 997)), 0.5)])
+        (basis.angle(Fraction(1, 1000003)), 0.25),
+        (basis.angle(Fraction(1, 999983)) + basis.generator("a"), 0.25),
+        (basis.angle(Fraction(1, 997)), 0.5)])
     p = char_polynomial(mu)
     assert p.order == 1000003 * 999983 * 997
     for run in (lambda: torus_max(p, 16), lambda: character_values(p, 16)):
@@ -870,7 +870,7 @@ def test_spectral_bracket_without_free_axes_is_two_allowances_wide():
     rng = default_rng(1602)
     for q in (1, 5, 12, 65):
         mu = DiscreteMeasure.from_atoms(basis, [
-            (basis.from_turns(Fraction(int(k), q)), complex(*rng.uniform(-1, 1, 2)))
+            (basis.angle(Fraction(int(k), q)), complex(*rng.uniform(-1, 1, 2)))
             for k in rng.integers(0, q, 6)])
         p = char_polynomial(mu)
         with mpmath.workdps(30):
@@ -899,8 +899,8 @@ def test_spectral_bracket_refuses_a_lattice_before_any_walk(monkeypatch, basis):
     walks = []
     monkeypatch.setattr(spectrum, "_lattice_max", lambda *a: walks.append(a))
     huge_order = DiscreteMeasure.from_atoms(basis, [
-        (basis.from_turns(Fraction(1, 1000003)), 0.25),
-        (basis.from_turns(Fraction(1, 999983)) + basis.generator("a"), 0.25)])
+        (basis.angle(Fraction(1, 1000003)), 0.25),
+        (basis.angle(Fraction(1, 999983)) + basis.generator("a"), 0.25)])
     with pytest.raises(BudgetExceededError, match="torsion classes"):
         spectral_bracket(huge_order)
     five = GeneratorBasis.from_pairs(FRESH_GENERATOR_VALUES[:5])
@@ -1034,7 +1034,7 @@ def test_fekete_first_entry_is_at_least_the_exact_norm(weights):
     # which it may exceed by a few ulps (or subnormal steps) and never
     # undercut; a density part adds its quadrature value and error estimate
     basis = _TWO_GENERATORS
-    disc = DiscreteMeasure.from_atoms(basis, [(basis.from_turns(Fraction(j, 7)), w)
+    disc = DiscreteMeasure.from_atoms(basis, [(basis.angle(Fraction(j, 7)), w)
                                               for j, w in enumerate(weights)])
     entry = fekete_bound(disc, 0).entries[0][1]
     with mpmath.workdps(60):
