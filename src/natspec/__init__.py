@@ -22,9 +22,8 @@ from .kronecker import (KroneckerProblem, KroneckerSolution, chordal, disk_preim
 from .measures import (DiscreteMeasure, MeasureLike, MixedMeasure, TrigPolyDensity,
                        as_mixed, convolve, make_rho, make_theta0, make_theta1,
                        parity_projections, tv_norm, tv_norm_bounds)
-from .spectrum import (CharacterPolynomial, FeketeReport, char_polynomial,
-                       covering_radius, disk_grid, fekete_bound, radius_bracket,
-                       spectral_bracket)
+from .spectrum import (FeketeReport, covering_radius, disk_grid, fekete_bound,
+                       radius_bracket, spectral_bracket)
 
 __version__ = "0.1.0"
 
@@ -34,8 +33,8 @@ __all__ = [
     "DiscreteMeasure", "TrigPolyDensity", "MixedMeasure", "MeasureLike",
     "as_mixed", "convolve", "tv_norm", "tv_norm_bounds",
     "parity_projections", "make_theta0", "make_theta1", "make_rho",
-    "FeketeReport", "fekete_bound", "CharacterPolynomial", "char_polynomial",
-    "radius_bracket", "spectral_bracket", "covering_radius", "disk_grid",
+    "FeketeReport", "fekete_bound", "radius_bracket", "spectral_bracket",
+    "covering_radius", "disk_grid",
     "KroneckerProblem", "KroneckerSolution", "chordal", "solve",
     "pair_transform_values", "disk_preimage", "hit_target",
     "RADIUS_MODES", "DecompositionOptions",

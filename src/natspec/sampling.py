@@ -29,17 +29,15 @@ def random_basis(n_generators: int = 2) -> GeneratorBasis:
     return GeneratorBasis.from_pairs(FRESH_GENERATOR_VALUES[:n_generators])
 
 
-def _random_weight(rng: np.random.Generator, complex_weights: bool) -> complex:
+def _random_weight(rng: np.random.Generator) -> complex:
     re = float(rng.uniform(-1.0, 1.0))
-    im = float(rng.uniform(-1.0, 1.0)) if complex_weights else 0.0
-    return complex(re, im)
+    return complex(re, float(rng.uniform(-1.0, 1.0)))
 
 
 def random_discrete(rng: np.random.Generator, basis: GeneratorBasis,
                     n_atoms: int = 4,
                     denominators: tuple[int, ...] = DEFAULT_DENOMINATORS,
-                    coeff_bound: int = 2,
-                    complex_weights: bool = True) -> DiscreteMeasure:
+                    coeff_bound: int = 2) -> DiscreteMeasure:
     """Random discrete measure with small exact positions."""
     k = len(basis)
     pairs = []
@@ -48,17 +46,17 @@ def random_discrete(rng: np.random.Generator, basis: GeneratorBasis,
         p = int(rng.integers(0, q))
         coeffs = tuple(int(c) for c in rng.integers(-coeff_bound, coeff_bound + 1, size=k))
         angle = basis.angle(Fraction(p, q), coeffs)
-        pairs.append((angle, _random_weight(rng, complex_weights)))
+        pairs.append((angle, _random_weight(rng)))
     return DiscreteMeasure.from_atoms(basis, pairs)
 
 
-def random_density(rng: np.random.Generator, degree: int = 3,
-                   fill: float = 0.7) -> TrigPolyDensity:
-    """Random trigonometric-polynomial density of bounded degree."""
+def random_density(rng: np.random.Generator, degree: int = 3) -> TrigPolyDensity:
+    """Random trigonometric-polynomial density of bounded degree, each
+    frequency present with probability 0.7."""
     coeffs = {}
     for k in range(-degree, degree + 1):
-        if rng.uniform(0.0, 1.0) < fill:
-            coeffs[k] = _random_weight(rng, True)
+        if rng.uniform(0.0, 1.0) < 0.7:
+            coeffs[k] = _random_weight(rng)
     return TrigPolyDensity(coeffs)
 
 

@@ -6,8 +6,8 @@ the support group and free unit circle variables for the independent
 generators (the dual torus of Z_q x Z^d, Rudin, *Fourier Analysis on
 Groups*, ch. 5).  ``spectral_bracket`` walks lattices of those characters,
 a uniform grid per free variable.  Each lattice maximum, less a rounding
-allowance, is a lower end; between lattice points |p|^2 cannot fall faster
-than a cosine (the van der Corput-Schaake inequality, in Duffin and
+allowance, is a lower end; between lattice points |mu_hat|^2 cannot fall
+faster than a cosine (the van der Corput-Schaake inequality, in Duffin and
 Schaeffer's form), so the lattice maximum, divided by the square root of
 that cosine at the grid's spacing, bounds the maximum over the whole torus.
 For a measure with a density part sum_K c_k e_k the radius is the larger of
@@ -199,61 +199,29 @@ def fekete_bound(mu: MeasureLike, k_max: int = 6) -> FeketeReport:
     return FeketeReport(tuple(entries), final, budget_hit)
 
 
-@dataclass(frozen=True)
-class CharacterPolynomial:
-    """Measure transform as a function of a generalized character.
-
-    A character is (t, phi) with t in range(order) acting through the root of
-    unity omega = e^{2 pi i t / order} and phi in [0, 2pi)^dims acting through
-    z_i = e^{i phi_i}.  The value is sum_j weights[j] * omega^{torsion[j] * t}
-    * prod_i z_i^{exponents[j][i]}.  Only generators that actually appear
-    with a nonzero exponent contribute a dimension; ``dim_names`` records
-    which basis generators those are.
-    """
-
-    order: int
-    torsion: tuple[int, ...]
-    exponents: tuple[tuple[int, ...], ...]
-    weights: tuple[complex, ...]
-    dim_names: tuple[str, ...]
-
-    @property
-    def dims(self) -> int:
-        return len(self.dim_names)
-
-    @property
-    def n_terms(self) -> int:
-        return len(self.weights)
+def _exponents(d: DiscreteMeasure) -> np.ndarray:
+    """The free exponents of d's atoms, one row per atom: the columns of its
+    generator coefficients that are not all zero, one per free dimension of
+    its character torus."""
+    return d.coef[:, d.coef.any(axis=0)]
 
 
-def char_polynomial(mu: DiscreteMeasure) -> CharacterPolynomial:
-    """Character polynomial of a discrete measure.
+def character_values(d: DiscreteMeasure, grid: int = 256) -> np.ndarray:
+    """Values of d's transform over its full character lattice, as a flat
+    complex array.
 
-    The torsion order is the measure's common turn denominator (the lcm of
-    the reduced ones) and the torsion exponents its turn numerators;
-    generator coefficients become free exponents.
-    """
-    if isinstance(mu, MixedMeasure):
-        if not mu.ac.is_zero:
-            raise TypeError("character polynomials are defined for discrete measures")
-        mu = mu.disc
-    active = np.flatnonzero(mu.coef.any(axis=0))
-    return CharacterPolynomial(mu.den, tuple(mu.num.tolist()),
-                               tuple(map(tuple, mu.coef[:, active].tolist())),
-                               tuple(mu.w.tolist()), tuple(mu.basis.names[i] for i in active))
-
-
-def character_values(p: CharacterPolynomial, grid: int = 256) -> np.ndarray:
-    """Values of p over the full character lattice, as a flat complex array.
-
+    A character is (t, phi) with t in range(d.den) and phi in [0, 2pi)^dims,
+    one free dimension per generator with a nonzero coefficient
+    (``_exponents``); an atom with weight c at num / den turns plus
+    exponents e contributes c * e^{2 pi i num t / den} * prod_a e^{i e_a phi_a}.
     Covers every torsion class crossed with a uniform ``grid``-point lattice
-    per free dimension, t-major and in C order within a class.  A polynomial
-    without terms evaluates to {0}.  Each stack of row tiles of the walk (see
-    ``_torus_slices``) is copied through an (order, rows, columns) view into
+    per free dimension, t-major and in C order within a class.  The zero
+    measure evaluates to {0}.  Each stack of row tiles of the walk (see
+    ``_torus_slices``) is copied through a (classes, rows, columns) view into
     one preallocated output, which is then scaled back once; the values come
     from a blocked BLAS product, so their last bits depend on the BLAS build.
     """
-    shape, shift, tiles = _torus_slices(p, grid)
+    shape, shift, tiles = _torus_slices(d, grid)
     out = np.empty(shape, dtype=np.complex128)
     for t, lo, values in tiles:
         out[t:t + len(values), lo:lo + values.shape[1]] = values
@@ -278,8 +246,10 @@ def _phase_index(exponents: np.ndarray, grid: int, points: range) -> np.ndarray:
 
 def _eval_on_grid(weights: np.ndarray, torsion: np.ndarray, order: int,
                   exponents: np.ndarray, grid: int, classes: range):
-    """p on the lattice of the torsion classes ``classes`` (a subrange of
-    range(order)) x grid^dims, one row tile of a chunk of classes at a time.
+    """p(t; phi) = sum_j weights[j] omega^(torsion[j] t) prod_a e^{i
+    exponents[j, a] phi_a} on the lattice of the torsion classes ``classes``
+    (a subrange of range(order)) x grid^dims, one row tile of a chunk of
+    classes at a time.
 
     p(t; x, y) = sum_j L[j, x] R_t[j, y] with x over the first ceil(dims/2)
     axes and y over the rest.  L holds entries of the grid's root-of-unity
@@ -346,36 +316,37 @@ def _eval_on_grid(weights: np.ndarray, torsion: np.ndarray, order: int,
                 yield i0 + c, lo, tile[:, :, :n_right]
 
 
-def check_torus_grid(p: CharacterPolynomial, grid: int) -> None:
-    """Refuse, in O(1) and before any table of roots is built, a lattice the
-    walker cannot hold: ValueError for a grid below 16, BudgetExceededError
-    for more than MAX_TORUS_DIMS free dimensions or when order * grid^dims
+def check_torus_grid(d: DiscreteMeasure, grid: int) -> None:
+    """Refuse, before any table of roots is built, a lattice the walker
+    cannot hold: ValueError for a grid below 16, BudgetExceededError for
+    more than MAX_TORUS_DIMS free dimensions or when den * grid^dims
     exceeds _TORUS_POINT_LIMIT."""
     if grid < 16:
         raise ValueError("grid must be at least 16")
-    if p.dims > MAX_TORUS_DIMS:
-        raise BudgetExceededError(f"the character torus has {p.dims} free dimensions, above "
+    dims = _exponents(d).shape[1]
+    if dims > MAX_TORUS_DIMS:
+        raise BudgetExceededError(f"the character torus has {dims} free dimensions, above "
                                   f"the walker's {MAX_TORUS_DIMS}")
-    points = p.order * grid ** p.dims
+    points = d.den * grid ** dims
     if points > _TORUS_POINT_LIMIT:
         raise BudgetExceededError(
-            f"the character torus has {p.order} torsion classes x {grid}^{p.dims} grid "
+            f"the character torus has {d.den} torsion classes x {grid}^{dims} grid "
             f"points = {points}, above the limit of {_TORUS_POINT_LIMIT}")
 
 
-def _torus_slices(p: CharacterPolynomial, grid: int, classes: Optional[range] = None):
-    """Set up the walk over the character torus: (shape, shift, tiles).
+def _torus_slices(d: DiscreteMeasure, grid: int, classes: Optional[range] = None):
+    """Set up the walk over d's character torus: (shape, shift, tiles).
 
     The walk covers the torsion classes ``classes``, all of them by default.
     shape is the lattice's (classes, grid^ceil(dims/2), grid^floor(dims/2))
     and tiles the row tiles of ``_eval_on_grid``, computed on the weights
-    times 2^-shift, where shift is 0 unless (sum |c_j|)^2 would leave the
-    normal float range; multiplying the values by 2^shift gives p itself,
-    and |values|^2 stays finite and does not underflow to zero.  A
-    polynomial without terms has shape (1, 1, 1) and one zero tile.  Besides
-    the caller's own output the walk holds a chunk of tiles, its left factor
+    times 2^-shift, where shift is 0 unless ||d||^2 would leave the normal
+    float range; multiplying the values by 2^shift gives d's transform
+    itself, and |values|^2 stays finite and does not underflow to zero.
+    The zero measure has shape (1, 1, 1) and one zero tile.  Besides the
+    caller's own output the walk holds a chunk of tiles, its left factor
     rows and a group of right factors, each about _TILE_BYTES, and R's
-    roots, n_terms * grid^floor(dims/2) entries.
+    roots, atoms * grid^floor(dims/2) entries.
 
     The lattice values are blocked BLAS products.  With OpenBLAS 0.3.31
     their bits were the same with 1 and 2 BLAS threads and for any tile of
@@ -386,33 +357,31 @@ def _torus_slices(p: CharacterPolynomial, grid: int, classes: Optional[range] = 
     ``check_torus_grid`` does, and raises ValueError when the weights do not
     have a finite sum.
     """
-    check_torus_grid(p, grid)
-    if p.n_terms == 0:
+    check_torus_grid(d, grid)
+    if d.is_zero:
         return (1, 1, 1), 0, iter([(0, 0, np.zeros((1, 1, 1), dtype=np.complex128))])
-    total = sum(abs(c) for c in p.weights)
+    total = d.norm()
     if not math.isfinite(total):
         raise ValueError(f"the character weights sum to {total!r}, so p would not be finite")
     shift = _rescale_exponent(total)
-    weights = np.asarray(p.weights, dtype=np.complex128)
-    if shift:
-        weights *= math.ldexp(1.0, -shift)
-    exponents = np.asarray(p.exponents, dtype=np.int64).reshape(p.n_terms, p.dims)
-    classes = range(p.order) if classes is None else classes
-    left = (p.dims + 1) // 2
-    shape = (len(classes), grid ** left, grid ** (p.dims - left))
-    return shape, shift, _eval_on_grid(weights, np.asarray(p.torsion, dtype=np.int64),
-                                       p.order, exponents, grid, classes)
+    weights = d.w * math.ldexp(1.0, -shift) if shift else d.w
+    exponents = _exponents(d)
+    classes = range(d.den) if classes is None else classes
+    left = (exponents.shape[1] + 1) // 2
+    shape = (len(classes), grid ** left, grid ** (exponents.shape[1] - left))
+    return shape, shift, _eval_on_grid(weights, d.num, d.den, exponents, grid, classes)
 
 
-def torus_max(p: CharacterPolynomial, grid: int = 512) -> float:
-    """A lower end of max |p| over the generalized characters: the maximum
-    of |p| over the full torsion-by-grid lattice (``_lattice_max``), less
-    its rounding allowance and clamped at 0.  The grid-g lattice lies in the
-    grid-2g one, so the value only increases when ``grid`` doubles, on a
-    BLAS build that keeps the grid-doubling bits (see ``_torus_slices``).
-    Raises as ``check_torus_grid`` does, and ValueError when the weights do
-    not have a finite sum."""
-    best, allowance, shift = _lattice_max(p, grid)
+def torus_max(d: DiscreteMeasure, grid: int = 512) -> float:
+    """A lower end of the spectral radius of d, the maximum of |d_hat| over
+    its generalized characters: the maximum over the full torsion-by-grid
+    lattice (``_lattice_max``), less its rounding allowance and clamped
+    at 0.  The grid-g lattice lies in the grid-2g one, so the value only
+    increases when ``grid`` doubles, on a BLAS build that keeps the
+    grid-doubling bits (see ``_torus_slices``).  Raises as
+    ``check_torus_grid`` does, and ValueError when the weights do not have
+    a finite sum."""
+    best, allowance, shift = _lattice_max(d, grid)
     return math.ldexp(max(0.0, best - allowance), shift)
 
 
@@ -466,12 +435,12 @@ def _tiles_top(tiles) -> float:
     return top
 
 
-def _lattice_max(p: CharacterPolynomial, grid: int,
+def _lattice_max(d: DiscreteMeasure, grid: int,
                  classes: Optional[range] = None) -> tuple[float, float, int]:
-    """(best, allowance, shift): the largest computed |p| over the lattice
-    of the torsion classes ``classes`` (all by default) and the rounding
-    allowance (K + _ROUNDING_TERMS) * u * sum |c_j|, both times 2^-shift
-    (see ``_torus_slices``).
+    """(best, allowance, shift): the largest computed |d_hat| over the
+    lattice of the torsion classes ``classes`` (all by default) and the
+    rounding allowance (K + _ROUNDING_TERMS) * u * ||d|| for K atoms, both
+    times 2^-shift (see ``_torus_slices``).
 
     Each row tile of the walk is reduced to its largest |v|^2 while it is
     still in cache (``_tiles_top``), and the square root is taken once, of
@@ -489,19 +458,18 @@ def _lattice_max(p: CharacterPolynomial, grid: int,
     stays on the calling thread, whose BLAS calls already use the other
     cores.
     """
-    classes = range(p.order) if classes is None else classes
-    walks = [_torus_slices(p, grid, share)
-             for share in _shares(classes, len(classes) * grid ** p.dims)]
+    classes = range(d.den) if classes is None else classes
+    walks = [_torus_slices(d, grid, share)
+             for share in _shares(classes, len(classes) * grid ** _exponents(d).shape[1])]
     shift = walks[0][1]
     others = [_pool().submit(_tiles_top, tiles) for _, _, tiles in walks[1:]]
     top = max([_tiles_top(walks[0][2])] + [other.result() for other in others])
-    total = math.ldexp(sum(abs(c) for c in p.weights), -shift)
-    return math.sqrt(top), (p.n_terms + _ROUNDING_TERMS) * _U * total, shift
+    return math.sqrt(top), (len(d) + _ROUNDING_TERMS) * _U * math.ldexp(d.norm(), -shift), shift
 
 
-def _exponent_span(p: CharacterPolynomial) -> int:
-    """sum over the free axes of p's largest less its smallest exponent."""
-    return sum(max(axis) - min(axis) for axis in zip(*p.exponents))
+def _exponent_span(d: DiscreteMeasure) -> int:
+    """sum over the free axes of d's largest less its smallest exponent."""
+    return sum(max(axis) - min(axis) for axis in _exponents(d).T.tolist())
 
 
 def _grid_upper(best: float, allowance: float, span: int, grid: int) -> float:
@@ -553,42 +521,39 @@ def _norm_bounds(m: MixedMeasure) -> tuple[float, float]:
     return norm + density_value, upper
 
 
-def _live_classes(p: CharacterPolynomial) -> range:
-    """The torsion classes at which p can be nonzero.  When the half turn
-    m -> m + order/2 maps p's terms onto themselves, p(t) = (-1)^t p(t) and
-    p vanishes at odd t; when it maps them onto their negatives, p vanishes
-    at even t.  The even and odd pieces of ``measures.parity_projections``
-    are of these two kinds."""
-    half = p.order // 2
-    if p.order % 2 or not p.n_terms:
-        return range(p.order)
-    terms = dict(zip(zip(p.torsion, p.exponents), p.weights))
-    image = [terms.get(((m + half) % p.order, e)) for m, e in zip(p.torsion, p.exponents)]
-    if image == list(p.weights):
-        return range(0, p.order, 2)
-    if image == [-c for c in p.weights]:
-        return range(1, p.order, 2)
-    return range(p.order)
+def _live_classes(d: DiscreteMeasure) -> range:
+    """The torsion classes at which d_hat can be nonzero.  When the half
+    turn num -> num + den/2 maps d onto itself, d_hat(t) = (-1)^t d_hat(t)
+    and d_hat vanishes at odd t; when it maps d onto -d, d_hat vanishes at
+    even t.  The even and odd pieces of ``measures.parity_projections`` are
+    of these two kinds."""
+    if d.den % 2:
+        return range(d.den)
+    image = DiscreteMeasure._rows(d.basis, d.den, (d.num + d.den // 2) % d.den, d.coef, d.w)
+    if image == d:
+        return range(0, d.den, 2)
+    if image == -d:
+        return range(1, d.den, 2)
+    return range(d.den)
 
 
 def spectral_bracket(mu: MeasureLike, max_grid: Optional[int] = None
                      ) -> tuple[float, float]:
     """Certified (lower, upper) bracket of the spectral radius of mu.
 
-    For the discrete part d, with character polynomial p, each lattice walk
-    of the grid loop gives a lower end, its maximum less the rounding
-    allowance (as ``torus_max``), and, once the grid exceeds twice the
-    exponent span S of p (the sum over the free axes of the exponents'
-    ranges), an upper end (max + allowance) / sqrt(cos(pi S / grid)).  The
-    loop keeps the largest lower and the smallest upper end and stops once
-    upper - lower <= _BRACKET_REL_WIDTH * upper, or when the next grid
-    would pass ``max_grid`` (no ceiling by default) or the walker's
-    _TORUS_POINT_LIMIT.  Its first grid is 16, where the cap below may
+    For the discrete part d, each lattice walk of the grid loop gives a
+    lower end, its maximum less the rounding allowance (as ``torus_max``),
+    and, once the grid exceeds twice the exponent span S of d (the sum over
+    the free axes of the exponents' ranges), an upper end (max + allowance)
+    / sqrt(cos(pi S / grid)).  The loop keeps the largest lower and the
+    smallest upper end and stops once upper - lower <= _BRACKET_REL_WIDTH *
+    upper, or when the next grid would pass ``max_grid`` (no ceiling by
+    default) or the walker's _TORUS_POINT_LIMIT.  Its first grid is 16, where the cap below may
     already close the bracket; the next is the coarsest power of two whose
     upper end can come within _BRACKET_REL_WIDTH of its lower end, or the
     finest within those limits, and the grid then doubles.  Without free
     axes one walk gives [max - allowance, max + allowance].  Torsion classes
-    where p vanishes identically, half of them for a parity piece
+    where d_hat vanishes identically, half of them for a parity piece
     (``_live_classes``), are not walked.  At one BLAS thread a walk of at
     least _SPREAD_POINTS lattice points spreads the live classes over the
     CPUs, to the same bits (``_lattice_max``).
@@ -601,39 +566,38 @@ def spectral_bracket(mu: MeasureLike, max_grid: Optional[int] = None
 
     Raises ValueError, before any work, for a max_grid below 16;
     BudgetExceededError, before any walk, when d has more than
-    MAX_TORUS_DIMS free dimensions or order * 16^dims exceeds the walker's
+    MAX_TORUS_DIMS free dimensions or den * 16^dims exceeds the walker's
     limit; and ValueError when the total variation is not finite.
     """
     if max_grid is not None and max_grid < 16:
         raise ValueError("grid must be at least 16")
     m = as_mixed(mu)
     upper = _norm_bounds(m)[1]
-    p = char_polynomial(m.disc)
-    check_torus_grid(p, 16)
+    d = m.disc
+    check_torus_grid(d, 16)
     lower = upper_k = 0.0
     if not m.ac.is_zero:  # max over the density's frequencies k of |mu_hat(k)|
         [(top, allowance)] = _transform_sups([m], list(m.ac.coeffs))
         lower, upper_k = max(0.0, top - allowance), top + allowance
-    span = _exponent_span(p)
-    classes = _live_classes(p)
+    dims, span, classes = _exponents(d).shape[1], _exponent_span(d), _live_classes(d)
     limit = (_TORUS_POINT_LIMIT if max_grid is None
-             else min(_TORUS_POINT_LIMIT, p.order * max_grid ** p.dims))
+             else min(_TORUS_POINT_LIMIT, d.den * max_grid ** dims))
     fine = 16
-    while (p.dims and math.pi * span > _BRACKET_ANGLE * fine
-           and p.order * (2 * fine) ** p.dims <= limit):
+    while (dims and math.pi * span > _BRACKET_ANGLE * fine
+           and d.den * (2 * fine) ** dims <= limit):
         fine *= 2
     grid = 16
     while True:
-        best, allowance, shift = _lattice_max(p, grid, classes)
+        best, allowance, shift = _lattice_max(d, grid, classes)
         lower = max(lower, math.ldexp(max(0.0, best - allowance), shift))
-        if not p.dims:
+        if not dims:
             upper = min(upper, max(upper_k, math.ldexp(best + allowance, shift)))
             break
         if grid > 2 * span:
             grid_upper = math.ldexp(_grid_upper(best, allowance, span, grid), shift)
             upper = min(upper, max(upper_k, grid_upper))
         if (upper - lower <= _BRACKET_REL_WIDTH * upper
-                or p.order * (2 * grid) ** p.dims > limit):
+                or d.den * (2 * grid) ** dims > limit):
             break
         grid = max(2 * grid, fine)
     return lower, upper

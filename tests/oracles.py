@@ -2,13 +2,12 @@
 
 import math
 from fractions import Fraction
-from typing import Sequence
 
 import mpmath
 import numpy as np
 
 from natspec.measures import DiscreteMeasure, unit_roots
-from natspec.spectrum import CharacterPolynomial, covering_radius
+from natspec.spectrum import covering_radius
 
 
 def hausdorff(a, b) -> float:
@@ -30,14 +29,29 @@ def brute_covering(reference, sample) -> float:
     return worst
 
 
-def character_value(p: CharacterPolynomial, t: int, phis: Sequence[float]) -> complex:
-    """p at the single character (t, phis), one term at a time."""
-    acc = 0.0 + 0.0j
-    for m, row, c in zip(p.torsion, p.exponents, p.weights):
-        phase = sum(e * x for e, x in zip(row, phis))
-        acc += (c * unit_roots((m * t) % p.order, p.order)
-                * complex(math.cos(phase), math.sin(phase)))
-    return acc
+def free_exponents(d: DiscreteMeasure) -> list:
+    """Each atom's generator coefficients on the generators that some atom
+    uses, one free dimension of the character torus each."""
+    rows = d.coef.tolist()
+    used = [i for i in range(len(d.basis)) if any(row[i] for row in rows)]
+    return [[row[i] for i in used] for row in rows]
+
+
+def lattice_values(d: DiscreteMeasure, points, grid: int) -> list:
+    """d's transform at the characters (t, 2 pi idx / grid) of the lattice
+    points (t, *idx), one atom at a time: an atom's free phase
+    sum_a e_a idx_a is reduced mod grid in integers, then taken through
+    math.cos and math.sin."""
+    atoms = list(zip(d.num.tolist(), free_exponents(d), d.w.tolist()))
+    values = []
+    for t, *idx in points:
+        acc = 0.0 + 0.0j
+        for m, row, c in atoms:
+            phase = 2.0 * math.pi * (sum(e * int(j) for e, j in zip(row, idx)) % grid) / grid
+            acc += (c * unit_roots((m * int(t)) % d.den, d.den)
+                    * complex(math.cos(phase), math.sin(phase)))
+        values.append(acc)
+    return values
 
 
 def mp_transform(mu: DiscreteMeasure, n: int) -> complex:

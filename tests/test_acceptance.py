@@ -17,8 +17,7 @@ from natspec.kronecker import hit_target, pair_transform_values
 from natspec.measures import (DiscreteMeasure, as_mixed, convolve, make_rho,
                               make_theta0, make_theta1, parity_projections, tv_norm)
 from natspec.sampling import default_rng, random_discrete, random_mixed
-from natspec.spectrum import (char_polynomial, character_values, disk_grid, fekete_bound,
-                              torus_max)
+from natspec.spectrum import character_values, disk_grid, fekete_bound, torus_max
 from oracles import hausdorff
 
 BASIS = GeneratorBasis.from_pairs((("a", math.sqrt(2)), ("b", math.sqrt(3))))
@@ -99,7 +98,7 @@ def test_criterion_04_unit_radius_of_the_two_point_average():
     rho = make_rho(BASIS.generator("a"), BASIS.generator("b"), BASIS)
     fekete = fekete_bound(rho, k_max=4)
     assert all(abs(bound - 1.0) <= 1e-12 for _, bound in fekete.entries)
-    lower = torus_max(char_polynomial(rho), 512)
+    lower = torus_max(rho, 512)
     assert 0.999 <= lower <= 1.0 + 1e-12
     _report(4, 30.0, started,
             f"norm-root bounds all within 1e-12 of 1, torus bound {lower!r}")
@@ -146,7 +145,7 @@ def test_criterion_07_even_piece_has_disk_spectrum():
         gap = hausdorff(cloud, disk_grid(result.R0, 0.05))
         worst_gap = max(worst_gap, float(gap))
         assert gap < 0.1
-        sample = character_values(char_polynomial(result.nu0), 16)
+        sample = character_values(result.nu0, 16)
         excess = float(np.max(np.abs(sample))) - result.R0
         worst_excess = max(worst_excess, excess)
         assert excess <= 1e-6
@@ -159,9 +158,8 @@ def test_criterion_08_radius_brackets_tighten():
     rng = default_rng(1008)
     for _ in range(50):
         mu = random_discrete(rng, BASIS)
-        p = char_polynomial(mu)
-        lower_coarse = torus_max(p, 32)
-        lower_fine = torus_max(p, 64)
+        lower_coarse = torus_max(mu, 32)
+        lower_fine = torus_max(mu, 64)
         upper_coarse = fekete_bound(mu, k_max=3).final_bound
         upper_fine = fekete_bound(mu, k_max=6).final_bound
         assert lower_fine <= upper_fine + 1e-6

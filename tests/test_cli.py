@@ -22,15 +22,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import natspec
-from natspec import blas, cli, measures, spectrum
+from natspec import blas, cli, decomposition, measures, spectrum
 from natspec.angles import FRESH_GENERATOR_VALUES, GeneratorBasis
 from natspec.cli import main
-from natspec.decomposition import DecompositionOptions, verify_decomposition
+from natspec.decomposition import DecompositionOptions, decompose, verify_decomposition
+from natspec.errors import RadiusValidationError
 from natspec.measures import DiscreteMeasure, MixedMeasure, as_mixed
 from natspec.sampling import default_rng, random_discrete
 from natspec.serialize import measure_from_json, measure_to_json, read_json, write_json
-from natspec.spectrum import (char_polynomial, fekete_bound, radius_bracket, spectral_bracket,
-                              torus_max)
+from natspec.spectrum import fekete_bound, radius_bracket, spectral_bracket, torus_max
 from natspec.kronecker import KroneckerProblem
 
 
@@ -586,7 +586,7 @@ def test_bench_bracket_command_line_runs_in_a_child_process(tmp_path):
         (basis.angle(Fraction(0), (1, 1, 1, 1)), 0.3 + 0.1j),
         (basis.angle(Fraction(1, 2), (2, -1, 0, 0)), -0.2j),
         (basis.angle(Fraction(7, 12), (0, 0, 2, -1)), 0.6)])
-    assert char_polynomial(mu).order == 24 and char_polynomial(mu).dims == 4
+    assert mu.den == 24 and mu.coef.any(axis=0).all()
     path, out = tmp_path / "mu.json", tmp_path / "sr.json"
     write_json(path, measure_to_json(mu))
     env = {**os.environ, "PYTHONPATH": str(Path(natspec.__file__).resolve().parents[1])}
@@ -828,6 +828,28 @@ def test_kronecker_refuses_a_huge_angle_before_any_scan(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, options, error, message", [
+    (["--kmax", "-1"], DecompositionOptions(fekete_k_max=-1), ValueError,
+     "fekete_k_max must be nonnegative"),
+    (["--radius-mode", "manual", "--r0", "-1", "--r1", "10"],
+     DecompositionOptions(radius_mode="manual", manual_radii=(-1.0, 10.0)),
+     RadiusValidationError, "radii must be nonnegative")],
+    ids=["negative kmax", "negative radius"])
+def test_decompose_refuses_a_negative_kmax_or_radius_before_any_work(
+        tmp_path, measure_file, monkeypatch, capsys, flags, options, error, message):
+    # from the command line (exit 2) and from the library alike, before the
+    # measure is lifted to the extended basis
+    calls = []
+    monkeypatch.setattr(decomposition, "_embed", lambda *a: calls.append(a))
+    out = tmp_path / "x"
+    rc = main(["decompose", "--input", str(measure_file), "--out", str(out), *flags])
+    assert rc == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    with pytest.raises(error, match=message):
+        decompose(measure_from_json(read_json(measure_file)), options)
+    assert calls == [] and not out.exists()
+
+
 def test_decompose_defaults_are_the_options_defaults():
     args = cli.build_parser().parse_args(["decompose", "--input", "m", "--out", "o"])
     opts = DecompositionOptions()
@@ -965,5 +987,5 @@ def test_cli_walk_spreads_only_when_blas_runs_one_thread(tmp_path, monkeypatch, 
     assert rc == 0 and "bracket [" in capsys.readouterr().out
     assert counts == [2 if loader == "found" else 1]
     # the same bits as the library's walk on the calling thread
-    p = char_polynomial(measure_from_json(read_json(path)))
-    assert json.loads(out.read_text(encoding="utf-8"))["torus_lower"] == torus_max(p, 16)
+    mu = measure_from_json(read_json(path))
+    assert json.loads(out.read_text(encoding="utf-8"))["torus_lower"] == torus_max(mu, 16)

@@ -20,8 +20,7 @@ from natspec.measures import (DiscreteMeasure, MixedMeasure, as_mixed, convolve,
                               make_theta0, make_theta1, parity_projections, transforms)
 from natspec.sampling import default_rng, random_discrete, random_mixed
 from natspec.serialize import measure_to_json
-from natspec.spectrum import (char_polynomial, covering_radius, disk_grid, fekete_bound,
-                              spectral_bracket)
+from natspec.spectrum import covering_radius, disk_grid, fekete_bound, spectral_bracket
 from oracles import brute_covering
 
 ALL_CHECKS = ("identity_structural", "identity_transform", "nu2_support",
@@ -123,12 +122,12 @@ def test_verifier_walks_no_lattice_beyond_the_parity_pieces(monkeypatch, basis):
     rng = default_rng(910)
     for mu in (random_discrete(rng, basis), random_mixed(rng, basis), order_448_measure()):
         result = decompose(mu, DecompositionOptions(verify=False))
-        free = max(char_polynomial(as_mixed(m).disc).dims
+        free = max(int(as_mixed(m).disc.coef.any(axis=0).sum())
                    for m in parity_projections(result.mu_embedded))
         walked = []
         real = spectrum._lattice_max
-        monkeypatch.setattr(spectrum, "_lattice_max",
-                            lambda p, *a: walked.append(p.dims) or real(p, *a))
+        monkeypatch.setattr(spectrum, "_lattice_max", lambda d, *a: walked.append(
+            int(d.coef.any(axis=0).sum())) or real(d, *a))
         assert verify_decomposition(mu, result).passed
         monkeypatch.undo()
         assert walked and max(walked) <= free < len(result.basis)

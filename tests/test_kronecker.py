@@ -225,6 +225,16 @@ def test_disk_preimage_midpoints():
             disk_preimage(outside)
 
 
+@pytest.mark.parametrize("w", [1.01, 0.8 + 0.8j, complex(0.0, -1.0 - 1e-9)])
+def test_hit_target_refuses_a_target_outside_the_disk_before_any_scan(monkeypatch, w):
+    calls = []
+    monkeypatch.setattr(kronecker, "_rho_objectives", lambda *a: calls.append(a))
+    monkeypatch.setattr(kronecker, "_scan", lambda *a: calls.append(a))
+    with pytest.raises(OutOfDiskError, match="exceeds 1"):
+        hit_target(SQRT2, SQRT3, w, 0.05)
+    assert calls == []
+
+
 def test_disk_preimage_identity_on_random_points():
     rng = np.random.default_rng(6)
     ws = np.sqrt(rng.uniform(0.0, 1.0, 100)) * np.exp(2j * np.pi * rng.uniform(0, 1, 100))

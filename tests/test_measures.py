@@ -412,19 +412,27 @@ def test_unit_roots_within_an_ulp_of_mpmath_and_conjugate():
 
 
 def test_transform_at_huge_denominator_builds_no_table():
-    q = 274877906951  # 2**38 + 7: a length-q root table would take 4 TiB
-    mu = DiscreteMeasure.from_atoms(BASIS, [(BASIS.angle(Fraction(1, q)), 0.5 - 0.25j),
-                                            (BASIS.angle(Fraction(q - 3, 2 * q)), 1.0)])
-    ns = np.array([-(1 << 62), -q, -5, 0, 1, 7, q - 1, 2 * q + 1, 1 << 44], dtype=np.int64)
-    tracemalloc.start()
-    try:
-        vec = mu.transform(ns)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
-    for n, v in zip(ns.tolist(), vec):
-        assert abs(v - mp_transform(mu, n)) <= 1e-12 * mu.norm()
+    # at 2**38 + 7 a length-q root table would take 4 TiB; at 2**61 + 1,
+    # 8 (q - 1) passes int64 and the roots take their octants in Python
+    # integers
+    for q, k in ((274877906951, 2), ((1 << 61) + 1, 1)):
+        mu = DiscreteMeasure.from_atoms(BASIS, [(BASIS.angle(Fraction(1, q)), 0.5 - 0.25j),
+                                                (BASIS.angle(Fraction(q - 3, k * q)), 1.0)])
+        ns = np.array([-(1 << 62), -q, -5, 0, 1, 7, q - 1, 2 * q + 1, 1 << 44], dtype=np.int64)
+        tracemalloc.start()
+        try:
+            vec = mu.transform(ns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        for n, v in zip(ns.tolist(), vec):
+            assert abs(v - mp_transform(mu, n)) <= 1e-12 * mu.norm()
+    assert mu.den == q and 8 * (q - 1) >= 1 << 63
+    # a residue and its negative give conjugate roots, bit for bit
+    r = np.concatenate([[1, 2, q // 8, q // 4, q // 2, q - 2],
+                        np.random.default_rng(1).integers(1, q, 200)])
+    assert unit_roots(q - r, q).tobytes() == np.conj(unit_roots(r, q)).tobytes()
 
 
 DENOMINATORS = tuple(range(1, 13)) + (97, 1_000_003)
@@ -962,8 +970,8 @@ def test_period_table_keeps_the_per_n_bits():
     # every n of a call gets the bits of transforms' formula taken at that n
     # alone, whatever the other n: measures whose rational parts repeat with
     # periods 12, 2 and 65537 (past the cached root tables), at a dense range
-    # and at n drawn from all of int64; the weights carry signed zeros and
-    # the n include both int64 extremes
+    # and at n drawn from all of int64, and 300 atoms, past one term block;
+    # the weights carry signed zeros and the n include both int64 extremes
     extremes = [np.iinfo(np.int64).min, np.iinfo(np.int64).min + 1, -(1 << 62) - 7, -13, -1,
                 0, 1, 12, 1 << 62, np.iinfo(np.int64).max - 1, np.iinfo(np.int64).max]
     a, b = BASIS.generator("a"), BASIS.generator("b")
@@ -990,6 +998,20 @@ def test_period_table_keeps_the_per_n_bits():
     together = transforms([twelve, big, twelve], ns)
     assert [v.tobytes() for v in together] == [
         transforms([m], ns)[0].tobytes() for m in (twelve, big, twelve)]
+    # 300 atoms over 97ths make three blocks of at most 128 terms, summed in
+    # order; within 1e-12 ||mu|| of the 30-digit sum where the long-double
+    # phases are exact to that
+    many = DiscreteMeasure.from_atoms(BASIS, [
+        (BASIS.angle(Fraction(int(rng.integers(0, 97)), 97),
+                     tuple(int(c) for c in rng.integers(1, 4, 2) * rng.choice([-1, 1], 2))),
+         complex(*rng.uniform(-1, 1, 2))) for _ in range(300)])
+    assert len(many) > 2 * 128
+    ns = np.concatenate([extremes, rng.integers(-20_000, 20_000, 10)])
+    values = transforms([many], ns)[0]
+    assert values.tobytes() == _per_n_transform(many, ns).tobytes()
+    for n, v in zip(ns.tolist(), values.tolist()):
+        if abs(n) <= 20_000:
+            assert abs(v - mp_transform(many, n)) <= 1e-12 * many.norm()
 
 
 def test_phase_tables_give_each_n_the_same_bits_in_any_array(monkeypatch):

@@ -1,4 +1,4 @@
-"""Spectral radius bounds, character polynomials, and spectrum geometry."""
+"""Spectral radius bounds, character lattice walks, and spectrum geometry."""
 
 import itertools
 import math
@@ -26,10 +26,9 @@ from natspec.measures import (DiscreteMeasure, MixedMeasure, TrigPolyDensity, as
 from natspec.sampling import default_rng, random_discrete, random_mixed
 from scipy.spatial import cKDTree
 
-from natspec.spectrum import (MAX_DISK_POINTS, CharacterPolynomial, char_polynomial,
-                              character_values, covering_radius, disk_grid, disk_grid_shape,
-                              fekete_bound, spectral_bracket, torus_max)
-from oracles import character_value, hausdorff, mp_transform
+from natspec.spectrum import (MAX_DISK_POINTS, character_values, covering_radius, disk_grid,
+                              disk_grid_shape, fekete_bound, spectral_bracket, torus_max)
+from oracles import free_exponents, hausdorff, lattice_values, mp_transform
 
 
 def test_fekete_bound_of_two_point_average(rho):
@@ -64,38 +63,36 @@ def test_fekete_bound_dominates_transform(basis):
         assert np.max(np.abs(mu.transform(ns))) <= bound + 1e-9
 
 
-def test_char_polynomial_of_half_turn_point(basis):
+def test_walker_reads_a_half_turn_point_as_one_torsion_row(basis):
+    # torsion order den, torsion num, no free axis, the weight itself
     point = DiscreteMeasure.from_atoms(basis, [(basis.half_turn(), 1.0)])
-    p = char_polynomial(point)
-    assert p.order == 2 and p.torsion == (1,)
-    assert p.exponents == ((),) and p.dim_names == ()
-    assert p.weights == (1.0 + 0j,)
+    assert point.den == 2 and point.num.tolist() == [1]
+    assert spectrum._exponents(point).shape == (1, 0)
+    assert point.w.tolist() == [1.0 + 0j]
 
 
-def test_char_polynomial_of_generator_pair(rho):
-    p = char_polynomial(rho)
-    assert p.order == 1 and p.torsion == (0, 0)
-    assert set(p.exponents) == {(0, 1), (1, 0)}
-    assert p.dim_names == ("a", "b")
-    assert all(w == 0.5 for w in p.weights)
+def test_walker_reads_a_generator_pair_as_two_free_axes(rho):
+    assert rho.den == 1 and rho.num.tolist() == [0, 0]
+    assert {tuple(row) for row in spectrum._exponents(rho).tolist()} == {(0, 1), (1, 0)}
+    assert free_exponents(rho) == spectrum._exponents(rho).tolist()
+    assert all(w == 0.5 for w in rho.w.tolist())
 
 
-def test_char_polynomial_order_is_lcm_of_denominators(basis):
+def test_walker_torsion_order_is_lcm_of_denominators(basis):
     mu = DiscreteMeasure.from_atoms(
         basis, [(basis.angle(Fraction(1, 3)), 1.0), (basis.angle(Fraction(1, 4)), 1.0)])
-    p = char_polynomial(mu)
-    assert p.order == 12
-    assert set(p.torsion) == {4, 3}
+    assert mu.den == 12
+    assert set(mu.num.tolist()) == {4, 3}
 
 
 def test_torus_max_of_pair_average(rho):
-    value = torus_max(char_polynomial(rho), 128)
+    value = torus_max(rho, 128)
     assert 0.999 <= value <= 1.0 + 1e-9
 
 
 def test_torus_max_of_scaled_point(basis):
     point = DiscreteMeasure.from_atoms(basis, [(basis.zero(), 0.25 - 0.5j)])
-    assert torus_max(char_polynomial(point)) == pytest.approx(abs(0.25 - 0.5j), abs=1e-15)
+    assert torus_max(point) == pytest.approx(abs(0.25 - 0.5j), abs=1e-15)
 
 
 def test_torus_max_of_point_masses_stays_below_the_upper_bound(basis):
@@ -105,7 +102,7 @@ def test_torus_max_of_point_masses_stays_below_the_upper_bound(basis):
     for _ in range(2000):
         w = complex(*rng.normal(size=2)) * 10.0 ** rng.uniform(-3, 3)
         point = DiscreteMeasure.from_atoms(basis, [(basis.generator("a"), w)])
-        lower = torus_max(char_polynomial(point), 128)
+        lower = torus_max(point, 128)
         assert 0.0 < lower <= abs(mpmath.mpc(w.real, w.imag))
         assert lower <= fekete_bound(point, 2).final_bound
         assert lower <= fekete_bound(point).final_bound
@@ -115,30 +112,30 @@ def test_torus_max_of_tiny_weights(basis):
     # |p|**2 underflows unless the weights are rescaled by a power of two
     # first; the bound must stay valid and not drop to zero
     tiny = DiscreteMeasure.from_atoms(basis, [(basis.generator("a"), 1e-170)])
-    assert 0.0 <= torus_max(char_polynomial(tiny), 16) <= 1e-170
+    assert 0.0 <= torus_max(tiny, 16) <= 1e-170
     for w in (1e-170, 1e-300, 5e-324):
         pair = DiscreteMeasure.from_atoms(basis, [(basis.zero(), w),
                                                   (basis.half_turn() + basis.generator("a"), w)])
-        assert torus_max(char_polynomial(pair), 16) == pytest.approx(2 * w, rel=1e-12, abs=0.0)
+        assert torus_max(pair, 16) == pytest.approx(2 * w, rel=1e-12, abs=0.0)
 
 
 def test_torus_max_of_huge_weights(basis):
     # |p|**2 overflows on the grid unless the weights are rescaled first
     pair = DiscreteMeasure.from_atoms(basis, [(basis.zero(), 1e200),
                                               (basis.half_turn() + basis.generator("a"), 1e200)])
-    assert torus_max(char_polynomial(pair), 16) == pytest.approx(2e200, rel=1e-12, abs=0.0)
+    assert torus_max(pair, 16) == pytest.approx(2e200, rel=1e-12, abs=0.0)
     # character_values evaluates on rescaled weights and returns unscaled values
     for small in (1e-10, 1e190):
         lopsided = DiscreteMeasure.from_atoms(basis, [(basis.zero(), 1e200),
                                                       (basis.generator("a"), small)])
-        sample = character_values(char_polynomial(lopsided), 16)
+        sample = character_values(lopsided, 16)
         assert sample.size == 16 and np.all(np.isfinite(sample))
         assert np.all(np.abs(sample) <= (1e200 + small) * (1 + 1e-12))
         assert np.max(np.abs(sample)) == pytest.approx(1e200 + small, rel=1e-12)
     huge = DiscreteMeasure.from_atoms(basis, [(basis.zero(), 1e308),
                                               (basis.generator("a"), 1e308)])
     with pytest.raises(ValueError, match="would not be finite"):
-        torus_max(char_polynomial(huge), 16)
+        torus_max(huge, 16)
 
 
 def test_fekete_bound_of_tiny_weights(basis):
@@ -167,64 +164,81 @@ def test_torus_max_monotone_under_grid_doubling(basis):
     rng = default_rng(23)
     for _ in range(5):
         mu = random_discrete(rng, basis, n_atoms=3)
-        p = char_polynomial(mu)
-        coarse = torus_max(p, 32)
-        fine = torus_max(p, 64)
+        coarse = torus_max(mu, 32)
+        fine = torus_max(mu, 64)
         assert fine >= coarse - 1e-12
 
 
 def test_character_values_fill_grid(rho):
-    values = character_values(char_polynomial(rho), 32)
+    values = character_values(rho, 32)
     assert values.shape == (1024,)
     assert np.max(np.abs(values)) <= 1.0 + 1e-12
     # the averaged pair of free characters sweeps out the whole disk
     assert hausdorff(values, disk_grid(1.0, 0.1)) < 0.1
 
 
+_FOUR = GeneratorBasis.from_pairs(FRESH_GENERATOR_VALUES[:4])
+
+
+def _measure(order, torsion, exponents, weights) -> DiscreteMeasure:
+    """weights[j] at torsion[j] / order turns plus exponents[j] times the
+    first generators of _FOUR; the weights at a repeated position are
+    summed."""
+    return DiscreteMeasure.from_atoms(_FOUR, [
+        (_FOUR.angle(Fraction(int(m), order), tuple(row.tolist()) + (0,) * (4 - len(row))),
+         complex(c)) for m, row, c in zip(torsion, exponents, weights)])
+
+
+def _dims(d: DiscreteMeasure) -> int:
+    """The free dimensions of d's character torus."""
+    return len(free_exponents(d)[0]) if len(d) else 0
+
+
 @st.composite
-def character_polynomials(draw):
-    # up to 300 terms, past one BLAS block of 128; entries come from a drawn
-    # seed so that large polynomials stay cheap to generate
+def torus_measures(draw):
+    # a few atoms, or more than one BLAS block of 128 on one to four free
+    # axes, whose exponents range widely enough that few positions repeat;
+    # entries come from a drawn seed so that large measures stay cheap to
+    # generate
     order = draw(st.integers(1, 12))
-    dims = draw(st.integers(0, 4))
-    n_terms = draw(st.one_of(st.integers(1, 4), st.integers(100, 300)))
+    large = draw(st.booleans())
+    dims = draw(st.integers(1 if large else 0, 4))
+    n_terms, span = (draw(st.integers(200, 300)), 300) if large else (draw(st.integers(1, 4)), 3)
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    return CharacterPolynomial(
-        order,
-        tuple(int(m) for m in rng.integers(0, order, n_terms)),
-        tuple(tuple(int(e) for e in row) for row in rng.integers(-3, 4, (n_terms, dims))),
-        tuple(complex(re, im) for re, im in rng.integers(-1000, 1001, (n_terms, 2)) / 1000),
-        tuple(f"g{i}" for i in range(dims)))
+    mu = _measure(order, rng.integers(0, order, n_terms),
+                  rng.integers(-span, span + 1, (n_terms, dims)),
+                  [complex(re, im) for re, im in rng.integers(-1000, 1001, (n_terms, 2)) / 1000])
+    assert len(mu) > 128 or not large
+    return mu
 
 
 @settings(max_examples=30, deadline=None)
-@given(character_polynomials(), st.sampled_from((16, 24)))
-def test_character_values_follow_reference_order(p, grid):
+@given(torus_measures(), st.sampled_from((16, 24)))
+def test_character_values_follow_reference_order(mu, grid):
     # t-major, then the grid^dims lattice in C order, against the scalar route
-    values = character_values(p, grid)
-    shape = (p.order,) + (grid,) * p.dims
+    values = character_values(mu, grid)
+    shape = (mu.den,) + (grid,) * _dims(mu)
     assert values.shape == (math.prod(shape),)
-    if values.size * p.n_terms <= 12 * 24 ** 3 * 4:
-        # up to the cost of the largest 4-term, 3-axis draw: every point
+    if values.size * len(mu) <= 12 * 24 ** 3 * 4:
+        # up to the cost of the largest 4-atom, 3-axis draw: every point
         points = list(np.ndindex(*shape))
     else:
         # too slow point by point: in every torsion class, each index of each
         # axis at least once, so a fault along one lattice row cannot hide
         rng = np.random.default_rng(values.size)
-        points = [(t, *idx) for t in range(p.order)
-                  for idx in zip(*(rng.permutation(grid) for _ in range(p.dims)))]
-    ref = [character_value(p, t, [2.0 * math.pi * int(j) / grid for j in idx])
-           for t, *idx in points]
+        points = [(t, *idx) for t in range(mu.den)
+                  for idx in zip(*(rng.permutation(grid) for _ in range(_dims(mu))))]
+    ref = lattice_values(mu, points, grid)
     flat = np.ravel_multi_index(tuple(np.array(points).T), shape)
-    scale = sum(abs(c) for c in p.weights)
+    scale = sum(abs(c) for c in mu.w.tolist())
     assert np.max(np.abs(values[flat] - np.array(ref))) <= 1e-12 * scale
     # the torus maximum is the lattice maximum less the rounding allowance
     # (K + 8) u sum |c_j|; sqrt(re^2 + im^2) carries up to about 2u relative
     # error where abs() rounds once
     near = values[np.abs(values) >= np.max(np.abs(values)) * (1 - 1e-9)]
     top = max(abs(complex(v)) for v in near)
-    allowance = (p.n_terms + 8) * 2.0 ** -53 * scale
-    assert abs(torus_max(p, grid) - max(0.0, top - allowance)) \
+    allowance = (len(mu) + 8) * 2.0 ** -53 * scale
+    assert abs(torus_max(mu, grid) - max(0.0, top - allowance)) \
         <= 2 * math.ulp(top)
 
 
@@ -247,17 +261,18 @@ def small_measures(draw):
          complex(re, im) / 1000) for k, coeffs, re, im in atoms])
 
 
-def _lattice_max_mp(p: CharacterPolynomial, grid: int):
-    """max |p| over the order x grid^dims lattice, each value summed in
-    mpmath at 30 digits from the exact turns of its terms."""
+def _lattice_max_mp(d: DiscreteMeasure, grid: int):
+    """max |d_hat| over the den x grid^dims lattice, each value summed in
+    mpmath at 30 digits from the exact turns of its atoms."""
     roots = {}
     best = mpmath.mpf(0)
+    atoms = list(zip(d.num.tolist(), free_exponents(d), d.w.tolist()))
     with mpmath.workdps(30):
-        for t in range(p.order):
-            for idx in np.ndindex(*(grid,) * p.dims):
+        for t in range(d.den):
+            for idx in np.ndindex(*(grid,) * _dims(d)):
                 acc = mpmath.mpc(0)
-                for m, row, c in zip(p.torsion, p.exponents, p.weights):
-                    turns = (Fraction(m * t, p.order)
+                for m, row, c in atoms:
+                    turns = (Fraction(m * t, d.den)
                              + Fraction(sum(e * int(j) for e, j in zip(row, idx)), grid)) % 1
                     if turns not in roots:
                         roots[turns] = mpmath.expjpi(2 * mpmath.mpf(turns.numerator)
@@ -270,10 +285,9 @@ def _lattice_max_mp(p: CharacterPolynomial, grid: int):
 @settings(max_examples=40, deadline=None)
 @given(small_measures())
 def test_torus_max_brackets_the_exact_lattice_maximum(mu):
-    p = char_polynomial(mu)
-    lower = torus_max(p, 16)
-    top = _lattice_max_mp(p, 16)
-    allowance = (p.n_terms + 8) * 2.0 ** -53 * sum(abs(c) for c in p.weights)
+    lower = torus_max(mu, 16)
+    top = _lattice_max_mp(mu, 16)
+    allowance = (len(mu) + 8) * 2.0 ** -53 * sum(abs(c) for c in mu.w.tolist())
     # the allowance makes the value a lower bound; the computed lattice value
     # may itself round below the exact one by up to the allowance, so the
     # value lies within twice the allowance (and the last sqrt rounding)
@@ -282,14 +296,15 @@ def test_torus_max_brackets_the_exact_lattice_maximum(mu):
 
 
 @settings(max_examples=20, deadline=None)
-@given(character_polynomials(), st.sampled_from((16, 24)))
-def test_character_values_refine_bitwise_under_grid_doubling(p, grid):
+@given(torus_measures(), st.sampled_from((16, 24)))
+def test_character_values_refine_bitwise_under_grid_doubling(mu, grid):
     # every point of the grid-g lattice is a point of the grid-2g lattice, and
     # its value must not depend on which lattice computed it
-    assume(p.order * (2 * grid) ** p.dims <= 1 << 21)
-    coarse = character_values(p, grid)
-    fine = character_values(p, 2 * grid).reshape((p.order,) + (2 * grid,) * p.dims)
-    shared = fine[(slice(None),) + (slice(None, None, 2),) * p.dims].ravel()
+    dims = _dims(mu)
+    assume(mu.den * (2 * grid) ** dims <= 1 << 21)
+    coarse = character_values(mu, grid)
+    fine = character_values(mu, 2 * grid).reshape((mu.den,) + (2 * grid,) * dims)
+    shared = fine[(slice(None),) + (slice(None, None, 2),) * dims].ravel()
     assert np.array_equal(shared, coarse)
 
 
@@ -298,18 +313,21 @@ import hashlib, numpy as np
 from fractions import Fraction
 from natspec.angles import FRESH_GENERATOR_VALUES, GeneratorBasis
 from natspec.measures import DiscreteMeasure
-from natspec.spectrum import CharacterPolynomial, character_values, spectral_bracket, torus_max
+from natspec.spectrum import character_values, spectral_bracket, torus_max
 rng = np.random.default_rng(7)
-for order, dims, grid, n_terms in ((2, 4, 16, 300), (2, 2, 256, 300), (2, 1, 2049, 300),
-                                   (24, 4, 24, 6)):
-    p = CharacterPolynomial(
-        order, tuple(int(m) for m in rng.integers(0, order, n_terms)),
-        tuple(tuple(int(e) for e in row) for row in rng.integers(-3, 4, (n_terms, dims))),
-        tuple(complex(re, im) for re, im in rng.uniform(-1, 1, (n_terms, 2))),
-        tuple(f"g{i}" for i in range(dims)))
-    print(hashlib.sha256(character_values(p, grid).tobytes()).hexdigest(),
-          repr(torus_max(p, grid)))
 basis = GeneratorBasis.from_pairs(FRESH_GENERATOR_VALUES[:4])
+for order, dims, grid, span, n_terms in ((2, 4, 16, 3, 300), (2, 2, 256, 12, 300),
+                                         (2, 1, 2049, 300, 300), (24, 4, 24, 3, 6)):
+    torsion = rng.integers(0, order, n_terms)
+    exponents = rng.integers(-span, span + 1, (n_terms, dims))
+    mu = DiscreteMeasure.from_atoms(basis, [
+        (basis.angle(Fraction(int(m), order), tuple(row.tolist()) + (0,) * (4 - dims)),
+         complex(re, im)) for m, row, (re, im) in zip(torsion, exponents,
+                                                      rng.uniform(-1, 1, (n_terms, 2)))])
+    assert mu.den == order and mu.coef.any(axis=0).sum() == dims
+    assert len(mu) > 128 or n_terms < 128
+    print(hashlib.sha256(character_values(mu, grid).tobytes()).hexdigest(),
+          repr(torus_max(mu, grid)))
 atoms = [(basis.angle(Fraction(int(rng.integers(0, 24)) if k else 1, 24),
                       tuple(int(k % 4 == i) + int(c) for i, c in enumerate(rng.integers(-1, 2, 4)))),
           complex(*rng.uniform(-1, 1, 2))) for k in range(6)]
@@ -320,7 +338,8 @@ print(repr(spectral_bracket(DiscreteMeasure.from_atoms(basis, atoms))))
 def test_grid_values_ignore_blas_thread_count():
     # zgemm over more than 128 terms rounds differently with 1 and 2 threads;
     # the walker contracts the terms in blocks so that its bits do not.  The
-    # last polynomial and the bracket's measure have the benchmark's shape,
+    # first three measures have more than 128 atoms; the last one and the
+    # bracket's measure have the benchmark's shape,
     # several row tiles per class; at one BLAS thread their walks spread
     # over the CPUs, so the two runs also compare the spread and the
     # sequential walk
@@ -379,13 +398,13 @@ def test_spread_threshold_sits_between_the_edge_lattices():
     ("just below the threshold", 15, 16, None, [1, 1]),
     ("just above the threshold", 16, 16, None, [3, 3])])
 def test_spread_walk_keeps_the_sequential_bits(monkeypatch, name, order, grid, classes, shares):
-    p = char_polynomial(_four_generator_measure(order, 1901))
+    mu = _four_generator_measure(order, 1901)
     if classes is not None:
-        p = char_polynomial(parity_projections(_four_generator_measure(order, 1901))[1])
-        assert spectrum._live_classes(p) == classes
-    assert p.order == order and p.dims == 4
+        mu = parity_projections(mu)[1]
+        assert spectrum._live_classes(mu) == classes
+    assert mu.den == order and _dims(mu) == 4
     sequential, spread, counts = _sequential_and_spread(
-        monkeypatch, lambda: (spectrum._lattice_max(p, grid, classes), torus_max(p, grid)))
+        monkeypatch, lambda: (spectrum._lattice_max(mu, grid, classes), torus_max(mu, grid)))
     assert spread == sequential, name
     assert counts == shares, name
 
@@ -395,15 +414,12 @@ def test_spread_walk_finds_the_maximum_in_any_share(monkeypatch, top_class):
     # |1 + e^{2 pi i (t - top_class) / 16}| peaks at t = top_class, which lies
     # in the first, second or third of the 3 shares; the small terms make the
     # lattice 16 x 16^4, at the threshold
-    unit = np.eye(4, dtype=int).tolist()
-    p = CharacterPolynomial(16, (0, 1, 0, 0, 0, 0),
-                            ((0, 0, 0, 0), (0, 0, 0, 0), *map(tuple, unit)),
-                            (1.0, complex(np.exp(-2j * np.pi * top_class / 16)), 0.01, 0.01j,
-                             -0.01, -0.01j), ("a", "b", "c", "d"))
+    mu = _measure(16, [0, 1, 0, 0, 0, 0], np.eye(6, 4, -2, dtype=int),
+                  [1.0, np.exp(-2j * np.pi * top_class / 16), 0.01, 0.01j, -0.01, -0.01j])
     sequential, spread, counts = _sequential_and_spread(
-        monkeypatch, lambda: spectrum._lattice_max(p, 16))
+        monkeypatch, lambda: spectrum._lattice_max(mu, 16))
     assert spread == sequential and counts == [3]
-    assert spectrum._lattice_max(p, 16, range(top_class, top_class + 1)) == sequential
+    assert spectrum._lattice_max(mu, 16, range(top_class, top_class + 1)) == sequential
 
 
 @pytest.mark.parametrize("name, mu", [
@@ -415,8 +431,7 @@ def test_spread_bracket_keeps_the_sequential_bits(monkeypatch, name, mu):
     sequential, spread, counts = _sequential_and_spread(monkeypatch,
                                                         lambda: spectral_bracket(mu))
     assert spread == sequential, name
-    p = char_polynomial(mu)
-    live = spectrum._live_classes(p)
+    live = spectrum._live_classes(mu)
     # one share per CPU exactly when the walk's lattice reaches the threshold
     grids = [16 * 2 ** k for k in range(len(counts))]
     assert counts == [3 if len(live) > 1 and len(live) * g ** 4 >= 1 << 20 else 1
@@ -428,9 +443,9 @@ class _ShareFault(Exception):
 
 
 def test_a_worker_s_exception_reaches_the_caller(monkeypatch):
-    p = char_polynomial(_four_generator_measure(16, 1905))
+    mu = _four_generator_measure(16, 1905)
     with one_blas_thread():
-        sequential = spectrum._lattice_max(p, 16)
+        sequential = spectrum._lattice_max(mu, 16)
     monkeypatch.setattr(spectrum, "blas_threads", lambda: 1)
     monkeypatch.setattr(spectrum, "_cpus", lambda: 2)
     caller, real = threading.get_ident(), spectrum._tiles_top
@@ -442,34 +457,38 @@ def test_a_worker_s_exception_reaches_the_caller(monkeypatch):
 
     monkeypatch.setattr(spectrum, "_tiles_top", fault_off_the_caller)
     with one_blas_thread(), pytest.raises(_ShareFault, match="a worker's share"):
-        spectrum._lattice_max(p, 16)
+        spectrum._lattice_max(mu, 16)
     monkeypatch.setattr(spectrum, "_tiles_top", real)
     with one_blas_thread():
-        assert spectrum._lattice_max(p, 16) == sequential
+        assert spectrum._lattice_max(mu, 16) == sequential
 
 
 _FORK_PROBE = """
 import os, signal, sys
+from fractions import Fraction
 import numpy as np
 from natspec import spectrum
+from natspec.angles import FRESH_GENERATOR_VALUES, GeneratorBasis
 from natspec.blas import one_blas_thread
-from natspec.spectrum import CharacterPolynomial
+from natspec.measures import DiscreteMeasure
 spectrum._cpus = lambda: 2
 spectrum.blas_threads = lambda: 1
 shares, real = [], spectrum._shares
 spectrum._shares = lambda classes, points: shares.append(len(real(classes, points))) or real(
     classes, points)
 rng = np.random.default_rng(1906)
-p = CharacterPolynomial(
-    16, tuple(int(m) for m in rng.integers(0, 16, 6)),
-    tuple(tuple(int(e) for e in row) for row in rng.integers(-1, 2, (6, 4))),
-    tuple(complex(re, im) for re, im in rng.uniform(-1, 1, (6, 2))), ("a", "b", "c", "d"))
+basis = GeneratorBasis.from_pairs(FRESH_GENERATOR_VALUES[:4])
+torsion, exponents = rng.integers(0, 16, 6), rng.integers(-1, 2, (6, 4))
+mu = DiscreteMeasure.from_atoms(basis, [
+    (basis.angle(Fraction(int(m), 16), tuple(row.tolist())), complex(re, im))
+    for m, row, (re, im) in zip(torsion, exponents, rng.uniform(-1, 1, (6, 2)))])
+assert mu.den == 16 and mu.coef.any(axis=0).all()
 with one_blas_thread():
-    best = spectrum._lattice_max(p, 16)
+    best = spectrum._lattice_max(mu, 16)
     pid = os.fork()
     if pid == 0:
         signal.alarm(20)
-        code = 0 if spectrum._lattice_max(p, 16) == best else 3
+        code = 0 if spectrum._lattice_max(mu, 16) == best else 3
         if sys.argv[1] == "sys.exit":
             sys.exit(code)
         os._exit(code)
@@ -500,11 +519,11 @@ def test_disk_grid_refuses_unusable_radius(radius):
 def test_grid_factors_stay_small_at_one_free_axis():
     # with one free axis the left factor spans the whole grid: 128 terms x
     # 2^16 points would be 128 MiB of factor rows, so they are built in chunks
-    p = CharacterPolynomial(1, (0,) * 300, tuple((e,) for e in range(-150, 150)),
-                            (1 / 300,) * 300, ("a",))
+    mu = _measure(1, [0] * 300, np.arange(-150, 150)[:, None], [1 / 300] * 300)
+    assert len(mu) == 300
     tracemalloc.start()
     try:
-        values = character_values(p, 1 << 16)
+        values = character_values(mu, 1 << 16)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -515,108 +534,111 @@ def test_grid_factors_stay_small_at_one_free_axis():
     assert np.max(np.abs(values - ref)) <= 1e-12
 
 
-def _untiled_values(p: CharacterPolynomial, grid: int) -> np.ndarray:
-    """character_values of p with one matmul per class and block of 128
-    terms over all of the class's rows: no row tiles, no class groups.  The
+def _untiled_values(d: DiscreteMeasure, grid: int) -> np.ndarray:
+    """character_values of d with one matmul per class and block of 128
+    atoms over all of the class's rows: no row tiles, no class groups.  The
     root indices are sum_a e_a j_a mod grid over explicit lattice points."""
-    left = (p.dims + 1) // 2
-    size = grid if p.dims else 1
+    dims = _dims(d)
+    left = (dims + 1) // 2
+    size = grid if dims else 1
     roots = unit_roots(np.arange(size), size)
-    exponents = np.asarray(p.exponents, dtype=np.int64).reshape(p.n_terms, p.dims)
+    exponents = np.array(free_exponents(d), dtype=np.int64).reshape(len(d), dims)
 
     def factor(axes):
         points = np.array(list(np.ndindex(*(grid,) * len(axes))), dtype=np.int64)
         return roots[(exponents[:, axes] @ points.reshape(len(points), -1).T) % size]
 
-    lhs, right = factor(list(range(left))), factor(list(range(left, p.dims)))
-    weights, torsion = np.asarray(p.weights), np.asarray(p.torsion)
+    lhs, right = factor(list(range(left))), factor(list(range(left, dims)))
+    weights, torsion = np.array(d.w.tolist()), np.array(d.num.tolist())
     out = []
-    for t in range(p.order):
-        rhs = (weights * unit_roots((torsion * t) % p.order, p.order))[:, None] * right
-        if p.dims == 1:  # as the walker does, so that numpy calls zgemm
+    for t in range(d.den):
+        rhs = (weights * unit_roots((torsion * t) % d.den, d.den))[:, None] * right
+        if dims == 1:  # as the walker does, so that numpy calls zgemm
             rhs = np.hstack((rhs, np.zeros_like(rhs)))
         acc = lhs[:128].T @ rhs[:128]
-        for start in range(128, p.n_terms, 128):
+        for start in range(128, len(d), 128):
             acc += lhs[start:start + 128].T @ rhs[start:start + 128]
         out.append(acc[:, :right.shape[1]].ravel())
     return np.concatenate(out)
 
 
-def _random_polynomial(order, dims, n_terms, seed):
+def _random_measure(order, dims, span, n_terms, seed):
     rng = np.random.default_rng(seed)
-    return CharacterPolynomial(
-        order, tuple(int(m) for m in rng.integers(0, order, n_terms)),
-        tuple(tuple(int(e) for e in row) for row in rng.integers(-40, 41, (n_terms, dims))),
-        tuple(complex(re, im) for re, im in rng.uniform(-1, 1, (n_terms, 2))),
-        tuple(f"g{i}" for i in range(dims)))
+    return _measure(order, rng.integers(0, order, n_terms),
+                    rng.integers(-span, span + 1, (n_terms, dims)),
+                    [complex(re, im) for re, im in rng.uniform(-1, 1, (n_terms, 2))])
 
 
 @pytest.mark.parametrize("tile_bytes", [None, 3000])
-@pytest.mark.parametrize("order, dims, grid, n_terms", [
-    (5, 0, 16, 150), (700, 0, 16, 150), (3, 1, 37, 150), (300, 1, 16, 150),
-    (300, 2, 16, 3), (2, 4, 17, 150)],
-    ids=["5-0-16", "700-0-16", "3-1-37", "300-1-16", "300-2-16-3", "2-4-17"])
+@pytest.mark.parametrize("order, dims, grid, span, n_terms", [
+    (200, 0, 16, 0, 300), (700, 0, 16, 0, 200), (3, 1, 37, 400, 150), (300, 1, 16, 40, 150),
+    (300, 2, 16, 40, 3), (2, 4, 17, 40, 150)],
+    ids=["200-0-16", "700-0-16", "3-1-37", "300-1-16", "300-2-16-3", "2-4-17"])
 def test_row_tiles_match_untiled_products_bitwise(monkeypatch, tile_bytes, order, dims, grid,
-                                                  n_terms):
-    # 150 terms make two term blocks; at 17^2 = 289 left rows the default
-    # tile holds 113 rows (three tiles of 96 or 97), and 3000 bytes make
-    # tiles of 3 or 4 rows and one class per group.  Without free axes a
-    # group's classes, 218 by default, go in one stacked product; 3 terms on
-    # 16 x 16 points make chunks of 128 classes in groups of 300 (of 1 in
-    # groups of 3 at 3000 bytes)
+                                                  span, n_terms):
+    # every draw but the 3-atom one leaves more than 128 atoms, two atom
+    # blocks; at 17^2 = 289 left rows the default tile holds 113 rows (three
+    # tiles of 96 or 97), and 3000 bytes make tiles of 3 or 4 rows and one
+    # class per group.  Without free axes a group's classes, 214 and 192 by
+    # default, go in one stacked product, so the 200 classes make one group
+    # and the 700 four; 3 atoms on 16 x 16 points make chunks of 128 classes
+    # in groups of 300 (of 1 in groups of 3 at 3000 bytes)
     if tile_bytes is not None:
         monkeypatch.setattr(spectrum, "_TILE_BYTES", tile_bytes)
-    p = _random_polynomial(order, dims, n_terms, order + dims)
-    reference = _untiled_values(p, grid)
-    values = character_values(p, grid)
+    mu = _random_measure(order, dims, span, n_terms, order + dims)
+    assert mu.den == order and _dims(mu) == dims
+    assert len(mu) > 128 or n_terms < 128
+    reference = _untiled_values(mu, grid)
+    values = character_values(mu, grid)
     assert values.shape == (order * grid ** dims,)
     assert np.array_equal(values, reference)
     top = math.sqrt(float(np.max(reference.real ** 2 + reference.imag ** 2)))
-    total = sum(abs(c) for c in p.weights)
-    assert torus_max(p, grid) == top - (n_terms + 8) * 2.0 ** -53 * total
+    total = sum(abs(c) for c in mu.w.tolist())
+    assert torus_max(mu, grid) == top - (len(mu) + 8) * 2.0 ** -53 * total
 
 
 def test_torus_max_without_free_axes_takes_one_product_per_chunk_of_classes():
-    p = _random_polynomial(1 << 16, 0, 6, 7)
+    mu = _random_measure(1 << 16, 0, 0, 6, 7)
+    assert mu.den == 1 << 16 and len(mu) == 6
     elapsed = []
     for _ in range(3):
         started = time.perf_counter()
-        value = torus_max(p, 16)
+        value = torus_max(mu, 16)
         elapsed.append(time.perf_counter() - started)
     assert min(elapsed) < 0.1  # 0.6 s with one product per class
-    reference = _untiled_values(p, 16)
+    reference = _untiled_values(mu, 16)
     top = math.sqrt(float(np.max(reference.real ** 2 + reference.imag ** 2)))
-    assert value == top - (6 + 8) * 2.0 ** -53 * sum(abs(c) for c in p.weights)
-    assert np.array_equal(character_values(p, 16), reference)
+    assert value == top - (6 + 8) * 2.0 ** -53 * sum(abs(c) for c in mu.w.tolist())
+    assert np.array_equal(character_values(mu, 16), reference)
 
 
 def test_torus_walker_charges_its_point_budget(basis):
     # the benchmark's largest lower bound, 24 torsion classes x 24^4 points, fits
-    p = CharacterPolynomial(24, (0, 1, 5), ((1, 0, 0, 0), (0, 1, 1, 0), (0, 0, 1, -2)),
-                            (0.5, 0.25j, -0.25), ("a", "b", "c", "d"))
-    assert 0.0 < torus_max(p, 24) <= 1.0 + 1e-12
+    table = _measure(24, [0, 1, 5], np.array([[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 1, -2]]),
+                     [0.5, 0.25j, -0.25])
+    assert table.den == 24 and _dims(table) == 4
+    assert 0.0 < torus_max(table, 24) <= 1.0 + 1e-12
     with pytest.raises(BudgetExceededError, match="torsion classes"):
-        torus_max(p, 32)
+        torus_max(table, 32)
     # an lcm of about 10^15 must stop before any table of roots is built
     mu = DiscreteMeasure.from_atoms(basis, [
         (basis.angle(Fraction(1, 1000003)), 0.25),
         (basis.angle(Fraction(1, 999983)) + basis.generator("a"), 0.25),
         (basis.angle(Fraction(1, 997)), 0.5)])
-    p = char_polynomial(mu)
-    assert p.order == 1000003 * 999983 * 997
-    for run in (lambda: torus_max(p, 16), lambda: character_values(p, 16)):
+    assert mu.den == 1000003 * 999983 * 997
+    for run in (lambda: torus_max(mu, 16), lambda: character_values(mu, 16)):
         with pytest.raises(BudgetExceededError):
             run()
 
 
 def test_spectrum_sample_of_sign_projector_is_binary(theta1):
-    sample = character_values(char_polynomial(theta1), 64)
+    sample = character_values(theta1, 64)
     assert set(np.round(sample, 12)) == {0.0 + 0j, 1.0 + 0j}
 
 
 def test_spectrum_sample_of_point_mass_covers_circle(basis):
     point = DiscreteMeasure.from_atoms(basis, [(basis.generator("a"), 1.0)])
-    sample = character_values(char_polynomial(point), 64)
+    sample = character_values(point, 64)
     radii = np.abs(sample)
     assert np.max(np.abs(radii - 1.0)) < 1e-12
     circle = np.exp(2j * np.pi * np.arange(256) / 256)
@@ -624,7 +646,7 @@ def test_spectrum_sample_of_point_mass_covers_circle(basis):
 
 
 def test_spectrum_sample_of_pair_average_fills_disk(rho):
-    sample = character_values(char_polynomial(rho), 512)
+    sample = character_values(rho, 512)
     gap = hausdorff(sample, disk_grid(1.0, 0.01))
     assert gap == pytest.approx(0.005537031006106562, abs=1e-9)
     assert gap < 0.01
@@ -849,18 +871,18 @@ def test_spectral_bracket_dominates_every_character(mu, phis):
     # the upper end bounds |p| everywhere on the torus: at each point of the
     # grid-16 lattice and at an arbitrary character, summed in mpmath (whose
     # own rounding at 30 digits the factor 1 + 1e-20, taken in mpmath, covers)
-    p = char_polynomial(mu)
     lower, upper = spectral_bracket(mu)
     assert lower <= upper
     with mpmath.workdps(30):
         bound = mpmath.mpf(upper) * (1 + mpmath.mpf("1e-20"))
-    assert bound >= _lattice_max_mp(p, 16)
+    assert bound >= _lattice_max_mp(mu, 16)
+    atoms = list(zip(mu.num.tolist(), free_exponents(mu), mu.w.tolist()))
     with mpmath.workdps(30):
-        for t in range(p.order):
+        for t in range(mu.den):
             value = sum((mpmath.mpc(c.real, c.imag)
-                         * mpmath.expj(2 * mpmath.pi * mpmath.mpf(m * t % p.order) / p.order
+                         * mpmath.expj(2 * mpmath.pi * mpmath.mpf(m * t % mu.den) / mu.den
                                        + sum(e * mpmath.mpf(x) for e, x in zip(row, phis)))
-                         for m, row, c in zip(p.torsion, p.exponents, p.weights)),
+                         for m, row, c in atoms),
                         mpmath.mpc(0))
             assert bound >= abs(value)
 
@@ -872,14 +894,14 @@ def test_spectral_bracket_without_free_axes_is_two_allowances_wide():
         mu = DiscreteMeasure.from_atoms(basis, [
             (basis.angle(Fraction(int(k), q)), complex(*rng.uniform(-1, 1, 2)))
             for k in rng.integers(0, q, 6)])
-        p = char_polynomial(mu)
         with mpmath.workdps(30):
             exact = max(abs(sum((mpmath.mpc(c.real, c.imag)
-                                 * mpmath.expjpi(2 * mpmath.mpf(m * t % q) / q)
-                                 for m, c in zip(p.torsion, p.weights)), mpmath.mpc(0)))
+                                 * mpmath.expjpi(2 * mpmath.mpf(m * t % mu.den) / mu.den)
+                                 for m, c in zip(mu.num.tolist(), mu.w.tolist())),
+                                mpmath.mpc(0)))
                         for t in range(q))
         lower, upper = spectral_bracket(mu)
-        allowance = (p.n_terms + 8) * 2.0 ** -53 * sum(abs(c) for c in p.weights)
+        allowance = (len(mu) + 8) * 2.0 ** -53 * sum(abs(c) for c in mu.w.tolist())
         assert lower <= exact <= upper
         # each end rounds once, by at most half an ulp
         assert upper - lower <= 2 * allowance + math.ulp(upper)
@@ -914,7 +936,7 @@ def _spied_grids(monkeypatch) -> list:
     grids = []
     real = spectrum._lattice_max
     monkeypatch.setattr(spectrum, "_lattice_max",
-                        lambda p, grid, classes=None: grids.append(grid) or real(p, grid, classes))
+                        lambda d, grid, classes=None: grids.append(grid) or real(d, grid, classes))
     return grids
 
 
@@ -1056,13 +1078,12 @@ def test_parity_pieces_walk_only_their_live_classes():
     rng = default_rng(1604)
     for _ in range(4):
         mu = random_discrete(rng, _TWO_GENERATORS)
-        assert spectrum._live_classes(char_polynomial(mu)) == range(char_polynomial(mu).order)
+        assert spectrum._live_classes(mu) == range(mu.den)
         for start, piece in enumerate(parity_projections(mu)):
-            p = char_polynomial(piece)
-            live = spectrum._live_classes(p)
-            assert live == range(start, p.order, 2)
-            values = character_values(p, 16).reshape(p.order, -1)
+            live = spectrum._live_classes(piece)
+            assert live == range(start, piece.den, 2)
+            values = character_values(piece, 16).reshape(piece.den, -1)
             squares = values.real ** 2 + values.imag ** 2  # as the walker squares
-            best, allowance, shift = spectrum._lattice_max(p, 16, live)
+            best, allowance, shift = spectrum._lattice_max(piece, 16, live)
             assert shift == 0 and best == math.sqrt(float(np.max(squares[start::2])))
             assert math.sqrt(float(np.max(squares[1 - start::2]))) <= allowance
