@@ -257,7 +257,11 @@ def verify_decomposition(mu: MeasureLike, result: DecompositionResult, *,
     of r(mu_i) that ``decompose`` takes in bracket mode is at most R_i:
     ``radius_bracket(mu_i, k)``'s, k the depth its fallback report reached
     (the default fekete_k_max without one).  The threshold is 0: the
-    bracket's bits do not depend on the BLAS thread count.
+    bracket's bits do not depend on the BLAS thread count.  (f) brackets
+    the mu_i it derives from mu, never ``result.radius_brackets``; where
+    they have the bits of the pieces ``decompose`` bracketed earlier in the
+    process, ``spectral_bracket`` returns the bracket it kept, which is a
+    function of those bits alone, so (f) re-derives it all the same.
 
     The identity residual, rho, mu, nu0 and nu1 are evaluated on |n| <= N
     in one ``transforms`` call: each from its own atoms' tables (never by

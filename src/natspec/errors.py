@@ -18,8 +18,7 @@ class GeneratorsExhaustedError(NatspecError, RuntimeError):
 class BudgetExceededError(NatspecError, RuntimeError):
     """A fixed resource limit was reached: a convolution's atom pairs, result
     atoms or density degree (see ``measures.convolve``), or the grid points
-    or free dimensions of the torus walker (see ``spectrum.check_torus_grid``
-    and ``spectrum.spectral_bracket``)."""
+    or free dimensions of the torus walker (see ``spectrum.spectral_bracket``)."""
 
 
 class OutOfDiskError(NatspecError, ValueError):

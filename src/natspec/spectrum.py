@@ -75,6 +75,9 @@ _DISK_COVER = math.sqrt(5.0) / 4.0
 # fresh-pair coverings ``_pair_covering`` keeps, a float each: a
 # decomposition reads two, and a density scan three per level
 _PAIR_COVER_CACHE = 16
+# brackets ``spectral_bracket`` keeps, with their inputs' bits: a
+# decomposition and its verifier read two, one per parity piece
+_BRACKET_CACHE = 4
 
 
 @dataclass(frozen=True)
@@ -221,7 +224,7 @@ def character_values(d: DiscreteMeasure, grid: int = 256) -> np.ndarray:
     one preallocated output, which is then scaled back once; the values come
     from a blocked BLAS product, so their last bits depend on the BLAS build.
     """
-    shape, shift, tiles = _torus_slices(d, grid)
+    shape, shift, tiles = _torus_slices(d, _exponents(d), grid, range(d.den))
     out = np.empty(shape, dtype=np.complex128)
     for t, lo, values in tiles:
         out[t:t + len(values), lo:lo + values.shape[1]] = values
@@ -316,14 +319,15 @@ def _eval_on_grid(weights: np.ndarray, torsion: np.ndarray, order: int,
                 yield i0 + c, lo, tile[:, :, :n_right]
 
 
-def check_torus_grid(d: DiscreteMeasure, grid: int) -> None:
+def _check_torus_grid(d: DiscreteMeasure, exponents: np.ndarray, grid: int) -> None:
     """Refuse, before any table of roots is built, a lattice the walker
-    cannot hold: ValueError for a grid below 16, BudgetExceededError for
-    more than MAX_TORUS_DIMS free dimensions or when den * grid^dims
-    exceeds _TORUS_POINT_LIMIT."""
+    cannot hold, for d with free exponents ``exponents`` (``_exponents``):
+    ValueError for a grid below 16, BudgetExceededError for more than
+    MAX_TORUS_DIMS free dimensions or when den * grid^dims exceeds
+    _TORUS_POINT_LIMIT."""
     if grid < 16:
         raise ValueError("grid must be at least 16")
-    dims = _exponents(d).shape[1]
+    dims = exponents.shape[1]
     if dims > MAX_TORUS_DIMS:
         raise BudgetExceededError(f"the character torus has {dims} free dimensions, above "
                                   f"the walker's {MAX_TORUS_DIMS}")
@@ -334,10 +338,11 @@ def check_torus_grid(d: DiscreteMeasure, grid: int) -> None:
             f"points = {points}, above the limit of {_TORUS_POINT_LIMIT}")
 
 
-def _torus_slices(d: DiscreteMeasure, grid: int, classes: Optional[range] = None):
+def _torus_slices(d: DiscreteMeasure, exponents: np.ndarray, grid: int, classes: range):
     """Set up the walk over d's character torus: (shape, shift, tiles).
 
-    The walk covers the torsion classes ``classes``, all of them by default.
+    The walk covers the torsion classes ``classes``, on d's free exponents
+    ``exponents`` (``_exponents``).
     shape is the lattice's (classes, grid^ceil(dims/2), grid^floor(dims/2))
     and tiles the row tiles of ``_eval_on_grid``, computed on the weights
     times 2^-shift, where shift is 0 unless ||d||^2 would leave the normal
@@ -354,10 +359,10 @@ def _torus_slices(d: DiscreteMeasure, grid: int, classes: Optional[range] = None
     lattice, so a lattice maximum can only grow when the grid doubles;
     another BLAS build, CPU kernel or thread count can break either, and
     ``tests/test_spectrum.py`` checks both.  Refuses the lattice as
-    ``check_torus_grid`` does, and raises ValueError when the weights do not
+    ``_check_torus_grid`` does, and raises ValueError when the weights do not
     have a finite sum.
     """
-    check_torus_grid(d, grid)
+    _check_torus_grid(d, exponents, grid)
     if d.is_zero:
         return (1, 1, 1), 0, iter([(0, 0, np.zeros((1, 1, 1), dtype=np.complex128))])
     total = d.norm()
@@ -365,8 +370,6 @@ def _torus_slices(d: DiscreteMeasure, grid: int, classes: Optional[range] = None
         raise ValueError(f"the character weights sum to {total!r}, so p would not be finite")
     shift = _rescale_exponent(total)
     weights = d.w * math.ldexp(1.0, -shift) if shift else d.w
-    exponents = _exponents(d)
-    classes = range(d.den) if classes is None else classes
     left = (exponents.shape[1] + 1) // 2
     shape = (len(classes), grid ** left, grid ** (exponents.shape[1] - left))
     return shape, shift, _eval_on_grid(weights, d.num, d.den, exponents, grid, classes)
@@ -379,7 +382,7 @@ def torus_max(d: DiscreteMeasure, grid: int = 512) -> float:
     at 0.  The grid-g lattice lies in the grid-2g one, so the value only
     increases when ``grid`` doubles, on a BLAS build that keeps the
     grid-doubling bits (see ``_torus_slices``).  Raises as
-    ``check_torus_grid`` does, and ValueError when the weights do not have
+    ``_check_torus_grid`` does, and ValueError when the weights do not have
     a finite sum."""
     best, allowance, shift = _lattice_max(d, grid)
     return math.ldexp(max(0.0, best - allowance), shift)
@@ -435,12 +438,13 @@ def _tiles_top(tiles) -> float:
     return top
 
 
-def _lattice_max(d: DiscreteMeasure, grid: int,
-                 classes: Optional[range] = None) -> tuple[float, float, int]:
+def _lattice_max(d: DiscreteMeasure, grid: int, classes: Optional[range] = None,
+                 exponents: Optional[np.ndarray] = None) -> tuple[float, float, int]:
     """(best, allowance, shift): the largest computed |d_hat| over the
     lattice of the torsion classes ``classes`` (all by default) and the
     rounding allowance (K + _ROUNDING_TERMS) * u * ||d|| for K atoms, both
-    times 2^-shift (see ``_torus_slices``).
+    times 2^-shift (see ``_torus_slices``), on d's free exponents
+    ``exponents``, ``_exponents(d)`` unless given.
 
     Each row tile of the walk is reduced to its largest |v|^2 while it is
     still in cache (``_tiles_top``), and the square root is taken once, of
@@ -459,17 +463,19 @@ def _lattice_max(d: DiscreteMeasure, grid: int,
     cores.
     """
     classes = range(d.den) if classes is None else classes
-    walks = [_torus_slices(d, grid, share)
-             for share in _shares(classes, len(classes) * grid ** _exponents(d).shape[1])]
+    exponents = _exponents(d) if exponents is None else exponents
+    walks = [_torus_slices(d, exponents, grid, share)
+             for share in _shares(classes, len(classes) * grid ** exponents.shape[1])]
     shift = walks[0][1]
     others = [_pool().submit(_tiles_top, tiles) for _, _, tiles in walks[1:]]
     top = max([_tiles_top(walks[0][2])] + [other.result() for other in others])
     return math.sqrt(top), (len(d) + _ROUNDING_TERMS) * _U * math.ldexp(d.norm(), -shift), shift
 
 
-def _exponent_span(d: DiscreteMeasure) -> int:
-    """sum over the free axes of d's largest less its smallest exponent."""
-    return sum(max(axis) - min(axis) for axis in _exponents(d).T.tolist())
+def _exponent_span(exponents: np.ndarray) -> int:
+    """sum over the free axes of the largest less the smallest of
+    ``exponents`` (``_exponents``)."""
+    return sum(max(axis) - min(axis) for axis in exponents.T.tolist())
 
 
 def _grid_upper(best: float, allowance: float, span: int, grid: int) -> float:
@@ -526,13 +532,18 @@ def _live_classes(d: DiscreteMeasure) -> range:
     turn num -> num + den/2 maps d onto itself, d_hat(t) = (-1)^t d_hat(t)
     and d_hat vanishes at odd t; when it maps d onto -d, d_hat vanishes at
     even t.  The even and odd pieces of ``measures.parity_projections`` are
-    of these two kinds."""
+    of these two kinds.  d's rows are unique, so the half turn maps d onto
+    itself (or onto -d) exactly when each row's image is a row of d with
+    the same weight (or its negative)."""
     if d.den % 2:
         return range(d.den)
-    image = DiscreteMeasure._rows(d.basis, d.den, (d.num + d.den // 2) % d.den, d.coef, d.w)
-    if image == d:
+    half, weights = d.den // 2, d.w.tolist()
+    rows = list(zip(d.num.tolist(), map(tuple, d.coef.tolist())))
+    at = dict(zip(rows, weights))
+    image = [at.get(((t + half) % d.den, c)) for t, c in rows]
+    if image == weights:
         return range(0, d.den, 2)
-    if image == -d:
+    if image == [-w for w in weights]:
         return range(1, d.den, 2)
     return range(d.den)
 
@@ -568,18 +579,65 @@ def spectral_bracket(mu: MeasureLike, max_grid: Optional[int] = None
     BudgetExceededError, before any walk, when d has more than
     MAX_TORUS_DIMS free dimensions or den * 16^dims exceeds the walker's
     limit; and ValueError when the total variation is not finite.
+
+    The process keeps the brackets of the last _BRACKET_CACHE distinct
+    inputs, keyed by their exact bits (``_Bits``), and a call whose bits
+    match one of them returns that bracket.  The bracket is a function of
+    those bits alone, so the kept one is what the walks would compute again,
+    bit for bit: ``decompose`` brackets each parity piece and check (f) of
+    ``verify_decomposition``, which derives the pieces from mu itself, gets
+    the same bracket without walking again.  Refusals are not kept: each
+    call raises its own, before any walk.
     """
     if max_grid is not None and max_grid < 16:
         raise ValueError("grid must be at least 16")
-    m = as_mixed(mu)
+    return _memo_bracket(_Bits(as_mixed(mu), max_grid))
+
+
+class _Bits:
+    """A measure and a grid ceiling, hashed and compared by ``key``: the
+    measure's den, the dtype, shape and bytes of its num, coef and w, its
+    density's frequencies (Python ints, of any size) and the bytes of its
+    coefficients, its basis (the density's transform reads the generator
+    values), the ceiling and the BLAS thread count.  Equal keys hold the same
+    floats bit for bit, signed zeros included, so they give the same
+    bracket."""
+
+    __slots__ = ("m", "max_grid", "key")
+
+    def __init__(self, m: MixedMeasure, max_grid: Optional[int]):
+        d, coeffs = m.disc, m.ac.coeffs
+        self.m, self.max_grid = m, max_grid
+        self.key = (d.den, *(x for a in (d.num, d.coef, d.w)
+                             for x in (a.dtype.str, a.shape, a.tobytes())),
+                    tuple(coeffs), np.array(list(coeffs.values()), dtype=np.complex128).tobytes(),
+                    m.basis, max_grid, blas_threads())
+
+    def __hash__(self) -> int:
+        return hash(self.key)
+
+    def __eq__(self, other) -> bool:
+        return self.key == other.key
+
+
+@functools.lru_cache(maxsize=_BRACKET_CACHE)
+def _memo_bracket(bits: _Bits) -> tuple[float, float]:
+    """``_bracket`` of the measure and ceiling in ``bits``, kept for the last
+    _BRACKET_CACHE distinct bits."""
+    return _bracket(bits.m, bits.max_grid)
+
+
+def _bracket(m: MixedMeasure, max_grid: Optional[int]) -> tuple[float, float]:
+    """The walks of ``spectral_bracket``, on m and its ceiling max_grid."""
     upper = _norm_bounds(m)[1]
     d = m.disc
-    check_torus_grid(d, 16)
+    exponents = _exponents(d)
+    _check_torus_grid(d, exponents, 16)
     lower = upper_k = 0.0
     if not m.ac.is_zero:  # max over the density's frequencies k of |mu_hat(k)|
         [(top, allowance)] = _transform_sups([m], list(m.ac.coeffs))
         lower, upper_k = max(0.0, top - allowance), top + allowance
-    dims, span, classes = _exponents(d).shape[1], _exponent_span(d), _live_classes(d)
+    dims, span, classes = exponents.shape[1], _exponent_span(exponents), _live_classes(d)
     limit = (_TORUS_POINT_LIMIT if max_grid is None
              else min(_TORUS_POINT_LIMIT, d.den * max_grid ** dims))
     fine = 16
@@ -588,7 +646,7 @@ def spectral_bracket(mu: MeasureLike, max_grid: Optional[int] = None
         fine *= 2
     grid = 16
     while True:
-        best, allowance, shift = _lattice_max(d, grid, classes)
+        best, allowance, shift = _lattice_max(d, grid, classes, exponents)
         lower = max(lower, math.ldexp(max(0.0, best - allowance), shift))
         if not dims:
             upper = min(upper, max(upper_k, math.ldexp(best + allowance, shift)))

@@ -1,6 +1,6 @@
 """Shared fixtures: a two-generator basis, the canonical small measures, the
-seed-42 suite's decompositions, and an empty fresh-pair covering cache
-around every test."""
+seed-42 suite's decompositions, and empty fresh-pair covering and bracket
+caches around every test."""
 
 import math
 
@@ -13,14 +13,25 @@ from natspec.measures import make_rho, make_theta0, make_theta1
 
 @pytest.fixture(autouse=True)
 def empty_pair_covering_cache():
-    """Each test starts and ends with no cached fresh-pair covering or unit
-    disk grid, so that spy and call-count tests do not depend on the tests
-    run before them."""
-    spectrum._pair_covering.cache_clear()
-    spectrum._unit_disk_grid.cache_clear()
+    """Each test starts and ends with no cached fresh-pair covering, unit
+    disk grid or spectral bracket, so that spy and call-count tests do not
+    depend on the tests run before them."""
+    for cache in (spectrum._pair_covering, spectrum._unit_disk_grid, spectrum._memo_bracket):
+        cache.cache_clear()
     yield
-    spectrum._pair_covering.cache_clear()
-    spectrum._unit_disk_grid.cache_clear()
+    for cache in (spectrum._pair_covering, spectrum._unit_disk_grid, spectrum._memo_bracket):
+        cache.cache_clear()
+
+
+@pytest.fixture()
+def walked_brackets(monkeypatch) -> list:
+    """The measures whose spectral bracket is walked, not read from the
+    memo, in call order."""
+    walked = []
+    real = spectrum._bracket
+    monkeypatch.setattr(spectrum, "_bracket",
+                        lambda m, max_grid: walked.append(m) or real(m, max_grid))
+    return walked
 
 
 @pytest.fixture(scope="session")

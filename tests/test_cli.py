@@ -554,8 +554,7 @@ def test_spectral_radius_grid_is_the_finest_lattice_walked(tmp_path, monkeypatch
     grids = []
     real = spectrum._lattice_max
     monkeypatch.setattr(spectrum, "_lattice_max",
-                        lambda p, grid, classes=None: grids.append(grid)
-                        or real(p, grid, classes))
+                        lambda d, grid, *rest: grids.append(grid) or real(d, grid, *rest))
     for flags, walked in (([], [16, 32]), (["--grid", "24"], [16]), (["--grid", "16"], [16])):
         grids.clear()
         assert main(["spectral-radius", "--input", str(path), "--out", str(out),

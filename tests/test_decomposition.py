@@ -128,9 +128,66 @@ def test_verifier_walks_no_lattice_beyond_the_parity_pieces(monkeypatch, basis):
         real = spectrum._lattice_max
         monkeypatch.setattr(spectrum, "_lattice_max", lambda d, *a: walked.append(
             int(d.coef.any(axis=0).sum())) or real(d, *a))
+        # decompose's brackets of the same pieces would otherwise be reused
+        spectrum._memo_bracket.cache_clear()
         assert verify_decomposition(mu, result).passed
         monkeypatch.undo()
         assert walked and max(walked) <= free < len(result.basis)
+
+
+def test_decompose_walks_each_parity_piece_once(walked_brackets, basis):
+    # decompose brackets mu0 and mu1; check (f) derives the same pieces from
+    # mu and reads the kept brackets, which are decompose's radii
+    rng = default_rng(2904)
+    for mu in (random_discrete(rng, basis), random_mixed(rng, basis)):
+        walked_brackets.clear()
+        result = decompose(mu)
+        assert result.report.passed
+        pieces = [as_mixed(p) for p in parity_projections(result.mu_embedded)]
+        assert walked_brackets == pieces and len(walked_brackets) == 2
+        for name, (_, upper), r in zip(("spectrum_nu0", "spectrum_nu1"),
+                                       result.radius_brackets, (result.R0, result.R1)):
+            assert result.report.check(name).details["upper"] == upper == r
+
+
+def _verify_warm_and_cold(mu, result):
+    """verify_decomposition with decompose's brackets kept, then with none."""
+    warm = verify_decomposition(mu, result)
+    spectrum._memo_bracket.cache_clear()
+    return warm, verify_decomposition(mu, result)
+
+
+def test_kept_brackets_still_fail_a_radius_an_ulp_below_the_bracket(walked_brackets, basis):
+    # nu0 is rebuilt on the lowered R0, so (f) passes its exactness premise
+    # and fails on the bracket alone
+    rng = default_rng(2905)
+    for mu in (random_discrete(rng, basis), random_mixed(rng, basis)):
+        result = decompose(mu)
+        upper = result.radius_brackets[0][1]
+        r0 = math.nextafter(upper, 0.0)
+        mu0 = parity_projections(result.mu_embedded)[0]
+        rt1 = convolve(make_rho(result.alpha, result.beta, result.basis),
+                       make_theta1(result.basis))
+        lowered = dataclasses.replace(result, R0=r0, nu0=mu0 + rt1.scale(r0))
+        walked_brackets.clear()
+        warm, cold = _verify_warm_and_cold(mu, lowered)
+        assert len(walked_brackets) == 2  # none for the warm report, two for the cold
+        assert warm == cold
+        check = warm.check("spectrum_nu0")
+        assert not check.passed and check.details["exact"]
+        assert check.details["upper"] == upper and check.residual == upper - r0 > 0
+        assert warm.check("spectrum_nu1").passed
+
+
+def test_kept_brackets_still_fail_swapped_pieces(basis):
+    rng = default_rng(2906)
+    for mu in (random_discrete(rng, basis), random_mixed(rng, basis)):
+        result = decompose(mu)
+        swapped = dataclasses.replace(result, nu0=result.nu1, nu1=result.nu0)
+        warm, cold = _verify_warm_and_cold(mu, swapped)
+        assert warm == cold and not warm.passed
+        for name in ("spectrum_nu0", "spectrum_nu1"):
+            assert not warm.check(name).passed and warm.check(name).details["exact"] is False
 
 
 def test_density_check_catches_a_radius_or_piece_that_misses_the_disk(basis):

@@ -936,7 +936,7 @@ def _spied_grids(monkeypatch) -> list:
     grids = []
     real = spectrum._lattice_max
     monkeypatch.setattr(spectrum, "_lattice_max",
-                        lambda d, grid, classes=None: grids.append(grid) or real(d, grid, classes))
+                        lambda d, grid, *rest: grids.append(grid) or real(d, grid, *rest))
     return grids
 
 
@@ -1087,3 +1087,102 @@ def test_parity_pieces_walk_only_their_live_classes():
             best, allowance, shift = spectrum._lattice_max(piece, 16, live)
             assert shift == 0 and best == math.sqrt(float(np.max(squares[start::2])))
             assert math.sqrt(float(np.max(squares[1 - start::2]))) <= allowance
+
+
+def _bits(bracket) -> tuple:
+    return tuple(x.hex() for x in bracket)
+
+
+def test_bracket_memo_returns_the_bits_of_a_fresh_call(walked_brackets, basis):
+    # a measure rebuilt from its atoms is another object with the same bits
+    rng = default_rng(2901)
+    for mu in (random_discrete(rng, basis), random_mixed(rng, basis)):
+        first = spectral_bracket(mu)
+        rebuilt = MixedMeasure(DiscreteMeasure.from_atoms(basis, as_mixed(mu).disc.atoms.items()),
+                               TrigPolyDensity(dict(as_mixed(mu).ac.coeffs)))
+        assert rebuilt is not mu and spectral_bracket(rebuilt) == first
+        walked_brackets.clear()
+        hits = spectrum._memo_bracket.cache_info().hits
+        kept = spectral_bracket(mu)
+        assert walked_brackets == [] and spectrum._memo_bracket.cache_info().hits == hits + 1
+        spectrum._memo_bracket.cache_clear()
+        fresh = spectral_bracket(mu)
+        assert len(walked_brackets) == 1 and _bits(kept) == _bits(fresh) == _bits(first)
+
+
+def test_bracket_memo_keys_on_every_bit_of_the_weights(walked_brackets, basis):
+    # the three measures compare equal or within an ulp, yet each is walked
+    x = basis.generator("a")
+    plus, minus, ulp = (DiscreteMeasure.from_atoms(basis, [(basis.zero(), 1.0), (x, w)])
+                        for w in (complex(0.5, 0.0), complex(0.5, -0.0),
+                                  complex(math.nextafter(0.5, 1.0), 0.0)))
+    assert plus == minus and plus.w.tobytes() != minus.w.tobytes()
+    assert ulp.w[1].real - plus.w[1].real == math.ulp(0.5)
+    brackets = [spectral_bracket(mu) for mu in (plus, minus, ulp, plus, minus, ulp)]
+    assert [len(m.disc) for m in walked_brackets] == [2, 2, 2]
+    assert ([m.disc.w.tobytes() for m in walked_brackets]
+            == [mu.w.tobytes() for mu in (plus, minus, ulp)])
+    assert brackets[3:] == brackets[:3]
+    info = spectrum._memo_bracket.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (3, 3, 3)
+
+
+def test_bracket_memo_keys_on_the_density_and_the_basis(walked_brackets, basis):
+    # the density's transform reads the generator values, so the same rows
+    # over another value of generator "a" are another input
+    other = GeneratorBasis.from_pairs((("a", math.sqrt(5)), ("b", math.sqrt(3))))
+    x = basis.generator("a")
+    disc = DiscreteMeasure.from_atoms(basis, [(basis.zero(), 0.01), (x, 0.005)])
+    moved = DiscreteMeasure._rows(other, disc.den, disc.num, disc.coef, disc.w)
+    inputs = [MixedMeasure(d, TrigPolyDensity(c)) for d, c in (
+        (disc, {1: complex(1.0, 0.0)}), (disc, {1: complex(1.0, -0.0)}),
+        (disc, {2: complex(1.0, 0.0)}), (moved, {1: complex(1.0, 0.0)}))]
+    assert inputs[0] == inputs[1] and inputs[0].ac != inputs[2].ac
+    brackets = [spectral_bracket(m) for m in inputs + inputs]
+    assert walked_brackets == inputs and brackets[4:] == brackets[:4]
+    assert brackets[3] != brackets[0]
+
+
+def test_bracket_memo_keeps_at_most_four_entries(walked_brackets, basis):
+    mu = random_discrete(default_rng(2902), basis)
+    scaled = [mu.scale(2.0 ** k) for k in range(5)]
+    for m in scaled:
+        spectral_bracket(m)
+    assert spectrum._BRACKET_CACHE == 4 == spectrum._memo_bracket.cache_info().currsize
+    assert len(walked_brackets) == 5
+    # the last four are kept; the first, the least recent, was dropped
+    for m in scaled[1:]:
+        spectral_bracket(m)
+    assert len(walked_brackets) == 5
+    spectral_bracket(scaled[0])
+    assert len(walked_brackets) == 6
+    assert walked_brackets[-1].disc.w.tobytes() == scaled[0].w.tobytes()
+
+
+def test_bracket_memo_misses_on_another_blas_thread_count(monkeypatch, walked_brackets, basis):
+    mu = random_discrete(default_rng(2903), basis)
+    first = spectral_bracket(mu)
+    threads = spectrum.blas_threads()
+    monkeypatch.setattr(spectrum, "blas_threads", lambda: (threads or 0) + 7)
+    assert spectral_bracket(mu) == first
+    assert len(walked_brackets) == 2
+    assert spectrum._memo_bracket.cache_info().currsize == 2
+
+
+def test_bracket_memo_keeps_no_refusal(walked_brackets, basis):
+    # each call raises its own refusal, in the order of a fresh call, and
+    # nothing is kept; the density's frequency 2^70 does not fit in int64
+    high = MixedMeasure.from_density(basis, {2 ** 70: 0.5})
+    five = GeneratorBasis.from_pairs(FRESH_GENERATOR_VALUES[:5])
+    wide = DiscreteMeasure.from_atoms(five, [(five.angle(Fraction(0), (1, 1, 1, 1, 1)), 1.0)])
+    for _ in range(2):
+        with pytest.raises(BudgetExceededError,
+                           match=f"^density degree {2 ** 70} is above the limit 65536$"):
+            spectral_bracket(high)
+        with pytest.raises(BudgetExceededError, match="5 free dimensions"):
+            spectral_bracket(wide)
+        with pytest.raises(ValueError, match="grid must be at least 16"):
+            spectral_bracket(wide, 15)
+    assert len(walked_brackets) == 4
+    info = spectrum._memo_bracket.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 4, 0)
