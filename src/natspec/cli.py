@@ -15,23 +15,25 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .angles import GeneratorBasis
 from .blas import one_blas_thread
 from .decomposition import RADIUS_MODES, DecompositionOptions, decompose
 from .errors import KroneckerNotFoundError, NatspecError, SchemaError
 from .kronecker import KroneckerProblem, solve
+from .measures import make_rho, transforms
 from .serialize import (decomposition_report_to_json, fekete_report_to_json,
                         kronecker_problem_from_json, kronecker_solution_to_json,
                         measure_from_json, measure_to_json, read_json, write_json)
-from .spectrum import _pair_covering, disk_grid_shape, radius_bracket
+from .spectrum import covering_radius, disk_grid, disk_grid_shape, radius_bracket
 from .suite import run_suite
 
 _TIMESTAMP_PREFIX = "# generated "
 _MAX_DENSITY_SCAN_N = 20  # density-scan --N: at most 2**21 + 1 transform values
-# density-scan's nearest-point queries: disk grid points x levels x 3 parities
-_MAX_DENSITY_SCAN_QUERIES = 1 << 23
-# the same queries, each weighted by log2 of the size of the cloud it
-# searches: 50.7 M for the default --N 16 --tol 0.01, 79.1 M for --N 20
+# density-scan's nearest-point queries, disk grid points x levels x 3
+# parities, each weighted by log2 of the size of the cloud it searches:
+# 50.7 M for the default --N 16 --tol 0.01, 79.1 M for --N 20
 _MAX_DENSITY_SCAN_WORK = 1 << 26
 
 
@@ -153,13 +155,8 @@ def _cmd_density_scan(args) -> int:
     except ValueError as exc:
         raise SchemaError(f"--alpha and --beta must be distinct and in (0, 2 pi), got "
                           f"{args.alpha!r}, {args.beta!r}") from exc
-    alpha, beta = basis.generator("alpha"), basis.generator("beta")
+    rho = make_rho(basis.generator("alpha"), basis.generator("beta"), basis)
     rings, rays = disk_grid_shape(args.tol)
-    queries = (rings * rays + 1) * (args.N - 3) * 3
-    if queries > _MAX_DENSITY_SCAN_QUERIES:
-        raise SchemaError(f"--N {args.N} and --tol {args.tol!r} ask for {queries} disk grid "
-                          f"queries ({rings * rays + 1} points x {args.N - 3} levels x 3), "
-                          f"above the limit of {_MAX_DENSITY_SCAN_QUERIES}")
     # at N = 2^e the clouds hold 2^(e+1) + 1, 2^e + 1 and 2^e points
     work = (rings * rays + 1) * sum(math.log2(2 ** (e + 1) + 1) + math.log2(2 ** e + 1) + e
                                     for e in range(4, args.N + 1))
@@ -167,10 +164,13 @@ def _cmd_density_scan(args) -> int:
         raise SchemaError(f"--N {args.N} and --tol {args.tol!r} ask for {work:.4g} disk grid "
                           f"queries weighted by log2 of the cloud each searches, above the "
                           f"limit of {_MAX_DENSITY_SCAN_WORK}")
+    ns = np.arange(-(1 << args.N), (1 << args.N) + 1, dtype=np.int64)
+    [values] = transforms([rho], ns)
+    grid = disk_grid(1.0, args.tol)
     rows = ["N,covering_radius_all,covering_radius_even,covering_radius_odd"]
     for e in range(4, args.N + 1):
-        cov = [_pair_covering(alpha, beta, basis, 1 << e, args.tol, parity)
-               for parity in ("all", "even", "odd")]
+        level = values[abs(ns) <= 1 << e]  # from n = -2^e, which is even
+        cov = [covering_radius(grid, part) for part in (level, level[0::2], level[1::2])]
         rows.append(f"{1 << e},{cov[0]!r},{cov[1]!r},{cov[2]!r}")
     text = _timestamp_line() + "\n" + "\n".join(rows) + "\n"
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)

@@ -109,9 +109,10 @@ class DecompositionResult:
 
 def _embed(mu: MeasureLike, ext: GeneratorBasis) -> MeasureLike:
     """Reinterpret mu over an extended basis (extra generators appended)."""
-    old = len(mu.basis) if isinstance(mu, (DiscreteMeasure, MixedMeasure)) else 0
-    pad = len(ext) - old
-    if pad < 0 or ext.names[:old] != mu.basis.names:
+    if not isinstance(mu, DiscreteMeasure):
+        mu = as_mixed(mu)  # TypeError unless mu is a measure
+    old = len(mu.basis)
+    if len(ext) < old or ext.names[:old] != mu.basis.names:
         raise ValueError("extended basis must begin with the measure's basis")
 
     def lift(d: DiscreteMeasure) -> DiscreteMeasure:
@@ -122,8 +123,7 @@ def _embed(mu: MeasureLike, ext: GeneratorBasis) -> MeasureLike:
 
     if isinstance(mu, DiscreteMeasure):
         return lift(mu)
-    m = as_mixed(mu)
-    return MixedMeasure(lift(m.disc), m.ac)
+    return MixedMeasure(lift(mu.disc), mu.ac)
 
 
 def _radii(mu0: MeasureLike, mu1: MeasureLike, opts: DecompositionOptions):
@@ -231,14 +231,14 @@ def verify_decomposition(mu: MeasureLike, result: DecompositionResult, *,
     |u - rho_hat(n)| + c0_odd of the cloud: the covering radius is at most
     the bound R0 cov + c0_odd + 8 u (R0 + R0 cov + c0_odd), cov the
     covering of ``disk_grid(1, tol)`` by rho_hat at the odd |n| <= N
-    (``spectrum._pair_covering``, cached: it depends on the fresh pair's
-    positions, the basis, N, tol and the parity alone).  Its rho_hat comes
-    from ``transforms`` too, so cov and c0_odd are taken on the same floats
-    and the bound needs no allowance for the phases' rounding.  nu1 takes
-    the even n and c1_even.  Where the bound is at most the threshold it is
-    the residual (route "bound"); elsewhere the residual is the cloud's own
-    covering radius (route "exact").  The bound is at least that radius, so
-    the verdict is the one the radius gives.
+    (``spectrum._pair_covering``, one cached entry with the even n's: it
+    depends on the fresh pair's positions, the basis, N and tol alone).  Its
+    rho_hat comes from ``transforms`` too, so cov and c0_odd are taken on
+    the same floats and the bound needs no allowance for the phases'
+    rounding.  nu1 takes the even n and c1_even.  Where the bound is at
+    most the threshold it is the residual (route "bound"); elsewhere the
+    residual is the cloud's own covering radius (route "exact").  The bound
+    is at least that radius, so the verdict is the one the radius gives.
     The check is a finite witness, at resolution tol, of the density of
     rho_hat over odd and over even n in the unit disk, which is Kronecker's
     theorem for a fresh pair with 1, alpha / 2 pi and beta / 2 pi
@@ -334,10 +334,10 @@ def verify_decomposition(mu: MeasureLike, result: DecompositionResult, *,
     # (e) density of the transform cloud in the scaled disk, from the grid's
     # side: the fresh pair's cached covering bounds it, and the cloud's own
     # covering decides only where that bound is above the threshold
-    for name, vals, r, half, c in (("density_nu0", nu0_t, r0, "odd", c0_odd),
-                                   ("density_nu1", nu1_t, r1, "even", c1_even)):
+    cov_even, cov_odd = _pair_covering(result.alpha, result.beta, ext, N, tol)
+    for name, vals, r, cov, c in (("density_nu0", nu0_t, r0, cov_odd, c0_odd),
+                                  ("density_nu1", nu1_t, r1, cov_even, c1_even)):
         thr = tol * max(1.0, r)
-        cov = _pair_covering(result.alpha, result.beta, ext, N, tol, half)
         # the grid's rescaling (8 u R) and the float sums of cov, c and the bound
         rounding = 8 * _U * (r + r * cov + c)
         bound = r * cov + c + rounding

@@ -72,8 +72,7 @@ _BRACKET_ANGLE = math.acos((1.0 - _BRACKET_REL_WIDTH) ** 2)
 MAX_DISK_POINTS = 1 << 22
 # disk_grid's covering radius of its disk, in units of tol * radius
 _DISK_COVER = math.sqrt(5.0) / 4.0
-# fresh-pair coverings ``_pair_covering`` keeps, a float each: a
-# decomposition reads two, and a density scan three per level
+# (even, odd) fresh-pair coverings ``_pair_covering`` keeps: a decomposition reads one
 _PAIR_COVER_CACHE = 16
 # brackets ``spectral_bracket`` keeps, with their inputs' bits: a
 # decomposition and its verifier read two, one per parity piece
@@ -760,28 +759,17 @@ def disk_grid(radius: float = 1.0, tol: float = 0.05) -> np.ndarray:
     return np.concatenate([np.zeros(1, dtype=np.complex128), pts])
 
 
-@functools.lru_cache(maxsize=1)
-def _unit_disk_grid(tol: float) -> np.ndarray:
-    """``disk_grid(1, tol)``, read-only, kept for the last tol: every
-    fresh-pair covering at one tol queries the same grid."""
-    grid = disk_grid(1.0, tol)
-    grid.flags.writeable = False
-    return grid
-
-
 @functools.lru_cache(maxsize=_PAIR_COVER_CACHE)
-def _pair_covering(alpha: Angle, beta: Angle, basis: GeneratorBasis, N: int, tol: float,
-                   parity: str) -> float:
-    """Covering radius of ``disk_grid(1, tol)`` by rho_hat over the |n| <= N
-    of one parity: "all", "even" or "odd", for rho = ``make_rho(alpha, beta,
-    basis)``.  The values come from ``transforms``, whose value at n depends
-    only on n and the measure, so they are bit for bit the rho_hat that
-    ``verify_decomposition`` reads at those n.  The result depends on the
-    arguments alone and is cached: check (e) of ``verify_decomposition``
-    and ``density-scan`` both read it, and every decomposition with the
-    same fresh pair, basis, N and tol shares one covering."""
-    ns = np.arange(-N, N + 1, dtype=np.int64)
-    if parity != "all":
-        ns = ns[(ns % 2 == 0) == (parity == "even")]
-    [values] = transforms([make_rho(alpha, beta, basis)], ns)
-    return covering_radius(_unit_disk_grid(tol), values)
+def _pair_covering(alpha: Angle, beta: Angle, basis: GeneratorBasis, N: int,
+                   tol: float) -> tuple[float, float]:
+    """Covering radii of ``disk_grid(1, tol)`` by rho_hat over the even and
+    over the odd |n| <= N, for rho = ``make_rho(alpha, beta, basis)``, from
+    one ``transforms`` call over |n| <= N.  A ``transforms`` value depends
+    only on n and the measure, so these are bit for bit the rho_hat that
+    ``verify_decomposition`` reads at those n.  The pair depends on the
+    arguments alone and is cached: every decomposition with the same fresh
+    pair, basis, N and tol reads one entry."""
+    [values] = transforms([make_rho(alpha, beta, basis)], np.arange(-N, N + 1, dtype=np.int64))
+    grid = disk_grid(1.0, tol)
+    # values[0] is at n = -N, which has the parity of N
+    return tuple(covering_radius(grid, values[start::2]) for start in (N % 2, 1 - N % 2))

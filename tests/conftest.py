@@ -13,13 +13,13 @@ from natspec.measures import make_rho, make_theta0, make_theta1
 
 @pytest.fixture(autouse=True)
 def empty_pair_covering_cache():
-    """Each test starts and ends with no cached fresh-pair covering, unit
-    disk grid or spectral bracket, so that spy and call-count tests do not
-    depend on the tests run before them."""
-    for cache in (spectrum._pair_covering, spectrum._unit_disk_grid, spectrum._memo_bracket):
+    """Each test starts and ends with no cached fresh-pair covering or
+    spectral bracket, so that spy and call-count tests do not depend on the
+    tests run before them."""
+    for cache in (spectrum._pair_covering, spectrum._memo_bracket):
         cache.cache_clear()
     yield
-    for cache in (spectrum._pair_covering, spectrum._unit_disk_grid, spectrum._memo_bracket):
+    for cache in (spectrum._pair_covering, spectrum._memo_bracket):
         cache.cache_clear()
 
 

@@ -178,27 +178,32 @@ def test_density_scan_pinned_first_row(tmp_path, capsys):
 
 
 def test_density_scan_builds_one_unit_disk_grid_per_tol(tmp_path, monkeypatch, capsys):
-    # every fresh-pair covering at one tol queries the same unit disk grid: a
-    # scan over three levels and three parities builds it once, and a scan
-    # at another tol once more; each row equals the coverings of grids built
-    # afresh for each cell, the route before the grid was kept
-    builds, real = [], spectrum.disk_grid
-    monkeypatch.setattr(spectrum, "disk_grid",
-                        lambda radius, tol: builds.append((radius, tol)) or real(radius, tol))
+    # a scan evaluates rho_hat once, over |n| <= 2^N, and builds the unit
+    # disk grid once; each level's row, sliced from those values, equals the
+    # coverings of grids and transforms computed afresh for each level and
+    # parity
+    builds, evaluations = [], []
+    real_grid, real_transforms = spectrum.disk_grid, measures.transforms
+    monkeypatch.setattr(cli, "disk_grid",
+                        lambda radius, tol: builds.append((radius, tol)) or real_grid(radius, tol))
+    monkeypatch.setattr(cli, "transforms",
+                        lambda ms, ns: evaluations.append(len(ns)) or real_transforms(ms, ns))
     basis = GeneratorBasis.from_pairs((("alpha", math.sqrt(2.0)), ("beta", math.sqrt(3.0))))
     rho = measures.make_rho(basis.generator("alpha"), basis.generator("beta"), basis)
     for tol in (0.1, 0.05):
+        builds.clear()
+        evaluations.clear()
         assert main(["density-scan", "--out", str(tmp_path / "scan.csv"), "--N", "6",
                      "--tol", repr(tol)]) == 0
+        assert builds == [(1.0, tol)] and evaluations == [2 ** 7 + 1]
         rows = capsys.readouterr().out.strip().split("\n")[1:]
         want = []
         for e in range(4, 7):
             ns = np.arange(-(1 << e), (1 << e) + 1, dtype=np.int64)
-            cov = [spectrum.covering_radius(real(1.0, tol), measures.transforms([rho], part)[0])
+            cov = [spectrum.covering_radius(real_grid(1.0, tol), real_transforms([rho], part)[0])
                    for part in (ns, ns[ns % 2 == 0], ns[ns % 2 == 1])]
             want.append(f"{1 << e},{cov[0]!r},{cov[1]!r},{cov[2]!r}")
         assert rows == want
-    assert builds == [(1.0, 0.1), (1.0, 0.05)]
 
 
 def test_density_scan_rejects_tiny_exponent(tmp_path, capsys):
@@ -735,11 +740,12 @@ def test_density_scan_refuses_unbounded_or_non_finite_input(tmp_path, args, caps
 
 @pytest.mark.parametrize("args, refusal", [
     (["--N", "20", "--tol", "1e-3"], "error: tol 0.001 asks for more than"),
-    (["--N", "16", "--tol", "0.004"], "error: --N 16 and --tol 0.004 ask for 30634539 disk grid "
-                                      "queries (785501 points x 13 levels x 3)")])
+    (["--N", "16", "--tol", "0.004"], "error: --N 16 and --tol 0.004 ask for 3.168e+08 disk "
+                                      "grid queries weighted by log2")])
 def test_density_scan_refuses_its_work_before_doing_any(tmp_path, args, refusal, capsys):
-    # the scan costs about (disk grid points) x (N - 3 levels) x 3 queries:
-    # 12.6 M grid points at tol 1e-3, and 30.6 M queries at tol 0.004
+    # the scan costs about (disk grid points) x (N - 3 levels) x 3 queries,
+    # each weighted by log2 of the cloud it searches: 12.6 M grid points at
+    # tol 1e-3, and 30.6 M queries weighing 316.8 M at tol 0.004
     out = tmp_path / "scan.csv"
     started = time.perf_counter()
     rc = main(["density-scan", "--out", str(out), *args])
@@ -749,15 +755,13 @@ def test_density_scan_refuses_its_work_before_doing_any(tmp_path, args, refusal,
     assert captured.out == ""
     assert captured.err.startswith(refusal) and captured.err.count("\n") == 1
     assert not out.exists()
-    # the default scan's 125 801 points x 13 levels x 3 stay within the limit
-    assert 125_801 * 13 * 3 <= cli._MAX_DENSITY_SCAN_QUERIES
 
 
 def test_density_scan_weighs_each_query_by_the_cloud_it_searches(tmp_path, monkeypatch,
                                                                  capsys):
-    # --N 20 --tol 0.01 asks for 6.4 M queries, within the query limit, but
-    # at N = 2^20 each searches a cloud of up to 2^21 + 1 points (7.2 s in
-    # all); weighted by log2 of those sizes it is 79 M, above the limit
+    # --N 20 --tol 0.01 asks for 6.4 M queries, but at N = 2^20 each
+    # searches a cloud of up to 2^21 + 1 points (7.2 s in all); weighted by
+    # log2 of those sizes it is 79 M, above the limit
     out = tmp_path / "scan.csv"
     started = time.perf_counter()
     rc = main(["density-scan", "--out", str(out), "--N", "20", "--tol", "0.01"])
@@ -769,11 +773,23 @@ def test_density_scan_weighs_each_query_by_the_cloud_it_searches(tmp_path, monke
                                    "queries weighted by log2")
     assert captured.err.count("\n") == 1
     assert not out.exists()
-    # the default --N 16 (50.7 M) stays within both limits: with the
+    # the default --N 16 (50.7 M) stays within the limit: with the
     # coverings stubbed out, the scan runs
-    monkeypatch.setattr(cli, "_pair_covering", lambda *args: 0.0)
+    monkeypatch.setattr(cli, "covering_radius", lambda *args: 0.0)
     assert main(["density-scan", "--out", str(out), "--N", "16"]) == 0
     assert out.read_text(encoding="utf-8").splitlines()[-1] == "65536,0.0,0.0,0.0"
+
+
+def test_density_scan_runs_many_queries_on_small_clouds(tmp_path, monkeypatch, capsys):
+    # --N 4 --tol 0.002 asks for 3 142 001 grid points x 1 level x 3 = 9.4 M
+    # queries, but each searches a cloud of at most 33 points: weighted by
+    # log2 of the cloud sizes it is 41.3 M, within the limit, so it runs
+    # (with the coverings stubbed out)
+    monkeypatch.setattr(cli, "covering_radius", lambda *args: 0.0)
+    out = tmp_path / "scan.csv"
+    assert main(["density-scan", "--out", str(out), "--N", "4", "--tol", "0.002"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["16,0.0,0.0,0.0"]
+    assert out.read_text(encoding="utf-8").splitlines()[-1] == "16,0.0,0.0,0.0"
 
 
 @pytest.mark.parametrize("nmax", [2 ** 31 + 1, 2 ** 63 - 1])

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -252,8 +253,8 @@ def measure_with_fresh_pair(i: int, j: int, weights) -> DiscreteMeasure:
        st.lists(st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
                 min_size=3, max_size=3))
 def test_density_check_is_at_least_the_brute_force_covering(pair, N, tol, weights):
-    # two routes: the tree's cached covering of the fresh pair's half-cloud
-    # equals a dense distance matrix's over the transforms values of rho,
+    # two routes: the tree's cached coverings of the fresh pair's half-clouds
+    # equal a dense distance matrix's over the transforms values of rho,
     # and check (e)'s residual, bound or exact, is at least the dense
     # covering of the R_i disk by nu_i's cloud
     i, j = pair
@@ -263,9 +264,8 @@ def test_density_check_is_at_least_the_brute_force_covering(pair, N, tol, weight
                                         FRESH_GENERATOR_VALUES[j][1])
     ns = np.arange(-N, N + 1, dtype=np.int64)
     [rho_t] = transforms([make_rho(result.alpha, result.beta, result.basis)], ns)
-    for parity, sel in (("all", ns == ns), ("even", ns % 2 == 0), ("odd", ns % 2 != 0)):
-        assert spectrum._pair_covering(result.alpha, result.beta, result.basis, N, tol,
-                                       parity) == brute_covering(disk_grid(1.0, tol), rho_t[sel])
+    assert spectrum._pair_covering(result.alpha, result.beta, result.basis, N, tol) == tuple(
+        brute_covering(disk_grid(1.0, tol), rho_t[sel]) for sel in (ns % 2 == 0, ns % 2 != 0))
     for name, nu, r in (("density_nu0", result.nu0, result.R0),
                         ("density_nu1", result.nu1, result.R1)):
         check = result.report.check(name)
@@ -328,9 +328,9 @@ def test_the_cached_covering_reads_the_verifier_s_rho_values_bit_for_bit(monkeyp
     verify_decomposition(mu, dataclasses.replace(result, nu2=result.nu2 + stray))
     [(ms, values)] = calls
     assert len(ms) == 5 and ms[1] == make_rho(result.alpha, result.beta, result.basis)
-    odd, even = samples  # |n| <= 10^4: the odd n of nu0, then the even n of nu1
-    assert odd.tobytes() == values[1][1::2].tobytes()
-    assert even.tobytes() == values[1][0::2].tobytes()
+    # |n| <= 10^4: the odd n of nu0 and the even n of nu1, in either order
+    assert sorted(sample.tobytes() for sample in samples) == sorted(
+        [values[1][1::2].tobytes(), values[1][0::2].tobytes()])
 
 
 def test_density_check_falls_back_to_the_exact_covering_on_the_suite(suite_verifications):
@@ -377,13 +377,49 @@ def test_a_second_decomposition_with_the_same_fresh_pair_builds_no_tree(monkeypa
     monkeypatch.setattr(decomposition, "covering_radius", counting)
     rng = default_rng(512)
     first = decompose(random_mixed(rng, basis))
-    assert calls == [10_000, 10_001]  # the odd and the even n with |n| <= 10^4
+    assert sorted(calls) == [10_000, 10_001]  # the odd and the even n with |n| <= 10^4
     second = decompose(random_discrete(rng, basis))
-    assert calls == [10_000, 10_001]
+    assert sorted(calls) == [10_000, 10_001]
     for result in (first, second):
         assert result.report.passed
         assert {result.report.check(name).details["route"]
                 for name in ("density_nu0", "density_nu1")} == {"bound"}
+
+
+@pytest.mark.parametrize("N", [2000, 2001])
+def test_the_pair_covering_is_the_brute_covering_of_the_verifier_s_rho_halves(monkeypatch,
+                                                                              basis, N):
+    # the verifier's own rho_hat values, split by the parity of n, covered
+    # by a dense distance matrix, are bit for bit the cached (even, odd) pair
+    # and the pair_cover of nu1's and nu0's density checks
+    mu = random_mixed(default_rng(515), basis)
+    result = decompose(mu, DecompositionOptions(verify=False))
+    rho = make_rho(result.alpha, result.beta, result.basis)
+    calls = []
+    real_transforms = decomposition.transforms
+
+    def transforms_spy(ms, ns):
+        values = real_transforms(ms, ns)
+        calls.append((list(ms), ns, values))
+        return values
+
+    monkeypatch.setattr(decomposition, "transforms", transforms_spy)
+    report = verify_decomposition(mu, result, N=N, tol=0.1)
+    [(ms, ns, values)] = calls
+    rho_t = values[ms.index(rho)]
+    want = tuple(brute_covering(disk_grid(1.0, 0.1), rho_t[ns % 2 == parity]) for parity in (0, 1))
+    assert spectrum._pair_covering(result.alpha, result.beta, result.basis, N, 0.1) == want
+    assert (report.check("density_nu1").details["pair_cover"],
+            report.check("density_nu0").details["pair_cover"]) == want
+
+
+@pytest.mark.parametrize("not_a_measure", [42, "x", None])
+def test_decompose_and_verify_refuse_a_non_measure_alike(basis, not_a_measure):
+    result = decompose(random_discrete(default_rng(516), basis), DecompositionOptions(verify=False))
+    for call in (lambda: decompose(not_a_measure),
+                 lambda: verify_decomposition(not_a_measure, result)):
+        with pytest.raises(TypeError, match=f"^not a measure: {re.escape(repr(not_a_measure))}$"):
+            call()
 
 
 def test_pair_covering_cache_size_is_the_module_constant():

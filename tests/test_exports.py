@@ -123,3 +123,21 @@ def test_every_private_function_has_a_caller():
                     and node.name.startswith("_") and not node.name.endswith("__")):
                 defined.add(node.name)
     assert sorted(defined - _callers()) == []
+
+
+def test_private_imports_across_modules_are_the_pinned_set():
+    # a module that imports another's private name couples to its internals;
+    # each such coupling is listed here, so a new one is added on purpose
+    imported = set()
+    for path in sorted((ROOT / "src" / "natspec").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                imported |= {(path.stem, node.module, alias.name) for alias in node.names
+                             if alias.name.startswith("_")}
+    assert imported == {
+        ("decomposition", "measures", "_U"), ("decomposition", "measures", "_transform_sups"),
+        ("decomposition", "spectrum", "_DISK_COVER"),
+        ("decomposition", "spectrum", "_pair_covering"),
+        ("spectrum", "measures", "_MAX_DEGREE"), ("spectrum", "measures", "_TERM_BLOCK"),
+        ("spectrum", "measures", "_U"), ("spectrum", "measures", "_transform_sups"),
+        ("measures", "angles", "_PI_LD")}
