@@ -5,9 +5,9 @@ and odd transform values.  Adding a scaled copy of rho * theta1 to mu0 (and
 rho * theta0 to mu1), where rho sits at two fresh independent positions,
 fills the unused parity class with a dense copy of the scaled unit disk; the
 correction nu2 keeps the total equal to mu.  The vector (nu0, nu1, nu2) then
-satisfies exact algebraic identities that ``verify_decomposition`` certifies
-numerically: nu0 and nu1 have transform clouds dense in their spectral disks,
-and nu2 is a small discrete correction.
+satisfies exact algebraic identities that ``verify_decomposition`` checks
+on rows and brackets: nu0 and nu1 have transform clouds dense in their
+spectral disks, and nu2 is a small discrete correction.
 """
 
 from __future__ import annotations
@@ -19,19 +19,18 @@ import numpy as np
 
 from .angles import Angle, GeneratorBasis, basis_fresh_generators
 from .errors import RadiusValidationError
-from .measures import (_U, DiscreteMeasure, MeasureLike, MixedMeasure, _transform_sups,
-                       as_mixed, convolve, make_rho, make_theta0, make_theta1,
-                       parity_projections, transforms, tv_norm)
-from .spectrum import (_DISK_COVER, RadiusFallback, _pair_covering, covering_radius,
-                       disk_grid, disk_grid_shape, radius_bracket)
+from .measures import (_U, DiscreteMeasure, MeasureLike, MixedMeasure, _transform_allowance,
+                       _transform_sups, as_mixed, convolve, make_rho, make_theta0,
+                       make_theta1, parity_projections, transforms)
+from .spectrum import (_DISK_COVER, RadiusFallback, _live_classes, _pair_covering,
+                       _transform_upper, covering_radius, disk_grid, disk_grid_shape,
+                       radius_bracket)
 
 RADIUS_MODES = ("bracket", "manual")
 
 # Absolute residual thresholds for the verifier checks.
 IDENTITY_TRANSFORM_TOL = 1e-9
 IDENTITY_STRUCTURAL_TOL = 1e-12
-PARITY_TOL = 1e-9
-MODULUS_SLACK = 1e-9
 MANUAL_RADIUS_SCAN = 256
 # largest transform range |n| <= N the verifier accepts (100x the largest in use)
 MAX_VERIFY_N = 1 << 20
@@ -208,93 +207,85 @@ def _structural_residual(m: MixedMeasure) -> float:
     return max(atom_part, ac_part)
 
 
+def _has_parity(m: MixedMeasure, parity: int) -> bool:
+    """Whether m_hat vanishes at every n of the other parity: the half turn
+    maps m's rows onto themselves (parity 0) or onto their negatives (parity
+    1), as ``spectrum._live_classes`` tests, and m's density has only
+    frequencies of that parity.  The zero measure has both."""
+    classes = _live_classes(m.disc)
+    return ((m.disc.is_zero or classes.step == 2 and classes.start == parity)
+            and all(k % 2 == parity for k in m.ac.coeffs))
+
+
 def verify_decomposition(mu: MeasureLike, result: DecompositionResult, *,
                          N: int = DecompositionOptions.verify_N,
                          tol: float = DecompositionOptions.verify_tol) -> VerificationReport:
     """Certify a decomposition against the input measure.
 
-    Each check is exact (on stored weights, with no rounding), a net (a
-    finite sample that can miss a failure between its points) or a proof (a
-    certified bound over the whole spectrum).  (a) The identity nu0 + nu1 +
-    nu2 == mu on stored weights, exact wherever the parity split finds an
-    exact pair of halves (``measures._exact_halves``) and otherwise a
-    bound within the halves' rounding, and a net through transforms over
-    |n| <= N; the support shape of nu2, exact.  (b) Orthogonality of the
-    parity projections against the opposite-parity correction, exact.  (c)
-    The parity transform laws and (d) the modulus bound |nu_i_hat| <= R_i,
-    nets over |n| <= N; once (f) passes, (d) holds at every n, since
-    |nu_i_hat(n)| <= r(nu_i).  (e) Density of each transform cloud in its
-    R_i disk, a net: the covering radius of ``disk_grid(R_i, tol)`` by the
-    cloud is at most tol * max(1, R_i).  At odd n, nu0_hat(n) = R0
-    rho_hat(n) up to (c)'s residual c0_odd, so a grid point g, within 8 u R0
-    of R0 u for u the matching point of ``disk_grid(1, tol)``, is within R0
-    |u - rho_hat(n)| + c0_odd of the cloud: the covering radius is at most
-    the bound R0 cov + c0_odd + 8 u (R0 + R0 cov + c0_odd), cov the
-    covering of ``disk_grid(1, tol)`` by rho_hat at the odd |n| <= N
-    (``spectrum._pair_covering``, one cached entry with the even n's: it
-    depends on the fresh pair's positions, the basis, N and tol alone).  Its
-    rho_hat comes from ``transforms`` too, so cov and c0_odd are taken on
-    the same floats and the bound needs no allowance for the phases'
-    rounding.  nu1 takes the even n and c1_even.  Where the bound is at
+    Each check is exact (on stored weights), a proof (a certified bound at
+    every n) or a net (a finite sample over |n| <= N); only (e) reads
+    transform values.  mu_i are the parity pieces derived from mu, and tau
+    = nu0 + nu1 + nu2 - mu, as summed.  (a) ``identity_structural``, exact:
+    tau's largest weight or coefficient, 0 wherever the parity split finds
+    an exact pair of halves (``measures._exact_halves``).
+    ``identity_transform``, a proof: |tau_hat(n)| <= ||tau_disc|| + max_k
+    |tau_ac(k)| (``spectrum._transform_upper``).  ``nu2_support``, exact: at
+    most 8 atoms on the four fresh positions.  (b) ``orthogonality``,
+    exact: the half turn maps mu0's rows onto themselves and mu1's onto
+    their negatives (``spectrum._live_classes``'s test), and their
+    densities have only even and only odd frequencies, so mu0 * theta1 =
+    mu1 * theta0 = 0; residual 0, or 1.  (f) ``spectrum_nu*``, proofs:
+    r(nu0) = max(r(mu0), R0) once nu0 - mu0 == R0 rho * theta1 and (b)
+    hold, since every complex homomorphism h of the measure algebra has
+    h(theta0) + h(theta1) = 1 and h(theta0) h(theta1) = 0: where h(theta1)
+    = 0, h(nu0) = h(mu0), and where h(theta0) = 0, h(mu0) = h(mu0 * theta0)
+    = 0 and h(nu0) = R0 h(rho), with r(rho) = 1; likewise nu1 with theta0.
+    (f) checks that premise exactly and that the upper end of
+    ``radius_bracket(mu_i, k)`` is at most R_i, k the depth the radius's
+    fallback reached (fekete_k_max's default without one), threshold 0.
+    It brackets the mu_i it derives, never ``result.radius_brackets``; a
+    bracket ``spectral_bracket`` kept for the same bits is a function of
+    those bits alone.  (c) ``parity_nu*``, proofs: the premise gives nu0_hat
+    = R0 rho_hat at odd n, and nu0_hat - mu_hat = (mu0 + mu1 - mu)_hat,
+    whose rows are tau's off the fresh positions, at even n; the residual
+    is ``identity_transform``'s, at least 1 where the premise fails.  (d)
+    ``modulus_nu*``, proofs: |nu_i_hat(n)| <= r(nu_i) <= R_i, passing
+    exactly when (f) does, residual upper - R_i, at least 1 where the
+    premise fails.  (e) ``density_nu*``, nets: the covering radius of
+    ``disk_grid(R_i, tol)`` by nu_i's cloud over |n| <= N is at most tol *
+    max(1, R_i).  With the premise, nu0_hat = R0 rho_hat at odd n, so it
+    is at most R0 (cov + a) + 8 u (R0 + R0 (cov + a)): cov covers
+    ``disk_grid(1, tol)`` by the floats rho_hat at the odd |n| <= N
+    (``spectrum._pair_covering``, cached with the even n's per fresh pair,
+    basis, N and tol), a = ``measures._transform_allowance(rho, N)`` bounds
+    their rounding, and 8 u (...) the grid's rescaling and the float sums;
+    nu1 takes the even n.  Where the premise holds and this bound is at
     most the threshold it is the residual (route "bound"); elsewhere the
-    residual is the cloud's own covering radius (route "exact").  The bound
-    is at least that radius, so the verdict is the one the radius gives.
-    The check is a finite witness, at resolution tol, of the density of
-    rho_hat over odd and over even n in the unit disk, which is Kronecker's
-    theorem for a fresh pair with 1, alpha / 2 pi and beta / 2 pi
-    independent over Q: by Lindemann's theorem for square roots, by Baker's
-    on linear forms in logarithms for ln 3 and ln 5.  (e) relies on (d)
-    for the other half of the Hausdorff distance: once (d) passes, each
-    cloud point is within R_i + MODULUS_SLACK of 0, so within the a-priori
-    ``cloud_to_grid_bound`` (about 0.56 tol R_i, below the threshold) of
-    the grid.  (f) The spectrum of nu_i inside the R_i disk, a proof:
-    r(nu0) = max(r(mu0), R0) once nu0 - mu0 == R0 rho * theta1, since every
-    complex homomorphism h of the measure algebra has h(theta0) + h(theta1)
-    = 1 and h(theta0) h(theta1) = 0: where h(theta1) = 0, h(nu0) = h(mu0),
-    and where h(theta0) = 0, h(mu0) = h(mu0 * theta0) = 0 and h(nu0) = R0
-    h(rho), with r(rho) = 1.  Likewise for nu1 with theta0 and R1.  (f)
-    checks that premise, exactly on stored weights, and that the upper end
-    of r(mu_i) that ``decompose`` takes in bracket mode is at most R_i:
-    ``radius_bracket(mu_i, k)``'s, k the depth its fallback report reached
-    (the default fekete_k_max without one).  The threshold is 0: the
-    bracket's bits do not depend on the BLAS thread count.  (f) brackets
-    the mu_i it derives from mu, never ``result.radius_brackets``; where
-    they have the bits of the pieces ``decompose`` bracketed earlier in the
-    process, ``spectral_bracket`` returns the bracket it kept, which is a
-    function of those bits alone, so (f) re-derives it all the same.
-
-    The identity residual, rho, mu, nu0 and nu1 are evaluated on |n| <= N
-    in one ``transforms`` call: each from its own atoms' tables (never by
-    linearity, which would make (c) hold by construction), sharing only the
-    phase tables of the generator-coefficient vectors g they have in
-    common.  (c) reads even and odd slices of those values, (d) and (e)'s
-    exact route whole arrays, and (e)'s cached covering rho_hat's values
-    at the same n, bit for bit.  Raises ValueError unless 1 <= N <= 2**20 and
-    ``disk_grid`` accepts tol, before any array is built.
+    residual is the covering radius of the ``transforms`` values (route
+    "exact"), one call for the pieces that need it.  It is a finite witness
+    at resolution tol of rho_hat's density in the unit disk over odd and
+    over even n: Kronecker's theorem, 1, alpha / 2 pi and beta / 2 pi being
+    independent over Q (Lindemann for square roots, Baker for ln 3 and ln
+    5).  Once (d) passes, each cloud point lies in the R_i disk, so within
+    ``cloud_to_grid_bound`` = _DISK_COVER tol R_i of the grid: the other
+    half of the Hausdorff distance.  Raises ValueError unless 1 <= N <=
+    2**20 and ``disk_grid`` accepts tol, before any array is built.
     """
     _check_N(N)
     disk_grid_shape(tol)
-    checks: list[VerificationCheck] = []
     ext = result.basis
     mu_e = as_mixed(_embed(mu, ext))
-    nu0m, nu1m, nu2m = as_mixed(result.nu0), as_mixed(result.nu1), as_mixed(result.nu2)
-    r0, r1 = result.R0, result.R1
-    ns_full = np.arange(-N, N + 1, dtype=np.int64)
-    even = slice(N % 2, None, 2)  # ns_full[0] = -N has the parity of N
-    odd = slice(1 - N % 2, None, 2)
+    nus = (as_mixed(result.nu0), as_mixed(result.nu1))
+    nu2m = as_mixed(result.nu2)
+    radii = (result.R0, result.R1)
 
-    # (a) identity
-    total = ((nu0m + nu1m) + nu2m) - mu_e
-    struct = _structural_residual(total)
-    rho = make_rho(result.alpha, result.beta, ext)
-    residual = [] if total.is_zero else [total]
-    *total_t, rho_t, mu_t, nu0_t, nu1_t = transforms(residual + [rho, mu_e, nu0m, nu1m],
-                                                     ns_full)
-    trans = float(np.max(np.abs(total_t[0]))) if total_t else 0.0
-    checks.append(VerificationCheck("identity_structural", struct <= IDENTITY_STRUCTURAL_TOL,
-                                    struct, IDENTITY_STRUCTURAL_TOL))
-    checks.append(VerificationCheck("identity_transform", trans <= IDENTITY_TRANSFORM_TOL,
-                                    trans, IDENTITY_TRANSFORM_TOL))
+    # (a) identity, on rows and as a bound on every transform value
+    total = ((nus[0] + nus[1]) + nu2m) - mu_e
+    struct, trans = _structural_residual(total), _transform_upper(total)
+    checks = [VerificationCheck("identity_structural", struct <= IDENTITY_STRUCTURAL_TOL,
+                                struct, IDENTITY_STRUCTURAL_TOL),
+              VerificationCheck("identity_transform", trans <= IDENTITY_TRANSFORM_TOL,
+                                trans, IDENTITY_TRANSFORM_TOL)]
 
     # nu2 support: at most 8 atoms on the four fresh positions, no density
     half = ext.half_turn()
@@ -304,60 +295,53 @@ def verify_decomposition(mu: MeasureLike, result: DecompositionResult, *,
     checks.append(VerificationCheck("nu2_support", shape_ok,
                                     0.0 if shape_ok else 1.0, 0.0))
 
-    # (b) exact orthogonality; the grouping (mu_i * rho) * theta keeps every
-    # cancellation a two-term sum of exact negatives
-    mu0v, mu1v = parity_projections(mu_e)
-    theta0, theta1 = make_theta0(ext), make_theta1(ext)
-    o0 = convolve(convolve(mu0v, rho), theta1)
-    o1 = convolve(convolve(mu1v, rho), theta0)
-    ortho = tv_norm(o0) + tv_norm(o1)
-    checks.append(VerificationCheck("orthogonality", ortho == 0.0, ortho, 0.0))
+    # (b) the half-turn row test on mu0 and mu1
+    pieces = parity_projections(mu_e)
+    halves = all(_has_parity(m, parity) for parity, m in enumerate(pieces))
+    checks.append(VerificationCheck("orthogonality", halves, 0.0 if halves else 1.0, 0.0))
 
-    # (c) parity laws
-    c0_even = float(np.max(np.abs(nu0_t[even] - mu_t[even])))
-    c0_odd = float(np.max(np.abs(nu0_t[odd] - r0 * rho_t[odd])))
-    c1_even = float(np.max(np.abs(nu1_t[even] - r1 * rho_t[even])))
-    c1_odd = float(np.max(np.abs(nu1_t[odd] - mu_t[odd])))
-    checks.append(VerificationCheck("parity_nu0", max(c0_even, c0_odd) <= PARITY_TOL,
-                                    max(c0_even, c0_odd), PARITY_TOL,
-                                    {"even": c0_even, "odd": c0_odd}))
-    checks.append(VerificationCheck("parity_nu1", max(c1_even, c1_odd) <= PARITY_TOL,
-                                    max(c1_even, c1_odd), PARITY_TOL,
-                                    {"even": c1_even, "odd": c1_odd}))
-
-    # (d) modulus bound
-    for name, vals, r in (("modulus_nu0", nu0_t, r0), ("modulus_nu1", nu1_t, r1)):
-        sup = float(np.max(np.abs(vals)))
-        checks.append(VerificationCheck(name, sup <= r + MODULUS_SLACK, sup - r,
-                                        MODULUS_SLACK, {"sup": sup, "radius": r}))
+    # (f)'s premise and brackets, from which (c) and (d) follow
+    rho = make_rho(result.alpha, result.beta, ext)
+    spectra = []
+    for nu, mu_i, theta, r, fallback in zip(nus, pieces, (make_theta1(ext), make_theta0(ext)),
+                                            radii, result.radius_fallbacks or (None, None)):
+        k = fallback.report.entries[-1][0] if fallback else DecompositionOptions.fekete_k_max
+        spectra.append({"upper": radius_bracket(mu_i, k)[0][1], "radius": r, "exact": halves
+                        and ((nu - mu_i) - convolve(rho, theta).scale(r)).is_zero})
+    for i, spec in enumerate(spectra):
+        residual = trans if spec["exact"] else max(trans, 1.0)
+        checks.append(VerificationCheck(f"parity_nu{i}", residual <= IDENTITY_TRANSFORM_TOL,
+                                        residual, IDENTITY_TRANSFORM_TOL,
+                                        {"exact": spec["exact"]}))
+    for i, spec in enumerate(spectra):
+        gap = spec["upper"] - spec["radius"]
+        residual = gap if spec["exact"] else max(gap, 1.0)
+        checks.append(VerificationCheck(f"modulus_nu{i}", residual <= 0.0, residual, 0.0,
+                                        dict(spec)))
 
     # (e) density of the transform cloud in the scaled disk, from the grid's
     # side: the fresh pair's cached covering bounds it, and the cloud's own
-    # covering decides only where that bound is above the threshold
+    # covering decides only where that bound does not
     cov_even, cov_odd = _pair_covering(result.alpha, result.beta, ext, N, tol)
-    for name, vals, r, cov, c in (("density_nu0", nu0_t, r0, cov_odd, c0_odd),
-                                  ("density_nu1", nu1_t, r1, cov_even, c1_even)):
+    allowance = _transform_allowance(as_mixed(rho), N)
+    density = []
+    for r, cov, spec in zip(radii, (cov_odd, cov_even), spectra):
+        spread = r * (cov + allowance)
+        rounding = 8 * _U * (r + spread)  # the grid's rescaling (8 u R) and the float sums
         thr = tol * max(1.0, r)
-        # the grid's rescaling (8 u R) and the float sums of cov, c and the bound
-        rounding = 8 * _U * (r + r * cov + c)
-        bound = r * cov + c + rounding
-        details = {"radius": r, "cloud_to_grid_bound": _DISK_COVER * tol * r + MODULUS_SLACK,
-                   "route": "bound", "bound": bound, "pair_cover": cov,
-                   "parity_residual": c, "rounding": rounding}
-        metric = bound
-        if bound > thr:
-            metric, details["route"] = covering_radius(disk_grid(r, tol), vals), "exact"
-        checks.append(VerificationCheck(name, metric <= thr, metric, thr, details))
+        route = "bound" if spec["exact"] and spread + rounding <= thr else "exact"
+        density.append((thr, {"radius": r, "cloud_to_grid_bound": _DISK_COVER * tol * r,
+                              "route": route, "bound": spread + rounding, "pair_cover": cov,
+                              "allowance": allowance, "rounding": rounding}))
+    exact_route = [nu for nu, (_, d) in zip(nus, density) if d["route"] == "exact"]
+    clouds = iter(transforms(exact_route, np.arange(-N, N + 1, dtype=np.int64))
+                  if exact_route else ())
+    for i, (thr, d) in enumerate(density):
+        metric = (d["bound"] if d["route"] == "bound"
+                  else covering_radius(disk_grid(d["radius"], tol), next(clouds)))
+        checks.append(VerificationCheck(f"density_nu{i}", metric <= thr, metric, thr, d))
 
     # (f) spectrum inside the R_i disk, from mu_i's own radius bracket
-    fallbacks = result.radius_fallbacks or (None, None)
-    for name, nu, mu_i, theta, r, fallback in (
-            ("spectrum_nu0", nu0m, mu0v, theta1, r0, fallbacks[0]),
-            ("spectrum_nu1", nu1m, mu1v, theta0, r1, fallbacks[1])):
-        exact = ((nu - mu_i) - convolve(rho, theta).scale(r)).is_zero
-        k = fallback.report.entries[-1][0] if fallback else DecompositionOptions.fekete_k_max
-        upper = radius_bracket(mu_i, k)[0][1]
-        checks.append(VerificationCheck(name, exact and upper <= r, upper - r, 0.0,
-                                        {"upper": upper, "radius": r, "exact": exact}))
-
+    checks += [VerificationCheck(f"spectrum_nu{i}", s["exact"] and s["upper"] <= s["radius"],
+                                 s["upper"] - s["radius"], 0.0, s) for i, s in enumerate(spectra)]
     return VerificationReport(tuple(checks))

@@ -760,12 +760,14 @@ def convolve(a: MeasureLike, b: MeasureLike) -> MeasureLike:
 
 
 def tv_norm(mu: MeasureLike) -> float:
-    """Total variation norm; the density part uses certified quadrature."""
+    """Total variation norm, estimated as ``tv_norm_bounds``'s value."""
     return tv_norm_bounds(mu)[0]
 
 
 def tv_norm_bounds(mu: MeasureLike) -> tuple[float, float]:
-    """(value, error estimate); the discrete part is an exact weight sum."""
+    """(value, error estimate): the atoms' weight sum plus the density's
+    quadrature (``TrigPolyDensity.l1_norm_bounds``), not a certified bound:
+    value plus estimate can fall below the exact norm."""
     m = as_mixed(mu)
     value = m.disc.norm()
     ac_value, ac_err = m.ac.l1_norm_bounds()

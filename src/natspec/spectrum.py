@@ -503,23 +503,36 @@ def _below_modulus(r: float, w: complex) -> bool:
     return (a * d * f) ** 2 < ((c * f) ** 2 + (e * d) ** 2) * b * b
 
 
+def _modulus_upward(w: complex) -> float:
+    """|w| moved up an ulp at a time until it is at least its exact value;
+    |w| itself when that is not finite."""
+    r = abs(w)
+    while math.isfinite(r) and _below_modulus(r, w):
+        r = math.nextafter(r, math.inf)
+    return r
+
+
+def _transform_upper(m: MixedMeasure) -> float:
+    """An upper end of sup_n |mu_hat(n)| <= ||d|| + max_k |c_k| for mu = d +
+    sum_k c_k e_k: each modulus rounded up (``_modulus_upward``), summed
+    upward; inf past the float range, nan for a nan weight."""
+    density = max((_modulus_upward(c) for c in m.ac.coeffs.values()), default=0.0)
+    try:
+        return _sum_upward([_modulus_upward(w) for w in m.disc.w.tolist()] + [density])
+    except OverflowError:  # finite moduli whose partial sums pass the float range
+        return math.inf
+
+
 def _norm_bounds(m: MixedMeasure) -> tuple[float, float]:
     """(||mu|| as summed, an upper end of it), ValueError unless the upper
-    end is finite.  The upper end moves each atom's modulus up an ulp at a
-    time until it is at least its exact value, and sums them upward
-    (``_sum_upward``), so it is the atoms' ``norm()`` whenever that is
-    exact.  Both ends add the density's quadrature value, and the upper end
-    its error estimate, summed upward."""
+    end is finite.  The upper end sums the atoms' moduli, each rounded up
+    (``_modulus_upward``), upward (``_sum_upward``), so it is the atoms'
+    ``norm()`` whenever that is exact.  Both ends add the density's
+    quadrature value, and the upper end its error estimate, summed upward."""
     density_value, density_err = m.ac.l1_norm_bounds()
     atoms = norm = m.disc.norm()
     if math.isfinite(norm):
-        moduli = []
-        for w in m.disc.w.tolist():
-            r = abs(w)
-            while _below_modulus(r, w):
-                r = math.nextafter(r, math.inf)
-            moduli.append(r)
-        atoms = _sum_upward(moduli)
+        atoms = _sum_upward([_modulus_upward(w) for w in m.disc.w.tolist()])
     upper = _sum_upward([atoms, density_value, density_err])
     if not math.isfinite(upper):
         raise ValueError(f"the total variation bound {upper!r} is not finite")

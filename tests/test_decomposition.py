@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from natspec import decomposition, measures, spectrum
 from natspec.angles import FRESH_GENERATOR_VALUES, GeneratorBasis
@@ -82,7 +82,7 @@ def test_spectrum_check_runs_at_a_torsion_order_the_nu0_lattice_would_pass(tmp_p
 def test_manual_radius_below_the_spectral_radius_fails_the_spectrum_check():
     # R1 halfway between sup_{|n| <= 10^4} |mu1_hat(n)| and the certified
     # lower end of r(mu1) is below the radius, yet above every transform
-    # value that (d) and (e) read
+    # value that (e) reads; (d), (f)'s corollary, fails with it
     basis = GeneratorBasis.from_pairs(FRESH_GENERATOR_VALUES[:2])
     rng = default_rng(7)
     for _ in range(3):
@@ -95,9 +95,11 @@ def test_manual_radius_below_the_spectral_radius_fails_the_spectrum_check():
         r1 = (sup + lower) / 2
         report = decompose(mu, DecompositionOptions(radius_mode="manual",
                                                     manual_radii=(base.R0, r1))).report
-        assert [c.name for c in report.checks if not c.passed] == ["spectrum_nu1"]
+        assert [c.name for c in report.checks if not c.passed] == ["modulus_nu1",
+                                                                   "spectrum_nu1"]
         check = report.check("spectrum_nu1")
         assert check.details["exact"] and check.residual >= lower - r1 > 0
+        assert report.check("modulus_nu1").residual == check.residual
 
 
 def test_spectrum_check_catches_a_split_that_keeps_the_identity(basis):
@@ -216,9 +218,9 @@ def test_density_check_catches_a_radius_or_piece_that_misses_the_disk(basis):
 
 def test_density_check_records_the_cloud_side_bound(basis):
     # the cloud-to-grid half is bounded a priori once (d) passes: every cloud
-    # point is within the grid's covering radius of the disk, plus the
-    # modulus slack, of a grid point; the bound is below the threshold, and
-    # that half, measured in brute force, stays under it
+    # point lies in the closed disk, so within the grid's covering radius of
+    # the disk of a grid point; the bound is below the threshold, and that
+    # half, measured in brute force, stays under it
     rng = default_rng(506)
     mu = random_mixed(rng, basis)
     result = decompose(mu, DecompositionOptions(verify_tol=0.1))
@@ -228,11 +230,69 @@ def test_density_check_records_the_cloud_side_bound(basis):
         check = result.report.check(name)
         r = check.details["radius"]
         bound = check.details["cloud_to_grid_bound"]
-        assert bound == math.sqrt(5) / 4 * 0.1 * r + decomposition.MODULUS_SLACK
+        assert bound == math.sqrt(5) / 4 * 0.1 * r
         assert bound < check.threshold
         grid = disk_grid(r, 0.1)
         assert max(np.max(np.min(np.abs(chunk[:, None] - grid[None, :]), axis=1))
                    for chunk in np.array_split(vals, 20)) <= bound
+
+
+def test_the_identity_bound_reads_a_density_residual(basis):
+    # tau's density coefficient bounds tau_hat at its frequency
+    mu = random_mixed(default_rng(520), basis)
+    result = decompose(mu, DecompositionOptions(verify=False))
+    stray = MixedMeasure.from_density(result.basis, {5: 3e-3j})
+    report = verify_decomposition(mu, dataclasses.replace(result, nu2=as_mixed(result.nu2) + stray))
+    assert report.check("identity_transform").residual == 3e-3
+    assert [c.name for c in report.checks if not c.passed] == [
+        "identity_structural", "identity_transform", "nu2_support", "parity_nu0", "parity_nu1"]
+
+
+@pytest.mark.parametrize("weight", [1e308, math.nan])
+def test_a_residual_past_the_float_range_fails_the_identity_without_raising(basis, weight):
+    # two stray atoms of 1e308 overflow the upward sum of tau's moduli: the
+    # bound is inf, and the checks that read it fail like a nan residual
+    mu = random_discrete(default_rng(518), basis)
+    result = decompose(mu, DecompositionOptions(verify=False))
+    stray = DiscreteMeasure.from_atoms(result.basis, [(result.alpha, weight),
+                                                      (result.beta, weight)])
+    report = verify_decomposition(mu, dataclasses.replace(result, nu2=result.nu2 + stray))
+    assert [c.name for c in report.checks if not c.passed] == [
+        "identity_structural", "identity_transform", "parity_nu0", "parity_nu1"]
+    assert not report.check("identity_transform").residual < math.inf
+
+
+def test_a_split_without_parity_fails_every_check_that_rests_on_it(monkeypatch, basis):
+    # a split into mu and 0 keeps the identity and (f)'s premise exact, but
+    # mu is not even: (b) fails, and (c), (d) and (f), which need it, fail;
+    # (e) takes the exact route, on which nu1 = R1 rho * theta0 still passes
+    monkeypatch.setattr(decomposition, "parity_projections",
+                        lambda m: (m, MixedMeasure.from_discrete(DiscreteMeasure.zero(m.basis))))
+    report = decompose(random_discrete(default_rng(519), basis)).report
+    assert report.check("identity_structural").residual == 0.0
+    assert [c.name for c in report.checks if not c.passed] == [
+        "orthogonality", "parity_nu0", "parity_nu1", "modulus_nu0", "modulus_nu1",
+        "density_nu0", "spectrum_nu0", "spectrum_nu1"]
+    assert {report.check(name).details["route"] for name in ("density_nu0", "density_nu1")} == {
+        "exact"}
+
+
+def test_the_half_turn_test_reads_rows_weights_and_frequencies(basis, theta0, theta1):
+    # (b)'s test: theta0 is even and theta1 odd, each only so; an atom
+    # without its half-turn image, a partner of another weight, or a
+    # density frequency of the other parity has neither parity; zero has both
+    half = basis.half_turn()
+    a = basis.generator("a")
+    zero = MixedMeasure.from_discrete(DiscreteMeasure.zero(basis))
+    cases = [(theta0, True, False), (theta1, False, True), (zero, True, True),
+             (DiscreteMeasure.from_atoms(basis, [(a, 1.0)]), False, False),
+             (DiscreteMeasure.from_atoms(basis, [(a, 1.0), (a + half, 0.5)]), False, False),
+             (MixedMeasure(theta0, MixedMeasure.from_density(basis, {2: 1.0}).ac), True, False),
+             (MixedMeasure(theta0, MixedMeasure.from_density(basis, {3: 1.0}).ac), False, False),
+             (MixedMeasure.from_density(basis, {-1: 1.0, 3: 1.0j}), False, True)]
+    for m, even, odd in cases:
+        assert (decomposition._has_parity(as_mixed(m), 0),
+                decomposition._has_parity(as_mixed(m), 1)) == (even, odd), m
 
 
 def measure_with_fresh_pair(i: int, j: int, weights) -> DiscreteMeasure:
@@ -248,15 +308,17 @@ def measure_with_fresh_pair(i: int, j: int, weights) -> DiscreteMeasure:
 
 
 @settings(max_examples=10, deadline=None)
+@example((0, 1), 2000, 0.1, [0.5, 0.25j, -0.125])
+@example((0, 1), 2001, 0.1, [0.5, 0.25j, -0.125])
 @given(st.sampled_from([(i, j) for j in range(len(FRESH_GENERATOR_VALUES)) for i in range(j)]),
        st.integers(16, 1 << 12), st.floats(0.05, 0.2),
        st.lists(st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
                 min_size=3, max_size=3))
 def test_density_check_is_at_least_the_brute_force_covering(pair, N, tol, weights):
     # two routes: the tree's cached coverings of the fresh pair's half-clouds
-    # equal a dense distance matrix's over the transforms values of rho,
-    # and check (e)'s residual, bound or exact, is at least the dense
-    # covering of the R_i disk by nu_i's cloud
+    # equal a dense distance matrix's over the transforms values of rho, at
+    # even and odd N, and are (e)'s pair_cover; check (e)'s residual, bound
+    # or exact, is at least the dense covering of the R_i disk by nu_i's cloud
     i, j = pair
     result = decompose(measure_with_fresh_pair(i, j, weights),
                        DecompositionOptions(verify_N=N, verify_tol=tol))
@@ -264,11 +326,13 @@ def test_density_check_is_at_least_the_brute_force_covering(pair, N, tol, weight
                                         FRESH_GENERATOR_VALUES[j][1])
     ns = np.arange(-N, N + 1, dtype=np.int64)
     [rho_t] = transforms([make_rho(result.alpha, result.beta, result.basis)], ns)
-    assert spectrum._pair_covering(result.alpha, result.beta, result.basis, N, tol) == tuple(
-        brute_covering(disk_grid(1.0, tol), rho_t[sel]) for sel in (ns % 2 == 0, ns % 2 != 0))
-    for name, nu, r in (("density_nu0", result.nu0, result.R0),
-                        ("density_nu1", result.nu1, result.R1)):
+    even, odd = brute = tuple(brute_covering(disk_grid(1.0, tol), rho_t[sel])
+                              for sel in (ns % 2 == 0, ns % 2 != 0))
+    assert spectrum._pair_covering(result.alpha, result.beta, result.basis, N, tol) == brute
+    for name, nu, r, cover in (("density_nu0", result.nu0, result.R0, odd),
+                               ("density_nu1", result.nu1, result.R1, even)):
         check = result.report.check(name)
+        assert check.details["pair_cover"] == cover
         assert None not in [check.details[key] for key in ("bound", "pair_cover", "rounding")]
         assert check.residual >= brute_covering(disk_grid(r, tol), transforms([nu], ns)[0])
         if check.details["route"] == "bound":
@@ -305,32 +369,38 @@ def test_a_fresh_pair_of_other_positions_takes_the_bound(basis):
         assert check.residual >= brute_covering(disk_grid(r, 0.05), transforms([nu], ns)[0])
 
 
-def test_the_cached_covering_reads_the_verifier_s_rho_values_bit_for_bit(monkeypatch, basis):
-    # the bound R cov + c needs no phase allowance only because cov covers
-    # the very floats rho_t that check (c) compares against; a stray atom on
-    # nu2 leaves an identity residual, so the verifier's call takes five
-    # measures
+def test_the_cached_covering_reads_one_transforms_call_of_rho_bit_for_bit(monkeypatch, basis):
+    # the bound R (cov + a) allows a = _transform_allowance(rho, N) for the
+    # rounding of the floats that cov covers: those of one transforms call
+    # of rho over |n| <= N, split by the parity of n
     mu = random_mixed(default_rng(513), basis)
     result = decompose(mu, DecompositionOptions(verify=False))
-    stray = DiscreteMeasure.from_atoms(result.basis, [(result.alpha, 1e-3)])
     calls, samples = [], []
-    real_transforms, real_covering = decomposition.transforms, spectrum.covering_radius
+    real_transforms, real_covering = spectrum.transforms, spectrum.covering_radius
 
     def transforms_spy(ms, ns):
         values = real_transforms(ms, ns)
-        calls.append((list(ms), values))
+        calls.append((list(ms), ns, values))
         return values
 
-    monkeypatch.setattr(decomposition, "transforms", transforms_spy)
+    monkeypatch.setattr(spectrum, "transforms", transforms_spy)
     monkeypatch.setattr(spectrum, "covering_radius",
                         lambda reference, sample: samples.append(sample)
                         or real_covering(reference, sample))
-    verify_decomposition(mu, dataclasses.replace(result, nu2=result.nu2 + stray))
-    [(ms, values)] = calls
-    assert len(ms) == 5 and ms[1] == make_rho(result.alpha, result.beta, result.basis)
-    # |n| <= 10^4: the odd n of nu0 and the even n of nu1, in either order
+    report = verify_decomposition(mu, result)
+    [(ms, ns, [values])] = calls
+    assert ms == [make_rho(result.alpha, result.beta, result.basis)]
+    assert ns.tolist() == list(range(-10_000, 10_001))
+    # the odd n (nu0's) and the even n (nu1's), in either order
     assert sorted(sample.tobytes() for sample in samples) == sorted(
-        [values[1][1::2].tobytes(), values[1][0::2].tobytes()])
+        [values[1::2].tobytes(), values[0::2].tobytes()])
+    allowance = measures._transform_allowance(as_mixed(ms[0]), 10_000)
+    for name in ("density_nu0", "density_nu1"):
+        d = report.check(name).details
+        spread = d["radius"] * (d["pair_cover"] + allowance)
+        assert d["allowance"] == allowance and d["route"] == "bound"
+        assert d["rounding"] == 8 * measures._U * (d["radius"] + spread)
+        assert report.check(name).residual == d["bound"] == spread + d["rounding"]
 
 
 def test_density_check_falls_back_to_the_exact_covering_on_the_suite(suite_verifications):
@@ -348,9 +418,9 @@ def test_density_check_falls_back_to_the_exact_covering_on_the_suite(suite_verif
 
 @pytest.mark.parametrize("shift", [1e-6, 0.01, 0.3])
 def test_a_moved_weight_fails_parity_and_the_density_verdict_follows_the_oracle(basis, shift):
-    # moving one weight of nu0's R0 rho * theta1 atoms breaks nu0_hat = R0
-    # rho_hat at odd n, which (c) catches; (e) then passes exactly when the
-    # dense covering is within the threshold, whichever route it takes
+    # moving one weight of nu0's R0 rho * theta1 atoms breaks (f)'s premise,
+    # so (c) fails and (e) takes the cloud's own covering, which passes
+    # exactly when the dense covering is within the threshold
     mu = random_mixed(default_rng(511), basis)
     result = decompose(mu, DecompositionOptions(verify=False))
     assert result.nu0.disc.atoms[result.alpha] == 0.25 * result.R0
@@ -362,7 +432,7 @@ def test_a_moved_weight_fails_parity_and_the_density_verdict_follows_the_oracle(
     oracle = brute_covering(disk_grid(result.R0, 0.05), vals)
     assert check.passed == (oracle <= check.threshold)
     assert check.residual >= oracle
-    assert check.details["route"] == ("bound" if shift < 0.3 else "exact")
+    assert check.details["route"] == "exact"
 
 
 def test_a_second_decomposition_with_the_same_fresh_pair_builds_no_tree(monkeypatch, basis):
@@ -384,33 +454,6 @@ def test_a_second_decomposition_with_the_same_fresh_pair_builds_no_tree(monkeypa
         assert result.report.passed
         assert {result.report.check(name).details["route"]
                 for name in ("density_nu0", "density_nu1")} == {"bound"}
-
-
-@pytest.mark.parametrize("N", [2000, 2001])
-def test_the_pair_covering_is_the_brute_covering_of_the_verifier_s_rho_halves(monkeypatch,
-                                                                              basis, N):
-    # the verifier's own rho_hat values, split by the parity of n, covered
-    # by a dense distance matrix, are bit for bit the cached (even, odd) pair
-    # and the pair_cover of nu1's and nu0's density checks
-    mu = random_mixed(default_rng(515), basis)
-    result = decompose(mu, DecompositionOptions(verify=False))
-    rho = make_rho(result.alpha, result.beta, result.basis)
-    calls = []
-    real_transforms = decomposition.transforms
-
-    def transforms_spy(ms, ns):
-        values = real_transforms(ms, ns)
-        calls.append((list(ms), ns, values))
-        return values
-
-    monkeypatch.setattr(decomposition, "transforms", transforms_spy)
-    report = verify_decomposition(mu, result, N=N, tol=0.1)
-    [(ms, ns, values)] = calls
-    rho_t = values[ms.index(rho)]
-    want = tuple(brute_covering(disk_grid(1.0, 0.1), rho_t[ns % 2 == parity]) for parity in (0, 1))
-    assert spectrum._pair_covering(result.alpha, result.beta, result.basis, N, 0.1) == want
-    assert (report.check("density_nu1").details["pair_cover"],
-            report.check("density_nu0").details["pair_cover"]) == want
 
 
 @pytest.mark.parametrize("not_a_measure", [42, "x", None])
@@ -638,12 +681,11 @@ def test_verify_flag_off_defers_report(basis):
 
 
 def test_verification_builds_each_phase_factor_from_two_small_tables(monkeypatch, basis):
-    # at N = 10^4 each call builds each generator vector g's tables from
-    # B + R * 6 kernel evaluations: B = 256 for its low table and R = 16 for
-    # each of the six blocks of 4096 n that |n| <= N meets, not the 2N + 1
-    # of one per n.  The verifier's call and the two half-clouds of the
-    # cached covering each make one such build.  mu is discrete, so the
-    # verifier's convolutions take no transforms of their own
+    # on the bound route the verifier's only phase factors are the cached
+    # covering's, from one transforms call of rho: at N = 10^4 it builds each
+    # generator vector g's tables from B + R * 6 kernel evaluations, B = 256
+    # for its low table and R = 16 for each of the six blocks of 4096 n that
+    # |n| <= N meets, not the 2N + 1 of one per n
     N, B, R = 10_000, measures._TABLE_SPLIT, measures._ROW_BLOCK
     mu = random_discrete(default_rng(606), basis)
     result = decompose(mu, DecompositionOptions(verify=False))
@@ -651,10 +693,115 @@ def test_verification_builds_each_phase_factor_from_two_small_tables(monkeypatch
     real = measures.phase_factors
     monkeypatch.setattr(measures, "phase_factors", lambda ns, g: calls.append(
         Counter({value: ns.size for value in np.ravel(g)})) or real(ns, g))
-    assert verify_decomposition(mu, result, N=N).passed
-    assert len(set().union(*calls)) >= 2
+    report = verify_decomposition(mu, result, N=N)
+    assert report.passed
+    assert {report.check(name).details["route"] for name in ("density_nu0", "density_nu1")} == {
+        "bound"}
+    verified, calls[:] = list(calls), []
+    spectrum._pair_covering.cache_clear()
+    spectrum._pair_covering(result.alpha, result.beta, result.basis, N, 0.05)
+    assert verified == calls and len(set().union(*calls)) >= 2
     assert (N >> 12) - (-N >> 12) + 1 == 6
     assert max(max(call.values()) for call in calls) <= B + R * 6
+
+
+def test_the_bound_route_evaluates_no_transform_and_convolves_only_rho_theta(monkeypatch,
+                                                                             basis):
+    # with the fresh pair's covering and the pieces' brackets kept from
+    # decompose, the verifier reads rows and brackets only: no transforms
+    # call, and no convolution but (f)'s rho * theta1 and rho * theta0
+    rng = default_rng(517)
+    for mu in (random_discrete(rng, basis), random_mixed(rng, basis)):
+        result = decompose(mu)
+        assert result.report.passed
+        evaluated, convolved = [], []
+        for module in (measures, spectrum, decomposition):
+            real_transforms, real_convolve = module.transforms, module.convolve
+            monkeypatch.setattr(module, "transforms", lambda ms, ns, real=real_transforms: (
+                evaluated.append(ms) or real(ms, ns)))
+            monkeypatch.setattr(module, "convolve", lambda a, b, real=real_convolve: (
+                convolved.append((a, b)) or real(a, b)))
+        report = verify_decomposition(mu, result)
+        monkeypatch.undo()
+        assert report == result.report
+        assert {report.check(name).details["route"]
+                for name in ("density_nu0", "density_nu1")} == {"bound"}
+        assert evaluated == []
+        rho = make_rho(result.alpha, result.beta, result.basis)
+        assert convolved == [(rho, make_theta1(result.basis)), (rho, make_theta0(result.basis))]
+
+
+def _law_slack(measures_, n_max: int) -> float:
+    """The summed ``_transform_allowance`` of the measures at |n| <= n_max,
+    plus 4 u times their total variation for the float sums that combine
+    their values."""
+    mixed = [as_mixed(m) for m in measures_]
+    return sum(measures._transform_allowance(m, n_max) + 4 * measures._U * (
+        m.disc.norm() + sum(abs(c) for c in m.ac.coeffs.values())) for m in mixed)
+
+
+def _decompose_and_certify_shaped(seed: int):
+    """(mu, result, report): two decompose-shaped inputs (4 atoms over sqrt2
+    and sqrt3 at total variation 2, bracket radii at fekete_k_max 4) and two
+    certify-shaped ones (4 atoms plus a degree-3 density, radii doubled from
+    fekete_k_max 1 and verified in manual mode)."""
+    basis = GeneratorBasis.from_pairs(FRESH_GENERATOR_VALUES[:2])
+    rng = default_rng(seed)
+    cases = []
+    for _ in range(2):
+        raw = random_discrete(rng, basis)
+        mu = raw.scale(2.0 / raw.norm())
+        result = decompose(mu, DecompositionOptions(fekete_k_max=4))
+        cases.append((mu, result, result.report))
+    for _ in range(2):
+        mu = random_mixed(rng, basis, degree=3)
+        base = decompose(mu, DecompositionOptions(verify=False, fekete_k_max=1))
+        doubled = decompose(mu, DecompositionOptions(
+            radius_mode="manual", manual_radii=(2.0 * base.R0, 2.0 * base.R1), verify=False))
+        cases.append((mu, doubled, verify_decomposition(mu, doubled, N=10_000)))
+    return cases
+
+
+def test_the_laws_the_verifier_derives_hold_on_a_transform_net():
+    # two routes: (a), (c) and (d) are derived from rows and brackets; here
+    # nu0_hat, nu1_hat, nu2_hat, mu_hat and rho_hat are evaluated on
+    # |n| <= 10^4 and the laws are checked on that net, within the values'
+    # rounding allowances
+    N = 10_000
+    ns = np.arange(-N, N + 1, dtype=np.int64)
+    even = ns % 2 == 0
+    for mu, result, report in _decompose_and_certify_shaped(3101):
+        assert report.passed
+        mu_e = result.mu_embedded
+        rho = make_rho(result.alpha, result.beta, result.basis)
+        nu0_t, nu1_t, nu2_t, mu_t, rho_t = transforms(
+            [result.nu0, result.nu1, result.nu2, mu_e, rho], ns)
+        # (a) every transform value of the identity residual
+        slack = _law_slack([result.nu0, result.nu1, result.nu2, mu_e], N)
+        assert np.max(np.abs(nu0_t + nu1_t + nu2_t - mu_t)) <= (
+            report.check("identity_transform").residual + slack)
+        # (c) nu_i_hat is mu_hat on its own parity, R_i rho_hat on the other
+        for nu, nu_t, r, own, name in ((result.nu0, nu0_t, result.R0, even, "parity_nu0"),
+                                       (result.nu1, nu1_t, result.R1, ~even, "parity_nu1")):
+            assert np.max(np.abs(nu_t[own] - mu_t[own])) <= (
+                report.check(name).residual + _law_slack([nu, mu_e], N))
+            assert np.max(np.abs(nu_t[~own] - r * rho_t[~own])) <= (
+                _law_slack([nu, rho.scale(r)], N) + 2 * measures._U * r)
+            # (d) the modulus bound |nu_i_hat| <= max(upper, R_i) = R_i
+            assert report.check(f"modulus_{name[-3:]}").residual <= 0.0
+            assert np.max(np.abs(nu_t)) <= r + _law_slack([nu], N)
+
+
+@pytest.mark.parametrize("k", [-500, -40, 40, 500])
+@pytest.mark.parametrize("draw", [random_mixed, random_discrete])
+def test_parity_and_modulus_pass_at_every_power_of_two_scale(draw, k):
+    # scaling mu by 2^k is exact in binary floating point, so the verdicts
+    # of the parity and modulus checks must not move with k
+    basis = GeneratorBasis.from_pairs(FRESH_GENERATOR_VALUES[:2])
+    mu = draw(default_rng(3), basis)
+    report = decompose(mu.scale(2.0 ** k)).report
+    for name in ("parity_nu0", "parity_nu1", "modulus_nu0", "modulus_nu1"):
+        assert report.check(name).passed, (name, report.check(name))
 
 
 @pytest.mark.parametrize("N", [0, (1 << 20) + 1])

@@ -136,8 +136,11 @@ def test_private_imports_across_modules_are_the_pinned_set():
                              if alias.name.startswith("_")}
     assert imported == {
         ("decomposition", "measures", "_U"), ("decomposition", "measures", "_transform_sups"),
+        ("decomposition", "measures", "_transform_allowance"),
         ("decomposition", "spectrum", "_DISK_COVER"),
+        ("decomposition", "spectrum", "_live_classes"),
         ("decomposition", "spectrum", "_pair_covering"),
+        ("decomposition", "spectrum", "_transform_upper"),
         ("spectrum", "measures", "_MAX_DEGREE"), ("spectrum", "measures", "_TERM_BLOCK"),
         ("spectrum", "measures", "_U"), ("spectrum", "measures", "_transform_sups"),
         ("measures", "angles", "_PI_LD")}
