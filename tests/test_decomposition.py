@@ -403,6 +403,35 @@ def test_the_cached_covering_reads_one_transforms_call_of_rho_bit_for_bit(monkey
         assert report.check(name).residual == d["bound"] == spread + d["rounding"]
 
 
+@pytest.mark.parametrize("N", [2000, 2001])
+def test_the_pair_covering_is_the_brute_covering_of_the_verifier_s_rho_halves(monkeypatch,
+                                                                              basis, N):
+    # the rho_hat values the verifier's bound covers (one transforms call
+    # over |n| <= N), split by the parity of n and covered by a dense
+    # distance matrix, are bit for bit the cached (even, odd) pair and the
+    # pair_cover of nu1's and nu0's density checks
+    mu = random_mixed(default_rng(515), basis)
+    result = decompose(mu, DecompositionOptions(verify=False))
+    spectrum._pair_covering.cache_clear()
+    calls = []
+    real_transforms = spectrum.transforms
+
+    def transforms_spy(ms, ns):
+        values = real_transforms(ms, ns)
+        calls.append((list(ms), ns, values))
+        return values
+
+    monkeypatch.setattr(spectrum, "transforms", transforms_spy)
+    report = verify_decomposition(mu, result, N=N, tol=0.1)
+    [(ms, ns, [rho_t])] = calls
+    assert ms == [make_rho(result.alpha, result.beta, result.basis)]
+    assert ns.tolist() == list(range(-N, N + 1))
+    want = tuple(brute_covering(disk_grid(1.0, 0.1), rho_t[ns % 2 == parity]) for parity in (0, 1))
+    assert spectrum._pair_covering(result.alpha, result.beta, result.basis, N, 0.1) == want
+    assert (report.check("density_nu1").details["pair_cover"],
+            report.check("density_nu0").details["pair_cover"]) == want
+
+
 def test_density_check_falls_back_to_the_exact_covering_on_the_suite(suite_verifications):
     # at N = 8192 the half-clouds cover the unit disk to 0.069 only, so the
     # bound is above the threshold and the cloud's own covering decides, bit
