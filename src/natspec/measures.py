@@ -766,8 +766,8 @@ def tv_norm(mu: MeasureLike) -> float:
 
 def tv_norm_bounds(mu: MeasureLike) -> tuple[float, float]:
     """(value, error estimate): the atoms' weight sum plus the density's
-    quadrature (``TrigPolyDensity.l1_norm_bounds``), not a certified bound:
-    value plus estimate can fall below the exact norm."""
+    quadrature (``TrigPolyDensity.l1_norm_bounds``), a reported estimate
+    that can fall below the exact norm and that no certified radius reads."""
     m = as_mixed(mu)
     value = m.disc.norm()
     ac_value, ac_err = m.ac.l1_norm_bounds()

@@ -13,8 +13,8 @@ that cosine at the grid's spacing, bounds the maximum over the whole torus.
 For a measure with a density part sum_K c_k e_k the radius is the larger of
 the discrete part's and max_K |mu_hat(k)|.
 
-``fekete_bound`` gives an upper end without the torus: norms of iterated
-convolution squares, whose roots ||mu^m||^(1/m) approach the radius along
+``fekete_bound`` gives an upper end without the torus: norms of the atoms'
+iterated convolution squares, whose roots ||d^m||^(1/m) approach r(d) along
 powers of two.  ``radius_bracket``, the bracket that ``decompose``, its
 verifier and the ``spectral-radius`` command take, runs it only where the
 walker refuses the lattice or the walks end wide.
@@ -35,8 +35,7 @@ from .angles import Angle, GeneratorBasis, TWO_PI
 from .blas import blas_threads
 from .errors import BudgetExceededError
 from .measures import (_MAX_DEGREE, _TERM_BLOCK, _U, DiscreteMeasure, MeasureLike, MixedMeasure,
-                       _transform_sups, as_mixed, convolve, make_rho, transforms,
-                       tv_norm_bounds, unit_roots)
+                       _transform_sups, as_mixed, convolve, make_rho, transforms, unit_roots)
 
 # norms whose square stays in the normal float range, with a factor 4 to spare
 _SQUARE_SAFE_MIN = 2.0 ** -511
@@ -81,8 +80,8 @@ _BRACKET_CACHE = 4
 
 @dataclass(frozen=True)
 class FeketeReport:
-    """Upper ends r_k of the nonincreasing norm roots ||mu^(2^k)||^(1/2^k);
-    ``final_bound`` is the least of them."""
+    """Upper ends of the spectral radius, entry k from the norm root
+    ||d^(2^k)||^(1/2^k) of the atoms; ``final_bound`` is the least."""
 
     entries: tuple[tuple[int, float], ...]
     final_bound: float
@@ -147,42 +146,41 @@ def _square_error(norm: float, err: float, atoms: int) -> float:
 def fekete_bound(mu: MeasureLike, k_max: int = 6) -> FeketeReport:
     """Certified upper bound for the spectral radius via repeated squaring.
 
-    Each entry uses the total variation norm plus its quadrature error
-    estimate, so every r_k is an upper bound for the true limit; the first,
-    ||mu||, sums the atoms' moduli rounded upward (``_norm_bounds``), so it
-    is never below the exact norm of the atoms.  A later entry is rounded
-    upward too: the computed square's norm is raised by its summation error
-    and by a bound on how far the squarings' rounding has moved its atoms
-    (``_square_error``), and its 2^k-th root is taken upward
-    (``_root_upward``), so it is never below the exact ||mu^(2^k)||^(1/2^k)
-    of a discrete mu; a density part's coefficients keep the quadrature
-    estimate alone.  Stops early, with ``budget_hit`` set and the entries
-    so far kept, when a squaring passes the convolution limits of
-    ``measures.convolve``, and without ``budget_hit`` when an entry's upper
-    end passes the largest float.  A power whose square's norm would leave
-    the normal float range is first rescaled by a power of two, so tiny
-    weights do not underflow to a zero bound.  Raises ValueError when the
-    total variation is not finite.
+    For mu = d + sum_K c_k e_k, r(mu) = max(r(d), max_K |mu_hat(k)|), so the
+    squarings run on the atoms d alone, and entry k is max(r_k, upper_k)
+    with upper_k from ``_density_ends``: no density is convolved or
+    integrated, and every entry bounds r(mu).  r_0 = ||d|| sums the atoms'
+    moduli upward (``_norm_upward``), so entry 0 is ``spectral_bracket``'s
+    cap.  A later r_k is rounded upward too: the square's norm is raised by
+    its summation error and by a bound on how far the squarings' rounding
+    has moved its atoms (``_square_error``), and its 2^k-th root is taken
+    upward (``_root_upward``), so it is never below ||d^(2^k)||^(1/2^k).
+    Stops early, with ``budget_hit`` set and the entries so far kept, when
+    a squaring passes the convolution limits of ``measures.convolve``, and
+    without ``budget_hit`` when an entry's upper end passes the largest
+    float.  A power whose square's norm would leave the normal float range
+    is rescaled by a power of two first, so tiny weights do not underflow
+    to 0.  Raises as ``_norm_upward`` and ``_density_ends`` do.
     """
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
-    cur = as_mixed(mu)
-    value, r = _norm_bounds(cur)
-    entries = [(0, r)]
-    budget_hit = False
-    shift = 0  # mu^(2^k) = cur * 2^shift, up to the rounding err bounds
-    norm, err = r, 0.0  # ||cur|| <= norm and ||cur - mu^(2^k) 2^-shift|| <= err
+    m = as_mixed(mu)
+    r = _norm_upward(m)
+    upper_k = _density_ends(m)[1]
+    entries, budget_hit = [(0, max(r, upper_k))], False
+    cur, shift = m.disc, 0  # d^(2^k) = cur * 2^shift, up to the rounding err bounds
+    norm, err = r, 0.0  # ||cur|| <= norm and ||cur - d^(2^k) 2^-shift|| <= err
     if r > 0.0:
         for k in range(1, k_max + 1):
-            e = _rescale_exponent(value)
+            e = _rescale_exponent(cur.norm())
             if e:
                 cur = cur.scale(math.ldexp(1.0, -e))
                 shift += e
                 # norm lands in [2^-53, 1), exactly; a weight or err scaled
                 # into the subnormal range loses at most an underflow unit
                 norm = math.ldexp(norm, -e)
-                err = math.ldexp(err, -e) + (len(cur.disc) + 1) * _ETA
-            atoms = len(cur.disc)
+                err = math.ldexp(err, -e) + (len(cur) + 1) * _ETA
+            atoms = len(cur)
             try:
                 cur = convolve(cur, cur)
             except BudgetExceededError:
@@ -190,13 +188,12 @@ def fekete_bound(mu: MeasureLike, k_max: int = 6) -> FeketeReport:
                 break
             shift *= 2
             err = _square_error(norm, err, atoms)
-            value, quad_err = tv_norm_bounds(cur)
             # Python's sequential sum of the K moduli, each within an ulp
-            norm = _sum_upward([value * (1.0 + (len(cur.disc) + 3) * _U), quad_err])
+            norm = cur.norm() * (1.0 + (len(cur) + 3) * _U)
             rk = _root_upward(_sum_upward([norm, err]), shift, k)
             if rk == math.inf:  # within ulps of the float range: nothing finite bounds it
                 break
-            entries.append((k, rk))
+            entries.append((k, max(rk, upper_k)))
     final = min(r for _, r in entries)
     return FeketeReport(tuple(entries), final, budget_hit)
 
@@ -523,20 +520,29 @@ def _transform_upper(m: MixedMeasure) -> float:
         return math.inf
 
 
-def _norm_bounds(m: MixedMeasure) -> tuple[float, float]:
-    """(||mu|| as summed, an upper end of it), ValueError unless the upper
-    end is finite.  The upper end sums the atoms' moduli, each rounded up
-    (``_modulus_upward``), upward (``_sum_upward``), so it is the atoms'
-    ``norm()`` whenever that is exact.  Both ends add the density's
-    quadrature value, and the upper end its error estimate, summed upward."""
-    density_value, density_err = m.ac.l1_norm_bounds()
-    atoms = norm = m.disc.norm()
-    if math.isfinite(norm):
-        atoms = _sum_upward([_modulus_upward(w) for w in m.disc.w.tolist()])
-    upper = _sum_upward([atoms, density_value, density_err])
+def _norm_upward(m: MixedMeasure) -> float:
+    """An upper end of ||d|| for m's atoms d, their moduli rounded up and
+    summed upward; no density is integrated.  BudgetExceededError first for
+    a density degree above _MAX_DEGREE, ValueError unless finite."""
+    if m.ac.degree > _MAX_DEGREE:
+        raise BudgetExceededError(f"density degree {m.ac.degree} is above the limit {_MAX_DEGREE}")
+    upper = m.disc.norm()
+    if math.isfinite(upper):
+        upper = _sum_upward([_modulus_upward(w) for w in m.disc.w.tolist()])
     if not math.isfinite(upper):
         raise ValueError(f"the total variation bound {upper!r} is not finite")
-    return norm + density_value, upper
+    return upper
+
+
+def _density_ends(m: MixedMeasure) -> tuple[float, float]:
+    """max_K |mu_hat(k)| over the density's frequencies (``_transform_sups``) less
+    and plus its rounding allowance; (0, 0) without a density, ValueError unless finite."""
+    if m.ac.is_zero:
+        return 0.0, 0.0
+    [(top, allowance)] = _transform_sups([m], list(m.ac.coeffs))
+    if not math.isfinite(top + allowance):
+        raise ValueError(f"the density's transform bound {top + allowance!r} is not finite")
+    return max(0.0, top - allowance), top + allowance
 
 
 def _live_classes(d: DiscreteMeasure) -> range:
@@ -571,35 +577,32 @@ def spectral_bracket(mu: MeasureLike, max_grid: Optional[int] = None
     / sqrt(cos(pi S / grid)).  The loop keeps the largest lower and the
     smallest upper end and stops once upper - lower <= _BRACKET_REL_WIDTH *
     upper, or when the next grid would pass ``max_grid`` (no ceiling by
-    default) or the walker's _TORUS_POINT_LIMIT.  Its first grid is 16, where the cap below may
-    already close the bracket; the next is the coarsest power of two whose
-    upper end can come within _BRACKET_REL_WIDTH of its lower end, or the
-    finest within those limits, and the grid then doubles.  Without free
-    axes one walk gives [max - allowance, max + allowance].  Torsion classes
-    where d_hat vanishes identically, half of them for a parity piece
-    (``_live_classes``), are not walked.  At one BLAS thread a walk of at
-    least _SPREAD_POINTS lattice points spreads the live classes over the
-    CPUs, to the same bits (``_lattice_max``).
+    default) or the walker's _TORUS_POINT_LIMIT.  Its first grid is 16,
+    where the cap below often closes the bracket; the next is the coarsest
+    power of two whose upper end can come within _BRACKET_REL_WIDTH of its
+    lower end, or the finest within those limits, and the grid then
+    doubles.  Without free axes one walk gives [max - allowance, max +
+    allowance].  Torsion classes where d_hat vanishes identically, half of
+    them for a parity piece (``_live_classes``), are not walked.  At one
+    BLAS thread a walk of at least _SPREAD_POINTS lattice points spreads the
+    live classes over the CPUs, to the same bits (``_lattice_max``).
 
     A density part sum_K c_k e_k is orthogonal to d * (delta - sum_K e_k),
     so r(mu) = max(r(d), max_K |mu_hat(k)|); that maximum, less and plus its
     rounding allowance, is folded into both ends.  The upper end is capped
-    at ||mu||, the atoms' part rounded upward, plus the density part's
-    quadrature error: ``fekete_bound``'s first entry.
+    at max(||d||, that maximum plus allowance), ``fekete_bound``'s first
+    entry; no quadrature is read (``tv_norm`` stays a reported estimate).
 
     Raises ValueError, before any work, for a max_grid below 16;
-    BudgetExceededError, before any walk, when d has more than
-    MAX_TORUS_DIMS free dimensions or den * 16^dims exceeds the walker's
-    limit; and ValueError when the total variation is not finite.
+    BudgetExceededError, before any transform or walk, for a density degree
+    above 65 536, more than MAX_TORUS_DIMS free dimensions of d or den *
+    16^dims above the walker's limit; ValueError for a bound not finite.
 
     The process keeps the brackets of the last _BRACKET_CACHE distinct
-    inputs, keyed by their exact bits (``_Bits``), and a call whose bits
-    match one of them returns that bracket.  The bracket is a function of
-    those bits alone, so the kept one is what the walks would compute again,
-    bit for bit: ``decompose`` brackets each parity piece and check (f) of
-    ``verify_decomposition``, which derives the pieces from mu itself, gets
-    the same bracket without walking again.  Refusals are not kept: each
-    call raises its own, before any walk.
+    inputs, keyed by their exact bits (``_Bits``), of which the bracket is a
+    function: a kept one is what the walks would compute again, bit for bit,
+    so check (f) of ``verify_decomposition`` reads ``decompose``'s brackets
+    of the parity pieces without walking.  Refusals are not kept.
     """
     if max_grid is not None and max_grid < 16:
         raise ValueError("grid must be at least 16")
@@ -641,14 +644,11 @@ def _memo_bracket(bits: _Bits) -> tuple[float, float]:
 
 def _bracket(m: MixedMeasure, max_grid: Optional[int]) -> tuple[float, float]:
     """The walks of ``spectral_bracket``, on m and its ceiling max_grid."""
-    upper = _norm_bounds(m)[1]
-    d = m.disc
+    atoms, d = _norm_upward(m), m.disc
     exponents = _exponents(d)
     _check_torus_grid(d, exponents, 16)
-    lower = upper_k = 0.0
-    if not m.ac.is_zero:  # max over the density's frequencies k of |mu_hat(k)|
-        [(top, allowance)] = _transform_sups([m], list(m.ac.coeffs))
-        lower, upper_k = max(0.0, top - allowance), top + allowance
+    lower, upper_k = _density_ends(m)
+    upper = max(atoms, upper_k)
     dims, span, classes = exponents.shape[1], _exponent_span(exponents), _live_classes(d)
     limit = (_TORUS_POINT_LIMIT if max_grid is None
              else min(_TORUS_POINT_LIMIT, d.den * max_grid ** dims))
@@ -688,8 +688,8 @@ def radius_bracket(mu: MeasureLike, k_max: int = 6, max_grid: Optional[int] = No
     _BRACKET_REL_WIDTH of their upper end.  Then ``fekete_bound(mu, k_max)``
     runs, the upper end is the smaller of the two (the lower is 0 on a
     refusal) and fallback is the RadiusFallback.  ValueError, before any
-    work, for a negative k_max or a max_grid below 16; a density the norm's
-    quadrature refuses raises BudgetExceededError, as fekete_bound would."""
+    work, for a negative k_max or a max_grid below 16; a density of degree
+    above 65 536 raises BudgetExceededError, as fekete_bound would."""
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     try:

@@ -54,7 +54,7 @@ def lattice_values(d: DiscreteMeasure, points, grid: int) -> list:
     return values
 
 
-def mp_transform(mu: DiscreteMeasure, n: int) -> complex:
+def mp_transform_value(mu: DiscreteMeasure, n: int) -> mpmath.mpc:
     """mu_hat(n) summed atom by atom in mpmath at 30 digits.
 
     The rational part of each phase is reduced exactly in Fraction
@@ -70,4 +70,9 @@ def mp_transform(mu: DiscreteMeasure, n: int) -> complex:
                              mpmath.mpf(0))
             phase = 2 * mpmath.pi * mpmath.mpf(rational.numerator) / rational.denominator
             total += mpmath.mpc(w.real, w.imag) * mpmath.expj(phase - n * irrational)
-        return complex(total)
+        return total
+
+
+def mp_transform(mu: DiscreteMeasure, n: int) -> complex:
+    """``mp_transform_value`` rounded to a complex float."""
+    return complex(mp_transform_value(mu, n))

@@ -21,7 +21,7 @@ from natspec.measures import (DiscreteMeasure, MixedMeasure, as_mixed, convolve,
                               make_theta0, make_theta1, parity_projections, transforms)
 from natspec.sampling import default_rng, random_discrete, random_mixed
 from natspec.serialize import measure_to_json
-from natspec.spectrum import covering_radius, disk_grid, fekete_bound, spectral_bracket
+from natspec.spectrum import covering_radius, disk_grid, fekete_bound
 from oracles import brute_covering
 
 ALL_CHECKS = ("identity_structural", "identity_transform", "nu2_support",
@@ -80,9 +80,10 @@ def test_spectrum_check_runs_at_a_torsion_order_the_nu0_lattice_would_pass(tmp_p
 
 
 def test_manual_radius_below_the_spectral_radius_fails_the_spectrum_check():
-    # R1 halfway between sup_{|n| <= 10^4} |mu1_hat(n)| and the certified
-    # lower end of r(mu1) is below the radius, yet above every transform
-    # value that (e) reads; (d), (f)'s corollary, fails with it
+    # R1 halfway between sup_{|n| <= 10^4} |mu1_hat(n)| and a certified
+    # lower end of r(mu1), the grid-64 torus maximum of its atoms, is below
+    # the radius, yet above every transform value that (e) reads; (d),
+    # (f)'s corollary, fails with it
     basis = GeneratorBasis.from_pairs(FRESH_GENERATOR_VALUES[:2])
     rng = default_rng(7)
     for _ in range(3):
@@ -90,7 +91,7 @@ def test_manual_radius_below_the_spectral_radius_fails_the_spectrum_check():
         base = decompose(mu, DecompositionOptions(verify=False))
         mu1 = parity_projections(base.mu_embedded)[1]
         sup = float(np.max(np.abs(transforms([mu1], np.arange(-10_000, 10_001))[0])))
-        lower = spectral_bracket(mu1)[0]
+        lower = spectrum.torus_max(mu1.disc, 64)
         assert sup < lower
         r1 = (sup + lower) / 2
         report = decompose(mu, DecompositionOptions(radius_mode="manual",
@@ -657,6 +658,32 @@ def test_radius_falls_back_above_the_walkers_dimensions(monkeypatch):
     assert result.report.passed
 
 
+def test_no_certified_radius_integrates_a_density(monkeypatch, basis):
+    # the quadrature of TrigPolyDensity.l1_norm_bounds is an estimate, so no
+    # bracket, cap or norm-root entry may read it: on mixed inputs, through
+    # the walks and through the fallback above the walker's dimensions
+    calls = []
+    monkeypatch.setattr(measures.TrigPolyDensity, "l1_norm_bounds",
+                        lambda self: calls.append(self) or (0.0, 0.0))
+    fallbacks = _counting_fekete(monkeypatch)
+    five = GeneratorBasis.from_pairs(FRESH_GENERATOR_VALUES[:5])
+    wide = MixedMeasure(DiscreteMeasure.from_atoms(
+        five, [(five.angle(Fraction(0), (1, 0, 1, 0, 1)), 0.5),
+               (five.angle(Fraction(1, 2), (0, 1, 0, 1, 1)), 0.5)]),
+        measures.TrigPolyDensity({1: 0.25, -2: 0.5j}))
+    rng = default_rng(3201)
+    for mu in (random_mixed(rng, basis), random_mixed(rng, basis), wide):
+        result = decompose(mu, DecompositionOptions(fekete_k_max=2))
+        assert result.report.passed
+        assert verify_decomposition(mu, result).passed
+        spectrum._memo_bracket.cache_clear()
+        for piece in parity_projections(result.mu_embedded):
+            if mu is not wide:
+                spectrum.spectral_bracket(piece)
+            spectrum.radius_bracket(piece, 2)
+    assert fallbacks and calls == []
+
+
 def test_a_density_the_norm_refuses_runs_no_fallback(monkeypatch, tmp_path, capsys):
     # degree 10^6 is refused by the bracket's norm quadrature, not by the
     # walker; fekete_bound's quadrature would refuse it at once, so it is not
@@ -672,7 +699,8 @@ def test_a_density_the_norm_refuses_runs_no_fallback(monkeypatch, tmp_path, caps
 
 def test_mixed_radii_come_from_the_bracket(basis):
     # the density's e_3 term dominates the odd piece: R1 is |mu_hat(3)| to
-    # within its rounding allowance, below the norm
+    # within its rounding allowance, the cap max(||d||, upper_k) that is
+    # fekete_bound's first entry, and below ||mu1|| >= ||d|| + max_k |c_k|
     mu = MixedMeasure(DiscreteMeasure.from_atoms(basis, [(basis.generator("a"), 0.0625)]),
                       MixedMeasure.from_density(basis, {3: 2.0, -1: 0.25j}).ac)
     result = decompose(mu)
@@ -680,7 +708,9 @@ def test_mixed_radii_come_from_the_bracket(basis):
     (lo1, hi1) = result.radius_brackets[1]
     exact = abs(mu.transform(np.array([3]))[0])
     assert lo1 <= exact <= hi1 == result.R1 and hi1 - lo1 <= 1e-13
-    assert result.R1 < fekete_bound(parity_projections(result.mu_embedded)[1], 0).final_bound
+    mu1 = parity_projections(result.mu_embedded)[1]
+    assert result.R1 == fekete_bound(mu1, 0).final_bound
+    assert result.R1 < mu1.disc.norm() + max(abs(c) for c in mu1.ac.coeffs.values())
 
 
 def test_options_validation(basis):

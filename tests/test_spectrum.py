@@ -28,7 +28,8 @@ from scipy.spatial import cKDTree
 
 from natspec.spectrum import (MAX_DISK_POINTS, character_values, covering_radius, disk_grid,
                               disk_grid_shape, fekete_bound, spectral_bracket, torus_max)
-from oracles import free_exponents, hausdorff, lattice_values, mp_transform
+from oracles import (free_exponents, hausdorff, lattice_values, mp_transform,
+                     mp_transform_value)
 
 
 def test_fekete_bound_of_two_point_average(rho):
@@ -784,6 +785,56 @@ def test_spectral_bracket_contains_the_mpmath_transform_sup(mu):
             assert upper - lower <= 2 * allowance + math.ulp(upper)
 
 
+def _mp_torus_sup(d: DiscreteMeasure, rng, points: int) -> float:
+    """sup of |d_hat| over ``points`` random characters (t, phi) of d's
+    torus, taken in mpmath as ``_mp_sup`` takes it: every point whose numpy
+    value comes within 2e-12 * ||d|| of the numpy maximum is summed again at
+    30 digits, its rational phase reduced exactly."""
+    exps = np.array(free_exponents(d), dtype=np.int64).reshape(len(d), -1)
+    ts = rng.integers(0, d.den, size=points)
+    phis = rng.uniform(0.0, 2 * math.pi, size=(points, exps.shape[1]))
+    phases = 2 * np.pi * ((np.outer(ts, d.num) % d.den) / d.den) + phis @ exps.T
+    values = np.abs(np.exp(1j * phases) @ d.w)
+    near = np.flatnonzero(values >= values.max() - 2e-12 * d.norm())
+    with mpmath.workdps(30):
+        return max(abs(mpmath.fsum(
+            mpmath.mpc(w.real, w.imag) * mpmath.expj(
+                2 * mpmath.pi * mpmath.mpf((m * int(ts[i])) % d.den) / d.den
+                + mpmath.fsum(e * mpmath.mpf(p) for e, p in zip(row, phis[i].tolist())))
+            for m, row, w in zip(d.num.tolist(), exps.tolist(), d.w.tolist())))
+            for i in near)
+
+
+_UNIT_WEIGHTS = st.complex_numbers(min_magnitude=0.01, max_magnitude=1.0, allow_nan=False,
+                                   allow_infinity=False)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 5), st.integers(-6, 6), st.integers(-6, 6),
+                          _UNIT_WEIGHTS), min_size=1, max_size=5),
+       st.dictionaries(st.integers(-4, 4), _UNIT_WEIGHTS.map(lambda c: 3 * c),
+                       min_size=1, max_size=4),
+       st.integers(0, 2 ** 32 - 1))
+def test_the_mixed_cap_is_at_least_the_mpmath_sup(atoms, coeffs, seed):
+    # two routes: at max_grid 16 with an exponent span S >= 8 no walk gives
+    # an upper end, so the published upper end is the cap, which was
+    # ||d|| + the density's quadrature and is now max(||d||, upper_k); it is
+    # at least the 30-digit |mu_hat(k)| at each frequency k of the density
+    # and the 30-digit |d_hat| sup over 10^4 random characters of d's torus
+    basis = _TWO_GENERATORS
+    disc = DiscreteMeasure.from_atoms(basis, [(basis.angle(Fraction(t, 6), (a, b)), w)
+                                              for t, a, b, w in atoms])
+    assume(spectrum._exponent_span(spectrum._exponents(disc)) >= 8)
+    mu = MixedMeasure(disc, TrigPolyDensity(coeffs))
+    lower, upper = spectral_bracket(mu, 16)
+    assert lower <= upper == fekete_bound(mu, 0).entries[0][1]
+    with mpmath.workdps(30):
+        density_sup = max(abs(mp_transform_value(disc, k) + mpmath.mpc(c.real, c.imag))
+                          for k, c in mu.ac.coeffs.items())
+    assert mpmath.mpf(upper) >= density_sup
+    assert mpmath.mpf(upper) >= _mp_torus_sup(disc, np.random.default_rng(seed), 10_000)
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_transform_allowance_holds_on_both_phase_table_routes(seed):
     # two routes: each value of transforms within _transform_allowance of
@@ -1054,7 +1105,8 @@ def test_fekete_later_entries_are_at_least_the_exact_norm_roots(atoms):
 def test_fekete_first_entry_is_at_least_the_exact_norm(weights):
     # two routes: the first entry against sum |w_j| at 60 digits in mpmath,
     # which it may exceed by a few ulps (or subnormal steps) and never
-    # undercut; a density part adds its quadrature value and error estimate
+    # undercut; a density part folds in max_K |mu_hat(k)| plus its rounding
+    # allowance, never below mpmath's |mu_hat(k)|, and is not integrated
     basis = _TWO_GENERATORS
     disc = DiscreteMeasure.from_atoms(basis, [(basis.angle(Fraction(j, 7)), w)
                                               for j, w in enumerate(weights)])
@@ -1065,10 +1117,14 @@ def test_fekete_first_entry_is_at_least_the_exact_norm(weights):
         slack = exact * (len(weights) + 2) * 2.0 ** -52 + 4 * len(weights) * 2.0 ** -1074
         assert exact <= mpmath.mpf(entry) <= exact + slack
     density = TrigPolyDensity({2: 0.5, -3: 0.25j})
-    value, err = density.l1_norm_bounds()
-    mixed = fekete_bound(MixedMeasure(disc, density), 0).entries[0][1]
-    exact_sum = Fraction(entry) + Fraction(value) + Fraction(err)
-    assert exact_sum <= Fraction(mixed) <= Fraction(math.nextafter(entry + value + err, math.inf))
+    mu = MixedMeasure(disc, density)
+    [(top, allowance)] = measures._transform_sups([mu], [2, -3])
+    mixed = fekete_bound(mu, 0).entries[0][1]
+    assert mixed == max(entry, top + allowance)
+    with mpmath.workdps(30):
+        for k, c in density.coeffs.items():
+            at_k = abs(mp_transform_value(disc, k) + mpmath.mpc(c.real, c.imag))
+            assert mpmath.mpf(mixed) >= at_k
 
 
 def test_parity_pieces_walk_only_their_live_classes():
