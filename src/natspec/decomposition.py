@@ -19,9 +19,9 @@ import numpy as np
 
 from .angles import Angle, GeneratorBasis, basis_fresh_generators
 from .errors import RadiusValidationError
-from .measures import (_U, DiscreteMeasure, MeasureLike, MixedMeasure, _transform_allowance,
-                       _transform_sups, as_mixed, convolve, make_rho, make_theta0,
-                       make_theta1, parity_projections, transforms)
+from .measures import (_U, DiscreteMeasure, MeasureLike, MixedMeasure, _fresh_pair, _sum,
+                       _transform_allowance, _transform_sups, as_mixed, parity_projections,
+                       transforms)
 from .spectrum import (_DISK_COVER, RadiusFallback, _live_classes, _pair_covering,
                        _transform_upper, covering_radius, disk_grid, disk_grid_shape,
                        radius_bracket)
@@ -185,9 +185,7 @@ def decompose(mu: MeasureLike, options: Optional[DecompositionOptions] = None
     mu_ext = _embed(mu, ext)
     mu0, mu1 = parity_projections(mu_ext)
     r0, r1, brackets, fallbacks = _radii(mu0, mu1, opts)
-    rho = make_rho(alpha, beta, ext)
-    rt1 = convolve(rho, make_theta1(ext))
-    rt0 = convolve(rho, make_theta0(ext))
+    _, rt1, rt0 = _fresh_pair(alpha, beta, ext)
     add0 = rt1.scale(r0)
     add1 = rt0.scale(r1)
     nu0 = mu0 + add0
@@ -225,7 +223,8 @@ def verify_decomposition(mu: MeasureLike, result: DecompositionResult, *,
     Each check is exact (on stored weights), a proof (a certified bound at
     every n) or a net (a finite sample over |n| <= N); only (e) reads
     transform values.  mu_i are the parity pieces derived from mu, and tau
-    = nu0 + nu1 + nu2 - mu, as summed.  (a) ``identity_structural``, exact:
+    = nu0 + nu1 + nu2 - mu, its rows summed in one merge (``measures._sum``)
+    and its densities as dicts.  (a) ``identity_structural``, exact:
     tau's largest weight or coefficient, 0 wherever the parity split finds
     an exact pair of halves (``measures._exact_halves``).
     ``identity_transform``, a proof: |tau_hat(n)| <= ||tau_disc|| + max_k
@@ -240,7 +239,11 @@ def verify_decomposition(mu: MeasureLike, result: DecompositionResult, *,
     h(theta0) + h(theta1) = 1 and h(theta0) h(theta1) = 0: where h(theta1)
     = 0, h(nu0) = h(mu0), and where h(theta0) = 0, h(mu0) = h(mu0 * theta0)
     = 0 and h(nu0) = R0 h(rho), with r(rho) = 1; likewise nu1 with theta0.
-    (f) checks that premise exactly and that the upper end of
+    (f) checks that premise exactly, nu_i - mu_i - R_i rho * theta summed
+    in one merge, with rho * theta1 and rho * theta0 read from the fresh
+    pair's entry (``measures._fresh_pair``, kept per fresh pair and basis
+    and read by ``decompose`` too, so a verifier after it convolves
+    nothing), and that the upper end of
     ``radius_bracket(mu_i, k)`` is at most R_i, k the depth the radius's
     fallback reached (fekete_k_max's default without one), threshold 0.
     It brackets the mu_i it derives, never ``result.radius_brackets``; a
@@ -280,7 +283,8 @@ def verify_decomposition(mu: MeasureLike, result: DecompositionResult, *,
     radii = (result.R0, result.R1)
 
     # (a) identity, on rows and as a bound on every transform value
-    total = ((nus[0] + nus[1]) + nu2m) - mu_e
+    total = MixedMeasure(_sum([nus[0].disc, nus[1].disc, nu2m.disc, -mu_e.disc]),
+                         ((nus[0].ac + nus[1].ac) + nu2m.ac) - mu_e.ac)
     struct, trans = _structural_residual(total), _transform_upper(total)
     checks = [VerificationCheck("identity_structural", struct <= IDENTITY_STRUCTURAL_TOL,
                                 struct, IDENTITY_STRUCTURAL_TOL),
@@ -301,13 +305,14 @@ def verify_decomposition(mu: MeasureLike, result: DecompositionResult, *,
     checks.append(VerificationCheck("orthogonality", halves, 0.0 if halves else 1.0, 0.0))
 
     # (f)'s premise and brackets, from which (c) and (d) follow
-    rho = make_rho(result.alpha, result.beta, ext)
+    rho, rt1, rt0 = _fresh_pair(result.alpha, result.beta, ext)
     spectra = []
-    for nu, mu_i, theta, r, fallback in zip(nus, pieces, (make_theta1(ext), make_theta0(ext)),
-                                            radii, result.radius_fallbacks or (None, None)):
+    for nu, mu_i, rt, r, fallback in zip(nus, pieces, (rt1, rt0), radii,
+                                         result.radius_fallbacks or (None, None)):
         k = fallback.report.entries[-1][0] if fallback else DecompositionOptions.fekete_k_max
         spectra.append({"upper": radius_bracket(mu_i, k)[0][1], "radius": r, "exact": halves
-                        and ((nu - mu_i) - convolve(rho, theta).scale(r)).is_zero})
+                        and _sum([nu.disc, -mu_i.disc, -rt.scale(r)]).is_zero
+                        and (nu.ac - mu_i.ac).is_zero})
     for i, spec in enumerate(spectra):
         residual = trans if spec["exact"] else max(trans, 1.0)
         checks.append(VerificationCheck(f"parity_nu{i}", residual <= IDENTITY_TRANSFORM_TOL,

@@ -15,7 +15,7 @@ from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -25,6 +25,9 @@ from .errors import BasisMismatchError, BudgetExceededError
 _MAX_DENOMINATOR = 1 << 62  # largest common turn denominator; also the sort-key span
 _MAX_COEFF = 1 << 62  # generator coefficients below this add without int64 wrap
 _MAX_ROOT_TABLE = 1 << 16  # unit_roots caches a table up to this denominator
+# fresh pairs ``_fresh_pair`` keeps, and (even, odd) fresh-pair coverings
+# ``spectrum._pair_covering`` keeps: a decomposition reads one of each
+_PAIR_COVER_CACHE = 16
 # limits every convolution enforces (BudgetExceededError beyond them)
 _MAX_PAIRS = 4_000_000  # atom pairs, checked before any row is built
 _MAX_ATOMS = 200_000  # atoms of the merged discrete result
@@ -323,12 +326,7 @@ class DiscreteMeasure:
     def __add__(self, other: "DiscreteMeasure") -> "DiscreteMeasure":
         if not isinstance(other, DiscreteMeasure):
             return NotImplemented
-        _check_same_basis(self.basis, other.basis)
-        den = _common_den(self.den, other.den)
-        num = np.concatenate([self.num * (den // self.den), other.num * (den // other.den)])
-        return DiscreteMeasure._rows(self.basis, den, num,
-                                     np.concatenate([self.coef, other.coef]),
-                                     np.concatenate([self.w, other.w]))
+        return _sum((self, other))
 
     def __sub__(self, other: "DiscreteMeasure") -> "DiscreteMeasure":
         return self + (-other)
@@ -341,6 +339,24 @@ class DiscreteMeasure:
 
     def __repr__(self) -> str:
         return f"DiscreteMeasure({len(self.w)} atoms, {len(self.basis)} generators)"
+
+
+def _sum(measures: Sequence[DiscreteMeasure]) -> DiscreteMeasure:
+    """The sum of one or more discrete measures over one basis: their rows
+    at the common denominator, in input order, through one ``_merge``, so
+    each position's weights are summed from -0 in input order.  It equals
+    the left fold ``measures[0] + measures[1] + ...`` as numbers, and bit
+    for bit except the sign of a zero component, where a partial sum of the
+    fold cancels and the fold restarts from -0.  ValueError when the common
+    denominator passes 2**62."""
+    basis = measures[0].basis
+    for m in measures[1:]:
+        _check_same_basis(basis, m.basis)
+    den = reduce(_common_den, (m.den for m in measures))
+    return DiscreteMeasure._rows(basis, den,
+                                 np.concatenate([m.num * (den // m.den) for m in measures]),
+                                 np.concatenate([m.coef for m in measures]),
+                                 np.concatenate([m.w for m in measures]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -757,6 +773,18 @@ def convolve(a: MeasureLike, b: MeasureLike) -> MeasureLike:
         raise BudgetExceededError(
             f"density degree {ac.degree} is above the limit {_MAX_DEGREE}")
     return MixedMeasure(disc, ac)
+
+
+@lru_cache(maxsize=_PAIR_COVER_CACHE)
+def _fresh_pair(alpha: Angle, beta: Angle, basis: GeneratorBasis
+                ) -> tuple[DiscreteMeasure, DiscreteMeasure, DiscreteMeasure]:
+    """(rho, rho * theta1, rho * theta0) for rho = ``make_rho(alpha, beta,
+    basis)``, each convolved as ``convolve`` does.  They depend on the
+    arguments alone, and their arrays are read-only, so the last
+    _PAIR_COVER_CACHE distinct pairs and bases are kept: a decomposition,
+    its verifier and the fresh pair's covering read one entry."""
+    rho = make_rho(alpha, beta, basis)
+    return rho, convolve(rho, make_theta1(basis)), convolve(rho, make_theta0(basis))
 
 
 def tv_norm(mu: MeasureLike) -> float:

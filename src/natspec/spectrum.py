@@ -34,8 +34,9 @@ import numpy as np
 from .angles import Angle, GeneratorBasis, TWO_PI
 from .blas import blas_threads
 from .errors import BudgetExceededError
-from .measures import (_MAX_DEGREE, _TERM_BLOCK, _U, DiscreteMeasure, MeasureLike, MixedMeasure,
-                       _transform_sups, as_mixed, convolve, make_rho, transforms, unit_roots)
+from .measures import (_MAX_DEGREE, _PAIR_COVER_CACHE, _TERM_BLOCK, _U, DiscreteMeasure,
+                       MeasureLike, MixedMeasure, _fresh_pair, _transform_sups, as_mixed, convolve,
+                       transforms, unit_roots)
 
 # norms whose square stays in the normal float range, with a factor 4 to spare
 _SQUARE_SAFE_MIN = 2.0 ** -511
@@ -71,8 +72,6 @@ _BRACKET_ANGLE = math.acos((1.0 - _BRACKET_REL_WIDTH) ** 2)
 MAX_DISK_POINTS = 1 << 22
 # disk_grid's covering radius of its disk, in units of tol * radius
 _DISK_COVER = math.sqrt(5.0) / 4.0
-# (even, odd) fresh-pair coverings ``_pair_covering`` keeps: a decomposition reads one
-_PAIR_COVER_CACHE = 16
 # brackets ``spectral_bracket`` keeps, with their inputs' bits: a
 # decomposition and its verifier read two, one per parity piece
 _BRACKET_CACHE = 4
@@ -686,10 +685,12 @@ def radius_bracket(mu: MeasureLike, k_max: int = 6, max_grid: Optional[int] = No
     """((lower, upper), fallback): ``spectral_bracket(mu, max_grid)`` and None,
     unless the walker refuses mu's lattice or the walks end wider than
     _BRACKET_REL_WIDTH of their upper end.  Then ``fekete_bound(mu, k_max)``
-    runs, the upper end is the smaller of the two (the lower is 0 on a
-    refusal) and fallback is the RadiusFallback.  ValueError, before any
-    work, for a negative k_max or a max_grid below 16; a density of degree
-    above 65 536 raises BudgetExceededError, as fekete_bound would."""
+    runs, the upper end is the smaller of the two and fallback is the
+    RadiusFallback; on a refusal the lower end is the density's, max(0,
+    max_K |mu_hat(k)| less its allowance) as ``_density_ends`` gives it, 0
+    without a density.  ValueError, before any work, for a negative k_max
+    or a max_grid below 16; a density of degree above 65 536 raises
+    BudgetExceededError, as fekete_bound would."""
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     try:
@@ -697,7 +698,8 @@ def radius_bracket(mu: MeasureLike, k_max: int = 6, max_grid: Optional[int] = No
     except BudgetExceededError as exc:
         if as_mixed(mu).ac.degree > _MAX_DEGREE:
             raise
-        lower, upper, reason = 0.0, math.inf, f"the walker refused the lattice: {exc}"
+        lower, upper = _density_ends(as_mixed(mu))[0], math.inf
+        reason = f"the walker refused the lattice: {exc}"
     else:
         if upper - lower <= _BRACKET_REL_WIDTH * upper:
             return (lower, upper), None
@@ -776,13 +778,15 @@ def disk_grid(radius: float = 1.0, tol: float = 0.05) -> np.ndarray:
 def _pair_covering(alpha: Angle, beta: Angle, basis: GeneratorBasis, N: int,
                    tol: float) -> tuple[float, float]:
     """Covering radii of ``disk_grid(1, tol)`` by rho_hat over the even and
-    over the odd |n| <= N, for rho = ``make_rho(alpha, beta, basis)``, from
-    one ``transforms`` call over |n| <= N.  A ``transforms`` value depends
+    over the odd |n| <= N, for the fresh pair's rho
+    (``measures._fresh_pair``), from one ``transforms`` call over
+    |n| <= N.  A ``transforms`` value depends
     only on n and the measure, so these are bit for bit the rho_hat that
     ``verify_decomposition`` reads at those n.  The pair depends on the
     arguments alone and is cached: every decomposition with the same fresh
     pair, basis, N and tol reads one entry."""
-    [values] = transforms([make_rho(alpha, beta, basis)], np.arange(-N, N + 1, dtype=np.int64))
+    [values] = transforms([_fresh_pair(alpha, beta, basis)[0]],
+                          np.arange(-N, N + 1, dtype=np.int64))
     grid = disk_grid(1.0, tol)
     # values[0] is at n = -N, which has the parity of N
     return tuple(covering_radius(grid, values[start::2]) for start in (N % 2, 1 - N % 2))

@@ -1,25 +1,26 @@
 """Shared fixtures: a two-generator basis, the canonical small measures, the
-seed-42 suite's decompositions, and empty fresh-pair covering and bracket
-caches around every test."""
+seed-42 suite's decompositions, and empty fresh-pair, fresh-pair covering
+and bracket caches around every test."""
 
 import math
 
 import pytest
 
-from natspec import spectrum, suite
+from natspec import measures, spectrum, suite
 from natspec.angles import GeneratorBasis
 from natspec.measures import make_rho, make_theta0, make_theta1
 
 
 @pytest.fixture(autouse=True)
-def empty_pair_covering_cache():
-    """Each test starts and ends with no cached fresh-pair covering or
-    spectral bracket, so that spy and call-count tests do not depend on the
-    tests run before them."""
-    for cache in (spectrum._pair_covering, spectrum._memo_bracket):
+def empty_caches():
+    """Each test starts and ends with no cached fresh pair, fresh-pair
+    covering or spectral bracket, so that spy and call-count tests do not
+    depend on the tests run before them."""
+    caches = (measures._fresh_pair, spectrum._pair_covering, spectrum._memo_bracket)
+    for cache in caches:
         cache.cache_clear()
     yield
-    for cache in (spectrum._pair_covering, spectrum._memo_bracket):
+    for cache in caches:
         cache.cache_clear()
 
 

@@ -764,30 +764,45 @@ def test_verification_builds_each_phase_factor_from_two_small_tables(monkeypatch
     assert max(max(call.values()) for call in calls) <= B + R * 6
 
 
-def test_the_bound_route_evaluates_no_transform_and_convolves_only_rho_theta(monkeypatch,
-                                                                             basis):
-    # with the fresh pair's covering and the pieces' brackets kept from
-    # decompose, the verifier reads rows and brackets only: no transforms
-    # call, and no convolution but (f)'s rho * theta1 and rho * theta0
+def test_a_verifier_after_decompose_builds_no_fresh_pair_and_merges_once_per_sum(monkeypatch,
+                                                                                 basis):
+    # with the fresh pair's pieces, its covering and the pieces' brackets
+    # kept from decompose, the verifier reads rows and brackets only: no
+    # transforms, convolve or make_rho call, and tau and each premise
+    # nu_i - mu_i - R_i rho * theta are one _sum of one _merge each
     rng = default_rng(517)
     for mu in (random_discrete(rng, basis), random_mixed(rng, basis)):
         result = decompose(mu)
         assert result.report.passed
-        evaluated, convolved = [], []
+        calls = []
         for module in (measures, spectrum, decomposition):
-            real_transforms, real_convolve = module.transforms, module.convolve
-            monkeypatch.setattr(module, "transforms", lambda ms, ns, real=real_transforms: (
-                evaluated.append(ms) or real(ms, ns)))
-            monkeypatch.setattr(module, "convolve", lambda a, b, real=real_convolve: (
-                convolved.append((a, b)) or real(a, b)))
+            for name in ("transforms", "convolve", "make_rho", "_sum", "_merge"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, lambda *args, real=getattr(module, name),
+                                        name=name: calls.append(name) or real(*args))
         report = verify_decomposition(mu, result)
         monkeypatch.undo()
         assert report == result.report
         assert {report.check(name).details["route"]
                 for name in ("density_nu0", "density_nu1")} == {"bound"}
-        assert evaluated == []
-        rho = make_rho(result.alpha, result.beta, result.basis)
-        assert convolved == [(rho, make_theta1(result.basis)), (rho, make_theta0(result.basis))]
+        assert calls == ["_sum", "_merge"] * 3
+
+
+def test_the_fresh_pair_is_rho_and_its_two_half_turn_pieces_bit_for_bit(basis):
+    # a second route: the quarter-weight atoms at alpha, beta and their
+    # half-turn images, positions built from Fraction turns
+    alpha, beta, half = basis.generator("a"), basis.generator("b"), basis.angle(Fraction(1, 2))
+    pieces = measures._fresh_pair(alpha, beta, basis)
+    assert measures._fresh_pair(alpha, beta, basis) is pieces
+    want = [DiscreteMeasure.from_atoms(basis, [(alpha, 0.5), (beta, 0.5)])]
+    want += [DiscreteMeasure.from_atoms(basis, [(alpha, 0.25), (beta, 0.25), (alpha + half, sign),
+                                                (beta + half, sign)]) for sign in (-0.25, 0.25)]
+    for got, expected in zip(pieces, want):
+        assert got.den == expected.den
+        for name in ("num", "coef", "w"):
+            a, b = getattr(got, name), getattr(expected, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert not a.flags.writeable
 
 
 def _law_slack(measures_, n_max: int) -> float:

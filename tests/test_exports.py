@@ -137,10 +137,12 @@ def test_private_imports_across_modules_are_the_pinned_set():
     assert imported == {
         ("decomposition", "measures", "_U"), ("decomposition", "measures", "_transform_sups"),
         ("decomposition", "measures", "_transform_allowance"),
+        ("decomposition", "measures", "_fresh_pair"), ("decomposition", "measures", "_sum"),
         ("decomposition", "spectrum", "_DISK_COVER"),
         ("decomposition", "spectrum", "_live_classes"),
         ("decomposition", "spectrum", "_pair_covering"),
         ("decomposition", "spectrum", "_transform_upper"),
         ("spectrum", "measures", "_MAX_DEGREE"), ("spectrum", "measures", "_TERM_BLOCK"),
         ("spectrum", "measures", "_U"), ("spectrum", "measures", "_transform_sups"),
+        ("spectrum", "measures", "_fresh_pair"), ("spectrum", "measures", "_PAIR_COVER_CACHE"),
         ("measures", "angles", "_PI_LD")}

@@ -1,12 +1,14 @@
 """Measure algebra: convolution, total variation, transforms, parity splits."""
 
 import math
+import operator
 import os
 import struct
 import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from functools import reduce
 from pathlib import Path
 from unittest import mock
 
@@ -500,6 +502,39 @@ def test_merge_matches_dict_sums_bitwise(data):
                              for k, w in mu_d.items()]))
     for part, want in zip(parity_projections(mu), _dict_parity(mu_d)):
         _assert_items(part, want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_sum_matches_the_left_fold_and_dict_sums(data):
+    # two routes for the n-ary sum: the left fold of +, equal in den, num
+    # and coef and in each weight as a number, and dict sums of every row in
+    # input order, bit for bit
+    pool = data.draw(position_pools())
+    weights = st.builds(complex, signed_st, signed_st)
+    draws = data.draw(st.lists(st.lists(st.tuples(st.sampled_from(pool), weights), max_size=6),
+                               min_size=1, max_size=5))
+    ms = [DiscreteMeasure.from_atoms(BASIS, [(BASIS.angle(t, c), w) for (t, c), w in d])
+          for d in draws]
+    got, fold = measures._sum(ms), reduce(operator.add, ms)
+    assert got.basis == fold.basis and got.den == fold.den
+    assert got.num.tobytes() == fold.num.tobytes() and got.coef.tobytes() == fold.coef.tobytes()
+    assert got.w.tolist() == fold.w.tolist()
+    _assert_items(got, _dict_sum([((a.turns, a.coeffs), w) for m in ms
+                                  for a, w in m.atoms.items()]))
+
+
+def test_sum_and_the_left_fold_differ_only_in_a_zero_sign_that_no_check_reads():
+    # the fold cancels 1 + i against -1 - i and restarts from -0, so its
+    # real part is -0 + -0 = -0; the one merge sums 1 - 1 + -0 = +0
+    x = BASIS.generator("a")
+    ms = [DiscreteMeasure(BASIS, {x: w}) for w in (1 + 1j, -1 - 1j, complex(-0.0, 1.0))]
+    got, fold = measures._sum(ms), reduce(operator.add, ms)
+    assert got.w.tolist() == fold.w.tolist() == [1j]
+    assert _bits(got.w[0]) == _bits(complex(0.0, 1.0)) != _bits(fold.w[0])
+    assert (decomposition._structural_residual(as_mixed(got))
+            == decomposition._structural_residual(as_mixed(fold)) == 1.0)
+    assert got.is_zero == fold.is_zero is False
 
 
 def test_merge_across_wide_coefficient_ranges():

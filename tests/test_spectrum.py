@@ -1044,6 +1044,24 @@ def test_radius_bracket_runs_the_squarings_only_on_a_wide_bracket(monkeypatch, b
     assert spectrum.radius_bracket(mu, 0, 16)[0] == (lower, upper)
 
 
+def test_radius_bracket_keeps_the_density_lower_end_on_a_refused_lattice():
+    # five free axes: the walker refuses the lattice, and the lower end is
+    # still the density's max_K |mu_hat(k)| less its allowance, checked
+    # against mpmath's |mu_hat(k)| at 30 digits at the density's frequencies
+    five = GeneratorBasis.from_pairs(FRESH_GENERATOR_VALUES[:5])
+    d = DiscreteMeasure.from_atoms(five, [(five.zero(), 0.5),
+                                          (five.angle(Fraction(0), (1, 1, 1, 1, 1)), 0.25 + 0.25j)])
+    density = {1: 0.5, -2: 0.75j}
+    mu = MixedMeasure(d, TrigPolyDensity(density))
+    (lower, upper), fallback = spectrum.radius_bracket(mu, 2)
+    assert fallback.reason.startswith("the walker refused the lattice")
+    assert lower == spectrum._density_ends(mu)[0] > 0.0
+    with mpmath.workdps(30):
+        top = max(abs(mp_transform_value(d, k) + mpmath.mpc(c)) for k, c in density.items())
+        assert lower <= top <= upper
+        assert top - lower <= 1e-12 * top
+
+
 def test_spectral_bracket_caps_at_the_norm_rounded_upward(basis):
     # |0.001 + 0.001j| rounds below its exact value, so the norm as summed
     # is not an upper end; the bracket's cap, fekete_bound's first entry, is
