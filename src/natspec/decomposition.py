@@ -13,18 +13,18 @@ spectral disks, and nu2 is a small discrete correction.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
 from .angles import Angle, GeneratorBasis, basis_fresh_generators
 from .errors import RadiusValidationError
-from .measures import (_U, DiscreteMeasure, MeasureLike, MixedMeasure, _fresh_pair, _sum,
-                       _transform_allowance, _transform_sups, as_mixed, parity_projections,
-                       transforms)
-from .spectrum import (_DISK_COVER, RadiusFallback, _live_classes, _pair_covering,
-                       _transform_upper, covering_radius, disk_grid, disk_grid_shape,
-                       radius_bracket)
+from .measures import (_U, DiscreteMeasure, MeasureLike, MixedMeasure, _sum,
+                       _transform_allowance, _transform_sups, as_mixed, convolve, make_rho,
+                       make_theta0, make_theta1, parity_projections, transforms)
+from .spectrum import (_DISK_COVER, RadiusFallback, _live_classes, _transform_upper,
+                       covering_radius, disk_grid, disk_grid_shape, radius_bracket)
 
 RADIUS_MODES = ("bracket", "manual")
 
@@ -34,6 +34,9 @@ IDENTITY_STRUCTURAL_TOL = 1e-12
 MANUAL_RADIUS_SCAN = 256
 # largest transform range |n| <= N the verifier accepts (100x the largest in use)
 MAX_VERIFY_N = 1 << 20
+# fresh pairs ``_fresh_pair`` keeps, and (even, odd) fresh-pair coverings
+# ``_pair_covering`` keeps: a decomposition reads one of each
+_PAIR_COVER_CACHE = 16
 
 
 @dataclass(frozen=True)
@@ -166,6 +169,35 @@ def _check_N(N: int) -> None:
         raise ValueError("N must be between 1 and 2**20")
 
 
+@lru_cache(maxsize=_PAIR_COVER_CACHE)
+def _fresh_pair(alpha: Angle, beta: Angle, basis: GeneratorBasis
+                ) -> tuple[DiscreteMeasure, DiscreteMeasure, DiscreteMeasure]:
+    """(rho, rho * theta1, rho * theta0) for rho = ``make_rho(alpha, beta,
+    basis)``, each convolved as ``convolve`` does.  They depend on the
+    arguments alone, and their arrays are read-only, so the last
+    _PAIR_COVER_CACHE distinct pairs and bases are kept: a decomposition,
+    its verifier and the fresh pair's covering read one entry."""
+    rho = make_rho(alpha, beta, basis)
+    return rho, convolve(rho, make_theta1(basis)), convolve(rho, make_theta0(basis))
+
+
+@lru_cache(maxsize=_PAIR_COVER_CACHE)
+def _pair_covering(alpha: Angle, beta: Angle, basis: GeneratorBasis, N: int,
+                   tol: float) -> tuple[float, float]:
+    """Covering radii of ``disk_grid(1, tol)`` by rho_hat over the even and
+    over the odd |n| <= N, for the fresh pair's rho (``_fresh_pair``), from
+    one ``transforms`` call over |n| <= N.  A ``transforms`` value depends
+    only on n and the measure, so these are bit for bit the rho_hat that
+    ``verify_decomposition`` reads at those n.  The pair depends on the
+    arguments alone and is cached: every decomposition with the same fresh
+    pair, basis, N and tol reads one entry."""
+    [values] = transforms([_fresh_pair(alpha, beta, basis)[0]],
+                          np.arange(-N, N + 1, dtype=np.int64))
+    grid = disk_grid(1.0, tol)
+    # values[0] is at n = -N, which has the parity of N
+    return tuple(covering_radius(grid, values[start::2]) for start in (N % 2, 1 - N % 2))
+
+
 def decompose(mu: MeasureLike, options: Optional[DecompositionOptions] = None
               ) -> DecompositionResult:
     """Build (nu0, nu1, nu2) over a basis extended by two fresh generators.
@@ -241,7 +273,7 @@ def verify_decomposition(mu: MeasureLike, result: DecompositionResult, *,
     = 0 and h(nu0) = R0 h(rho), with r(rho) = 1; likewise nu1 with theta0.
     (f) checks that premise exactly, nu_i - mu_i - R_i rho * theta summed
     in one merge, with rho * theta1 and rho * theta0 read from the fresh
-    pair's entry (``measures._fresh_pair``, kept per fresh pair and basis
+    pair's entry (``_fresh_pair``, kept per fresh pair and basis
     and read by ``decompose`` too, so a verifier after it convolves
     nothing), and that the upper end of
     ``radius_bracket(mu_i, k)`` is at most R_i, k the depth the radius's
@@ -259,7 +291,7 @@ def verify_decomposition(mu: MeasureLike, result: DecompositionResult, *,
     max(1, R_i).  With the premise, nu0_hat = R0 rho_hat at odd n, so it
     is at most R0 (cov + a) + 8 u (R0 + R0 (cov + a)): cov covers
     ``disk_grid(1, tol)`` by the floats rho_hat at the odd |n| <= N
-    (``spectrum._pair_covering``, cached with the even n's per fresh pair,
+    (``_pair_covering``, cached with the even n's per fresh pair,
     basis, N and tol), a = ``measures._transform_allowance(rho, N)`` bounds
     their rounding, and 8 u (...) the grid's rescaling and the float sums;
     nu1 takes the even n.  Where the premise holds and this bound is at

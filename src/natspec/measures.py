@@ -11,7 +11,7 @@ has transform e^{-ina}.
 from __future__ import annotations
 
 import math
-from collections.abc import ItemsView, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -25,9 +25,6 @@ from .errors import BasisMismatchError, BudgetExceededError
 _MAX_DENOMINATOR = 1 << 62  # largest common turn denominator; also the sort-key span
 _MAX_COEFF = 1 << 62  # generator coefficients below this add without int64 wrap
 _MAX_ROOT_TABLE = 1 << 16  # unit_roots caches a table up to this denominator
-# fresh pairs ``_fresh_pair`` keeps, and (even, odd) fresh-pair coverings
-# ``spectrum._pair_covering`` keeps: a decomposition reads one of each
-_PAIR_COVER_CACHE = 16
 # limits every convolution enforces (BudgetExceededError beyond them)
 _MAX_PAIRS = 4_000_000  # atom pairs, checked before any row is built
 _MAX_ATOMS = 200_000  # atoms of the merged discrete result
@@ -200,37 +197,6 @@ def _merge(den: int, num: np.ndarray, coef: np.ndarray, w: np.ndarray):
     return den // g, num // g, coef, w
 
 
-class _Atoms(Mapping):
-    """The ``atoms`` view of a DiscreteMeasure."""
-
-    __slots__ = ("_mu",)
-
-    def __init__(self, mu: "DiscreteMeasure"):
-        self._mu = mu
-
-    def __len__(self) -> int:
-        return len(self._mu.w)
-
-    def __iter__(self):
-        mu = self._mu
-        return (Angle(Fraction(t, mu.den), tuple(c))
-                for t, c in zip(mu.num.tolist(), mu.coef.tolist()))
-
-    def __getitem__(self, angle: Angle) -> complex:
-        for key, w in self.items():
-            if key == angle:
-                return w
-        raise KeyError(angle)
-
-    def items(self):
-        return _AtomItems(self)
-
-
-class _AtomItems(ItemsView):
-    def __iter__(self):
-        return zip(self._mapping, self._mapping._mu.w.tolist())
-
-
 class DiscreteMeasure:
     """Finite complex combination of point masses at exact positions.
 
@@ -240,7 +206,7 @@ class DiscreteMeasure:
     (int64[m]), ``coef`` (int64[m, k]) and ``w`` (complex128[m]) hold the
     unique rows with nonzero weights, sorted by turns, then coefficients.
     Angles appear only at the edge: the constructor takes a mapping
-    Angle -> weight, ``atoms`` is a read-only Mapping view.  ValueError when
+    Angle -> weight, ``atoms`` returns a new dict of them.  ValueError when
     den would pass 2**62 or a coefficient does not fit in int64.
     """
 
@@ -287,11 +253,10 @@ class DiscreteMeasure:
         return cls(basis, {})
 
     @property
-    def atoms(self) -> Mapping[Angle, complex]:
-        """Read-only Mapping Angle -> weight in canonical order, built lazily:
-        ``len`` builds no Angle; iterating, and each lookup, builds one per
-        atom visited."""
-        return _Atoms(self)
+    def atoms(self) -> dict[Angle, complex]:
+        """A new dict Angle -> weight in canonical order."""
+        return {Angle(Fraction(t, self.den), tuple(c)): w for t, c, w
+                in zip(self.num.tolist(), self.coef.tolist(), self.w.tolist())}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DiscreteMeasure):
@@ -505,7 +470,7 @@ class MixedMeasure:
         return transforms([self], ns)[0]
 
     def __repr__(self) -> str:
-        return (f"MixedMeasure({len(self.disc.atoms)} atoms, "
+        return (f"MixedMeasure({len(self.disc)} atoms, "
                 f"{len(self.ac.coeffs)} density coefficients)")
 
 
@@ -775,18 +740,6 @@ def convolve(a: MeasureLike, b: MeasureLike) -> MeasureLike:
     return MixedMeasure(disc, ac)
 
 
-@lru_cache(maxsize=_PAIR_COVER_CACHE)
-def _fresh_pair(alpha: Angle, beta: Angle, basis: GeneratorBasis
-                ) -> tuple[DiscreteMeasure, DiscreteMeasure, DiscreteMeasure]:
-    """(rho, rho * theta1, rho * theta0) for rho = ``make_rho(alpha, beta,
-    basis)``, each convolved as ``convolve`` does.  They depend on the
-    arguments alone, and their arrays are read-only, so the last
-    _PAIR_COVER_CACHE distinct pairs and bases are kept: a decomposition,
-    its verifier and the fresh pair's covering read one entry."""
-    rho = make_rho(alpha, beta, basis)
-    return rho, convolve(rho, make_theta1(basis)), convolve(rho, make_theta0(basis))
-
-
 def tv_norm(mu: MeasureLike) -> float:
     """Total variation norm, estimated as ``tv_norm_bounds``'s value."""
     return tv_norm_bounds(mu)[0]
@@ -839,8 +792,11 @@ def _exact_halves_complex(w: complex, wp: complex) -> tuple[complex, complex]:
 def _parity_split_disc(mu: DiscreteMeasure) -> tuple[DiscreteMeasure, DiscreteMeasure]:
     # Half-turn partners share (num mod den/2, coef).  Each pair is split
     # from the weight of its first atom in canonical order and the partner's
-    # weight, 0 when the partner is absent.  The pieces' rows are unique, so
-    # one sort puts both in canonical order, each weight a one-term sum.
+    # weight, 0 when the partner is absent.  The groups come in key order,
+    # so the lower positions of the pairs, then the upper ones, are the
+    # pieces' rows in canonical order, each weight a one-term sum.  The
+    # first atom is the lower one unless that is absent; the odd piece
+    # gives the first atom d and its partner -d.
     den = _common_den(mu.den, 2)
     half = den // 2
     num = mu.num * (den // mu.den)
@@ -855,14 +811,12 @@ def _parity_split_disc(mu: DiscreteMeasure) -> tuple[DiscreteMeasure, DiscreteMe
               for i, j in zip(lead.tolist(), last.tolist())]
     h = np.array([x for x, _ in halves], dtype=np.complex128)
     d = np.array([x for _, x in halves], dtype=np.complex128)
-    pos = np.concatenate([num[lead], (num[lead] + half) % den])
+    low = num[lead] % half
+    d = np.where(num[lead] == low, d, -d)
+    pos = np.concatenate([low, low + half])
     coef = np.concatenate([mu.coef[lead], mu.coef[lead]])
-    _, order = _row_groups(np.vstack([pos, coef.T]))
-    pos, coef = pos[order], coef[order]
-    return (DiscreteMeasure._canonical_rows(mu.basis, den, pos, coef,
-                                            np.concatenate([h, h])[order]),
-            DiscreteMeasure._canonical_rows(mu.basis, den, pos, coef,
-                                            np.concatenate([d, -d])[order]))
+    return (DiscreteMeasure._canonical_rows(mu.basis, den, pos, coef, np.concatenate([h, h])),
+            DiscreteMeasure._canonical_rows(mu.basis, den, pos, coef, np.concatenate([d, -d])))
 
 
 def parity_projections(mu: MeasureLike) -> tuple[MeasureLike, MeasureLike]:

@@ -31,12 +31,11 @@ from typing import Optional
 
 import numpy as np
 
-from .angles import Angle, GeneratorBasis, TWO_PI
+from .angles import TWO_PI
 from .blas import blas_threads
 from .errors import BudgetExceededError
-from .measures import (_MAX_DEGREE, _PAIR_COVER_CACHE, _TERM_BLOCK, _U, DiscreteMeasure,
-                       MeasureLike, MixedMeasure, _fresh_pair, _transform_sups, as_mixed, convolve,
-                       transforms, unit_roots)
+from .measures import (_MAX_DEGREE, _TERM_BLOCK, _U, DiscreteMeasure, MeasureLike, MixedMeasure,
+                       _transform_sups, as_mixed, convolve, unit_roots)
 
 # norms whose square stays in the normal float range, with a factor 4 to spare
 _SQUARE_SAFE_MIN = 2.0 ** -511
@@ -772,21 +771,3 @@ def disk_grid(radius: float = 1.0, tol: float = 0.05) -> np.ndarray:
     angles = (np.arange(n_ang, dtype=np.float64) / n_ang) * TWO_PI
     pts = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
     return np.concatenate([np.zeros(1, dtype=np.complex128), pts])
-
-
-@functools.lru_cache(maxsize=_PAIR_COVER_CACHE)
-def _pair_covering(alpha: Angle, beta: Angle, basis: GeneratorBasis, N: int,
-                   tol: float) -> tuple[float, float]:
-    """Covering radii of ``disk_grid(1, tol)`` by rho_hat over the even and
-    over the odd |n| <= N, for the fresh pair's rho
-    (``measures._fresh_pair``), from one ``transforms`` call over
-    |n| <= N.  A ``transforms`` value depends
-    only on n and the measure, so these are bit for bit the rho_hat that
-    ``verify_decomposition`` reads at those n.  The pair depends on the
-    arguments alone and is cached: every decomposition with the same fresh
-    pair, basis, N and tol reads one entry."""
-    [values] = transforms([_fresh_pair(alpha, beta, basis)[0]],
-                          np.arange(-N, N + 1, dtype=np.int64))
-    grid = disk_grid(1.0, tol)
-    # values[0] is at n = -N, which has the parity of N
-    return tuple(covering_radius(grid, values[start::2]) for start in (N % 2, 1 - N % 2))

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from natspec import measures, spectrum, suite
+from natspec import decomposition, spectrum, suite
 from natspec.angles import GeneratorBasis
 from natspec.measures import make_rho, make_theta0, make_theta1
 
@@ -16,7 +16,7 @@ def empty_caches():
     """Each test starts and ends with no cached fresh pair, fresh-pair
     covering or spectral bracket, so that spy and call-count tests do not
     depend on the tests run before them."""
-    caches = (measures._fresh_pair, spectrum._pair_covering, spectrum._memo_bracket)
+    caches = (decomposition._fresh_pair, decomposition._pair_covering, spectrum._memo_bracket)
     for cache in caches:
         cache.cache_clear()
     yield

@@ -329,7 +329,7 @@ def test_density_check_is_at_least_the_brute_force_covering(pair, N, tol, weight
     [rho_t] = transforms([make_rho(result.alpha, result.beta, result.basis)], ns)
     even, odd = brute = tuple(brute_covering(disk_grid(1.0, tol), rho_t[sel])
                               for sel in (ns % 2 == 0, ns % 2 != 0))
-    assert spectrum._pair_covering(result.alpha, result.beta, result.basis, N, tol) == brute
+    assert decomposition._pair_covering(result.alpha, result.beta, result.basis, N, tol) == brute
     for name, nu, r, cover in (("density_nu0", result.nu0, result.R0, odd),
                                ("density_nu1", result.nu1, result.R1, even)):
         check = result.report.check(name)
@@ -377,15 +377,15 @@ def test_the_cached_covering_reads_one_transforms_call_of_rho_bit_for_bit(monkey
     mu = random_mixed(default_rng(513), basis)
     result = decompose(mu, DecompositionOptions(verify=False))
     calls, samples = [], []
-    real_transforms, real_covering = spectrum.transforms, spectrum.covering_radius
+    real_transforms, real_covering = decomposition.transforms, decomposition.covering_radius
 
     def transforms_spy(ms, ns):
         values = real_transforms(ms, ns)
         calls.append((list(ms), ns, values))
         return values
 
-    monkeypatch.setattr(spectrum, "transforms", transforms_spy)
-    monkeypatch.setattr(spectrum, "covering_radius",
+    monkeypatch.setattr(decomposition, "transforms", transforms_spy)
+    monkeypatch.setattr(decomposition, "covering_radius",
                         lambda reference, sample: samples.append(sample)
                         or real_covering(reference, sample))
     report = verify_decomposition(mu, result)
@@ -413,22 +413,23 @@ def test_the_pair_covering_is_the_brute_covering_of_the_verifier_s_rho_halves(mo
     # pair_cover of nu1's and nu0's density checks
     mu = random_mixed(default_rng(515), basis)
     result = decompose(mu, DecompositionOptions(verify=False))
-    spectrum._pair_covering.cache_clear()
+    decomposition._pair_covering.cache_clear()
     calls = []
-    real_transforms = spectrum.transforms
+    real_transforms = decomposition.transforms
 
     def transforms_spy(ms, ns):
         values = real_transforms(ms, ns)
         calls.append((list(ms), ns, values))
         return values
 
-    monkeypatch.setattr(spectrum, "transforms", transforms_spy)
+    monkeypatch.setattr(decomposition, "transforms", transforms_spy)
     report = verify_decomposition(mu, result, N=N, tol=0.1)
-    [(ms, ns, [rho_t])] = calls
-    assert ms == [make_rho(result.alpha, result.beta, result.basis)]
+    # the exact route's call of the nu_i, if any, is seen too: take rho's
+    rho = make_rho(result.alpha, result.beta, result.basis)
+    [(ns, [rho_t])] = [(ns, values) for ms, ns, values in calls if ms == [rho]]
     assert ns.tolist() == list(range(-N, N + 1))
     want = tuple(brute_covering(disk_grid(1.0, 0.1), rho_t[ns % 2 == parity]) for parity in (0, 1))
-    assert spectrum._pair_covering(result.alpha, result.beta, result.basis, N, 0.1) == want
+    assert decomposition._pair_covering(result.alpha, result.beta, result.basis, N, 0.1) == want
     assert (report.check("density_nu1").details["pair_cover"],
             report.check("density_nu0").details["pair_cover"]) == want
 
@@ -467,13 +468,12 @@ def test_a_moved_weight_fails_parity_and_the_density_verdict_follows_the_oracle(
 
 def test_a_second_decomposition_with_the_same_fresh_pair_builds_no_tree(monkeypatch, basis):
     calls = []
-    real = spectrum.covering_radius
+    real = decomposition.covering_radius
 
     def counting(*args):
         calls.append(len(args[1]))
         return real(*args)
 
-    monkeypatch.setattr(spectrum, "covering_radius", counting)
     monkeypatch.setattr(decomposition, "covering_radius", counting)
     rng = default_rng(512)
     first = decompose(random_mixed(rng, basis))
@@ -496,7 +496,7 @@ def test_decompose_and_verify_refuse_a_non_measure_alike(basis, not_a_measure):
 
 
 def test_pair_covering_cache_size_is_the_module_constant():
-    assert spectrum._pair_covering.cache_parameters()["maxsize"] == spectrum._PAIR_COVER_CACHE
+    assert decomposition._pair_covering.cache_parameters()["maxsize"] == decomposition._PAIR_COVER_CACHE
 
 
 def test_zero_measure_decomposes_to_zero(basis):
@@ -757,8 +757,8 @@ def test_verification_builds_each_phase_factor_from_two_small_tables(monkeypatch
     assert {report.check(name).details["route"] for name in ("density_nu0", "density_nu1")} == {
         "bound"}
     verified, calls[:] = list(calls), []
-    spectrum._pair_covering.cache_clear()
-    spectrum._pair_covering(result.alpha, result.beta, result.basis, N, 0.05)
+    decomposition._pair_covering.cache_clear()
+    decomposition._pair_covering(result.alpha, result.beta, result.basis, N, 0.05)
     assert verified == calls and len(set().union(*calls)) >= 2
     assert (N >> 12) - (-N >> 12) + 1 == 6
     assert max(max(call.values()) for call in calls) <= B + R * 6
@@ -792,8 +792,8 @@ def test_the_fresh_pair_is_rho_and_its_two_half_turn_pieces_bit_for_bit(basis):
     # a second route: the quarter-weight atoms at alpha, beta and their
     # half-turn images, positions built from Fraction turns
     alpha, beta, half = basis.generator("a"), basis.generator("b"), basis.angle(Fraction(1, 2))
-    pieces = measures._fresh_pair(alpha, beta, basis)
-    assert measures._fresh_pair(alpha, beta, basis) is pieces
+    pieces = decomposition._fresh_pair(alpha, beta, basis)
+    assert decomposition._fresh_pair(alpha, beta, basis) is pieces
     want = [DiscreteMeasure.from_atoms(basis, [(alpha, 0.5), (beta, 0.5)])]
     want += [DiscreteMeasure.from_atoms(basis, [(alpha, 0.25), (beta, 0.25), (alpha + half, sign),
                                                 (beta + half, sign)]) for sign in (-0.25, 0.25)]

@@ -476,8 +476,7 @@ def _dict_parity(atoms: dict) -> tuple[dict, dict]:
 
 
 def _assert_items(mu: DiscreteMeasure, expected: dict) -> None:
-    with mock.patch.object(Angle, "__post_init__", side_effect=AssertionError("Angle built")):
-        assert len(mu.atoms) == len(mu) == len(expected)
+    assert len(mu.atoms) == len(mu) == len(expected)
     got = [((a.turns, a.coeffs), _bits(w)) for a, w in mu.atoms.items()]
     assert got == [(key, _bits(expected[key])) for key in sorted(expected)]
 
@@ -635,7 +634,7 @@ def test_half_turn_pairs_match_the_angle_route_and_dict_sums(k):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_parity_pieces_match_the_angle_route_and_dict_sums(data):
-    # the parity pieces are sorted once for both and kept as canonical rows;
+    # the parity pieces are written as canonical rows without a second sort;
     # rebuilding each from its (Angle, weight) pairs through the merge, and
     # the dict route of the split, give the same rows, bit for bit
     pool = data.draw(position_pools())
@@ -647,6 +646,52 @@ def test_parity_pieces_match_the_angle_route_and_dict_sums(data):
         merged = DiscreteMeasure.from_atoms(BASIS, [(BASIS.angle(t, c), w)
                                                     for (t, c), w in want.items()])
         _assert_same_rows(part, merged)
+
+
+@st.composite
+def split_inputs(draw):
+    """A discrete measure from a position pool, so that some atoms lack
+    their half-turn partner, with weights that have signed zero components
+    or round when halved."""
+    pool = draw(position_pools())
+    weights = st.builds(complex, signed_st | rounding_st, signed_st | rounding_st)
+    pairs = draw(st.lists(st.tuples(st.sampled_from(pool), weights), max_size=10))
+    return DiscreteMeasure.from_atoms(BASIS, [(BASIS.angle(t, c), w) for (t, c), w in pairs])
+
+
+@settings(max_examples=150, deadline=None)
+@given(split_inputs())
+@example(DiscreteMeasure.from_atoms(BASIS, [  # a lone upper atom, a pair, signed zeros
+    (BASIS.angle(Fraction(3, 4), (1, 0)), complex(-0.0, 0.5)),
+    (BASIS.angle(Fraction(1, 3), (0, -1)), complex(0.25, -0.0)),
+    (BASIS.angle(Fraction(5, 6), (0, -1)), complex(-0.0, 1 / 997))]))
+def test_the_parity_split_sorts_once_and_writes_canonical_rows(mu):
+    # one _row_groups call pairs the partners; each piece is its own rows
+    # through the merge's grouping and sort, bit for bit
+    with mock.patch.object(measures, "_row_groups", wraps=measures._row_groups) as spy:
+        pieces = measures._parity_split_disc(mu)
+    assert spy.call_count == 1
+    for part in pieces:
+        _assert_same_rows(part, DiscreteMeasure._rows(BASIS, part.den, part.num, part.coef,
+                                                      part.w))
+
+
+def test_atoms_is_a_new_dict_that_leaves_the_rows_alone():
+    mu = DiscreteMeasure.from_atoms(BASIS, [(BASIS.angle(Fraction(3, 4), (1, -2)), 0.5j),
+                                            (BASIS.angle(Fraction(1, 6)), -0.25),
+                                            (BASIS.angle(Fraction(1, 6), (0, 1)), 2.0)])
+    rows = [(name, getattr(mu, name).tobytes()) for name in ("num", "coef", "w")]
+    # a second route: the positions built from Fraction turns, in canonical order
+    want = {Angle(Fraction(1, 6), (0, 0)): -0.25 + 0j, Angle(Fraction(1, 6), (0, 1)): 2.0 + 0j,
+            Angle(Fraction(3, 4), (1, -2)): 0.5j}
+    atoms = mu.atoms
+    assert type(atoms) is dict and atoms is not mu.atoms
+    assert list(atoms.items()) == list(want.items())
+    atoms[BASIS.zero()] = 1.0
+    del atoms[Angle(Fraction(3, 4), (1, -2))]
+    mu.atoms.clear()
+    assert [(name, getattr(mu, name).tobytes()) for name in ("num", "coef", "w")] == rows
+    assert list(mu.atoms.items()) == list(want.items())
 
 
 @st.composite
